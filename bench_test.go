@@ -7,6 +7,7 @@ package opmap
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -85,7 +86,7 @@ func BenchmarkFig10CubeGenAttrs(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := rulecube.BuildStore(ds, rulecube.StoreOptions{Parallelism: 1}); err != nil {
+				if _, err := rulecube.BuildStore(ds, rulecube.StoreOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -106,36 +107,12 @@ func BenchmarkFig11CubeGenRecords(b *testing.B) {
 			ds := base.Duplicate(factor)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := rulecube.BuildStore(ds, rulecube.StoreOptions{Parallelism: 1}); err != nil {
+				if _, err := rulecube.BuildStore(ds, rulecube.StoreOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
-}
-
-// BenchmarkAblationParallelCubeGen contrasts serial cube generation (the
-// paper's offline step) with this implementation's parallel build — an
-// extension ablation (DESIGN.md §5).
-func BenchmarkAblationParallelCubeGen(b *testing.B) {
-	ds, err := workload.Scale(workload.ScaleConfig{Seed: 1, Records: benchRecords / 5, Attrs: 60})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := rulecube.BuildStore(ds, rulecube.StoreOptions{Parallelism: 1}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := rulecube.BuildStore(ds, rulecube.StoreOptions{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkFig4Boundaries exercises the measure's boundary computations
@@ -266,12 +243,18 @@ func BenchmarkAblationCubeVsScan(b *testing.B) {
 // rules versus reading the materialized two-condition cubes (the
 // deployed system's design choice, Section III.B).
 func BenchmarkRestrictedMining(b *testing.B) {
-	store, ds, in := caseStudyFixture(b)
+	_, ds, in := caseStudyFixture(b)
 	fixed := []car.Condition{{Attr: in.Attr, Value: in.V2}}
 	b.Run("restricted-cube", func(b *testing.B) {
-		attrs := []int{ds.AttrIndex("Time-of-Call"), ds.AttrIndex("Terrain")}
+		// Count the cube over the fixed attribute plus the ranked ones,
+		// then slice the fixed attribute to its value.
+		attrs := []int{in.Attr, ds.AttrIndex("Time-of-Call"), ds.AttrIndex("Terrain")}
 		for i := 0; i < b.N; i++ {
-			if _, err := store.RestrictedCube(fixed, attrs); err != nil {
+			cubes, err := rulecube.BuildMany(context.Background(), ds, [][]int{attrs})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := cubes[0].Slice(0, in.V2); err != nil {
 				b.Fatal(err)
 			}
 		}

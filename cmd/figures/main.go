@@ -23,6 +23,7 @@ import (
 	"opmap/internal/car"
 	"opmap/internal/compare"
 	"opmap/internal/gi"
+	"opmap/internal/obsv"
 	"opmap/internal/rulecube"
 	"opmap/internal/stats"
 	"opmap/internal/visual"
@@ -296,29 +297,26 @@ func fig9(seed int64, records, maxAttrs int) {
 
 // fig10 reproduces Fig. 10: rule-cube generation time vs #attributes at
 // a fixed record count. Superlinear (quadratic in attributes: all pairs).
+// The scans column counts dataset passes per store build: every cube is
+// counted in one shared scan.
 func fig10(seed int64, records, maxAttrs int) {
 	header("Fig. 10 — cube generation time vs #attributes")
-	fmt.Printf("(records: %d; paper used 2,000,000 — pass -records to match.\n", records)
-	fmt.Println(" serial matches the paper's single-threaded generator; the parallel")
-	fmt.Println(" column is this implementation's extension)")
-	fmt.Println("attrs    cubes      serial          parallel")
+	fmt.Printf("(records: %d; paper used 2,000,000 — pass -records to match)\n", records)
+	fmt.Println("attrs    cubes    scans    time")
+	scans := obsv.Default().Counter(rulecube.CubeScansCounterName)
 	for n := 40; n <= maxAttrs; n += 40 {
 		ds, err := workload.Scale(workload.ScaleConfig{Seed: seed, Records: records, Attrs: n})
 		if err != nil {
 			log.Fatal(err)
 		}
+		s0 := scans.Value()
 		start := time.Now()
-		store, err := rulecube.BuildStore(ds, rulecube.StoreOptions{Parallelism: 1})
+		store, err := rulecube.BuildStore(ds, rulecube.StoreOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		serial := time.Since(start)
-		start = time.Now()
-		if _, err := rulecube.BuildStore(ds, rulecube.StoreOptions{}); err != nil {
-			log.Fatal(err)
-		}
-		parallel := time.Since(start)
-		fmt.Printf("%5d    %6d    %-14v  %v\n", n, store.CubeCount(), serial, parallel)
+		elapsed := time.Since(start)
+		fmt.Printf("%5d    %5d    %5d    %v\n", n, store.CubeCount(), scans.Value()-s0, elapsed)
 	}
 }
 
@@ -333,11 +331,11 @@ func fig11(seed int64, baseRecords, attrs int) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("records      time (serial, as the paper)")
+	fmt.Println("records      time")
 	for factor := 1; factor <= 4; factor++ {
 		ds := base.Duplicate(factor)
 		start := time.Now()
-		if _, err := rulecube.BuildStore(ds, rulecube.StoreOptions{Parallelism: 1}); err != nil {
+		if _, err := rulecube.BuildStore(ds, rulecube.StoreOptions{}); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%9d    %v\n", ds.NumRows(), time.Since(start))

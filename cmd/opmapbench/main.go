@@ -2,7 +2,7 @@
 // the synthetic call-log case study and writes the recorded stage
 // timings as JSON — the benchmark artifact (BENCH_*.json) tracking how
 // long the paper's steps take as the codebase grows. Hot-path
-// instrumentation is armed, so the per-cube-build and per-attribute
+// instrumentation is armed, so the per-scan cube-build and per-attribute
 // compare histograms are populated too.
 //
 // Usage:
@@ -485,25 +485,21 @@ func benchBatch(ctx context.Context, records int, seed int64) (batchBench, error
 	scans := obsv.Default().Counter(rulecube.CubeScansCounterName)
 
 	// The sweep's declared working set, as prefetched by the batch path.
-	reqs := []rulecube.CubeReq{{A: attr, B: -1}}
+	reqs := [][]int{{attr}}
 	for ai := 0; ai < ds.NumAttrs(); ai++ {
 		if ai == attr || ai == ds.ClassIndex() {
 			continue
 		}
-		reqs = append(reqs, rulecube.CubeReq{A: attr, B: ai})
+		reqs = append(reqs, []int{attr, ai})
 	}
 	bb.Cubes = int64(len(reqs))
 
-	// Per-pair rebuild baseline: N independent counted builds, one full
-	// dataset scan each — the cost model the batch engine replaces.
+	// Per-pair rebuild baseline: N independent builds, one full dataset
+	// scan each — the cost model the batch engine replaces.
 	s0 := scans.Value()
 	start := time.Now()
-	for _, rq := range reqs {
-		attrs := []int{rq.A}
-		if rq.B >= 0 {
-			attrs = []int{rq.A, rq.B}
-		}
-		if _, err := rulecube.BuildCube(ds, attrs); err != nil {
+	for _, attrs := range reqs {
+		if _, err := rulecube.Build(ds, attrs); err != nil {
 			return bb, err
 		}
 	}

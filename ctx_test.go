@@ -12,8 +12,9 @@ import (
 )
 
 // TestBuildCubesContextCancel is the public-API acceptance check:
-// canceling mid-BuildCubes returns ctx.Err() within 100ms and leaks no
-// worker goroutines.
+// canceling mid-BuildCubes (here while the store build's one counting
+// scan is held at its fault site) returns ctx.Err() within 100ms and
+// leaks no goroutines.
 func TestBuildCubesContextCancel(t *testing.T) {
 	defer testutil.VerifyNoLeak(t)()
 	defer faultinject.Reset()
@@ -22,7 +23,7 @@ func TestBuildCubesContextCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	disarm, err := faultinject.Arm(faultinject.Fault{
-		Site:  faultinject.SiteCubeBuildPair,
+		Site:  faultinject.SiteCubeBatch,
 		Kind:  faultinject.Delay,
 		Delay: 50 * time.Millisecond,
 	})

@@ -151,7 +151,7 @@ func (s *Session) ConditionalTrends(groupAttr, ordAttr string) ([]ConditionalTre
 	if o < 0 {
 		return nil, fmt.Errorf("opmap: unknown attribute %q", ordAttr)
 	}
-	cube, err := src.Cube2(context.Background(), g, o)
+	cube, err := src.CubeN(context.Background(), []int{g, o})
 	if err != nil {
 		return nil, fmt.Errorf("opmap: pair cube (%s,%s) unavailable: %w", groupAttr, ordAttr, err)
 	}
@@ -319,7 +319,7 @@ func (s *Session) RenderDetailed(w io.Writer, attr string) error {
 	if a < 0 {
 		return fmt.Errorf("opmap: unknown attribute %q", attr)
 	}
-	cube, err := src.Cube1(context.Background(), a)
+	cube, err := src.CubeN(context.Background(), []int{a})
 	if err != nil {
 		return fmt.Errorf("opmap: attribute %q unavailable: %w", attr, err)
 	}
@@ -343,7 +343,7 @@ func (s *Session) RenderDetailed3D(w io.Writer, attr1, attr2 string) error {
 	if b < 0 {
 		return fmt.Errorf("opmap: unknown attribute %q", attr2)
 	}
-	cube, err := src.Cube2(context.Background(), a, b)
+	cube, err := src.CubeN(context.Background(), []int{a, b})
 	if err != nil {
 		return fmt.Errorf("opmap: pair cube (%s,%s) unavailable: %w", attr1, attr2, err)
 	}
@@ -362,7 +362,7 @@ func (s *Session) RenderDetailedSVG(w io.Writer, attr string) error {
 	if a < 0 {
 		return fmt.Errorf("opmap: unknown attribute %q", attr)
 	}
-	cube, err := src.Cube1(context.Background(), a)
+	cube, err := src.CubeN(context.Background(), []int{a})
 	if err != nil {
 		return fmt.Errorf("opmap: attribute %q unavailable: %w", attr, err)
 	}

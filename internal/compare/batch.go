@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"opmap/internal/dataset"
-	"opmap/internal/engine"
 )
 
 // Batch comparison support. A sweep or a one-vs-rest run over every
@@ -52,7 +51,7 @@ func annotateSkippedValues(res *OneVsRestAllResult, dict *dataset.Dictionary, fr
 // attr ranking attrs: the split attribute's 1-D cube, each served
 // candidate's pair cube, and (withMarginals) its 1-D marginal. A nil
 // return means the split attribute itself is not served.
-func batchReqsFor(servedList []int, attr int, attrs []int, withMarginals bool) []engine.CubeReq {
+func batchReqsFor(servedList []int, attr int, attrs []int, withMarginals bool) [][]int {
 	served := make(map[int]bool, len(servedList))
 	for _, a := range servedList {
 		served[a] = true
@@ -60,15 +59,15 @@ func batchReqsFor(servedList []int, attr int, attrs []int, withMarginals bool) [
 	if !served[attr] {
 		return nil
 	}
-	reqs := make([]engine.CubeReq, 0, 2*len(attrs)+1)
-	reqs = append(reqs, engine.CubeReq{A: attr, B: -1})
+	reqs := make([][]int, 0, 2*len(attrs)+1)
+	reqs = append(reqs, []int{attr})
 	for _, ai := range attrs {
 		if !served[ai] {
 			continue
 		}
-		reqs = append(reqs, engine.CubeReq{A: attr, B: ai})
+		reqs = append(reqs, []int{attr, ai})
 		if withMarginals {
-			reqs = append(reqs, engine.CubeReq{A: ai, B: -1})
+			reqs = append(reqs, []int{ai})
 		}
 	}
 	return reqs

@@ -288,14 +288,14 @@ func (c *Comparator) CompareContext(ctx context.Context, in Input, opts Options)
 		// population OneVsRest totals over, and, unlike the working
 		// dataset's physical row count, correct for sessions restored
 		// from a snapshot whose dataset holds only post-restore rows.
-		cube, err := c.src.Cube1(ctx, in.Attr)
+		cube, err := c.src.CubeN(ctx, []int{in.Attr})
 		if err != nil {
 			return 0, fmt.Errorf("compare: attribute %d unavailable: %w", in.Attr, err)
 		}
 		return cube.Total(), nil
 	}
 	res, attrs, err := prepare(c.ds, in, opts, total, func(attr int, value, class int32) (condCount, supCount int64, err error) {
-		cube, err := c.src.Cube1(ctx, attr)
+		cube, err := c.src.CubeN(ctx, []int{attr})
 		if err != nil {
 			return 0, 0, fmt.Errorf("compare: attribute %d unavailable: %w", attr, err)
 		}
@@ -328,7 +328,7 @@ func (c *Comparator) CompareContext(ctx context.Context, in Input, opts Options)
 		if attrTimes != nil {
 			attrStart = time.Now()
 		}
-		cube, err := c.src.Cube2(ctx, in.Attr, ai)
+		cube, err := c.src.CubeN(ctx, []int{in.Attr, ai})
 		if err != nil {
 			return nil, fmt.Errorf("compare: pair cube (%d,%d) unavailable: %w", in.Attr, ai, err)
 		}

@@ -74,7 +74,7 @@ func (c *Comparator) OneVsRestContext(ctx context.Context, in OneVsRestInput, op
 	if in.Class < 0 || int(in.Class) >= ds.NumClasses() {
 		return nil, fmt.Errorf("compare: class %d out of range", in.Class)
 	}
-	cube, err := c.src.Cube1(ctx, in.Attr)
+	cube, err := c.src.CubeN(ctx, []int{in.Attr})
 	if err != nil {
 		return nil, fmt.Errorf("compare: attribute %d unavailable: %w", in.Attr, err)
 	}
@@ -156,11 +156,11 @@ func (c *Comparator) OneVsRestContext(ctx context.Context, in OneVsRestInput, op
 			}
 			break
 		}
-		pair, err := c.src.Cube2(ctx, in.Attr, ai)
+		pair, err := c.src.CubeN(ctx, []int{in.Attr, ai})
 		if err != nil {
 			return nil, fmt.Errorf("compare: pair cube (%d,%d) unavailable: %w", in.Attr, ai, err)
 		}
-		marginal, err := c.src.Cube1(ctx, ai)
+		marginal, err := c.src.CubeN(ctx, []int{ai})
 		if err != nil {
 			return nil, fmt.Errorf("compare: attribute %d unavailable: %w", ai, err)
 		}

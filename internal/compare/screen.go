@@ -83,7 +83,7 @@ func (c *Comparator) ScreenPairsContext(ctx context.Context, attr int, class int
 	if class < 0 || int(class) >= ds.NumClasses() {
 		return nil, fmt.Errorf("compare: class %d out of range", class)
 	}
-	cube, err := c.src.Cube1(ctx, attr)
+	cube, err := c.src.CubeN(ctx, []int{attr})
 	if err != nil {
 		return nil, fmt.Errorf("compare: attribute %d unavailable: %w", attr, err)
 	}

@@ -414,7 +414,7 @@ search:
 
 		// Declare the whole frontier's cube working set in one batch so
 		// a lazy source materializes every miss from one shared scan.
-		var reqs []engine.CubeReq
+		var reqs [][]int
 		var sites []site
 		for i := range beam {
 			f := &beam[i]
@@ -431,7 +431,7 @@ search:
 				}
 				set := append(append([]int(nil), attrs...), a)
 				sort.Ints(set)
-				reqs = append(reqs, engine.CubeReqOf(set))
+				reqs = append(reqs, set)
 				sites = append(sites, site{parent: f, cand: a})
 			}
 		}

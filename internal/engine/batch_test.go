@@ -12,9 +12,9 @@ import (
 	"opmap/internal/testutil"
 )
 
-// TestCubesOracle checks the bulk path against the single-cube path on
-// both sources: every request shape (1-D, pair in both orders,
-// duplicates) must yield exactly the cube Cube1/Cube2 returns.
+// TestCubesOracle checks the bulk path on both sources against the
+// eager store's cubes: every request shape (1-D, pair in both orders,
+// duplicates) must yield exactly the cube the store holds.
 func TestCubesOracle(t *testing.T) {
 	ds, gt, eager, lazy := oracle(t)
 	ctx := context.Background()
@@ -24,13 +24,13 @@ func TestCubesOracle(t *testing.T) {
 	if other == phone || other == dist {
 		other = 1
 	}
-	reqs := []engine.CubeReq{
-		{A: phone, B: -1},
-		{A: phone, B: dist},
-		{A: dist, B: phone}, // same cube, reversed request order
-		{A: other, B: -1},
-		{A: phone, B: other},
-		{A: phone, B: dist}, // duplicate
+	reqs := [][]int{
+		{phone},
+		{phone, dist},
+		{dist, phone}, // same cube, reversed request order
+		{other},
+		{phone, other},
+		{phone, dist}, // duplicate
 	}
 	for _, src := range []engine.CubeSource{eager, lazy} {
 		got, err := src.Cubes(ctx, reqs)
@@ -40,18 +40,13 @@ func TestCubesOracle(t *testing.T) {
 		if len(got) != len(reqs) {
 			t.Fatalf("got %d cubes, want %d", len(got), len(reqs))
 		}
-		for i, q := range reqs {
-			var want *rulecube.Cube
-			if q.B < 0 {
-				want, err = src.Cube1(ctx, q.A)
-			} else {
-				want, err = src.Cube2(ctx, q.A, q.B)
-			}
+		for i, attrs := range reqs {
+			want, err := eager.CubeN(ctx, attrs)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got[i], want) {
-				t.Errorf("req %d (%+v): bulk cube differs from single-cube path", i, q)
+				t.Errorf("req %d (%v): bulk cube differs from the store's", i, attrs)
 			}
 		}
 		if got[1] != got[2] || got[1] != got[5] {
@@ -69,12 +64,13 @@ func TestCubesValidation(t *testing.T) {
 	cls := ds.ClassIndex()
 	for _, tc := range []struct {
 		name string
-		reqs []engine.CubeReq
+		reqs [][]int
 	}{
-		{"out of range", []engine.CubeReq{{A: ds.NumAttrs(), B: -1}}},
-		{"class 1-D", []engine.CubeReq{{A: cls, B: -1}}},
-		{"class pair", []engine.CubeReq{{A: 0, B: cls}}},
-		{"self pair", []engine.CubeReq{{A: 1, B: 1}}},
+		{"out of range", [][]int{{ds.NumAttrs()}}},
+		{"class 1-D", [][]int{{cls}}},
+		{"class pair", [][]int{{0, cls}}},
+		{"self pair", [][]int{{1, 1}}},
+		{"empty set", [][]int{{0}, {}}},
 	} {
 		if _, err := lazy.Cubes(ctx, tc.reqs); err == nil {
 			t.Errorf("%s: expected error", tc.name)
@@ -92,13 +88,13 @@ func TestCubesValidation(t *testing.T) {
 func TestCubesSharedScan(t *testing.T) {
 	ds, _, _, lazy := oracle(t)
 	ctx := context.Background()
-	var reqs []engine.CubeReq
-	reqs = append(reqs, engine.CubeReq{A: 0, B: -1})
+	var reqs [][]int
+	reqs = append(reqs, []int{0})
 	for a := 1; a < ds.NumAttrs(); a++ {
 		if a == ds.ClassIndex() {
 			continue
 		}
-		reqs = append(reqs, engine.CubeReq{A: 0, B: a}, engine.CubeReq{A: a, B: -1})
+		reqs = append(reqs, []int{0, a}, []int{a})
 	}
 	scans := obsv.Default().Counter(rulecube.CubeScansCounterName)
 	s0 := scans.Value()
@@ -118,7 +114,7 @@ func TestCubesSharedScan(t *testing.T) {
 }
 
 // TestCubesSingleflightWithSingles runs bulk requests concurrently with
-// single Cube2 calls over the same keys: the singleflight registry must
+// single-cube CubeN calls over the same keys: the singleflight registry must
 // give every key exactly one build, whichever path gets there first.
 func TestCubesSingleflightWithSingles(t *testing.T) {
 	defer testutil.VerifyNoLeak(t)()
@@ -126,13 +122,13 @@ func TestCubesSingleflightWithSingles(t *testing.T) {
 	ctx := context.Background()
 	phone := ds.AttrIndex(gt.PhoneAttr)
 	var pairs [][2]int
-	var reqs []engine.CubeReq
+	var reqs [][]int
 	for a := 0; a < ds.NumAttrs(); a++ {
 		if a == ds.ClassIndex() || a == phone {
 			continue
 		}
 		pairs = append(pairs, [2]int{phone, a})
-		reqs = append(reqs, engine.CubeReq{A: phone, B: a})
+		reqs = append(reqs, []int{phone, a})
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, 16)
@@ -147,7 +143,7 @@ func TestCubesSingleflightWithSingles(t *testing.T) {
 				return
 			}
 			for _, p := range pairs {
-				if _, err := lazy.Cube2(ctx, p[0], p[1]); err != nil {
+				if _, err := lazy.CubeN(ctx, []int{p[0], p[1]}); err != nil {
 					errs <- err
 					return
 				}
@@ -163,11 +159,11 @@ func TestCubesSingleflightWithSingles(t *testing.T) {
 		t.Errorf("built %d pair cubes for %d keys: singleflight across bulk and single paths failed", got, len(pairs))
 	}
 	for _, p := range pairs {
-		want, err := eager.Cube2(ctx, p[0], p[1])
+		want, err := eager.CubeN(ctx, []int{p[0], p[1]})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := lazy.Cube2(ctx, p[0], p[1])
+		got, err := lazy.CubeN(ctx, []int{p[0], p[1]})
 		if err != nil {
 			t.Fatal(err)
 		}

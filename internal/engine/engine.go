@@ -72,41 +72,13 @@ func PreRegister(reg *obsv.Registry) {
 	reg.Histogram(BatchBuildHistogramName, nil)
 }
 
-// CubeReq names one cube of a bulk request: the 1-D (attr × class)
-// cube when B is negative, the pair cube over {A, B} otherwise. Unlike
-// rulecube.CubeReq, pair order does not matter: Cubes returns the
-// normalized (min, max) cube either way, matching Cube2. Attrs, when
-// non-empty, supersedes A/B and requests the cube over an arbitrary
-// attribute set (any order; the served cube's dimensions are the set
-// in ascending order, matching CubeN).
-type CubeReq struct {
-	A int
-	B int
-	// Attrs is the n-D request form; nil keeps the two-field form.
-	Attrs []int
-}
-
-// CubeReqOf builds the n-D form of a bulk request.
-func CubeReqOf(attrs []int) CubeReq { return CubeReq{A: -1, B: -1, Attrs: attrs} }
-
-// attrList returns the request's effective attribute list.
-func (q CubeReq) attrList() []int {
-	if len(q.Attrs) > 0 {
-		return q.Attrs
-	}
-	if q.B < 0 {
-		return []int{q.A}
-	}
-	return []int{q.A, q.B}
-}
-
 // CubeSource is the engine contract: read access to the rule cubes of
 // one dataset snapshot, from the 1-D (attribute × class) cubes up to
 // arbitrary attribute sets. Implementations must be safe for
-// concurrent use. Cube2 accepts the pair in either order and returns
-// the cube with min(a,b) as its first condition dimension, matching
-// rulecube.Store.Cube2. A source never returns (nil, nil): an
-// unavailable cube is an error.
+// concurrent use. A cube request is an attribute set in any order; the
+// served cube's condition dimensions are the set in ascending order,
+// so a pair cube matches rulecube.Store.Cube2. A source never returns
+// (nil, nil): an unavailable cube is an error.
 type CubeSource interface {
 	// Dataset returns the (discretized) dataset the cubes are counted
 	// over.
@@ -114,16 +86,10 @@ type CubeSource interface {
 	// Attrs returns the servable attribute indices in ascending order.
 	// Callers must not modify the slice.
 	Attrs() []int
-	// Cube1 returns the 2-D cube (attr × class).
-	Cube1(ctx context.Context, attr int) (*rulecube.Cube, error)
-	// Cube2 returns the 3-D cube over the attribute pair.
-	Cube2(ctx context.Context, a, b int) (*rulecube.Cube, error)
-	// CubeN returns the cube over an arbitrary attribute set (no
-	// duplicates, any order). The returned cube's condition dimensions
-	// are the set in ascending attribute order, so any permutation of
-	// the same set is one cube. len(attrs) == 1 matches Cube1 and
-	// len(attrs) == 2 matches Cube2; k ≥ 3 serves the multi-condition
-	// drill-down path.
+	// CubeN returns the cube over an attribute set (no duplicates, any
+	// order): []int{a} is the 2-D (a × class) cube, []int{a, b} the
+	// 3-D pair cube, and k ≥ 3 serves the multi-condition drill-down
+	// path.
 	CubeN(ctx context.Context, attrs []int) (*rulecube.Cube, error)
 	// Cubes resolves a batch of cube requests at once, returning the
 	// cubes in request order. A lazy source answers every cache miss
@@ -132,7 +98,7 @@ type CubeSource interface {
 	// that know their full cube needs up front (a sweep, a one-vs-rest
 	// over all values, a drill-down frontier expansion) should declare
 	// them here rather than faulting cubes in one at a time.
-	Cubes(ctx context.Context, reqs []CubeReq) ([]*rulecube.Cube, error)
+	Cubes(ctx context.Context, reqs [][]int) ([]*rulecube.Cube, error)
 }
 
 // Eager adapts a fully materialized rulecube.Store to CubeSource. For
@@ -174,49 +140,32 @@ func (e *Eager) Attrs() []int {
 	return e.store.Attrs()
 }
 
-// Cube1 implements CubeSource.
-func (e *Eager) Cube1(_ context.Context, attr int) (*rulecube.Cube, error) {
-	if e.store == nil {
-		return nil, fmt.Errorf("engine: no cube store")
-	}
-	c := e.store.Cube1(attr)
-	if c == nil {
-		return nil, fmt.Errorf("engine: no cube for attribute %d", attr)
-	}
-	return c, nil
-}
-
-// Cube2 implements CubeSource.
-func (e *Eager) Cube2(_ context.Context, a, b int) (*rulecube.Cube, error) {
-	if e.store == nil {
-		return nil, fmt.Errorf("engine: no cube store")
-	}
-	c := e.store.Cube2(a, b)
-	if c == nil {
-		return nil, fmt.Errorf("engine: no pair cube for attributes (%d,%d)", a, b)
-	}
-	return c, nil
-}
-
 // CubeN implements CubeSource: 1-D and 2-D sets answer from the store;
 // k ≥ 3 sets materialize through the internal lazy source.
 func (e *Eager) CubeN(ctx context.Context, attrs []int) (*rulecube.Cube, error) {
+	if len(attrs) >= 3 {
+		nd, err := e.ndSource()
+		if err != nil {
+			return nil, err
+		}
+		return nd.CubeN(ctx, attrs)
+	}
+	if e.store == nil {
+		return nil, fmt.Errorf("engine: no cube store")
+	}
+	var c *rulecube.Cube
 	switch len(attrs) {
 	case 0:
 		return nil, fmt.Errorf("engine: empty attribute set in cube request")
 	case 1:
-		return e.Cube1(ctx, attrs[0])
-	case 2:
-		if attrs[0] == attrs[1] {
-			return nil, fmt.Errorf("engine: pair cube needs two distinct attributes, got (%d,%d)", attrs[0], attrs[1])
-		}
-		return e.Cube2(ctx, attrs[0], attrs[1])
+		c = e.store.Cube1(attrs[0])
+	default:
+		c = e.store.Cube2(attrs[0], attrs[1])
 	}
-	nd, err := e.ndSource()
-	if err != nil {
-		return nil, err
+	if c == nil {
+		return nil, fmt.Errorf("engine: no cube for attributes %v", attrs)
 	}
-	return nd.CubeN(ctx, attrs)
+	return c, nil
 }
 
 // ndSource returns (creating on first use) the internal lazy source
@@ -241,29 +190,17 @@ func (e *Eager) ndSource() (*LazySource, error) {
 // materialized, so those requests are store lookups; k ≥ 3 requests
 // are forwarded as one bulk request to the internal lazy source so
 // its cache misses share a single dataset scan.
-func (e *Eager) Cubes(ctx context.Context, reqs []CubeReq) ([]*rulecube.Cube, error) {
+func (e *Eager) Cubes(ctx context.Context, reqs [][]int) ([]*rulecube.Cube, error) {
 	out := make([]*rulecube.Cube, len(reqs))
 	var ndPos []int
-	var ndReqs []CubeReq
-	for i, q := range reqs {
-		attrs := q.attrList()
+	var ndReqs [][]int
+	for i, attrs := range reqs {
 		if len(attrs) >= 3 {
 			ndPos = append(ndPos, i)
-			ndReqs = append(ndReqs, q)
+			ndReqs = append(ndReqs, attrs)
 			continue
 		}
-		var (
-			c   *rulecube.Cube
-			err error
-		)
-		if len(attrs) == 1 {
-			c, err = e.Cube1(ctx, attrs[0])
-		} else {
-			if attrs[0] == attrs[1] {
-				return nil, fmt.Errorf("engine: pair cube needs two distinct attributes, got (%d,%d)", attrs[0], attrs[1])
-			}
-			c, err = e.Cube2(ctx, attrs[0], attrs[1])
-		}
+		c, err := e.CubeN(ctx, attrs)
 		if err != nil {
 			return nil, err
 		}

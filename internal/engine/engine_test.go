@@ -94,11 +94,11 @@ func TestOracleCubeOps(t *testing.T) {
 		t.Fatal("test assumes the class is not attribute 0 or 1")
 	}
 
-	ec, err := eager.Cube2(ctx, a, b)
+	ec, err := eager.CubeN(ctx, []int{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lc, err := lazy.Cube2(ctx, a, b)
+	lc, err := lazy.CubeN(ctx, []int{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,11 +147,11 @@ func TestOracleOneD(t *testing.T) {
 		t.Fatalf("attr sets differ: eager %v, lazy %v", eager.Attrs(), lazy.Attrs())
 	}
 	for _, a := range eager.Attrs() {
-		ec, err := eager.Cube1(ctx, a)
+		ec, err := eager.CubeN(ctx, []int{a})
 		if err != nil {
 			t.Fatal(err)
 		}
-		lc, err := lazy.Cube1(ctx, a)
+		lc, err := lazy.CubeN(ctx, []int{a})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,16 +187,16 @@ func TestSingleflightOneBuildPerKey(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for i, p := range pairs {
-				c, err := lazy.Cube2(ctx, p[0], p[1])
+				c, err := lazy.CubeN(ctx, []int{p[0], p[1]})
 				if err != nil {
-					t.Errorf("Cube2(%v): %v", p, err)
+					t.Errorf("CubeN(%v): %v", p, err)
 					return
 				}
 				cubes[i][w] = c
 			}
-			c, err := lazy.Cube1(ctx, 0)
+			c, err := lazy.CubeN(ctx, []int{0})
 			if err != nil {
-				t.Errorf("Cube1(0): %v", err)
+				t.Errorf("CubeN({0}): %v", err)
 				return
 			}
 			oneD[w] = c
@@ -214,7 +214,7 @@ func TestSingleflightOneBuildPerKey(t *testing.T) {
 	}
 	for w := 1; w < workers; w++ {
 		if oneD[w] != oneD[0] {
-			t.Errorf("Cube1: worker %d got a different cube instance", w)
+			t.Errorf("1-D cube: worker %d got a different cube instance", w)
 		}
 	}
 	st := lazy.Stats()
@@ -236,7 +236,7 @@ func TestLRUEviction(t *testing.T) {
 	ctx := context.Background()
 	// Budget for roughly one pair cube: the second distinct pair must
 	// evict the first.
-	probe, err := eager.Cube2(ctx, 0, 1)
+	probe, err := eager.CubeN(ctx, []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,10 +244,10 @@ func TestLRUEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := lazy.Cube2(ctx, 0, 1); err != nil {
+	if _, err := lazy.CubeN(ctx, []int{0, 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := lazy.Cube2(ctx, 0, 2); err != nil {
+	if _, err := lazy.CubeN(ctx, []int{0, 2}); err != nil {
 		t.Fatal(err)
 	}
 	st := lazy.Stats()
@@ -258,7 +258,7 @@ func TestLRUEviction(t *testing.T) {
 		t.Errorf("CachedBytes %d exceeds budget %d", st.CachedBytes, probe.SizeBytes()+1)
 	}
 	// The evicted pair must rebuild and still match the eager cube.
-	again, err := lazy.Cube2(ctx, 0, 1)
+	again, err := lazy.CubeN(ctx, []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,22 +276,22 @@ func TestLazyErrors(t *testing.T) {
 	defer testutil.VerifyNoLeak(t)()
 	ds, _, _, lazy := oracle(t)
 	ctx := context.Background()
-	if _, err := lazy.Cube1(ctx, ds.ClassIndex()); err == nil {
-		t.Error("Cube1(class) should fail")
+	if _, err := lazy.CubeN(ctx, []int{ds.ClassIndex()}); err == nil {
+		t.Error("1-D cube over the class should fail")
 	}
-	if _, err := lazy.Cube1(ctx, ds.NumAttrs()+3); err == nil {
-		t.Error("Cube1(out of range) should fail")
+	if _, err := lazy.CubeN(ctx, []int{ds.NumAttrs() + 3}); err == nil {
+		t.Error("1-D cube out of range should fail")
 	}
-	if _, err := lazy.Cube2(ctx, 1, 1); err == nil {
-		t.Error("Cube2(a,a) should fail")
+	if _, err := lazy.CubeN(ctx, []int{1, 1}); err == nil {
+		t.Error("pair cube (a,a) should fail")
 	}
 	canceled, cancel := context.WithCancel(ctx)
 	cancel()
-	if _, err := lazy.Cube2(canceled, 0, 1); err == nil {
-		t.Error("Cube2 under a canceled context should fail")
+	if _, err := lazy.CubeN(canceled, []int{0, 1}); err == nil {
+		t.Error("pair cube under a canceled context should fail")
 	}
 	// The failed build must not be cached: a fresh context succeeds.
-	if _, err := lazy.Cube2(ctx, 0, 1); err != nil {
+	if _, err := lazy.CubeN(ctx, []int{0, 1}); err != nil {
 		t.Errorf("retry after canceled build failed: %v", err)
 	}
 }
@@ -301,16 +301,16 @@ func TestCube2PairOrder(t *testing.T) {
 	_, _, eager, lazy := oracle(t)
 	ctx := context.Background()
 	for _, src := range []engine.CubeSource{eager, lazy} {
-		fwd, err := src.Cube2(ctx, 0, 1)
+		fwd, err := src.CubeN(ctx, []int{0, 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rev, err := src.Cube2(ctx, 1, 0)
+		rev, err := src.CubeN(ctx, []int{1, 0})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if fwd != rev {
-			t.Errorf("%T: Cube2(0,1) and Cube2(1,0) returned different cubes", src)
+			t.Errorf("%T: pair cubes {0,1} and {1,0} differ", src)
 		}
 	}
 }
@@ -406,13 +406,13 @@ func TestLazyAttrSubset(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if _, err := lazy.Cube2(ctx, 0, 1); err != nil {
+	if _, err := lazy.CubeN(ctx, []int{0, 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := lazy.Cube2(ctx, 0, 2); err == nil {
+	if _, err := lazy.CubeN(ctx, []int{0, 2}); err == nil {
 		t.Error("pair outside the attr subset should fail")
 	}
-	if _, err := lazy.Cube1(ctx, 2); err == nil {
+	if _, err := lazy.CubeN(ctx, []int{2}); err == nil {
 		t.Error("attribute outside the subset should fail")
 	}
 	if _, err := engine.NewLazy(ds, engine.LazyOptions{Attrs: []int{ds.ClassIndex()}}); err == nil {
@@ -500,13 +500,13 @@ func BenchmarkLazyWarmCube2(b *testing.B) {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
-	if _, err := lazy.Cube2(ctx, 0, 1); err != nil {
+	if _, err := lazy.CubeN(ctx, []int{0, 1}); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := lazy.Cube2(ctx, 0, 1); err != nil {
+		if _, err := lazy.CubeN(ctx, []int{0, 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -175,53 +175,46 @@ func (s *LazySource) Stats() LazyStats {
 	}
 }
 
-// Cube1 implements CubeSource: the cube is built on first use and
-// pinned thereafter.
-func (s *LazySource) Cube1(ctx context.Context, attr int) (*rulecube.Cube, error) {
-	if !s.inSet[attr] {
-		return nil, fmt.Errorf("engine: no cube for attribute %d", attr)
-	}
-	attrs := []int{attr}
-	s.mu.Lock()
-	if c, ok := s.oneD[attr]; ok {
-		s.mu.Unlock()
-		return c, nil
-	}
-	return s.build(ctx, keyOf(attrs), attrs, func(c *rulecube.Cube) {
-		s.oneD[attr] = c
-		s.oneDBuilds.Add(1)
-	})
-}
-
-// Cube2 implements CubeSource: LRU lookup, singleflight build on miss.
-func (s *LazySource) Cube2(ctx context.Context, a, b int) (*rulecube.Cube, error) {
-	if a == b {
-		return nil, fmt.Errorf("engine: pair cube needs two distinct attributes, got (%d,%d)", a, b)
-	}
-	if !s.inSet[a] || !s.inSet[b] {
-		return nil, fmt.Errorf("engine: no pair cube for attributes (%d,%d)", a, b)
-	}
-	if a > b {
-		a, b = b, a
-	}
-	return s.lookupOrBuild(ctx, []int{a, b})
-}
-
-// CubeN implements CubeSource: the cube over an arbitrary attribute
-// set, materialized on demand. The request is normalized to ascending
+// CubeN implements CubeSource: the cube over an attribute set,
+// materialized on demand. The request is normalized to ascending
 // attribute order — that is the returned cube's dimension order — so
-// any permutation of the same set shares one cache entry. A single
-// attribute is Cube1 (pinned); every k ≥ 2 cube shares the
-// byte-budgeted LRU with the pair cubes.
+// any permutation of the same set shares one cache entry. A hit is one
+// locked map lookup; a miss takes the same partition, shared-scan and
+// commit steps as Cubes, timed by the lazy-build histogram.
 func (s *LazySource) CubeN(ctx context.Context, attrs []int) (*rulecube.Cube, error) {
 	norm, err := s.normalizeSet(attrs)
 	if err != nil {
 		return nil, err
 	}
-	if len(norm) == 1 {
-		return s.Cube1(ctx, norm[0])
+	it := batchItem{key: keyOf(norm), attrs: norm}
+	s.mu.Lock()
+	c := s.residentLocked(it)
+	s.mu.Unlock()
+	if c != nil {
+		if len(norm) >= 2 {
+			s.hits.Add(1)
+			obsv.Default().Counter(CubeCacheHitsCounterName).Inc()
+		}
+		return c, nil
 	}
-	return s.lookupOrBuild(ctx, norm)
+	out := make([]*rulecube.Cube, 1)
+	if err := s.resolve(ctx, []batchItem{it}, out, obsv.Default().Histogram(LazyBuildHistogramName, nil)); err != nil {
+		return nil, err
+	}
+	return out[0], nil
+}
+
+// residentLocked returns the cached cube for it, refreshing its LRU
+// position, or nil. Called with s.mu held.
+func (s *LazySource) residentLocked(it batchItem) *rulecube.Cube {
+	if len(it.attrs) == 1 {
+		return s.oneD[it.attrs[0]]
+	}
+	if el, ok := s.nd[it.key]; ok {
+		s.order.MoveToFront(el)
+		return el.Value.(*lruEntry).cube
+	}
+	return nil
 }
 
 // normalizeSet validates an n-D request against the served set and
@@ -243,101 +236,69 @@ func (s *LazySource) normalizeSet(attrs []int) ([]int, error) {
 	return norm, nil
 }
 
-// lookupOrBuild serves a k ≥ 2 cube from the LRU or builds it under
-// singleflight. attrs must already be normalized (sorted, validated).
-func (s *LazySource) lookupOrBuild(ctx context.Context, attrs []int) (*rulecube.Cube, error) {
-	key := keyOf(attrs)
-	s.mu.Lock()
-	if el, ok := s.nd[key]; ok {
-		s.order.MoveToFront(el)
-		s.mu.Unlock()
-		s.hits.Add(1)
-		obsv.Default().Counter(CubeCacheHitsCounterName).Inc()
-		return el.Value.(*lruEntry).cube, nil
-	}
-	s.misses.Add(1)
-	obsv.Default().Counter(CubeCacheMissesCounterName).Inc()
-	return s.build(ctx, key, attrs, func(c *rulecube.Cube) {
-		s.insertND(key, attrs, c)
-		s.twoDBuilds.Add(1)
-	})
-}
-
-// Cubes implements CubeSource's bulk method: one lock pass partitions
-// the (deduplicated) requests into resident cubes, builds already in
-// flight elsewhere, and keys this call leads; the led set materializes
-// in a single shared dataset scan (rulecube.BuildMany), is committed to
-// the caches, and every registered flight is released — so concurrent
-// bulk and single-cube requests for the same key still collapse into
-// one build. Joined flights are waited on afterwards under ctx.
-func (s *LazySource) Cubes(ctx context.Context, reqs []CubeReq) ([]*rulecube.Cube, error) {
-	out := make([]*rulecube.Cube, len(reqs))
+// Cubes implements CubeSource's bulk method: the requests resolve
+// together, so every cache miss among them is counted in one shared
+// dataset scan (rulecube.BuildMany), timed by the batch-build
+// histogram.
+func (s *LazySource) Cubes(ctx context.Context, reqs [][]int) ([]*rulecube.Cube, error) {
 	items, err := s.batchItems(reqs)
 	if err != nil {
 		return nil, err
 	}
+	out := make([]*rulecube.Cube, len(reqs))
+	if err := s.resolve(ctx, items, out, obsv.Default().Histogram(BatchBuildHistogramName, nil)); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// batchItems validates and normalizes every request of a bulk call.
+func (s *LazySource) batchItems(reqs [][]int) ([]batchItem, error) {
+	items := make([]batchItem, len(reqs))
+	for i, attrs := range reqs {
+		norm, err := s.normalizeSet(attrs)
+		if err != nil {
+			return nil, err
+		}
+		items[i] = batchItem{key: keyOf(norm), attrs: norm}
+	}
+	return items, nil
+}
+
+// batchItem is one request normalized to its cache key and sorted
+// attribute list.
+type batchItem struct {
+	key   cubeKey
+	attrs []int
+}
+
+// resolve fills out with the cube of each item. One lock pass
+// partitions the items into resident cubes, builds already in flight
+// elsewhere, and keys this call leads; the led set materializes in a
+// single shared scan timed by h, is committed to the caches, and every
+// registered flight is released — so concurrent requests for the same
+// key, single or bulk, collapse into one build. Joined flights are
+// waited on afterwards under ctx; an abandoned wait leaves the other
+// build running.
+func (s *LazySource) resolve(ctx context.Context, items []batchItem, out []*rulecube.Cube, h *obsv.Histogram) error {
 	part := s.partitionBatch(items, out)
 	if len(part.toBuild) > 0 {
-		if err := s.buildBatch(ctx, part, out); err != nil {
-			return nil, err
+		if err := s.buildBatch(ctx, part, out, h); err != nil {
+			return err
 		}
 	}
 	for _, w := range part.waits {
 		select {
 		case <-w.f.done:
 			if w.f.err != nil {
-				return nil, w.f.err
+				return w.f.err
 			}
 			out[w.pos] = w.f.cube
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
 	}
-	return out, nil
-}
-
-// batchItem is one bulk-request entry normalized to its cache key and
-// sorted attribute list.
-type batchItem struct {
-	key   cubeKey
-	attrs []int
-}
-
-// batchItems validates a bulk request list against the served set and
-// normalizes each entry — either request form — to its cache key and
-// sorted attribute list.
-func (s *LazySource) batchItems(reqs []CubeReq) ([]batchItem, error) {
-	items := make([]batchItem, len(reqs))
-	for i, q := range reqs {
-		var norm []int
-		switch {
-		case len(q.Attrs) > 0:
-			n, err := s.normalizeSet(q.Attrs)
-			if err != nil {
-				return nil, err
-			}
-			norm = n
-		case q.B < 0:
-			if !s.inSet[q.A] {
-				return nil, fmt.Errorf("engine: no cube for attribute %d", q.A)
-			}
-			norm = []int{q.A}
-		default:
-			if q.A == q.B {
-				return nil, fmt.Errorf("engine: pair cube needs two distinct attributes, got (%d,%d)", q.A, q.B)
-			}
-			if !s.inSet[q.A] || !s.inSet[q.B] {
-				return nil, fmt.Errorf("engine: no pair cube for attributes (%d,%d)", q.A, q.B)
-			}
-			a, b := q.A, q.B
-			if a > b {
-				a, b = b, a
-			}
-			norm = []int{a, b}
-		}
-		items[i] = batchItem{key: keyOf(norm), attrs: norm}
-	}
-	return items, nil
+	return nil
 }
 
 // batchWait is a request position answered by a build in flight
@@ -360,29 +321,29 @@ type batchPartition struct {
 }
 
 // partitionBatch takes the single lock pass: it fills out from the
-// caches (refreshing LRU order and counting hits/misses), joins
-// flights other calls lead, and registers a flight for every key this
-// call will build.
+// caches (refreshing LRU order), joins flights other calls lead, and
+// registers a flight for every key this call will build. A k ≥ 2 item
+// counts as a hit when resident and as a miss when it leads or joins a
+// build.
 func (s *LazySource) partitionBatch(items []batchItem, out []*rulecube.Cube) *batchPartition {
 	part := &batchPartition{}
 	leadIdx := make(map[cubeKey]int)
 	var hits, misses int64
 	s.mu.Lock()
 	for i, it := range items {
-		if len(it.attrs) == 1 {
-			if c, ok := s.oneD[it.attrs[0]]; ok {
-				out[i] = c
-				continue
+		if c := s.residentLocked(it); c != nil {
+			out[i] = c
+			if len(it.attrs) >= 2 {
+				hits++
 			}
-		} else if el, ok := s.nd[it.key]; ok {
-			s.order.MoveToFront(el)
-			out[i] = el.Value.(*lruEntry).cube
-			hits++
 			continue
 		}
 		if j, ok := leadIdx[it.key]; ok {
 			part.positions[j] = append(part.positions[j], i)
 			continue
+		}
+		if len(it.attrs) >= 2 {
+			misses++
 		}
 		if f, ok := s.flights[it.key]; ok {
 			part.waits = append(part.waits, batchWait{pos: i, f: f})
@@ -394,9 +355,6 @@ func (s *LazySource) partitionBatch(items []batchItem, out []*rulecube.Cube) *ba
 		part.toBuild = append(part.toBuild, it)
 		part.flights = append(part.flights, f)
 		part.positions = append(part.positions, []int{i})
-		if len(it.attrs) >= 2 {
-			misses++
-		}
 	}
 	s.mu.Unlock()
 	if hits > 0 {
@@ -410,34 +368,34 @@ func (s *LazySource) partitionBatch(items []batchItem, out []*rulecube.Cube) *ba
 	return part
 }
 
-// buildBatch runs the one shared scan for the keys this bulk call
-// leads, commits the cubes, fills the led output positions, and
-// releases every flight. On error the flights fail fast and nothing is
-// cached, matching the single-build path.
-func (s *LazySource) buildBatch(ctx context.Context, part *batchPartition, out []*rulecube.Cube) error {
+// buildBatch runs the one shared scan for the keys this call leads,
+// observes its duration in h, commits the cubes, fills the led output
+// positions, and releases every flight. On error (a cancel included)
+// the flights fail fast and nothing is cached, so a later request
+// starts a fresh build.
+func (s *LazySource) buildBatch(ctx context.Context, part *batchPartition, out []*rulecube.Cube, h *obsv.Histogram) error {
 	start := time.Now()
-	cubes, err := rulecube.BuildMany(ctx, s.ds, batchCubeReqs(part.toBuild))
+	cubes, err := rulecube.BuildMany(ctx, s.ds, part.requests())
 	if err != nil {
 		s.failFlights(part, err)
 		return err
 	}
-	obsv.Default().Histogram(BatchBuildHistogramName, nil).ObserveSince(start)
+	h.ObserveSince(start)
 	s.commitBatch(part, cubes, out)
 	return nil
 }
 
-// batchCubeReqs converts normalized batch items back into rulecube
-// requests (the n-D form covers every arity).
-func batchCubeReqs(toBuild []batchItem) []rulecube.CubeReq {
-	rreqs := make([]rulecube.CubeReq, len(toBuild))
-	for i, it := range toBuild {
-		rreqs[i] = rulecube.CubeReqOf(it.attrs)
+// requests lists the led keys' attribute sets for BuildMany.
+func (part *batchPartition) requests() [][]int {
+	reqs := make([][]int, len(part.toBuild))
+	for i, it := range part.toBuild {
+		reqs[i] = it.attrs
 	}
-	return rreqs
+	return reqs
 }
 
 // failFlights releases every flight this call leads with the shared
-// scan's error; nothing is cached, matching the single-build path.
+// scan's error; nothing is cached.
 func (s *LazySource) failFlights(part *batchPartition, err error) {
 	for i, it := range part.toBuild {
 		s.finish(it.key, part.flights[i], nil, err)
@@ -464,47 +422,6 @@ func (s *LazySource) commitBatch(part *batchPartition, cubes []*rulecube.Cube, o
 		}
 		s.finish(it.key, part.flights[i], cubes[i], nil)
 	}
-}
-
-// build resolves a cube miss under singleflight. Called with s.mu
-// held; releases it before building. The leader registers a flight,
-// builds outside the lock, publishes the result (calling commit with
-// the lock held on success), removes the flight and closes done.
-// Followers wait for done or their own ctx; an abandoned wait leaves
-// the build running — its result is still cached for the next caller.
-func (s *LazySource) build(ctx context.Context, key cubeKey, attrs []int, commit func(*rulecube.Cube)) (*rulecube.Cube, error) {
-	if f, ok := s.flights[key]; ok {
-		s.mu.Unlock()
-		select {
-		case <-f.done:
-			return f.cube, f.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	f := &flight{done: make(chan struct{})}
-	s.flights[key] = f
-	s.mu.Unlock()
-
-	if err := ctx.Err(); err != nil {
-		// Canceled before the data pass: publish the error so queued
-		// followers fail fast too; nothing is cached.
-		s.finish(key, f, nil, err)
-		return nil, err
-	}
-	start := time.Now()
-	cube, err := rulecube.BuildCube(s.ds, attrs)
-	if err == nil {
-		obsv.Default().Histogram(LazyBuildHistogramName, nil).ObserveSince(start)
-	}
-	s.finish(key, f, cube, err)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	commit(cube)
-	s.mu.Unlock()
-	return cube, nil
 }
 
 // finish publishes a flight's outcome and retires it. Errors are not
@@ -636,12 +553,6 @@ func (s *LazySource) SeedCubes(cubes []*rulecube.Cube) (int, error) {
 		seeded++
 	}
 	return seeded, nil
-}
-
-// ApplyRow folds one appended record into every resident cube; it is
-// IngestRows for a single-row batch.
-func (s *LazySource) ApplyRow(rowCodes []int32, class int32) error {
-	return s.IngestRows([][]int32{rowCodes}, []int32{class})
 }
 
 // IngestRows folds a batch of appended records into every resident

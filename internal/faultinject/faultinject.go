@@ -26,14 +26,9 @@ import (
 // Named fault points compiled into the pipeline. Each constant is the
 // site string the corresponding stage passes to Hit/HitContext.
 const (
-	// SiteCubeBuildOne fires before each 2-D (attribute × class) cube
-	// build in rulecube.BuildStoreContext.
-	SiteCubeBuildOne = "cube.build.one"
-	// SiteCubeBuildPair fires before each 3-D pair-cube build, on both
-	// the serial and the parallel worker path.
-	SiteCubeBuildPair = "cube.build.pair"
 	// SiteCubeBatch fires once per rulecube.BuildMany call, before the
-	// shared scan starts.
+	// shared scan starts: once per store build, lazy miss or bulk
+	// request.
 	SiteCubeBatch = "cube.build.batch"
 	// SiteCompareAttr fires before each candidate attribute is scored in
 	// a comparison (pairwise and one-vs-rest).

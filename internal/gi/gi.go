@@ -361,7 +361,7 @@ func InfluentialAttributesSource(ctx context.Context, src engine.CubeSource) ([]
 		if err := faultinject.HitContext(ctx, faultinject.SiteGIAttr); err != nil {
 			return nil, err
 		}
-		cube, err := src.Cube1(ctx, a)
+		cube, err := src.CubeN(ctx, []int{a})
 		if err != nil {
 			return nil, err
 		}
@@ -483,7 +483,7 @@ func MineAllSource(ctx context.Context, src engine.CubeSource, topts TrendOption
 		if err := faultinject.HitContext(ctx, faultinject.SiteGIAttr); err != nil {
 			return nil, err
 		}
-		cube, err := src.Cube1(ctx, a)
+		cube, err := src.CubeN(ctx, []int{a})
 		if err != nil {
 			return nil, err
 		}

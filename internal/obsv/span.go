@@ -19,8 +19,8 @@ const StageHistogramName = "opmap_stage_duration_seconds"
 
 // Hot-path histogram families (disarmed by default; see ArmHot).
 const (
-	// CubeBuildHistogramName times each individual cube count in a
-	// store build (the offline step's unit of work).
+	// CubeBuildHistogramName times each counting scan
+	// (rulecube.BuildMany call), however many cubes it produced.
 	CubeBuildHistogramName = "opmap_cube_build_seconds"
 	// CompareAttrHistogramName times each candidate attribute scored
 	// in the compare hot loop.

@@ -5,57 +5,31 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"time"
 
 	"opmap/internal/dataset"
 	"opmap/internal/faultinject"
 	"opmap/internal/obsv"
 )
 
-// Shared-scan batch building (DESIGN.md §14). A sweep or a one-vs-rest
-// over all values needs the split attribute's 1-D cube plus one pair
-// cube (and possibly one 1-D marginal) per ranked attribute — dozens of
-// cubes whose independent builds would each re-scan the same rows.
-// BuildMany counts every requested cube in a single pass: one scratch
-// accumulator per distinct pair, a branch-free inner loop, and an
-// extraction step that also derives 1-D marginals from pair scratch for
-// free. COMPARE (arXiv:2107.11967) observes that groupwise comparisons
-// share one scan and one aggregation pass this way instead of carrying
-// per-pair state through separate scans.
-
-// CubeReq names one cube of a batch build: the 2-D (A × class) cube
-// when B is negative, the 3-D (A × B × class) pair cube otherwise. The
-// pair's condition dimensions come out in (A, B) order, exactly as
-// Build(ds, []int{A, B}) would order them. Attrs, when non-empty,
-// supersedes A/B and names the condition dimensions of an arbitrary
-// k-D cube in order — Build(ds, Attrs) — so one batch can mix 1-D
-// marginals, pairs and higher-dimensional drill-down cubes in a single
-// shared scan.
-type CubeReq struct {
-	A int
-	B int
-	// Attrs is the n-D request form; nil keeps the legacy two-field
-	// form. len(Attrs) ≥ 1; order fixes the cube's dimension order.
-	Attrs []int
-}
-
-// CubeReqOf builds the n-D form of a request.
-func CubeReqOf(attrs []int) CubeReq { return CubeReq{A: -1, B: -1, Attrs: attrs} }
-
-// attrList returns the request's condition dimensions in cube order.
-func (q CubeReq) attrList() []int {
-	if len(q.Attrs) > 0 {
-		return q.Attrs
-	}
-	if q.B < 0 {
-		return []int{q.A}
-	}
-	return []int{q.A, q.B}
-}
+// Shared-scan batch building (DESIGN.md §14). BuildMany is the one
+// code path that counts rows into cubes: Build is a one-request call,
+// BuildStore one call over every 1-D and pair cube, and the lazy engine
+// sends its misses here. A sweep or a one-vs-rest over all values needs
+// the split attribute's 1-D cube plus one pair cube (and possibly one
+// 1-D marginal) per ranked attribute — dozens of cubes whose
+// independent builds would each re-scan the same rows. BuildMany counts
+// every requested cube in a single pass: one scratch accumulator per
+// distinct cube, a branch-free inner loop, and an extraction step that
+// also derives 1-D marginals from pair scratch for free. COMPARE
+// (arXiv:2107.11967) observes that groupwise comparisons share one scan
+// and one aggregation pass this way instead of carrying per-pair state
+// through separate scans.
 
 // CubeScansCounterName counts full dataset passes performed to count
-// cubes: one per individually built cube (Build via BuildCube) and one
-// per BuildMany call, however many cubes that one scan produced. The
-// ratio of opmap_cubes_built_total to this counter is the shared-scan
+// cubes: one per BuildMany call (Build and BuildStore included),
+// however many cubes that one scan produced. The ratio of
+// opmap_cubes_built_total to this counter is the shared-scan
 // amplification.
 const CubeScansCounterName = "opmap_cube_scans_total"
 
@@ -107,8 +81,8 @@ type kPlan struct {
 // direct BuildMany users from runaway allocations.
 const maxBatchScratchCells = 1 << 31
 
-// cubeDim mirrors Build's dimension sizing: an attribute with an empty
-// domain still needs one slot.
+// cubeDim sizes a cube's condition dimension: an attribute with an
+// empty domain still needs one slot.
 func cubeDim(ds *dataset.Dataset, a int) int {
 	card := ds.Cardinality(a)
 	if card == 0 {
@@ -119,14 +93,16 @@ func cubeDim(ds *dataset.Dataset, a int) int {
 
 // BuildMany counts every requested cube in one pass over ds (plus a
 // cells-proportional extraction), advancing the scan counter once and
-// the cubes-built counter per distinct cube. Results arrive in request
-// order and are identical to what Build would return for each request;
-// duplicate requests share one underlying cube. The scan parallelizes
-// across GOMAXPROCS row shards when the dataset is large enough (counts
-// are additive, so shard partials merge by summation). Cancellation is
-// observed before the pass and between phases — the response to a
-// cancel is bounded by a single scan, matching BuildStoreContext.
-func BuildMany(ctx context.Context, ds *dataset.Dataset, reqs []CubeReq) ([]*Cube, error) {
+// the cubes-built counter per distinct cube. Each request is the
+// ordered list of a cube's condition attributes; rows with a missing
+// value in any cube dimension (including the class) are skipped.
+// Results arrive in request order; duplicate requests share one
+// underlying cube. The scan parallelizes across GOMAXPROCS row shards
+// when the dataset is large enough (counts are additive, so shard
+// partials merge by summation). Every shard polls ctx once per
+// scanBlockRows-row block, so a cancel mid-scan returns ctx.Err()
+// within one block's work and leaves no goroutine behind.
+func BuildMany(ctx context.Context, ds *dataset.Dataset, reqs [][]int) ([]*Cube, error) {
 	if !ds.AllCategorical() {
 		return nil, fmt.Errorf("rulecube: dataset has continuous attributes; discretize first")
 	}
@@ -143,29 +119,33 @@ func BuildMany(ctx context.Context, ds *dataset.Dataset, reqs []CubeReq) ([]*Cub
 		return nil, err
 	}
 
+	start := time.Now()
 	nc := ds.NumClasses()
 	plan, err := planBatch(ds, nc, reqs)
 	if err != nil {
 		return nil, err
 	}
-	scanAll(ds.Column(ds.ClassIndex()).Codes, nc, plan, ds.NumRows())
-	if err := ctx.Err(); err != nil {
+	if err := scanAll(ctx, ds.Column(ds.ClassIndex()).Codes, nc, plan, ds.NumRows()); err != nil {
 		return nil, err
 	}
 
 	out, built := extractAll(ds, nc, reqs, plan)
+	if obsv.HotArmed() {
+		obsv.Default().Histogram(obsv.CubeBuildHistogramName, nil).ObserveSince(start)
+	}
 	obsv.Default().Counter(CubesBuiltCounterName).Add(int64(built))
 	obsv.Default().Counter(CubeScansCounterName).Inc()
 	return out, nil
 }
 
-// validateBatchReqs rejects out-of-range, class-dimension, and
-// duplicate-attribute requests before any allocation, in either
-// request form.
-func validateBatchReqs(ds *dataset.Dataset, reqs []CubeReq) error {
+// validateBatchReqs rejects empty, out-of-range, class-dimension, and
+// duplicate-attribute requests before any allocation.
+func validateBatchReqs(ds *dataset.Dataset, reqs [][]int) error {
 	classIdx := ds.ClassIndex()
-	for _, q := range reqs {
-		attrs := q.attrList()
+	for _, attrs := range reqs {
+		if len(attrs) == 0 {
+			return fmt.Errorf("rulecube: cube request names no attributes")
+		}
 		for i, a := range attrs {
 			if a < 0 || a >= ds.NumAttrs() {
 				return fmt.Errorf("rulecube: attribute index %d out of range", a)
@@ -205,15 +185,14 @@ func kKey(attrs []int) string { return fmt.Sprint(attrs) }
 // planBatch dedupes the requests into scan plans, routing 1-D requests
 // through a covering pair's scratch whenever one exists and k ≥ 3
 // requests into k-D plans.
-func planBatch(ds *dataset.Dataset, nc int, reqs []CubeReq) (*batchPlan, error) {
+func planBatch(ds *dataset.Dataset, nc int, reqs [][]int) (*batchPlan, error) {
 	p := &batchPlan{
 		pairIdx: make(map[[2]int]int),
 		oneIdx:  make(map[int]int),
 		kIdx:    make(map[string]int),
 		derived: make(map[int][2]int),
 	}
-	for _, q := range reqs {
-		attrs := q.attrList()
+	for _, attrs := range reqs {
 		if len(attrs) != 2 {
 			continue
 		}
@@ -232,8 +211,7 @@ func planBatch(ds *dataset.Dataset, nc int, reqs []CubeReq) (*batchPlan, error) 
 			scratch: make([]int64, (dimA+1)*(dimB+1)*nc),
 		})
 	}
-	for _, q := range reqs {
-		attrs := q.attrList()
+	for _, attrs := range reqs {
 		if len(attrs) < 3 {
 			continue
 		}
@@ -262,8 +240,7 @@ func planBatch(ds *dataset.Dataset, nc int, reqs []CubeReq) (*batchPlan, error) 
 		p.kIdx[key] = len(p.ks)
 		p.ks = append(p.ks, kp)
 	}
-	for _, q := range reqs {
-		attrs := q.attrList()
+	for _, attrs := range reqs {
 		if len(attrs) != 1 {
 			continue
 		}
@@ -292,14 +269,13 @@ func planBatch(ds *dataset.Dataset, nc int, reqs []CubeReq) (*batchPlan, error) 
 // extractAll materializes each distinct cube once from the counted
 // scratch (duplicate requests share the pointer) and reports how many
 // cubes were built.
-func extractAll(ds *dataset.Dataset, nc int, reqs []CubeReq, plan *batchPlan) ([]*Cube, int) {
+func extractAll(ds *dataset.Dataset, nc int, reqs [][]int, plan *batchPlan) ([]*Cube, int) {
 	out := make([]*Cube, len(reqs))
 	pairCubes := make([]*Cube, len(plan.pairs))
 	kCubes := make([]*Cube, len(plan.ks))
 	oneCubes := make(map[int]*Cube)
 	built := 0
-	for i, q := range reqs {
-		attrs := q.attrList()
+	for i, attrs := range reqs {
 		switch {
 		case len(attrs) >= 3:
 			ki := plan.kIdx[kKey(attrs)]
@@ -350,38 +326,19 @@ func findPairFor(pairs []pairPlan, a int) [2]int {
 // scanAll runs the shared pass, split across GOMAXPROCS contiguous row
 // shards when the dataset is large enough to amortize the per-shard
 // scratch (counts are additive; shard partials merge by summation).
-// It runs to completion once started — the caller bounds cancellation
-// at one scan by checking its context before and after.
-func scanAll(classCol []int32, nc int, plan *batchPlan, rows int) {
-	pairs, ones, ks := plan.pairs, plan.ones, plan.ks
+// A cancel stops every shard at its next block boundary; scanAll waits
+// for all of them before returning ctx.Err().
+func scanAll(ctx context.Context, classCol []int32, nc int, plan *batchPlan, rows int) error {
 	shards := runtime.GOMAXPROCS(0)
 	if max := rows / batchShardRows; shards > max {
 		shards = max
 	}
 	if shards <= 1 {
-		scanRange(classCol, nc, pairs, ones, ks, 0, rows)
-		return
+		return scanRange(ctx, classCol, nc, plan, 0, rows)
 	}
-	// Shard 0 scans into the plans' own scratch; each extra shard gets a
-	// private copy of the scratch arrays, merged after the pass.
-	extra := make([][]pairPlan, shards-1)
-	extraOnes := make([][]onePlan, shards-1)
-	extraKs := make([][]kPlan, shards-1)
-	for s := range extra {
-		ps := append([]pairPlan(nil), pairs...)
-		for i := range ps {
-			ps[i].scratch = make([]int64, len(pairs[i].scratch))
-		}
-		os := append([]onePlan(nil), ones...)
-		for i := range os {
-			os[i].scratch = make([]int64, len(ones[i].scratch))
-		}
-		kps := append([]kPlan(nil), ks...)
-		for i := range kps {
-			kps[i].scratch = make([]int64, len(ks[i].scratch))
-		}
-		extra[s], extraOnes[s], extraKs[s] = ps, os, kps
-	}
+	// Shard 0 scans into the plan's own scratch; each extra shard scans
+	// into a private copy, merged after the pass.
+	extra := plan.scratchCopies(shards - 1)
 	var wg sync.WaitGroup
 	per := (rows + shards - 1) / shards
 	for s := 0; s < shards; s++ {
@@ -390,26 +347,60 @@ func scanAll(classCol []int32, nc int, plan *batchPlan, rows int) {
 		if hi > rows {
 			hi = rows
 		}
-		ps, os, kps := pairs, ones, ks
+		sp := plan
 		if s > 0 {
-			ps, os, kps = extra[s-1], extraOnes[s-1], extraKs[s-1]
+			sp = extra[s-1]
 		}
 		wg.Add(1)
-		go func(ps []pairPlan, os []onePlan, kps []kPlan, lo, hi int) {
+		go func(sp *batchPlan, lo, hi int) {
 			defer wg.Done()
-			scanRange(classCol, nc, ps, os, kps, lo, hi)
-		}(ps, os, kps, lo, hi)
+			// A shard stops only on cancel, which ctx.Err() reports below.
+			_ = scanRange(ctx, classCol, nc, sp, lo, hi)
+		}(sp, lo, hi)
 	}
 	wg.Wait()
-	for s := range extra {
-		for i := range pairs {
-			AddCounts(pairs[i].scratch, extra[s][i].scratch)
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	plan.addScratch(extra)
+	return nil
+}
+
+// scratchCopies returns n copies of the plan whose scratch arrays are
+// fresh and zeroed, one per extra scan shard.
+func (p *batchPlan) scratchCopies(n int) []*batchPlan {
+	out := make([]*batchPlan, n)
+	for s := range out {
+		c := &batchPlan{
+			pairs: append([]pairPlan(nil), p.pairs...),
+			ones:  append([]onePlan(nil), p.ones...),
+			ks:    append([]kPlan(nil), p.ks...),
 		}
-		for i := range ones {
-			AddCounts(ones[i].scratch, extraOnes[s][i].scratch)
+		for i := range c.pairs {
+			c.pairs[i].scratch = make([]int64, len(p.pairs[i].scratch))
 		}
-		for i := range ks {
-			AddCounts(ks[i].scratch, extraKs[s][i].scratch)
+		for i := range c.ones {
+			c.ones[i].scratch = make([]int64, len(p.ones[i].scratch))
+		}
+		for i := range c.ks {
+			c.ks[i].scratch = make([]int64, len(p.ks[i].scratch))
+		}
+		out[s] = c
+	}
+	return out
+}
+
+// addScratch sums the shard copies' scratch into the plan's own.
+func (p *batchPlan) addScratch(copies []*batchPlan) {
+	for _, c := range copies {
+		for i := range p.pairs {
+			AddCounts(p.pairs[i].scratch, c.pairs[i].scratch)
+		}
+		for i := range p.ones {
+			AddCounts(p.ones[i].scratch, c.ones[i].scratch)
+		}
+		for i := range p.ks {
+			AddCounts(p.ks[i].scratch, c.ks[i].scratch)
 		}
 	}
 }
@@ -428,9 +419,13 @@ const scanBlockRows = 2048
 // loop, so each plan's column/scratch pointers hoist out of the hot
 // loop and the block's columns are revisited while still in cache —
 // the row-outer form re-derefs every plan per row and thrashes between
-// all the plans' columns.
-func scanRange(classCol []int32, nc int, pairs []pairPlan, ones []onePlan, ks []kPlan, lo, hi int) {
+// all the plans' columns. ctx is polled once per block.
+func scanRange(ctx context.Context, classCol []int32, nc int, plan *batchPlan, lo, hi int) error {
+	pairs, ones, ks := plan.pairs, plan.ones, plan.ks
 	for blo := lo; blo < hi; blo += scanBlockRows {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		bhi := blo + scanBlockRows
 		if bhi > hi {
 			bhi = hi
@@ -476,10 +471,11 @@ func scanRange(classCol []int32, nc int, pairs []pairPlan, ones []onePlan, ks []
 			}
 		}
 	}
+	return ctx.Err()
 }
 
-// newCubeHeader builds the cube metadata exactly the way Build does, so
-// batch-built cubes compare DeepEqual to individually built ones.
+// newCubeHeader builds an empty cube over attrs: one slot per
+// dictionary code in each condition dimension, plus the class.
 func newCubeHeader(ds *dataset.Dataset, attrs []int, nc int) *Cube {
 	c := &Cube{
 		attrIdx:    append([]int(nil), attrs...),
@@ -500,7 +496,7 @@ func newCubeHeader(ds *dataset.Dataset, attrs []int, nc int) *Cube {
 
 // extractPair copies the present-value block of a pair plan's scratch
 // into an exact cube: slot 0 of either dimension (rows where that value
-// was missing) is dropped, matching Build's skip of such rows.
+// was missing) is dropped, since such rows are not counted.
 func extractPair(ds *dataset.Dataset, nc int, p *pairPlan) *Cube {
 	c := newCubeHeader(ds, []int{p.a, p.b}, nc)
 	blk := p.dimB * nc
@@ -526,7 +522,7 @@ func extractOne(ds *dataset.Dataset, nc int, o *onePlan) *Cube {
 
 // extractK copies the present-value block of a k-D plan's scratch into
 // an exact cube: slot 0 of every condition dimension (rows where that
-// value was missing) is dropped, matching Build's skip of such rows.
+// value was missing) is dropped, since such rows are not counted.
 // The innermost dimension's present block is contiguous in both
 // layouts, so the copy walks an odometer over the outer dimensions and
 // moves dims[k-1]×nc cells at a time.
@@ -565,7 +561,7 @@ func extractK(ds *dataset.Dataset, nc int, p *kPlan) *Cube {
 // plan's scratch by marginalizing the partner dimension across *all*
 // its slots — missing slot included, because a row with a present a and
 // class is counted in the scratch wherever its partner value fell, and
-// Build's 1-D cube keeps exactly those rows regardless of the partner.
+// a 1-D cube keeps exactly those rows regardless of the partner.
 func extractDerivedOne(ds *dataset.Dataset, nc int, a int, p *pairPlan, pos int) *Cube {
 	c := newCubeHeader(ds, []int{a}, nc)
 	if pos == 0 {

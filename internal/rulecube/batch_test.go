@@ -62,20 +62,21 @@ func randomDatasetMissingClass(t *testing.T, seed int64, rows, attrs, card, clas
 	return ds
 }
 
-// TestBuildManyOracle checks every request shape against Build: pair
-// cubes in both dimension orders, 1-D cubes derived from a pair plan's
-// scratch, 1-D cubes with a dedicated plan, and duplicate requests.
+// TestBuildManyOracle checks every request shape against the
+// brute-force recount: pair cubes in both dimension orders, 1-D cubes
+// derived from a pair plan's scratch, 1-D cubes with a dedicated plan,
+// and duplicate requests.
 func TestBuildManyOracle(t *testing.T) {
 	for trial := int64(0); trial < 4; trial++ {
 		ds := randomDatasetMissingClass(t, trial, 2500, 5, 4, 3, 0.08)
-		reqs := []CubeReq{
-			{A: 0, B: 1},
-			{A: 1, B: 0}, // reversed dimension order is a distinct cube
-			{A: 2, B: 3},
-			{A: 0, B: -1}, // derived from pair (0,1)
-			{A: 3, B: -1}, // derived from pair (2,3), partner position
-			{A: 4, B: -1}, // no covering pair: dedicated 1-D plan
-			{A: 0, B: 1},  // duplicate shares the cube
+		reqs := [][]int{
+			{0, 1},
+			{1, 0}, // reversed dimension order is a distinct cube
+			{2, 3},
+			{0},    // derived from pair (0,1)
+			{3},    // derived from pair (2,3), partner position
+			{4},    // no covering pair: dedicated 1-D plan
+			{0, 1}, // duplicate shares the cube
 		}
 		got, err := BuildMany(context.Background(), ds, reqs)
 		if err != nil {
@@ -84,18 +85,8 @@ func TestBuildManyOracle(t *testing.T) {
 		if len(got) != len(reqs) {
 			t.Fatalf("got %d cubes, want %d", len(got), len(reqs))
 		}
-		for i, q := range reqs {
-			attrs := []int{q.A}
-			if q.B >= 0 {
-				attrs = append(attrs, q.B)
-			}
-			want, err := Build(ds, attrs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got[i], want) {
-				t.Errorf("trial %d req %d (%+v): batch cube differs from Build", trial, i, q)
-			}
+		for i, attrs := range reqs {
+			checkBruteForce(t, ds, attrs, got[i], fmt.Sprintf("trial %d req %d %v", trial, i, attrs))
 		}
 		if got[0] != got[6] {
 			t.Error("duplicate requests should share one cube")
@@ -108,13 +99,14 @@ func TestBuildManyValidation(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
 		name string
-		reqs []CubeReq
+		reqs [][]int
 	}{
-		{"out of range", []CubeReq{{A: 9, B: -1}}},
-		{"negative", []CubeReq{{A: -1, B: -1}}},
-		{"class dim", []CubeReq{{A: 2, B: -1}}},
-		{"class pair", []CubeReq{{A: 0, B: 2}}},
-		{"self pair", []CubeReq{{A: 1, B: 1}}},
+		{"out of range", [][]int{{9}}},
+		{"negative", [][]int{{-1}}},
+		{"class dim", [][]int{{2}}},
+		{"class pair", [][]int{{0, 2}}},
+		{"self pair", [][]int{{1, 1}}},
+		{"empty", [][]int{{0}, {}}},
 	} {
 		if _, err := BuildMany(ctx, ds, tc.reqs); err == nil {
 			t.Errorf("%s: expected error", tc.name)
@@ -132,9 +124,7 @@ func TestBuildManyCounters(t *testing.T) {
 	built := obsv.Default().Counter(CubesBuiltCounterName)
 	s0, b0 := scans.Value(), built.Value()
 	// 4 requests, 3 distinct cubes, one scan.
-	_, err := BuildMany(context.Background(), ds, []CubeReq{
-		{A: 0, B: 1}, {A: 0, B: -1}, {A: 1, B: -1}, {A: 0, B: 1},
-	})
+	_, err := BuildMany(context.Background(), ds, [][]int{{0, 1}, {0}, {1}, {0, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,13 +134,16 @@ func TestBuildManyCounters(t *testing.T) {
 	if d := built.Value() - b0; d != 3 {
 		t.Errorf("built counter advanced by %d, want 3", d)
 	}
-	// The sequential path advances the scan counter once per cube.
-	s1 := scans.Value()
-	if _, err := BuildCube(ds, []int{0, 1}); err != nil {
+	// Build is a one-request BuildMany: one scan, one cube.
+	s1, b1 := scans.Value(), built.Value()
+	if _, err := Build(ds, []int{0, 1}); err != nil {
 		t.Fatal(err)
 	}
 	if d := scans.Value() - s1; d != 1 {
 		t.Errorf("single build advanced scans by %d, want 1", d)
+	}
+	if d := built.Value() - b1; d != 1 {
+		t.Errorf("single build advanced built by %d, want 1", d)
 	}
 }
 
@@ -158,7 +151,7 @@ func TestBuildManyCancelAndFault(t *testing.T) {
 	ds := fig1Dataset(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := BuildMany(ctx, ds, []CubeReq{{A: 0, B: 1}}); err != context.Canceled {
+	if _, err := BuildMany(ctx, ds, [][]int{{0, 1}}); err != context.Canceled {
 		t.Errorf("canceled ctx: got %v", err)
 	}
 	disarm, err := faultinject.Arm(faultinject.Fault{Site: faultinject.SiteCubeBatch, Kind: faultinject.Error})
@@ -166,30 +159,33 @@ func TestBuildManyCancelAndFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer disarm()
-	if _, err := BuildMany(context.Background(), ds, []CubeReq{{A: 0, B: 1}}); err == nil {
+	if _, err := BuildMany(context.Background(), ds, [][]int{{0, 1}}); err == nil {
 		t.Error("armed batch fault: expected error")
 	}
 }
 
 // TestBuildManySharded forces the parallel shard-and-merge path by
 // raising GOMAXPROCS over a dataset large enough to split, and checks
-// the merged counts against Build.
+// the merged counts against the brute-force recount and against the
+// single-shard scan.
 func TestBuildManySharded(t *testing.T) {
-	old := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(old)
 	rows := 3 * batchShardRows
-	ds := randomDatasetMissingClass(t, 42, rows, 3, 4, 2, 0.05)
-	got, err := BuildMany(context.Background(), ds, []CubeReq{{A: 0, B: 1}, {A: 2, B: -1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, attrs := range [][]int{{0, 1}, {2}} {
-		want, err := Build(ds, attrs)
+	ds := randomDatasetMissingClass(t, 42, rows, 4, 4, 2, 0.05)
+	reqs := [][]int{{0, 1}, {2}, {0, 1, 3}}
+	build := func(procs int) []*Cube {
+		old := runtime.GOMAXPROCS(procs)
+		defer runtime.GOMAXPROCS(old)
+		cubes, err := BuildMany(context.Background(), ds, reqs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got[i], want) {
-			t.Errorf("sharded cube %d differs from Build", i)
+		return cubes
+	}
+	sharded, single := build(4), build(1)
+	for i, attrs := range reqs {
+		checkBruteForce(t, ds, attrs, sharded[i], fmt.Sprintf("sharded cube %v", attrs))
+		if !reflect.DeepEqual(sharded[i], single[i]) {
+			t.Errorf("sharded cube %v differs from the single-shard scan", attrs)
 		}
 	}
 }
@@ -235,10 +231,9 @@ func BenchmarkBatchVsSequential(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	reqs := []CubeReq{{A: 0, B: -1}}
+	reqs := [][]int{{0}}
 	for ai := 1; ai < attrs; ai++ {
-		reqs = append(reqs, CubeReq{A: 0, B: ai})
-		reqs = append(reqs, CubeReq{A: ai, B: -1})
+		reqs = append(reqs, []int{0, ai}, []int{ai})
 	}
 	b.Run("batch", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -249,12 +244,8 @@ func BenchmarkBatchVsSequential(b *testing.B) {
 	})
 	b.Run("sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			for _, q := range reqs {
-				attrsList := []int{q.A}
-				if q.B >= 0 {
-					attrsList = append(attrsList, q.B)
-				}
-				if _, err := Build(ds, attrsList); err != nil {
+			for _, attrs := range reqs {
+				if _, err := Build(ds, attrs); err != nil {
 					b.Fatal(err)
 				}
 			}

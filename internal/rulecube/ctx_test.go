@@ -4,18 +4,23 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"opmap/internal/dataset"
 	"opmap/internal/faultinject"
+	"opmap/internal/obsv"
 	"opmap/internal/testutil"
 )
 
-// wideDataset builds a small dataset with nAttrs binary attributes plus
-// a class, so the store has nAttrs·(nAttrs−1)/2 pair cubes — enough
-// work for cancellation to land mid-build.
-func wideDataset(t *testing.T, nAttrs int) *dataset.Dataset {
+// wideDataset builds a dataset with nAttrs binary attributes plus a
+// binary class over the given number of random rows, so the store has
+// nAttrs·(nAttrs−1)/2 pair cubes and its one counting scan does
+// rows × pairs increments.
+func wideDataset(t *testing.T, nAttrs, rows int) *dataset.Dataset {
 	t.Helper()
 	attrs := make([]dataset.Attribute, nAttrs+1)
 	for i := 0; i < nAttrs; i++ {
@@ -29,16 +34,13 @@ func wideDataset(t *testing.T, nAttrs int) *dataset.Dataset {
 	for i := 0; i <= nAttrs; i++ {
 		b.WithDict(i, dataset.DictionaryOf("u", "v"))
 	}
-	row := make([]string, nAttrs+1)
-	for j := 0; j < 64; j++ {
-		for i := 0; i <= nAttrs; i++ {
-			if (j>>(uint(i)%6))&1 == 0 {
-				row[i] = "u"
-			} else {
-				row[i] = "v"
-			}
+	rng := rand.New(rand.NewSource(int64(nAttrs*rows + 1)))
+	codes := make([]int32, nAttrs+1)
+	for j := 0; j < rows; j++ {
+		for i := range codes {
+			codes[i] = int32(rng.Intn(2))
 		}
-		if err := b.AddRow(row); err != nil {
+		if err := b.AddCodedRow(codes, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -49,14 +51,36 @@ func wideDataset(t *testing.T, nAttrs int) *dataset.Dataset {
 	return ds
 }
 
+// pollSignalCtx passes every call through to its parent context but
+// closes reached on the at-th Err poll. BuildMany polls once before
+// planning and then once per scan block in every shard, so with at ≥ 3
+// reached closes while the counting scan is under way.
+type pollSignalCtx struct {
+	context.Context
+	polls   atomic.Int64
+	at      int64
+	reached chan struct{}
+}
+
+func (c *pollSignalCtx) Err() error {
+	if c.polls.Add(1) == c.at {
+		close(c.reached)
+	}
+	return c.Context.Err()
+}
+
+// TestBuildStoreContextPreCanceled: a canceled context fails the build
+// before it counts anything, whatever the scan's parallelism
+// (GOMAXPROCS, which sets how many row shards the scan may use).
 func TestBuildStoreContextPreCanceled(t *testing.T) {
-	ds := wideDataset(t, 6)
+	ds := wideDataset(t, 6, 64)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("parallelism=%d", workers), func(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("parallelism=%d", procs), func(t *testing.T) {
 			defer testutil.VerifyNoLeak(t)()
-			store, err := BuildStoreContext(ctx, ds, StoreOptions{Parallelism: workers})
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			store, err := BuildStoreContext(ctx, ds, StoreOptions{})
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled", err)
 			}
@@ -67,33 +91,30 @@ func TestBuildStoreContextPreCanceled(t *testing.T) {
 	}
 }
 
-// TestBuildStoreContextCancelMidBuild is the acceptance check: cancel
-// while pair cubes are being counted, and the build must return
-// ctx.Err() within 100ms without leaking worker goroutines or
-// dispatching the remaining pairs.
-func TestBuildStoreContextCancelMidBuild(t *testing.T) {
+// cancelMidScan cancels a store build while its counting scan runs
+// (after the scan's third block poll) and checks that the build
+// returns ctx.Err() within 100ms, leaves no goroutine behind, and
+// never completes the scan.
+func cancelMidScan(t *testing.T, procs int) {
 	defer testutil.VerifyNoLeak(t)()
-	defer faultinject.Reset()
-	ds := wideDataset(t, 8) // 28 pairs
-	disarm, err := faultinject.Arm(faultinject.Fault{
-		Site:  faultinject.SiteCubeBuildPair,
-		Kind:  faultinject.Delay,
-		Delay: 50 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer disarm()
-
-	ctx, cancel := context.WithCancel(context.Background())
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	ds := wideDataset(t, 24, 2*batchShardRows+scanBlockRows) // 276 pairs
+	parent, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	ctx := &pollSignalCtx{Context: parent, at: 4, reached: make(chan struct{})}
+	scans := obsv.Default().Counter(CubeScansCounterName)
+	s0 := scans.Value()
+
 	done := make(chan error, 1)
 	go func() {
-		_, err := BuildStoreContext(ctx, ds, StoreOptions{Parallelism: 4})
+		_, err := BuildStoreContext(ctx, ds, StoreOptions{})
 		done <- err
 	}()
-
-	time.Sleep(20 * time.Millisecond) // let some pairs start
+	select {
+	case <-ctx.reached:
+	case err := <-done:
+		t.Fatalf("build returned %v before its scan reached the cancel point", err)
+	}
 	cancel()
 	start := time.Now()
 	select {
@@ -107,55 +128,28 @@ func TestBuildStoreContextCancelMidBuild(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("build did not return within 2s of cancel")
 	}
-	// The dispatcher must have stopped handing out pairs: with 28 pairs
-	// at 50ms each on 4 workers the full build takes ~350ms, so a
-	// cancel at 20ms must leave most pairs undispatched.
-	if hits := faultinject.HitCount(faultinject.SiteCubeBuildPair); hits >= 28 {
-		t.Errorf("all %d pairs were dispatched despite cancellation", hits)
+	if d := scans.Value() - s0; d != 0 {
+		t.Errorf("scan counter advanced by %d: the canceled scan completed", d)
 	}
 }
 
-func TestBuildStoreContextSerialCancel(t *testing.T) {
-	defer testutil.VerifyNoLeak(t)()
-	defer faultinject.Reset()
-	ds := wideDataset(t, 6)
-	disarm, err := faultinject.Arm(faultinject.Fault{
-		Site:  faultinject.SiteCubeBuildPair,
-		Kind:  faultinject.Delay,
-		Delay: 50 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer disarm()
+// TestBuildStoreContextCancelMidBuild is the acceptance check on the
+// sharded scan: with GOMAXPROCS 4 the rows split across shards, and a
+// cancel mid-scan stops every shard at its next block.
+func TestBuildStoreContextCancelMidBuild(t *testing.T) { cancelMidScan(t, 4) }
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan error, 1)
-	go func() {
-		_, err := BuildStoreContext(ctx, ds, StoreOptions{Parallelism: 1})
-		done <- err
-	}()
-	time.Sleep(10 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("err = %v, want context.Canceled", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("serial build did not return within 2s of cancel")
-	}
-}
+// TestBuildStoreContextSerialCancel is the same check on the
+// single-shard scan (GOMAXPROCS 1).
+func TestBuildStoreContextSerialCancel(t *testing.T) { cancelMidScan(t, 1) }
 
-// TestBuildStoreContextFaultError proves an injected pair-build error
-// fails the store build and still drains the worker pool cleanly.
+// TestBuildStoreContextFaultError proves an injected error at the
+// counting scan's fault site fails the store build cleanly.
 func TestBuildStoreContextFaultError(t *testing.T) {
 	defer testutil.VerifyNoLeak(t)()
 	defer faultinject.Reset()
-	ds := wideDataset(t, 8)
+	ds := wideDataset(t, 8, 64)
 	disarm, err := faultinject.Arm(faultinject.Fault{
-		Site:  faultinject.SiteCubeBuildPair,
+		Site:  faultinject.SiteCubeBatch,
 		Kind:  faultinject.Error,
 		Times: 1,
 	})
@@ -164,21 +158,27 @@ func TestBuildStoreContextFaultError(t *testing.T) {
 	}
 	defer disarm()
 
-	store, err := BuildStoreContext(context.Background(), ds, StoreOptions{Parallelism: 4})
+	h0 := faultinject.HitCount(faultinject.SiteCubeBatch)
+	store, err := BuildStoreContext(context.Background(), ds, StoreOptions{})
 	if !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
 	}
 	if store != nil {
 		t.Error("failed build must not return a store")
 	}
+	if hits := faultinject.HitCount(faultinject.SiteCubeBatch) - h0; hits != 1 {
+		t.Errorf("fault site hit %d times, want 1: a store build is one scan", hits)
+	}
 }
 
+// TestBuildStoreContextFaultOneD: a store of 1-D cubes only
+// (SkipPairs) is counted by the same scan and fails at the same site.
 func TestBuildStoreContextFaultOneD(t *testing.T) {
 	defer testutil.VerifyNoLeak(t)()
 	defer faultinject.Reset()
-	ds := wideDataset(t, 4)
+	ds := wideDataset(t, 4, 64)
 	disarm, err := faultinject.Arm(faultinject.Fault{
-		Site: faultinject.SiteCubeBuildOne,
+		Site: faultinject.SiteCubeBatch,
 		Kind: faultinject.Error,
 	})
 	if err != nil {
@@ -186,7 +186,7 @@ func TestBuildStoreContextFaultOneD(t *testing.T) {
 	}
 	defer disarm()
 
-	if _, err := BuildStoreContext(context.Background(), ds, StoreOptions{}); !errors.Is(err, faultinject.ErrInjected) {
+	if _, err := BuildStoreContext(context.Background(), ds, StoreOptions{SkipPairs: true}); !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
 	}
 }
@@ -194,12 +194,12 @@ func TestBuildStoreContextFaultOneD(t *testing.T) {
 // TestBuildStoreContextUnchanged pins backward compatibility: a build
 // under a background context equals the context-free build.
 func TestBuildStoreContextUnchanged(t *testing.T) {
-	ds := wideDataset(t, 5)
+	ds := wideDataset(t, 5, 64)
 	plain, err := BuildStore(ds, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctxed, err := BuildStoreContext(context.Background(), ds, StoreOptions{Parallelism: 3})
+	ctxed, err := BuildStoreContext(context.Background(), ds, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,15 +12,10 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
-	"time"
 
 	"opmap/internal/car"
 	"opmap/internal/dataset"
-	"opmap/internal/faultinject"
-	"opmap/internal/obsv"
 )
 
 // Cube is a rule cube: p condition dimensions plus the class dimension.
@@ -153,69 +148,16 @@ func (c *Cube) Rule(values []int32, class int32) (car.Rule, error) {
 	return car.Rule{Conditions: conds, Class: class, SupCount: sup, CondCount: cond, Total: c.total}, nil
 }
 
-// Build counts a rule cube over the given condition attributes of ds.
-// Rows with a missing value in any cube dimension (including the class)
-// are skipped. ds must be fully categorical.
+// Build counts a rule cube over the given condition attributes of ds:
+// a one-request BuildMany. Rows with a missing value in any cube
+// dimension (including the class) are skipped. ds must be fully
+// categorical.
 func Build(ds *dataset.Dataset, attrs []int) (*Cube, error) {
-	if !ds.AllCategorical() {
-		return nil, fmt.Errorf("rulecube: dataset has continuous attributes; discretize first")
+	cubes, err := BuildMany(context.Background(), ds, [][]int{attrs})
+	if err != nil {
+		return nil, err
 	}
-	classIdx := ds.ClassIndex()
-	seen := make(map[int]bool, len(attrs))
-	for _, a := range attrs {
-		if a < 0 || a >= ds.NumAttrs() {
-			return nil, fmt.Errorf("rulecube: attribute index %d out of range", a)
-		}
-		if a == classIdx {
-			return nil, fmt.Errorf("rulecube: class attribute cannot be a condition dimension")
-		}
-		if seen[a] {
-			return nil, fmt.Errorf("rulecube: duplicate attribute %d", a)
-		}
-		seen[a] = true
-	}
-	c := &Cube{
-		attrIdx:    append([]int(nil), attrs...),
-		classDict:  ds.ClassDict(),
-		numClasses: ds.NumClasses(),
-	}
-	size := c.numClasses
-	for _, a := range attrs {
-		card := ds.Cardinality(a)
-		if card == 0 {
-			card = 1 // an attribute with an empty domain still needs a slot
-		}
-		c.dims = append(c.dims, card)
-		c.attrNames = append(c.attrNames, ds.Attr(a).Name)
-		c.dicts = append(c.dicts, ds.Column(a).Dict)
-		size *= card
-	}
-	c.counts = make([]int64, size)
-
-	cols := make([][]int32, len(attrs))
-	for i, a := range attrs {
-		cols[i] = ds.Column(a).Codes
-	}
-	classCol := ds.Column(classIdx).Codes
-
-rows:
-	for r := 0; r < ds.NumRows(); r++ {
-		cl := classCol[r]
-		if cl < 0 {
-			continue
-		}
-		idx := 0
-		for i := range cols {
-			v := cols[i][r]
-			if v < 0 {
-				continue rows
-			}
-			idx = idx*c.dims[i] + int(v)
-		}
-		c.counts[idx*c.numClasses+int(cl)]++
-		c.total++
-	}
-	return c, nil
+	return cubes[0], nil
 }
 
 // Slice fixes condition dimension pos to the given value and returns the
@@ -504,15 +446,6 @@ func EstimateCubeBytes(ds *dataset.Dataset, attrs []int) int64 {
 	return cells * 8
 }
 
-// BuildCube counts a single rule cube over attrs, advancing the
-// cubes-built counter and (when hot metrics are armed) the per-cube
-// build-duration histogram. It is the unit of work a lazy engine
-// schedules; BuildStore is a loop over BuildCube for every attribute
-// and pair.
-func BuildCube(ds *dataset.Dataset, attrs []int) (*Cube, error) {
-	return buildCounted(ds, attrs)
-}
-
 // pairKey normalizes an attribute pair for Store lookup.
 func pairKey(a, b int) [2]int {
 	if a > b {
@@ -529,11 +462,6 @@ type StoreOptions struct {
 	// SkipPairs disables materializing 3-D cubes, leaving only the 2-D
 	// (attribute × class) cubes.
 	SkipPairs bool
-	// Parallelism is the number of goroutines counting pair cubes.
-	// Zero means GOMAXPROCS; 1 forces the serial path. Cube generation
-	// is the paper's offline step (Fig. 10/11) and parallelizes
-	// embarrassingly across attribute pairs.
-	Parallelism int
 }
 
 // Store holds the materialized rule cubes of a dataset: one 2-D cube per
@@ -547,108 +475,47 @@ type Store struct {
 	twoD  map[[2]int]*Cube
 }
 
-// CubesBuiltCounterName is the counter advanced once per cube counted
-// during a store build, so a /metrics scrape shows offline-build
-// progress and totals.
+// CubesBuiltCounterName is the counter advanced once per cube counted,
+// so a /metrics scrape shows offline-build progress and totals.
 const CubesBuiltCounterName = "opmap_cubes_built_total"
-
-// buildCounted is Build plus the store-build instrumentation: the
-// cubes-built counter always advances on success, and when hot
-// instrumentation is armed (obsv.ArmHot) the individual count's
-// duration is observed too. Disarmed, the extra cost per cube is one
-// atomic load and one counter increment — noise next to the full data
-// pass each build performs.
-func buildCounted(ds *dataset.Dataset, attrs []int) (*Cube, error) {
-	var (
-		h     *obsv.Histogram
-		start time.Time
-	)
-	if obsv.HotArmed() {
-		h = obsv.Default().Histogram(obsv.CubeBuildHistogramName, nil)
-		start = time.Now()
-	}
-	cube, err := Build(ds, attrs)
-	if err != nil {
-		return nil, err
-	}
-	if h != nil {
-		h.ObserveSince(start)
-	}
-	obsv.Default().Counter(CubesBuiltCounterName).Inc()
-	// An individually built cube is one full dataset pass; BuildMany
-	// advances the same counter once however many cubes it produced.
-	obsv.Default().Counter(CubeScansCounterName).Inc()
-	return cube, nil
-}
 
 // BuildStore materializes the cube store for ds.
 func BuildStore(ds *dataset.Dataset, opts StoreOptions) (*Store, error) {
 	return BuildStoreContext(context.Background(), ds, opts)
 }
 
-// BuildStoreContext is BuildStore under a context: cancellation is
-// observed between cube builds (each individual cube is one pass over
-// the rows, so the response to a cancel is bounded by a single build),
-// the parallel pair loop stops dispatching work as soon as any build
-// fails or ctx is done, and no goroutine outlives the call.
+// BuildStoreContext is BuildStore under a context. Every 1-D cube and,
+// unless SkipPairs, every pair cube is counted in one BuildMany scan, so
+// cancellation is observed inside that scan (see BuildMany).
 func BuildStoreContext(ctx context.Context, ds *dataset.Dataset, opts StoreOptions) (*Store, error) {
-	if !ds.AllCategorical() {
-		return nil, fmt.Errorf("rulecube: dataset has continuous attributes; discretize first")
-	}
 	attrs, err := normalizeStoreAttrs(ds, opts.Attrs)
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{
-		ds:    ds,
-		attrs: attrs,
-		oneD:  make(map[int]*Cube, len(attrs)),
-		twoD:  make(map[[2]int]*Cube),
-	}
-	for _, a := range attrs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if err := faultinject.HitContext(ctx, faultinject.SiteCubeBuildOne); err != nil {
-			return nil, err
-		}
-		cube, err := buildCounted(ds, []int{a})
-		if err != nil {
-			return nil, err
-		}
-		s.putCube1(a, cube)
-	}
-	if opts.SkipPairs {
-		return s, nil
-	}
-	pairs := enumeratePairs(attrs)
-	workers := opts.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(pairs) {
-		workers = len(pairs)
-	}
-	if workers <= 1 {
-		for _, p := range pairs {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if err := faultinject.HitContext(ctx, faultinject.SiteCubeBuildPair); err != nil {
-				return nil, err
-			}
-			cube, err := buildCounted(ds, []int{p[0], p[1]})
-			if err != nil {
-				return nil, err
-			}
-			s.putCube2(p[0], p[1], cube)
-		}
-		return s, nil
-	}
-	if err := s.buildPairsParallel(ctx, pairs, workers); err != nil {
+	cubes, err := BuildMany(ctx, ds, storeRequests(attrs, opts.SkipPairs))
+	if err != nil {
 		return nil, err
 	}
-	return s, nil
+	return AssembleStore(ds, attrs, cubes)
+}
+
+// storeRequests lists a store's cubes for BuildMany: the 1-D cube of
+// every attribute, then (unless skipPairs) every pair (a, b) with a < b
+// in the sorted attrs.
+func storeRequests(attrs []int, skipPairs bool) [][]int {
+	reqs := make([][]int, 0, len(attrs))
+	for _, a := range attrs {
+		reqs = append(reqs, []int{a})
+	}
+	if skipPairs {
+		return reqs
+	}
+	for i, a := range attrs {
+		for _, b := range attrs[i+1:] {
+			reqs = append(reqs, []int{a, b})
+		}
+	}
+	return reqs
 }
 
 // normalizeStoreAttrs resolves the store's attribute list: nil means
@@ -671,101 +538,6 @@ func normalizeStoreAttrs(ds *dataset.Dataset, attrs []int) ([]int, error) {
 	}
 	sort.Ints(attrs)
 	return attrs, nil
-}
-
-// enumeratePairs lists the unordered attribute pairs (a, b) with a < b
-// in the sorted attrs slice, the job list for the pair-cube build.
-func enumeratePairs(attrs []int) [][2]int {
-	var pairs [][2]int
-	for i, a := range attrs {
-		for _, b := range attrs[i+1:] {
-			pairs = append(pairs, [2]int{a, b})
-		}
-	}
-	return pairs
-}
-
-// buildPairsParallel counts the pair cubes with a worker pool. The
-// results channel is buffered to len(pairs) so a worker can never
-// block on it; the dispatcher stops feeding jobs as soon as any
-// worker reports an error or ctx is done (at most the in-flight
-// builds complete after that), and every worker has exited by the
-// time the function returns.
-func (s *Store) buildPairsParallel(ctx context.Context, pairs [][2]int, workers int) error {
-	type result struct {
-		pair [2]int
-		cube *Cube
-		err  error
-	}
-	jobs := make(chan [2]int)
-	results := make(chan result, len(pairs))
-	abort := make(chan struct{})
-	var abortOnce sync.Once
-	fail := func() { abortOnce.Do(func() { close(abort) }) }
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for p := range jobs {
-				if ctx.Err() != nil {
-					fail()
-					return
-				}
-				if err := faultinject.HitContext(ctx, faultinject.SiteCubeBuildPair); err != nil {
-					results <- result{pair: p, err: err}
-					fail()
-					continue
-				}
-				cube, err := buildCounted(s.ds, []int{p[0], p[1]})
-				if err != nil {
-					fail()
-				}
-				results <- result{pair: p, cube: cube, err: err}
-			}
-		}()
-	}
-	go func() {
-	dispatch:
-		for _, p := range pairs {
-			// Poll the stop conditions first so a closed abort wins the
-			// race against a ready worker.
-			select {
-			case <-abort:
-				break dispatch
-			case <-ctx.Done():
-				break dispatch
-			default:
-			}
-			select {
-			case jobs <- p:
-			case <-abort:
-				break dispatch
-			case <-ctx.Done():
-				break dispatch
-			}
-		}
-		close(jobs)
-	}()
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-	var firstErr error
-	for r := range results {
-		if r.err != nil {
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			continue
-		}
-		s.putCube2(r.pair[0], r.pair[1], r.cube)
-	}
-	if firstErr == nil {
-		firstErr = ctx.Err()
-	}
-	return firstErr
 }
 
 // Dataset returns the dataset the store was built from.
@@ -868,21 +640,4 @@ func (s *Store) Stats() StoreStats {
 		}
 	})
 	return st
-}
-
-// RestrictedCube mines a higher-dimensional cube on demand by fixing
-// conditions and cubing the remaining attributes over the matching
-// sub-population ("a restricted mining can be carried out",
-// Section III.B). The fixed conditions select rows; the returned cube is
-// over attrs within that sub-population.
-func (s *Store) RestrictedCube(fixed []car.Condition, attrs []int) (*Cube, error) {
-	sub := s.ds.Filter(func(r int) bool {
-		for _, f := range fixed {
-			if s.ds.CatCode(r, f.Attr) != f.Value {
-				return false
-			}
-		}
-		return true
-	})
-	return Build(sub, attrs)
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"opmap/internal/car"
 	"opmap/internal/dataset"
 )
 
@@ -379,23 +378,6 @@ func TestStoreCubesMatchDirectBuild(t *testing.T) {
 			t.Fatalf("store cube cell %v/%d = %d, direct = %d", values, class, n, count)
 		}
 	})
-}
-
-func TestRestrictedCube(t *testing.T) {
-	ds := fig1Dataset(t)
-	store, _ := BuildStore(ds, StoreOptions{SkipPairs: true})
-	cube, err := store.RestrictedCube([]car.Condition{{Attr: 0, Value: 0}}, []int{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Within A1=a: A2=e has 150 records (100 yes / 50 no).
-	n, _ := cube.Count([]int32{0}, 0)
-	if n != 100 {
-		t.Errorf("restricted count = %d, want 100", n)
-	}
-	if cube.Total() != 158 {
-		t.Errorf("restricted total = %d, want 158", cube.Total())
-	}
 }
 
 // Property: for any cube cell, 0 ≤ confidence ≤ 1 and the class-summed

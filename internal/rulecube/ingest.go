@@ -1,9 +1,5 @@
 package rulecube
 
-import (
-	"fmt"
-)
-
 // This file is the incremental-maintenance path behind streaming
 // ingestion: contingency counts are additive, so an appended record
 // folds into a materialized cube as a single cell increment instead of
@@ -69,48 +65,4 @@ func (c *Cube) SyncDims() {
 	c.dims = newDims
 	c.numClasses = newClasses
 	c.counts = nc
-}
-
-// ApplyRow folds one appended record into the cube. rowCodes holds the
-// record's categorical codes indexed by dataset attribute index (the
-// full working-dataset row), class is the class code. Rows with a
-// missing class or a missing value in any cube dimension are skipped —
-// exactly Build's rule — and reported as not applied. The caller must
-// have called SyncDims since the last dictionary growth; a code beyond
-// a dimension is an error, never a silent miscount.
-func (c *Cube) ApplyRow(rowCodes []int32, class int32) (bool, error) {
-	if class < 0 {
-		return false, nil
-	}
-	if int(class) >= c.numClasses {
-		return false, fmt.Errorf("rulecube: class code %d beyond %d classes; SyncDims not run", class, c.numClasses)
-	}
-	idx, ok, err := c.cellIndex(rowCodes)
-	if err != nil || !ok {
-		return false, err
-	}
-	c.counts[idx*c.numClasses+int(class)]++
-	c.total++
-	return true, nil
-}
-
-// ApplyRow folds one appended record into every materialized cube of
-// the store, growing dimensions first where dictionaries ran ahead.
-// rowCodes is the full working-dataset row (codes indexed by attribute
-// index), class the class code. The caller owns concurrency: the store
-// is not safe for writes concurrent with reads.
-func (st *Store) ApplyRow(rowCodes []int32, class int32) error {
-	for _, c := range st.oneD {
-		c.SyncDims()
-		if _, err := c.ApplyRow(rowCodes, class); err != nil {
-			return err
-		}
-	}
-	for _, c := range st.twoD {
-		c.SyncDims()
-		if _, err := c.ApplyRow(rowCodes, class); err != nil {
-			return err
-		}
-	}
-	return nil
 }

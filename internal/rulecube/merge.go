@@ -46,10 +46,9 @@ func AddDelta(dst []int64, d Delta) {
 // cellIndex computes the flat condition-cell index of a row for this
 // cube, excluding the class factor. rowCodes is the full working row
 // (codes indexed by dataset attribute index). A missing value in any
-// cube dimension reports ok=false (the row is skipped, Build's rule);
-// a code beyond a dimension is an error, never a silent miscount.
-// ApplyRow and IngestRows share this indexing so the apply paths
-// cannot drift apart.
+// cube dimension reports ok=false (the row is skipped, as in a full
+// count); a code beyond a dimension is an error, never a silent
+// miscount.
 func (c *Cube) cellIndex(rowCodes []int32) (int, bool, error) {
 	idx := 0
 	for i, a := range c.attrIdx {
@@ -72,7 +71,7 @@ func (c *Cube) cellIndex(rowCodes []int32) (int, bool, error) {
 // holds full working-dataset rows (codes indexed by dataset attribute
 // index), classes the parallel class codes. Rows with a missing class
 // or a missing value in any cube dimension are skipped, exactly as
-// ApplyRow skips them. The batch is validated in full while
+// BuildMany skips them. The batch is validated in full while
 // accumulating a sparse delta, then applied atomically with AddDelta —
 // on error nothing has mutated. Returns the number of rows counted.
 // The caller must have called SyncDims since the last dictionary

@@ -205,48 +205,52 @@ func TestCubeMergeDimensionMismatch(t *testing.T) {
 	}
 }
 
-// TestIngestRowsMatchesApplyRow: a batched ingest must land exactly
-// where the equivalent ApplyRow sequence lands.
-func TestIngestRowsMatchesApplyRow(t *testing.T) {
-	base := shardDataset(t, shard1Rows...)
-	stBatch, err := BuildStore(base, StoreOptions{})
+// TestIngestRowsMatchesRebuild: folding appended rows into a built
+// store with IngestRows must land exactly where a fresh BuildStore over
+// the base rows plus the appended rows lands — new labels, a new
+// class, missing values and a missing class included.
+func TestIngestRowsMatchesRebuild(t *testing.T) {
+	appended := []string{
+		"a f yes",
+		"z e new", // a fresh A1 label and a fresh class
+		"? g no",
+		"b ? yes",
+		"z g ?", // missing class: counted nowhere
+	}
+	ds := shardDataset(t, shard1Rows...)
+	st, err := BuildStore(ds, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stRow, err := BuildStore(shardDataset(t, shard1Rows...), StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Grow the dictionaries the way appended rows would, including a
-	// label unseen at build time, then apply the same coded rows both
-	// ways. Row layout: [A1, A2, C]; -1 is a missing value.
-	growDicts := func(st *Store) {
-		st.Dataset().Column(0).Dict.Code("z")
-		st.Dataset().ClassDict().Code("new")
-	}
-	growDicts(stBatch)
-	growDicts(stRow)
-	rows := [][]int32{
-		{0, 1, 0},
-		{2, 0, 2}, // the fresh "z" value and "new" class
-		{-1, 2, 1},
-		{1, -1, 0},
-		{2, 2, -1}, // missing class: skipped everywhere
-	}
-	classes := make([]int32, len(rows))
-	for i, r := range rows {
-		classes[i] = r[2]
-	}
-	if err := stBatch.IngestRows(rows, classes); err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range rows {
-		if err := stRow.ApplyRow(r, classes[i]); err != nil {
+	// Row layout: [A1, A2, C]; -1 is a missing value.
+	rows := make([][]int32, len(appended))
+	classes := make([]int32, len(appended))
+	for i, line := range appended {
+		if err := ds.AppendRow(strings.Fields(line)); err != nil {
 			t.Fatal(err)
 		}
+		r := ds.NumRows() - 1
+		rows[i] = []int32{ds.CatCode(r, 0), ds.CatCode(r, 1), ds.ClassCode(r)}
+		classes[i] = ds.ClassCode(r)
 	}
-	if !reflect.DeepEqual(stBatch, stRow) {
-		t.Fatal("batched IngestRows differs from row-by-row ApplyRow")
+	if err := st.IngestRows(rows, classes); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := BuildStore(shardDataset(t, append(append([]string(nil), shard1Rows...), appended...)...), StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := st.Cubes(), fresh.Cubes()
+	if len(got) != len(want) {
+		t.Fatalf("ingested store has %d cubes, rebuilt store %d", len(got), len(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if !reflect.DeepEqual(g.attrIdx, w.attrIdx) || !reflect.DeepEqual(g.dims, w.dims) ||
+			g.numClasses != w.numClasses || g.total != w.total || !reflect.DeepEqual(g.counts, w.counts) {
+			t.Errorf("cube %v: ingested (dims %v, total %d) differs from rebuilt (dims %v, total %d)",
+				w.attrIdx, g.dims, g.total, w.dims, w.total)
+		}
 	}
 }
 

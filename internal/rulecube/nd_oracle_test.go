@@ -18,7 +18,7 @@ import (
 // naiveCells recounts the cube over attrs straight off the dataset:
 // one map entry per nonzero cell, keyed by the printed coordinate
 // vector plus class. Rows with the class or any dimension missing are
-// skipped, mirroring Build.
+// skipped.
 func naiveCells(ds *dataset.Dataset, attrs []int) (cells map[string]int64, total int64) {
 	cells = make(map[string]int64)
 	coord := make([]int32, len(attrs))
@@ -43,6 +43,35 @@ func naiveCells(ds *dataset.Dataset, attrs []int) (cells map[string]int64, total
 		total++
 	}
 	return cells, total
+}
+
+// checkBruteForce fails unless cube is the cube over attrs in that
+// dimension order — one slot per dictionary code, one per class — with
+// every cell equal to the brute-force recount.
+func checkBruteForce(t *testing.T, ds *dataset.Dataset, attrs []int, cube *Cube, what string) {
+	t.Helper()
+	if !reflect.DeepEqual(cube.AttrIndices(), attrs) {
+		t.Fatalf("%s: dimensions %v, want %v", what, cube.AttrIndices(), attrs)
+	}
+	for i, a := range attrs {
+		want := ds.Cardinality(a)
+		if want == 0 {
+			want = 1
+		}
+		if cube.Dim(i) != want || cube.AttrNames()[i] != ds.Attr(a).Name {
+			t.Fatalf("%s: dimension %d is %q of size %d, want %q of size %d", what, i, cube.AttrNames()[i], cube.Dim(i), ds.Attr(a).Name, want)
+		}
+	}
+	if cube.NumClasses() != ds.NumClasses() {
+		t.Fatalf("%s: %d classes, want %d", what, cube.NumClasses(), ds.NumClasses())
+	}
+	want, total := naiveCells(ds, attrs)
+	if cube.Total() != total {
+		t.Fatalf("%s: total %d, brute force %d", what, cube.Total(), total)
+	}
+	if got := cubeCells(cube); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: cells differ from brute force", what)
+	}
 }
 
 // cubeCells flattens a cube's nonzero cells into the naive map form.
@@ -81,7 +110,7 @@ func TestNDCubeMatchesBruteForce(t *testing.T) {
 
 			// The batch path must produce the identical cube, including
 			// when the request rides alongside others and a duplicate.
-			reqs := []CubeReq{CubeReqOf(attrs), {A: attrs[0], B: attrs[1]}, CubeReqOf(attrs)}
+			reqs := [][]int{attrs, attrs[:2], attrs}
 			cubes, err := BuildMany(context.Background(), ds, reqs)
 			if err != nil {
 				t.Fatal(err)

@@ -8,48 +8,6 @@ import (
 	"opmap/internal/workload"
 )
 
-// TestParallelStoreMatchesSerial: pair counting must be identical under
-// any parallelism.
-func TestParallelStoreMatchesSerial(t *testing.T) {
-	ds, err := workload.Scale(workload.ScaleConfig{Seed: 3, Records: 20000, Attrs: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := rulecube.BuildStore(ds, rulecube.StoreOptions{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 2, 4, 16} {
-		parallel, err := rulecube.BuildStore(ds, rulecube.StoreOptions{Parallelism: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if parallel.CubeCount() != serial.CubeCount() {
-			t.Fatalf("workers=%d: cube count %d != %d", workers, parallel.CubeCount(), serial.CubeCount())
-		}
-		attrs := serial.Attrs()
-		for i, a := range attrs {
-			for _, b := range attrs[i+1:] {
-				sc := serial.Cube2(a, b)
-				pc := parallel.Cube2(a, b)
-				if pc == nil {
-					t.Fatalf("workers=%d: pair (%d,%d) missing", workers, a, b)
-				}
-				sc.ForEach(func(values []int32, class int32, count int64) {
-					n, err := pc.Count(values, class)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if n != count {
-						t.Fatalf("workers=%d: pair (%d,%d) cell %v/%d: %d != %d",
-							workers, a, b, values, class, n, count)
-					}
-				})
-			}
-		}
-	}
-}
-
 // TestConcurrentReadersDuringForEach hammers a finished store with
 // concurrent readers: several goroutines iterate the same cubes with
 // ForEach while others read counts and confidences point-wise. A
@@ -61,7 +19,7 @@ func TestConcurrentReadersDuringForEach(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := rulecube.BuildStore(ds, rulecube.StoreOptions{Parallelism: 4})
+	store, err := rulecube.BuildStore(ds, rulecube.StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,20 +84,5 @@ func TestConcurrentReadersDuringForEach(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
-	}
-}
-
-func TestParallelStoreMoreWorkersThanPairs(t *testing.T) {
-	ds, err := workload.Scale(workload.ScaleConfig{Seed: 3, Records: 2000, Attrs: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 3 pairs, 64 requested workers: must clamp and still work.
-	store, err := rulecube.BuildStore(ds, rulecube.StoreOptions{Parallelism: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if store.CubeCount() != 3+3 {
-		t.Errorf("cube count = %d, want 6", store.CubeCount())
 	}
 }

@@ -240,8 +240,8 @@ func WriteStoreFile(path string, s *Store) error {
 
 // ReadStore deserializes a store previously written with WriteStore.
 // The returned store answers cube queries; Dataset() returns a schema-
-// only dataset with zero rows (RestrictedCube, which needs raw rows, is
-// unavailable and returns an error through the empty dataset's counts).
+// only dataset with zero rows, so nothing that needs raw rows can be
+// recounted from it.
 func ReadStore(r io.Reader) (*Store, error) {
 	cr := &crcReader{r: bufio.NewReader(r)}
 	magic := make([]byte, len(storeMagic))
