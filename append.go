@@ -8,6 +8,7 @@ import (
 
 	"opmap/internal/dataset"
 	"opmap/internal/discretize"
+	"opmap/internal/engine"
 )
 
 // This file is the streaming-ingestion entry point of the session: an
@@ -82,9 +83,9 @@ func (s *Session) appendLocked(ctx context.Context, rows [][]string) error {
 	restored := s.restoredDiscretized()
 	touched := make(map[int]bool)
 	// Coded rows accumulate here and fold into the resident engine in
-	// one batched pass (Store/LazySource IngestRows, the additive-merge
-	// primitive): the dictionaries are fully grown by then, so each cube
-	// pays one SyncDims per batch instead of one per row. Any early
+	// one batched apply (rulecube.IngestCubes behind the engine's
+	// IngestRows): the dictionaries are fully grown by then, so each
+	// cube pays one SyncDims per batch instead of one per row. Any early
 	// return must flush the accumulated prefix first so the engine's
 	// counts match the rows already appended to the dataset.
 	var (
@@ -209,14 +210,11 @@ func (s *Session) validateBatch(rows [][]string) ([][]float64, error) {
 			if !s.binnedAttr(i) {
 				continue
 			}
-			v := row[i]
-			if v == dataset.MissingLabel || v == "" {
-				fr[i] = math.NaN()
-				continue
+			f, err := dataset.ParseContinuous(row[i])
+			if err != nil {
+				return nil, fmt.Errorf("opmap: append row %d attribute %q: cannot parse %q as number", r, s.raw.Attr(i).Name, row[i])
 			}
-			if _, err := fmt.Sscanf(v, "%g", &fr[i]); err != nil {
-				return nil, fmt.Errorf("opmap: append row %d attribute %q: cannot parse %q as number", r, s.raw.Attr(i).Name, v)
-			}
+			fr[i] = f
 		}
 		floats[r] = fr
 	}
@@ -268,19 +266,16 @@ func (s *Session) appendWorkingRow(row []string, fr []float64) ([]int32, error) 
 }
 
 // applyRowsToEngine folds a batch of coded rows into whichever cube
-// engine is resident, via the rulecube additive-merge primitive. No
-// engine means nothing to maintain: cubes built later count the grown
-// dataset anyway.
+// engine is resident — the eager store (with any k ≥ 3 drill-down
+// cubes) or the lazy source's resident cubes — through rulecube's one
+// batch apply. No engine means nothing to maintain: cubes built later
+// count the grown dataset anyway.
 func (s *Session) applyRowsToEngine(rows [][]int32, classes []int32) error {
-	if s.store != nil {
-		if err := s.store.IngestRows(rows, classes); err != nil {
-			return err
-		}
-	}
-	if s.lazy != nil {
-		if err := s.lazy.IngestRows(rows, classes); err != nil {
-			return err
-		}
+	switch src := s.src.(type) {
+	case *engine.Eager:
+		return src.IngestRows(rows, classes)
+	case *engine.LazySource:
+		return src.IngestRows(rows, classes)
 	}
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"opmap/internal/dataset"
 	"opmap/internal/testutil"
 )
 
@@ -261,6 +262,69 @@ func TestAppendValidation(t *testing.T) {
 	if s.NumRows() != rowsBefore || s.CubeCount() != cubesBefore {
 		t.Errorf("failed batches mutated the session: rows %d→%d cubes %d→%d",
 			rowsBefore, s.NumRows(), cubesBefore, s.CubeCount())
+	}
+}
+
+// TestAppendRejectsMalformedNumbers: a continuous value that is not a
+// number as a whole ("12abc" once read as 12) is an error naming the
+// attribute on every append path — Session.Append, ValidateBatch,
+// Dataset.AppendRow, Builder.AddRow — and a rejected session batch
+// leaves rows, ingest counters and query answers as they were.
+func TestAppendRejectsMalformedNumbers(t *testing.T) {
+	schema := dataset.Schema{Attrs: []dataset.Attribute{
+		{Name: "Region", Kind: dataset.Categorical},
+		{Name: "Temp", Kind: dataset.Continuous},
+		{Name: "Outcome", Kind: dataset.Categorical},
+	}, ClassIndex: 2}
+	for _, v := range []string{"12abc", "-3,5", "1.5.5", "1e3x", " 7", "7 ", "0x"} {
+		t.Run(v, func(t *testing.T) {
+			s := loadIngestSession(t, ingestRows(50), false)
+			rowsBefore, statsBefore := s.NumRows(), s.IngestStats()
+			cmpBefore, _, _ := queryTriple(t, s)
+			bad := []string{"north", "m1", v, "20", "ok"}
+			if err := s.ValidateBatch([][]string{bad}); err == nil || !strings.Contains(err.Error(), `"Temp"`) {
+				t.Errorf("ValidateBatch error = %v, want one naming Temp", err)
+			}
+			if err := s.Append([][]string{{"north", "m1", "10", "20", "ok"}, bad}); err == nil || !strings.Contains(err.Error(), `"Temp"`) {
+				t.Errorf("Append error = %v, want one naming Temp", err)
+			}
+			cmpAfter, _, _ := queryTriple(t, s)
+			if s.NumRows() != rowsBefore || !reflect.DeepEqual(s.IngestStats(), statsBefore) || !reflect.DeepEqual(cmpAfter, cmpBefore) {
+				t.Errorf("rejected batch changed the session: rows %d→%d", rowsBefore, s.NumRows())
+			}
+
+			b, err := dataset.NewBuilder(schema)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := b.AddRow([]string{"north", v, "ok"}); err == nil || !strings.Contains(err.Error(), `"Temp"`) {
+				t.Errorf("Builder.AddRow error = %v, want one naming Temp", err)
+			}
+			b, err = dataset.NewBuilder(schema)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := b.AddRow([]string{"north", "1.5", "ok"}); err != nil {
+				t.Fatal(err)
+			}
+			ds, err := b.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ds.AppendRow([]string{"south", v, "ok"}); err == nil || !strings.Contains(err.Error(), `"Temp"`) {
+				t.Errorf("Dataset.AppendRow error = %v, want one naming Temp", err)
+			}
+			if ds.NumRows() != 1 || ds.Cardinality(0) != 1 {
+				t.Errorf("rejected row changed the dataset: %d rows, %d regions", ds.NumRows(), ds.Cardinality(0))
+			}
+		})
+	}
+	// Well-formed numbers in every notation ParseFloat takes still pass.
+	s := loadIngestSession(t, ingestRows(50), false)
+	for _, v := range []string{"1e3", "-3.5", ".5", "7", "?", ""} {
+		if err := s.ValidateBatch([][]string{{"north", "m1", v, "20", "ok"}}); err != nil {
+			t.Errorf("ValidateBatch rejected %q: %v", v, err)
+		}
 	}
 }
 

@@ -2,7 +2,10 @@ package opmap
 
 import (
 	"context"
+	"reflect"
 	"testing"
+
+	"opmap/internal/rulecube"
 )
 
 // drillSession builds the drill-case session with the chosen engine.
@@ -151,4 +154,55 @@ func TestDrillDownInvalidatedByIngest(t *testing.T) {
 	if st.ResultCacheMisses <= misses0 {
 		t.Fatalf("post-ingest drill-down did not recompute (misses %d -> %d)", misses0, st.ResultCacheMisses)
 	}
+}
+
+// TestDrillCubesFollowIngest: the k ≥ 3 cubes an eager session
+// materializes for drill-down live outside its store, and an append
+// must fold into them as into the store's cubes — a resident 3-D cube
+// afterwards equals one counted fresh over the grown dataset.
+func TestDrillCubesFollowIngest(t *testing.T) {
+	for _, lazy := range []bool{false, true} {
+		s, gt := drillSession(t, lazy)
+		ctx := context.Background()
+		attrs := []int{0, 1, 2}
+		if _, err := s.src.CubeN(ctx, attrs); err != nil {
+			t.Fatal(err)
+		}
+		row := make([]string, len(s.Attributes()))
+		for i, a := range s.Attributes() {
+			if a == s.ClassAttribute() {
+				row[i] = gt.DropClass
+				continue
+			}
+			vals, err := s.Values(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			row[i] = vals[0]
+		}
+		if err := s.Append([][]string{row, row, row}); err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.src.CubeN(ctx, attrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := rulecube.Build(s.ds, attrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Total() != want.Total() || !reflect.DeepEqual(got.ClassMarginals(), want.ClassMarginals()) {
+			t.Errorf("lazy=%v: resident 3-D cube total %d, fresh count %d", lazy, got.Total(), want.Total())
+		}
+		if !reflect.DeepEqual(cellsOf(got), cellsOf(want)) {
+			t.Errorf("lazy=%v: resident 3-D cube cells differ from a fresh count", lazy)
+		}
+	}
+}
+
+// cellsOf lists a cube's cell counts in cell order.
+func cellsOf(c *rulecube.Cube) []int64 {
+	var out []int64
+	c.ForEach(func(_ []int32, _ int32, n int64) { out = append(out, n) })
+	return out
 }

@@ -1,9 +1,6 @@
 package dataset
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // This file gives a built Dataset an append path for streaming
 // ingestion. Appends are not safe for use concurrent with reads; the
@@ -25,14 +22,11 @@ func (ds *Dataset) AppendRow(values []string) error {
 		if ds.cols[i].Kind != Continuous {
 			continue
 		}
-		v := values[i]
-		if v == MissingLabel || v == "" {
-			floats[i] = math.NaN()
-			continue
+		f, err := ParseContinuous(values[i])
+		if err != nil {
+			return fmt.Errorf("dataset: attribute %q: cannot parse %q as number: %v", ds.schema.Attrs[i].Name, values[i], err)
 		}
-		if _, err := fmt.Sscanf(v, "%g", &floats[i]); err != nil {
-			return fmt.Errorf("dataset: attribute %q: cannot parse %q as number: %v", ds.schema.Attrs[i].Name, v, err)
-		}
+		floats[i] = f
 	}
 	// Mutate pass: nothing below can fail.
 	for i := range ds.cols {

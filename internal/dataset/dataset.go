@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 )
 
 // Kind classifies an attribute as categorical or continuous.
@@ -459,12 +460,8 @@ func (b *Builder) AddRow(values []string) error {
 			}
 			continue
 		}
-		if v == MissingLabel || v == "" {
-			c.Values = append(c.Values, math.NaN())
-			continue
-		}
-		var f float64
-		if _, err := fmt.Sscanf(v, "%g", &f); err != nil {
+		f, err := ParseContinuous(v)
+		if err != nil {
 			b.err = fmt.Errorf("dataset: attribute %q: cannot parse %q as number: %v", b.schema.Attrs[i].Name, v, err)
 			return b.err
 		}
@@ -472,6 +469,18 @@ func (b *Builder) AddRow(values []string) error {
 	}
 	b.rows++
 	return nil
+}
+
+// ParseContinuous parses one textual value of a continuous attribute.
+// MissingLabel and the empty string are missing (NaN). Anything else
+// must be a number as a whole for strconv.ParseFloat, the parse the
+// CSV loader's kind sniffing uses to call a column continuous: "12abc",
+// "1.5.5" or " 7" is an error, never a number read off its prefix.
+func ParseContinuous(v string) (float64, error) {
+	if v == MissingLabel || v == "" {
+		return math.NaN(), nil
+	}
+	return strconv.ParseFloat(v, 64)
 }
 
 // AddCodedRow appends a row given pre-encoded categorical codes and raw

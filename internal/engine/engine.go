@@ -186,6 +186,28 @@ func (e *Eager) ndSource() (*LazySource, error) {
 	return e.nd, nil
 }
 
+// IngestRows folds a batch of appended records into every store cube
+// and, once drill-down has created it, every resident cube of the
+// internal k ≥ 3 lazy source. Both applies validate against the same
+// dictionaries over the same attributes, so a batch the store accepts
+// the k ≥ 3 cubes accept too. Callers must ensure no query is
+// concurrently reading cube counts.
+func (e *Eager) IngestRows(rows [][]int32, classes []int32) error {
+	if e.store == nil {
+		return fmt.Errorf("engine: no cube store")
+	}
+	if err := e.store.IngestRows(rows, classes); err != nil {
+		return err
+	}
+	e.ndMu.Lock()
+	nd := e.nd
+	e.ndMu.Unlock()
+	if nd == nil {
+		return nil
+	}
+	return nd.IngestRows(rows, classes)
+}
+
 // Cubes implements CubeSource: 1-D and 2-D cubes are already
 // materialized, so those requests are store lookups; k ≥ 3 requests
 // are forwarded as one bulk request to the internal lazy source so

@@ -556,32 +556,29 @@ func (s *LazySource) SeedCubes(cubes []*rulecube.Cube) (int, error) {
 }
 
 // IngestRows folds a batch of appended records into every resident
-// cube — pinned 1-D cubes and cached 2-D cubes alike — growing
-// dimensions where the batch registered new labels (one SyncDims per
-// cube per batch, not per row) and re-accounting LRU bytes (a grown
-// cube is bigger; the budget may evict). Non-resident cubes need
-// nothing: they materialize later from the already-updated dataset.
-// Each row is the full working-dataset row indexed by attribute index,
-// with classes the parallel class codes; the delta application routes
-// through rulecube's additive-merge primitive. Callers must ensure no
-// query is concurrently reading cube counts (the Session ingest lock
-// provides this); the source's own lock only protects the cache
-// structures.
+// cube — pinned 1-D cubes and cached k ≥ 2 cubes alike — in one
+// rulecube.IngestCubes apply, then re-accounts LRU bytes (a cube whose
+// dimensions grew with new labels is bigger; the budget may evict).
+// Non-resident cubes need nothing: they materialize later from the
+// already-updated dataset. Each row is the full working-dataset row
+// indexed by attribute index, with classes the parallel class codes.
+// The apply is atomic across the whole source: on error no resident
+// cube's counts or totals change. Callers must ensure no query is
+// concurrently reading cube counts (the Session ingest lock provides
+// this); the source's own lock only protects the cache structures.
 func (s *LazySource) IngestRows(rows [][]int32, classes []int32) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	cubes := make([]*rulecube.Cube, 0, len(s.oneD)+s.order.Len())
 	for _, c := range s.oneD {
-		c.SyncDims()
-		if _, err := c.IngestRows(rows, classes); err != nil {
-			return err
-		}
+		cubes = append(cubes, c)
 	}
 	for el := s.order.Front(); el != nil; el = el.Next() {
+		cubes = append(cubes, el.Value.(*lruEntry).cube)
+	}
+	err := rulecube.IngestCubes(cubes, s.ds.NumAttrs(), rows, classes)
+	for el := s.order.Front(); el != nil; el = el.Next() {
 		e := el.Value.(*lruEntry)
-		e.cube.SyncDims()
-		if _, err := e.cube.IngestRows(rows, classes); err != nil {
-			return err
-		}
 		if grown := e.cube.SizeBytes(); grown != e.size {
 			s.bytes += grown - e.size
 			e.size = grown
@@ -599,7 +596,7 @@ func (s *LazySource) IngestRows(rows [][]int32, classes []int32) error {
 		}
 	}
 	obsv.Default().Gauge(CubeCacheBytesGaugeName).Set(s.bytes)
-	return nil
+	return err
 }
 
 // insertND records a freshly built k ≥ 2 cube and evicts from the LRU

@@ -58,3 +58,53 @@ func BenchmarkCubeDice(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkStoreIngestRows times one 100-row batch folded into every
+// cube of an 80-attribute call-log store (80 1-D + 3,160 pair cubes),
+// the apply each WAL ingest batch pays. "dense" rows set every
+// attribute; "sparse" rows keep only the five planted attributes and
+// leave the rest missing, so most cubes see no countable row.
+func BenchmarkStoreIngestRows(b *testing.B) {
+	ds, _, err := workload.CallLog(workload.CallLogConfig{Seed: 1, Records: 20000, NumPhones: 8, NoiseAttrs: 75})
+	if err != nil {
+		b.Fatal(err)
+	}
+	st, err := rulecube.BuildStore(ds, rulecube.StoreOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if n := st.CubeCount(); n != 3240 {
+		b.Fatalf("store has %d cubes, want 3240", n)
+	}
+	planted := map[string]bool{
+		"Phone-Model": true, "Time-of-Call": true, "Signal-Band": true,
+		"Terrain": true, "Phone-Hardware-Version": true,
+	}
+	const batchRows = 100
+	batch := func(sparse bool) ([][]int32, []int32) {
+		rows := make([][]int32, batchRows)
+		classes := make([]int32, batchRows)
+		for r := range rows {
+			rows[r] = make([]int32, ds.NumAttrs())
+			for a := range rows[r] {
+				rows[r][a] = ds.Column(a).Codes[r]
+				if sparse && a != ds.ClassIndex() && !planted[ds.Attr(a).Name] {
+					rows[r][a] = -1
+				}
+			}
+			classes[r] = ds.ClassCode(r)
+		}
+		return rows, classes
+	}
+	for _, mode := range []string{"dense", "sparse"} {
+		rows, classes := batch(mode == "sparse")
+		b.Run(mode, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := st.IngestRows(rows, classes); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

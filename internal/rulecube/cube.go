@@ -473,6 +473,8 @@ type Store struct {
 	attrs []int
 	oneD  map[int]*Cube
 	twoD  map[[2]int]*Cube
+	// all caches Cubes() for IngestRows; putCube1/putCube2 reset it.
+	all []*Cube
 }
 
 // CubesBuiltCounterName is the counter advanced once per cube counted,
@@ -556,10 +558,16 @@ func (s *Store) Cube2(a, b int) *Cube { return s.twoD[pairKey(a, b)] }
 // putCube1 records the 2-D cube for attr. All writes to the oneD map
 // go through here so the cubeaccess lint can confine cube-cache map
 // access to the owning accessors.
-func (s *Store) putCube1(attr int, c *Cube) { s.oneD[attr] = c }
+func (s *Store) putCube1(attr int, c *Cube) {
+	s.oneD[attr] = c
+	s.all = nil
+}
 
 // putCube2 records the 3-D cube for the (normalized) attribute pair.
-func (s *Store) putCube2(a, b int, c *Cube) { s.twoD[pairKey(a, b)] = c }
+func (s *Store) putCube2(a, b int, c *Cube) {
+	s.twoD[pairKey(a, b)] = c
+	s.all = nil
+}
 
 // oneDAttrs returns the attribute indices with a materialized 1-D cube,
 // in ascending order.

@@ -2,6 +2,9 @@ package rulecube_test
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"opmap/internal/rulecube"
@@ -44,6 +47,72 @@ func FuzzReadStore(f *testing.F) {
 			}
 			_ = c.ClassMarginals()
 			_ = c.RuleCount()
+		}
+	})
+}
+
+// FuzzIngestRows decodes arbitrary bytes into an ingest batch — codes
+// and classes that are negative, missing, in range or beyond the
+// dictionaries, and rows cut short — and folds it into every cube of a
+// store plus a 3-D cube. The call must either fail with every cube
+// unchanged, or succeed with every cube equal to the brute-force
+// recount over the base rows plus the batch.
+func FuzzIngestRows(f *testing.F) {
+	// Each row is ingestAttrs+1 codes then one class byte: byte%8-2 is
+	// the code (-2..5), byte%6-2 the class (-2..3), and a class byte of
+	// 0xf0 or more also drops the row's last code.
+	f.Add([]byte{2, 3, 4, 2, 3, 9, 3, 4, 2, 2, 3, 4, 0, 2})
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13})
+	f.Add([]byte{2, 2, 2, 2, 2, 2, 0xf3})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ds := ingestDataset(t, rand.New(rand.NewSource(1)), 40)
+		st, err := rulecube.BuildStore(ds, rulecube.StoreOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nd, err := rulecube.Build(ds, []int{0, 2, 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cubes := append(st.Cubes(), nd)
+		width := ds.NumAttrs()
+		var rows [][]int32
+		var classes []int32
+		for len(data) >= width+1 && len(rows) < 16 {
+			row := make([]int32, width)
+			for a := range row {
+				row[a] = int32(data[a]%8) - 2
+			}
+			classByte := data[width]
+			if classByte >= 0xf0 {
+				row = row[:width-1]
+			}
+			rows = append(rows, row)
+			classes = append(classes, int32(classByte%6)-2)
+			data = data[width+1:]
+		}
+		before := make([]cubeState, len(cubes))
+		for i, c := range cubes {
+			before[i] = stateOf(c)
+		}
+		if err := rulecube.IngestCubes(cubes, width, rows, classes); err != nil {
+			for i, c := range cubes {
+				if !reflect.DeepEqual(stateOf(c), before[i]) {
+					t.Fatalf("rejected batch (%v) changed cube %v", err, c.AttrIndices())
+				}
+			}
+			return
+		}
+		for r, row := range rows {
+			codes := append([]int32(nil), row...)
+			codes[ds.ClassIndex()] = classes[r]
+			if err := ds.AppendCodedRow(codes, nil); err != nil {
+				t.Fatalf("accepted row %d %v does not fit the dataset: %v", r, row, err)
+			}
+		}
+		for _, c := range cubes {
+			rulecube.CheckBruteForce(t, ds, c.AttrIndices(), c, fmt.Sprint("cube ", c.AttrIndices()))
 		}
 	})
 }

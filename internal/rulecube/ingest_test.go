@@ -1,0 +1,286 @@
+package rulecube_test
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"opmap/internal/dataset"
+	"opmap/internal/engine"
+	"opmap/internal/rulecube"
+)
+
+// Ingest tests: batches folded into an eager store, the eager engine's
+// k ≥ 3 drill-down cubes and a lazy source's resident cubes must land
+// exactly on a brute-force recount of base plus appended rows, and a
+// rejected batch must leave every cube as it was.
+
+// ingestAttrs is the number of condition attributes of the ingest
+// datasets; the class sits at index ingestAttrs.
+const ingestAttrs = 5
+
+// ingestRow draws one textual row over labels v0..v{labels-1} and
+// classes c0..c{classes-1}. Each value (class included) is missing
+// with probability missing; a sparse row sets only two attributes.
+func ingestRow(rng *rand.Rand, labels, classes int, missing float64, sparse bool) []string {
+	row := make([]string, ingestAttrs+1)
+	keep := map[int]bool{rng.Intn(ingestAttrs): true, rng.Intn(ingestAttrs): true}
+	for a := 0; a < ingestAttrs; a++ {
+		row[a] = fmt.Sprintf("v%d", rng.Intn(labels))
+		if rng.Float64() < missing || (sparse && !keep[a]) {
+			row[a] = dataset.MissingLabel
+		}
+	}
+	row[ingestAttrs] = fmt.Sprintf("c%d", rng.Intn(classes))
+	if rng.Float64() < missing {
+		row[ingestAttrs] = dataset.MissingLabel
+	}
+	return row
+}
+
+// ingestDataset builds a base dataset of n random rows.
+func ingestDataset(t *testing.T, rng *rand.Rand, n int) *dataset.Dataset {
+	t.Helper()
+	schema := dataset.Schema{ClassIndex: ingestAttrs}
+	for a := 0; a < ingestAttrs; a++ {
+		schema.Attrs = append(schema.Attrs, dataset.Attribute{Name: fmt.Sprintf("A%d", a), Kind: dataset.Categorical})
+	}
+	schema.Attrs = append(schema.Attrs, dataset.Attribute{Name: "C", Kind: dataset.Categorical})
+	b, err := dataset.NewBuilder(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < n; r++ {
+		if err := b.AddRow(ingestRow(rng, 3, 2, 0.1, false)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ds, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds
+}
+
+// appendRows appends textual rows to ds (growing its dictionaries) and
+// returns their coded forms and class codes, the batch IngestRows takes.
+func appendRows(t *testing.T, ds *dataset.Dataset, lines [][]string) ([][]int32, []int32) {
+	t.Helper()
+	rows := make([][]int32, len(lines))
+	classes := make([]int32, len(lines))
+	for i, line := range lines {
+		if err := ds.AppendRow(line); err != nil {
+			t.Fatal(err)
+		}
+		r := ds.NumRows() - 1
+		rows[i] = make([]int32, ds.NumAttrs())
+		for a := range rows[i] {
+			rows[i][a] = ds.Column(a).Codes[r]
+		}
+		classes[i] = ds.ClassCode(r)
+	}
+	return rows, classes
+}
+
+// codedRows reads rows [from, to) of ds back as an ingest batch.
+func codedRows(ds *dataset.Dataset, from, to int) ([][]int32, []int32) {
+	var rows [][]int32
+	var classes []int32
+	for r := from; r < to; r++ {
+		row := make([]int32, ds.NumAttrs())
+		for a := range row {
+			row[a] = ds.Column(a).Codes[r]
+		}
+		rows = append(rows, row)
+		classes = append(classes, ds.ClassCode(r))
+	}
+	return rows, classes
+}
+
+// lazyResidents makes the lazy source hold 1-D, pair and 3-D cubes.
+func lazyResidents(t *testing.T, ds *dataset.Dataset, sets [][]int) *engine.LazySource {
+	t.Helper()
+	lazy, err := engine.NewLazy(ds, engine.LazyOptions{CacheBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, attrs := range sets {
+		if _, err := lazy.CubeN(context.Background(), attrs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return lazy
+}
+
+// TestIngestOracle feeds seeded random batches — dense and sparse rows,
+// missing values, missing classes, and labels and classes that grow
+// the dictionaries mid-stream — into an eager engine (store plus a
+// resident 3-D drill-down cube) and a lazy source holding 1-D, pair
+// and 3-D cubes. After every batch each cube must equal the
+// brute-force recount over the base rows plus every appended row.
+func TestIngestOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	ds := ingestDataset(t, rng, 200)
+	st, err := rulecube.BuildStore(ds, rulecube.StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eager := engine.NewEager(st)
+	if _, err := eager.CubeN(context.Background(), []int{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	lazySets := [][]int{{0}, {3}, {0, 1}, {2, 4}, {0, 2, 4}, {1, 3, 4}}
+	lazy := lazyResidents(t, ds, lazySets)
+
+	check := func(step string) {
+		t.Helper()
+		for _, c := range st.Cubes() {
+			rulecube.CheckBruteForce(t, ds, c.AttrIndices(), c, fmt.Sprintf("%s: store cube %v", step, c.AttrIndices()))
+		}
+		nd, err := eager.CubeN(context.Background(), []int{1, 2, 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rulecube.CheckBruteForce(t, ds, []int{1, 2, 3}, nd, step+": eager 3-D cube")
+		resident := lazy.ResidentCubes()
+		if len(resident) != len(lazySets) {
+			t.Fatalf("%s: lazy source holds %d cubes, want %d", step, len(resident), len(lazySets))
+		}
+		for _, c := range resident {
+			rulecube.CheckBruteForce(t, ds, c.AttrIndices(), c, fmt.Sprintf("%s: lazy cube %v", step, c.AttrIndices()))
+		}
+	}
+	check("base")
+	for b := 0; b < 24; b++ {
+		labels, classes := 3+b/4, 2+b/8 // new labels every 4th batch, a new class every 8th
+		lines := make([][]string, 1+rng.Intn(40))
+		for i := range lines {
+			lines[i] = ingestRow(rng, labels, classes, 0.15, b%3 == 2)
+		}
+		rows, cls := appendRows(t, ds, lines)
+		if err := eager.IngestRows(rows, cls); err != nil {
+			t.Fatalf("batch %d: eager: %v", b, err)
+		}
+		if err := lazy.IngestRows(rows, cls); err != nil {
+			t.Fatalf("batch %d: lazy: %v", b, err)
+		}
+		check(fmt.Sprintf("batch %d", b))
+	}
+	if got := ds.Cardinality(0); got <= 3 {
+		t.Fatalf("dictionaries never grew (A0 has %d labels)", got)
+	}
+}
+
+// cubeState is a deep copy of a cube's counted state.
+type cubeState struct {
+	dims   []int
+	cells  map[string]int64
+	total  int64
+	nbytes int64
+}
+
+func stateOf(c *rulecube.Cube) cubeState {
+	s := cubeState{cells: make(map[string]int64), total: c.Total(), nbytes: c.SizeBytes()}
+	for i := 0; i < c.NumDims(); i++ {
+		s.dims = append(s.dims, c.Dim(i))
+	}
+	c.ForEach(func(values []int32, class int32, n int64) {
+		if n != 0 {
+			s.cells[fmt.Sprint(values, class)] = n
+		}
+	})
+	return s
+}
+
+// TestIngestAllOrNothing sends batches whose valid rows come first and
+// whose one bad code sits where a cube-by-cube apply would meet it
+// last: in the highest-indexed attribute (the store's last cubes), in
+// the third dimension of a 3-D lazy cube (the only resident cube over
+// that attribute), in the class, or in a short row. Every call must
+// fail and leave every cube's counts and totals, and the lazy source's
+// resident bytes, exactly as they were.
+func TestIngestAllOrNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	ds := ingestDataset(t, rng, 300)
+	st, err := rulecube.BuildStore(ds, rulecube.StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := ingestAttrs - 1
+	lazy := lazyResidents(t, ds, [][]int{{0}, {1}, {0, 1}, {1, 2}, {0, 2, last}})
+
+	snapshot := func() (map[string]cubeState, int64) {
+		out := make(map[string]cubeState)
+		for _, c := range st.Cubes() {
+			out[fmt.Sprint("store", c.AttrIndices())] = stateOf(c)
+		}
+		for _, c := range lazy.ResidentCubes() {
+			out[fmt.Sprint("lazy", c.AttrIndices())] = stateOf(c)
+		}
+		return out, lazy.Stats().CachedBytes
+	}
+	before, bytesBefore := snapshot()
+
+	cases := []struct {
+		name  string
+		spoil func(rows [][]int32, classes []int32) ([][]int32, []int32)
+	}{
+		{"highest attribute", func(rows [][]int32, classes []int32) ([][]int32, []int32) {
+			rows[len(rows)-1][last] = int32(ds.Cardinality(last))
+			return rows, classes
+		}},
+		{"class", func(rows [][]int32, classes []int32) ([][]int32, []int32) {
+			classes[len(classes)-1] = int32(ds.NumClasses())
+			return rows, classes
+		}},
+		{"short row", func(rows [][]int32, classes []int32) ([][]int32, []int32) {
+			rows[len(rows)-1] = rows[len(rows)-1][:last]
+			return rows, classes
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rows, classes := tc.spoil(codedRows(ds, 0, 50))
+			if err := st.IngestRows(rows, classes); err == nil {
+				t.Fatal("store accepted the batch")
+			}
+			rows, classes = tc.spoil(codedRows(ds, 0, 50))
+			if err := lazy.IngestRows(rows, classes); err == nil {
+				t.Fatal("lazy source accepted the batch")
+			}
+			after, bytesAfter := snapshot()
+			if !reflect.DeepEqual(after, before) || bytesAfter != bytesBefore {
+				t.Fatal("a rejected batch changed cube state")
+			}
+		})
+	}
+
+	// The lazy source alone: attribute `last` is covered only by the
+	// 3-D cube's third dimension, so only that cube can reject the code.
+	t.Run("3-D lazy third dimension", func(t *testing.T) {
+		rows, classes := codedRows(ds, 0, 50)
+		rows[len(rows)-1][last] = int32(ds.Cardinality(last)) + 3
+		if err := lazy.IngestRows(rows, classes); err == nil {
+			t.Fatal("lazy source accepted the batch")
+		}
+		after, bytesAfter := snapshot()
+		if !reflect.DeepEqual(after, before) || bytesAfter != bytesBefore {
+			t.Fatal("a rejected batch changed cube state")
+		}
+	})
+}
+
+// TestSyncDimsAllocFree: with no dictionary growth — the steady state
+// of every ingest batch — SyncDims must not allocate.
+func TestSyncDimsAllocFree(t *testing.T) {
+	ds := ingestDataset(t, rand.New(rand.NewSource(3)), 50)
+	c, err := rulecube.Build(ds, []int{0, 1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(20, c.SyncDims); n != 0 {
+		t.Fatalf("SyncDims allocated %.0f times per call with no dictionary growth", n)
+	}
+}

@@ -6,17 +6,17 @@ import (
 	"opmap/internal/dataset"
 )
 
-// This file is the additive-merge primitive the build, ingest, and
-// snapshot layers share. Contingency counts are additive: two cubes
+// This file is the additive-merge primitive the build and snapshot
+// layers share. Contingency counts are additive: two cubes
 // counted over disjoint row sets combine exactly by cell-wise
 // summation, provided both sides agree on what each cell means. When
 // they don't — two shards loaded from different CSV slices register
 // labels in different orders — the merge remaps source coordinates
 // through the dictionary union (dataset.UnionDicts) first. Everything
 // that combines counts funnels through here: BuildMany's row-shard
-// scratch merge (AddCounts), WAL ingest's delta application
-// (AddDelta via IngestRows), and shard-snapshot assembly
-// (Store.Merge).
+// scratch merge (AddCounts) and shard-snapshot assembly (Store.Merge).
+// WAL ingest adds single rows rather than counted partials; it folds
+// them in cell by cell through IngestCubes (ingest.go).
 
 // AddCounts accumulates src into dst element-wise: dst[i] += src[i].
 // This is the raw merge primitive for two count arrays with identical
@@ -27,109 +27,6 @@ func AddCounts(dst, src []int64) {
 	for i, n := range src {
 		dst[i] += n
 	}
-}
-
-// Delta is a sparse bundle of cell increments, keyed by flat cell
-// index. Streaming ingest accumulates one per cube per batch — a
-// handful of touched cells in a potentially large cube — and folds it
-// in with AddDelta, the sparse twin of AddCounts.
-type Delta map[int]int64
-
-// AddDelta folds a sparse delta into a counts array: dst[i] += d[i]
-// for every keyed cell. Keys must be valid indices into dst.
-func AddDelta(dst []int64, d Delta) {
-	for i, n := range d {
-		dst[i] += n
-	}
-}
-
-// cellIndex computes the flat condition-cell index of a row for this
-// cube, excluding the class factor. rowCodes is the full working row
-// (codes indexed by dataset attribute index). A missing value in any
-// cube dimension reports ok=false (the row is skipped, as in a full
-// count); a code beyond a dimension is an error, never a silent
-// miscount.
-func (c *Cube) cellIndex(rowCodes []int32) (int, bool, error) {
-	idx := 0
-	for i, a := range c.attrIdx {
-		if a < 0 || a >= len(rowCodes) {
-			return 0, false, fmt.Errorf("rulecube: cube dimension %q indexes attribute %d beyond row width %d", c.attrNames[i], a, len(rowCodes))
-		}
-		v := rowCodes[a]
-		if v < 0 {
-			return 0, false, nil
-		}
-		if int(v) >= c.dims[i] {
-			return 0, false, fmt.Errorf("rulecube: value code %d for %q beyond dimension %d; SyncDims not run", v, c.attrNames[i], c.dims[i])
-		}
-		idx = idx*c.dims[i] + int(v)
-	}
-	return idx, true, nil
-}
-
-// IngestRows folds a batch of appended records into the cube. rows
-// holds full working-dataset rows (codes indexed by dataset attribute
-// index), classes the parallel class codes. Rows with a missing class
-// or a missing value in any cube dimension are skipped, exactly as
-// BuildMany skips them. The batch is validated in full while
-// accumulating a sparse delta, then applied atomically with AddDelta —
-// on error nothing has mutated. Returns the number of rows counted.
-// The caller must have called SyncDims since the last dictionary
-// growth.
-func (c *Cube) IngestRows(rows [][]int32, classes []int32) (int, error) {
-	if len(rows) != len(classes) {
-		return 0, fmt.Errorf("rulecube: %d rows but %d class codes", len(rows), len(classes))
-	}
-	delta := make(Delta)
-	applied := 0
-	for r, codes := range rows {
-		class := classes[r]
-		if class < 0 {
-			continue
-		}
-		if int(class) >= c.numClasses {
-			return 0, fmt.Errorf("rulecube: class code %d beyond %d classes; SyncDims not run", class, c.numClasses)
-		}
-		idx, ok, err := c.cellIndex(codes)
-		if err != nil {
-			return 0, err
-		}
-		if !ok {
-			continue
-		}
-		delta[idx*c.numClasses+int(class)]++
-		applied++
-	}
-	AddDelta(c.counts, delta)
-	c.total += int64(applied)
-	return applied, nil
-}
-
-// IngestRows folds a batch of appended records into every materialized
-// cube of the store, growing dimensions first where dictionaries ran
-// ahead. Each cube's batch applies atomically, but a mid-store error
-// leaves earlier cubes updated — callers treat any error as fatal to
-// the engine (the session drops and rebuilds). The caller owns
-// concurrency: the store is not safe for writes concurrent with reads.
-func (st *Store) IngestRows(rows [][]int32, classes []int32) error {
-	if len(rows) == 0 {
-		return nil
-	}
-	for _, a := range st.oneDAttrs() {
-		c := st.Cube1(a)
-		c.SyncDims()
-		if _, err := c.IngestRows(rows, classes); err != nil {
-			return err
-		}
-	}
-	for _, p := range st.twoDPairs() {
-		c := st.Cube2(p[0], p[1])
-		c.SyncDims()
-		if _, err := c.IngestRows(rows, classes); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Merge folds src's counts into c, remapping source coordinates on the

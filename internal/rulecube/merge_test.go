@@ -55,14 +55,6 @@ func TestAddCounts(t *testing.T) {
 	}
 }
 
-func TestAddDelta(t *testing.T) {
-	dst := []int64{1, 2, 3}
-	AddDelta(dst, Delta{0: 5, 2: -1})
-	if want := []int64{6, 2, 2}; !reflect.DeepEqual(dst, want) {
-		t.Fatalf("dst = %v, want %v", dst, want)
-	}
-}
-
 // TestStoreMergeMatchesSinglePass is the core merge oracle: build
 // stores over two shards with non-identical dictionaries, merge, and
 // require the result DeepEqual to the single-pass store over the
@@ -254,32 +246,16 @@ func TestIngestRowsMatchesRebuild(t *testing.T) {
 	}
 }
 
-func TestIngestRowsValidatesBeforeMutating(t *testing.T) {
-	ds := shardDataset(t, shard1Rows...)
-	c, err := Build(ds, []int{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := append([]int64(nil), c.counts...)
-	total := c.total
-	// Second row's value code is beyond the dimension (dict not grown):
-	// the whole batch must be rejected with nothing applied.
-	_, err = c.IngestRows([][]int32{{0, 0, 0}, {99, 0, 0}}, []int32{0, 0})
-	if err == nil {
-		t.Fatal("expected error for out-of-range code")
-	}
-	if !reflect.DeepEqual(c.counts, before) || c.total != total {
-		t.Fatal("failed batch mutated the cube")
-	}
-}
-
 func TestIngestRowsLengthMismatch(t *testing.T) {
 	ds := shardDataset(t, shard1Rows...)
 	c, err := Build(ds, []int{0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.IngestRows([][]int32{{0, 0, 0}}, []int32{0, 1}); err == nil {
+	if err := IngestCubes([]*Cube{c}, ds.NumAttrs(), [][]int32{{0, 0, 0}}, []int32{0, 1}); err == nil {
 		t.Fatal("expected length-mismatch error")
+	}
+	if err := IngestCubes([]*Cube{c}, ds.NumAttrs(), [][]int32{{0, 0}}, []int32{0}); err == nil {
+		t.Fatal("expected row-width error")
 	}
 }
