@@ -8,7 +8,6 @@ import (
 
 	"opmap/internal/dataset"
 	"opmap/internal/discretize"
-	"opmap/internal/engine"
 )
 
 // This file is the streaming-ingestion entry point of the session: an
@@ -265,19 +264,15 @@ func (s *Session) appendWorkingRow(row []string, fr []float64) ([]int32, error) 
 	return codes, s.ds.AppendCodedRow(codes, nil)
 }
 
-// applyRowsToEngine folds a batch of coded rows into whichever cube
-// engine is resident — the eager store (with any k ≥ 3 drill-down
-// cubes) or the lazy source's resident cubes — through rulecube's one
-// batch apply. No engine means nothing to maintain: cubes built later
-// count the grown dataset anyway.
+// applyRowsToEngine folds a batch of coded rows into every resident
+// cube of the engine through rulecube's one batch apply. No engine
+// means nothing to maintain: cubes built later count the grown dataset
+// anyway.
 func (s *Session) applyRowsToEngine(rows [][]int32, classes []int32) error {
-	switch src := s.src.(type) {
-	case *engine.Eager:
-		return src.IngestRows(rows, classes)
-	case *engine.LazySource:
-		return src.IngestRows(rows, classes)
+	if s.src == nil {
+		return nil
 	}
-	return nil
+	return s.src.IngestRows(rows, classes)
 }
 
 // noteDeltas advances the per-attribute discretization delta counters

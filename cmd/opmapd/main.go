@@ -123,7 +123,7 @@ func main() {
 		pprofOn      = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 		hotMetrics   = flag.Bool("hot-metrics", false, "arm per-cube and per-attribute hot-path timing histograms")
 		lazy         = flag.Bool("lazy", false, "materialize cubes on demand instead of at startup")
-		cacheBytes   = flag.Int64("cube-cache-bytes", 0, "lazy 2-D cube cache budget in bytes (0 = 64 MiB default, negative = unlimited)")
+		cacheBytes   = flag.Int64("cube-cache-bytes", 0, "cube cache budget in bytes for unpinned cubes: lazy pair cubes and drill-down cubes (0 = 64 MiB default, negative = unlimited)")
 		snapDir      = flag.String("snapshot-dir", "", "directory of per-dataset session snapshots: warm-start from them at boot, checkpoint into them while serving")
 		shardDir     = flag.String("shard-dir", "", "directory of shard snapshots (opmap shard-build output): merge them at boot into one serving dataset, falling back to -data on failure")
 		ckptEvery    = flag.Duration("checkpoint-interval", 0, "rewrite changed snapshots in -snapshot-dir this often (0 disables the background checkpointer)")

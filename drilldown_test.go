@@ -1,8 +1,11 @@
 package opmap
 
 import (
+	"bytes"
 	"context"
+	"encoding/csv"
 	"reflect"
+	"strings"
 	"testing"
 
 	"opmap/internal/rulecube"
@@ -205,4 +208,123 @@ func cellsOf(c *rulecube.Cube) []int64 {
 	var out []int64
 	c.ForEach(func(_ []int32, _ int32, n int64) { out = append(out, n) })
 	return out
+}
+
+// TestDrillDownOnRestoredSessionErrors: a session restored from cubes
+// (a snapshot or a store file) holds no source rows, so it cannot
+// count the k ≥ 3 cubes a drill-down needs. DrillDown must say so
+// rather than rank findings counted over the schema-only dataset,
+// while the pair-cube comparison keeps working.
+func TestDrillDownOnRestoredSessionErrors(t *testing.T) {
+	s, gt := drillSession(t, false)
+	var snap, cubes bytes.Buffer
+	if err := s.SaveSnapshot(&snap, SnapshotOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SaveCubes(&cubes); err != nil {
+		t.Fatal(err)
+	}
+	fromSnap, err := LoadSnapshot(&snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromCubes, err := OpenCubes(&cubes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, r := range map[string]*Session{"LoadSnapshot": fromSnap, "OpenCubes": fromCubes} {
+		res, err := r.DrillDown(gt.PhoneAttr, gt.GoodPhone, gt.BadPhone, gt.DropClass, DrillOptions{})
+		if err == nil {
+			t.Fatalf("%s: drill-down ranked %d findings without the source rows", name, len(res.Findings))
+		}
+		if !strings.Contains(err.Error(), "source rows") {
+			t.Errorf("%s: error does not name the missing source rows: %v", name, err)
+		}
+		if _, err := r.Compare(gt.PhoneAttr, gt.GoodPhone, gt.BadPhone, gt.DropClass, CompareOptions{}); err != nil {
+			t.Errorf("%s: compare from the restored cubes: %v", name, err)
+		}
+	}
+}
+
+// TestMergeFromDropsDrillCubes: an eager session that has drilled
+// holds k ≥ 3 cubes counted over its own rows. After MergeFrom another
+// shard, a drill-down must match a single-pass session over both
+// shards' rows, not serve the stale cubes.
+func TestMergeFromDropsDrillCubes(t *testing.T) {
+	full, gt, err := GenerateDrillCase(7, 20000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := full.ds
+	header := make([]string, ds.NumAttrs())
+	for i := range header {
+		header[i] = ds.Attr(i).Name
+	}
+	load := LoadOptions{Class: full.ClassAttribute(), Categorical: header}
+	csvOf := func(lo, hi int) *bytes.Buffer {
+		var buf bytes.Buffer
+		w := csv.NewWriter(&buf)
+		if err := w.Write(header); err != nil {
+			t.Fatal(err)
+		}
+		for r := lo; r < hi; r++ {
+			if err := w.Write(ds.Row(r)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w.Flush()
+		return &buf
+	}
+	session := func(lo, hi int) *Session {
+		s, err := LoadCSV(csvOf(lo, hi), load)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.BuildCubes(); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	drill := func(s *Session) *DrillResult {
+		res, err := s.DrillDown(gt.PhoneAttr, gt.GoodPhone, gt.BadPhone, gt.DropClass, DrillOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	half := ds.NumRows() / 2
+	merged, other, single := session(0, half), session(half, ds.NumRows()), session(0, ds.NumRows())
+	drill(merged)
+	if err := merged.MergeFrom(other); err != nil {
+		t.Fatal(err)
+	}
+	got, want := drill(merged), drill(single)
+	if !reflect.DeepEqual(got.Findings, want.Findings) {
+		t.Fatalf("drill-down after merge differs from single pass:\ngot  %d findings, top %+v\nwant %d findings, top %+v",
+			len(got.Findings), got.Findings[0], len(want.Findings), want.Findings[0])
+	}
+}
+
+// TestLazySnapshotAfterDrill: a lazy session holding k ≥ 3 drill-down
+// cubes still snapshots — the file carries its resident 1-D and pair
+// cubes — and a fresh lazy session seeds from it.
+func TestLazySnapshotAfterDrill(t *testing.T) {
+	s, gt := drillSession(t, true)
+	if _, err := s.DrillDown(gt.PhoneAttr, gt.GoodPhone, gt.BadPhone, gt.DropClass, DrillOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	path := t.TempDir() + "/lazy.omapsnap"
+	if err := s.SaveSnapshotFile(path, SnapshotOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	var want int
+	for _, c := range s.src.ResidentCubes() {
+		if c.NumDims() <= 2 {
+			want++
+		}
+	}
+	fresh, _ := drillSession(t, true)
+	if n, err := fresh.SeedSnapshotFile(path); err != nil || n != want {
+		t.Fatalf("seeded %d cubes (err %v), want the %d resident 1-D and pair cubes", n, err, want)
+	}
 }

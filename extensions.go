@@ -322,13 +322,12 @@ func OpenCubesFile(path string) (*Session, error) {
 }
 
 // sessionFromStore wires a persisted store into a ready Session with
-// the eager engine and a fresh result cache.
+// every cube pinned (engine.FromStore) and a fresh result cache.
 func sessionFromStore(store *rulecube.Store) *Session {
 	return &Session{
 		raw:     store.Dataset(),
 		ds:      store.Dataset(),
-		store:   store,
-		src:     engine.NewEager(store),
+		src:     engine.FromStore(store),
 		results: engine.NewResultCache(0),
 	}
 }
@@ -342,14 +341,16 @@ type CubeStats struct {
 	MaxCubeCells int64
 }
 
-// CubeStats reports the store's size (zero value before BuildCubes).
+// CubeStats reports the store's size (zero value before BuildCubes and
+// in lazy mode).
 func (s *Session) CubeStats() CubeStats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.store == nil {
+	store, err := s.requireStore()
+	if err != nil {
 		return CubeStats{}
 	}
-	st := s.store.Stats()
+	st := store.Stats()
 	return CubeStats{
 		Attributes:   st.Attributes,
 		Cubes:        st.Cubes,
@@ -549,11 +550,10 @@ func (s *Session) TestSignificanceContext(ctx context.Context, attr, v1, v2, cla
 func (s *Session) Explore(r io.Reader, w io.Writer) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	store, err := s.requireStore()
-	if err != nil {
+	if _, err := s.requireStore(); err != nil {
 		return err
 	}
-	return explore.New(store).Run(r, w)
+	return explore.New(s.src).Run(r, w)
 }
 
 // ExploreScript executes a newline-separated command script against an
@@ -562,11 +562,10 @@ func (s *Session) Explore(r io.Reader, w io.Writer) error {
 func (s *Session) ExploreScript(script string, w io.Writer) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	store, err := s.requireStore()
-	if err != nil {
+	if _, err := s.requireStore(); err != nil {
 		return err
 	}
-	return explore.New(store).RunScript(script, w)
+	return explore.New(s.src).RunScript(script, w)
 }
 
 // Describe writes a per-attribute profile of the loaded data: domain

@@ -283,7 +283,7 @@ func (s *Session) RenderOverall(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	rep, err := gi.MineAll(store, gi.TrendOptions{}, gi.ExceptionOptions{})
+	rep, err := gi.MineAllSource(context.Background(), s.src, gi.TrendOptions{}, gi.ExceptionOptions{})
 	if err != nil {
 		return err
 	}
@@ -299,7 +299,7 @@ func (s *Session) RenderOverallSVG(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	rep, err := gi.MineAll(store, gi.TrendOptions{}, gi.ExceptionOptions{})
+	rep, err := gi.MineAllSource(context.Background(), s.src, gi.TrendOptions{}, gi.ExceptionOptions{})
 	if err != nil {
 		return err
 	}

@@ -12,7 +12,7 @@ import (
 // value of an attribute knows its complete cube working set before the
 // first comparison starts: the split attribute's 1-D cube, one pair
 // cube per candidate attribute, and (for one-vs-rest) each candidate's
-// 1-D marginal. Declaring that set through engine.CubeSource.Cubes lets
+// 1-D marginal. Declaring that set through engine.LazySource.Cubes lets
 // a lazy source materialize every missing cube from ONE shared dataset
 // scan (rulecube.BuildMany) instead of one scan per cube.
 

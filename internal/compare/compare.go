@@ -245,18 +245,18 @@ func (r *Result) Find(name string) (score AttrScore, rank int, ok bool) {
 // dataset size, Section V.C) or a lazy engine that materializes cubes
 // on first touch.
 type Comparator struct {
-	src engine.CubeSource
+	src *engine.LazySource
 	ds  *dataset.Dataset
 }
 
-// New returns a Comparator over the given eager store. Kept as the
-// store-based constructor; NewSource accepts any engine.
+// New returns a Comparator over the cubes of an already-counted store
+// (engine.FromStore); NewSource accepts any engine.
 func New(store *rulecube.Store) *Comparator {
-	return NewSource(engine.NewEager(store))
+	return NewSource(engine.FromStore(store))
 }
 
 // NewSource returns a Comparator over any cube source.
-func NewSource(src engine.CubeSource) *Comparator {
+func NewSource(src *engine.LazySource) *Comparator {
 	return &Comparator{src: src, ds: src.Dataset()}
 }
 

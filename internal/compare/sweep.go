@@ -36,7 +36,7 @@ type SweepOptions struct {
 	// SweepResult.Errors, instead of failing the whole sweep.
 	Partial bool
 	// DisableBatch turns off the up-front shared-scan cube prefetch
-	// (engine.CubeSource.Cubes) so every cube is faulted in one by one,
+	// (engine.LazySource.Cubes) so every cube is faulted in one by one,
 	// as before the batch engine existed. Results are identical either
 	// way; the flag exists for benchmarking the shared-scan win and for
 	// oracle tests, and is not part of result-cache identity.

@@ -315,12 +315,12 @@ func (r *Result) Top(n int) []Finding {
 
 // Planner runs drill-downs against a cube source.
 type Planner struct {
-	src engine.CubeSource
+	src *engine.LazySource
 	ds  *dataset.Dataset
 }
 
 // New returns a Planner over the given cube source.
-func New(src engine.CubeSource) *Planner {
+func New(src *engine.LazySource) *Planner {
 	return &Planner{src: src, ds: src.Dataset()}
 }
 

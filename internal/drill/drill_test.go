@@ -10,7 +10,6 @@ import (
 	"opmap/internal/dataset"
 	"opmap/internal/engine"
 	"opmap/internal/faultinject"
-	"opmap/internal/rulecube"
 	"opmap/internal/workload"
 )
 
@@ -105,17 +104,20 @@ func TestDrillRecoversPlantedPair(t *testing.T) {
 	}
 }
 
-// TestDrillEagerMatchesLazy drills the same input through an eager
-// store (whose k ≥ 3 cubes route through its internal lazy source) and
-// a lazy source, and requires identical findings.
+// TestDrillEagerMatchesLazy drills the same input through a source
+// with every pair cube pinned up front and a lazy one, and requires
+// identical findings.
 func TestDrillEagerMatchesLazy(t *testing.T) {
 	ds, _, in := drillFixture(t)
 	lazy, err := engine.NewLazy(ds, engine.LazyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := rulecube.BuildStore(ds, rulecube.StoreOptions{})
+	eager, err := engine.NewLazy(ds, engine.LazyOptions{})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eager.PinAll(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	opts := Options{MaxDepth: 2, Beam: 4}
@@ -123,7 +125,7 @@ func TestDrillEagerMatchesLazy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := New(engine.NewEager(store)).Drill(in, opts)
+	b, err := New(eager).Drill(in, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

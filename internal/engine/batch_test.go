@@ -32,7 +32,7 @@ func TestCubesOracle(t *testing.T) {
 		{phone, other},
 		{phone, dist}, // duplicate
 	}
-	for _, src := range []engine.CubeSource{eager, lazy} {
+	for _, src := range []*engine.LazySource{eager, lazy} {
 		got, err := src.Cubes(ctx, reqs)
 		if err != nil {
 			t.Fatal(err)

@@ -18,23 +18,27 @@ import (
 	"opmap/internal/workload"
 )
 
-// oracle builds one planted call-log dataset with both engines over it,
-// so every test can assert lazy ≡ eager.
-func oracle(t testing.TB) (*dataset.Dataset, workload.GroundTruth, *engine.Eager, *engine.LazySource) {
+// oracle builds one planted call-log dataset with two sources over it
+// — one with every 1-D and pair cube pinned up front, one lazy — so
+// every test can assert lazy ≡ eager.
+func oracle(t testing.TB) (*dataset.Dataset, workload.GroundTruth, *engine.LazySource, *engine.LazySource) {
 	t.Helper()
 	ds, gt, err := workload.CallLog(workload.CallLogConfig{Seed: 42, Records: 8000, NumPhones: 6, NoiseAttrs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := rulecube.BuildStore(ds, rulecube.StoreOptions{})
+	eager, err := engine.NewLazy(ds, engine.LazyOptions{})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eager.PinAll(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	lazy, err := engine.NewLazy(ds, engine.LazyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ds, gt, engine.NewEager(store), lazy
+	return ds, gt, eager, lazy
 }
 
 func compareInput(t testing.TB, ds *dataset.Dataset, gt workload.GroundTruth) compare.Input {
@@ -296,11 +300,12 @@ func TestLazyErrors(t *testing.T) {
 	}
 }
 
-// TestCube2PairOrder checks both engines normalize (b,a) to (a,b).
+// TestCube2PairOrder checks pinned and lazy sources both normalize
+// (b,a) to (a,b).
 func TestCube2PairOrder(t *testing.T) {
 	_, _, eager, lazy := oracle(t)
 	ctx := context.Background()
-	for _, src := range []engine.CubeSource{eager, lazy} {
+	for name, src := range map[string]*engine.LazySource{"pinned": eager, "lazy": lazy} {
 		fwd, err := src.CubeN(ctx, []int{0, 1})
 		if err != nil {
 			t.Fatal(err)
@@ -310,7 +315,7 @@ func TestCube2PairOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		if fwd != rev {
-			t.Errorf("%T: pair cubes {0,1} and {1,0} differ", src)
+			t.Errorf("%s: pair cubes {0,1} and {1,0} differ", name)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"container/list"
 	"context"
 	"fmt"
 	"sort"
@@ -15,19 +14,19 @@ import (
 	"opmap/internal/rulecube"
 )
 
-// DefaultCacheBytes is the cube LRU budget (all k ≥ 2 cubes) when
+// DefaultCacheBytes is the budget of the unpinned cubes when
 // LazyOptions leaves CacheBytes zero: 64 MiB ≈ 8M cells, far beyond
 // the working set Smart Drill-Down-style exploration touches, small
-// next to an eager all-pairs store on a wide schema.
+// next to an all-pairs store on a wide schema.
 const DefaultCacheBytes = 64 << 20
 
-// cubeKey identifies a cached cube by its sorted condition-dimension
-// list: "3" for the 1-D cube of attribute 3, "3,7" for a pair, and
-// "1,3,7" for a 3-condition drill-down cube. Requests over the same
-// attribute set in any order share one entry.
+// cubeKey identifies a cube by its sorted condition-dimension list:
+// "3" for the 1-D cube of attribute 3, "3,7" for a pair, and "1,3,7"
+// for a 3-condition drill-down cube. Requests over the same attribute
+// set in any order share one key.
 type cubeKey string
 
-// keyOf builds the cache key of a normalized (sorted) attribute list.
+// keyOf builds the key of a normalized (sorted) attribute list.
 func keyOf(attrs []int) cubeKey {
 	b := make([]byte, 0, len(attrs)*4)
 	for i, a := range attrs {
@@ -44,40 +43,41 @@ type LazyOptions struct {
 	// Attrs restricts the servable attributes (class excluded
 	// automatically). Nil means all non-class attributes.
 	Attrs []int
-	// CacheBytes is the byte budget of the 2-D cube LRU. Zero means
-	// DefaultCacheBytes; negative means unlimited.
+	// CacheBytes is the byte budget of the unpinned cubes: the pair
+	// cubes of a source that has not pinned them, and every k ≥ 3
+	// drill-down cube. Zero means DefaultCacheBytes; negative means
+	// unlimited.
 	CacheBytes int64
 }
 
 // LazyStats is a point-in-time snapshot of a LazySource's counters,
-// used by tests (singleflight: exactly one build per key) and the
-// Session.EngineStats API. Global obsv metrics advance in lockstep.
+// used by tests and the Session.EngineStats API. Global obsv metrics
+// advance in lockstep.
 type LazyStats struct {
-	// OneDBuilds / TwoDBuilds count completed cube materializations;
-	// TwoDBuilds covers every LRU-resident arity (pairs and k ≥ 3
-	// drill-down cubes alike).
-	OneDBuilds int64
-	TwoDBuilds int64
-	// Hits / Misses count LRU (k ≥ 2) lookups (1-D cubes are pinned
-	// after the first build and tiny, so only the LRU is accounted).
-	Hits   int64
-	Misses int64
-	// Evictions counts cubes dropped to satisfy the byte budget.
-	Evictions int64
-	// CachedBytes / CachedCubes describe the resident k ≥ 2 LRU.
-	CachedBytes int64
-	CachedCubes int
-	// PinnedOneD is the number of resident 1-D cubes.
-	PinnedOneD int
+	// OneDBuilds / TwoDBuilds count completed cube materializations,
+	// TwoDBuilds every arity above one.
+	OneDBuilds, TwoDBuilds int64
+	// Hits / Misses count k ≥ 2 lookups; Evictions counts cubes dropped
+	// to satisfy the byte budget.
+	Hits, Misses, Evictions int64
+	// CachedBytes / CachedCubes describe the unpinned resident cubes the
+	// budget governs; Pinned counts the pinned ones (every 1-D cube,
+	// and every pair cube once PinAll or FromStore pinned them).
+	CachedBytes         int64
+	CachedCubes, Pinned int
 }
 
-// lruEntry is one resident k ≥ 2 cube keyed by its normalized
-// (sorted) attribute set.
-type lruEntry struct {
-	key   cubeKey
-	attrs []int
-	cube  *rulecube.Cube
-	size  int64
+// entry is one resident cube. Pinned entries never evict and are not
+// charged to the budget; eviction drops the unpinned entry with the
+// smallest use stamp — the least recently used.
+type entry struct {
+	cube   *rulecube.Cube
+	size   int64
+	pinned bool
+	slot   int     // index in LazySource.slots; -1: in LazySource.nd under key
+	key    cubeKey // k ≥ 3 entries only
+	lru    int     // index in LazySource.lru; -1 when pinned
+	used   atomic.Int64
 }
 
 // flight is an in-progress cube build. The leader closes done after
@@ -88,33 +88,42 @@ type flight struct {
 	err  error
 }
 
-// LazySource materializes rule cubes on first use. 1-D cubes (one per
-// attribute, O(cardinality × classes) cells) are pinned once built;
-// every higher-arity cube — pairs and the k ≥ 3 cubes drill-down
-// requests — lives in one byte-budgeted LRU. Concurrent first-touch
-// requests for the same cube are collapsed into a single build
-// (per-key singleflight); build errors are returned to every waiter
-// but never cached, so transient failures retry. Safe for concurrent
-// use.
+// LazySource is the cube engine: one cache that materializes a missing
+// cube on first use. 1-D cubes are pinned once built; PinAll pins every
+// pair cube up front (the paper's offline precomputation) and
+// FromStore pins an already-counted store's. Every other cube — lazy
+// pairs and drill-down k ≥ 3 cubes — is charged to one byte budget and
+// evicted least recently used. A 1-D or pair hit takes no lock and
+// allocates nothing. Concurrent first-touch requests for one cube
+// collapse into a single build (per-key singleflight); build errors
+// reach every waiter but are never cached. Safe for concurrent use.
 type LazySource struct {
 	ds    *dataset.Dataset
 	attrs []int
-	inSet map[int]bool
+	pos   []int // pos[a]: a's position in attrs, -1 when a is not served
 
-	budget int64 // <0 = unlimited
+	budget int64           // <0 = unlimited
+	store  *rulecube.Store // the pinned 1-D and pair cubes, if all are pinned
+	counts bool            // false: cubes were counted elsewhere, a miss is an error
+
+	// obsv handles, resolved once so a hit never looks one up by name.
+	hitsC, missesC, evictionsC *obsv.Counter
+	bytesG                     *obsv.Gauge
+	lazyH, batchH              *obsv.Histogram
+
+	// slots[i] holds attrs[i]'s 1-D cube and slots[n+i*n+j] (i < j) the
+	// pair cube of attrs[i] and attrs[j]; writers hold mu.
+	slots []atomic.Pointer[entry]
+	tick  atomic.Int64 // use-stamp clock
 
 	mu      sync.Mutex
-	oneD    map[int]*rulecube.Cube
-	nd      map[cubeKey]*list.Element // k ≥ 2 cubes; value: *lruEntry
-	order   *list.List                // front = most recently used
-	bytes   int64
-	flights map[cubeKey]*flight // 1-D keys are single-attribute keys
+	nd      map[cubeKey]*entry // resident k ≥ 3 cubes
+	lru     []*entry           // resident unpinned entries, in no order
+	bytes   int64              // sum of the unpinned entries' sizes
+	pinned  int
+	flights map[cubeKey]*flight
 
-	oneDBuilds atomic.Int64
-	twoDBuilds atomic.Int64
-	hits       atomic.Int64
-	misses     atomic.Int64
-	evictions  atomic.Int64
+	oneDBuilds, twoDBuilds, hits, misses, evictions atomic.Int64
 }
 
 // NewLazy creates a lazy source over ds. The dataset must be fully
@@ -126,7 +135,7 @@ func NewLazy(ds *dataset.Dataset, opts LazyOptions) (*LazySource, error) {
 	if !ds.AllCategorical() {
 		return nil, fmt.Errorf("engine: dataset has continuous attributes; discretize first")
 	}
-	attrs, err := normalizeAttrs(ds, opts.Attrs)
+	attrs, err := rulecube.NormalizeAttrs(ds, opts.Attrs)
 	if err != nil {
 		return nil, err
 	}
@@ -134,34 +143,112 @@ func NewLazy(ds *dataset.Dataset, opts LazyOptions) (*LazySource, error) {
 	if budget == 0 {
 		budget = DefaultCacheBytes
 	}
-	s := &LazySource{
-		ds:      ds,
-		attrs:   attrs,
-		inSet:   make(map[int]bool, len(attrs)),
-		budget:  budget,
-		oneD:    make(map[int]*rulecube.Cube, len(attrs)),
-		nd:      make(map[cubeKey]*list.Element),
-		order:   list.New(),
-		flights: make(map[cubeKey]*flight),
-	}
-	for _, a := range attrs {
-		s.inSet[a] = true
-	}
-	return s, nil
+	return newSource(ds, attrs, budget), nil
 }
 
-// Dataset implements CubeSource.
+// newSource allocates an empty source over a validated, sorted
+// attribute list.
+func newSource(ds *dataset.Dataset, attrs []int, budget int64) *LazySource {
+	n, reg := len(attrs), obsv.Default()
+	s := &LazySource{
+		ds:         ds,
+		attrs:      attrs,
+		pos:        make([]int, ds.NumAttrs()),
+		budget:     budget,
+		counts:     true,
+		hitsC:      reg.Counter(CubeCacheHitsCounterName),
+		missesC:    reg.Counter(CubeCacheMissesCounterName),
+		evictionsC: reg.Counter(CubeCacheEvictionsCounterName),
+		bytesG:     reg.Gauge(CubeCacheBytesGaugeName),
+		lazyH:      reg.Histogram(LazyBuildHistogramName, nil),
+		batchH:     reg.Histogram(BatchBuildHistogramName, nil),
+		slots:      make([]atomic.Pointer[entry], n+n*n),
+		nd:         make(map[cubeKey]*entry),
+		flights:    make(map[cubeKey]*flight),
+	}
+	for a := range s.pos {
+		s.pos[a] = -1
+	}
+	for i, a := range attrs {
+		s.pos[a] = i
+	}
+	return s
+}
+
+// FromStore serves an already-counted store (a store file, a session
+// snapshot, a caller's BuildStore) with every cube pinned; Store
+// returns store itself. It never counts, because its dataset may be
+// schema-only: a request for a cube the store lacks is an error.
+func FromStore(store *rulecube.Store) *LazySource {
+	s := newSource(store.Dataset(), store.Attrs(), DefaultCacheBytes)
+	s.counts, s.store = false, store
+	s.pin(store)
+	return s
+}
+
+// PinAll counts every 1-D and pair cube in one shared scan (what
+// rulecube.BuildStoreContext counts) and pins them: never evicted, not
+// charged to the budget, returned by Store. Build counters advance, hit
+// and miss counters do not. Call it before the source is shared.
+func (s *LazySource) PinAll(ctx context.Context) error {
+	store, err := rulecube.BuildStoreContext(ctx, s.ds, rulecube.StoreOptions{Attrs: s.attrs})
+	if err != nil {
+		return err
+	}
+	n := int64(len(s.attrs))
+	s.oneDBuilds.Add(n)
+	s.twoDBuilds.Add(n * (n - 1) / 2)
+	s.store = store
+	s.pin(store)
+	return nil
+}
+
+// pin installs every cube of store, a store over the served
+// attributes, as a pinned entry, replacing whatever occupied its slot.
+func (s *LazySource) pin(store *rulecube.Store) {
+	n := len(s.attrs)
+	slab := make([]entry, store.CubeCount())
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for slot := range s.slots {
+		var c *rulecube.Cube
+		if i, j := (slot-n)/n, (slot-n)%n; slot < n {
+			c = store.Cube1(s.attrs[slot])
+		} else if i < j {
+			c = store.Cube2(s.attrs[i], s.attrs[j])
+		}
+		if c == nil {
+			continue
+		}
+		if old := s.slots[slot].Load(); old != nil {
+			s.unlinkLocked(old)
+		}
+		s.insertLocked(batchItem{attrs: c.AttrIndices(), slot: slot}, c, &slab[0], true)
+		slab = slab[1:]
+	}
+}
+
+// Dataset returns the (discretized) dataset the cubes are counted over.
 func (s *LazySource) Dataset() *dataset.Dataset { return s.ds }
 
-// Attrs implements CubeSource.
+// Attrs returns the servable attribute indices in ascending order;
+// callers must not modify the slice.
 func (s *LazySource) Attrs() []int { return s.attrs }
+
+// Store returns the pinned 1-D and pair cubes as one rulecube.Store —
+// the cubes themselves, not a copy — for whole-store operations; nil
+// unless PinAll or FromStore pinned them.
+func (s *LazySource) Store() *rulecube.Store { return s.store }
+
+// Budget returns the configured byte budget of the unpinned cubes
+// (negative means unlimited) — recorded in session snapshots so a warm
+// start can restore the same engine configuration.
+func (s *LazySource) Budget() int64 { return s.budget }
 
 // Stats snapshots the source's counters.
 func (s *LazySource) Stats() LazyStats {
 	s.mu.Lock()
-	cachedBytes := s.bytes
-	cachedCubes := s.order.Len()
-	pinned := len(s.oneD)
+	cachedBytes, cachedCubes, pinned := s.bytes, len(s.lru), s.pinned
 	s.mu.Unlock()
 	return LazyStats{
 		OneDBuilds:  s.oneDBuilds.Load(),
@@ -171,118 +258,180 @@ func (s *LazySource) Stats() LazyStats {
 		Evictions:   s.evictions.Load(),
 		CachedBytes: cachedBytes,
 		CachedCubes: cachedCubes,
-		PinnedOneD:  pinned,
+		Pinned:      pinned,
 	}
 }
 
-// CubeN implements CubeSource: the cube over an attribute set,
-// materialized on demand. The request is normalized to ascending
-// attribute order — that is the returned cube's dimension order — so
-// any permutation of the same set shares one cache entry. A hit is one
-// locked map lookup; a miss takes the same partition, shared-scan and
-// commit steps as Cubes, timed by the lazy-build histogram.
-func (s *LazySource) CubeN(ctx context.Context, attrs []int) (*rulecube.Cube, error) {
-	norm, err := s.normalizeSet(attrs)
-	if err != nil {
-		return nil, err
+// slot returns the slots index of a 1-D or pair request in any order
+// without allocating, or -1 (k ≥ 3, or not servable: the slow path
+// says why).
+func (s *LazySource) slot(attrs []int) int {
+	posOf := func(a int) int {
+		if uint(a) >= uint(len(s.pos)) {
+			return -1
+		}
+		return s.pos[a]
 	}
-	it := batchItem{key: keyOf(norm), attrs: norm}
-	s.mu.Lock()
-	c := s.residentLocked(it)
-	s.mu.Unlock()
-	if c != nil {
-		if len(norm) >= 2 {
-			s.hits.Add(1)
-			obsv.Default().Counter(CubeCacheHitsCounterName).Inc()
+	switch len(attrs) {
+	case 1:
+		return posOf(attrs[0])
+	case 2:
+		i, j := posOf(attrs[0]), posOf(attrs[1])
+		if i < 0 || j < 0 || i == j {
+			return -1
+		}
+		if i > j {
+			i, j = j, i
+		}
+		n := len(s.attrs)
+		return n + i*n + j
+	}
+	return -1
+}
+
+// slotHit returns the resident 1-D or pair cube of a request, stamping
+// its use, or nil. It takes no lock.
+func (s *LazySource) slotHit(attrs []int) *rulecube.Cube {
+	i := s.slot(attrs)
+	if i < 0 {
+		return nil
+	}
+	e := s.slots[i].Load()
+	if e == nil {
+		return nil
+	}
+	s.touch(e)
+	return e.cube
+}
+
+// touch stamps an unpinned entry's use with the next tick.
+func (s *LazySource) touch(e *entry) {
+	if !e.pinned {
+		e.used.Store(s.tick.Add(1))
+	}
+}
+
+func (s *LazySource) countHits(n int64) {
+	s.hits.Add(n)
+	s.hitsC.Add(n)
+}
+
+// CubeN returns the cube over an attribute set (no duplicates, any
+// order; {a} is the a × class cube, {a, b} the pair cube, k ≥ 3 a
+// drill-down cube), materialized on demand. Its dimensions are the set
+// in ascending order, so any permutation shares one cache entry; an
+// unavailable cube is an error, never (nil, nil). A resident 1-D or
+// pair cube is served without a lock; anything else takes the same
+// steps as Cubes, timed by the lazy-build histogram.
+func (s *LazySource) CubeN(ctx context.Context, attrs []int) (*rulecube.Cube, error) {
+	if c := s.slotHit(attrs); c != nil {
+		if len(attrs) == 2 {
+			s.countHits(1)
 		}
 		return c, nil
 	}
+	items, err := s.items([][]int{attrs})
+	if err != nil {
+		return nil, err
+	}
 	out := make([]*rulecube.Cube, 1)
-	if err := s.resolve(ctx, []batchItem{it}, out, obsv.Default().Histogram(LazyBuildHistogramName, nil)); err != nil {
+	if err := s.resolve(ctx, items, out, s.lazyH); err != nil {
 		return nil, err
 	}
 	return out[0], nil
 }
 
-// residentLocked returns the cached cube for it, refreshing its LRU
-// position, or nil. Called with s.mu held.
-func (s *LazySource) residentLocked(it batchItem) *rulecube.Cube {
-	if len(it.attrs) == 1 {
-		return s.oneD[it.attrs[0]]
-	}
-	if el, ok := s.nd[it.key]; ok {
-		s.order.MoveToFront(el)
-		return el.Value.(*lruEntry).cube
-	}
-	return nil
-}
-
-// normalizeSet validates an n-D request against the served set and
-// returns the sorted copy that keys the cache.
-func (s *LazySource) normalizeSet(attrs []int) ([]int, error) {
-	if len(attrs) == 0 {
-		return nil, fmt.Errorf("engine: empty attribute set in cube request")
-	}
-	norm := append([]int(nil), attrs...)
-	sort.Ints(norm)
-	for i, a := range norm {
-		if !s.inSet[a] {
-			return nil, fmt.Errorf("engine: no cube for attribute %d", a)
-		}
-		if i > 0 && norm[i-1] == a {
-			return nil, fmt.Errorf("engine: duplicate attribute %d in cube request", a)
-		}
-	}
-	return norm, nil
-}
-
-// Cubes implements CubeSource's bulk method: the requests resolve
-// together, so every cache miss among them is counted in one shared
-// dataset scan (rulecube.BuildMany), timed by the batch-build
-// histogram.
+// Cubes resolves a batch of requests in request order, counting every
+// miss among them in one shared scan (rulecube.BuildMany) timed by the
+// batch-build histogram; callers that know their cube needs up front (a
+// sweep, a drill-down frontier) should declare them here. The leading
+// run of resident 1-D and pair cubes is served lock-free; the rest take
+// the locked path in order, so use stamps advance as if every request
+// had.
 func (s *LazySource) Cubes(ctx context.Context, reqs [][]int) ([]*rulecube.Cube, error) {
-	items, err := s.batchItems(reqs)
+	out := make([]*rulecube.Cube, len(reqs))
+	i := s.residentPrefix(reqs, out)
+	if i == len(reqs) {
+		return out, nil
+	}
+	items, err := s.items(reqs[i:])
 	if err != nil {
 		return nil, err
 	}
-	out := make([]*rulecube.Cube, len(reqs))
-	if err := s.resolve(ctx, items, out, obsv.Default().Histogram(BatchBuildHistogramName, nil)); err != nil {
+	if err := s.resolve(ctx, items, out[i:], s.batchH); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// batchItems validates and normalizes every request of a bulk call.
-func (s *LazySource) batchItems(reqs [][]int) ([]batchItem, error) {
+// residentPrefix serves the leading run of requests whose 1-D or pair
+// cube is resident, lock-free, and returns its length.
+func (s *LazySource) residentPrefix(reqs [][]int, out []*rulecube.Cube) int {
+	var hits int64
+	i := 0
+	for ; i < len(reqs); i++ {
+		c := s.slotHit(reqs[i])
+		if c == nil {
+			break
+		}
+		out[i] = c
+		if len(reqs[i]) == 2 {
+			hits++
+		}
+	}
+	s.countHits(hits)
+	return i
+}
+
+// items validates every request against the served set and
+// normalizes it to a sorted copy, its key and its slot.
+func (s *LazySource) items(reqs [][]int) ([]batchItem, error) {
 	items := make([]batchItem, len(reqs))
 	for i, attrs := range reqs {
-		norm, err := s.normalizeSet(attrs)
-		if err != nil {
-			return nil, err
+		if len(attrs) == 0 {
+			return nil, fmt.Errorf("engine: empty attribute set in cube request")
 		}
-		items[i] = batchItem{key: keyOf(norm), attrs: norm}
+		norm := append([]int(nil), attrs...)
+		sort.Ints(norm)
+		for j, a := range norm {
+			if a < 0 || a >= len(s.pos) || s.pos[a] < 0 {
+				return nil, fmt.Errorf("engine: no cube for attribute %d", a)
+			}
+			if j > 0 && norm[j-1] == a {
+				return nil, fmt.Errorf("engine: duplicate attribute %d in cube request", a)
+			}
+		}
+		items[i] = batchItem{key: keyOf(norm), attrs: norm, slot: s.slot(norm)}
 	}
 	return items, nil
 }
 
-// batchItem is one request normalized to its cache key and sorted
-// attribute list.
+// batchItem is one request normalized to its cache key, sorted
+// attribute list and slot (-1 for k ≥ 3).
 type batchItem struct {
 	key   cubeKey
 	attrs []int
+	slot  int
+}
+
+// lookupLocked returns the resident entry of it, or nil. Called with
+// s.mu held.
+func (s *LazySource) lookupLocked(it batchItem) *entry {
+	if it.slot >= 0 {
+		return s.slots[it.slot].Load()
+	}
+	return s.nd[it.key]
 }
 
 // resolve fills out with the cube of each item. One lock pass
-// partitions the items into resident cubes, builds already in flight
-// elsewhere, and keys this call leads; the led set materializes in a
-// single shared scan timed by h, is committed to the caches, and every
-// registered flight is released — so concurrent requests for the same
-// key, single or bulk, collapse into one build. Joined flights are
-// waited on afterwards under ctx; an abandoned wait leaves the other
-// build running.
+// partitions the items into resident cubes, builds in flight elsewhere,
+// and keys this call leads; the led set materializes in one shared scan
+// timed by h, commits, and releases its flights, so concurrent requests
+// for a key collapse into one build. Joined flights are awaited under
+// ctx; an abandoned wait leaves the other build running.
 func (s *LazySource) resolve(ctx context.Context, items []batchItem, out []*rulecube.Cube, h *obsv.Histogram) error {
 	part := s.partitionBatch(items, out)
-	if len(part.toBuild) > 0 {
+	if len(part.led) > 0 {
 		if err := s.buildBatch(ctx, part, out, h); err != nil {
 			return err
 		}
@@ -311,35 +460,40 @@ type batchWait struct {
 // batchPartition is the outcome of the one lock pass over a bulk
 // request's keys: resident cubes are already filled into the output,
 // builds in flight elsewhere are joined as waits, and the keys this
-// call leads carry their registered flights and the output positions
-// each will serve.
+// call leads are listed for its one scan.
 type batchPartition struct {
-	waits     []batchWait
-	toBuild   []batchItem
-	flights   []*flight
-	positions [][]int // positions served by each toBuild entry
+	waits []batchWait
+	led   []ledBuild
+}
+
+// ledBuild is a key this call builds: its item, the flight registered
+// for it, and the output positions it serves.
+type ledBuild struct {
+	it        batchItem
+	f         *flight
+	positions []int
 }
 
 // partitionBatch takes the single lock pass: it fills out from the
-// caches (refreshing LRU order), joins flights other calls lead, and
-// registers a flight for every key this call will build. A k ≥ 2 item
-// counts as a hit when resident and as a miss when it leads or joins a
-// build.
+// cache (stamping uses), joins flights other calls lead, and registers
+// a flight for every key this call will build. A k ≥ 2 item counts as
+// a hit when resident and as a miss when it leads or joins a build.
 func (s *LazySource) partitionBatch(items []batchItem, out []*rulecube.Cube) *batchPartition {
 	part := &batchPartition{}
 	leadIdx := make(map[cubeKey]int)
 	var hits, misses int64
 	s.mu.Lock()
 	for i, it := range items {
-		if c := s.residentLocked(it); c != nil {
-			out[i] = c
+		if e := s.lookupLocked(it); e != nil {
+			s.touch(e)
+			out[i] = e.cube
 			if len(it.attrs) >= 2 {
 				hits++
 			}
 			continue
 		}
 		if j, ok := leadIdx[it.key]; ok {
-			part.positions[j] = append(part.positions[j], i)
+			part.led[j].positions = append(part.led[j].positions, i)
 			continue
 		}
 		if len(it.attrs) >= 2 {
@@ -351,29 +505,28 @@ func (s *LazySource) partitionBatch(items []batchItem, out []*rulecube.Cube) *ba
 		}
 		f := &flight{done: make(chan struct{})}
 		s.flights[it.key] = f
-		leadIdx[it.key] = len(part.toBuild)
-		part.toBuild = append(part.toBuild, it)
-		part.flights = append(part.flights, f)
-		part.positions = append(part.positions, []int{i})
+		leadIdx[it.key] = len(part.led)
+		part.led = append(part.led, ledBuild{it: it, f: f, positions: []int{i}})
 	}
 	s.mu.Unlock()
-	if hits > 0 {
-		s.hits.Add(hits)
-		obsv.Default().Counter(CubeCacheHitsCounterName).Add(hits)
-	}
+	s.countHits(hits)
 	if misses > 0 {
 		s.misses.Add(misses)
-		obsv.Default().Counter(CubeCacheMissesCounterName).Add(misses)
+		s.missesC.Add(misses)
 	}
 	return part
 }
 
 // buildBatch runs the one shared scan for the keys this call leads,
-// observes its duration in h, commits the cubes, fills the led output
-// positions, and releases every flight. On error (a cancel included)
-// the flights fail fast and nothing is cached, so a later request
-// starts a fresh build.
+// timed by h, commits the cubes, fills the led output positions, and
+// releases every flight. On error (a cancel, or a source that cannot
+// count) the flights fail fast and nothing is cached.
 func (s *LazySource) buildBatch(ctx context.Context, part *batchPartition, out []*rulecube.Cube, h *obsv.Histogram) error {
+	if !s.counts {
+		err := fmt.Errorf("engine: no resident cube for attributes %v, and none can be counted: the source's cubes were counted elsewhere and it holds no source rows", part.led[0].it.attrs)
+		s.failFlights(part, err)
+		return err
+	}
 	start := time.Now()
 	cubes, err := rulecube.BuildMany(ctx, s.ds, part.requests())
 	if err != nil {
@@ -387,9 +540,9 @@ func (s *LazySource) buildBatch(ctx context.Context, part *batchPartition, out [
 
 // requests lists the led keys' attribute sets for BuildMany.
 func (part *batchPartition) requests() [][]int {
-	reqs := make([][]int, len(part.toBuild))
-	for i, it := range part.toBuild {
-		reqs[i] = it.attrs
+	reqs := make([][]int, len(part.led))
+	for i, l := range part.led {
+		reqs[i] = l.it.attrs
 	}
 	return reqs
 }
@@ -397,8 +550,8 @@ func (part *batchPartition) requests() [][]int {
 // failFlights releases every flight this call leads with the shared
 // scan's error; nothing is cached.
 func (s *LazySource) failFlights(part *batchPartition, err error) {
-	for i, it := range part.toBuild {
-		s.finish(it.key, part.flights[i], nil, err)
+	for _, l := range part.led {
+		s.finish(l.it.key, l.f, nil, err)
 	}
 }
 
@@ -406,21 +559,27 @@ func (s *LazySource) failFlights(part *batchPartition, err error) {
 // output positions each led key serves, and releases the flights.
 func (s *LazySource) commitBatch(part *batchPartition, cubes []*rulecube.Cube, out []*rulecube.Cube) {
 	s.mu.Lock()
-	for i, it := range part.toBuild {
+	for i, l := range part.led {
+		it := l.it
+		// A second flight can land after an eviction re-miss; the
+		// resident entry stays authoritative.
+		if old := s.lookupLocked(it); old != nil {
+			s.touch(old)
+		} else {
+			s.insertLocked(it, cubes[i], &entry{}, len(it.attrs) == 1)
+		}
 		if len(it.attrs) == 1 {
-			s.oneD[it.attrs[0]] = cubes[i]
 			s.oneDBuilds.Add(1)
 		} else {
-			s.insertND(it.key, it.attrs, cubes[i])
 			s.twoDBuilds.Add(1)
 		}
 	}
 	s.mu.Unlock()
-	for i, it := range part.toBuild {
-		for _, pos := range part.positions[i] {
+	for i, l := range part.led {
+		for _, pos := range l.positions {
 			out[pos] = cubes[i]
 		}
-		s.finish(it.key, part.flights[i], cubes[i], nil)
+		s.finish(l.it.key, l.f, cubes[i], nil)
 	}
 }
 
@@ -435,195 +594,203 @@ func (s *LazySource) finish(key cubeKey, f *flight, cube *rulecube.Cube, err err
 	close(f.done)
 }
 
-// Budget returns the configured 2-D cube cache byte budget (negative
-// means unlimited) — recorded in session snapshots so a warm start can
-// restore the same engine configuration.
-func (s *LazySource) Budget() int64 { return s.budget }
+// insertLocked makes c resident under the non-resident item it in the
+// fresh entry e. An unpinned cube is stamped, charged to the budget and
+// may evict — itself included, if it alone exceeds the budget (the
+// caller still holds it). Called with s.mu held.
+func (s *LazySource) insertLocked(it batchItem, c *rulecube.Cube, e *entry, pinned bool) {
+	e.cube, e.slot, e.lru, e.pinned = c, it.slot, -1, pinned
+	if it.slot < 0 {
+		e.key = it.key
+		s.nd[it.key] = e
+	}
+	if e.pinned {
+		s.slots[it.slot].Store(e)
+		s.pinned++
+		return
+	}
+	e.size = c.SizeBytes()
+	e.used.Store(s.tick.Add(1))
+	e.lru = len(s.lru)
+	s.lru = append(s.lru, e)
+	s.bytes += e.size
+	if it.slot >= 0 {
+		s.slots[it.slot].Store(e) // publish last: hits read without the lock
+	}
+	s.evictLocked()
+}
 
-// ResidentCubes returns every cube currently materialized — pinned 1-D
-// cubes by attribute index, then cached k ≥ 2 cubes ordered by arity
-// and attribute list — the working set a session snapshot persists so
-// a warm-started lazy engine skips re-counting them. The cubes are the
-// source's own; callers must treat them as read-only.
-func (s *LazySource) ResidentCubes() []*rulecube.Cube {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	oneKeys := make([]int, 0, len(s.oneD))
-	for a := range s.oneD {
-		oneKeys = append(oneKeys, a)
-	}
-	sort.Ints(oneKeys)
-	entries := make([]*lruEntry, 0, len(s.nd))
-	for _, el := range s.nd {
-		entries = append(entries, el.Value.(*lruEntry))
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		ai, aj := entries[i].attrs, entries[j].attrs
-		if len(ai) != len(aj) {
-			return len(ai) < len(aj)
-		}
-		for p := range ai {
-			if ai[p] != aj[p] {
-				return ai[p] < aj[p]
+// evictLocked drops least recently used unpinned entries until the
+// budget holds. Called with s.mu held.
+func (s *LazySource) evictLocked() {
+	for s.budget >= 0 && s.bytes > s.budget && len(s.lru) > 0 {
+		oldest := s.lru[0]
+		for _, e := range s.lru[1:] {
+			if e.used.Load() < oldest.used.Load() {
+				oldest = e
 			}
 		}
-		return false
-	})
-	out := make([]*rulecube.Cube, 0, len(oneKeys)+len(entries))
-	for _, a := range oneKeys {
-		out = append(out, s.oneD[a])
+		s.unlinkLocked(oldest)
+		s.evictions.Add(1)
+		s.evictionsC.Inc()
 	}
-	for _, e := range entries {
+	s.bytesG.Set(s.bytes)
+}
+
+// unlinkLocked makes e non-resident, releasing its budget charge or
+// pin. Called with s.mu held.
+func (s *LazySource) unlinkLocked(e *entry) {
+	if e.slot >= 0 {
+		s.slots[e.slot].Store(nil)
+	} else {
+		delete(s.nd, e.key)
+	}
+	if e.pinned {
+		s.pinned--
+		return
+	}
+	last := s.lru[len(s.lru)-1]
+	s.lru[e.lru], last.lru = last, e.lru
+	s.lru = s.lru[:len(s.lru)-1]
+	e.lru = -1
+	s.bytes -= e.size
+}
+
+// cubesLocked lists every resident cube: 1-D cubes by attribute,
+// then pair cubes by attribute pair, then k ≥ 3 cubes by key. Called
+// with s.mu held.
+func (s *LazySource) cubesLocked() []*rulecube.Cube {
+	out := make([]*rulecube.Cube, 0, s.pinned+len(s.lru))
+	for i := range s.slots {
+		if e := s.slots[i].Load(); e != nil {
+			out = append(out, e.cube)
+		}
+	}
+	nd := make([]*entry, 0, len(s.nd))
+	for _, e := range s.nd {
+		nd = append(nd, e)
+	}
+	sort.Slice(nd, func(i, j int) bool { return nd[i].key < nd[j].key })
+	for _, e := range nd {
 		out = append(out, e.cube)
 	}
 	return out
 }
 
+// ResidentCubes returns every cube currently resident, in
+// cubesLocked's deterministic order — the working set a session snapshot
+// persists so a warm-started lazy engine skips re-counting it. The
+// cubes are the source's own; callers must treat them as read-only.
+func (s *LazySource) ResidentCubes() []*rulecube.Cube {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.cubesLocked()
+}
+
 // SeedCubes installs cubes counted in an earlier process — a snapshot's
-// resident set — so the first touch of each is a cache hit instead of a
-// data pass. Every cube is validated against the dataset (attribute
-// membership, per-dimension cardinality, class count); a mismatch
-// fails the whole seed without mutating the caches, since a snapshot
-// that disagrees with the data is stale and none of it can be trusted.
-// k ≥ 2 cubes enter the LRU front in the order given and may evict
-// under the byte budget. Returns the number of cubes accepted
-// (already-resident duplicates are skipped; an over-budget cube may
-// still evict). Build counters do not advance: seeded cubes were not
-// built here.
+// resident set — so their first touch is a hit, not a data pass. Every
+// cube is validated against the dataset (attribute membership,
+// per-dimension cardinality, class count) first; a mismatch fails the
+// whole seed without mutating the cache, since such a snapshot is
+// stale. Cubes insert in the order given, as if just used, and may
+// evict under the budget. Returns the number accepted (resident
+// duplicates are skipped). Build counters do not advance.
 func (s *LazySource) SeedCubes(cubes []*rulecube.Cube) (int, error) {
-	type placed struct {
-		attrs []int // nil for 1-D (pinned) entries
-		one   int
-		cube  *rulecube.Cube
-	}
-	plan := make([]placed, 0, len(cubes))
+	items := make([]batchItem, len(cubes))
 	for i, c := range cubes {
-		if c == nil {
-			return 0, fmt.Errorf("engine: seed cube %d is nil", i)
+		it, err := s.seedItem(i, c)
+		if err != nil {
+			return 0, err
 		}
-		if c.NumClasses() != s.ds.NumClasses() {
-			return 0, fmt.Errorf("engine: seed cube %d has %d classes, dataset has %d", i, c.NumClasses(), s.ds.NumClasses())
-		}
-		idx := c.AttrIndices()
-		if len(idx) == 0 {
-			return 0, fmt.Errorf("engine: seed cube %d has no condition dimensions", i)
-		}
-		seen := make(map[int]bool, len(idx))
-		for pos, a := range idx {
-			if !s.inSet[a] {
-				return 0, fmt.Errorf("engine: seed cube %d references attribute %d outside the served set", i, a)
-			}
-			if seen[a] {
-				return 0, fmt.Errorf("engine: seed cube %d repeats attribute %d", i, a)
-			}
-			seen[a] = true
-			card := s.ds.Cardinality(a)
-			if card == 0 {
-				card = 1
-			}
-			if c.Dim(pos) != card {
-				return 0, fmt.Errorf("engine: seed cube %d dimension %d has cardinality %d, dataset says %d", i, pos, c.Dim(pos), card)
-			}
-		}
-		if len(idx) == 1 {
-			plan = append(plan, placed{one: idx[0], cube: c})
-			continue
-		}
-		norm := append([]int(nil), idx...)
-		sort.Ints(norm)
-		plan = append(plan, placed{attrs: norm, cube: c})
+		items[i] = it
 	}
+	slab := make([]entry, len(cubes))
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	seeded := 0
-	for _, p := range plan {
-		if p.attrs == nil {
-			if _, ok := s.oneD[p.one]; ok {
-				continue
-			}
-			s.oneD[p.one] = p.cube
-			seeded++
+	for i, it := range items {
+		if s.lookupLocked(it) != nil {
 			continue
 		}
-		key := keyOf(p.attrs)
-		if _, ok := s.nd[key]; ok {
-			continue
-		}
-		s.insertND(key, p.attrs, p.cube)
+		s.insertLocked(it, cubes[i], &slab[i], len(it.attrs) == 1)
 		seeded++
 	}
 	return seeded, nil
 }
 
-// IngestRows folds a batch of appended records into every resident
-// cube — pinned 1-D cubes and cached k ≥ 2 cubes alike — in one
-// rulecube.IngestCubes apply, then re-accounts LRU bytes (a cube whose
-// dimensions grew with new labels is bigger; the budget may evict).
-// Non-resident cubes need nothing: they materialize later from the
-// already-updated dataset. Each row is the full working-dataset row
-// indexed by attribute index, with classes the parallel class codes.
-// The apply is atomic across the whole source: on error no resident
-// cube's counts or totals change. Callers must ensure no query is
-// concurrently reading cube counts (the Session ingest lock provides
-// this); the source's own lock only protects the cache structures.
+// seedItem validates seed cube i against the dataset and returns its
+// cache item: the slot for 1-D and pair cubes, else a sorted key.
+func (s *LazySource) seedItem(i int, c *rulecube.Cube) (batchItem, error) {
+	if c == nil {
+		return batchItem{}, fmt.Errorf("engine: seed cube %d is nil", i)
+	}
+	if c.NumClasses() != s.ds.NumClasses() {
+		return batchItem{}, fmt.Errorf("engine: seed cube %d has %d classes, dataset has %d", i, c.NumClasses(), s.ds.NumClasses())
+	}
+	idx := c.AttrIndices()
+	if len(idx) == 0 {
+		return batchItem{}, fmt.Errorf("engine: seed cube %d has no condition dimensions", i)
+	}
+	for p, a := range idx {
+		if a < 0 || a >= len(s.pos) || s.pos[a] < 0 {
+			return batchItem{}, fmt.Errorf("engine: seed cube %d references attribute %d outside the served set", i, a)
+		}
+		for _, b := range idx[:p] {
+			if a == b {
+				return batchItem{}, fmt.Errorf("engine: seed cube %d repeats attribute %d", i, a)
+			}
+		}
+		card := max(s.ds.Cardinality(a), 1)
+		if c.Dim(p) != card {
+			return batchItem{}, fmt.Errorf("engine: seed cube %d dimension %d has cardinality %d, dataset says %d", i, p, c.Dim(p), card)
+		}
+	}
+	if len(idx) <= 2 {
+		return batchItem{attrs: idx, slot: s.slot(idx)}, nil
+	}
+	norm := append([]int(nil), idx...)
+	sort.Ints(norm)
+	return batchItem{key: keyOf(norm), attrs: norm, slot: -1}, nil
+}
+
+// IngestRows folds a batch of appended records — full working-dataset
+// rows with their class codes — into every resident cube, pinned or
+// not, in one atomic rulecube.IngestCubes apply, then re-accounts the
+// unpinned bytes (grown dimensions may evict). Non-resident cubes
+// materialize later from the grown dataset. Callers must ensure no
+// query concurrently reads cube counts (the Session ingest lock does);
+// the source's lock only protects the cache structures.
 func (s *LazySource) IngestRows(rows [][]int32, classes []int32) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cubes := make([]*rulecube.Cube, 0, len(s.oneD)+s.order.Len())
-	for _, c := range s.oneD {
-		cubes = append(cubes, c)
-	}
-	for el := s.order.Front(); el != nil; el = el.Next() {
-		cubes = append(cubes, el.Value.(*lruEntry).cube)
-	}
-	err := rulecube.IngestCubes(cubes, s.ds.NumAttrs(), rows, classes)
-	for el := s.order.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*lruEntry)
+	err := rulecube.IngestCubes(s.cubesLocked(), s.ds.NumAttrs(), rows, classes)
+	for _, e := range s.lru {
 		if grown := e.cube.SizeBytes(); grown != e.size {
 			s.bytes += grown - e.size
 			e.size = grown
 		}
 	}
-	if s.budget >= 0 {
-		for s.bytes > s.budget && s.order.Len() > 0 {
-			tail := s.order.Back()
-			ev := tail.Value.(*lruEntry)
-			s.order.Remove(tail)
-			delete(s.nd, ev.key)
-			s.bytes -= ev.size
-			s.evictions.Add(1)
-			obsv.Default().Counter(CubeCacheEvictionsCounterName).Inc()
-		}
-	}
-	obsv.Default().Gauge(CubeCacheBytesGaugeName).Set(s.bytes)
+	s.evictLocked()
 	return err
 }
 
-// insertND records a freshly built k ≥ 2 cube and evicts from the LRU
-// tail until the budget holds. Called with s.mu held. The fresh entry
-// is inserted first and may itself be evicted if it alone exceeds the
-// budget — the caller still returns the cube it holds; it just won't
-// be resident for the next request.
-func (s *LazySource) insertND(key cubeKey, attrs []int, c *rulecube.Cube) {
-	if el, ok := s.nd[key]; ok {
-		// A second flight can theoretically land after an eviction
-		// re-miss; keep the resident entry authoritative.
-		s.order.MoveToFront(el)
-		return
+// Merge folds o's pinned store into s's (rulecube.Store.Merge) and
+// drops s's unpinned cubes: counted over s's rows alone, they would
+// miss o's. The caller appends o's rows to s's dataset, so later
+// misses count the union.
+func (s *LazySource) Merge(o *LazySource) error {
+	if s.store == nil || o.store == nil {
+		return fmt.Errorf("engine: merge needs both sources' 1-D and pair cubes pinned")
 	}
-	e := &lruEntry{key: key, attrs: append([]int(nil), attrs...), cube: c, size: c.SizeBytes()}
-	s.nd[key] = s.order.PushFront(e)
-	s.bytes += e.size
-	if s.budget >= 0 {
-		for s.bytes > s.budget && s.order.Len() > 0 {
-			tail := s.order.Back()
-			ev := tail.Value.(*lruEntry)
-			s.order.Remove(tail)
-			delete(s.nd, ev.key)
-			s.bytes -= ev.size
-			s.evictions.Add(1)
-			obsv.Default().Counter(CubeCacheEvictionsCounterName).Inc()
-		}
+	if err := s.store.Merge(o.store); err != nil {
+		return err
 	}
-	obsv.Default().Gauge(CubeCacheBytesGaugeName).Set(s.bytes)
+	s.mu.Lock()
+	for len(s.lru) > 0 {
+		s.unlinkLocked(s.lru[0])
+	}
+	s.bytesG.Set(s.bytes)
+	s.mu.Unlock()
+	s.pin(s.store) // a merge may add cubes the destination lacked
+	return nil
 }

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"container/list"
 	"sync"
 
 	"opmap/internal/obsv"
@@ -32,8 +31,8 @@ const DefaultResultCacheEntries = 256
 type ResultCache struct {
 	mu      sync.Mutex
 	version int64
-	entries map[string]*list.Element
-	order   *list.List // front = most recently used
+	entries map[string]*rcEntry
+	tick    int64 // use-stamp clock
 	max     int
 
 	attrEpochs map[int]int64 // per-attribute append epoch
@@ -48,9 +47,9 @@ type ResultCache struct {
 // result was computed from; nil means the result depends on every
 // attribute (sweeps and impressions rank across all of them).
 type rcEntry struct {
-	key  string
 	val  any
 	deps []int
+	used int64 // tick of the last Get or Put
 }
 
 // NewResultCache creates a cache holding at most max entries
@@ -60,8 +59,7 @@ func NewResultCache(max int) *ResultCache {
 		max = DefaultResultCacheEntries
 	}
 	return &ResultCache{
-		entries:    make(map[string]*list.Element),
-		order:      list.New(),
+		entries:    make(map[string]*rcEntry),
 		max:        max,
 		attrEpochs: make(map[int]int64),
 	}
@@ -82,8 +80,7 @@ func (rc *ResultCache) Invalidate() {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	rc.version++
-	rc.entries = make(map[string]*list.Element)
-	rc.order.Init()
+	rc.entries = make(map[string]*rcEntry)
 }
 
 // Get returns the memoized value for key if it was stored under the
@@ -92,11 +89,12 @@ func (rc *ResultCache) Get(version int64, key string) (any, bool) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	if version == rc.version {
-		if el, ok := rc.entries[key]; ok {
-			rc.order.MoveToFront(el)
+		if e, ok := rc.entries[key]; ok {
+			rc.tick++
+			e.used = rc.tick
 			rc.hits++
 			obsv.Default().Counter(ResultCacheHitsCounterName).Inc()
-			return el.Value.(*rcEntry).val, true
+			return e.val, true
 		}
 	}
 	rc.misses++
@@ -124,18 +122,21 @@ func (rc *ResultCache) PutDeps(version int64, key string, val any, deps []int) {
 	if version != rc.version {
 		return
 	}
-	if el, ok := rc.entries[key]; ok {
-		e := el.Value.(*rcEntry)
-		e.val = val
-		e.deps = deps
-		rc.order.MoveToFront(el)
+	rc.tick++
+	if e, ok := rc.entries[key]; ok {
+		e.val, e.deps, e.used = val, deps, rc.tick
 		return
 	}
-	rc.entries[key] = rc.order.PushFront(&rcEntry{key: key, val: val, deps: deps})
-	for rc.order.Len() > rc.max {
-		tail := rc.order.Back()
-		rc.order.Remove(tail)
-		delete(rc.entries, tail.Value.(*rcEntry).key)
+	rc.entries[key] = &rcEntry{val: val, deps: deps, used: rc.tick}
+	if len(rc.entries) > rc.max {
+		// Evict the least recently used entry: the smallest stamp.
+		oldest, stamp := "", rc.tick
+		for k, e := range rc.entries {
+			if e.used < stamp {
+				oldest, stamp = k, e.used
+			}
+		}
+		delete(rc.entries, oldest)
 	}
 }
 
@@ -155,9 +156,7 @@ func (rc *ResultCache) BumpAttrs(attrs []int) int {
 		touched[a] = true
 	}
 	removed := 0
-	for el := rc.order.Front(); el != nil; {
-		next := el.Next()
-		e := el.Value.(*rcEntry)
+	for k, e := range rc.entries {
 		stale := e.deps == nil
 		for _, d := range e.deps {
 			if touched[d] {
@@ -166,11 +165,9 @@ func (rc *ResultCache) BumpAttrs(attrs []int) int {
 			}
 		}
 		if stale {
-			rc.order.Remove(el)
-			delete(rc.entries, e.key)
+			delete(rc.entries, k)
 			removed++
 		}
-		el = next
 	}
 	if removed > 0 {
 		rc.invalidations += int64(removed)
@@ -191,7 +188,7 @@ func (rc *ResultCache) AttrEpoch(a int) int64 {
 func (rc *ResultCache) Len() int {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	return rc.order.Len()
+	return len(rc.entries)
 }
 
 // ResultCacheStats is a snapshot of cache effectiveness counters.
@@ -210,7 +207,7 @@ func (rc *ResultCache) Stats() ResultCacheStats {
 	return ResultCacheStats{
 		Hits:          rc.hits,
 		Misses:        rc.misses,
-		Entries:       rc.order.Len(),
+		Entries:       len(rc.entries),
 		Version:       rc.version,
 		Invalidations: rc.invalidations,
 	}

@@ -92,8 +92,8 @@ func TestSeedCubesRejectsMismatch(t *testing.T) {
 		t.Fatal("cubes over a mismatched dataset seeded")
 	}
 	st := lazy.Stats()
-	if st.PinnedOneD != 0 || st.CachedCubes != 0 {
-		t.Errorf("rejected seed left cubes behind: 1-D %d, 2-D %d", st.PinnedOneD, st.CachedCubes)
+	if st.Pinned != 0 || st.CachedCubes != 0 {
+		t.Errorf("rejected seed left cubes behind: pinned %d, cached %d", st.Pinned, st.CachedCubes)
 	}
 	// The engine still works cold after the rejected seed.
 	in := compareInput(t, ds, gt)

@@ -34,16 +34,20 @@ type view struct {
 	label2 string
 }
 
-// Explorer is an interactive session over a cube store.
+// Explorer is an interactive session over a cube engine whose 1-D and
+// pair cubes are pinned: views render from the pinned store, and
+// drill-downs fault their k ≥ 3 cubes into the same engine.
 type Explorer struct {
+	src   *engine.LazySource
 	store *rulecube.Store
 	cmp   *compare.Comparator
 	stack []view
 }
 
-// New creates an explorer over the store.
-func New(store *rulecube.Store) *Explorer {
-	return &Explorer{store: store, cmp: compare.New(store)}
+// New creates an explorer over src, whose 1-D and pair cubes must be
+// pinned (engine.LazySource.PinAll or engine.FromStore).
+func New(src *engine.LazySource) *Explorer {
+	return &Explorer{src: src, store: src.Store(), cmp: compare.NewSource(src)}
 }
 
 // Depth returns the navigation-history depth.
@@ -202,7 +206,7 @@ func (e *Explorer) Drill(w io.Writer, attr, v1, v2, class string, depth int) err
 	if err != nil {
 		return err
 	}
-	res, err := drill.New(engine.NewEager(e.store)).Drill(
+	res, err := drill.New(e.src).Drill(
 		compare.Input{Attr: a, V1: c1, V2: c2, Class: cls},
 		drill.Options{MaxDepth: depth},
 	)

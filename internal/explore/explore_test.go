@@ -2,10 +2,11 @@ package explore
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
-	"opmap/internal/rulecube"
+	"opmap/internal/engine"
 	"opmap/internal/workload"
 )
 
@@ -15,11 +16,14 @@ func explorer(t *testing.T) (*Explorer, workload.GroundTruth) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := rulecube.BuildStore(ds, rulecube.StoreOptions{})
+	src, err := engine.NewLazy(ds, engine.LazyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(store), gt
+	if err := src.PinAll(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	return New(src), gt
 }
 
 func TestExplorerNavigationFlow(t *testing.T) {

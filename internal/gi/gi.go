@@ -347,12 +347,12 @@ func InfluentialAttributes(store *rulecube.Store) ([]Influence, error) {
 // InfluentialAttributesContext is InfluentialAttributes under a
 // context, checked once per attribute.
 func InfluentialAttributesContext(ctx context.Context, store *rulecube.Store) ([]Influence, error) {
-	return InfluentialAttributesSource(ctx, engine.NewEager(store))
+	return InfluentialAttributesSource(ctx, engine.FromStore(store))
 }
 
 // InfluentialAttributesSource is the engine-agnostic form: a lazy
 // source materializes each attribute's 1-D cube on first touch.
-func InfluentialAttributesSource(ctx context.Context, src engine.CubeSource) ([]Influence, error) {
+func InfluentialAttributesSource(ctx context.Context, src *engine.LazySource) ([]Influence, error) {
 	var out []Influence
 	for _, a := range src.Attrs() {
 		if err := ctx.Err(); err != nil {
@@ -467,13 +467,13 @@ func MineAll(store *rulecube.Store, topts TrendOptions, eopts ExceptionOptions) 
 // attribute. It is strict: a partial impressions report would silently
 // miss trends, so cancellation returns ctx.Err().
 func MineAllContext(ctx context.Context, store *rulecube.Store, topts TrendOptions, eopts ExceptionOptions) (*Report, error) {
-	return MineAllSource(ctx, engine.NewEager(store), topts, eopts)
+	return MineAllSource(ctx, engine.FromStore(store), topts, eopts)
 }
 
 // MineAllSource is the engine-agnostic form of MineAllContext. Only
 // 1-D cubes are touched, so a lazy source serves an impressions report
 // without materializing any pair cube.
-func MineAllSource(ctx context.Context, src engine.CubeSource, topts TrendOptions, eopts ExceptionOptions) (*Report, error) {
+func MineAllSource(ctx context.Context, src *engine.LazySource, topts TrendOptions, eopts ExceptionOptions) (*Report, error) {
 	defer obsv.Stage(obsv.StageGIMine)()
 	rep := &Report{}
 	for _, a := range src.Attrs() {

@@ -236,7 +236,7 @@ func TestExceptionsMinSupport(t *testing.T) {
 
 func TestInfluentialAttributesOrder(t *testing.T) {
 	ds := trendDataset(t)
-	store, err := rulecube.BuildStore(ds, rulecube.StoreOptions{SkipPairs: true})
+	store, err := rulecube.BuildStore(ds, rulecube.StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestInfluentialAttributesOrder(t *testing.T) {
 
 func TestMineAll(t *testing.T) {
 	ds := trendDataset(t)
-	store, err := rulecube.BuildStore(ds, rulecube.StoreOptions{SkipPairs: true})
+	store, err := rulecube.BuildStore(ds, rulecube.StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,18 +6,18 @@ import (
 	"go/types"
 )
 
-// CubeAccess flags direct map access (indexing or ranging) to a cube
-// cache field — a struct field whose type is a map with *Cube (or
-// Cube) values, like rulecube.Store's oneD/twoD or the lazy engine's
-// pinned 1-D map — from outside the owning type's methods. Those maps
-// carry invariants the accessors maintain (canonical (min,max) pair
-// keys, LRU bookkeeping, byte accounting, mutex discipline); a stray
-// `s.twoD[k]` in a helper bypasses all of them and compiles silently.
-// Access from any method of the declaring type is allowed: that is
-// where the accessors live.
+// CubeAccess flags direct access to a cube cache field — a map or
+// slice field whose elements are cubes, point to a struct holding one,
+// or atomically hold such a pointer, like rulecube.Store's oneD/twoD or
+// the engine's atomic slots — from outside the owning type's methods.
+// Those containers carry invariants the accessors maintain (canonical
+// pair keys, slot indexing, use stamps, byte accounting, mutex
+// discipline); a stray `s.twoD[k]` in a helper bypasses all of them
+// and compiles silently. Access from any method of the declaring type
+// is allowed: that is where the accessors live.
 var CubeAccess = &Analyzer{
 	Name: "cubeaccess",
-	Doc:  "flags map access to cube cache fields outside the owning type's methods",
+	Doc:  "flags map or slice access to cube cache fields outside the owning type's methods",
 	Run:  runCubeAccess,
 }
 
@@ -36,8 +36,8 @@ func runCubeAccess(p *Pass) {
 				case *ast.RangeStmt:
 					checkCubeMapAccess(p, owner, n.X, n.X.Pos())
 				case *ast.CallExpr:
-					// delete(s.twoD, k) and len(s.twoD) touch the map
-					// without an index expression.
+					// delete(s.twoD, k) and len(s.twoD) touch the
+					// container without an index expression.
 					for _, arg := range n.Args {
 						checkCubeMapAccess(p, owner, arg, arg.Pos())
 					}
@@ -57,8 +57,8 @@ func receiverNamedType(p *Pass, fd *ast.FuncDecl) *types.Named {
 	return namedOf(p.Info.TypeOf(fd.Recv.List[0].Type))
 }
 
-// checkCubeMapAccess reports expr when it selects a cube-valued map
-// field of a type other than owner.
+// checkCubeMapAccess reports expr when it selects a cube cache field
+// of a type other than owner.
 func checkCubeMapAccess(p *Pass, owner *types.Named, expr ast.Expr, pos token.Pos) {
 	sel, ok := ast.Unparen(expr).(*ast.SelectorExpr)
 	if !ok {
@@ -69,8 +69,14 @@ func checkCubeMapAccess(p *Pass, owner *types.Named, expr ast.Expr, pos token.Po
 		return
 	}
 	field := selection.Obj()
-	mp, ok := field.Type().Underlying().(*types.Map)
-	if !ok || !isCubeType(mp.Elem()) {
+	var elem types.Type
+	switch u := field.Type().Underlying().(type) {
+	case *types.Map:
+		elem = u.Elem()
+	case *types.Slice:
+		elem = u.Elem()
+	}
+	if elem == nil || !holdsCube(elem) {
 		return
 	}
 	holder := namedOf(selection.Recv())
@@ -82,6 +88,31 @@ func checkCubeMapAccess(p *Pass, owner *types.Named, expr ast.Expr, pos token.Po
 	}
 	p.Reportf(pos, "direct access to cube cache %s.%s outside its owning type; go through %s's accessor methods",
 		holder.Obj().Name(), field.Name(), holder.Obj().Name())
+}
+
+// holdsCube reports whether a container element t is a cube, points
+// to a struct with a cube field, or is an atomic.Pointer to one.
+func holdsCube(t types.Type) bool {
+	if isCubeType(t) {
+		return true
+	}
+	if named := namedOf(t); named != nil && named.Obj().Pkg() != nil &&
+		named.Obj().Pkg().Path() == "sync/atomic" && named.Obj().Name() == "Pointer" && named.TypeArgs().Len() == 1 {
+		t = named.TypeArgs().At(0)
+	}
+	if ptr, ok := t.Underlying().(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	st, ok := t.Underlying().(*types.Struct)
+	if !ok {
+		return false
+	}
+	for i := 0; i < st.NumFields(); i++ {
+		if isCubeType(st.Field(i).Type()) {
+			return true
+		}
+	}
+	return false
 }
 
 // isCubeType reports whether t is Cube or *Cube (any package's named

@@ -1,6 +1,8 @@
 // Package bad exercises the cubeaccess analyzer: every construct here
-// reaches into a cube cache map from outside the owning type.
+// reaches into a cube cache map or slice from outside the owning type.
 package bad
+
+import "sync/atomic"
 
 // Cube is a stand-in for the rule cube count array.
 type Cube struct{ cells []int64 }
@@ -45,4 +47,25 @@ func Drop(s *Store, a int) {
 // Size measures the cache with len from outside.
 func Size(s *Store) int {
 	return len(s.twoD) // want `direct access to cube cache Store.twoD`
+}
+
+// entry is a cache entry holding a cube.
+type entry struct{ cube *Cube }
+
+// Engine caches cubes in slices: atomic slots, entries, plain cubes.
+type Engine struct {
+	slots []atomic.Pointer[entry]
+	lru   []*entry
+	all   []*Cube
+}
+
+// hit is the owner's read path.
+func (e *Engine) hit(i int) *Cube { return e.slots[i].Load().cube }
+
+// Peek reads every slice from a free function.
+func Peek(e *Engine) int {
+	_ = e.slots[0].Load() // want `direct access to cube cache Engine.slots`
+	for range e.lru {     // want `direct access to cube cache Engine.lru`
+	}
+	return len(e.all) // want `direct access to cube cache Engine.all`
 }

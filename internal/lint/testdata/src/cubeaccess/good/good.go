@@ -1,6 +1,9 @@
-// Package good holds the blessed patterns: cube cache maps are only
-// touched by methods of the owning type, and non-cube maps are free.
+// Package good holds the blessed patterns: cube cache maps and slices
+// are only touched by methods of the owning type, and containers of
+// anything else are free.
 package good
+
+import "sync/atomic"
 
 // Cube is a stand-in for the rule cube count array.
 type Cube struct{ cells []int64 }
@@ -48,4 +51,25 @@ func Label(s *Store, a int) string { return s.names[a] }
 func Local(c *Cube) *Cube {
 	m := map[int]*Cube{0: c}
 	return m[0]
+}
+
+// entry is a cache entry holding a cube; wait only points at one.
+type entry struct{ cube *Cube }
+type wait struct{ e *entry }
+
+// Engine caches cubes in a slot slice; its other slices hold no cube.
+type Engine struct {
+	slots []atomic.Pointer[entry]
+	waits []wait
+	flags []atomic.Bool
+}
+
+// hit is the owner's read path.
+func (e *Engine) hit(i int) *Cube { return e.slots[i].Load().cube }
+
+// Free ranges and indexes the cube-free slices from outside.
+func Free(e *Engine) bool {
+	for range e.waits {
+	}
+	return e.flags[0].Load()
 }

@@ -96,12 +96,13 @@ func BenchmarkStoreIngestRows(b *testing.B) {
 		}
 		return rows, classes
 	}
+	cubes := st.Cubes()
 	for _, mode := range []string{"dense", "sparse"} {
 		rows, classes := batch(mode == "sparse")
 		b.Run(mode, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if err := st.IngestRows(rows, classes); err != nil {
+				if err := rulecube.IngestCubes(cubes, ds.NumAttrs(), rows, classes); err != nil {
 					b.Fatal(err)
 				}
 			}

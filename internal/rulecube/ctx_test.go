@@ -171,8 +171,9 @@ func TestBuildStoreContextFaultError(t *testing.T) {
 	}
 }
 
-// TestBuildStoreContextFaultOneD: a store of 1-D cubes only
-// (SkipPairs) is counted by the same scan and fails at the same site.
+// TestBuildStoreContextFaultOneD: a store of 1-D cubes only (one
+// attribute, so no pairs) is counted by the same scan and fails at the
+// same site.
 func TestBuildStoreContextFaultOneD(t *testing.T) {
 	defer testutil.VerifyNoLeak(t)()
 	defer faultinject.Reset()
@@ -186,7 +187,7 @@ func TestBuildStoreContextFaultOneD(t *testing.T) {
 	}
 	defer disarm()
 
-	if _, err := BuildStoreContext(context.Background(), ds, StoreOptions{SkipPairs: true}); !errors.Is(err, faultinject.ErrInjected) {
+	if _, err := BuildStoreContext(context.Background(), ds, StoreOptions{Attrs: []int{0}}); !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
 	}
 }

@@ -459,9 +459,6 @@ type StoreOptions struct {
 	// Attrs restricts the attributes materialized (class excluded
 	// automatically). Nil means all non-class attributes.
 	Attrs []int
-	// SkipPairs disables materializing 3-D cubes, leaving only the 2-D
-	// (attribute × class) cubes.
-	SkipPairs bool
 }
 
 // Store holds the materialized rule cubes of a dataset: one 2-D cube per
@@ -473,8 +470,6 @@ type Store struct {
 	attrs []int
 	oneD  map[int]*Cube
 	twoD  map[[2]int]*Cube
-	// all caches Cubes() for IngestRows; putCube1/putCube2 reset it.
-	all []*Cube
 }
 
 // CubesBuiltCounterName is the counter advanced once per cube counted,
@@ -486,15 +481,15 @@ func BuildStore(ds *dataset.Dataset, opts StoreOptions) (*Store, error) {
 	return BuildStoreContext(context.Background(), ds, opts)
 }
 
-// BuildStoreContext is BuildStore under a context. Every 1-D cube and,
-// unless SkipPairs, every pair cube is counted in one BuildMany scan, so
-// cancellation is observed inside that scan (see BuildMany).
+// BuildStoreContext is BuildStore under a context. Every 1-D cube and
+// every pair cube is counted in one BuildMany scan, so cancellation is
+// observed inside that scan (see BuildMany).
 func BuildStoreContext(ctx context.Context, ds *dataset.Dataset, opts StoreOptions) (*Store, error) {
-	attrs, err := normalizeStoreAttrs(ds, opts.Attrs)
+	attrs, err := NormalizeAttrs(ds, opts.Attrs)
 	if err != nil {
 		return nil, err
 	}
-	cubes, err := BuildMany(ctx, ds, storeRequests(attrs, opts.SkipPairs))
+	cubes, err := BuildMany(ctx, ds, storeRequests(attrs))
 	if err != nil {
 		return nil, err
 	}
@@ -502,15 +497,12 @@ func BuildStoreContext(ctx context.Context, ds *dataset.Dataset, opts StoreOptio
 }
 
 // storeRequests lists a store's cubes for BuildMany: the 1-D cube of
-// every attribute, then (unless skipPairs) every pair (a, b) with a < b
-// in the sorted attrs.
-func storeRequests(attrs []int, skipPairs bool) [][]int {
+// every attribute, then every pair (a, b) with a < b in the sorted
+// attrs.
+func storeRequests(attrs []int) [][]int {
 	reqs := make([][]int, 0, len(attrs))
 	for _, a := range attrs {
 		reqs = append(reqs, []int{a})
-	}
-	if skipPairs {
-		return reqs
 	}
 	for i, a := range attrs {
 		for _, b := range attrs[i+1:] {
@@ -520,25 +512,30 @@ func storeRequests(attrs []int, skipPairs bool) [][]int {
 	return reqs
 }
 
-// normalizeStoreAttrs resolves the store's attribute list: nil means
-// every attribute except the class; an explicit list is copied,
-// validated against the class index, and sorted.
-func normalizeStoreAttrs(ds *dataset.Dataset, attrs []int) ([]int, error) {
+// NormalizeAttrs resolves a served attribute list: nil means every
+// attribute except the class; an explicit list is copied, validated
+// (in range, not the class, no duplicates) and sorted.
+func NormalizeAttrs(ds *dataset.Dataset, attrs []int) ([]int, error) {
 	if attrs == nil {
 		for a := 0; a < ds.NumAttrs(); a++ {
 			if a != ds.ClassIndex() {
 				attrs = append(attrs, a)
 			}
 		}
-	} else {
-		attrs = append([]int(nil), attrs...)
-		for _, a := range attrs {
-			if a == ds.ClassIndex() {
-				return nil, fmt.Errorf("rulecube: class attribute in store attribute list")
-			}
+		return attrs, nil
+	}
+	attrs = append([]int(nil), attrs...)
+	sort.Ints(attrs)
+	for i, a := range attrs {
+		switch {
+		case a < 0 || a >= ds.NumAttrs():
+			return nil, fmt.Errorf("rulecube: attribute index %d out of range", a)
+		case a == ds.ClassIndex():
+			return nil, fmt.Errorf("rulecube: class attribute in attribute list")
+		case i > 0 && attrs[i-1] == a:
+			return nil, fmt.Errorf("rulecube: duplicate attribute %d", a)
 		}
 	}
-	sort.Ints(attrs)
 	return attrs, nil
 }
 
@@ -558,16 +555,10 @@ func (s *Store) Cube2(a, b int) *Cube { return s.twoD[pairKey(a, b)] }
 // putCube1 records the 2-D cube for attr. All writes to the oneD map
 // go through here so the cubeaccess lint can confine cube-cache map
 // access to the owning accessors.
-func (s *Store) putCube1(attr int, c *Cube) {
-	s.oneD[attr] = c
-	s.all = nil
-}
+func (s *Store) putCube1(attr int, c *Cube) { s.oneD[attr] = c }
 
 // putCube2 records the 3-D cube for the (normalized) attribute pair.
-func (s *Store) putCube2(a, b int, c *Cube) {
-	s.twoD[pairKey(a, b)] = c
-	s.all = nil
-}
+func (s *Store) putCube2(a, b int, c *Cube) { s.twoD[pairKey(a, b)] = c }
 
 // oneDAttrs returns the attribute indices with a materialized 1-D cube,
 // in ascending order.

@@ -351,14 +351,6 @@ func TestBuildStoreShapes(t *testing.T) {
 	if store.Cube2(0, 0) != nil {
 		t.Error("self-pair should not exist")
 	}
-	// SkipPairs.
-	s2, err := BuildStore(ds, StoreOptions{SkipPairs: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.CubeCount() != 2 {
-		t.Errorf("SkipPairs CubeCount = %d, want 2", s2.CubeCount())
-	}
 	if _, err := BuildStore(ds, StoreOptions{Attrs: []int{2}}); err == nil {
 		t.Error("class in store attrs should fail")
 	}

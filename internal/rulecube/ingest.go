@@ -9,10 +9,10 @@ import (
 // ingestion: contingency counts are additive, so an appended record
 // folds into a materialized cube as a single cell increment instead of
 // a rebuild. IngestCubes applies one batch to a whole set of cubes —
-// the eager store's and the lazy engine's resident ones alike — in
-// four steps: grow each cube's layout to its dictionaries (SyncDims),
-// validate every row once per attribute, transpose the counted rows
-// into per-attribute code columns, and increment cells cube by cube.
+// every resident cube of the engine, pinned or not — in four steps:
+// grow each cube's layout to its dictionaries (SyncDims), validate
+// every row once per attribute, transpose the counted rows into
+// per-attribute code columns, and increment cells cube by cube.
 // Work scales with rows × touched cubes, never with cube size, and a
 // cube over an attribute no counted row sets is skipped outright.
 
@@ -100,20 +100,6 @@ func IngestCubes(cubes []*Cube, width int, rows [][]int32, classes []int32) erro
 		b.apply(c)
 	}
 	return nil
-}
-
-// IngestRows folds a batch of appended records into every materialized
-// cube of the store through IngestCubes, growing dimensions first where
-// dictionaries ran ahead. The apply is atomic: the whole batch is
-// validated against every cube before any count changes, so an error
-// leaves every cube's counts and totals as they were (a grown layout
-// adds only zero cells). The caller owns concurrency: the store is not
-// safe for writes concurrent with reads.
-func (st *Store) IngestRows(rows [][]int32, classes []int32) error {
-	if st.all == nil {
-		st.all = st.Cubes()
-	}
-	return IngestCubes(st.all, st.ds.NumAttrs(), rows, classes)
 }
 
 // ingestBatch is a validated batch in column-major form, restricted to

@@ -116,18 +116,22 @@ func lazyResidents(t *testing.T, ds *dataset.Dataset, sets [][]int) *engine.Lazy
 
 // TestIngestOracle feeds seeded random batches — dense and sparse rows,
 // missing values, missing classes, and labels and classes that grow
-// the dictionaries mid-stream — into an eager engine (store plus a
-// resident 3-D drill-down cube) and a lazy source holding 1-D, pair
+// the dictionaries mid-stream — into an eager engine (every 1-D and
+// pair cube pinned, plus a resident 3-D drill-down cube) and a lazy
+// source holding 1-D, pair
 // and 3-D cubes. After every batch each cube must equal the
 // brute-force recount over the base rows plus every appended row.
 func TestIngestOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	ds := ingestDataset(t, rng, 200)
-	st, err := rulecube.BuildStore(ds, rulecube.StoreOptions{})
+	eager, err := engine.NewLazy(ds, engine.LazyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eager := engine.NewEager(st)
+	if err := eager.PinAll(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	st := eager.Store()
 	if _, err := eager.CubeN(context.Background(), []int{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +247,7 @@ func TestIngestAllOrNothing(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rows, classes := tc.spoil(codedRows(ds, 0, 50))
-			if err := st.IngestRows(rows, classes); err == nil {
+			if err := rulecube.IngestCubes(st.Cubes(), ds.NumAttrs(), rows, classes); err == nil {
 				t.Fatal("store accepted the batch")
 			}
 			rows, classes = tc.spoil(codedRows(ds, 0, 50))

@@ -197,8 +197,8 @@ func TestCubeMergeDimensionMismatch(t *testing.T) {
 	}
 }
 
-// TestIngestRowsMatchesRebuild: folding appended rows into a built
-// store with IngestRows must land exactly where a fresh BuildStore over
+// TestIngestRowsMatchesRebuild: folding appended rows into every cube
+// of a built store with IngestCubes must land exactly where a fresh BuildStore over
 // the base rows plus the appended rows lands — new labels, a new
 // class, missing values and a missing class included.
 func TestIngestRowsMatchesRebuild(t *testing.T) {
@@ -225,7 +225,7 @@ func TestIngestRowsMatchesRebuild(t *testing.T) {
 		rows[i] = []int32{ds.CatCode(r, 0), ds.CatCode(r, 1), ds.ClassCode(r)}
 		classes[i] = ds.ClassCode(r)
 	}
-	if err := st.IngestRows(rows, classes); err != nil {
+	if err := IngestCubes(st.Cubes(), ds.NumAttrs(), rows, classes); err != nil {
 		t.Fatal(err)
 	}
 	fresh, err := BuildStore(shardDataset(t, append(append([]string(nil), shard1Rows...), appended...)...), StoreOptions{})

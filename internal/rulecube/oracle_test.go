@@ -111,11 +111,11 @@ func TestCubeMatchesBruteForce(t *testing.T) {
 
 // TestBuildStoreMatchesBruteForce checks every 1-D and pair cube of
 // stores built over a random dataset with missing values and missing
-// classes against the brute-force recount: the full store, a 1-D-only
-// store (dedicated 1-D scan plans), and an attribute subset.
+// classes against the brute-force recount: the full store and an
+// attribute subset.
 func TestBuildStoreMatchesBruteForce(t *testing.T) {
 	ds := randomDatasetMissingClass(t, 9, 3000, 6, 4, 3, 0.08)
-	for _, opts := range []StoreOptions{{}, {SkipPairs: true}, {Attrs: []int{4, 1, 3}}} {
+	for _, opts := range []StoreOptions{{}, {Attrs: []int{4, 1, 3}}} {
 		store, err := BuildStore(ds, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -124,9 +124,6 @@ func TestBuildStoreMatchesBruteForce(t *testing.T) {
 		want := len(attrs)
 		for i, a := range attrs {
 			checkBruteForce(t, ds, []int{a}, store.Cube1(a), fmt.Sprintf("%+v: cube %d", opts, a))
-			if opts.SkipPairs {
-				continue
-			}
 			for _, b := range attrs[i+1:] {
 				checkBruteForce(t, ds, []int{a, b}, store.Cube2(a, b), fmt.Sprintf("%+v: cube (%d,%d)", opts, a, b))
 				want++

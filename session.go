@@ -17,8 +17,9 @@ import (
 
 // Session is the top-level handle of the Opportunity Map pipeline: it
 // owns a dataset, the discretized working copy, and the cube engine —
-// either a fully materialized store (eager mode, the default) or a
-// lazy source that builds cubes on first touch. Read-only queries may
+// with every 1-D and pair cube counted up front and pinned (eager
+// mode, the default) or with cubes built on first touch (lazy mode).
+// Read-only queries may
 // run concurrently once a BuildCubes variant has returned, and Append
 // may run concurrently with them: mutations take the write side of the
 // session lock, every query entry point the read side.
@@ -29,12 +30,10 @@ type Session struct {
 	// methods, so the lock never nests.
 	mu sync.RWMutex
 
-	raw   *dataset.Dataset // as loaded; may contain continuous attributes
-	ds    *dataset.Dataset // fully categorical working dataset
-	cuts  map[string][]float64
-	store *rulecube.Store    // eager mode only; nil in lazy mode
-	src   engine.CubeSource  // set by any BuildCubes variant
-	lazy  *engine.LazySource // set in lazy mode, for stats
+	raw  *dataset.Dataset // as loaded; may contain continuous attributes
+	ds   *dataset.Dataset // fully categorical working dataset
+	cuts map[string][]float64
+	src  *engine.LazySource // set by any BuildCubes variant
 	// results memoizes Compare/Sweep/Impressions under a snapshot
 	// version; Discretize, DownsampleMajority and rebuilds invalidate
 	// it wholly, appends surgically per attribute. Always non-nil.
@@ -381,9 +380,7 @@ func (s *Session) discretizer(opts DiscretizeOptions) (discretize.Discretizer, e
 // after a re-discretize or resample, counts from the old cube space
 // must be neither served nor inserted.
 func (s *Session) dropEngine() {
-	s.store = nil
 	s.src = nil
-	s.lazy = nil
 	s.results.Invalidate()
 }
 
@@ -455,16 +452,15 @@ func (s *Session) BuildCubesForContext(ctx context.Context, attrNames []string) 
 
 // BuildOptions selects the cube engine behind the session's queries.
 type BuildOptions struct {
-	// Lazy skips the offline materialization entirely: cubes are
-	// counted on first use, deduplicated across concurrent requests,
-	// and 2-D cubes are cached in a byte-budgeted LRU. Startup becomes
-	// O(1) instead of O(|A|²) data passes; the first touch of each cube
-	// pays its build. Eager-only operations (SaveCubes, Explore,
-	// CubeExceptions, RenderOverall) are unavailable in lazy mode.
+	// Lazy skips the offline materialization: cubes are counted on
+	// first use, deduplicated across concurrent requests, and pair
+	// cubes join the byte-budgeted cache. Whole-store operations
+	// (SaveCubes, Explore, CubeExceptions, RenderOverall, CubeStats,
+	// MergeFrom) need every pair cube and are unavailable in lazy mode.
 	Lazy bool
-	// CubeCacheBytes bounds the lazy 2-D cube cache. Zero means the
-	// engine default (64 MiB); negative means unlimited. Ignored when
-	// Lazy is false.
+	// CubeCacheBytes bounds the unpinned cubes: lazy pair cubes and
+	// k ≥ 3 drill-down cubes (eager mode pins every 1-D and pair cube).
+	// Zero means the engine default (64 MiB); negative means unlimited.
 	CubeCacheBytes int64
 	// Attrs restricts the servable attributes by name; nil means all
 	// non-class attributes (the paper's domain-expert selection of the
@@ -472,10 +468,10 @@ type BuildOptions struct {
 	Attrs []string
 }
 
-// BuildCubesOptions prepares the session's cube engine: eagerly
-// materializing the full store (the paper's offline step) or, with
-// opts.Lazy, installing an on-demand engine. Either way the previous
-// engine and all cached query results are dropped first.
+// BuildCubesOptions prepares the session's cube engine: counting and
+// pinning every 1-D and pair cube (the paper's offline step) or, with
+// opts.Lazy, leaving every cube to its first use. Either way the
+// previous engine and all cached query results are dropped first.
 func (s *Session) BuildCubesOptions(ctx context.Context, opts BuildOptions) error {
 	defer obsv.Stage(obsv.StageBuildCubes)()
 	s.mu.Lock()
@@ -496,23 +492,17 @@ func (s *Session) buildCubesLocked(ctx context.Context, opts BuildOptions) error
 	if err != nil {
 		return err
 	}
-	if opts.Lazy {
-		lazy, err := engine.NewLazy(ds, engine.LazyOptions{Attrs: attrs, CacheBytes: opts.CubeCacheBytes})
-		if err != nil {
-			return err
-		}
-		s.dropEngine()
-		s.src = lazy
-		s.lazy = lazy
-		return nil
-	}
-	store, err := rulecube.BuildStoreContext(ctx, ds, rulecube.StoreOptions{Attrs: attrs})
+	src, err := engine.NewLazy(ds, engine.LazyOptions{Attrs: attrs, CacheBytes: opts.CubeCacheBytes})
 	if err != nil {
 		return err
 	}
+	if !opts.Lazy {
+		if err := src.PinAll(ctx); err != nil {
+			return err
+		}
+	}
 	s.dropEngine()
-	s.store = store
-	s.src = engine.NewEager(store)
+	s.src = src
 	return nil
 }
 
@@ -539,22 +529,22 @@ func (s *Session) working() (*dataset.Dataset, error) {
 	return s.ds, nil
 }
 
-// requireStore returns the eager cube store, erroring if BuildCubes
-// has not run. Operations that persist, explore or render whole
-// stores need every cube resident and stay eager-only.
+// requireStore returns the engine's pinned 1-D and pair cubes as one
+// store for the whole-store operations, which stay eager-only.
 func (s *Session) requireStore() (*rulecube.Store, error) {
-	if s.store == nil {
-		if s.src != nil {
-			return nil, fmt.Errorf("opmap: operation requires eagerly built cubes; the session is in lazy mode (rebuild with BuildCubes)")
-		}
-		return nil, fmt.Errorf("opmap: rule cubes not built; call BuildCubes first")
+	src, err := s.requireSource()
+	if err != nil {
+		return nil, err
 	}
-	return s.store, nil
+	if st := src.Store(); st != nil {
+		return st, nil
+	}
+	return nil, fmt.Errorf("opmap: operation requires eagerly built cubes; the session is in lazy mode (rebuild with BuildCubes)")
 }
 
 // requireSource returns the cube engine, erroring if no BuildCubes
 // variant has run.
-func (s *Session) requireSource() (engine.CubeSource, error) {
+func (s *Session) requireSource() (*engine.LazySource, error) {
 	if s.src == nil {
 		return nil, fmt.Errorf("opmap: rule cubes not built; call BuildCubes first")
 	}
@@ -629,20 +619,17 @@ func (s *Session) ClassDistribution() map[string]int64 {
 	return out
 }
 
-// CubeCount returns the number of resident rule cubes: everything the
-// store holds in eager mode, the pinned 1-D plus cached 2-D cubes in
-// lazy mode, 0 before any BuildCubes variant.
+// CubeCount returns the number of resident rule cubes, pinned (1-D,
+// and eager pairs) and cached (lazy pairs, drill-down cubes); 0 before
+// any BuildCubes variant.
 func (s *Session) CubeCount() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.store != nil {
-		return s.store.CubeCount()
+	if s.src == nil {
+		return 0
 	}
-	if s.lazy != nil {
-		st := s.lazy.Stats()
-		return st.PinnedOneD + st.CachedCubes
-	}
-	return 0
+	st := s.src.Stats()
+	return st.Pinned + st.CachedCubes
 }
 
 // satAdd and satMul are saturating int64 arithmetic: wide or
@@ -667,51 +654,27 @@ func satMul(a, b int64) int64 {
 }
 
 // RuleSpaceSize returns the total number of rules the session's cube
-// space represents (the count of cube cells, as in Fig. 1's "24
-// rules"), saturating at math.MaxInt64. In eager mode it counts the
-// materialized cubes; in lazy mode it is computed from the schema —
-// the size of the space the engine can serve, whether or not the
-// cubes are resident yet.
+// space represents (the count of cells of every 1-D and pair cube, as
+// in Fig. 1's "24 rules"), saturating at math.MaxInt64. It is computed
+// from the schema — the size of the space the engine can serve,
+// whether or not the cubes are resident.
 func (s *Session) RuleSpaceSize() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.store != nil {
-		var total int64
-		attrs := s.store.Attrs()
-		for _, a := range attrs {
-			if c := s.store.Cube1(a); c != nil {
-				total = satAdd(total, c.SizeBytes()/8)
-			}
-		}
-		for i, a := range attrs {
-			for _, b := range attrs[i+1:] {
-				if c := s.store.Cube2(a, b); c != nil {
-					total = satAdd(total, c.SizeBytes()/8)
-				}
-			}
-		}
-		return total
-	}
-	if s.lazy == nil {
+	if s.src == nil {
 		return 0
 	}
 	cells := func(attrs ...int) int64 {
 		n := int64(s.ds.NumClasses())
 		for _, a := range attrs {
-			card := int64(s.ds.Cardinality(a))
-			if card <= 0 {
-				card = 1
-			}
-			n = satMul(n, card)
+			n = satMul(n, int64(max(s.ds.Cardinality(a), 1)))
 		}
 		return n
 	}
 	var total int64
-	attrs := s.lazy.Attrs()
-	for _, a := range attrs {
-		total = satAdd(total, cells(a))
-	}
+	attrs := s.src.Attrs()
 	for i, a := range attrs {
+		total = satAdd(total, cells(a))
 		for _, b := range attrs[i+1:] {
 			total = satAdd(total, cells(a, b))
 		}
@@ -720,16 +683,18 @@ func (s *Session) RuleSpaceSize() int64 {
 }
 
 // EngineStats describes the cube engine's caches: build counts, the
-// 2-D cube LRU, and the query-result cache. Zero-valued in eager mode
-// except the result-cache fields.
+// cube cache, and the query-result cache. The cube fields are zero
+// before any BuildCubes variant.
 type EngineStats struct {
-	// Lazy reports whether the session runs the on-demand engine.
+	// Lazy reports whether the session's pair cubes are built on
+	// demand rather than pinned up front.
 	Lazy bool
-	// OneDBuilds and TwoDBuilds count cube materializations performed
-	// by the lazy engine.
+	// OneDBuilds and TwoDBuilds count cube materializations, the
+	// up-front counting of an eager build included.
 	OneDBuilds int64
 	TwoDBuilds int64
-	// CubeCacheHits/Misses/Evictions/Bytes/Cubes describe the 2-D LRU.
+	// CubeCacheHits/Misses count k ≥ 2 lookups; the rest describe the
+	// unpinned cubes the byte budget governs.
 	CubeCacheHits      int64
 	CubeCacheMisses    int64
 	CubeCacheEvictions int64
@@ -747,9 +712,9 @@ func (s *Session) EngineStats() EngineStats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	st := EngineStats{}
-	if s.lazy != nil {
-		ls := s.lazy.Stats()
-		st.Lazy = true
+	if s.src != nil {
+		ls := s.src.Stats()
+		st.Lazy = s.src.Store() == nil
 		st.OneDBuilds = ls.OneDBuilds
 		st.TwoDBuilds = ls.TwoDBuilds
 		st.CubeCacheHits = ls.Hits

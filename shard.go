@@ -147,9 +147,10 @@ func buildShard(ctx context.Context, path string, opts ShardOptions) (*Session, 
 // MergeFrom folds another session's data and cubes into s: raw and
 // working rows append (categorical codes remapped through the
 // dictionary union), the eager cube stores merge through the rulecube
-// additive-merge primitive, the ingest sequence reconciles to the
-// maximum, and all cached query results drop. other is read-locked and
-// never modified. Merging the row-shards of one dataset in shard order
+// additive-merge primitive, drill-down cubes counted over s's rows
+// alone drop (later drills recount the union), the ingest sequence
+// reconciles to the maximum, and all cached query results drop. other
+// is read-locked and never modified. Merging the row-shards of one dataset in shard order
 // reproduces the single-pass session exactly.
 //
 // Both sessions must hold eagerly built cubes over the same schema and
@@ -176,11 +177,11 @@ func (s *Session) MergeFrom(other *Session) error {
 
 // mergeFromLocked is MergeFrom's body; s is write-locked, o read-locked.
 func (s *Session) mergeFromLocked(o *Session) error {
-	if s.store == nil || o.store == nil {
-		if s.lazy != nil || o.lazy != nil {
-			return fmt.Errorf("opmap: sharded merge requires eager stores; a lazy engine holds no complete store to merge")
-		}
+	if s.src == nil || o.src == nil {
 		return fmt.Errorf("opmap: rule cubes not built; call BuildCubes on both sessions first")
+	}
+	if s.src.Store() == nil || o.src.Store() == nil {
+		return fmt.Errorf("opmap: sharded merge requires eager stores; a lazy engine holds no complete store to merge")
 	}
 	if s.rowsHint != 0 || o.rowsHint != 0 {
 		return fmt.Errorf("opmap: snapshot-restored sessions hold no rows to merge; merge their snapshot files instead")
@@ -202,10 +203,11 @@ func (s *Session) mergeFromLocked(o *Session) error {
 	}
 	start := time.Now()
 	// The store merge unions the working dictionaries (cubes share them)
-	// and sums counts; the row appends then translate o's codes through
-	// the same union — UnionDicts is idempotent, so re-deriving the
-	// remap here sees exactly the dictionaries the counts merged under.
-	if err := s.store.Merge(o.store); err != nil {
+	// and sums counts, and drops s's drill-down cubes, counted over s's
+	// rows alone; the row appends then translate o's codes through the
+	// same union — UnionDicts is idempotent, so re-deriving the remap
+	// here sees exactly the dictionaries the counts merged under.
+	if err := s.src.Merge(o.src); err != nil {
 		return err
 	}
 	rm, err := s.ds.UnionDicts(o.ds)

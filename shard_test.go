@@ -141,7 +141,7 @@ func TestBuildShardedMatchesSinglePass(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got.store, want.store) {
+			if !reflect.DeepEqual(got.src.Store(), want.src.Store()) {
 				t.Fatalf("%d-shard store differs from single-pass store", n)
 			}
 			if got.NumRows() != want.NumRows() {
@@ -171,7 +171,7 @@ func TestBuildShardedZeroRowShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.store, want.store) {
+	if !reflect.DeepEqual(got.src.Store(), want.src.Store()) {
 		t.Fatal("store with zero-row shard differs from single-pass store")
 	}
 	assertSameQueries(t, want, got, gt)
@@ -203,7 +203,7 @@ func TestBuildShardedDisjointDictionaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.store, want.store) {
+	if !reflect.DeepEqual(got.src.Store(), want.src.Store()) {
 		t.Fatal("disjoint-dictionary merge differs from single-pass store")
 	}
 	// Spot-check a query spanning labels only one shard contributed.

@@ -85,20 +85,20 @@ func (s *Session) buildSnapshot(opts SnapshotOptions) (*snapshot.Snapshot, error
 		Cuts:        s.cuts,
 		Dataset:     s.ds,
 	}
-	switch {
-	case s.store != nil:
-		snap.Mode = snapshot.ModeEager
-		snap.Store = s.store
-	case s.lazy != nil:
-		snap.Mode = snapshot.ModeLazy
-		snap.CacheBytes = s.lazy.Budget()
-		store, err := rulecube.AssembleStore(s.ds, s.lazy.Attrs(), s.lazy.ResidentCubes())
+	snap.Mode, snap.Store = snapshot.ModeEager, s.src.Store()
+	if snap.Store == nil {
+		// A lazy engine writes its resident 1-D and pair cubes only.
+		var cubes []*rulecube.Cube
+		for _, c := range s.src.ResidentCubes() {
+			if c.NumDims() <= 2 {
+				cubes = append(cubes, c)
+			}
+		}
+		store, err := rulecube.AssembleStore(s.ds, s.src.Attrs(), cubes)
 		if err != nil {
 			return nil, fmt.Errorf("opmap: snapshotting lazy engine: %w", err)
 		}
-		snap.Store = store
-	default:
-		return nil, fmt.Errorf("opmap: session engine cannot be snapshotted")
+		snap.Mode, snap.CacheBytes, snap.Store = snapshot.ModeLazy, s.src.Budget(), store
 	}
 	return snap, nil
 }
@@ -136,8 +136,7 @@ func sessionFromSnapshot(snap *snapshot.Snapshot) (*Session, error) {
 		cuts:      snap.Cuts,
 		rowsHint:  snap.Rows,
 		ingestSeq: snap.IngestSeq,
-		store:     snap.Store,
-		src:       engine.NewEager(snap.Store),
+		src:       engine.FromStore(snap.Store),
 		results:   engine.NewResultCache(0),
 	}, nil
 }
@@ -152,14 +151,14 @@ func sessionFromSnapshot(snap *snapshot.Snapshot) (*Session, error) {
 func (s *Session) SeedSnapshotFile(path string) (int, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.lazy == nil {
+	if s.src == nil || s.src.Store() != nil {
 		return 0, fmt.Errorf("opmap: SeedSnapshotFile requires a lazy session (BuildCubesOptions with Lazy)")
 	}
 	snap, err := snapshot.ReadFile(path)
 	if err != nil {
 		return 0, err
 	}
-	return s.lazy.SeedCubes(snap.Store.Cubes())
+	return s.src.SeedCubes(snap.Store.Cubes())
 }
 
 // PeekSnapshotFile reads a snapshot file's header only — source hash,
