@@ -615,6 +615,7 @@ go test -run '^$' -fuzz '^FuzzSweepOptions$' -fuzztime 10s ./internal/compare
 go test -run '^$' -fuzz '^FuzzReadSnapshot$' -fuzztime 10s ./internal/snapshot
 go test -run '^$' -fuzz '^FuzzMergeSnapshots$' -fuzztime 10s ./internal/snapshot
 go test -run '^$' -fuzz '^FuzzReplayWAL$' -fuzztime 10s ./internal/wal
+go test -run '^$' -fuzz '^FuzzReadCSV$' -fuzztime 10s ./internal/dataset
 
 echo "== bench (stage timings + engine modes + snapshot + ingest + batch + shard + drilldown) =="
 # The artifact series jumps pr5 -> pr7 -> pr8 -> pr9 -> pr10:

@@ -9,6 +9,8 @@
 //	figures                         # everything at the default scale
 //	figures -only fig9,fig10        # selected experiments
 //	figures -records 2000000        # paper-scale record count (slow)
+//	figures -only csvload -records 2000000 -attrs 160
+//	                                # load that scale from a CSV file
 package main
 
 import (
@@ -33,7 +35,7 @@ import (
 func main() {
 	log.SetFlags(0)
 	var (
-		only      = flag.String("only", "", "comma-separated subset: table1,boundaries,fig5,fig6,fig7,fig8,fig9,fig10,fig11,casestudy,ablations")
+		only      = flag.String("only", "", "comma-separated subset: table1,boundaries,fig5,fig6,fig7,fig8,fig9,fig10,fig11,casestudy,ablations,csvload (csvload only when named)")
 		records   = flag.Int("records", 200000, "records behind Fig. 9/10 (paper: 2,000,000)")
 		fig11Base = flag.Int("fig11base", 250000, "base records for Fig. 11 duplication sweep (paper: 2,000,000)")
 		attrs     = flag.Int("attrs", 160, "maximum attributes for Fig. 9/10/11 (paper: 160)")
@@ -69,6 +71,11 @@ func main() {
 	}
 	if run("ablations") {
 		ablations(*seed)
+	}
+	// csvload writes records × attrs to a temporary CSV, so it runs only
+	// when asked for by name.
+	if want["csvload"] {
+		csvload(*seed, *records, *attrs)
 	}
 }
 

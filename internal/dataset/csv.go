@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -17,9 +18,10 @@ type CSVOptions struct {
 	// the class.
 	ClassAttr string
 	// Kinds optionally fixes the kind of each named attribute. Attributes
-	// not listed are sniffed: a column whose non-missing values all parse
-	// as numbers and which has more than MaxSniffCardinality distinct
-	// values is continuous, otherwise categorical.
+	// not listed are sniffed: a column whose values other than
+	// MissingLabel and "" all parse as numbers (strconv.ParseFloat) and
+	// which has more than MaxSniffCardinality distinct such values is
+	// continuous, otherwise categorical.
 	Kinds map[string]Kind
 	// MaxSniffCardinality is the distinct-value threshold for treating a
 	// numeric column as categorical anyway (e.g. small integer codes).
@@ -39,7 +41,12 @@ type CSVOptions struct {
 	MaxRecordBytes int
 }
 
-// ReadCSV parses a header-bearing CSV stream into a Dataset.
+// ReadCSV parses a header-bearing CSV stream into a Dataset in one
+// streaming pass: each record is encoded into per-column state as soon
+// as it is read, so no record outlives the next Read. A column's kind
+// is the class's (categorical), the one Kinds declares, or else the
+// sniffing rule CSVOptions.Kinds documents, decided at EOF; see
+// csvColumn for how an undeclared column is held until then.
 func ReadCSV(r io.Reader, opts CSVOptions) (*Dataset, error) {
 	cr := csv.NewReader(r)
 	if opts.Comma != 0 {
@@ -53,85 +60,243 @@ func ReadCSV(r io.Reader, opts CSVOptions) (*Dataset, error) {
 	if opts.MaxColumns > 0 && len(header) > opts.MaxColumns {
 		return nil, fmt.Errorf("dataset: CSV header has %d columns, limit is %d", len(header), opts.MaxColumns)
 	}
-	if err := checkRecordBytes(header, 1, opts.MaxRecordBytes); err != nil {
+	line, _ := cr.FieldPos(0)
+	if err := checkRecordBytes(header, line, opts.MaxRecordBytes); err != nil {
 		return nil, err
 	}
-	names := make([]string, len(header))
-	for i, h := range header {
-		names[i] = strings.TrimSpace(h)
+	maxCard := opts.MaxSniffCardinality
+	if maxCard == 0 {
+		maxCard = 32
+	}
+	schema, cols, err := csvSchema(header, opts, maxCard)
+	if err != nil {
+		return nil, err
 	}
 
-	var rows [][]string
+	rows := 0
 	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return nil, fmt.Errorf("dataset: reading CSV row %d: %w", len(rows)+2, err)
+			return nil, fmt.Errorf("dataset: reading CSV data row %d: %w", rows+1, err)
 		}
-		if opts.MaxRows > 0 && len(rows) >= opts.MaxRows {
+		if opts.MaxRows > 0 && rows >= opts.MaxRows {
 			return nil, fmt.Errorf("dataset: CSV exceeds %d data rows", opts.MaxRows)
 		}
-		if err := checkRecordBytes(rec, len(rows)+2, opts.MaxRecordBytes); err != nil {
+		line, _ = cr.FieldPos(0)
+		if err := checkRecordBytes(rec, line, opts.MaxRecordBytes); err != nil {
 			return nil, err
 		}
-		row := make([]string, len(rec))
 		for i, v := range rec {
-			row[i] = strings.TrimSpace(v)
+			if err := cols[i].add(strings.TrimSpace(v), maxCard); err != nil {
+				return nil, fmt.Errorf("dataset: CSV line %d: attribute %q: %w", line, schema.Attrs[i].Name, err)
+			}
 		}
-		if len(row) != len(names) {
-			return nil, fmt.Errorf("dataset: CSV row %d has %d fields, header has %d", len(rows)+2, len(row), len(names))
-		}
-		rows = append(rows, row)
+		rows++
 	}
 
-	classIdx := len(names) - 1
+	ds := &Dataset{schema: schema, cols: make([]Column, len(cols)), rows: rows}
+	for i := range cols {
+		c := &cols[i]
+		switch c.state {
+		case colCategorical, colSniffing:
+			ds.cols[i] = Column{Kind: Categorical, Codes: c.codes, Dict: c.dict}
+		case colNumeric:
+			schema.Attrs[i].Kind = Continuous
+			ds.cols[i] = Column{Kind: Continuous, Values: c.values}
+		case colDeclared:
+			ds.cols[i] = Column{Kind: schema.Attrs[i].Kind, Values: c.values}
+		}
+	}
+	return ds, nil
+}
+
+// csvSchema checks the trimmed header (class lookup, then
+// Schema.Validate) before any data row is read, and returns the schema
+// with every undeclared column provisionally categorical plus each
+// column's starting state.
+func csvSchema(header []string, opts CSVOptions, maxCard int) (Schema, []csvColumn, error) {
+	attrs := make([]Attribute, len(header))
+	for i, h := range header {
+		attrs[i].Name = strings.TrimSpace(h)
+	}
+	classIdx := len(attrs) - 1
 	if opts.ClassAttr != "" {
 		classIdx = -1
-		for i, n := range names {
-			if n == opts.ClassAttr {
+		for i, a := range attrs {
+			if a.Name == opts.ClassAttr {
 				classIdx = i
 				break
 			}
 		}
 		if classIdx < 0 {
-			return nil, fmt.Errorf("dataset: class attribute %q not found in CSV header", opts.ClassAttr)
+			return Schema{}, nil, fmt.Errorf("dataset: class attribute %q not found in CSV header", opts.ClassAttr)
 		}
 	}
+	cols := make([]csvColumn, len(attrs))
+	for i := range attrs {
+		kind, declared := opts.Kinds[attrs[i].Name]
+		switch {
+		case i == classIdx || (declared && kind == Categorical):
+			cols[i] = csvColumn{state: colCategorical, dict: NewDictionary()}
+		case declared:
+			attrs[i].Kind = kind
+			cols[i].state = colDeclared
+		case maxCard < 0:
+			// Zero distinct labels already exceed a negative threshold.
+			cols[i].state = colNumeric
+		default:
+			cols[i] = csvColumn{state: colSniffing, dict: NewDictionary()}
+		}
+	}
+	schema := Schema{Attrs: attrs, ClassIndex: classIdx}
+	if err := schema.Validate(); err != nil {
+		return Schema{}, nil, err
+	}
+	return schema, cols, nil
+}
 
-	maxCard := opts.MaxSniffCardinality
-	if maxCard == 0 {
-		maxCard = 32
-	}
-	attrs := make([]Attribute, len(names))
-	for i, n := range names {
-		kind := Categorical
-		if k, ok := opts.Kinds[n]; ok {
-			kind = k
-		} else if i != classIdx {
-			kind = sniffKind(rows, i, maxCard)
-		}
-		if i == classIdx {
-			kind = Categorical
-		}
-		attrs[i] = Attribute{Name: n, Kind: kind}
-	}
+// colState is where one column stands in ReadCSV's single pass.
+type colState uint8
 
-	b, err := NewBuilder(Schema{Attrs: attrs, ClassIndex: classIdx})
-	if err != nil {
-		return nil, err
-	}
-	for _, row := range rows {
-		if err := b.AddRow(row); err != nil {
-			return nil, err
+const (
+	// colCategorical: dictionary codes, for good. The class column, a
+	// column Kinds declares categorical, and an undeclared column that
+	// has seen a non-number.
+	colCategorical colState = iota
+	// colSniffing: undeclared, every non-missing value so far a number,
+	// at most maxCard distinct ones. Held as dictionary codes, which is
+	// what the column becomes if it ends here.
+	colSniffing
+	// colNumeric: undeclared, every non-missing value so far a number,
+	// more than maxCard distinct ones. Held as float values plus every
+	// row's text, which a later non-number replays into a dictionary in
+	// row order; at EOF the text is dropped and the column is
+	// continuous.
+	colNumeric
+	// colDeclared: Kinds declares a non-categorical kind; every value
+	// must pass ParseContinuous.
+	colDeclared
+)
+
+// csvColumn is one column's state while ReadCSV streams the records.
+// An undeclared column follows the rule sniffKind used to apply to the
+// whole column at once: MissingLabel and "" neither fail the numeric
+// test nor count as distinct values, though "" is still a categorical
+// label, as in Builder.AddRow.
+type csvColumn struct {
+	state  colState
+	dict   *Dictionary
+	codes  []int32
+	values []float64
+	// labelValues[c] is dictionary label c as a float while the column
+	// is colSniffing (NaN for ""), so the switch to colNumeric parses
+	// nothing twice.
+	labelValues []float64
+	distinct    int // colSniffing: labels other than ""
+	// text holds, while colNumeric, every row's trimmed field in row
+	// order, each followed by '\n'. No field held there can contain a
+	// newline: it is MissingLabel, "" or a number.
+	text []byte
+}
+
+// add appends one trimmed field. Only a colDeclared column can fail.
+func (c *csvColumn) add(v string, maxCard int) error {
+	switch c.state {
+	case colCategorical:
+		code, _ := c.dict.encode(v)
+		c.codes = append(c.codes, code)
+	case colSniffing:
+		code, added := c.dict.encode(v)
+		c.codes = append(c.codes, code)
+		if !added {
+			return nil
 		}
+		f := math.NaN()
+		if v != "" {
+			var err error
+			if f, err = strconv.ParseFloat(v, 64); err != nil {
+				c.state, c.labelValues = colCategorical, nil
+				return nil
+			}
+			c.distinct++
+		}
+		c.labelValues = append(c.labelValues, f)
+		if c.distinct > maxCard {
+			c.toNumeric()
+		}
+	case colNumeric:
+		f, err := ParseContinuous(v)
+		if err != nil {
+			c.toCategorical()
+			code, _ := c.dict.encode(v)
+			c.codes = append(c.codes, code)
+			return nil
+		}
+		c.values = append(c.values, f)
+		c.text = append(append(c.text, v...), '\n')
+	case colDeclared:
+		f, err := ParseContinuous(v)
+		if err != nil {
+			return fmt.Errorf("cannot parse %q as number: %w", v, err)
+		}
+		c.values = append(c.values, f)
 	}
-	return b.Build()
+	return nil
+}
+
+// toNumeric turns a colSniffing column that has just passed maxCard
+// distinct numbers into colNumeric, rebuilding values and text from
+// its codes.
+func (c *csvColumn) toNumeric() {
+	c.values = make([]float64, len(c.codes))
+	for r, code := range c.codes {
+		label := MissingLabel
+		if code == Missing {
+			c.values[r] = math.NaN()
+		} else {
+			c.values[r] = c.labelValues[code]
+			label = c.dict.labels[code]
+		}
+		c.text = append(append(c.text, label...), '\n')
+	}
+	c.state, c.dict, c.codes, c.labelValues = colNumeric, nil, nil, nil
+}
+
+// toCategorical turns a colNumeric column that has just met a
+// non-number into colCategorical: replaying its text in row order
+// gives the dictionary the code order a whole-column pass would.
+func (c *csvColumn) toCategorical() {
+	c.dict = NewDictionary()
+	c.codes = make([]int32, 0, len(c.values)+1)
+	text := string(c.text)
+	for text != "" {
+		i := strings.IndexByte(text, '\n')
+		code, _ := c.dict.encode(text[:i])
+		c.codes = append(c.codes, code)
+		text = text[i+1:]
+	}
+	c.state, c.values, c.text = colCategorical, nil, nil
+}
+
+// encode is Code for a loader field: MissingLabel is Missing, and an
+// unseen label is registered as a copy, so the dictionary does not pin
+// the record string the field was sliced from. added reports a new
+// label.
+func (d *Dictionary) encode(label string) (code int32, added bool) {
+	if label == MissingLabel {
+		return Missing, false
+	}
+	if c, ok := d.codes[label]; ok {
+		return c, false
+	}
+	return d.Code(strings.Clone(label)), true
 }
 
 // checkRecordBytes enforces MaxRecordBytes on one record; line is the
-// 1-based CSV line for the error message.
+// 1-based CSV line the record starts on, for the error message.
 func checkRecordBytes(rec []string, line, limit int) error {
 	if limit <= 0 {
 		return nil
@@ -154,32 +319,6 @@ func ReadCSVFile(path string, opts CSVOptions) (*Dataset, error) {
 	}
 	defer f.Close()
 	return ReadCSV(f, opts)
-}
-
-func sniffKind(rows [][]string, col, maxCard int) Kind {
-	distinct := make(map[string]struct{})
-	numeric := true
-	for _, row := range rows {
-		v := row[col]
-		if v == MissingLabel || v == "" {
-			continue
-		}
-		if numeric {
-			if _, err := strconv.ParseFloat(v, 64); err != nil {
-				numeric = false
-			}
-		}
-		if len(distinct) <= maxCard {
-			distinct[v] = struct{}{}
-		}
-		if !numeric && len(distinct) > maxCard {
-			break
-		}
-	}
-	if numeric && len(distinct) > maxCard {
-		return Continuous
-	}
-	return Categorical
 }
 
 // WriteCSV writes the dataset with a header row. Missing values are

@@ -61,3 +61,25 @@ func TestReadCSVLimitsZeroUnlimited(t *testing.T) {
 		t.Errorf("dataset shape = %d rows × %d attrs, want 3×3", ds.NumRows(), ds.NumAttrs())
 	}
 }
+
+// TestReadCSVErrorLineAfterMultilineField pins the line a per-record
+// error names: the line the record starts on, counted past a quoted
+// field that spans lines, not the data row number plus one.
+func TestReadCSVErrorLineAfterMultilineField(t *testing.T) {
+	// Data row 1 spans lines 2–4; data row 2 starts on line 5.
+	const head = "a,b,class\n\"x\ny\nz\",1,yes\n"
+	wide := head + "w," + strings.Repeat("v", 100) + ",no\n"
+	if _, err := ReadCSV(strings.NewReader(wide), CSVOptions{MaxRecordBytes: 50}); err == nil {
+		t.Fatal("MaxRecordBytes=50 accepted a ~100-byte record")
+	} else if !strings.Contains(err.Error(), "line 5 exceeds 50 bytes") {
+		t.Errorf("error %q does not locate the oversized record on line 5", err)
+	}
+	bad := head + "w,abc,no\n"
+	_, err := ReadCSV(strings.NewReader(bad), CSVOptions{Kinds: map[string]Kind{"b": Continuous}})
+	if err == nil {
+		t.Fatal("a non-number in a declared continuous column was accepted")
+	}
+	if !strings.Contains(err.Error(), "line 5") || !strings.Contains(err.Error(), `"b"`) {
+		t.Errorf("error %q does not name line 5 and attribute b", err)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -162,4 +163,39 @@ func TestReadCSVCustomSeparator(t *testing.T) {
 	if ds.Label(0, 0) != "x" {
 		t.Error("semicolon separator not honored")
 	}
+}
+
+// TestReadCSVLabelsDoNotPinRecords checks that dictionary labels are
+// copies: encoding/csv slices every field of a record out of one string,
+// so a label kept as such a slice would keep its whole record alive.
+// Each record here carries a 64 KiB number in a declared-continuous
+// column beside two short labels that are new in every row.
+func TestReadCSVLabelsDoNotPinRecords(t *testing.T) {
+	const rows = 64
+	pad := strings.Repeat("0", 64<<10) + "1"
+	var sb strings.Builder
+	sb.WriteString("pad,a,class\n")
+	for r := 0; r < rows; r++ {
+		fmt.Fprintf(&sb, "%s,a%d,c%d\n", pad, r, r)
+	}
+	input := sb.String()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	ds, err := ReadCSV(strings.NewReader(input), CSVOptions{Kinds: map[string]Kind{"pad": Continuous}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	if ds.NumRows() != rows || ds.Cardinality(1) != rows {
+		t.Fatalf("loaded %d rows with %d labels, want %d and %d", ds.NumRows(), ds.Cardinality(1), rows, rows)
+	}
+	// The records total 4 MiB; the dataset itself is a few KiB.
+	if retained > 1<<20 {
+		t.Errorf("loaded dataset retains %d bytes, want under 1 MiB: labels pin their records", retained)
+	}
+	runtime.KeepAlive(ds)
+	runtime.KeepAlive(input)
 }

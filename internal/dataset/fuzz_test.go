@@ -5,19 +5,60 @@ import (
 	"testing"
 )
 
-// FuzzReadCSV hardens the loader: arbitrary text must either parse into
-// a queryable dataset or fail with an error — never panic.
+// FuzzReadCSV hardens the loader and checks it against the buffering
+// loader it replaced: arbitrary text, sniffing threshold, Kinds and
+// class choice must make ReadCSV fail exactly when readCSVReference
+// fails, and otherwise return the same dataset, which must answer basic
+// queries — never panic.
+//
+// kinds lists declarations as "name=c" (categorical) or "name=n"
+// (continuous) separated by ';'.
 func FuzzReadCSV(f *testing.F) {
-	f.Add("a,b,class\nx,1.5,yes\ny,2.5,no\n")
-	f.Add("class\nyes\n")
-	f.Add("")
-	f.Add("a,b\n\"unterminated")
-	f.Add("a,b,class\n?,?,?\n")
-	f.Add("a,a,class\nx,y,z\n") // duplicate attribute names
-	f.Fuzz(func(t *testing.T, input string) {
-		ds, err := ReadCSV(strings.NewReader(input), CSVOptions{})
+	f.Add("a,b,class\nx,1.5,yes\ny,2.5,no\n", int8(0), "", "")
+	f.Add("class\nyes\n", int8(0), "", "")
+	f.Add("", int8(0), "", "")
+	f.Add("a,b\n\"unterminated", int8(0), "", "")
+	f.Add("a,b,class\n?,?,?\n", int8(0), "", "")
+	f.Add("a,a,class\nx,y,z\n", int8(0), "", "") // duplicate attribute names
+	// A column that turns non-numeric after more than maxCard distinct
+	// numbers: its earlier labels must keep their first-appearance order.
+	f.Add("a,class\n3,y\n1,n\n?,y\n2,n\n,y\n1,y\n4,n\nx,y\n2,n\n", int8(2), "", "")
+	f.Add("a,class\n1,y\n2,n\n3,y\n", int8(1), "", "")
+	f.Add("a,class\n1,y\n2,n\n1,y\n", int8(2), "", "") // exactly maxCard: categorical
+	// "" and "?" inside numeric columns.
+	f.Add("a,b,class\n1,,y\n,2,n\n?,3,y\n2,?,n\n3,4,y\n", int8(1), "", "")
+	f.Add("a,b,class\n1.5,,y\n2.5,?,n\n3.5,,y\n", int8(-1), "", "")
+	// Kinds overrides, on the class column too, and a parse failure.
+	f.Add("a,b,class\n1,2,3\n4,5,6\n7,8,9\n", int8(1), "a=c;class=n", "")
+	f.Add("a,b,class\n1,x,3\n4,5,6\n", int8(1), "b=n", "a")
+	f.Add("class,b\nyes,1\nno,2\nyes,3\n", int8(1), "b=c", "class")
+	// Quoted fields holding newlines.
+	f.Add("a,b,class\n\"x\ny\",1,yes\n\"p\n\nq\",2,no\n\"x\ny\",3,yes\n", int8(1), "", "")
+	f.Fuzz(func(t *testing.T, input string, maxCard int8, kinds, class string) {
+		opts := CSVOptions{MaxSniffCardinality: int(maxCard), ClassAttr: class}
+		for _, decl := range strings.Split(kinds, ";") {
+			name, kind, ok := strings.Cut(decl, "=")
+			if !ok {
+				continue
+			}
+			if opts.Kinds == nil {
+				opts.Kinds = map[string]Kind{}
+			}
+			opts.Kinds[name] = Continuous
+			if kind == "c" {
+				opts.Kinds[name] = Categorical
+			}
+		}
+		ds, err := ReadCSV(strings.NewReader(input), opts)
+		want, wantErr := readCSVReference(strings.NewReader(input), opts)
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("ReadCSV error %v, reference error %v", err, wantErr)
+		}
 		if err != nil {
 			return
+		}
+		if d := diffDatasets(ds, want); d != "" {
+			t.Fatalf("ReadCSV differs from the reference: %s", d)
 		}
 		// Parsed datasets must answer basic queries.
 		_ = ds.ClassDistribution()
