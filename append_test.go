@@ -9,7 +9,9 @@ import (
 	"testing"
 
 	"opmap/internal/dataset"
+	"opmap/internal/obsv"
 	"opmap/internal/testutil"
+	"opmap/internal/wal"
 )
 
 // ingestRows generates deterministic mixed-schema rows (two
@@ -392,6 +394,84 @@ func TestAppendCutReevaluation(t *testing.T) {
 	}
 	if _, err := s.Compare("Region", "north", "south", "fail", CompareOptions{}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAppendWALReplayRowCounts streams 200 batches of 50 rows through
+// the durable ingest path a daemon takes — wal.Append, then AppendSeq —
+// closes the log and replays it into a fresh session. Exact counts pin
+// the path end to end: 200 records replayed, 10,100 rows and ingest
+// sequence 200 on both sessions, and identical compare, sweep and
+// overview answers.
+func TestAppendWALReplayRowCounts(t *testing.T) {
+	const baseRows, batches, batchRows = 100, 200, 50
+	all := ingestRows(baseRows + batches*batchRows)
+	ctx := context.Background()
+	dir := t.TempDir()
+
+	live := loadIngestSession(t, all[:baseRows], false)
+	// NoSync: the test checks counts, not durability, and 200 fsyncs
+	// would dominate its run time.
+	lg, err := wal.Open(dir, wal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := 0; b < batches; b++ {
+		rows := all[baseRows+b*batchRows : baseRows+(b+1)*batchRows]
+		seq, err := lg.Append(wal.EncodeRows(rows))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := live.AppendSeq(ctx, rows, seq); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := lg.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	replayed := loadIngestSession(t, all[:baseRows], false)
+	lg, err = wal.Open(dir, wal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lg.Close()
+	counter := obsv.Default().Counter(wal.ReplayedRecordsCounterName)
+	before := counter.Value()
+	n, err := lg.Replay(1, func(seq uint64, payload []byte) error {
+		rows, err := wal.DecodeRows(payload)
+		if err != nil {
+			return err
+		}
+		return replayed.AppendSeq(ctx, rows, seq)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != batches {
+		t.Errorf("Replay delivered %d records, want %d", n, batches)
+	}
+	if d := counter.Value() - before; d != batches {
+		t.Errorf("%s moved by %d, want %d", wal.ReplayedRecordsCounterName, d, batches)
+	}
+	for name, s := range map[string]*Session{"live": live, "replayed": replayed} {
+		if got, want := s.NumRows(), baseRows+batches*batchRows; got != want {
+			t.Errorf("%s: NumRows = %d, want %d", name, got, want)
+		}
+		if got := s.IngestSeq(); got != batches {
+			t.Errorf("%s: IngestSeq = %d, want %d", name, got, batches)
+		}
+	}
+	lc, ls, li := queryTriple(t, live)
+	rc, rs, ri := queryTriple(t, replayed)
+	if !reflect.DeepEqual(lc, rc) {
+		t.Errorf("Compare diverges:\nlive     %+v\nreplayed %+v", lc, rc)
+	}
+	if !reflect.DeepEqual(ls, rs) {
+		t.Errorf("Sweep diverges:\nlive     %+v\nreplayed %+v", ls, rs)
+	}
+	if !reflect.DeepEqual(li, ri) {
+		t.Errorf("overview (Impressions) diverges:\nlive     %+v\nreplayed %+v", li, ri)
 	}
 }
 

@@ -40,9 +40,8 @@ func compareKey(in compare.Input, o compare.Options) string {
 }
 
 // oneVsRestAllKey keys a one-vs-rest run over every value of an
-// attribute. DisableBatch-style execution knobs are deliberately not
-// part of the identity: they change how cubes are materialized, never
-// the result.
+// attribute. Only result-shaping options are part of the identity; how
+// the cubes get materialized never changes the result.
 func oneVsRestAllKey(attr int, class int32, o compare.Options) string {
 	return fmt.Sprintf("onevsrestall|a=%d|c=%d|%s", attr, class, compareOptsKey(o))
 }

@@ -2,7 +2,11 @@
 # ci.sh — the repo's full correctness gate. Run locally before pushing;
 # .github/workflows/ci.yml runs exactly this script, so green here
 # means green in CI. Zero external dependencies: everything below is
-# the Go toolchain operating on this module.
+# the Go toolchain operating on this module. Sections: gofmt, vet,
+# build, tests (plain and -race), opmaplint, opmapd/shard smokes and
+# fuzz smokes. Every gate checks a fact (an exit status, an exact
+# counter, byte-identical responses); none reads a wall clock. The
+# benchmark is perfbench/run.sh, not part of this gate.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -26,29 +30,13 @@ go test ./...
 echo "== go test -race =="
 go test -race ./...
 
-echo "== opmaplint (parallel incremental driver + baseline) =="
+echo "== opmaplint =="
 lintdir=$(mktemp -d)
+trap 'rm -rf "$lintdir"' EXIT
 go build -o "$lintdir/opmaplint" ./cmd/opmaplint
-# Cold run against a fresh cache: machine-readable findings, gated on
-# the committed lint_baseline.json (any finding not in the baseline is
-# an exit 1 right here). The stderr summary prints the cache hit rate.
-"$lintdir/opmaplint" -format json -cache-dir "$lintdir/cache" ./... \
-    >"$lintdir/lint.json" 2>"$lintdir/lint.cold.log"
-cat "$lintdir/lint.cold.log"
-if ! grep -qF '"new_findings": 0' "$lintdir/lint.json"; then
-    echo "opmaplint found new findings not in lint_baseline.json:" >&2
-    cat "$lintdir/lint.json" >&2
-    exit 1
-fi
-# Warm run: same tree, same cache — every package must be served from
-# the content-hash cache. Emits SARIF for the CI artifact upload.
-"$lintdir/opmaplint" -format sarif -cache-dir "$lintdir/cache" ./... \
-    >lint.sarif 2>"$lintdir/lint.warm.log"
-cat "$lintdir/lint.warm.log"
-if ! grep -qE 'cache hits [1-9]' "$lintdir/lint.warm.log"; then
-    echo "warm opmaplint run skipped no packages; the result cache is broken" >&2
-    exit 1
-fi
+# Exit status 1 on any finding fails the gate here; the SARIF is the
+# CI artifact upload.
+"$lintdir/opmaplint" -format sarif ./... >lint.sarif
 rm -rf "$lintdir"
 
 echo "== opmapd smoke (serve, probe, drain) =="
@@ -616,35 +604,5 @@ go test -run '^$' -fuzz '^FuzzReadSnapshot$' -fuzztime 10s ./internal/snapshot
 go test -run '^$' -fuzz '^FuzzMergeSnapshots$' -fuzztime 10s ./internal/snapshot
 go test -run '^$' -fuzz '^FuzzReplayWAL$' -fuzztime 10s ./internal/wal
 go test -run '^$' -fuzz '^FuzzReadCSV$' -fuzztime 10s ./internal/dataset
-
-echo "== bench (stage timings + engine modes + snapshot + ingest + batch + shard + drilldown) =="
-# The artifact series jumps pr5 -> pr7 -> pr8 -> pr9 -> pr10:
-# BENCH_pr6.json was never recorded (PR 6 predates the
-# bench-artifact-per-PR convention), so that hop in the -prev chain is
-# a gap, noted in each artifact's notes. The bench enforces its gates
-# itself (nonzero exit): a batched sweep must take exactly one dataset
-# scan and cut scans >=5x vs the per-pair baseline recorded in the
-# same run, and no headline metric may regress >30% vs the previous
-# artifact after normalizing by the CPU/disk calibration canaries
-# recorded in both artifacts. The shard headline metric
-# (end_to_end_2_shards_ms) appears in BENCH_pr9.json, so comparing
-# against pr9 arms that gate for the first time this PR. The drilldown
-# section is new in pr10; its numbers become comparable from pr11 on.
-go run ./cmd/opmapbench -records 20000 -rounds 50 \
-    -out BENCH_pr10.json -prev BENCH_pr9.json
-grep -q '"build_cubes"' BENCH_pr10.json
-grep -q '"drilldown"' BENCH_pr10.json
-grep -q '"lazy_cold_compare_ms"' BENCH_pr10.json
-grep -q '"load_speedup_vs_build"' BENCH_pr10.json
-grep -q '"rows_per_sec"' BENCH_pr10.json
-grep -q '"append_p90_ms"' BENCH_pr10.json
-grep -q '"replay_ms_per_1m_records"' BENCH_pr10.json
-grep -q '"batch_scans": 1,' BENCH_pr10.json
-grep -q '"scan_reduction"' BENCH_pr10.json
-grep -q '"speedup_vs_per_pair"' BENCH_pr10.json
-grep -q '"max_shard_build_ms"' BENCH_pr10.json
-grep -q '"single_pass_ms"' BENCH_pr10.json
-grep -q '"shards": 8' BENCH_pr10.json
-grep -q '"recovered_planted_pair": true' BENCH_pr10.json
 
 echo "CI PASSED"

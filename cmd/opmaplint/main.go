@@ -1,18 +1,17 @@
 // Command opmaplint runs the project's static analyzers (package
 // internal/lint) over Go packages and reports diagnostics, exiting
-// non-zero when anything *new* is found. It is part of the tier-1 CI
-// gate (see ci.sh):
+// non-zero on any finding. It is part of the tier-1 CI gate (see
+// ci.sh):
 //
-//	go run ./cmd/opmaplint -format json ./...
+//	go run ./cmd/opmaplint -format sarif ./... > lint.sarif
 //
-// The v2 engine type-checks the module's package DAG in parallel,
-// caches per-package results under .lintcache/ by content hash (a warm
-// re-run skips unchanged packages entirely), and subtracts the
-// git-tracked baseline file lint_baseline.json so only new findings
-// fail the build. Output formats: text (compiler-style), json (for
-// ci.sh and scripts), sarif (for code-scanning UIs). The engine
-// remains zero-dependency: go/parser, go/types and the stdlib source
-// importer only.
+// The engine type-checks the module's packages one at a time in
+// dependency order and runs every analyzer on each; accepted
+// exceptions live in the compiled-in, justified allowlist
+// (internal/lint/allow.go). Output formats: text (compiler-style),
+// json (for scripts), sarif (for code-scanning UIs). The engine is
+// zero-dependency: go/parser, go/types and the stdlib source importer
+// only.
 package main
 
 import (
@@ -20,8 +19,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"runtime"
 
 	"opmap/internal/lint"
 )
@@ -30,19 +27,12 @@ func main() {
 	os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// realMain is the testable entry point. Exit status: 0 clean (no new
-// findings), 1 new findings, 2 operational error.
+// realMain is the testable entry point. Exit status: 0 clean, 1
+// findings, 2 operational error.
 func realMain(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("opmaplint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var (
-		format        = fs.String("format", "text", "output format: text, json, or sarif")
-		baselinePath  = fs.String("baseline", "", "baseline file (default <module root>/lint_baseline.json)")
-		writeBaseline = fs.Bool("write-baseline", false, "write all current findings to the baseline file and exit 0")
-		cacheDir      = fs.String("cache-dir", "", "result cache directory (default <module root>/.lintcache)")
-		noCache       = fs.Bool("no-cache", false, "disable the result cache for this run")
-		jobs          = fs.Int("jobs", 0, "max concurrent package analyses (default GOMAXPROCS)")
-	)
+	format := fs.String("format", "text", "output format: text, json, or sarif")
 	fs.Usage = func() { usage(stderr, fs) }
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
@@ -61,38 +51,13 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		Patterns:  fs.Args(),
 		Analyzers: lint.All,
 		Allow:     lint.Allowlist,
-		CacheDir:  *cacheDir,
-		NoCache:   *noCache,
-		Jobs:      *jobs,
 	})
 	if err != nil {
 		fmt.Fprintln(stderr, "opmaplint:", err)
 		return 2
 	}
 
-	blPath := *baselinePath
-	if blPath == "" {
-		blPath = filepath.Join(res.ModuleRoot, lint.DefaultBaselineName)
-	}
-
-	if *writeBaseline {
-		bl := lint.BaselineFrom(res.Diags)
-		if err := bl.Write(blPath); err != nil {
-			fmt.Fprintln(stderr, "opmaplint:", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "opmaplint: wrote %d baseline entrie(s) to %s\n", len(bl.Findings), blPath)
-		return 0
-	}
-
-	bl, err := lint.LoadBaseline(blPath)
-	if err != nil {
-		fmt.Fprintln(stderr, "opmaplint:", err)
-		return 2
-	}
-	fresh, baselined, stale := bl.Apply(res.Diags)
-	rep := lint.BuildReport(res, fresh, baselined, stale)
-
+	rep := lint.BuildReport(res)
 	switch *format {
 	case "text":
 		err = rep.WriteText(stdout)
@@ -106,10 +71,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	fmt.Fprintln(stderr, rep.Summary())
-	for _, e := range stale {
-		fmt.Fprintf(stderr, "opmaplint: stale baseline entry (finding no longer occurs): %s %s %s\n", e.Analyzer, e.File, e.Symbol)
-	}
-	if len(fresh) > 0 {
+	if len(rep.Findings) > 0 {
 		return 1
 	}
 	return 0
@@ -119,15 +81,12 @@ func usage(w io.Writer, fs *flag.FlagSet) {
 	fmt.Fprintln(w, "usage: opmaplint [flags] [packages]")
 	fmt.Fprintln(w, "")
 	fmt.Fprintln(w, "Runs the project's static analyzers over the given package patterns")
-	fmt.Fprintln(w, "(default ./...). Packages unchanged since the last run are served from")
-	fmt.Fprintf(w, "the %s/ result cache; findings recorded in %s\n", lint.DefaultCacheDirName, lint.DefaultBaselineName)
-	fmt.Fprintln(w, "are reported but do not fail the run. Exit status: 0 clean (no new")
-	fmt.Fprintln(w, "findings), 1 new findings, 2 operational error.")
+	fmt.Fprintln(w, "(default ./...). Exit status: 0 clean, 1 findings, 2 operational error.")
 	fmt.Fprintln(w, "")
 	fmt.Fprintln(w, "Flags:")
 	fs.PrintDefaults()
 	fmt.Fprintln(w, "")
-	fmt.Fprintf(w, "Analyzers (%s, up to %d parallel workers):\n", lint.EngineVersion, runtime.GOMAXPROCS(0))
+	fmt.Fprintf(w, "Analyzers (%s):\n", lint.EngineVersion)
 	for _, a := range lint.All {
 		fmt.Fprintf(w, "  %-12s %s\n", a.Name, a.Doc)
 	}

@@ -78,10 +78,6 @@ func batchReqsFor(servedList []int, attr int, attrs []int, withMarginals bool) [
 type OneVsRestAllOptions struct {
 	// Compare tunes each per-value one-vs-rest ranking.
 	Compare Options
-	// DisableBatch turns off the up-front shared-scan cube prefetch so
-	// every cube is faulted in one by one. Results are identical either
-	// way; the flag exists for benchmarking and oracle tests.
-	DisableBatch bool
 }
 
 // OneVsRestAllResult aggregates the one-vs-rest rankings of every value
@@ -127,15 +123,10 @@ func (c *Comparator) OneVsRestAllContext(ctx context.Context, attr int, class in
 	if class < 0 || int(class) >= ds.NumClasses() {
 		return nil, fmt.Errorf("compare: class %d out of range [0,%d)", class, ds.NumClasses())
 	}
-	// Validate the candidate list up front on both paths, so a bad
-	// explicit list fails identically with and without batching.
-	if _, err := resolveRankAttrs(ds, attr, opts.Compare.Attrs); err != nil {
+	// The prefetch also validates the candidate list, so a bad explicit
+	// list fails before any value is ranked.
+	if err := c.prefetchPairs(ctx, attr, opts.Compare.Attrs, true); err != nil {
 		return nil, err
-	}
-	if !opts.DisableBatch {
-		if err := c.prefetchPairs(ctx, attr, opts.Compare.Attrs, true); err != nil {
-			return nil, err
-		}
 	}
 	dict := ds.Column(attr).Dict
 	res := &OneVsRestAllResult{Attr: attr}

@@ -29,80 +29,121 @@ func batchSources(t testing.TB, records, noise int) (*Comparator, *Comparator, i
 	return New(store), NewSource(lazy), attr, cls
 }
 
-// TestSweepBatchOracle is the tentpole oracle: a batched sweep must be
-// byte-for-byte identical to the per-pair sequential loop, on the eager
-// store and on a cold lazy engine.
+// counterDelta returns how far the named default-registry counter
+// moves while run executes.
+func counterDelta(t *testing.T, name string, run func()) int64 {
+	t.Helper()
+	c := obsv.Default().Counter(name)
+	before := c.Value()
+	run()
+	return c.Value() - before
+}
+
+// TestSweepBatchOracle is the batch oracle: a batched sweep on a cold
+// lazy engine must be byte-for-byte identical to the same sweep over
+// the fully counted store. The reference run counts nothing — every
+// cube it reads was pinned when the store was built — so it is the
+// sequential per-cube read of already-counted cells, not a second
+// batched scan.
 func TestSweepBatchOracle(t *testing.T) {
 	eager, lazy, attr, cls := batchSources(t, 30000, 3)
-	ref, err := eager.Sweep(attr, cls, SweepOptions{DisableBatch: true})
-	if err != nil {
-		t.Fatal(err)
+	var ref *SweepResult
+	scans := counterDelta(t, rulecube.CubeScansCounterName, func() {
+		var err error
+		if ref, err = eager.Sweep(attr, cls, SweepOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if scans != 0 {
+		t.Fatalf("reference sweep over the counted store performed %d scans, want 0", scans)
 	}
 	if ref.PairsCompared == 0 {
 		t.Fatal("reference sweep compared nothing")
 	}
-	for name, c := range map[string]*Comparator{"eager": eager, "lazy": lazy} {
-		got, err := c.Sweep(attr, cls, SweepOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, ref) {
-			t.Errorf("%s: batched sweep differs from sequential reference", name)
-		}
+	got, err := lazy.Sweep(attr, cls, SweepOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, ref) {
+		t.Error("lazy batched sweep differs from the counted-store reference")
 	}
 }
 
 // TestOneVsRestAllBatchOracle checks the all-values one-vs-rest the
-// same way, on both sources and with a restricted candidate list.
+// same way, with and without a restricted candidate list.
 func TestOneVsRestAllBatchOracle(t *testing.T) {
 	eager, lazy, attr, cls := batchSources(t, 30000, 3)
 	for _, opts := range []Options{{}, {Attrs: []int{1, 2}}} {
-		ref, err := eager.OneVsRestAll(attr, cls, OneVsRestAllOptions{Compare: opts, DisableBatch: true})
-		if err != nil {
-			t.Fatal(err)
+		var ref *OneVsRestAllResult
+		scans := counterDelta(t, rulecube.CubeScansCounterName, func() {
+			var err error
+			if ref, err = eager.OneVsRestAll(attr, cls, OneVsRestAllOptions{Compare: opts}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if scans != 0 {
+			t.Fatalf("opts %+v: reference run over the counted store performed %d scans, want 0", opts, scans)
 		}
 		if len(ref.Results) == 0 {
 			t.Fatal("reference one-vs-rest-all ranked nothing")
 		}
-		for name, c := range map[string]*Comparator{"eager": eager, "lazy": lazy} {
-			got, err := c.OneVsRestAll(attr, cls, OneVsRestAllOptions{Compare: opts})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, ref) {
-				t.Errorf("%s (opts %+v): batched one-vs-rest-all differs from sequential reference", name, opts)
-			}
+		got, err := lazy.OneVsRestAll(attr, cls, OneVsRestAllOptions{Compare: opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, ref) {
+			t.Errorf("opts %+v: lazy batched one-vs-rest-all differs from the counted-store reference", opts)
 		}
 	}
 }
 
-// TestSweepSingleScan asserts the acceptance criterion directly: a full
-// batched sweep over a cold lazy engine performs exactly one dataset
-// scan, where the sequential loop performs one per cube.
+// TestSweepSingleScan pins the shared-scan batch with exact counters:
+// a full sweep over a cold lazy engine performs exactly one dataset
+// scan and counts exactly the cubes it declared up front — the split
+// attribute's 1-D cube plus one pair cube per candidate. Faulting the
+// cubes in one by one would cost one scan per cube.
 func TestSweepSingleScan(t *testing.T) {
 	_, lazy, attr, cls := batchSources(t, 20000, 3)
-	scans := obsv.Default().Counter(rulecube.CubeScansCounterName)
-	s0 := scans.Value()
-	if _, err := lazy.Sweep(attr, cls, SweepOptions{}); err != nil {
-		t.Fatal(err)
+	candidates := defaultRankAttrs(lazy.ds, attr)
+	if len(candidates) < 2 {
+		t.Fatalf("only %d candidate attributes; the scan count would prove nothing", len(candidates))
 	}
-	if d := scans.Value() - s0; d != 1 {
-		t.Errorf("batched sweep performed %d scans, want exactly 1", d)
+	var built int64
+	scans := counterDelta(t, rulecube.CubeScansCounterName, func() {
+		built = counterDelta(t, rulecube.CubesBuiltCounterName, func() {
+			if _, err := lazy.Sweep(attr, cls, SweepOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	})
+	if scans != 1 {
+		t.Errorf("batched sweep performed %d scans, want exactly 1", scans)
 	}
+	if want := int64(1 + len(candidates)); built != want {
+		t.Errorf("batched sweep built %d cubes, want %d (split 1-D cube + %d pair cubes)", built, want, len(candidates))
+	}
+}
 
-	// The sequential loop on a second cold engine pays one scan per cube.
-	_, gt, ds := buildCaseStudy(t, 20000, 3)
-	cold, err := engine.NewLazy(ds, engine.LazyOptions{})
-	if err != nil {
-		t.Fatal(err)
+// TestOneVsRestAllSingleScan is TestSweepSingleScan for the all-values
+// one-vs-rest: one scan, and exactly the cubes batchReqsFor declares
+// with marginals (split 1-D cube, each candidate's pair cube and its
+// own 1-D marginal).
+func TestOneVsRestAllSingleScan(t *testing.T) {
+	_, lazy, attr, cls := batchSources(t, 20000, 3)
+	reqs := batchReqsFor(lazy.src.Attrs(), attr, defaultRankAttrs(lazy.ds, attr), true)
+	var built int64
+	scans := counterDelta(t, rulecube.CubeScansCounterName, func() {
+		built = counterDelta(t, rulecube.CubesBuiltCounterName, func() {
+			if _, err := lazy.OneVsRestAll(attr, cls, OneVsRestAllOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	})
+	if scans != 1 {
+		t.Errorf("batched one-vs-rest-all performed %d scans, want exactly 1", scans)
 	}
-	a := ds.AttrIndex(gt.PhoneAttr)
-	s1 := scans.Value()
-	if _, err := NewSource(cold).Sweep(a, cls, SweepOptions{DisableBatch: true}); err != nil {
-		t.Fatal(err)
-	}
-	if d := scans.Value() - s1; d <= 1 {
-		t.Errorf("sequential sweep performed %d scans, expected one per cube", d)
+	if want := int64(len(reqs)); built != want {
+		t.Errorf("batched one-vs-rest-all built %d cubes, want the %d it declares", built, want)
 	}
 }
 
@@ -213,12 +254,12 @@ func FuzzSweepOptions(f *testing.F) {
 		f.Fatal("ground truth class missing")
 	}
 	c := New(store)
-	f.Add(0, 0.0, false)
-	f.Add(-3, 0.0, true)
-	f.Add(2, math.Inf(1), false)
-	f.Add(1, -1.5, true)
-	f.Fuzz(func(t *testing.T, topK int, minScore float64, disableBatch bool) {
-		opts := SweepOptions{TopK: topK, MinScore: minScore, DisableBatch: disableBatch}
+	f.Add(0, 0.0)
+	f.Add(-3, 0.0)
+	f.Add(2, math.Inf(1))
+	f.Add(1, -1.5)
+	f.Fuzz(func(t *testing.T, topK int, minScore float64) {
+		opts := SweepOptions{TopK: topK, MinScore: minScore}
 		res, err := c.Sweep(attr, cls, opts)
 		if topK < 0 || math.IsNaN(minScore) {
 			if err == nil {

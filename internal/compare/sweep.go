@@ -35,12 +35,6 @@ type SweepOptions struct {
 	// the context expires mid-sweep, annotating the skipped pairs in
 	// SweepResult.Errors, instead of failing the whole sweep.
 	Partial bool
-	// DisableBatch turns off the up-front shared-scan cube prefetch
-	// (engine.LazySource.Cubes) so every cube is faulted in one by one,
-	// as before the batch engine existed. Results are identical either
-	// way; the flag exists for benchmarking the shared-scan win and for
-	// oracle tests, and is not part of result-cache identity.
-	DisableBatch bool
 }
 
 // validate rejects option values the aggregation loop would otherwise
@@ -115,15 +109,13 @@ func (c *Comparator) SweepContext(ctx context.Context, attr int, class int32, op
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	if !opts.DisableBatch {
-		// Declare the sweep's full cube needs up front: the split
-		// attribute's 1-D cube (screening and rule counting) plus every
-		// (split, candidate) pair cube. A lazy source answers all cache
-		// misses from one shared dataset scan; afterwards the loop below
-		// only hits resident cubes.
-		if err := c.prefetchPairs(ctx, attr, opts.Compare.Attrs, false); err != nil {
-			return nil, err
-		}
+	// Declare the sweep's full cube needs up front: the split
+	// attribute's 1-D cube (screening and rule counting) plus every
+	// (split, candidate) pair cube. A lazy source answers all cache
+	// misses from one shared dataset scan; afterwards the loop below
+	// only hits resident cubes.
+	if err := c.prefetchPairs(ctx, attr, opts.Compare.Attrs, false); err != nil {
+		return nil, err
 	}
 	pairs, err := c.ScreenPairsContext(ctx, attr, class, opts.Screen)
 	if err != nil {

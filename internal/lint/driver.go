@@ -4,33 +4,21 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
 	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // The driver is the engine's orchestration layer: it enumerates
-// packages with `go list`, arranges them into the module's import DAG,
-// and runs a worker pool over that DAG so independent packages
-// type-check and analyze concurrently while each dependent still sees
-// its dependencies' completed *types.Package (shared through one
-// process-wide map — a dependency is type-checked exactly once per
-// run, never once per importer). The content-hash cache decides, per
-// package, whether analysis can be skipped; a package is additionally
-// spared type-checking when nothing downstream of it misses the cache.
-// Output order is deterministic regardless of worker interleaving:
-// diagnostics are collected per package and sorted by position at the
-// end.
+// packages with `go list`, orders them dependencies-first along the
+// module's import DAG, and type-checks and analyzes them one at a time
+// through one Loader, so each package sees its dependencies' completed
+// *types.Package (a dependency is type-checked exactly once per run,
+// never once per importer). Diagnostics are sorted by position at the
+// end, so output order is deterministic.
 
 // DriverConfig parameterizes one lint run.
 type DriverConfig struct {
@@ -43,13 +31,6 @@ type DriverConfig struct {
 	Analyzers []*Analyzer
 	// Allow is the compiled-in allowlist applied during analysis.
 	Allow []Allow
-	// CacheDir overrides the result-cache location. Empty means
-	// <module root>/.lintcache.
-	CacheDir string
-	// NoCache disables reading and writing the result cache.
-	NoCache bool
-	// Jobs bounds worker-pool parallelism; <=0 means GOMAXPROCS.
-	Jobs int
 }
 
 // DriverResult is one completed lint run.
@@ -61,10 +42,6 @@ type DriverResult struct {
 	ModulePath string
 	// Packages is how many packages the patterns matched.
 	Packages int
-	// Analyzed is how many packages were actually analyzed this run.
-	Analyzed int
-	// CacheHits is how many packages were served from the result cache.
-	CacheHits int
 	// Diags are all findings, allowlist already applied, sorted by
 	// file/line/column/analyzer with module-root-relative filenames.
 	Diags []Diagnostic
@@ -78,19 +55,13 @@ type listedPkg struct {
 	Imports    []string
 }
 
-// node is one package in the scheduling DAG.
+// node is one package in the import DAG.
 type node struct {
-	pkg        listedPkg
-	deps       []*node // in-module imports
-	dependents []*node
-	key        string       // content-hash cache key
-	diags      []Diagnostic // cached or freshly analyzed
-	cached     bool         // analysis served from cache
-	needsWork  bool         // must be parsed + type-checked this run
-	pending    int          // unfinished needsWork deps
+	pkg  listedPkg
+	deps []*node // in-module imports
 }
 
-// Drive runs the full engine: list, schedule, type-check, analyze,
+// Drive runs the full engine: list, order, type-check, analyze,
 // collect. It returns diagnostics and run statistics; operational
 // failures (a package that does not type-check, a broken pattern) are
 // errors.
@@ -115,220 +86,22 @@ func Drive(cfg DriverConfig) (*DriverResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	nodes := buildGraph(pkgs, modPath)
+	order := topoOrder(buildGraph(pkgs, modPath))
 
-	cacheDir := cfg.CacheDir
-	if cacheDir == "" {
-		cacheDir = filepath.Join(modRoot, DefaultCacheDirName)
-	}
-	useCache := !cfg.NoCache
-	if useCache {
-		pruneCache(cacheDir)
-	}
-
-	// Phase 1: content-hash keys in dependency order, then cache lookup.
-	engine := enginePrint(analyzers, cfg.Allow)
-	order := topoOrder(nodes)
+	loader := NewLoader()
+	res := &DriverResult{ModuleRoot: modRoot, ModulePath: modPath, Packages: len(order)}
 	for _, n := range order {
-		depKeys := make([]string, 0, len(n.deps))
-		for _, d := range n.deps {
-			depKeys = append(depKeys, d.key)
-		}
-		n.key, err = packageKey(engine, n.pkg.ImportPath, n.pkg.Dir, n.pkg.GoFiles, depKeys)
+		pkg, err := loader.Load(n.pkg.ImportPath, n.pkg.Dir, n.pkg.GoFiles)
 		if err != nil {
 			return nil, err
 		}
-		if useCache {
-			if diags, ok := loadCached(cacheDir, n.key); ok {
-				n.diags, n.cached = diags, true
-			}
+		for _, d := range Run(pkg, analyzers, cfg.Allow) {
+			d.Pos.Filename = relToRoot(modRoot, d.Pos.Filename)
+			res.Diags = append(res.Diags, d)
 		}
-	}
-
-	// Phase 2: a package needs parsing and type-checking when its own
-	// analysis missed the cache, or when any dependent is itself being
-	// type-checked (its import of this package must resolve to real
-	// types). Propagated in reverse dependency order.
-	for i := len(order) - 1; i >= 0; i-- {
-		n := order[i]
-		n.needsWork = !n.cached
-		for _, d := range n.dependents {
-			if d.needsWork {
-				n.needsWork = true
-				break
-			}
-		}
-	}
-
-	if err := runPool(order, analyzers, cfg.Allow, cacheDir, useCache, modRoot, cfg.Jobs); err != nil {
-		return nil, err
-	}
-
-	res := &DriverResult{ModuleRoot: modRoot, ModulePath: modPath, Packages: len(order)}
-	for _, n := range order {
-		if n.cached {
-			res.CacheHits++
-		} else {
-			res.Analyzed++
-		}
-		res.Diags = append(res.Diags, n.diags...)
 	}
 	sortDiags(res.Diags)
 	return res, nil
-}
-
-// runPool executes the worker pool over the DAG. Workers pull ready
-// nodes (all needsWork dependencies finished), type-check them against
-// the shared results map, analyze cache misses, and release their
-// dependents. The first failure stops the pool.
-func runPool(order []*node, analyzers []*Analyzer, allow []Allow, cacheDir string, useCache bool, modRoot string, jobs int) error {
-	var work []*node
-	for _, n := range order {
-		if !n.needsWork {
-			continue
-		}
-		n.pending = 0
-		for _, d := range n.deps {
-			if d.needsWork {
-				n.pending++
-			}
-		}
-		work = append(work, n)
-	}
-	if len(work) == 0 {
-		return nil
-	}
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
-	if jobs > len(work) {
-		jobs = len(work)
-	}
-
-	fset := token.NewFileSet()
-	imp := &modImporter{std: importer.ForCompiler(fset, "source", nil)}
-
-	var (
-		mu          sync.Mutex
-		cond        = sync.NewCond(&mu)
-		ready       []*node
-		outstanding = len(work)
-		firstErr    error
-		stopped     bool
-	)
-	for _, n := range work {
-		if n.pending == 0 {
-			ready = append(ready, n)
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < jobs; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				for len(ready) == 0 && outstanding > 0 && !stopped {
-					cond.Wait()
-				}
-				if stopped || len(ready) == 0 {
-					mu.Unlock()
-					return
-				}
-				n := ready[len(ready)-1]
-				ready = ready[:len(ready)-1]
-				mu.Unlock()
-
-				err := processNode(n, fset, imp, analyzers, allow, cacheDir, useCache, modRoot)
-
-				mu.Lock()
-				outstanding--
-				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					stopped = true
-				} else {
-					for _, d := range n.dependents {
-						if !d.needsWork {
-							continue
-						}
-						d.pending--
-						if d.pending == 0 {
-							ready = append(ready, d)
-						}
-					}
-				}
-				cond.Broadcast()
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
-}
-
-// processNode parses, type-checks, and (on a cache miss) analyzes one
-// package, publishing its types for dependents.
-func processNode(n *node, fset *token.FileSet, imp *modImporter, analyzers []*Analyzer, allow []Allow, cacheDir string, useCache bool, modRoot string) error {
-	files := make([]*ast.File, 0, len(n.pkg.GoFiles))
-	names := append([]string(nil), n.pkg.GoFiles...)
-	sort.Strings(names)
-	for _, name := range names {
-		f, err := parser.ParseFile(fset, filepath.Join(n.pkg.Dir, name), nil, parser.ParseComments)
-		if err != nil {
-			return err
-		}
-		files = append(files, f)
-	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-	}
-	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(n.pkg.ImportPath, fset, files, info)
-	if err != nil {
-		return fmt.Errorf("lint: type-checking %s: %w", n.pkg.ImportPath, err)
-	}
-	imp.publish(n.pkg.ImportPath, tpkg)
-	if n.cached {
-		return nil
-	}
-	pkg := &Package{Path: n.pkg.ImportPath, Fset: fset, Files: files, Types: tpkg, Info: info}
-	diags := Run(pkg, analyzers, allow)
-	for i := range diags {
-		diags[i].Pos.Filename = relToRoot(modRoot, diags[i].Pos.Filename)
-	}
-	n.diags = diags
-	if useCache {
-		if err := storeCached(cacheDir, n.key, n.pkg.ImportPath, diags); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// modImporter resolves module-internal imports from the packages this
-// run already type-checked and everything else (the standard library)
-// through one mutex-guarded source importer, so stdlib dependencies
-// are checked once per process no matter how many workers import them.
-type modImporter struct {
-	locals sync.Map // import path -> *types.Package
-	mu     sync.Mutex
-	std    types.Importer
-}
-
-func (m *modImporter) publish(path string, pkg *types.Package) { m.locals.Store(path, pkg) }
-
-func (m *modImporter) Import(path string) (*types.Package, error) {
-	if pkg, ok := m.locals.Load(path); ok {
-		return pkg.(*types.Package), nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.std.Import(path)
 }
 
 // buildGraph wires the in-module import edges between listed packages.
@@ -346,7 +119,6 @@ func buildGraph(pkgs []listedPkg, modPath string) map[string]*node {
 			}
 			if dep, ok := nodes[imp]; ok {
 				n.deps = append(n.deps, dep)
-				dep.dependents = append(dep.dependents, n)
 			}
 		}
 	}
@@ -354,7 +126,7 @@ func buildGraph(pkgs []listedPkg, modPath string) map[string]*node {
 }
 
 // topoOrder returns nodes dependencies-first, ties broken by import
-// path so every phase iterates deterministically.
+// path so every run visits packages in the same order.
 func topoOrder(nodes map[string]*node) []*node {
 	paths := make([]string, 0, len(nodes))
 	for p := range nodes {
@@ -403,7 +175,7 @@ func sortDiags(diags []Diagnostic) {
 }
 
 // relToRoot makes path relative to the module root when it is inside
-// it, with forward slashes for stable cache and baseline entries.
+// it, with forward slashes so reports read the same on every OS.
 func relToRoot(root, path string) string {
 	if rel, err := filepath.Rel(root, path); err == nil && !strings.HasPrefix(rel, "..") {
 		return filepath.ToSlash(rel)

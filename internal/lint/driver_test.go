@@ -51,13 +51,12 @@ func UsesA() float64 { return a.Sum(1, 2) }
 
 // drive runs the engine over the test module with only floatcmp
 // enabled, so the expected finding set is exactly one diagnostic.
-func drive(t *testing.T, root, cacheDir string) *lint.DriverResult {
+func drive(t *testing.T, root string) *lint.DriverResult {
 	t.Helper()
 	res, err := lint.Drive(lint.DriverConfig{
 		Patterns:  []string{"./..."},
 		Dir:       root,
 		Analyzers: []*lint.Analyzer{lint.FloatCmp},
-		CacheDir:  cacheDir,
 	})
 	if err != nil {
 		t.Fatalf("Drive: %v", err)
@@ -65,135 +64,33 @@ func drive(t *testing.T, root, cacheDir string) *lint.DriverResult {
 	return res
 }
 
+// TestDriveColdThenWarm checks a run over the two-package module: both
+// packages are type-checked (b through its in-module import of a) and
+// the planted floatcmp finding is the only diagnostic, with a
+// module-root-relative filename. A second run over the unchanged tree
+// reports the identical finding: the driver keeps no state between
+// runs.
 func TestDriveColdThenWarm(t *testing.T) {
 	root := writeTestModule(t)
-	cacheDir := filepath.Join(root, ".lintcache")
-
-	cold := drive(t, root, cacheDir)
-	if cold.Packages != 2 || cold.Analyzed != 2 || cold.CacheHits != 0 {
-		t.Fatalf("cold run: packages=%d analyzed=%d hits=%d, want 2/2/0",
-			cold.Packages, cold.Analyzed, cold.CacheHits)
+	cold := drive(t, root)
+	if cold.Packages != 2 || cold.ModulePath != "demo" {
+		t.Fatalf("packages=%d module=%q, want 2/demo", cold.Packages, cold.ModulePath)
 	}
 	if len(cold.Diags) != 1 {
-		t.Fatalf("cold run diags = %v, want exactly the planted floatcmp finding", cold.Diags)
+		t.Fatalf("diags = %v, want exactly the planted floatcmp finding", cold.Diags)
 	}
 	if d := cold.Diags[0]; d.Analyzer != "floatcmp" || d.Pos.Filename != filepath.Join("a", "a.go") {
 		t.Fatalf("unexpected diagnostic %+v", d)
 	}
-
-	warm := drive(t, root, cacheDir)
-	if warm.Analyzed != 0 || warm.CacheHits != 2 {
-		t.Fatalf("warm run: analyzed=%d hits=%d, want 0 analyzed / 2 hits", warm.Analyzed, warm.CacheHits)
-	}
-	// Cached diagnostics must be byte-identical to fresh ones, or the
-	// baseline diff would churn between cold and warm CI runs.
+	warm := drive(t, root)
 	if len(warm.Diags) != 1 || warm.Diags[0].String() != cold.Diags[0].String() {
-		t.Fatalf("warm diags %v differ from cold %v", warm.Diags, cold.Diags)
-	}
-}
-
-func TestDriveCacheInvalidation(t *testing.T) {
-	root := writeTestModule(t)
-	cacheDir := filepath.Join(root, ".lintcache")
-	drive(t, root, cacheDir) // prime
-
-	// Touching only the leaf package must leave its dependency cached.
-	bPath := filepath.Join(root, "b", "b.go")
-	src, err := os.ReadFile(bPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(bPath, append(src, []byte("\n// edited\n")...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	res := drive(t, root, cacheDir)
-	if res.Analyzed != 1 || res.CacheHits != 1 {
-		t.Fatalf("after editing b: analyzed=%d hits=%d, want 1/1", res.Analyzed, res.CacheHits)
-	}
-
-	// Touching the root package changes its content hash, and the
-	// Merkle key of every dependent, so both re-analyze.
-	aPath := filepath.Join(root, "a", "a.go")
-	src, err = os.ReadFile(aPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(aPath, append(src, []byte("\n// edited\n")...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	res = drive(t, root, cacheDir)
-	if res.Analyzed != 2 || res.CacheHits != 0 {
-		t.Fatalf("after editing a: analyzed=%d hits=%d, want 2/0", res.Analyzed, res.CacheHits)
-	}
-}
-
-func TestDriveNoCacheWritesNothing(t *testing.T) {
-	root := writeTestModule(t)
-	cacheDir := filepath.Join(root, ".lintcache")
-	res, err := lint.Drive(lint.DriverConfig{
-		Patterns:  []string{"./..."},
-		Dir:       root,
-		Analyzers: []*lint.Analyzer{lint.FloatCmp},
-		CacheDir:  cacheDir,
-		NoCache:   true,
-	})
-	if err != nil {
-		t.Fatalf("Drive: %v", err)
-	}
-	if res.CacheHits != 0 || res.Analyzed != 2 {
-		t.Fatalf("no-cache run: analyzed=%d hits=%d, want 2/0", res.Analyzed, res.CacheHits)
-	}
-	if _, err := os.Stat(cacheDir); !os.IsNotExist(err) {
-		t.Fatalf("NoCache run created %s (stat err %v)", cacheDir, err)
-	}
-}
-
-func TestBaselineRoundTrip(t *testing.T) {
-	root := writeTestModule(t)
-	res := drive(t, root, filepath.Join(root, ".lintcache"))
-
-	// A baseline captured from the run swallows every current finding.
-	b := lint.BaselineFrom(res.Diags)
-	fresh, baselined, stale := b.Apply(res.Diags)
-	if len(fresh) != 0 || len(baselined) != 1 || len(stale) != 0 {
-		t.Fatalf("self-apply: fresh=%d baselined=%d stale=%d, want 0/1/0",
-			len(fresh), len(baselined), len(stale))
-	}
-
-	// Round-trip through disk.
-	path := filepath.Join(root, lint.DefaultBaselineName)
-	if err := b.Write(path); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	loaded, err := lint.LoadBaseline(path)
-	if err != nil {
-		t.Fatalf("LoadBaseline: %v", err)
-	}
-	if fresh, _, stale := loaded.Apply(res.Diags); len(fresh) != 0 || len(stale) != 0 {
-		t.Fatalf("loaded baseline: fresh=%d stale=%d, want 0/0", len(fresh), len(stale))
-	}
-
-	// An empty baseline reports everything as new; a missing file loads
-	// as empty rather than erroring, so bootstrap needs no setup step.
-	empty, err := lint.LoadBaseline(filepath.Join(root, "does-not-exist.json"))
-	if err != nil {
-		t.Fatalf("LoadBaseline(missing): %v", err)
-	}
-	if fresh, _, _ := empty.Apply(res.Diags); len(fresh) != 1 {
-		t.Fatalf("empty baseline fresh=%d, want 1", len(fresh))
-	}
-
-	// Fixing the finding leaves the baseline entry stale, which the CLI
-	// surfaces so the baseline gets re-tightened.
-	if _, _, stale := loaded.Apply(nil); len(stale) != 1 {
-		t.Fatalf("stale entries = %d, want 1", len(stale))
+		t.Fatalf("second run diags %v differ from first %v", warm.Diags, cold.Diags)
 	}
 }
 
 func TestReportFormats(t *testing.T) {
 	root := writeTestModule(t)
-	res := drive(t, root, filepath.Join(root, ".lintcache"))
-	rep := lint.BuildReport(res, res.Diags, nil, nil)
+	rep := lint.BuildReport(drive(t, root))
 
 	var buf bytes.Buffer
 	if err := rep.WriteJSON(&buf); err != nil {
@@ -215,8 +112,7 @@ func TestReportFormats(t *testing.T) {
 		Version string `json:"version"`
 		Runs    []struct {
 			Results []struct {
-				RuleID        string `json:"ruleId"`
-				BaselineState string `json:"baselineState"`
+				RuleID string `json:"ruleId"`
 			} `json:"results"`
 		} `json:"runs"`
 	}
@@ -226,7 +122,7 @@ func TestReportFormats(t *testing.T) {
 	if sarif.Version != "2.1.0" || len(sarif.Runs) != 1 {
 		t.Fatalf("sarif version=%q runs=%d", sarif.Version, len(sarif.Runs))
 	}
-	if rs := sarif.Runs[0].Results; len(rs) != 1 || rs[0].RuleID != "floatcmp" || rs[0].BaselineState != "new" {
+	if rs := sarif.Runs[0].Results; len(rs) != 1 || rs[0].RuleID != "floatcmp" {
 		t.Fatalf("sarif results = %+v", sarif.Runs[0].Results)
 	}
 }

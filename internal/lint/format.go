@@ -7,107 +7,69 @@ import (
 )
 
 // Machine-readable exposition. The driver produces one Report per run;
-// text is for humans and the terminal, json for ci.sh and scripts, and
+// text is for humans and the terminal, json for scripts, and
 // sarif for code-scanning UIs (GitHub's security tab renders SARIF
 // uploads inline on the diff). All three render the same Report, so a
 // finding can never appear in one format and not another.
 
-// Finding is one diagnostic flattened for exposition, annotated with
-// whether the baseline absorbed it.
+// EngineVersion names the analyzer engine in SARIF output and the
+// CLI's help text.
+const EngineVersion = "opmaplint/3.0.0"
+
+// Finding is one diagnostic flattened for exposition.
 type Finding struct {
-	Analyzer  string `json:"analyzer"`
-	File      string `json:"file"`
-	Line      int    `json:"line"`
-	Column    int    `json:"column"`
-	Symbol    string `json:"symbol,omitempty"`
-	Message   string `json:"message"`
-	Baselined bool   `json:"baselined,omitempty"`
+	Analyzer string `json:"analyzer"`
+	File     string `json:"file"`
+	Line     int    `json:"line"`
+	Column   int    `json:"column"`
+	Symbol   string `json:"symbol,omitempty"`
+	Message  string `json:"message"`
 }
 
 // Report is one run's complete machine-readable result.
 type Report struct {
-	Module       string    `json:"module"`
-	Packages     int       `json:"packages"`
-	Analyzed     int       `json:"analyzed"`
-	CacheHits    int       `json:"cache_hits"`
-	NewFindings  int       `json:"new_findings"`
-	Baselined    int       `json:"baselined"`
-	StaleEntries int       `json:"stale_baseline_entries"`
-	Findings     []Finding `json:"findings"`
+	Module   string    `json:"module"`
+	Packages int       `json:"packages"`
+	Findings []Finding `json:"findings"`
 }
 
-// BuildReport assembles the Report from a driver result and the
-// baseline split. Findings keep global position order; baselined ones
-// are included (flagged) so formats can show the full picture.
-func BuildReport(res *DriverResult, fresh, baselined []Diagnostic, stale []BaselineEntry) *Report {
+// BuildReport assembles the Report from a driver result, keeping the
+// driver's position order.
+func BuildReport(res *DriverResult) *Report {
 	rep := &Report{
-		Module:       res.ModulePath,
-		Packages:     res.Packages,
-		Analyzed:     res.Analyzed,
-		CacheHits:    res.CacheHits,
-		NewFindings:  len(fresh),
-		Baselined:    len(baselined),
-		StaleEntries: len(stale),
-		Findings:     make([]Finding, 0, len(fresh)+len(baselined)),
+		Module:   res.ModulePath,
+		Packages: res.Packages,
+		Findings: make([]Finding, 0, len(res.Diags)),
 	}
-	all := make([]Diagnostic, 0, len(fresh)+len(baselined))
-	all = append(all, fresh...)
-	all = append(all, baselined...)
-	sortDiags(all)
-	// Recover the baselined flag by fingerprint count: every diagnostic
-	// is either fresh or baselined, so membership survives the re-sort
-	// as a multiset.
-	budget := make(map[fingerprint]int, len(baselined))
-	for _, d := range baselined {
-		budget[diagFP(d)]++
-	}
-	for _, d := range all {
-		f := Finding{
+	for _, d := range res.Diags {
+		rep.Findings = append(rep.Findings, Finding{
 			Analyzer: d.Analyzer,
 			File:     d.Pos.Filename,
 			Line:     d.Pos.Line,
 			Column:   d.Pos.Column,
 			Symbol:   d.Symbol,
 			Message:  d.Message,
-		}
-		if fp := diagFP(d); budget[fp] > 0 {
-			budget[fp]--
-			f.Baselined = true
-		}
-		rep.Findings = append(rep.Findings, f)
+		})
 	}
 	return rep
 }
 
 // Summary is the one-line human digest printed to stderr in every
-// format, so CI logs always show the cache economics and the verdict.
+// format, so CI logs always show the verdict.
 func (r *Report) Summary() string {
-	pct := 0.0
-	if r.Packages > 0 {
-		pct = 100 * float64(r.CacheHits) / float64(r.Packages)
-	}
-	s := fmt.Sprintf("opmaplint: %d packages, %d analyzed, cache hits %d (%.0f%%), findings: %d new, %d baselined",
-		r.Packages, r.Analyzed, r.CacheHits, pct, r.NewFindings, r.Baselined)
-	if r.StaleEntries > 0 {
-		s += fmt.Sprintf(", %d stale baseline entrie(s) to prune", r.StaleEntries)
-	}
-	return s
+	return fmt.Sprintf("opmaplint: %d packages, %d finding(s)", r.Packages, len(r.Findings))
 }
 
-// WriteText prints compiler-style lines for new findings (baselined
-// ones are annotated and only shown when present) plus a trailer.
+// WriteText prints compiler-style lines for every finding plus a
+// trailer when there are any.
 func (r *Report) WriteText(w io.Writer) error {
 	for _, f := range r.Findings {
-		suffix := ""
-		if f.Baselined {
-			suffix = " (baselined)"
-		}
-		if _, err := fmt.Fprintf(w, "%s:%d:%d: %s: %s%s\n", f.File, f.Line, f.Column, f.Analyzer, f.Message, suffix); err != nil {
+		if _, err := fmt.Fprintf(w, "%s:%d:%d: %s: %s\n", f.File, f.Line, f.Column, f.Analyzer, f.Message); err != nil {
 			return err
 		}
 	}
-	if r.NewFindings > 0 {
-		if _, err := fmt.Fprintf(w, "opmaplint: %d new finding(s)\n", r.NewFindings); err != nil {
+	if n := len(r.Findings); n > 0 {
+		if _, err := fmt.Fprintf(w, "opmaplint: %d finding(s)\n", n); err != nil {
 			return err
 		}
 	}
@@ -161,7 +123,6 @@ type sarifResult struct {
 	Level     string          `json:"level"`
 	Message   sarifMessage    `json:"message"`
 	Locations []sarifLocation `json:"locations"`
-	Baseline  string          `json:"baselineState,omitempty"`
 }
 
 type sarifLocation struct {
@@ -182,9 +143,7 @@ type sarifRegion struct {
 	StartColumn int `json:"startColumn,omitempty"`
 }
 
-// WriteSARIF emits the report as a SARIF 2.1.0 run. Baselined findings
-// carry baselineState "unchanged" so scanners show only new ones by
-// default; new findings are "new".
+// WriteSARIF emits the report as a SARIF 2.1.0 run.
 func (r *Report) WriteSARIF(w io.Writer, analyzers []*Analyzer) error {
 	drv := sarifDriver{Name: "opmaplint", Version: EngineVersion}
 	for _, a := range analyzers {
@@ -192,15 +151,10 @@ func (r *Report) WriteSARIF(w io.Writer, analyzers []*Analyzer) error {
 	}
 	run := sarifRun{Tool: sarifTool{Driver: drv}, Results: []sarifResult{}}
 	for _, f := range r.Findings {
-		state := "new"
-		if f.Baselined {
-			state = "unchanged"
-		}
 		run.Results = append(run.Results, sarifResult{
-			RuleID:   f.Analyzer,
-			Level:    "error",
-			Message:  sarifMessage{Text: f.Message},
-			Baseline: state,
+			RuleID:  f.Analyzer,
+			Level:   "error",
+			Message: sarifMessage{Text: f.Message},
 			Locations: []sarifLocation{{Physical: sarifPhysical{
 				Artifact: sarifArtifact{URI: f.File},
 				Region:   sarifRegion{StartLine: f.Line, StartColumn: f.Column},

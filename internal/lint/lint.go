@@ -140,16 +140,31 @@ func receiverTypeName(expr ast.Expr) string {
 // Loader parses and type-checks packages from source. One Loader
 // shares a file set and a "source" importer across packages, so stdlib
 // dependencies are type-checked once per process rather than once per
-// package.
+// package, and every package it loads is importable by the packages
+// loaded after it.
 type Loader struct {
-	fset *token.FileSet
-	imp  types.Importer
+	fset   *token.FileSet
+	std    types.Importer
+	loaded map[string]*types.Package
 }
 
 // NewLoader returns a Loader backed by the stdlib source importer.
 func NewLoader() *Loader {
 	fset := token.NewFileSet()
-	return &Loader{fset: fset, imp: importer.ForCompiler(fset, "source", nil)}
+	return &Loader{
+		fset:   fset,
+		std:    importer.ForCompiler(fset, "source", nil),
+		loaded: make(map[string]*types.Package),
+	}
+}
+
+// Import resolves path to a package this loader already loaded, and
+// anything else (the standard library) through the source importer.
+func (l *Loader) Import(path string) (*types.Package, error) {
+	if pkg, ok := l.loaded[path]; ok {
+		return pkg, nil
+	}
+	return l.std.Import(path)
 }
 
 // Fset returns the loader's shared file set.
@@ -191,11 +206,12 @@ func (l *Loader) Load(path, dir string, files []string) (*Package, error) {
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}
-	conf := types.Config{Importer: l.imp}
+	conf := types.Config{Importer: l}
 	pkg, err := conf.Check(path, l.fset, parsed, info)
 	if err != nil {
 		return nil, fmt.Errorf("lint: type-checking %s: %w", path, err)
 	}
+	l.loaded[path] = pkg
 	return &Package{Path: path, Fset: l.fset, Files: parsed, Types: pkg, Info: info}, nil
 }
 
@@ -210,18 +226,7 @@ func Run(pkg *Package, analyzers []*Analyzer, allow []Allow) []Diagnostic {
 		}
 		a.Run(&Pass{Package: pkg, analyzer: a, allow: allow, diags: &diags})
 	}
-	sort.Slice(diags, func(i, j int) bool {
-		if diags[i].Pos.Filename != diags[j].Pos.Filename {
-			return diags[i].Pos.Filename < diags[j].Pos.Filename
-		}
-		if diags[i].Pos.Line != diags[j].Pos.Line {
-			return diags[i].Pos.Line < diags[j].Pos.Line
-		}
-		if diags[i].Pos.Column != diags[j].Pos.Column {
-			return diags[i].Pos.Column < diags[j].Pos.Column
-		}
-		return diags[i].Analyzer < diags[j].Analyzer
-	})
+	sortDiags(diags)
 	return diags
 }
 

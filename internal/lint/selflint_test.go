@@ -9,11 +9,9 @@ import (
 )
 
 // TestSelfLint runs the full engine over this module with every
-// analyzer enabled and asserts the result matches the committed
-// baseline exactly: no new findings, no stale entries. This is the
-// invariant CI enforces; keeping it as a test means `go test ./...`
-// alone catches a regression that introduces a finding (or a fix that
-// forgets to prune its baseline entry).
+// analyzer and the project allowlist, and asserts zero diagnostics.
+// This is the invariant CI enforces; keeping it as a test means
+// `go test ./...` alone catches a change that introduces a finding.
 func TestSelfLint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("self-lint type-checks the whole module; skipped in -short")
@@ -29,9 +27,6 @@ func TestSelfLint(t *testing.T) {
 		Patterns: []string{"./..."},
 		Dir:      root,
 		Allow:    lint.Allowlist,
-		// An isolated cache keeps the test hermetic from (and harmless
-		// to) the developer's .lintcache.
-		CacheDir: filepath.Join(t.TempDir(), "lintcache"),
 	})
 	if err != nil {
 		t.Fatalf("Drive: %v", err)
@@ -39,15 +34,7 @@ func TestSelfLint(t *testing.T) {
 	if res.ModulePath != "opmap" {
 		t.Fatalf("module path = %q, want opmap", res.ModulePath)
 	}
-	baseline, err := lint.LoadBaseline(filepath.Join(root, lint.DefaultBaselineName))
-	if err != nil {
-		t.Fatalf("LoadBaseline: %v", err)
-	}
-	fresh, _, stale := baseline.Apply(res.Diags)
-	for _, d := range fresh {
-		t.Errorf("new finding not in baseline: %s", d)
-	}
-	for _, e := range stale {
-		t.Errorf("stale baseline entry (finding fixed; prune it): %s %s %s", e.Analyzer, e.File, e.Message)
+	for _, d := range res.Diags {
+		t.Errorf("finding: %s", d)
 	}
 }

@@ -7,7 +7,7 @@ import (
 
 // Stage-duration instrumentation. Every pipeline entry point opens a
 // span (one clock read) and closes it when the stage returns (one
-// more clock read plus a histogram observe), so BENCH_*.json and the
+// more clock read plus a histogram observe), so the benchmark and the
 // /metrics endpoint can report real per-stage timings. Hot loops —
 // the per-pair cube builds and the per-attribute compare scoring —
 // are gated behind ArmHot: disarmed (the default) they cost a single
