@@ -598,6 +598,7 @@ wait "$opmapd12_pid" 2>/dev/null || true
 echo "== fuzz smoke (10s per target) =="
 go test -run '^$' -fuzz '^FuzzReadStore$' -fuzztime 10s ./internal/rulecube
 go test -run '^$' -fuzz '^FuzzIngestRows$' -fuzztime 10s ./internal/rulecube
+go test -run '^$' -fuzz '^FuzzCountSlices$' -fuzztime 10s ./internal/rulecube
 go test -run '^$' -fuzz '^FuzzComparator$' -fuzztime 10s ./internal/compare
 go test -run '^$' -fuzz '^FuzzSweepOptions$' -fuzztime 10s ./internal/compare
 go test -run '^$' -fuzz '^FuzzReadSnapshot$' -fuzztime 10s ./internal/snapshot

@@ -147,6 +147,100 @@ func TestOneVsRestAllSingleScan(t *testing.T) {
 	}
 }
 
+// TestCompareCountsOnlyComparedRows pins a pairwise compare's counting
+// with exact counters. On a lazy engine with the split attribute's
+// 1-D cube resident and no pair cube, a compare makes exactly one
+// pass over the rows of either side (one scan, those rows counted, no
+// cube built) and leaves no pair cube resident. With every cube
+// pinned it counts nothing. After a sweep over some candidates left
+// their pair cubes resident, a compare reads those and counts only the
+// rest in one pass. Every answer equals the counted store's.
+func TestCompareCountsOnlyComparedRows(t *testing.T) {
+	eager, lazy, attr, cls := batchSources(t, 20000, 3)
+	ds := lazy.ds
+	in := Input{Attr: attr, V1: 0, V2: 1, Class: cls}
+	want, err := eager.Compare(in, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var selected int64
+	for r := 0; r < ds.NumRows(); r++ {
+		if v := ds.CatCode(r, attr); (v == 0 || v == 1) && ds.ClassCode(r) >= 0 {
+			selected++
+		}
+	}
+	candidates := defaultRankAttrs(ds, attr)
+	ctx := context.Background()
+
+	// compare runs one compare on c and returns its counter deltas.
+	compare := func(c *Comparator) (scans, built, rows int64) {
+		t.Helper()
+		rows = counterDelta(t, rulecube.RowsCountedCounterName, func() {
+			scans = counterDelta(t, rulecube.CubeScansCounterName, func() {
+				built = counterDelta(t, rulecube.CubesBuiltCounterName, func() {
+					got, err := c.Compare(in, Options{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Error("compare differs from the counted-store answer")
+					}
+				})
+			})
+		})
+		return scans, built, rows
+	}
+
+	// Cold pairs, split attribute's 1-D cube resident.
+	if _, err := lazy.src.CubeN(ctx, []int{attr}); err != nil {
+		t.Fatal(err)
+	}
+	st0 := lazy.src.Stats()
+	if scans, built, rows := compare(lazy); scans != 1 || built != 0 || rows != selected {
+		t.Errorf("cold compare: %d scans, %d cubes built, %d rows counted; want 1, 0, %d", scans, built, rows, selected)
+	}
+	st := lazy.src.Stats()
+	if st.CachedCubes != 0 || st.TwoDBuilds != 0 || st.Evictions != 0 {
+		t.Errorf("cold compare left %d pair cubes resident, built %d, evicted %d; want 0, 0, 0", st.CachedCubes, st.TwoDBuilds, st.Evictions)
+	}
+	if d := st.Misses - st0.Misses; d != int64(len(candidates)) {
+		t.Errorf("cold compare counted %d cache misses, want one per candidate (%d)", d, len(candidates))
+	}
+
+	// Every cube pinned.
+	pinned, err := engine.NewLazy(ds, engine.LazyOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pinned.PinAll(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if scans, built, rows := compare(NewSource(pinned)); scans != 0 || built != 0 || rows != 0 {
+		t.Errorf("pinned compare: %d scans, %d cubes built, %d rows counted; want 0, 0, 0", scans, built, rows)
+	}
+
+	// A sweep over half the candidates leaves their pair cubes resident.
+	warm, err := engine.NewLazy(ds, engine.LazyOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	swept := candidates[:len(candidates)/2]
+	if _, err := NewSource(warm).Sweep(attr, cls, SweepOptions{Compare: Options{Attrs: swept}}); err != nil {
+		t.Fatal(err)
+	}
+	st0 = warm.Stats()
+	if scans, built, rows := compare(NewSource(warm)); scans != 1 || built != 0 || rows != selected {
+		t.Errorf("compare after a sweep: %d scans, %d cubes built, %d rows counted; want 1, 0, %d", scans, built, rows, selected)
+	}
+	st = warm.Stats()
+	if hits, misses := st.Hits-st0.Hits, st.Misses-st0.Misses; hits != int64(len(swept)) || misses != int64(len(candidates)-len(swept)) {
+		t.Errorf("compare after a sweep: %d hits, %d misses; want %d resident reads, %d counted", hits, misses, len(swept), len(candidates)-len(swept))
+	}
+	if st.CachedCubes != st0.CachedCubes {
+		t.Errorf("compare after a sweep changed the resident pair cubes: %d -> %d", st0.CachedCubes, st.CachedCubes)
+	}
+}
+
 // TestOneVsRestAllSkipsUndefined plants an undefined comparison (every
 // side below MinRuleSupport) and checks values are skipped, not fatal.
 func TestOneVsRestAllSkipsUndefined(t *testing.T) {

@@ -278,9 +278,13 @@ func ctxOrFault(ctx context.Context, site string) error {
 }
 
 // CompareContext is Compare under a context, checked once per
-// candidate attribute. It is always strict: on cancellation it returns
-// ctx.Err() rather than a partial ranking (degradation belongs to the
-// fan-out callers, SweepContext and OneVsRestContext).
+// candidate attribute (and once per row block while counting). It is
+// always strict: on cancellation it returns ctx.Err() rather than a
+// partial ranking (degradation belongs to the fan-out callers,
+// SweepContext and OneVsRestContext). It reads only the A1 = v1 and
+// A1 = v2 slices of each candidate's pair cube, all in one engine
+// call (engine.LazySource.PairSlices): resident pair cubes are read,
+// and the rest are counted in one pass over D1 ∪ D2, never cached.
 func (c *Comparator) CompareContext(ctx context.Context, in Input, opts Options) (*Result, error) {
 	total := func() (int64, error) {
 		// The comparison attribute's 1-D cube totals the countable
@@ -313,6 +317,13 @@ func (c *Comparator) CompareContext(ctx context.Context, in Input, opts Options)
 		return nil, err
 	}
 
+	// One engine call serves every candidate: resident pair cubes are
+	// read, the rest counted together over D1 ∪ D2 alone.
+	tabs, err := c.src.PairSlices(ctx, in.Attr, res.v1, res.v2, attrs)
+	if err != nil {
+		return nil, fmt.Errorf("compare: pair cubes of attribute %d unavailable: %w", in.Attr, err)
+	}
+
 	// Hot-path timing: disarmed (the default) this loop pays one atomic
 	// load up front and nothing per attribute; armed, each candidate's
 	// scoring is observed individually.
@@ -320,7 +331,7 @@ func (c *Comparator) CompareContext(ctx context.Context, in Input, opts Options)
 	if obsv.HotArmed() {
 		attrTimes = obsv.Default().Histogram(obsv.CompareAttrHistogramName, nil)
 	}
-	for _, ai := range attrs {
+	for k, ai := range attrs {
 		if err := ctxOrFault(ctx, faultinject.SiteCompareAttr); err != nil {
 			return nil, err
 		}
@@ -328,15 +339,7 @@ func (c *Comparator) CompareContext(ctx context.Context, in Input, opts Options)
 		if attrTimes != nil {
 			attrStart = time.Now()
 		}
-		cube, err := c.src.CubeN(ctx, []int{in.Attr, ai})
-		if err != nil {
-			return nil, fmt.Errorf("compare: pair cube (%d,%d) unavailable: %w", in.Attr, ai, err)
-		}
-		tab, err := pairTable(cube, in.Attr, ai, res.v1, res.v2, in.Class)
-		if err != nil {
-			return nil, err
-		}
-		score, err := scoreAttribute(c.ds, ai, tab, res, opts)
+		score, err := scoreAttribute(c.ds, ai, sliceTable(tabs[k], in.Class), res, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -349,47 +352,16 @@ func (c *Comparator) CompareContext(ctx context.Context, in Input, opts Options)
 	return res.result, nil
 }
 
-// pairTable extracts, from the 3-D cube over (min,max) attribute order,
-// the per-value contingency rows for A1=v1 and A1=v2: for each value v_k
-// of candidate attribute ai, the total and class-c_a counts in each
-// sub-population.
-func pairTable(cube *rulecube.Cube, a1, ai int, v1, v2, class int32) (valueTable, error) {
-	idx := cube.AttrIndices()
-	var posA1, posAi int
-	switch {
-	case idx[0] == a1 && idx[1] == ai:
-		posA1, posAi = 0, 1
-	case idx[0] == ai && idx[1] == a1:
-		posA1, posAi = 1, 0
-	default:
-		return valueTable{}, fmt.Errorf("compare: cube dimensions %v do not match attributes (%d,%d)", idx, a1, ai)
+// sliceTable extracts, from a candidate's two pair-cube slices, the
+// per-value contingency rows for A1=v1 and A1=v2: for each value v_k of
+// the candidate, the total and class-c_a counts in each sub-population.
+func sliceTable(s rulecube.Slices, class int32) valueTable {
+	t := newValueTable(s.Dim())
+	for k := int32(0); int(k) < s.Dim(); k++ {
+		t.n1[k], t.c1[k] = s.CondCount(0, k), s.Count(0, k, class)
+		t.n2[k], t.c2[k] = s.CondCount(1, k), s.Count(1, k, class)
 	}
-	card := cube.Dim(posAi)
-	t := newValueTable(card)
-	coords := make([]int32, 2)
-	for _, side := range []struct {
-		v1   int32
-		n, c []int64
-	}{
-		{v1, t.n1, t.c1},
-		{v2, t.n2, t.c2},
-	} {
-		coords[posA1] = side.v1
-		for k := int32(0); int(k) < card; k++ {
-			coords[posAi] = k
-			cond, err := cube.CondCount(coords)
-			if err != nil {
-				return valueTable{}, err
-			}
-			sup, err := cube.Count(coords, class)
-			if err != nil {
-				return valueTable{}, err
-			}
-			side.n[k] = cond
-			side.c[k] = sup
-		}
-	}
-	return t, nil
+	return t
 }
 
 // valueTable holds the per-value counts of one candidate attribute in
@@ -606,7 +578,8 @@ func margin(method IntervalMethod, z, cf float64, n, c int64, level stats.Confid
 // Scan runs the same comparison by scanning the raw dataset instead of
 // reading cubes. It exists for datasets without a materialized store and
 // as the baseline of the cube-vs-scan ablation: its cost grows with the
-// number of records, whereas Comparator.Compare does not.
+// number of records, whereas Comparator.Compare over resident cubes
+// does not. Like the cubes, it skips records whose class is missing.
 func Scan(ds *dataset.Dataset, in Input, opts Options) (*Result, error) {
 	if !ds.AllCategorical() {
 		return nil, fmt.Errorf("compare: dataset has continuous attributes; discretize first")
@@ -629,7 +602,7 @@ func Scan(ds *dataset.Dataset, in Input, opts Options) (*Result, error) {
 		col := ds.Column(attr).Codes
 		cls := ds.Column(ds.ClassIndex()).Codes
 		for r := range col {
-			if col[r] != value {
+			if col[r] != value || cls[r] < 0 {
 				continue
 			}
 			cond++
@@ -642,34 +615,13 @@ func Scan(ds *dataset.Dataset, in Input, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	// One pass per candidate attribute over the two relevant columns.
-	a1Col := ds.Column(in.Attr).Codes
-	clsCol := ds.Column(ds.ClassIndex()).Codes
-	for _, ai := range attrs {
-		card := ds.Cardinality(ai)
-		tab := newValueTable(card)
-		aiCol := ds.Column(ai).Codes
-		for r := range a1Col {
-			v := aiCol[r]
-			if v < 0 {
-				continue
-			}
-			isClass := clsCol[r] == in.Class
-			switch a1Col[r] {
-			case res.v1:
-				tab.n1[v]++
-				if isClass {
-					tab.c1[v]++
-				}
-			case res.v2:
-				tab.n2[v]++
-				if isClass {
-					tab.c2[v]++
-				}
-			}
-		}
-		score, err := scoreAttribute(ds, ai, tab, res, opts)
+	// One pass over D1 ∪ D2 counts every candidate's two slices.
+	tabs, err := rulecube.CountSlices(context.Background(), ds, in.Attr, res.v1, res.v2, attrs)
+	if err != nil {
+		return nil, err
+	}
+	for k, ai := range attrs {
+		score, err := scoreAttribute(ds, ai, sliceTable(tabs[k], in.Class), res, opts)
 		if err != nil {
 			return nil, err
 		}

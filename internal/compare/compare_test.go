@@ -3,6 +3,7 @@ package compare
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -408,6 +409,80 @@ func TestCubeAndScanAgree(t *testing.T) {
 		}
 		if math.Abs(a.Ranked[i].Score-b.Ranked[i].Score) > 1e-9 {
 			t.Fatalf("score mismatch for %q: %v vs %v", a.Ranked[i].Name, a.Ranked[i].Score, b.Ranked[i].Score)
+		}
+	}
+	t.Run("missing classes", cubeAndScanAgreeMissingClass)
+}
+
+// missingClassTable is a 60-row table (phone, time, region, class)
+// whose class is missing on 20 rows, 10 per phone: the cube path
+// skips them, so a scan must too.
+func missingClassTable(t *testing.T) *dataset.Dataset {
+	t.Helper()
+	b, err := dataset.NewBuilder(dataset.Schema{
+		Attrs: []dataset.Attribute{
+			{Name: "Phone", Kind: dataset.Categorical},
+			{Name: "Time", Kind: dataset.Categorical},
+			{Name: "Region", Kind: dataset.Categorical},
+			{Name: "Disposition", Kind: dataset.Categorical},
+		},
+		ClassIndex: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 60; i++ {
+		phone := []string{"p1", "p2"}[i%2]
+		tm := []string{"am", "pm", "eve"}[(i/2)%3]
+		class := "ok"
+		switch {
+		case i%3 == 0:
+			class = dataset.MissingLabel
+		case i%4 == 2 || i%5 == 1 || (phone == "p2" && tm == "am"):
+			class = "drop"
+		}
+		if err := b.AddRow([]string{phone, tm, []string{"n", "s"}[(i/6)%2], class}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ds, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds
+}
+
+// cubeAndScanAgreeMissingClass: with missing classes in the data, the
+// scan path must count the same rule and per-value counts as the cube
+// path, which skips rows without a class.
+func cubeAndScanAgreeMissingClass(t *testing.T) {
+	ds := missingClassTable(t)
+	store, err := rulecube.BuildStore(ds, rulecube.StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	drop, _ := ds.ClassDict().Lookup("drop")
+	in := Input{Attr: 0, V1: 0, V2: 1, Class: drop}
+	a, err := New(store).Compare(in, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Scan(ds, in, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Rule1.CondCount != 20 {
+		t.Fatalf("cube path |D1| = %d, want the 20 rows with a class", a.Rule1.CondCount)
+	}
+	if !reflect.DeepEqual(a.Rule1, b.Rule1) || !reflect.DeepEqual(a.Rule2, b.Rule2) {
+		t.Errorf("input rules differ: cube %+v / %+v, scan %+v / %+v", a.Rule1, a.Rule2, b.Rule1, b.Rule2)
+	}
+	if len(a.Ranked)+len(a.Property) != 2 || len(a.Ranked) != len(b.Ranked) || len(a.Property) != len(b.Property) {
+		t.Fatalf("shape mismatch: (%d,%d) vs (%d,%d)", len(a.Ranked), len(a.Property), len(b.Ranked), len(b.Property))
+	}
+	for i := range a.Ranked {
+		if a.Ranked[i].Name != b.Ranked[i].Name || !reflect.DeepEqual(a.Ranked[i].Values, b.Ranked[i].Values) {
+			t.Errorf("rank %d: cube %q %+v, scan %q %+v", i, a.Ranked[i].Name, a.Ranked[i].Values, b.Ranked[i].Name, b.Ranked[i].Values)
 		}
 	}
 }

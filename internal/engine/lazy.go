@@ -364,6 +364,79 @@ func (s *LazySource) Cubes(ctx context.Context, reqs [][]int) ([]*rulecube.Cube,
 	return out, nil
 }
 
+// PairSlices returns, in cands order, the A1 = v1 and A1 = v2 slices of
+// the pair cube (a1, b) for every candidate b — all a pairwise
+// comparison reads. A candidate whose pair cube is resident is read
+// from it and counts as a hit. Every other candidate counts as a miss
+// and is counted in one rulecube.CountSlices pass over the rows of
+// either side, timed by the lazy-build histogram. Slices are never
+// cached, so the call builds, inserts and evicts no cube.
+func (s *LazySource) PairSlices(ctx context.Context, a1 int, v1, v2 int32, cands []int) ([]rulecube.Slices, error) {
+	out, missing, err := s.residentSlices(a1, v1, v2, cands)
+	if err != nil || len(missing) == 0 {
+		return out, err
+	}
+	s.misses.Add(int64(len(missing)))
+	s.missesC.Add(int64(len(missing)))
+	if !s.counts {
+		b := cands[missing[0]]
+		return nil, fmt.Errorf("engine: no resident cube for attributes %v, and none can be counted: the source's cubes were counted elsewhere and it holds no source rows", []int{min(a1, b), max(a1, b)})
+	}
+	start := time.Now()
+	tabs, err := rulecube.CountSlices(ctx, s.ds, a1, v1, v2, pick(cands, missing))
+	if err != nil {
+		return nil, err
+	}
+	s.lazyH.ObserveSince(start)
+	return scatter(out, tabs, missing), nil
+}
+
+// residentSlices validates a PairSlices request and reads the slices of
+// every candidate whose pair cube is resident, counting those hits. It
+// returns the positions of the candidates left to count, in order.
+func (s *LazySource) residentSlices(a1 int, v1, v2 int32, cands []int) (out []rulecube.Slices, missing []int, err error) {
+	out = make([]rulecube.Slices, len(cands))
+	pair := []int{a1, 0}
+	for i, b := range cands {
+		if b == a1 {
+			return nil, nil, fmt.Errorf("engine: duplicate attribute %d in cube request", b)
+		}
+		pair[1] = b
+		for _, a := range pair {
+			if a < 0 || a >= len(s.pos) || s.pos[a] < 0 {
+				return nil, nil, fmt.Errorf("engine: no cube for attribute %d", a)
+			}
+		}
+		c := s.slotHit(pair)
+		if c == nil {
+			missing = append(missing, i)
+			continue
+		}
+		if out[i], err = rulecube.SlicesOf(c, a1, v1, v2); err != nil {
+			return nil, nil, err
+		}
+	}
+	s.countHits(int64(len(cands) - len(missing)))
+	return out, missing, nil
+}
+
+// scatter stores tabs[k] at out[positions[k]] and returns out.
+func scatter(out, tabs []rulecube.Slices, positions []int) []rulecube.Slices {
+	for k, i := range positions {
+		out[i] = tabs[k]
+	}
+	return out
+}
+
+// pick returns xs at the given positions.
+func pick(xs, positions []int) []int {
+	out := make([]int, len(positions))
+	for k, i := range positions {
+		out[k] = xs[i]
+	}
+	return out
+}
+
 // residentPrefix serves the leading run of requests whose 1-D or pair
 // cube is resident, lock-free, and returns its length.
 func (s *LazySource) residentPrefix(reqs [][]int, out []*rulecube.Cube) int {

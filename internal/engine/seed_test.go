@@ -7,6 +7,7 @@ import (
 
 	"opmap/internal/compare"
 	"opmap/internal/engine"
+	"opmap/internal/obsv"
 	"opmap/internal/rulecube"
 	"opmap/internal/workload"
 )
@@ -19,9 +20,13 @@ func TestSeedCubes(t *testing.T) {
 	ctx := context.Background()
 	in := compareInput(t, ds, gt)
 
-	// Materialize a working set in a first lazy engine.
+	// Materialize a working set in a first lazy engine. A sweep caches
+	// the split attribute's pair cubes; a pairwise compare would not.
 	src, err := engine.NewLazy(ds, engine.LazyOptions{})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := compare.NewSource(src).SweepContext(ctx, in.Attr, in.Class, compare.SweepOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	want, err := compare.NewSource(src).CompareContext(ctx, in, compare.Options{})
@@ -29,8 +34,8 @@ func TestSeedCubes(t *testing.T) {
 		t.Fatal(err)
 	}
 	resident := src.ResidentCubes()
-	if len(resident) == 0 {
-		t.Fatal("no resident cubes after a compare")
+	if len(resident) != ds.NumAttrs()-1 {
+		t.Fatalf("%d resident cubes after a sweep, want the split attribute's 1-D cube and its %d pair cubes", len(resident), ds.NumAttrs()-2)
 	}
 	// ResidentCubes must be deterministic: same order on every call.
 	if !reflect.DeepEqual(resident, src.ResidentCubes()) {
@@ -48,9 +53,14 @@ func TestSeedCubes(t *testing.T) {
 	if st.OneDBuilds != 0 || st.TwoDBuilds != 0 {
 		t.Errorf("seeding advanced build counters: 1-D %d, 2-D %d", st.OneDBuilds, st.TwoDBuilds)
 	}
+	scans := obsv.Default().Counter(rulecube.CubeScansCounterName)
+	s0 := scans.Value()
 	got, err := compare.NewSource(lazy).CompareContext(ctx, in, compare.Options{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if d := scans.Value() - s0; d != 0 {
+		t.Errorf("seeded engine's compare performed %d scans, want 0", d)
 	}
 	if !reflect.DeepEqual(want, got) {
 		t.Error("seeded engine's Compare differs from the builder's")

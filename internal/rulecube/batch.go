@@ -135,6 +135,7 @@ func BuildMany(ctx context.Context, ds *dataset.Dataset, reqs [][]int) ([]*Cube,
 	}
 	obsv.Default().Counter(CubesBuiltCounterName).Add(int64(built))
 	obsv.Default().Counter(CubeScansCounterName).Inc()
+	obsv.Default().Counter(RowsCountedCounterName).Add(int64(ds.NumRows()))
 	return out, nil
 }
 

@@ -1,0 +1,204 @@
+package rulecube
+
+import (
+	"context"
+	"fmt"
+
+	"opmap/internal/dataset"
+	"opmap/internal/faultinject"
+	"opmap/internal/obsv"
+)
+
+// Slice counting (DESIGN.md §14). A pairwise comparison of A1 = v1
+// against A1 = v2 reads only two slices of each candidate's pair cube
+// (A1, B): the rows of D1 ∪ D2, split by side, B's value and class.
+// CountSlices counts exactly those slices for every candidate in one
+// pass, touching each candidate's column only at the selected rows,
+// so a comparison whose pair cubes are not resident costs one pass over
+// |D1 ∪ D2| rows instead of one full-table scan per pair cube.
+
+// RowsCountedCounterName counts the rows tallied by counting passes:
+// every row of a BuildMany scan, and the selected rows (D1 ∪ D2 with a
+// present class) of a CountSlices pass.
+const RowsCountedCounterName = "opmap_rows_counted_total"
+
+// Slices is the A1 = v1 and A1 = v2 slices of one pair cube
+// (A1, B) × class: side 0 is v1, side 1 is v2. Rows where A1, B or the
+// class is missing are not counted, as in the pair cube. It views the
+// counts it was made from without copying them.
+type Slices struct {
+	dim, nc, stride int
+	sides           [2][]int64 // sides[side][v*stride + class]
+}
+
+// Dim returns the number of B values (B's cube dimension).
+func (s Slices) Dim() int { return s.dim }
+
+// Count returns the rows on side (0: A1 = v1, 1: A1 = v2) with B = v
+// in class class. Coordinates must be in range.
+func (s Slices) Count(side int, v, class int32) int64 {
+	return s.sides[side][int(v)*s.stride+int(class)]
+}
+
+// CondCount returns the rows on side with B = v, summed over classes.
+func (s Slices) CondCount(side int, v int32) int64 {
+	var n int64
+	for _, c := range s.sides[side][int(v)*s.stride:][:s.nc] {
+		n += c
+	}
+	return n
+}
+
+// SlicesOf views the A1 = v1 and A1 = v2 slices of a counted pair cube
+// over a1 and another attribute, in either dimension order.
+func SlicesOf(c *Cube, a1 int, v1, v2 int32) (Slices, error) {
+	if len(c.dims) != 2 || (c.attrIdx[0] != a1 && c.attrIdx[1] != a1) {
+		return Slices{}, fmt.Errorf("rulecube: cube dimensions %v are not a pair over attribute %d", c.attrIdx, a1)
+	}
+	posA := 0
+	if c.attrIdx[1] == a1 {
+		posA = 1
+	}
+	dimA, dimB, nc := c.dims[posA], c.dims[1-posA], c.numClasses
+	s := Slices{dim: dimB, nc: nc, stride: nc}
+	step := dimB * nc // posA == 0: counts are [va][vb][class]
+	if posA == 1 {
+		s.stride, step = dimA*nc, nc // [vb][va][class]
+	}
+	for side, v := range []int32{v1, v2} {
+		if v < 0 || int(v) >= dimA {
+			return Slices{}, fmt.Errorf("rulecube: value %d of attribute %q out of range [0,%d)", v, c.attrNames[posA], dimA)
+		}
+		s.sides[side] = c.counts[int(v)*step:]
+	}
+	return s, nil
+}
+
+// slicePlan accumulates one candidate's slices during the pass. Its
+// scratch is (dim+1) × 2 × nc with slot 0 of the value dimension
+// catching missing values, as in a pairPlan.
+type slicePlan struct {
+	col     []int32
+	dim     int
+	scratch []int64
+}
+
+// CountSlices counts, in one pass over ds, the A1 = v1 and A1 = v2
+// slices of the pair cube (a1, b) for every b in cands; results arrive
+// in cands order and duplicate candidates share one count. The pass
+// selects the rows with A1 ∈ {v1, v2} and a present class one
+// scanBlockRows block at a time, precomputing each selected row's
+// (side, class) offset, then tallies every candidate over the block's
+// selection. It polls ctx once per block, advances the scan counter
+// once and the rows-counted counter by the selected rows, and never
+// advances the cubes-built counter: slices are not cubes.
+func CountSlices(ctx context.Context, ds *dataset.Dataset, a1 int, v1, v2 int32, cands []int) ([]Slices, error) {
+	if !ds.AllCategorical() {
+		return nil, fmt.Errorf("rulecube: dataset has continuous attributes; discretize first")
+	}
+	if err := validateSliceReq(ds, a1, v1, v2, cands); err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if err := faultinject.HitContext(ctx, faultinject.SiteCubeBatch); err != nil {
+		return nil, err
+	}
+	nc := ds.NumClasses()
+	plans, planOf := planSlices(ds, nc, cands)
+	selected, err := sliceScan(ctx, ds.Column(a1).Codes, ds.Column(ds.ClassIndex()).Codes, v1, v2, nc, plans)
+	if err != nil {
+		return nil, err
+	}
+	obsv.Default().Counter(CubeScansCounterName).Inc()
+	obsv.Default().Counter(RowsCountedCounterName).Add(selected)
+	return sliceTables(plans, planOf, nc), nil
+}
+
+// validateSliceReq rejects a non-condition split attribute, negative or
+// equal values, and candidates that are out of range, the class, or
+// the split attribute itself.
+func validateSliceReq(ds *dataset.Dataset, a1 int, v1, v2 int32, cands []int) error {
+	if a1 < 0 || a1 >= ds.NumAttrs() || a1 == ds.ClassIndex() {
+		return fmt.Errorf("rulecube: invalid split attribute %d", a1)
+	}
+	if v1 < 0 || v2 < 0 || v1 == v2 {
+		return fmt.Errorf("rulecube: slice values %d and %d must be distinct codes", v1, v2)
+	}
+	for _, b := range cands {
+		if b < 0 || b >= ds.NumAttrs() || b == ds.ClassIndex() || b == a1 {
+			return fmt.Errorf("rulecube: invalid candidate attribute %d for split attribute %d", b, a1)
+		}
+	}
+	return nil
+}
+
+// planSlices allocates one plan per distinct candidate and returns,
+// per request, the index of its plan.
+func planSlices(ds *dataset.Dataset, nc int, cands []int) ([]slicePlan, []int) {
+	var plans []slicePlan
+	planOf := make([]int, len(cands))
+	first := make(map[int]int, len(cands))
+	for i, b := range cands {
+		p, ok := first[b]
+		if !ok {
+			d := cubeDim(ds, b)
+			p = len(plans)
+			first[b] = p
+			plans = append(plans, slicePlan{col: ds.Column(b).Codes, dim: d, scratch: make([]int64, (d+1)*2*nc)})
+		}
+		planOf[i] = p
+	}
+	return plans, planOf
+}
+
+// sliceTables views each counted plan's present-value block (slot 0,
+// the missing candidate values, dropped) as the table of every request
+// routed to it.
+func sliceTables(plans []slicePlan, planOf []int, nc int) []Slices {
+	out := make([]Slices, len(planOf))
+	for i, p := range planOf {
+		present := plans[p].scratch[2*nc:]
+		out[i] = Slices{dim: plans[p].dim, nc: nc, stride: 2 * nc, sides: [2][]int64{present, present[nc:]}}
+	}
+	return out
+}
+
+// sliceScan is CountSlices' pass: per block, select the rows of either
+// side with a present class into sel/off, then bump one cell per
+// selected row in every plan. The +1 shift routes a missing candidate
+// value to slot 0, which the caller drops. It returns the number of
+// rows selected.
+func sliceScan(ctx context.Context, colA, cls []int32, v1, v2 int32, nc int, plans []slicePlan) (int64, error) {
+	var sel, off [scanBlockRows]int32
+	stride := 2 * nc
+	var selected int64
+	for blo := 0; blo < len(colA); blo += scanBlockRows {
+		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
+		bhi := min(blo+scanBlockRows, len(colA))
+		n := 0
+		for r, a := range colA[blo:bhi] {
+			cl := cls[blo+r]
+			if cl < 0 || (a != v1 && a != v2) {
+				continue
+			}
+			side := int32(0)
+			if a == v2 {
+				side = int32(nc)
+			}
+			sel[n], off[n] = int32(r), side+cl
+			n++
+		}
+		selected += int64(n)
+		for i := range plans {
+			col, scratch := plans[i].col[blo:bhi], plans[i].scratch
+			for j, r := range sel[:n] {
+				scratch[(int(col[r])+1)*stride+int(off[j])]++
+			}
+		}
+	}
+	return selected, nil
+}

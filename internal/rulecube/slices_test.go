@@ -1,0 +1,348 @@
+package rulecube
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"opmap/internal/dataset"
+	"opmap/internal/faultinject"
+	"opmap/internal/obsv"
+)
+
+// codedDataset builds a categorical dataset from raw codes: attribute i
+// has cards[i] dictionary values (0 is an empty domain), the class
+// nc values, and each row lists one code per attribute then the class
+// code, dataset.Missing for a missing value.
+func codedDataset(t testing.TB, cards []int, nc int, rows [][]int32) *dataset.Dataset {
+	t.Helper()
+	n := len(cards)
+	schema := dataset.Schema{ClassIndex: n}
+	for i := 0; i <= n; i++ {
+		schema.Attrs = append(schema.Attrs, dataset.Attribute{Name: fmt.Sprintf("a%d", i), Kind: dataset.Categorical})
+	}
+	b, err := dataset.NewBuilder(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, card := range append(append([]int(nil), cards...), nc) {
+		d := dataset.NewDictionary()
+		for v := 0; v < card; v++ {
+			d.Code(fmt.Sprintf("v%d", v))
+		}
+		b.WithDict(i, d)
+	}
+	for _, r := range rows {
+		if err := b.AddCodedRow(r, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ds, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds
+}
+
+// randomSliceDataset draws a dataset whose attributes and class carry
+// missing values; attribute 1 has an empty domain, and the split
+// attribute 0 only ever takes its first `used` of card values, so
+// codes in [used, card) are absent from the data.
+func randomSliceDataset(t testing.TB, rng *rand.Rand, rows, used int) *dataset.Dataset {
+	cards := []int{5, 0, 3, 4, 2}
+	const nc = 3
+	codes := make([][]int32, rows)
+	for r := range codes {
+		row := make([]int32, len(cards)+1)
+		for i := range row {
+			card := nc
+			if i < len(cards) {
+				card = cards[i]
+			}
+			if i == 0 {
+				card = used
+			}
+			row[i] = dataset.Missing
+			if card > 0 && rng.Float64() >= 0.15 {
+				row[i] = int32(rng.Intn(card))
+			}
+		}
+		codes[r] = row
+	}
+	return codedDataset(t, cards, nc, codes)
+}
+
+// sliceCells flattens a slice table through its accessors, side by
+// side, value by value, class by class, with each (side, value)'s
+// condition count after its classes.
+func sliceCells(s Slices) []int64 {
+	var out []int64
+	for side := 0; side < 2; side++ {
+		for v := int32(0); int(v) < s.Dim(); v++ {
+			for c := int32(0); int(c) < s.nc; c++ {
+				out = append(out, s.Count(side, v, c))
+			}
+			out = append(out, s.CondCount(side, v))
+		}
+	}
+	return out
+}
+
+// checkSlices fails unless got holds, for every candidate, the two
+// slices of the pair cube (a1, b) as the brute-force recount and
+// BuildMany's pair cubes (both dimension orders) count them.
+func checkSlices(t *testing.T, ds *dataset.Dataset, a1 int, v1, v2 int32, cands []int, got []Slices) {
+	t.Helper()
+	if len(got) != len(cands) {
+		t.Fatalf("got %d tables for %d candidates", len(got), len(cands))
+	}
+	nc := ds.NumClasses()
+	for i, b := range cands {
+		s := got[i]
+		if s.Dim() != cubeDim(ds, b) {
+			t.Fatalf("candidate %d: dim %d, want %d", b, s.Dim(), cubeDim(ds, b))
+		}
+		naive, _ := naiveCells(ds, []int{a1, b})
+		var want []int64
+		for _, va := range []int32{v1, v2} {
+			for vb := int32(0); int(vb) < s.Dim(); vb++ {
+				var cond int64
+				for c := int32(0); int(c) < nc; c++ {
+					n := naive[fmt.Sprint([]int32{va, vb}, c)]
+					want = append(want, n)
+					cond += n
+				}
+				want = append(want, cond)
+			}
+		}
+		if got := sliceCells(s); !reflect.DeepEqual(got, want) {
+			t.Fatalf("candidate %d: cells %v, brute force %v", b, got, want)
+		}
+		if int(max(v1, v2)) >= cubeDim(ds, a1) {
+			continue // no such slice in the pair cube
+		}
+		cubes, err := BuildMany(context.Background(), ds, [][]int{{a1, b}, {b, a1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range cubes {
+			fromCube, err := SlicesOf(c, a1, v1, v2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(sliceCells(fromCube), want) {
+				t.Fatalf("candidate %d: slices of pair cube %v differ from the brute force", b, c.AttrIndices())
+			}
+		}
+	}
+}
+
+// TestCountSlicesOracle checks the slice kernel against the
+// brute-force recount and BuildMany's pair cubes on random small
+// datasets with missing values and classes, an empty-domain candidate,
+// split values absent from the data, and duplicate candidates.
+func TestCountSlicesOracle(t *testing.T) {
+	for trial := int64(0); trial < 6; trial++ {
+		rng := rand.New(rand.NewSource(trial))
+		ds := randomSliceDataset(t, rng, 1+rng.Intn(3*scanBlockRows), 3)
+		for _, tc := range []struct {
+			a1     int
+			v1, v2 int32
+			cands  []int
+		}{
+			{0, 0, 1, []int{1, 2, 3, 4}},
+			{0, 2, 1, []int{4, 2, 4, 3, 2}}, // duplicates
+			{0, 1, 4, []int{2, 3}},          // v2 absent from the data
+			{0, 3, 4, []int{1, 2}},          // both absent: every table empty
+			{0, 0, 9, []int{2}},             // v2 beyond the dictionary
+			{3, 3, 0, []int{0, 1, 2, 4}},
+			{2, 0, 2, nil},
+		} {
+			got, err := CountSlices(context.Background(), ds, tc.a1, tc.v1, tc.v2, tc.cands)
+			if err != nil {
+				t.Fatalf("trial %d %+v: %v", trial, tc, err)
+			}
+			checkSlices(t, ds, tc.a1, tc.v1, tc.v2, tc.cands, got)
+		}
+	}
+}
+
+func TestCountSlicesValidation(t *testing.T) {
+	ds := fig1Dataset(t) // A1, A2, class
+	for _, tc := range []struct {
+		name   string
+		a1     int
+		v1, v2 int32
+		cands  []int
+	}{
+		{"class split", 2, 0, 1, []int{0}},
+		{"split out of range", 5, 0, 1, []int{0}},
+		{"equal values", 0, 1, 1, []int{1}},
+		{"negative value", 0, -1, 1, []int{1}},
+		{"split as candidate", 0, 0, 1, []int{1, 0}},
+		{"class candidate", 0, 0, 1, []int{2}},
+		{"candidate out of range", 0, 0, 1, []int{-1}},
+	} {
+		if _, err := CountSlices(context.Background(), ds, tc.a1, tc.v1, tc.v2, tc.cands); err == nil {
+			t.Errorf("%s: expected error", tc.name)
+		}
+	}
+	cubes, err := BuildMany(context.Background(), ds, [][]int{{0}, {0, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := SlicesOf(cubes[0], 0, 0, 1); err == nil {
+		t.Error("SlicesOf a 1-D cube: expected error")
+	}
+	if _, err := SlicesOf(cubes[1], 0, 0, int32(cubes[1].Dim(0))); err == nil {
+		t.Error("SlicesOf a value beyond the split dimension: expected error")
+	}
+}
+
+// TestCountSlicesCounters pins the pass's counters: one scan, the
+// selected rows (either side, class present) as rows counted, and no
+// cube built.
+func TestCountSlicesCounters(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	ds := randomSliceDataset(t, rng, 5000, 4)
+	var selected int64
+	for r := 0; r < ds.NumRows(); r++ {
+		if v := ds.CatCode(r, 0); (v == 1 || v == 3) && ds.ClassCode(r) >= 0 {
+			selected++
+		}
+	}
+	reg := obsv.Default()
+	s0 := reg.Counter(CubeScansCounterName).Value()
+	r0 := reg.Counter(RowsCountedCounterName).Value()
+	b0 := reg.Counter(CubesBuiltCounterName).Value()
+	if _, err := CountSlices(context.Background(), ds, 0, 3, 1, []int{1, 2, 3, 4}); err != nil {
+		t.Fatal(err)
+	}
+	if d := reg.Counter(CubeScansCounterName).Value() - s0; d != 1 {
+		t.Errorf("scan counter advanced by %d, want 1", d)
+	}
+	if d := reg.Counter(RowsCountedCounterName).Value() - r0; d != selected {
+		t.Errorf("rows counted advanced by %d, want the %d selected rows", d, selected)
+	}
+	if d := reg.Counter(CubesBuiltCounterName).Value() - b0; d != 0 {
+		t.Errorf("cubes built advanced by %d, want 0", d)
+	}
+	// BuildMany counts every row.
+	r1 := reg.Counter(RowsCountedCounterName).Value()
+	if _, err := BuildMany(context.Background(), ds, [][]int{{0, 2}, {3}}); err != nil {
+		t.Fatal(err)
+	}
+	if d := reg.Counter(RowsCountedCounterName).Value() - r1; d != int64(ds.NumRows()) {
+		t.Errorf("BuildMany advanced rows counted by %d, want %d", d, ds.NumRows())
+	}
+}
+
+// TestCountSlicesCancelAndFault: a done context returns ctx.Err(), an
+// armed batch fault fails the pass, a cancel mid-pass stops it at the
+// next block, and none of them advances the scan counter.
+func TestCountSlicesCancelAndFault(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	ds := randomSliceDataset(t, rng, 4*scanBlockRows, 3)
+	scans := obsv.Default().Counter(CubeScansCounterName)
+	s0 := scans.Value()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := CountSlices(ctx, ds, 0, 0, 1, []int{2, 3}); err != context.Canceled {
+		t.Errorf("canceled ctx: got %v", err)
+	}
+	mid := &cancelAtCtx{Context: context.Background(), at: 3}
+	if _, err := CountSlices(mid, ds, 0, 0, 1, []int{2, 3}); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancel mid-pass: got %v", err)
+	}
+	if mid.polls != mid.at {
+		t.Errorf("pass polled ctx %d times after it reported done at poll %d", mid.polls, mid.at)
+	}
+	disarm, err := faultinject.Arm(faultinject.Fault{Site: faultinject.SiteCubeBatch, Kind: faultinject.Error})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disarm()
+	if _, err := CountSlices(context.Background(), ds, 0, 0, 1, []int{2, 3}); err == nil {
+		t.Error("armed batch fault: expected error")
+	}
+	if d := scans.Value() - s0; d != 0 {
+		t.Errorf("failed passes advanced the scan counter by %d, want 0", d)
+	}
+}
+
+// cancelAtCtx reports context.Canceled from its at-th Err poll on.
+type cancelAtCtx struct {
+	context.Context
+	polls, at int
+}
+
+func (c *cancelAtCtx) Err() error {
+	if c.polls++; c.polls >= c.at {
+		return context.Canceled
+	}
+	return nil
+}
+
+// FuzzCountSlices decodes arbitrary bytes into a small dataset (missing
+// values and classes, empty domains) and a slice request (any split
+// values, duplicate candidates), and checks the pass against the
+// brute-force recount and BuildMany's pair cubes. Invalid requests
+// must fail, never panic.
+func FuzzCountSlices(f *testing.F) {
+	f.Add([]byte{3, 2, 0, 1, 0, 1, 2, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add([]byte{4, 3, 3, 4, 1, 0, 2, 2, 2, 1, 0, 1, 2, 3, 4, 0, 0, 1, 1})
+	f.Add([]byte{2, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		attrs := 2 + next()%3
+		cards := make([]int, attrs)
+		for i := range cards {
+			cards[i] = next() % 5
+		}
+		nc := 1 + next()%3
+		a1, v1, v2 := next()%attrs, int32(next()%7)-1, int32(next()%7)-1
+		var cands []int
+		for i, n := 0, next()%6; i < n; i++ {
+			cands = append(cands, next()%(attrs+1))
+		}
+		var rows [][]int32
+		for len(data) > 0 && len(rows) < 256 {
+			row := make([]int32, attrs+1)
+			for i := range row {
+				card := nc
+				if i < attrs {
+					card = cards[i]
+				}
+				row[i] = int32(next()%(card+1)) - 1
+			}
+			rows = append(rows, row)
+		}
+		ds := codedDataset(t, cards, nc, rows)
+		got, err := CountSlices(context.Background(), ds, a1, v1, v2, cands)
+		valid := v1 >= 0 && v2 >= 0 && v1 != v2
+		for _, b := range cands {
+			valid = valid && b != a1 && b != attrs
+		}
+		if !valid {
+			if err == nil {
+				t.Fatalf("invalid request (split %d, values %d/%d, candidates %v) accepted", a1, v1, v2, cands)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("valid request (split %d, values %d/%d, candidates %v): %v", a1, v1, v2, cands, err)
+		}
+		checkSlices(t, ds, a1, v1, v2, cands, got)
+	})
+}

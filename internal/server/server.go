@@ -223,6 +223,7 @@ func New(cfg Config) (*Server, error) {
 	// needs both series present at 0 rather than absent.
 	s.metrics.Counter(rulecube.CubesBuiltCounterName)
 	s.metrics.Counter(rulecube.CubeScansCounterName)
+	s.metrics.Counter(rulecube.RowsCountedCounterName)
 	// Shard-merge series: a shard-directory warm start must be able to
 	// prove "N shards merged, zero cubes built" with a scrape.
 	s.metrics.Histogram(opmap.ShardMergeHistogramName, nil)

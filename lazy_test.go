@@ -7,6 +7,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"opmap/internal/obsv"
+	"opmap/internal/rulecube"
 )
 
 // lazyPair builds two sessions over identically generated data: one
@@ -87,8 +90,13 @@ func TestLazySweepAndImpressionsMatchEager(t *testing.T) {
 
 func TestLazySessionResultCache(t *testing.T) {
 	_, lazy, gt := lazyPair(t)
+	scans := obsv.Default().Counter(rulecube.CubeScansCounterName)
+	s0 := scans.Value()
 	if _, err := lazy.Compare(gt.PhoneAttr, gt.GoodPhone, gt.BadPhone, gt.DropClass, CompareOptions{}); err != nil {
 		t.Fatal(err)
+	}
+	if scans.Value() == s0 {
+		t.Fatal("first compare on a cold lazy session counted nothing")
 	}
 	st := lazy.EngineStats()
 	if !st.Lazy {
@@ -97,7 +105,7 @@ func TestLazySessionResultCache(t *testing.T) {
 	if st.ResultCacheMisses == 0 || st.ResultCacheEntries == 0 {
 		t.Fatalf("first compare should miss and cache: %+v", st)
 	}
-	builds := st.TwoDBuilds
+	s1 := scans.Value()
 	if _, err := lazy.Compare(gt.PhoneAttr, gt.GoodPhone, gt.BadPhone, gt.DropClass, CompareOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -105,8 +113,8 @@ func TestLazySessionResultCache(t *testing.T) {
 	if st2.ResultCacheHits == 0 {
 		t.Errorf("second identical compare should hit the result cache: %+v", st2)
 	}
-	if st2.TwoDBuilds != builds {
-		t.Errorf("cached compare rebuilt cubes: %d -> %d", builds, st2.TwoDBuilds)
+	if d := scans.Value() - s1; d != 0 {
+		t.Errorf("cached compare counted again: %d scans", d)
 	}
 	// A swapped value pair normalizes to the same key.
 	if _, err := lazy.Compare(gt.PhoneAttr, gt.BadPhone, gt.GoodPhone, gt.DropClass, CompareOptions{}); err != nil {

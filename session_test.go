@@ -2,6 +2,8 @@ package opmap
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -138,6 +140,52 @@ func TestCompareByScanAgrees(t *testing.T) {
 	for i := range ra {
 		if ra[i].Name != rb[i].Name {
 			t.Fatalf("rank %d differs: %s vs %s", i, ra[i].Name, rb[i].Name)
+		}
+	}
+
+	// A table whose class is missing on 20 of 60 rows: the scan must
+	// skip those rows exactly as the cubes do.
+	var csv strings.Builder
+	csv.WriteString("Phone,Time,Region,Disposition\n")
+	for i := 0; i < 60; i++ {
+		phone, tm := []string{"p1", "p2"}[i%2], []string{"am", "pm", "eve"}[(i/2)%3]
+		class := "ok"
+		switch {
+		case i%3 == 0:
+			class = "?"
+		case i%4 == 2 || i%5 == 1 || (phone == "p2" && tm == "am"):
+			class = "drop"
+		}
+		fmt.Fprintf(&csv, "%s,%s,%s,%s\n", phone, tm, []string{"n", "s"}[(i/6)%2], class)
+	}
+	m, err := LoadCSV(strings.NewReader(csv.String()), LoadOptions{Class: "Disposition"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.BuildCubes(); err != nil {
+		t.Fatal(err)
+	}
+	a, err = m.Compare("Phone", "p1", "p2", "drop", CompareOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err = m.CompareByScan("Phone", "p1", "p2", "drop", CompareOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r1, r2 := a.res.Rule1, b.res.Rule1; r1.CondCount != 20 || !reflect.DeepEqual(r1, r2) {
+		t.Errorf("rule 1: cube %+v, scan %+v (want |D1| = 20)", r1, r2)
+	}
+	if !reflect.DeepEqual(a.res.Rule2, b.res.Rule2) {
+		t.Errorf("rule 2: cube %+v, scan %+v", a.res.Rule2, b.res.Rule2)
+	}
+	ra, rb = a.Ranked(), b.Ranked()
+	if len(ra) != len(rb) {
+		t.Fatalf("missing-class table: %d vs %d ranked", len(ra), len(rb))
+	}
+	for i := range ra {
+		if ra[i].Name != rb[i].Name || !reflect.DeepEqual(ra[i].Values, rb[i].Values) {
+			t.Errorf("missing-class table rank %d: cube %s %+v, scan %s %+v", i, ra[i].Name, ra[i].Values, rb[i].Name, rb[i].Values)
 		}
 	}
 }

@@ -5,6 +5,9 @@ import (
 	"context"
 	"reflect"
 	"testing"
+
+	"opmap/internal/obsv"
+	"opmap/internal/rulecube"
 )
 
 // snapshotPair builds a fresh eager session and a second session
@@ -157,12 +160,17 @@ func TestSnapshotSeedLazy(t *testing.T) {
 	if err := first.BuildCubesOptions(context.Background(), BuildOptions{Lazy: true}); err != nil {
 		t.Fatal(err)
 	}
+	// A sweep caches the phone attribute's pair cubes; a pairwise
+	// compare reads resident cubes but never caches any.
+	if _, err := first.Sweep(gt.PhoneAttr, gt.DropClass, 0); err != nil {
+		t.Fatal(err)
+	}
 	want, err := first.Compare(gt.PhoneAttr, gt.GoodPhone, gt.BadPhone, gt.DropClass, CompareOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.CubeCount() == 0 {
-		t.Fatal("lazy session has no resident cubes after a compare")
+	if n := first.CubeCount(); n < 2 {
+		t.Fatalf("lazy session has %d resident cubes after a sweep, want its pair cubes too", n)
 	}
 	path := t.TempDir() + "/lazy.omapsnap"
 	if err := first.SaveSnapshotFile(path, SnapshotOptions{}); err != nil {
@@ -193,9 +201,14 @@ func TestSnapshotSeedLazy(t *testing.T) {
 	if seeded != first.CubeCount() {
 		t.Errorf("seeded %d cubes, snapshot held %d", seeded, first.CubeCount())
 	}
+	scans := obsv.Default().Counter(rulecube.CubeScansCounterName)
+	s0 := scans.Value()
 	got, err := second.Compare(gt.PhoneAttr, gt.GoodPhone, gt.BadPhone, gt.DropClass, CompareOptions{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if d := scans.Value() - s0; d != 0 {
+		t.Errorf("seeded session's compare performed %d scans, want 0", d)
 	}
 	if !reflect.DeepEqual(want.Ranked(), got.Ranked()) {
 		t.Error("seeded session's ranking differs from the original")
