@@ -239,12 +239,14 @@ func (s *Session) appendWorkingRow(row []string, fr []float64) ([]int32, error) 
 		}
 		return codes, nil
 	}
-	// Discretized working copy — a live session's clone of the raw
+	// Discretized working dataset — a live session's Derive of the raw
 	// dataset, or the single shared interval dataset of a restored
-	// session. Categorical dictionaries stay aligned with raw by
-	// registering the same labels in the same order; numeric values bin
-	// through the remembered cuts (every bin is pre-registered in the
-	// interval dictionary).
+	// session. A live session's categorical columns and dictionaries
+	// are raw's own, so the lookups below find the codes raw's
+	// AppendRow just wrote and AppendCodedRow re-slices the shared
+	// columns to raw's grown codes instead of writing them again.
+	// Numeric values bin through the remembered cuts (every bin is
+	// pre-registered in the interval dictionary).
 	for i := 0; i < n; i++ {
 		if s.binnedAttr(i) {
 			name := s.raw.Attr(i).Name
@@ -327,7 +329,7 @@ func (s *Session) maybeReevalCuts(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	nds, ncuts, err := discretize.Apply(s.raw, d)
+	ncuts, err := discretize.FindCuts(s.raw, d)
 	if err != nil {
 		return fmt.Errorf("opmap: cut re-evaluation: %w", err)
 	}
@@ -335,6 +337,10 @@ func (s *Session) maybeReevalCuts(ctx context.Context) error {
 	s.appendDeltas = nil
 	if cutsEqual(ncuts, s.cuts) {
 		return nil
+	}
+	nds, err := discretize.Bin(s.raw, ncuts)
+	if err != nil {
+		return fmt.Errorf("opmap: cut re-evaluation: %w", err)
 	}
 	s.ds = nds
 	s.cuts = ncuts

@@ -30,6 +30,9 @@ go test ./...
 echo "== go test -race =="
 go test -race ./...
 
+echo "== serving benchmark (compiles and runs once) =="
+go test -run '^$' -bench BenchmarkServeCompare -benchtime 1x -benchmem ./internal/server
+
 echo "== opmaplint =="
 lintdir=$(mktemp -d)
 trap 'rm -rf "$lintdir"' EXIT
@@ -605,5 +608,6 @@ go test -run '^$' -fuzz '^FuzzReadSnapshot$' -fuzztime 10s ./internal/snapshot
 go test -run '^$' -fuzz '^FuzzMergeSnapshots$' -fuzztime 10s ./internal/snapshot
 go test -run '^$' -fuzz '^FuzzReplayWAL$' -fuzztime 10s ./internal/wal
 go test -run '^$' -fuzz '^FuzzReadCSV$' -fuzztime 10s ./internal/dataset
+go test -run '^$' -fuzz '^FuzzApplyMatchesReference$' -fuzztime 10s ./internal/discretize
 
 echo "CI PASSED"

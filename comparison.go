@@ -168,7 +168,7 @@ func compareDeps(in compare.Input, copts compare.Options) []int {
 func (s *Session) CompareByScan(attr, v1, v2, class string, opts CompareOptions) (*Comparison, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if _, err := s.working(); err != nil {
+	if _, err := s.scanRows("CompareByScan"); err != nil {
 		return nil, err
 	}
 	in, copts, err := s.resolve(attr, v1, v2, class, opts)
@@ -261,45 +261,51 @@ func toItemErrors(in []compare.ItemError) []ItemError {
 	return out
 }
 
-func toScore(s compare.AttrScore) AttributeScore {
-	out := AttributeScore{
-		Name:          s.Name,
-		Score:         s.Score,
-		NormScore:     s.NormScore,
-		Property:      s.Property,
-		PropertyRatio: s.PropertyRatio,
+// toScores converts internal scores to the public form in two
+// allocations: the entries and one slab for all their breakdowns.
+func toScores(in []compare.AttrScore) []AttributeScore {
+	if len(in) == 0 {
+		return nil
 	}
-	for _, d := range s.Values {
-		out.Values = append(out.Values, ValueBreakdown{
-			Label: d.Label,
-			N1:    d.N1, C1: d.C1, Cf1: d.Cf1, E1: d.E1,
-			N2: d.N2, C2: d.C2, Cf2: d.Cf2, E2: d.E2,
-			F: d.F, W: d.W,
-		})
+	values := 0
+	for _, s := range in {
+		values += len(s.Values)
+	}
+	slab := make([]ValueBreakdown, 0, values)
+	out := make([]AttributeScore, len(in))
+	for i, s := range in {
+		out[i] = AttributeScore{
+			Name:          s.Name,
+			Score:         s.Score,
+			NormScore:     s.NormScore,
+			Property:      s.Property,
+			PropertyRatio: s.PropertyRatio,
+		}
+		if len(s.Values) == 0 {
+			continue
+		}
+		first := len(slab)
+		for _, d := range s.Values {
+			slab = append(slab, ValueBreakdown{
+				Label: d.Label,
+				N1:    d.N1, C1: d.C1, Cf1: d.Cf1, E1: d.E1,
+				N2: d.N2, C2: d.C2, Cf2: d.Cf2, E2: d.E2,
+				F: d.F, W: d.W,
+			})
+		}
+		out[i].Values = slab[first:len(slab):len(slab)]
 	}
 	return out
 }
 
 // Top returns the n highest-ranked non-property attributes.
-func (c *Comparison) Top(n int) []AttributeScore {
-	var out []AttributeScore
-	for _, s := range c.res.Top(n) {
-		out = append(out, toScore(s))
-	}
-	return out
-}
+func (c *Comparison) Top(n int) []AttributeScore { return toScores(c.res.Top(n)) }
 
 // Ranked returns all non-property attributes by descending score.
-func (c *Comparison) Ranked() []AttributeScore { return c.Top(len(c.res.Ranked)) }
+func (c *Comparison) Ranked() []AttributeScore { return toScores(c.res.Ranked) }
 
 // PropertyAttributes returns the attributes set aside per Section IV.C.
-func (c *Comparison) PropertyAttributes() []AttributeScore {
-	var out []AttributeScore
-	for _, s := range c.res.Property {
-		out = append(out, toScore(s))
-	}
-	return out
-}
+func (c *Comparison) PropertyAttributes() []AttributeScore { return toScores(c.res.Property) }
 
 // Rank returns the 1-based rank of the named attribute among the
 // non-property ranking (0 when the attribute is a property attribute),
@@ -316,7 +322,7 @@ func (c *Comparison) Attribute(name string) (AttributeScore, bool) {
 	if !ok {
 		return AttributeScore{}, false
 	}
-	return toScore(s), true
+	return toScores([]compare.AttrScore{s})[0], true
 }
 
 // RenderRanking writes the ranking view (top n plus the property list).

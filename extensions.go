@@ -250,7 +250,7 @@ func (s *Session) wrapOneVsRestAll(attr, class string, res *compare.OneVsRestAll
 func (s *Session) CompareWhere(attr, v1, v2, class string, where map[string]string, opts CompareOptions) (*Comparison, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if _, err := s.working(); err != nil {
+	if _, err := s.scanRows("CompareWhere"); err != nil {
 		return nil, err
 	}
 	in, copts, err := s.resolve(attr, v1, v2, class, opts)
@@ -303,7 +303,8 @@ func (s *Session) SaveCubesFile(path string) error {
 // OpenCubes builds a Session directly from a persisted cube store — no
 // raw data needed. Comparisons, screening, impressions and views work;
 // operations needing raw records (MineRules, CompareByScan,
-// Completeness, re-Discretize) return errors.
+// CompareWhere, Completeness, re-Discretize, BuildCubes) return errors,
+// also after Append: the session then holds only the appended rows.
 func OpenCubes(r io.Reader) (*Session, error) {
 	store, err := rulecube.ReadStore(r)
 	if err != nil {
@@ -325,10 +326,11 @@ func OpenCubesFile(path string) (*Session, error) {
 // every cube pinned (engine.FromStore) and a fresh result cache.
 func sessionFromStore(store *rulecube.Store) *Session {
 	return &Session{
-		raw:     store.Dataset(),
-		ds:      store.Dataset(),
-		src:     engine.FromStore(store),
-		results: engine.NewResultCache(0),
+		raw:      store.Dataset(),
+		ds:       store.Dataset(),
+		src:      engine.FromStore(store),
+		results:  engine.NewResultCache(0),
+		restored: true,
 	}
 }
 
@@ -517,7 +519,7 @@ func (s *Session) TestSignificance(attr, v1, v2, class, candidate string, rounds
 func (s *Session) TestSignificanceContext(ctx context.Context, attr, v1, v2, class, candidate string, rounds int, seed int64) (SignificanceResult, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if _, err := s.working(); err != nil {
+	if _, err := s.scanRows("TestSignificance"); err != nil {
 		return SignificanceResult{}, err
 	}
 	in, copts, err := s.resolve(attr, v1, v2, class, CompareOptions{})
@@ -584,6 +586,9 @@ func (s *Session) Describe(w io.Writer) error {
 func (s *Session) DownsampleMajority(keepFraction float64, seed int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if err := s.requireSourceRows("DownsampleMajority"); err != nil {
+		return err
+	}
 	sampled, err := dataset.UnbalancedSample(s.raw, dataset.SampleOptions{
 		Seed:         seed,
 		KeepFraction: keepFraction,

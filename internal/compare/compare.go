@@ -24,7 +24,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"opmap/internal/car"
@@ -339,7 +340,7 @@ func (c *Comparator) CompareContext(ctx context.Context, in Input, opts Options)
 		if attrTimes != nil {
 			attrStart = time.Now()
 		}
-		score, err := scoreAttribute(c.ds, ai, sliceTable(tabs[k], in.Class), res, opts)
+		score, err := scoreAttribute(c.ds, ai, res.sliceTable(tabs[k], in.Class), res, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -355,8 +356,9 @@ func (c *Comparator) CompareContext(ctx context.Context, in Input, opts Options)
 // sliceTable extracts, from a candidate's two pair-cube slices, the
 // per-value contingency rows for A1=v1 and A1=v2: for each value v_k of
 // the candidate, the total and class-c_a counts in each sub-population.
-func sliceTable(s rulecube.Slices, class int32) valueTable {
-	t := newValueTable(s.Dim())
+// The table is the computation's scratch, valid until the next call.
+func (c *computation) sliceTable(s rulecube.Slices, class int32) valueTable {
+	t := c.table(s.Dim())
 	for k := int32(0); int(k) < s.Dim(); k++ {
 		t.n1[k], t.c1[k] = s.CondCount(0, k), s.Count(0, k, class)
 		t.n2[k], t.c2[k] = s.CondCount(1, k), s.Count(1, k, class)
@@ -371,20 +373,53 @@ type valueTable struct {
 	n2, c2 []int64 // per value: total and class-c_a counts in D2
 }
 
+// newValueTable returns a zeroed table of card values in one
+// allocation.
 func newValueTable(card int) valueTable {
+	buf := make([]int64, 4*card)
 	return valueTable{
-		n1: make([]int64, card),
-		c1: make([]int64, card),
-		n2: make([]int64, card),
-		c2: make([]int64, card),
+		n1: buf[0*card : 1*card : 1*card],
+		c1: buf[1*card : 2*card : 2*card],
+		n2: buf[2*card : 3*card : 3*card],
+		c2: buf[3*card : 4*card : 4*card],
 	}
 }
 
 // computation carries the oriented comparison state while attributes are
-// scored.
+// scored. It allocates once per answer, not once per candidate or
+// value: reserve sizes one value table that every candidate refills,
+// one ValueDetail slab the candidates' breakdowns are cut from, and the
+// ranking.
 type computation struct {
 	result *Result
 	v1, v2 int32 // oriented value codes (v1 = lower-confidence side)
+
+	tab     valueTable
+	details []ValueDetail
+}
+
+// reserve sizes the computation's buffers for scoring attrs of ds.
+func (c *computation) reserve(ds *dataset.Dataset, attrs []int) {
+	maxCard, values := 0, 0
+	for _, a := range attrs {
+		card := ds.Cardinality(a)
+		maxCard = max(maxCard, card)
+		values += card
+	}
+	c.tab = newValueTable(maxCard)
+	c.details = make([]ValueDetail, 0, values)
+	c.result.Ranked = make([]AttrScore, 0, len(attrs))
+}
+
+// table returns the scratch value table viewing card values; callers
+// overwrite every entry. A card beyond the reservation gets a table of
+// its own.
+func (c *computation) table(card int) valueTable {
+	if cap(c.tab.n1) < card {
+		c.tab = newValueTable(card)
+		return c.tab
+	}
+	return valueTable{n1: c.tab.n1[:card], c1: c.tab.c1[:card], n2: c.tab.n2[:card], c2: c.tab.c2[:card]}
 }
 
 func (c *computation) add(s AttrScore) {
@@ -396,19 +431,22 @@ func (c *computation) add(s AttrScore) {
 }
 
 func (c *computation) finish() {
-	byScore := func(s []AttrScore) func(i, j int) bool {
-		return func(i, j int) bool {
-			switch {
-			case s[i].Score > s[j].Score:
-				return true
-			case s[j].Score > s[i].Score:
-				return false
-			}
-			return s[i].Name < s[j].Name
-		}
+	if len(c.result.Ranked) == 0 {
+		c.result.Ranked = nil
 	}
-	sort.SliceStable(c.result.Ranked, byScore(c.result.Ranked))
-	sort.SliceStable(c.result.Property, byScore(c.result.Property))
+	slices.SortStableFunc(c.result.Ranked, byScore)
+	slices.SortStableFunc(c.result.Property, byScore)
+}
+
+// byScore orders scores by descending M, ties by name.
+func byScore(a, b AttrScore) int {
+	switch {
+	case a.Score > b.Score:
+		return -1
+	case b.Score > a.Score:
+		return 1
+	}
+	return strings.Compare(a.Name, b.Name)
 }
 
 // ruleCounter abstracts how the two input rules' counts are obtained
@@ -491,7 +529,9 @@ func prepare(ds *dataset.Dataset, in Input, opts Options, total func() (int64, e
 		Ratio:   cf2 / cf1,
 		Options: opts,
 	}
-	return &computation{result: res, v1: in.V1, v2: in.V2}, attrs, nil
+	comp := &computation{result: res, v1: in.V1, v2: in.V2}
+	comp.reserve(ds, attrs)
+	return comp, attrs, nil
 }
 
 // scoreAttribute computes M_i (Eq. 1–3) and the property classification
@@ -509,6 +549,7 @@ func scoreAttribute(ds *dataset.Dataset, attr int, tab valueTable, comp *computa
 	}
 
 	score := AttrScore{Attr: attr, Name: ds.Attr(attr).Name}
+	first := len(comp.details)
 	var p, t int
 	var m float64
 	for k := range tab.n1 {
@@ -543,7 +584,10 @@ func scoreAttribute(ds *dataset.Dataset, attr int, tab valueTable, comp *computa
 			d.W = d.F * float64(n2)
 		}
 		m += d.W
-		score.Values = append(score.Values, d)
+		comp.details = append(comp.details, d)
+	}
+	if n := len(comp.details); n > first {
+		score.Values = comp.details[first:n:n]
 	}
 	score.Score = m
 	if denom := res.Cf2 * float64(res.Rule2.CondCount); denom > 0 {
@@ -621,7 +665,7 @@ func Scan(ds *dataset.Dataset, in Input, opts Options) (*Result, error) {
 		return nil, err
 	}
 	for k, ai := range attrs {
-		score, err := scoreAttribute(ds, ai, sliceTable(tabs[k], in.Class), res, opts)
+		score, err := scoreAttribute(ds, ai, res.sliceTable(tabs[k], in.Class), res, opts)
 		if err != nil {
 			return nil, err
 		}

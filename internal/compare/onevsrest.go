@@ -142,6 +142,7 @@ func (c *Comparator) OneVsRestContext(ctx context.Context, in OneVsRestInput, op
 	if err != nil {
 		return nil, err
 	}
+	comp.reserve(ds, attrs)
 	for i, ai := range attrs {
 		if err := ctxOrFault(ctx, faultinject.SiteCompareAttr); err != nil {
 			if !opts.PartialOnDeadline || ctx.Err() == nil {
@@ -164,7 +165,7 @@ func (c *Comparator) OneVsRestContext(ctx context.Context, in OneVsRestInput, op
 		if err != nil {
 			return nil, fmt.Errorf("compare: attribute %d unavailable: %w", ai, err)
 		}
-		tab, err := oneVsRestTable(pair, marginal, in.Attr, ai, in.Value, in.Class, restIsHigh)
+		tab, err := comp.oneVsRestTable(pair, marginal, in.Attr, ai, in.Value, in.Class, restIsHigh)
 		if err != nil {
 			return nil, err
 		}
@@ -196,8 +197,8 @@ func defaultRankAttrs(ds *dataset.Dataset, splitAttr int) []int {
 // oneVsRestTable builds the per-value contingency rows of candidate
 // attribute ai for the split A=v vs A≠v: the "value" side comes from the
 // pair cube sliced at v; the "rest" side is the candidate's marginal
-// cube minus the value side.
-func oneVsRestTable(pair, marginal *rulecube.Cube, a1, ai int, v, class int32, restIsHigh bool) (valueTable, error) {
+// cube minus the value side. The table is the computation's scratch.
+func (comp *computation) oneVsRestTable(pair, marginal *rulecube.Cube, a1, ai int, v, class int32, restIsHigh bool) (valueTable, error) {
 	idx := pair.AttrIndices()
 	var posA1, posAi int
 	switch {
@@ -209,7 +210,7 @@ func oneVsRestTable(pair, marginal *rulecube.Cube, a1, ai int, v, class int32, r
 		return valueTable{}, fmt.Errorf("compare: cube dimensions %v do not match (%d,%d)", idx, a1, ai)
 	}
 	card := pair.Dim(posAi)
-	t := newValueTable(card)
+	t := comp.table(card)
 	coords := make([]int32, 2)
 	coords[posA1] = v
 	for k := int32(0); int(k) < card; k++ {

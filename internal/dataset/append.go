@@ -13,6 +13,9 @@ import "fmt"
 // fully validated before anything mutates, so a malformed row leaves
 // the dataset untouched.
 func (ds *Dataset) AppendRow(values []string) error {
+	if ds.base != nil {
+		return fmt.Errorf("dataset: AppendRow on a derived dataset; append to its base and AppendCodedRow the binned codes")
+	}
 	if len(values) != len(ds.cols) {
 		return fmt.Errorf("dataset: row has %d values, schema has %d attributes", len(values), len(ds.cols))
 	}
@@ -49,13 +52,22 @@ func (ds *Dataset) AppendRow(values []string) error {
 // for categorical attributes, values[i] for continuous ones (values may
 // be nil when every attribute is categorical). Codes must already be
 // registered — this path never grows a dictionary, so the caller
-// controls exactly when domains change.
+// controls exactly when domains change. On a derived dataset (Derive)
+// the base must already hold the row: each shared column takes the
+// base's grown codes, which must equal codes[i].
 func (ds *Dataset) AppendCodedRow(codes []int32, values []float64) error {
 	if len(codes) != len(ds.cols) || (values != nil && len(values) != len(ds.cols)) {
 		return fmt.Errorf("dataset: coded row width mismatch")
 	}
 	for i := range ds.cols {
 		c := &ds.cols[i]
+		if ds.shared(i) {
+			base := ds.base.cols[i].Codes
+			if len(base) != ds.rows+1 || base[ds.rows] != codes[i] {
+				return fmt.Errorf("dataset: attribute %q is shared with the base dataset, which must hold the row first", ds.schema.Attrs[i].Name)
+			}
+			continue
+		}
 		if c.Kind == Categorical {
 			code := codes[i]
 			if code >= 0 && int(code) >= c.Dict.Len() {
@@ -69,9 +81,12 @@ func (ds *Dataset) AppendCodedRow(codes []int32, values []float64) error {
 	}
 	for i := range ds.cols {
 		c := &ds.cols[i]
-		if c.Kind == Categorical {
+		switch {
+		case ds.shared(i):
+			c.Codes = ds.base.cols[i].Codes // validated above: one row ahead
+		case c.Kind == Categorical:
 			c.Codes = append(c.Codes, codes[i])
-		} else {
+		default:
 			c.Values = append(c.Values, values[i])
 		}
 	}

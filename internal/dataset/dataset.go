@@ -187,6 +187,9 @@ type Dataset struct {
 	schema Schema
 	cols   []Column
 	rows   int
+	// base is set on a Derive result: the dataset whose categorical
+	// columns (codes and dictionaries) this one shares.
+	base *Dataset
 }
 
 // Schema returns the dataset schema. The returned value shares the
@@ -372,6 +375,50 @@ func (ds *Dataset) SelectAttrs(attrs []int) (*Dataset, error) {
 		}
 	}
 	return out, nil
+}
+
+// Derive returns a fully categorical dataset over ds's rows that holds
+// no second copy of them: every categorical column aliases ds's codes
+// and *Dictionary, and every continuous column i is replaced by
+// binned[i], a categorical column of ds's length with its own
+// (interval) dictionary. Entries of binned at categorical attributes
+// are ignored.
+//
+// ds becomes the result's base, and the two grow in one order: the
+// base first, then the derived dataset, whose AppendCodedRow and
+// AppendRemapped take each shared column's new codes from the base
+// (re-slicing its grown backing array) instead of writing them again.
+// The shared columns therefore stay one copy across slice growth.
+func (ds *Dataset) Derive(binned []Column) (*Dataset, error) {
+	if len(binned) != len(ds.cols) {
+		return nil, fmt.Errorf("dataset: Derive: %d columns for %d attributes", len(binned), len(ds.cols))
+	}
+	out := &Dataset{rows: ds.rows, base: ds, cols: make([]Column, len(ds.cols))}
+	out.schema = Schema{Attrs: make([]Attribute, len(ds.cols)), ClassIndex: ds.schema.ClassIndex}
+	for i := range ds.cols {
+		out.schema.Attrs[i] = Attribute{Name: ds.schema.Attrs[i].Name, Kind: Categorical}
+		if ds.cols[i].Kind == Categorical {
+			out.cols[i] = ds.cols[i]
+			continue
+		}
+		b := binned[i]
+		if b.Kind != Categorical || b.Dict == nil || len(b.Codes) != ds.rows {
+			return nil, fmt.Errorf("dataset: Derive: attribute %q needs a categorical column of %d codes with a dictionary", ds.schema.Attrs[i].Name, ds.rows)
+		}
+		for _, code := range b.Codes {
+			if code >= 0 && int(code) >= b.Dict.Len() {
+				return nil, fmt.Errorf("dataset: attribute %q has code %d beyond dictionary size %d", ds.schema.Attrs[i].Name, code, b.Dict.Len())
+			}
+		}
+		out.cols[i] = Column{Kind: Categorical, Codes: b.Codes, Dict: b.Dict}
+	}
+	return out, nil
+}
+
+// shared reports whether column i aliases the base's column: true for
+// every categorical column of the base of a Derive result.
+func (ds *Dataset) shared(i int) bool {
+	return ds.base != nil && ds.base.cols[i].Kind == Categorical
 }
 
 // Duplicate returns the dataset repeated factor times. The paper's

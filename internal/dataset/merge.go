@@ -120,12 +120,19 @@ func (ds *Dataset) UnionDicts(src *Dataset) (*Remap, error) {
 // categorical codes through rm (Missing stays Missing) and copying
 // continuous values verbatim. rm must come from a ds.UnionDicts(src)
 // call, so every translated code is already registered in ds's
-// dictionaries.
+// dictionaries. On a derived dataset (Derive) the base must already
+// hold src's rows: the shared columns take the base's grown codes.
 func (ds *Dataset) AppendRemapped(src *Dataset, rm *Remap) error {
 	if err := ds.CompatibleSchema(src); err != nil {
 		return err
 	}
 	for i := range ds.cols {
+		if ds.shared(i) {
+			if got, want := len(ds.base.cols[i].Codes), ds.rows+src.rows; got != want {
+				return fmt.Errorf("dataset: attribute %q is shared with a base dataset of %d rows; append to the base first (want %d)", ds.schema.Attrs[i].Name, got, want)
+			}
+			continue
+		}
 		if ds.cols[i].Kind != Categorical {
 			continue
 		}
@@ -142,6 +149,10 @@ func (ds *Dataset) AppendRemapped(src *Dataset, rm *Remap) error {
 	for i := range ds.cols {
 		dst := &ds.cols[i]
 		srcCol := &src.cols[i]
+		if ds.shared(i) {
+			dst.Codes = ds.base.cols[i].Codes // validated above: src.rows ahead
+			continue
+		}
 		if dst.Kind != Categorical {
 			dst.Values = append(dst.Values, srcCol.Values...)
 			continue

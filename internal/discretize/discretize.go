@@ -331,66 +331,68 @@ func BinOf(cuts []float64, v float64) int {
 // a fully categorical dataset. Interval labels become the dictionary of
 // each discretized attribute, in ascending interval order, so ordinal
 // structure (used by the trend miner) is preserved. The mapping of each
-// attribute is returned for reporting.
+// attribute is returned for reporting. The result shares ds's
+// categorical columns (dataset.Derive): only the continuous columns
+// are binned into new storage.
 func Apply(ds *dataset.Dataset, d Discretizer) (*dataset.Dataset, map[string][]float64, error) {
-	schema := ds.Schema()
-	outAttrs := make([]dataset.Attribute, len(schema.Attrs))
-	for i, a := range schema.Attrs {
-		outAttrs[i] = dataset.Attribute{Name: a.Name, Kind: dataset.Categorical}
-	}
-	b, err := dataset.NewBuilder(dataset.Schema{Attrs: outAttrs, ClassIndex: schema.ClassIndex})
+	cuts, err := FindCuts(ds, d)
 	if err != nil {
 		return nil, nil, err
 	}
-
-	classes := make([]int32, ds.NumRows())
-	for r := range classes {
-		classes[r] = ds.ClassCode(r)
+	out, err := Bin(ds, cuts)
+	if err != nil {
+		return nil, nil, err
 	}
+	return out, cuts, nil
+}
 
-	cutsByAttr := make(map[string][]float64)
-	colCuts := make([][]float64, ds.NumAttrs())
+// FindCuts runs d over every continuous attribute of ds, in schema
+// order, and returns the cut points by attribute name.
+func FindCuts(ds *dataset.Dataset, d Discretizer) (map[string][]float64, error) {
+	classes := ds.Column(ds.ClassIndex()).Codes
+	cuts := make(map[string][]float64)
 	for i := 0; i < ds.NumAttrs(); i++ {
 		col := ds.Column(i)
 		if col.Kind == dataset.Categorical {
-			b.WithDict(i, col.Dict.Clone())
 			continue
 		}
-		cuts, err := d.Cuts(col.Values, classes, ds.NumClasses())
+		c, err := d.Cuts(col.Values, classes, ds.NumClasses())
 		if err != nil {
-			return nil, nil, fmt.Errorf("discretize: attribute %q: %w", schema.Attrs[i].Name, err)
+			return nil, fmt.Errorf("discretize: attribute %q: %w", ds.Attr(i).Name, err)
 		}
-		colCuts[i] = cuts
-		cutsByAttr[schema.Attrs[i].Name] = cuts
-		dict := dataset.NewDictionary()
-		for bin := 0; bin <= len(cuts); bin++ {
-			dict.Code(IntervalLabel(cuts, bin))
-		}
-		b.WithDict(i, dict)
+		cuts[ds.Attr(i).Name] = c
 	}
+	return cuts, nil
+}
 
-	codes := make([]int32, ds.NumAttrs())
-	for r := 0; r < ds.NumRows(); r++ {
-		for i := 0; i < ds.NumAttrs(); i++ {
-			col := ds.Column(i)
-			if col.Kind == dataset.Categorical {
-				codes[i] = col.Codes[r]
-				continue
-			}
-			v := col.Values[r]
+// Bin returns ds with every continuous attribute binned through its
+// cuts (one interval per bin, missing values staying missing), column
+// by column. The categorical columns are not copied: the result is a
+// dataset.Derive of ds and shares them.
+func Bin(ds *dataset.Dataset, cuts map[string][]float64) (*dataset.Dataset, error) {
+	binned := make([]dataset.Column, ds.NumAttrs())
+	for i := range binned {
+		col := ds.Column(i)
+		if col.Kind == dataset.Categorical {
+			continue
+		}
+		c, ok := cuts[ds.Attr(i).Name]
+		if !ok {
+			return nil, fmt.Errorf("discretize: no cuts for continuous attribute %q", ds.Attr(i).Name)
+		}
+		dict := dataset.NewDictionary()
+		for bin := 0; bin <= len(c); bin++ {
+			dict.Code(IntervalLabel(c, bin))
+		}
+		codes := make([]int32, len(col.Values))
+		for r, v := range col.Values {
 			if math.IsNaN(v) {
-				codes[i] = dataset.Missing
+				codes[r] = dataset.Missing
 				continue
 			}
-			codes[i] = int32(BinOf(colCuts[i], v))
+			codes[r] = int32(BinOf(c, v))
 		}
-		if err := b.AddCodedRow(codes, nil); err != nil {
-			return nil, nil, err
-		}
+		binned[i] = dataset.Column{Kind: dataset.Categorical, Codes: codes, Dict: dict}
 	}
-	out, err := b.Build()
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, cutsByAttr, nil
+	return ds.Derive(binned)
 }

@@ -284,28 +284,28 @@ func toCompareResponse(cmp *opmap.Comparison, top int) *compareResponse {
 		Partial:  cmp.Partial,
 		Unscored: toItemErrors(cmp.Unscored),
 	}
-	for i, sc := range cmp.Ranked() {
-		if i >= top {
-			break
-		}
-		resp.Ranked = append(resp.Ranked, toScoreEntry(sc))
-	}
-	for i, sc := range cmp.PropertyAttributes() {
-		if i >= top {
-			break
-		}
-		resp.Property = append(resp.Property, toScoreEntry(sc))
-	}
+	resp.Ranked = toScoreEntries(cmp.Top(top))
+	property := cmp.PropertyAttributes()
+	resp.Property = toScoreEntries(property[:min(top, len(property))])
 	return resp
 }
 
-func toScoreEntry(sc opmap.AttributeScore) scoreEntry {
-	return scoreEntry{
-		Name:          sc.Name,
-		Score:         sc.Score,
-		NormScore:     sc.NormScore,
-		PropertyRatio: sc.PropertyRatio,
+// toScoreEntries converts scores to their wire form; none gives nil,
+// which encodes as null, as the ranking lists always have.
+func toScoreEntries(scores []opmap.AttributeScore) []scoreEntry {
+	if len(scores) == 0 {
+		return nil
 	}
+	out := make([]scoreEntry, len(scores))
+	for i, sc := range scores {
+		out[i] = scoreEntry{
+			Name:          sc.Name,
+			Score:         sc.Score,
+			NormScore:     sc.NormScore,
+			PropertyRatio: sc.PropertyRatio,
+		}
+	}
+	return out
 }
 
 type sweepResponse struct {

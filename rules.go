@@ -56,7 +56,7 @@ type MineOptions struct {
 func (s *Session) MineRules(opts MineOptions) ([]Rule, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	ds, err := s.working()
+	ds, err := s.scanRows("MineRules")
 	if err != nil {
 		return nil, err
 	}
@@ -130,7 +130,7 @@ type RankedRule struct {
 func (s *Session) RankRules(measure string, opts MineOptions) ([]RankedRule, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	ds, err := s.working()
+	ds, err := s.scanRows("RankRules")
 	if err != nil {
 		return nil, err
 	}
@@ -175,7 +175,7 @@ func (s *Session) RankRules(measure string, opts MineOptions) ([]RankedRule, err
 func (s *Session) QueryRules(query string, opts MineOptions) ([]Rule, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	ds, err := s.working()
+	ds, err := s.scanRows("QueryRules")
 	if err != nil {
 		return nil, err
 	}
@@ -215,7 +215,7 @@ type CompletenessReport struct {
 func (s *Session) Completeness(maxConditions int) (CompletenessReport, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	ds, err := s.working()
+	ds, err := s.scanRows("Completeness")
 	if err != nil {
 		return CompletenessReport{}, err
 	}

@@ -16,7 +16,8 @@ import (
 )
 
 // Session is the top-level handle of the Opportunity Map pipeline: it
-// owns a dataset, the discretized working copy, and the cube engine —
+// owns a dataset, the fully categorical working dataset derived from it
+// (which shares its categorical columns), and the cube engine —
 // with every 1-D and pair cube counted up front and pinned (eager
 // mode, the default) or with cubes built on first touch (lazy mode).
 // Read-only queries may
@@ -30,8 +31,11 @@ type Session struct {
 	// methods, so the lock never nests.
 	mu sync.RWMutex
 
-	raw  *dataset.Dataset // as loaded; may contain continuous attributes
-	ds   *dataset.Dataset // fully categorical working dataset
+	raw *dataset.Dataset // as loaded; may contain continuous attributes
+	// ds is the fully categorical working dataset: raw itself when raw
+	// is all categorical, else raw's dataset.Derive, which holds only
+	// the binned continuous columns and shares the rest with raw.
+	ds   *dataset.Dataset
 	cuts map[string][]float64
 	src  *engine.LazySource // set by any BuildCubes variant
 	// results memoizes Compare/Sweep/Impressions under a snapshot
@@ -42,6 +46,10 @@ type Session struct {
 	// a snapshot, whose datasets start schema-only; appended rows add
 	// on top of it.
 	rowsHint int
+	// restored marks a session built from cubes alone (a snapshot or a
+	// cube store): its dataset holds only the rows appended since, so
+	// nothing may count those rows as if they were all of them.
+	restored bool
 
 	// ingestSeq is the WAL sequence of the last applied append batch,
 	// recorded in snapshots so recovery knows where replay must resume.
@@ -316,6 +324,9 @@ type DiscretizeOptions struct {
 func (s *Session) Discretize(opts DiscretizeOptions) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if err := s.requireSourceRows("Discretize"); err != nil {
+		return err
+	}
 	s.discOpts = &opts
 	s.sinceCutEval = 0
 	s.appendDeltas = nil
@@ -484,7 +495,7 @@ func (s *Session) BuildCubesOptions(ctx context.Context, opts BuildOptions) erro
 // rebuild after a cut re-evaluation changes the working dataset.
 // Callers hold the write lock.
 func (s *Session) buildCubesLocked(ctx context.Context, opts BuildOptions) error {
-	ds, err := s.working()
+	ds, err := s.scanRows("BuildCubes")
 	if err != nil {
 		return err
 	}
@@ -527,6 +538,31 @@ func (s *Session) working() (*dataset.Dataset, error) {
 		return nil, fmt.Errorf("opmap: dataset has continuous attributes; call Discretize first")
 	}
 	return s.ds, nil
+}
+
+// scanRows returns the working dataset for the paths that count its
+// rows themselves — row scans, rule mining, permutation tests — rather
+// than read cubes. A restored session's dataset holds only the rows
+// appended since the restore, so for it they fail instead of silently
+// counting a fraction of the data.
+func (s *Session) scanRows(op string) (*dataset.Dataset, error) {
+	ds, err := s.working()
+	if err != nil {
+		return nil, err
+	}
+	if err := s.requireSourceRows(op); err != nil {
+		return nil, err
+	}
+	return ds, nil
+}
+
+// requireSourceRows fails op on a session restored from cubes, whose
+// dataset holds only the rows appended since the restore.
+func (s *Session) requireSourceRows(op string) error {
+	if !s.restored {
+		return nil
+	}
+	return fmt.Errorf("opmap: %s needs the source rows, but this session was restored from cubes and holds only the %d rows appended since; load the source data instead", op, s.raw.NumRows())
 }
 
 // requireStore returns the engine's pinned 1-D and pair cubes as one

@@ -206,17 +206,10 @@ func (s *Session) mergeFromLocked(o *Session) error {
 	// and sums counts, and drops s's drill-down cubes, counted over s's
 	// rows alone; the row appends then translate o's codes through the
 	// same union — UnionDicts is idempotent, so re-deriving the remap
-	// here sees exactly the dictionaries the counts merged under.
+	// here sees exactly the dictionaries the counts merged under. Raw
+	// grows first: a discretized working dataset shares raw's
+	// categorical columns and takes their grown codes from it.
 	if err := s.src.Merge(o.src); err != nil {
-		return err
-	}
-	rm, err := s.ds.UnionDicts(o.ds)
-	if err != nil {
-		s.dropEngine()
-		return err
-	}
-	if err := s.ds.AppendRemapped(o.ds, rm); err != nil {
-		s.dropEngine()
 		return err
 	}
 	if s.raw != s.ds {
@@ -229,6 +222,15 @@ func (s *Session) mergeFromLocked(o *Session) error {
 			s.dropEngine()
 			return err
 		}
+	}
+	rm, err := s.ds.UnionDicts(o.ds)
+	if err != nil {
+		s.dropEngine()
+		return err
+	}
+	if err := s.ds.AppendRemapped(o.ds, rm); err != nil {
+		s.dropEngine()
+		return err
 	}
 	s.results.Invalidate()
 	if o.ingestSeq > s.ingestSeq {

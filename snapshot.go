@@ -107,7 +107,7 @@ func (s *Session) buildSnapshot(opts SnapshotOptions) (*snapshot.Snapshot, error
 // stream with zero cube builds: the schema-only dataset, cuts and cube
 // store come straight from the snapshot. Operations needing raw records
 // (MineRules, CompareWhere, re-Discretize) return errors, exactly as
-// with OpenCubes. Lazy snapshots cannot stand alone (they hold only a
+// with OpenCubes, also after Append. Lazy snapshots cannot stand alone (they hold only a
 // resident subset); load the source data and SeedSnapshotFile instead.
 func LoadSnapshot(r io.Reader) (*Session, error) {
 	snap, err := snapshot.Read(r)
@@ -135,6 +135,7 @@ func sessionFromSnapshot(snap *snapshot.Snapshot) (*Session, error) {
 		ds:        snap.Dataset,
 		cuts:      snap.Cuts,
 		rowsHint:  snap.Rows,
+		restored:  true,
 		ingestSeq: snap.IngestSeq,
 		src:       engine.FromStore(snap.Store),
 		results:   engine.NewResultCache(0),
