@@ -235,7 +235,7 @@ func (s *Session) appendWorkingRow(row []string, fr []float64) ([]int32, error) 
 		// and AppendRow above already grew it; just read the codes back.
 		last := s.ds.NumRows() - 1
 		for i := 0; i < n; i++ {
-			codes[i] = s.ds.Column(i).Codes[last]
+			codes[i] = s.ds.Column(i).Codes.At(last)
 		}
 		return codes, nil
 	}

@@ -608,6 +608,7 @@ go test -run '^$' -fuzz '^FuzzReadSnapshot$' -fuzztime 10s ./internal/snapshot
 go test -run '^$' -fuzz '^FuzzMergeSnapshots$' -fuzztime 10s ./internal/snapshot
 go test -run '^$' -fuzz '^FuzzReplayWAL$' -fuzztime 10s ./internal/wal
 go test -run '^$' -fuzz '^FuzzReadCSV$' -fuzztime 10s ./internal/dataset
+go test -run '^$' -fuzz '^FuzzAppendWiden$' -fuzztime 10s ./internal/dataset
 go test -run '^$' -fuzz '^FuzzApplyMatchesReference$' -fuzztime 10s ./internal/discretize
 
 echo "CI PASSED"

@@ -63,7 +63,18 @@ func csvload(seed int64, records, attrs int) {
 	} else {
 		fmt.Printf("peak RSS of the process, generator included (VmHWM; reset failed: %v): %.2f GiB\n", resetErr, peak/(1<<30))
 	}
-	fmt.Printf("int32 codes held: %.2f GiB\n", float64(loaded.NumRows())*float64(loaded.NumAttrs())*4/(1<<30))
+	var codeBytes float64
+	narrow := 0
+	for i := 0; i < loaded.NumAttrs(); i++ {
+		if c := loaded.Column(i); c.Kind == dataset.Categorical {
+			codeBytes += float64(c.Codes.Len() * c.Codes.Width())
+			if !c.Codes.IsWide() {
+				narrow++
+			}
+		}
+	}
+	fmt.Printf("codes held: %.2f GiB, %d of %d columns at one byte per row (%.2f GiB as int32)\n",
+		codeBytes/(1<<30), narrow, loaded.NumAttrs(), float64(loaded.NumRows())*float64(loaded.NumAttrs())*4/(1<<30))
 	runtime.KeepAlive(loaded)
 }
 

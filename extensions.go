@@ -572,10 +572,15 @@ func (s *Session) ExploreScript(script string, w io.Writer) error {
 
 // Describe writes a per-attribute profile of the loaded data: domain
 // sizes, top values, missing rates, continuous ranges, and the class
-// skew that motivates unbalanced sampling.
+// skew that motivates unbalanced sampling. A session restored from
+// cubes holds only the rows appended since the restore, so Describe
+// fails there rather than profile that fraction of the data.
 func (s *Session) Describe(w io.Writer) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	if err := s.requireSourceRows("Describe"); err != nil {
+		return err
+	}
 	return dataset.Describe(s.raw).Write(w)
 }
 

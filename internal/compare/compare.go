@@ -632,10 +632,9 @@ func Scan(ds *dataset.Dataset, in Input, opts Options) (*Result, error) {
 		// Mirror the cube path's population exactly: records where the
 		// comparison attribute and the class are both present.
 		var n int64
-		col := ds.Column(in.Attr).Codes
-		cls := ds.Column(ds.ClassIndex()).Codes
-		for r := range col {
-			if col[r] >= 0 && cls[r] >= 0 {
+		col, cls := &ds.Column(in.Attr).Codes, &ds.Column(ds.ClassIndex()).Codes
+		for r := 0; r < ds.NumRows(); r++ {
+			if col.At(r) >= 0 && cls.At(r) >= 0 {
 				n++
 			}
 		}
@@ -643,14 +642,14 @@ func Scan(ds *dataset.Dataset, in Input, opts Options) (*Result, error) {
 	}
 	res, attrs, err := prepare(ds, in, opts, total, func(attr int, value, class int32) (int64, int64, error) {
 		var cond, sup int64
-		col := ds.Column(attr).Codes
-		cls := ds.Column(ds.ClassIndex()).Codes
-		for r := range col {
-			if col[r] != value || cls[r] < 0 {
+		col, cls := &ds.Column(attr).Codes, &ds.Column(ds.ClassIndex()).Codes
+		for r := 0; r < ds.NumRows(); r++ {
+			cl := cls.At(r)
+			if col.At(r) != value || cl < 0 {
 				continue
 			}
 			cond++
-			if cls[r] == class {
+			if cl == class {
 				sup++
 			}
 		}

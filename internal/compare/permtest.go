@@ -145,21 +145,21 @@ type member struct {
 // sub-population's rows. The permutation rounds shuffle the pool and
 // re-partition it at n1.
 func collectPool(ds *dataset.Dataset, in Input, attr int, swapped bool) (pool []member, n1 int) {
-	a1 := ds.Column(in.Attr).Codes
-	ai := ds.Column(attr).Codes
-	cls := ds.Column(ds.ClassIndex()).Codes
+	a1 := &ds.Column(in.Attr).Codes
+	ai := &ds.Column(attr).Codes
+	cls := &ds.Column(ds.ClassIndex()).Codes
 	v1, v2 := in.V1, in.V2
 	// Match the observed orientation: prepare() may have swapped.
 	if swapped {
 		v1, v2 = v2, v1
 	}
-	for r := range a1 {
-		switch a1[r] {
+	for r := 0; r < ds.NumRows(); r++ {
+		switch a1.At(r) {
 		case v1:
-			pool = append(pool, member{ai[r], cls[r] == in.Class})
+			pool = append(pool, member{ai.At(r), cls.At(r) == in.Class})
 			n1++
 		case v2:
-			pool = append(pool, member{ai[r], cls[r] == in.Class})
+			pool = append(pool, member{ai.At(r), cls.At(r) == in.Class})
 		}
 	}
 	return pool, n1

@@ -11,7 +11,8 @@ import "fmt"
 // value or continuous NaN, unseen categorical labels register new
 // dictionary codes, continuous fields parse as numbers. The row is
 // fully validated before anything mutates, so a malformed row leaves
-// the dataset untouched.
+// the dataset untouched. A narrow column whose dictionary this row
+// takes past MaxNarrowLabels is widened before its code is stored.
 func (ds *Dataset) AppendRow(values []string) error {
 	if ds.base != nil {
 		return fmt.Errorf("dataset: AppendRow on a derived dataset; append to its base and AppendCodedRow the binned codes")
@@ -36,9 +37,9 @@ func (ds *Dataset) AppendRow(values []string) error {
 		c := &ds.cols[i]
 		if c.Kind == Categorical {
 			if values[i] == MissingLabel {
-				c.Codes = append(c.Codes, Missing)
+				c.appendCode(Missing)
 			} else {
-				c.Codes = append(c.Codes, c.Dict.Code(values[i]))
+				c.appendCode(c.Dict.Code(values[i]))
 			}
 			continue
 		}
@@ -52,9 +53,11 @@ func (ds *Dataset) AppendRow(values []string) error {
 // for categorical attributes, values[i] for continuous ones (values may
 // be nil when every attribute is categorical). Codes must already be
 // registered — this path never grows a dictionary, so the caller
-// controls exactly when domains change. On a derived dataset (Derive)
-// the base must already hold the row: each shared column takes the
-// base's grown codes, which must equal codes[i].
+// controls exactly when domains change; a column whose dictionary the
+// caller has grown past MaxNarrowLabels is widened before the row is
+// stored. On a derived dataset (Derive) the base must already hold the
+// row: each shared column takes the base's grown codes, which must
+// equal codes[i].
 func (ds *Dataset) AppendCodedRow(codes []int32, values []float64) error {
 	if len(codes) != len(ds.cols) || (values != nil && len(values) != len(ds.cols)) {
 		return fmt.Errorf("dataset: coded row width mismatch")
@@ -62,8 +65,8 @@ func (ds *Dataset) AppendCodedRow(codes []int32, values []float64) error {
 	for i := range ds.cols {
 		c := &ds.cols[i]
 		if ds.shared(i) {
-			base := ds.base.cols[i].Codes
-			if len(base) != ds.rows+1 || base[ds.rows] != codes[i] {
+			base := &ds.base.cols[i].Codes
+			if base.Len() != ds.rows+1 || base.At(ds.rows) != max(codes[i], Missing) {
 				return fmt.Errorf("dataset: attribute %q is shared with the base dataset, which must hold the row first", ds.schema.Attrs[i].Name)
 			}
 			continue
@@ -85,7 +88,7 @@ func (ds *Dataset) AppendCodedRow(codes []int32, values []float64) error {
 		case ds.shared(i):
 			c.Codes = ds.base.cols[i].Codes // validated above: one row ahead
 		case c.Kind == Categorical:
-			c.Codes = append(c.Codes, codes[i])
+			c.appendCode(codes[i])
 		default:
 			c.Values = append(c.Values, values[i])
 		}

@@ -189,7 +189,7 @@ const (
 type csvColumn struct {
 	state  colState
 	dict   *Dictionary
-	codes  []int32
+	codes  Codes // narrow until dict passes MaxNarrowLabels
 	values []float64
 	// labelValues[c] is dictionary label c as a float while the column
 	// is colSniffing (NaN for ""), so the switch to colNumeric parses
@@ -207,10 +207,10 @@ func (c *csvColumn) add(v string, maxCard int) error {
 	switch c.state {
 	case colCategorical:
 		code, _ := c.dict.encode(v)
-		c.codes = append(c.codes, code)
+		c.codes.append(code, c.dict.Len())
 	case colSniffing:
 		code, added := c.dict.encode(v)
-		c.codes = append(c.codes, code)
+		c.codes.append(code, c.dict.Len())
 		if !added {
 			return nil
 		}
@@ -232,7 +232,7 @@ func (c *csvColumn) add(v string, maxCard int) error {
 		if err != nil {
 			c.toCategorical()
 			code, _ := c.dict.encode(v)
-			c.codes = append(c.codes, code)
+			c.codes.append(code, c.dict.Len())
 			return nil
 		}
 		c.values = append(c.values, f)
@@ -251,8 +251,9 @@ func (c *csvColumn) add(v string, maxCard int) error {
 // distinct numbers into colNumeric, rebuilding values and text from
 // its codes.
 func (c *csvColumn) toNumeric() {
-	c.values = make([]float64, len(c.codes))
-	for r, code := range c.codes {
+	c.values = make([]float64, c.codes.Len())
+	for r := range c.values {
+		code := c.codes.At(r)
 		label := MissingLabel
 		if code == Missing {
 			c.values[r] = math.NaN()
@@ -262,7 +263,7 @@ func (c *csvColumn) toNumeric() {
 		}
 		c.text = append(append(c.text, label...), '\n')
 	}
-	c.state, c.dict, c.codes, c.labelValues = colNumeric, nil, nil, nil
+	c.state, c.dict, c.codes, c.labelValues = colNumeric, nil, Codes{}, nil
 }
 
 // toCategorical turns a colNumeric column that has just met a
@@ -270,12 +271,12 @@ func (c *csvColumn) toNumeric() {
 // gives the dictionary the code order a whole-column pass would.
 func (c *csvColumn) toCategorical() {
 	c.dict = NewDictionary()
-	c.codes = make([]int32, 0, len(c.values)+1)
+	c.codes = Codes{narrow: make([]uint8, 0, len(c.values)+1)}
 	text := string(c.text)
 	for text != "" {
 		i := strings.IndexByte(text, '\n')
 		code, _ := c.dict.encode(text[:i])
-		c.codes = append(c.codes, code)
+		c.codes.append(code, c.dict.Len())
 		text = text[i+1:]
 	}
 	c.state, c.values, c.text = colCategorical, nil, nil

@@ -166,8 +166,8 @@ func diffDatasets(got, want *Dataset) string {
 				}
 			}
 		}
-		if !slices.Equal(g.Codes, w.Codes) {
-			return fmt.Sprintf("column %q codes %v, want %v", name, g.Codes, w.Codes)
+		if gc, wc := g.Codes.Int32s(), w.Codes.Int32s(); !slices.Equal(gc, wc) {
+			return fmt.Sprintf("column %q codes %v, want %v", name, gc, wc)
 		}
 		if len(g.Values) != len(w.Values) {
 			return fmt.Sprintf("column %q has %d values, want %d", name, len(g.Values), len(w.Values))

@@ -2,9 +2,11 @@
 // dataset the Opportunity Map system operates on. Datasets are typical
 // supervised-learning tables (Section III.A of the paper): a set of
 // attributes, one of which is the categorical class attribute. Categorical
-// columns are dictionary-encoded as dense int32 codes; continuous columns
-// are stored as float64 and must be discretized (package discretize)
-// before rules or cubes can be built over them.
+// columns are dictionary-encoded: each row holds its value's dense code,
+// one byte per row while the dictionary has at most 255 labels and four
+// bytes once it outgrows that (Codes). Continuous columns are stored as
+// float64 and must be discretized (package discretize) before rules or
+// cubes can be built over them.
 package dataset
 
 import (
@@ -38,7 +40,9 @@ func (k Kind) String() string {
 	}
 }
 
-// Missing is the code used for a missing categorical value.
+// Missing is the code used for a missing categorical value. A narrow
+// column stores it as the byte 255; At and every other int32 view of a
+// code read it back as Missing.
 const Missing int32 = -1
 
 // MissingLabel is the textual representation of a missing value in CSV
@@ -163,11 +167,11 @@ func (d *Dictionary) Clone() *Dictionary {
 	return nd
 }
 
-// Column is the storage for one attribute. Exactly one of Codes/Values
-// is non-nil depending on the attribute kind.
+// Column is the storage for one attribute: Codes and Dict for a
+// categorical attribute, Values for a continuous one.
 type Column struct {
 	Kind   Kind
-	Codes  []int32   // categorical codes, Missing for absent values
+	Codes  Codes     // categorical codes at the width Dict needs (Codes)
 	Values []float64 // continuous values, NaN for absent values
 	Dict   *Dictionary
 }
@@ -175,9 +179,25 @@ type Column struct {
 // Len returns the number of rows stored in the column.
 func (c *Column) Len() int {
 	if c.Kind == Categorical {
-		return len(c.Codes)
+		return c.Codes.Len()
 	}
 	return len(c.Values)
+}
+
+// appendCode appends one code to a categorical column, widening it
+// first if its dictionary has outgrown a byte.
+func (c *Column) appendCode(code int32) {
+	c.Codes.append(code, c.Dict.Len())
+}
+
+// checkCodes rejects a present code at or beyond the dictionary's size.
+func (c *Column) checkCodes(name string) error {
+	for r, n := 0, c.Codes.Len(); r < n; r++ {
+		if code := c.Codes.At(r); code >= 0 && int(code) >= c.Dict.Len() {
+			return fmt.Errorf("dataset: attribute %q has code %d beyond dictionary size %d", name, code, c.Dict.Len())
+		}
+	}
+	return nil
 }
 
 // Dataset is a columnar table with a schema. All columns have the same
@@ -238,7 +258,7 @@ func (ds *Dataset) CatCode(row, attr int) int32 {
 	if c.Kind != Categorical {
 		panic(fmt.Sprintf("dataset: attribute %q is continuous; discretize before categorical access", ds.schema.Attrs[attr].Name))
 	}
-	return c.Codes[row]
+	return c.Codes.At(row)
 }
 
 // ContValue returns the continuous value at (row, attr). It panics for
@@ -255,7 +275,7 @@ func (ds *Dataset) ContValue(row, attr int) float64 {
 func (ds *Dataset) Label(row, attr int) string {
 	c := &ds.cols[attr]
 	if c.Kind == Categorical {
-		return c.Dict.Label(c.Codes[row])
+		return c.Dict.Label(c.Codes.At(row))
 	}
 	v := c.Values[row]
 	if math.IsNaN(v) {
@@ -266,7 +286,7 @@ func (ds *Dataset) Label(row, attr int) string {
 
 // ClassCode returns the class code of a row.
 func (ds *Dataset) ClassCode(row int) int32 {
-	return ds.cols[ds.schema.ClassIndex].Codes[row]
+	return ds.cols[ds.schema.ClassIndex].Codes.At(row)
 }
 
 // AllCategorical reports whether every attribute is categorical (the
@@ -283,12 +303,7 @@ func (ds *Dataset) AllCategorical() bool {
 // ClassDistribution returns the count of each class code.
 func (ds *Dataset) ClassDistribution() []int64 {
 	counts := make([]int64, ds.NumClasses())
-	col := ds.cols[ds.schema.ClassIndex].Codes
-	for _, c := range col {
-		if c >= 0 && int(c) < len(counts) {
-			counts[c]++
-		}
-	}
+	countCodes(&ds.cols[ds.schema.ClassIndex].Codes, counts)
 	return counts
 }
 
@@ -300,12 +315,23 @@ func (ds *Dataset) ValueCounts(attr int) ([]int64, error) {
 		return nil, fmt.Errorf("dataset: ValueCounts on continuous attribute %q", ds.schema.Attrs[attr].Name)
 	}
 	counts := make([]int64, c.Dict.Len())
-	for _, code := range c.Codes {
-		if code >= 0 && int(code) < len(counts) {
+	countCodes(&c.Codes, counts)
+	return counts, nil
+}
+
+// countCodes adds each present code below len(counts) to its count and
+// returns the number of Missing codes.
+func countCodes(codes *Codes, counts []int64) (missing int64) {
+	for r, n := 0, codes.Len(); r < n; r++ {
+		code := codes.At(r)
+		switch {
+		case code < 0:
+			missing++
+		case int(code) < len(counts):
 			counts[code]++
 		}
 	}
-	return counts, nil
+	return missing
 }
 
 // Filter returns a new dataset containing only the rows for which keep
@@ -333,10 +359,7 @@ func (ds *Dataset) Gather(rows []int) *Dataset {
 		dst.Kind = src.Kind
 		dst.Dict = src.Dict
 		if src.Kind == Categorical {
-			dst.Codes = make([]int32, len(rows))
-			for j, r := range rows {
-				dst.Codes[j] = src.Codes[r]
-			}
+			dst.Codes = src.Codes.gather(rows)
 		} else {
 			dst.Values = make([]float64, len(rows))
 			for j, r := range rows {
@@ -388,7 +411,10 @@ func (ds *Dataset) SelectAttrs(attrs []int) (*Dataset, error) {
 // base first, then the derived dataset, whose AppendCodedRow and
 // AppendRemapped take each shared column's new codes from the base
 // (re-slicing its grown backing array) instead of writing them again.
-// The shared columns therefore stay one copy across slice growth.
+// The shared columns therefore stay one copy across slice growth, and
+// across the one widening of a shared column whose dictionary outgrows
+// a byte: the base widens it as it appends, the derived dataset
+// re-slices the wide codes.
 func (ds *Dataset) Derive(binned []Column) (*Dataset, error) {
 	if len(binned) != len(ds.cols) {
 		return nil, fmt.Errorf("dataset: Derive: %d columns for %d attributes", len(binned), len(ds.cols))
@@ -402,13 +428,11 @@ func (ds *Dataset) Derive(binned []Column) (*Dataset, error) {
 			continue
 		}
 		b := binned[i]
-		if b.Kind != Categorical || b.Dict == nil || len(b.Codes) != ds.rows {
+		if b.Kind != Categorical || b.Dict == nil || b.Codes.Len() != ds.rows {
 			return nil, fmt.Errorf("dataset: Derive: attribute %q needs a categorical column of %d codes with a dictionary", ds.schema.Attrs[i].Name, ds.rows)
 		}
-		for _, code := range b.Codes {
-			if code >= 0 && int(code) >= b.Dict.Len() {
-				return nil, fmt.Errorf("dataset: attribute %q has code %d beyond dictionary size %d", ds.schema.Attrs[i].Name, code, b.Dict.Len())
-			}
+		if err := b.checkCodes(ds.schema.Attrs[i].Name); err != nil {
+			return nil, err
 		}
 		out.cols[i] = Column{Kind: Categorical, Codes: b.Codes, Dict: b.Dict}
 	}
@@ -455,7 +479,7 @@ type Builder struct {
 }
 
 // NewBuilder creates a builder for the given schema. Every categorical
-// attribute receives a fresh dictionary.
+// attribute receives a fresh dictionary and starts narrow.
 func NewBuilder(schema Schema) (*Builder, error) {
 	if err := schema.Validate(); err != nil {
 		return nil, err
@@ -483,6 +507,7 @@ func (b *Builder) WithDict(attr int, dict *Dictionary) *Builder {
 		return b
 	}
 	b.cols[attr].Dict = dict
+	b.cols[attr].Codes.fit(dict.Len())
 	return b
 }
 
@@ -501,9 +526,9 @@ func (b *Builder) AddRow(values []string) error {
 		v := values[i]
 		if c.Kind == Categorical {
 			if v == MissingLabel {
-				c.Codes = append(c.Codes, Missing)
+				c.appendCode(Missing)
 			} else {
-				c.Codes = append(c.Codes, c.Dict.Code(v))
+				c.appendCode(c.Dict.Code(v))
 			}
 			continue
 		}
@@ -545,7 +570,7 @@ func (b *Builder) AddCodedRow(codes []int32, values []float64) error {
 	for i := range b.cols {
 		c := &b.cols[i]
 		if c.Kind == Categorical {
-			c.Codes = append(c.Codes, codes[i])
+			c.appendCode(codes[i])
 		} else {
 			c.Values = append(c.Values, values[i])
 		}
@@ -562,10 +587,8 @@ func (b *Builder) Build() (*Dataset, error) {
 	for i := range b.cols {
 		c := &b.cols[i]
 		if c.Kind == Categorical {
-			for _, code := range c.Codes {
-				if code >= 0 && int(code) >= c.Dict.Len() {
-					return nil, fmt.Errorf("dataset: attribute %q has code %d beyond dictionary size %d", b.schema.Attrs[i].Name, code, c.Dict.Len())
-				}
+			if err := c.checkCodes(b.schema.Attrs[i].Name); err != nil {
+				return nil, err
 			}
 		}
 	}

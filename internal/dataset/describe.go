@@ -63,13 +63,7 @@ func Describe(ds *Dataset) Profile {
 		if col.Kind == Categorical {
 			ap.Cardinality = col.Dict.Len()
 			counts := make([]int64, col.Dict.Len())
-			for _, code := range col.Codes {
-				if code < 0 {
-					ap.Missing++
-					continue
-				}
-				counts[code]++
-			}
+			ap.Missing = countCodes(&col.Codes, counts)
 			var top int64 = -1
 			for v, n := range counts {
 				if n > top {

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -34,6 +35,12 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add("class,b\nyes,1\nno,2\nyes,3\n", int8(1), "b=c", "class")
 	// Quoted fields holding newlines.
 	f.Add("a,b,class\n\"x\ny\",1,yes\n\"p\n\nq\",2,no\n\"x\ny\",3,yes\n", int8(1), "", "")
+	// Exactly 255 and exactly 256 distinct labels: the widest narrow
+	// column and the narrowest wide one. Then 300 distinct numbers and a
+	// late non-number, whose replay into a dictionary widens mid-replay.
+	f.Add(distinctLabelsCSV("v", 255, ""), int8(0), "", "")
+	f.Add(distinctLabelsCSV("v", 256, ""), int8(0), "", "")
+	f.Add(distinctLabelsCSV("", 300, "x"), int8(2), "", "")
 	f.Fuzz(func(t *testing.T, input string, maxCard int8, kinds, class string) {
 		opts := CSVOptions{MaxSniffCardinality: int(maxCard), ClassAttr: class}
 		for _, decl := range strings.Split(kinds, ";") {
@@ -60,6 +67,11 @@ func FuzzReadCSV(f *testing.F) {
 		if d := diffDatasets(ds, want); d != "" {
 			t.Fatalf("ReadCSV differs from the reference: %s", d)
 		}
+		for i := range ds.cols {
+			if c := &ds.cols[i]; c.Kind == Categorical && c.Codes.IsWide() != (c.Dict.Len() > MaxNarrowLabels) {
+				t.Fatalf("attribute %q has %d labels and wide %v", ds.schema.Attrs[i].Name, c.Dict.Len(), c.Codes.IsWide())
+			}
+		}
 		// Parsed datasets must answer basic queries.
 		_ = ds.ClassDistribution()
 		p := Describe(ds)
@@ -72,6 +84,21 @@ func FuzzReadCSV(f *testing.F) {
 			}
 		}
 	})
+}
+
+// distinctLabelsCSV is a two-column CSV whose column "a" holds the n
+// distinct labels prefix0..prefix{n-1}, each once, followed by one row
+// holding last if last is not empty.
+func distinctLabelsCSV(prefix string, n int, last string) string {
+	var b strings.Builder
+	b.WriteString("a,class\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "%s%d,c%d\n", prefix, i, i%2)
+	}
+	if last != "" {
+		fmt.Fprintf(&b, "%s,c0\n", last)
+	}
+	return b.String()
 }
 
 // FuzzReadARFF hardens the ARFF loader the same way.

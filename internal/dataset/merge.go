@@ -97,7 +97,9 @@ func (ds *Dataset) CompatibleSchema(src *Dataset) error {
 // src order); src is never modified. The operation is idempotent:
 // calling it again with the same src returns the same remap without
 // growing anything, so callers may remap cube counts and row codes in
-// separate passes.
+// separate passes. A column of ds whose dictionary the union takes past
+// MaxNarrowLabels is widened here; a derived dataset's shared columns
+// are left to its base, which widens them when it unions or appends.
 func (ds *Dataset) UnionDicts(src *Dataset) (*Remap, error) {
 	if err := ds.CompatibleSchema(src); err != nil {
 		return nil, err
@@ -112,6 +114,9 @@ func (ds *Dataset) UnionDicts(src *Dataset) (*Remap, error) {
 			return nil, fmt.Errorf("dataset: attribute %q has no dictionary", ds.schema.Attrs[i].Name)
 		}
 		rm.attrs[i] = dst.Dict.Union(src.cols[i].Dict)
+		if !ds.shared(i) {
+			dst.Codes.fit(dst.Dict.Len())
+		}
 	}
 	return rm, nil
 }
@@ -128,7 +133,7 @@ func (ds *Dataset) AppendRemapped(src *Dataset, rm *Remap) error {
 	}
 	for i := range ds.cols {
 		if ds.shared(i) {
-			if got, want := len(ds.base.cols[i].Codes), ds.rows+src.rows; got != want {
+			if got, want := ds.base.cols[i].Codes.Len(), ds.rows+src.rows; got != want {
 				return fmt.Errorf("dataset: attribute %q is shared with a base dataset of %d rows; append to the base first (want %d)", ds.schema.Attrs[i].Name, got, want)
 			}
 			continue
@@ -158,12 +163,12 @@ func (ds *Dataset) AppendRemapped(src *Dataset, rm *Remap) error {
 			continue
 		}
 		tr := rm.Attr(i)
-		for _, code := range srcCol.Codes {
-			if code < 0 {
-				dst.Codes = append(dst.Codes, Missing)
-				continue
+		for r := 0; r < src.rows; r++ {
+			code := srcCol.Codes.At(r)
+			if code >= 0 {
+				code = tr[code]
 			}
-			dst.Codes = append(dst.Codes, tr[code])
+			dst.appendCode(code)
 		}
 	}
 	ds.rows += src.rows

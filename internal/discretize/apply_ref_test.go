@@ -8,9 +8,9 @@ import (
 	"slices"
 	"strconv"
 	"testing"
-	"unsafe"
 
 	"opmap/internal/dataset"
+	"opmap/internal/testutil"
 )
 
 // applyReference is the copy-based discretization Apply replaced: it
@@ -59,7 +59,7 @@ func applyReference(ds *dataset.Dataset, d Discretizer) (*dataset.Dataset, map[s
 		for i := 0; i < ds.NumAttrs(); i++ {
 			col := ds.Column(i)
 			if col.Kind == dataset.Categorical {
-				codes[i] = col.Codes[r]
+				codes[i] = col.Codes.At(r)
 				continue
 			}
 			v := col.Values[r]
@@ -145,14 +145,14 @@ func checkApplyMatchesReference(t *testing.T, ds *dataset.Dataset, d Discretizer
 	}
 	for i := 0; i < ds.NumAttrs(); i++ {
 		g, w := got.Column(i), want.Column(i)
-		if !slices.Equal(g.Codes, w.Codes) {
+		if !slices.Equal(g.Codes.Int32s(), w.Codes.Int32s()) {
 			t.Errorf("%s: attribute %s codes differ from the reference", d.Name(), ds.Attr(i).Name)
 		}
 		if !reflect.DeepEqual(g.Dict.Labels(), w.Dict.Labels()) {
 			t.Errorf("%s: attribute %s labels %v, reference %v", d.Name(), ds.Attr(i).Name, g.Dict.Labels(), w.Dict.Labels())
 		}
 		if src := ds.Column(i); src.Kind == dataset.Categorical {
-			if g.Dict != src.Dict || unsafe.SliceData(g.Codes) != unsafe.SliceData(src.Codes) {
+			if g.Dict != src.Dict || testutil.CodesData(&g.Codes) != testutil.CodesData(&src.Codes) {
 				t.Errorf("%s: categorical attribute %s was copied, not shared", d.Name(), ds.Attr(i).Name)
 			}
 		}

@@ -349,12 +349,15 @@ func Apply(ds *dataset.Dataset, d Discretizer) (*dataset.Dataset, map[string][]f
 // FindCuts runs d over every continuous attribute of ds, in schema
 // order, and returns the cut points by attribute name.
 func FindCuts(ds *dataset.Dataset, d Discretizer) (map[string][]float64, error) {
-	classes := ds.Column(ds.ClassIndex()).Codes
+	var classes []int32
 	cuts := make(map[string][]float64)
 	for i := 0; i < ds.NumAttrs(); i++ {
 		col := ds.Column(i)
 		if col.Kind == dataset.Categorical {
 			continue
+		}
+		if classes == nil {
+			classes = ds.Column(ds.ClassIndex()).Codes.Int32s()
 		}
 		c, err := d.Cuts(col.Values, classes, ds.NumClasses())
 		if err != nil {
@@ -367,8 +370,9 @@ func FindCuts(ds *dataset.Dataset, d Discretizer) (map[string][]float64, error) 
 
 // Bin returns ds with every continuous attribute binned through its
 // cuts (one interval per bin, missing values staying missing), column
-// by column. The categorical columns are not copied: the result is a
-// dataset.Derive of ds and shares them.
+// by column, each at the code width its interval dictionary needs: one
+// byte per row up to 254 cuts. The categorical columns are not copied:
+// the result is a dataset.Derive of ds and shares them.
 func Bin(ds *dataset.Dataset, cuts map[string][]float64) (*dataset.Dataset, error) {
 	binned := make([]dataset.Column, ds.NumAttrs())
 	for i := range binned {
@@ -384,13 +388,11 @@ func Bin(ds *dataset.Dataset, cuts map[string][]float64) (*dataset.Dataset, erro
 		for bin := 0; bin <= len(c); bin++ {
 			dict.Code(IntervalLabel(c, bin))
 		}
-		codes := make([]int32, len(col.Values))
+		codes := dataset.MakeCodes(len(col.Values), dict.Len())
 		for r, v := range col.Values {
-			if math.IsNaN(v) {
-				codes[r] = dataset.Missing
-				continue
+			if !math.IsNaN(v) {
+				codes.Set(r, int32(BinOf(c, v)))
 			}
-			codes[r] = int32(BinOf(c, v))
 		}
 		binned[i] = dataset.Column{Kind: dataset.Categorical, Codes: codes, Dict: dict}
 	}

@@ -221,7 +221,7 @@ func TestCacheModel(t *testing.T) {
 				r := ds.NumRows() - 1
 				rows[i] = make([]int32, ds.NumAttrs())
 				for a := range rows[i] {
-					rows[i][a] = ds.Column(a).Codes[r]
+					rows[i][a] = ds.Column(a).Codes.At(r)
 				}
 				classes[i] = ds.ClassCode(r)
 			}

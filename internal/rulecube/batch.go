@@ -47,17 +47,26 @@ const batchShardRows = 1 << 16
 // the other dimension's exact 1-D cube without extra scan work.
 type pairPlan struct {
 	a, b       int
-	colA, colB []int32
+	colA, colB dataset.Codes
 	dimA, dimB int
 	strideA    int // (dimB+1) * numClasses
 	scratch    []int64
+}
+
+// wideBit is 1 for a wide column and 0 for a narrow one; a pair plan's
+// width group is its first column's bit << 1 | its second's.
+func wideBit(c *dataset.Codes) int {
+	if c.IsWide() {
+		return 1
+	}
+	return 0
 }
 
 // onePlan accumulates a 1-D cube that no requested pair covers; its
 // scratch is (dim+1) × numClasses with the same missing slot 0.
 type onePlan struct {
 	a       int
-	col     []int32
+	col     dataset.Codes
 	dim     int
 	scratch []int64
 }
@@ -68,7 +77,7 @@ type onePlan struct {
 // inner loop stays branch-free at any arity.
 type kPlan struct {
 	attrs   []int
-	cols    [][]int32
+	cols    []dataset.Codes
 	dims    []int
 	strides []int // strides[i] = numClasses × Π_{j>i}(dims[j]+1)
 	scratch []int64
@@ -125,7 +134,7 @@ func BuildMany(ctx context.Context, ds *dataset.Dataset, reqs [][]int) ([]*Cube,
 	if err != nil {
 		return nil, err
 	}
-	if err := scanAll(ctx, ds.Column(ds.ClassIndex()).Codes, nc, plan, ds.NumRows()); err != nil {
+	if err := scanAll(ctx, &ds.Column(ds.ClassIndex()).Codes, nc, plan, ds.NumRows()); err != nil {
 		return nil, err
 	}
 
@@ -167,15 +176,19 @@ func validateBatchReqs(ds *dataset.Dataset, reqs [][]int) error {
 // batchPlan is the deduplicated working set of one shared scan: one
 // pairPlan per distinct pair, one onePlan per 1-D request no pair
 // covers, and the index maps extraction uses to route each request to
-// its accumulator.
+// its accumulator. pairsByWidth and onesByWidth group the plans by
+// their columns' code widths (wideBit), so the scan picks each tally
+// loop once per pass.
 type batchPlan struct {
-	pairs   []pairPlan
-	ones    []onePlan
-	ks      []kPlan
-	pairIdx map[[2]int]int
-	oneIdx  map[int]int
-	kIdx    map[string]int // ordered attr-list key -> kPlan index
-	derived map[int][2]int // attr -> {pair plan index, dimension position}
+	pairs        []pairPlan
+	ones         []onePlan
+	ks           []kPlan
+	pairsByWidth [4][]int
+	onesByWidth  [2][]int
+	pairIdx      map[[2]int]int
+	oneIdx       map[int]int
+	kIdx         map[string]int // ordered attr-list key -> kPlan index
+	derived      map[int][2]int // attr -> {pair plan index, dimension position}
 }
 
 // kKey is the dedup key of a k-D request: its exact ordered dimension
@@ -204,6 +217,8 @@ func planBatch(ds *dataset.Dataset, nc int, reqs [][]int) (*batchPlan, error) {
 		}
 		dimA, dimB := cubeDim(ds, a), cubeDim(ds, b)
 		p.pairIdx[k] = len(p.pairs)
+		w := wideBit(&ds.Column(a).Codes)<<1 | wideBit(&ds.Column(b).Codes)
+		p.pairsByWidth[w] = append(p.pairsByWidth[w], len(p.pairs))
 		p.pairs = append(p.pairs, pairPlan{
 			a: a, b: b,
 			colA: ds.Column(a).Codes, colB: ds.Column(b).Codes,
@@ -259,6 +274,8 @@ func planBatch(ds *dataset.Dataset, nc int, reqs [][]int) (*batchPlan, error) {
 		}
 		d := cubeDim(ds, a)
 		p.oneIdx[a] = len(p.ones)
+		w := wideBit(&ds.Column(a).Codes)
+		p.onesByWidth[w] = append(p.onesByWidth[w], len(p.ones))
 		p.ones = append(p.ones, onePlan{
 			a: a, col: ds.Column(a).Codes,
 			dim: d, scratch: make([]int64, (d+1)*nc),
@@ -329,13 +346,13 @@ func findPairFor(pairs []pairPlan, a int) [2]int {
 // scratch (counts are additive; shard partials merge by summation).
 // A cancel stops every shard at its next block boundary; scanAll waits
 // for all of them before returning ctx.Err().
-func scanAll(ctx context.Context, classCol []int32, nc int, plan *batchPlan, rows int) error {
+func scanAll(ctx context.Context, classCol *dataset.Codes, nc int, plan *batchPlan, rows int) error {
 	shards := runtime.GOMAXPROCS(0)
 	if max := rows / batchShardRows; shards > max {
 		shards = max
 	}
 	if shards <= 1 {
-		return scanRange(ctx, classCol, nc, plan, 0, rows)
+		return scanShard(ctx, classCol, nc, plan, 0, rows)
 	}
 	// Shard 0 scans into the plan's own scratch; each extra shard scans
 	// into a private copy, merged after the pass.
@@ -356,7 +373,7 @@ func scanAll(ctx context.Context, classCol []int32, nc int, plan *batchPlan, row
 		go func(sp *batchPlan, lo, hi int) {
 			defer wg.Done()
 			// A shard stops only on cancel, which ctx.Err() reports below.
-			_ = scanRange(ctx, classCol, nc, sp, lo, hi)
+			_ = scanShard(ctx, classCol, nc, sp, lo, hi)
 		}(sp, lo, hi)
 	}
 	wg.Wait()
@@ -367,15 +384,26 @@ func scanAll(ctx context.Context, classCol []int32, nc int, plan *batchPlan, row
 	return nil
 }
 
+// scanShard is scanRange over rows [lo, hi) at the class column's
+// code width.
+func scanShard(ctx context.Context, classCol *dataset.Codes, nc int, plan *batchPlan, lo, hi int) error {
+	if classCol.IsWide() {
+		return scanRange(ctx, classCol.Wide(), nc, plan, lo, hi)
+	}
+	return scanRange(ctx, classCol.Narrow(), nc, plan, lo, hi)
+}
+
 // scratchCopies returns n copies of the plan whose scratch arrays are
 // fresh and zeroed, one per extra scan shard.
 func (p *batchPlan) scratchCopies(n int) []*batchPlan {
 	out := make([]*batchPlan, n)
 	for s := range out {
 		c := &batchPlan{
-			pairs: append([]pairPlan(nil), p.pairs...),
-			ones:  append([]onePlan(nil), p.ones...),
-			ks:    append([]kPlan(nil), p.ks...),
+			pairs:        append([]pairPlan(nil), p.pairs...),
+			ones:         append([]onePlan(nil), p.ones...),
+			ks:           append([]kPlan(nil), p.ks...),
+			pairsByWidth: p.pairsByWidth,
+			onesByWidth:  p.onesByWidth,
 		}
 		for i := range c.pairs {
 			c.pairs[i].scratch = make([]int64, len(p.pairs[i].scratch))
@@ -409,70 +437,95 @@ func (p *batchPlan) addScratch(copies []*batchPlan) {
 // scanBlockRows sizes the row blocks of the shared scan: small enough
 // that a block's class and value columns stay cache-resident while
 // every plan tallies it, large enough to amortize the per-plan loop
-// setup. 2048 rows × 4 bytes = 8 KiB per column touched.
+// setup. 2048 rows are 2 KiB per narrow column touched, 8 KiB per wide
+// one.
 const scanBlockRows = 2048
 
-// scanRange is the shared scan's inner loop over rows [lo, hi): each
+// scanRange is the shared scan's inner loop over rows [lo, hi),
+// instantiated once per pass for the class column's code width: each
 // row with a present class bumps exactly one cell per plan. The +1
-// shift routes a missing value (code -1) to slot 0, so the loop has no
-// per-plan branch; extraction drops (or marginalizes over) that slot.
-// Rows are processed in blocks with the plan loop outside the row
-// loop, so each plan's column/scratch pointers hoist out of the hot
-// loop and the block's columns are revisited while still in cache —
-// the row-outer form re-derefs every plan per row and thrashes between
-// all the plans' columns. ctx is polled once per block.
-func scanRange(ctx context.Context, classCol []int32, nc int, plan *batchPlan, lo, hi int) error {
+// shift routes a missing value to slot 0 at either width (dataset.Code),
+// so the loop has no per-plan branch; extraction drops (or
+// marginalizes over) that slot. Rows are processed in blocks with the
+// plan loop outside the row loop, so each plan's column/scratch
+// pointers hoist out of the hot loop and the block's columns are
+// revisited while still in cache — the row-outer form re-derefs every
+// plan per row and thrashes between all the plans' columns. Pairs and
+// 1-D plans are tallied by width group, so each plan's loop is
+// specialized to its columns' widths, picked at planning. ctx is
+// polled once per block.
+func scanRange[C dataset.Code](ctx context.Context, classCol []C, nc int, plan *batchPlan, lo, hi int) error {
 	pairs, ones, ks := plan.pairs, plan.ones, plan.ks
 	for blo := lo; blo < hi; blo += scanBlockRows {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		bhi := blo + scanBlockRows
-		if bhi > hi {
-			bhi = hi
-		}
+		bhi := min(blo+scanBlockRows, hi)
 		cls := classCol[blo:bhi]
-		for i := range pairs {
+		for _, i := range plan.pairsByWidth[0] {
 			p := &pairs[i]
-			colA, colB := p.colA[blo:bhi], p.colB[blo:bhi]
-			scratch, strideA := p.scratch, p.strideA
-			for r, cl := range cls {
-				if cl < 0 {
-					continue
-				}
-				scratch[(int(colA[r])+1)*strideA+(int(colB[r])+1)*nc+int(cl)]++
-			}
+			tallyPair(p.colA.Narrow()[blo:bhi], p.colB.Narrow()[blo:bhi], cls, p.scratch, p.strideA, nc)
 		}
-		for i := range ones {
+		for _, i := range plan.pairsByWidth[1] {
+			p := &pairs[i]
+			tallyPair(p.colA.Narrow()[blo:bhi], p.colB.Wide()[blo:bhi], cls, p.scratch, p.strideA, nc)
+		}
+		for _, i := range plan.pairsByWidth[2] {
+			p := &pairs[i]
+			tallyPair(p.colA.Wide()[blo:bhi], p.colB.Narrow()[blo:bhi], cls, p.scratch, p.strideA, nc)
+		}
+		for _, i := range plan.pairsByWidth[3] {
+			p := &pairs[i]
+			tallyPair(p.colA.Wide()[blo:bhi], p.colB.Wide()[blo:bhi], cls, p.scratch, p.strideA, nc)
+		}
+		for _, i := range plan.onesByWidth[0] {
 			o := &ones[i]
-			col, scratch := o.col[blo:bhi], o.scratch
-			for r, cl := range cls {
-				if cl < 0 {
-					continue
-				}
-				scratch[(int(col[r])+1)*nc+int(cl)]++
-			}
+			tallyOne(o.col.Narrow()[blo:bhi], cls, o.scratch, nc)
+		}
+		for _, i := range plan.onesByWidth[1] {
+			o := &ones[i]
+			tallyOne(o.col.Wide()[blo:bhi], cls, o.scratch, nc)
 		}
 		for i := range ks {
 			kp := &ks[i]
 			scratch, strides := kp.scratch, kp.strides
-			cols := make([][]int32, len(kp.cols))
-			for d := range kp.cols {
-				cols[d] = kp.cols[d][blo:bhi]
-			}
 			for r, cl := range cls {
-				if cl < 0 {
+				if cl+1 == 0 {
 					continue
 				}
 				idx := int(cl)
-				for d, col := range cols {
-					idx += (int(col[r]) + 1) * strides[d]
+				for d := range kp.cols {
+					idx += (int(kp.cols[d].At(blo+r)) + 1) * strides[d]
 				}
 				scratch[idx]++
 			}
 		}
 	}
 	return ctx.Err()
+}
+
+// tallyPair bumps one pair-scratch cell per row of a block with a
+// present class.
+func tallyPair[A, B, C dataset.Code](colA []A, colB []B, cls []C, scratch []int64, strideA, nc int) {
+	colA, colB = colA[:len(cls)], colB[:len(cls)]
+	for r, cl := range cls {
+		if cl+1 == 0 {
+			continue
+		}
+		scratch[int(colA[r]+1)*strideA+int(colB[r]+1)*nc+int(cl)]++
+	}
+}
+
+// tallyOne bumps one 1-D scratch cell per row of a block with a
+// present class.
+func tallyOne[B, C dataset.Code](col []B, cls []C, scratch []int64, nc int) {
+	col = col[:len(cls)]
+	for r, cl := range cls {
+		if cl+1 == 0 {
+			continue
+		}
+		scratch[int(col[r]+1)*nc+int(cl)]++
+	}
 }
 
 // newCubeHeader builds an empty cube over attrs: one slot per

@@ -87,7 +87,7 @@ func BenchmarkStoreIngestRows(b *testing.B) {
 		for r := range rows {
 			rows[r] = make([]int32, ds.NumAttrs())
 			for a := range rows[r] {
-				rows[r][a] = ds.Column(a).Codes[r]
+				rows[r][a] = ds.Column(a).Codes.At(r)
 				if sparse && a != ds.ClassIndex() && !planted[ds.Attr(a).Name] {
 					rows[r][a] = -1
 				}

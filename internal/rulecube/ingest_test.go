@@ -77,7 +77,7 @@ func appendRows(t *testing.T, ds *dataset.Dataset, lines [][]string) ([][]int32,
 		r := ds.NumRows() - 1
 		rows[i] = make([]int32, ds.NumAttrs())
 		for a := range rows[i] {
-			rows[i][a] = ds.Column(a).Codes[r]
+			rows[i][a] = ds.Column(a).Codes.At(r)
 		}
 		classes[i] = ds.ClassCode(r)
 	}
@@ -91,7 +91,7 @@ func codedRows(ds *dataset.Dataset, from, to int) ([][]int32, []int32) {
 	for r := from; r < to; r++ {
 		row := make([]int32, ds.NumAttrs())
 		for a := range row {
-			row[a] = ds.Column(a).Codes[r]
+			row[a] = ds.Column(a).Codes.At(r)
 		}
 		rows = append(rows, row)
 		classes = append(classes, ds.ClassCode(r))
@@ -120,7 +120,11 @@ func lazyResidents(t *testing.T, ds *dataset.Dataset, sets [][]int) *engine.Lazy
 // pair cube pinned, plus a resident 3-D drill-down cube) and a lazy
 // source holding 1-D, pair
 // and 3-D cubes. After every batch each cube must equal the
-// brute-force recount over the base rows plus every appended row.
+// brute-force recount over the base rows plus every appended row. The
+// last two batches take A0's dictionary to exactly 255 labels, where
+// its column stays one byte per row, and then past it, where the
+// column widens; cubes counted afresh over the widened column must
+// match the recount too.
 func TestIngestOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	ds := ingestDataset(t, rng, 200)
@@ -174,6 +178,36 @@ func TestIngestOracle(t *testing.T) {
 	}
 	if got := ds.Cardinality(0); got <= 3 {
 		t.Fatalf("dictionaries never grew (A0 has %d labels)", got)
+	}
+	for _, step := range []struct {
+		labels int
+		wide   bool
+	}{{dataset.MaxNarrowLabels, false}, {dataset.MaxNarrowLabels + 6, true}} {
+		var lines [][]string
+		for n := ds.Cardinality(0); n < step.labels; n++ {
+			line := ingestRow(rng, 3, 2, 0.15, false)
+			line[0] = fmt.Sprintf("w%d", n)
+			lines = append(lines, line)
+		}
+		rows, cls := appendRows(t, ds, lines)
+		if err := eager.IngestRows(rows, cls); err != nil {
+			t.Fatalf("%d labels: eager: %v", step.labels, err)
+		}
+		if err := lazy.IngestRows(rows, cls); err != nil {
+			t.Fatalf("%d labels: lazy: %v", step.labels, err)
+		}
+		name := fmt.Sprintf("A0 at %d labels", ds.Cardinality(0))
+		if ds.Cardinality(0) != step.labels || ds.Column(0).Codes.IsWide() != step.wide {
+			t.Fatalf("%s: wide %v, want %d labels, wide %v", name, ds.Column(0).Codes.IsWide(), step.labels, step.wide)
+		}
+		check(name)
+		fresh, err := rulecube.BuildStore(ds, rulecube.StoreOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range fresh.Cubes() {
+			rulecube.CheckBruteForce(t, ds, c.AttrIndices(), c, fmt.Sprintf("%s: fresh cube %v", name, c.AttrIndices()))
+		}
 	}
 }
 

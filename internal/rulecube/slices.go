@@ -78,9 +78,15 @@ func SlicesOf(c *Cube, a1 int, v1, v2 int32) (Slices, error) {
 // scratch is (dim+1) × 2 × nc with slot 0 of the value dimension
 // catching missing values, as in a pairPlan.
 type slicePlan struct {
-	col     []int32
+	col     dataset.Codes
 	dim     int
 	scratch []int64
+}
+
+// slicePlans is a pass's plans, split by their column's code width at
+// planning so that each tally loop is picked once per pass.
+type slicePlans struct {
+	narrow, wide []slicePlan
 }
 
 // CountSlices counts, in one pass over ds, the A1 = v1 and A1 = v2
@@ -106,14 +112,26 @@ func CountSlices(ctx context.Context, ds *dataset.Dataset, a1 int, v1, v2 int32,
 		return nil, err
 	}
 	nc := ds.NumClasses()
-	plans, planOf := planSlices(ds, nc, cands)
-	selected, err := sliceScan(ctx, ds.Column(a1).Codes, ds.Column(ds.ClassIndex()).Codes, v1, v2, nc, plans)
+	plans, tables := planSlices(ds, nc, cands)
+	colA, cls := &ds.Column(a1).Codes, &ds.Column(ds.ClassIndex()).Codes
+	var selected int64
+	var err error
+	switch {
+	case colA.IsWide() && cls.IsWide():
+		selected, err = sliceScan(ctx, colA.Wide(), cls.Wide(), v1, v2, nc, &plans)
+	case colA.IsWide():
+		selected, err = sliceScan(ctx, colA.Wide(), cls.Narrow(), v1, v2, nc, &plans)
+	case cls.IsWide():
+		selected, err = sliceScan(ctx, colA.Narrow(), cls.Wide(), v1, v2, nc, &plans)
+	default:
+		selected, err = sliceScan(ctx, colA.Narrow(), cls.Narrow(), v1, v2, nc, &plans)
+	}
 	if err != nil {
 		return nil, err
 	}
 	obsv.Default().Counter(CubeScansCounterName).Inc()
 	obsv.Default().Counter(RowsCountedCounterName).Add(selected)
-	return sliceTables(plans, planOf, nc), nil
+	return tables, nil
 }
 
 // validateSliceReq rejects a non-condition split attribute, negative or
@@ -135,42 +153,39 @@ func validateSliceReq(ds *dataset.Dataset, a1 int, v1, v2 int32, cands []int) er
 }
 
 // planSlices allocates one plan per distinct candidate and returns,
-// per request, the index of its plan.
-func planSlices(ds *dataset.Dataset, nc int, cands []int) ([]slicePlan, []int) {
-	var plans []slicePlan
-	planOf := make([]int, len(cands))
-	first := make(map[int]int, len(cands))
+// per request, the table that views its plan's present-value block
+// (slot 0, the missing candidate values, dropped); the pass fills the
+// viewed scratch in place.
+func planSlices(ds *dataset.Dataset, nc int, cands []int) (slicePlans, []Slices) {
+	var plans slicePlans
+	tables := make([]Slices, len(cands))
+	first := make(map[int]Slices, len(cands))
 	for i, b := range cands {
-		p, ok := first[b]
+		t, ok := first[b]
 		if !ok {
-			d := cubeDim(ds, b)
-			p = len(plans)
-			first[b] = p
-			plans = append(plans, slicePlan{col: ds.Column(b).Codes, dim: d, scratch: make([]int64, (d+1)*2*nc)})
+			p := slicePlan{col: ds.Column(b).Codes, dim: cubeDim(ds, b)}
+			p.scratch = make([]int64, (p.dim+1)*2*nc)
+			if p.col.IsWide() {
+				plans.wide = append(plans.wide, p)
+			} else {
+				plans.narrow = append(plans.narrow, p)
+			}
+			present := p.scratch[2*nc:]
+			t = Slices{dim: p.dim, nc: nc, stride: 2 * nc, sides: [2][]int64{present, present[nc:]}}
+			first[b] = t
 		}
-		planOf[i] = p
+		tables[i] = t
 	}
-	return plans, planOf
+	return plans, tables
 }
 
-// sliceTables views each counted plan's present-value block (slot 0,
-// the missing candidate values, dropped) as the table of every request
-// routed to it.
-func sliceTables(plans []slicePlan, planOf []int, nc int) []Slices {
-	out := make([]Slices, len(planOf))
-	for i, p := range planOf {
-		present := plans[p].scratch[2*nc:]
-		out[i] = Slices{dim: plans[p].dim, nc: nc, stride: 2 * nc, sides: [2][]int64{present, present[nc:]}}
-	}
-	return out
-}
-
-// sliceScan is CountSlices' pass: per block, select the rows of either
-// side with a present class into sel/off, then bump one cell per
-// selected row in every plan. The +1 shift routes a missing candidate
-// value to slot 0, which the caller drops. It returns the number of
-// rows selected.
-func sliceScan(ctx context.Context, colA, cls []int32, v1, v2 int32, nc int, plans []slicePlan) (int64, error) {
+// sliceScan is CountSlices' pass, instantiated once per pass for the
+// split attribute's and the class's code widths: per block, select the
+// rows of either side with a present class into sel/off, then bump one
+// cell per selected row in every plan. The +1 shift routes a missing
+// candidate value to slot 0, which the caller drops. It returns the
+// number of rows selected.
+func sliceScan[A, C dataset.Code](ctx context.Context, colA []A, cls []C, v1, v2 int32, nc int, plans *slicePlans) (int64, error) {
 	var sel, off [scanBlockRows]int32
 	stride := 2 * nc
 	var selected int64
@@ -181,24 +196,34 @@ func sliceScan(ctx context.Context, colA, cls []int32, v1, v2 int32, nc int, pla
 		bhi := min(blo+scanBlockRows, len(colA))
 		n := 0
 		for r, a := range colA[blo:bhi] {
-			cl := cls[blo+r]
-			if cl < 0 || (a != v1 && a != v2) {
+			cl, v := cls[blo+r], int32(a+1)-1
+			if cl+1 == 0 || (v != v1 && v != v2) {
 				continue
 			}
 			side := int32(0)
-			if a == v2 {
+			if v == v2 {
 				side = int32(nc)
 			}
-			sel[n], off[n] = int32(r), side+cl
+			sel[n], off[n] = int32(r), side+int32(cl)
 			n++
 		}
 		selected += int64(n)
-		for i := range plans {
-			col, scratch := plans[i].col[blo:bhi], plans[i].scratch
-			for j, r := range sel[:n] {
-				scratch[(int(col[r])+1)*stride+int(off[j])]++
-			}
+		for i := range plans.narrow {
+			p := &plans.narrow[i]
+			tallySlices(p.col.Narrow()[blo:bhi], sel[:n], off[:n], stride, p.scratch)
+		}
+		for i := range plans.wide {
+			p := &plans.wide[i]
+			tallySlices(p.col.Wide()[blo:bhi], sel[:n], off[:n], stride, p.scratch)
 		}
 	}
 	return selected, nil
+}
+
+// tallySlices bumps, for each selected row of a block, the cell of its
+// candidate value (slot 0 if missing) at its (side, class) offset.
+func tallySlices[B dataset.Code](col []B, sel, off []int32, stride int, scratch []int64) {
+	for j, r := range sel {
+		scratch[int(col[r]+1)*stride+int(off[j])]++
+	}
 }

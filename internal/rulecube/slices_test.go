@@ -290,13 +290,18 @@ func (c *cancelAtCtx) Err() error {
 // values and classes, empty domains) and a slice request (any split
 // values, duplicate candidates), and checks the pass against the
 // brute-force recount and BuildMany's pair cubes. Invalid requests
-// must fail, never panic.
+// must fail, never panic. Bit i of wide pads attribute i's dictionary
+// (bit 7 the class's) past dataset.MaxNarrowLabels labels, which
+// stores that column at four bytes per row, so the pass runs at every
+// mix of code widths.
 func FuzzCountSlices(f *testing.F) {
-	f.Add([]byte{3, 2, 0, 1, 0, 1, 2, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
-	f.Add([]byte{4, 3, 3, 4, 1, 0, 2, 2, 2, 1, 0, 1, 2, 3, 4, 0, 0, 1, 1})
-	f.Add([]byte{2, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1})
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add([]byte{3, 2, 0, 1, 0, 1, 2, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, uint8(0))
+	f.Add([]byte{4, 3, 3, 4, 1, 0, 2, 2, 2, 1, 0, 1, 2, 3, 4, 0, 0, 1, 1}, uint8(0))
+	f.Add([]byte{2, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1}, uint8(0))
+	f.Add([]byte{}, uint8(0))
+	f.Add([]byte{3, 2, 0, 1, 0, 1, 2, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, uint8(0xff))
+	f.Add([]byte{4, 3, 3, 4, 1, 0, 2, 2, 2, 1, 0, 1, 2, 3, 4, 0, 0, 1, 1}, uint8(0x85))
+	f.Fuzz(func(t *testing.T, data []byte, wide uint8) {
 		next := func() int {
 			if len(data) == 0 {
 				return 0
@@ -328,7 +333,20 @@ func FuzzCountSlices(f *testing.F) {
 			}
 			rows = append(rows, row)
 		}
+		for i := range cards {
+			if wide&(1<<i) != 0 {
+				cards[i] += dataset.MaxNarrowLabels
+			}
+		}
+		if wide&0x80 != 0 {
+			nc += dataset.MaxNarrowLabels
+		}
 		ds := codedDataset(t, cards, nc, rows)
+		for i := 0; i < ds.NumAttrs(); i++ {
+			if got, want := ds.Column(i).Codes.IsWide(), ds.Cardinality(i) > dataset.MaxNarrowLabels; got != want {
+				t.Fatalf("attribute %d with %d labels: wide %v", i, ds.Cardinality(i), got)
+			}
+		}
 		got, err := CountSlices(context.Background(), ds, a1, v1, v2, cands)
 		valid := v1 >= 0 && v2 >= 0 && v1 != v2
 		for _, b := range cands {

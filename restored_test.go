@@ -2,6 +2,7 @@ package opmap
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 
@@ -120,6 +121,7 @@ func TestRestoredSessionRefusesRowScans(t *testing.T) {
 				_, err := r.Completeness(1)
 				return err
 			},
+			"Describe": func() error { return r.Describe(io.Discard) },
 			// Re-counting or re-sampling would replace the restored
 			// cubes with counts over the appended rows alone.
 			"BuildCubes":         r.BuildCubes,
