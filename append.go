@@ -79,7 +79,6 @@ func (s *Session) appendLocked(ctx context.Context, rows [][]string) error {
 	}
 
 	classIdx := s.raw.ClassIndex()
-	restored := s.restoredDiscretized()
 	touched := make(map[int]bool)
 	// Coded rows accumulate here and fold into the resident engine in
 	// one batched apply (rulecube.IngestCubes behind the engine's
@@ -116,15 +115,9 @@ func (s *Session) appendLocked(ctx context.Context, rows [][]string) error {
 			// consistent; the caller decides whether to re-send the rest.
 			return bail(err)
 		}
-		if !restored {
-			// Restored sessions share one dataset between raw and working
-			// roles; appendWorkingRow grows it with the coded row instead
-			// (AppendRow here would register raw numeric strings as
-			// categorical labels in the interval dictionaries).
-			if err := s.raw.AppendRow(row); err != nil {
-				// Unreachable after validateBatch; fail loudly if it isn't.
-				return bail(err)
-			}
+		if err := s.raw.AppendRow(row); err != nil {
+			// Unreachable after validateBatch; fail loudly if it isn't.
+			return bail(err)
 		}
 		codes, err := s.appendWorkingRow(row, floats[r])
 		if err != nil {
@@ -163,39 +156,12 @@ func (s *Session) ValidateBatch(rows [][]string) error {
 	return err
 }
 
-// restoredDiscretized reports whether the session was restored from a
-// snapshot of a discretized dataset: one schema-only dataset serves as
-// both raw and working copy, and originally continuous attributes
-// survive only as interval columns plus the remembered cut points.
-func (s *Session) restoredDiscretized() bool {
-	return s.ds == s.raw && len(s.cuts) > 0
-}
-
-// binnedAttr reports whether attribute i's appended values are numbers
-// that must bin through remembered cut points: a continuous attribute
-// of the live schema, or — in a restored session, whose schema holds
-// only the discretized intervals — any attribute with remembered cuts.
-func (s *Session) binnedAttr(i int) bool {
-	if s.raw.Attr(i).Kind == dataset.Continuous {
-		return true
-	}
-	_, ok := s.cuts[s.raw.Attr(i).Name]
-	return ok
-}
-
-// validateBatch checks every row's width and parses its numeric
-// (continuous or restored-interval) fields, returning the parsed
-// values per row (nil entries when the schema has no such attributes).
-// Nothing mutates.
+// validateBatch checks every row's width and parses its continuous
+// fields, returning the parsed values per row (nil entries when the
+// schema has no continuous attributes). Nothing mutates.
 func (s *Session) validateBatch(rows [][]string) ([][]float64, error) {
 	n := s.raw.NumAttrs()
-	hasCont := false
-	for i := 0; i < n; i++ {
-		if s.binnedAttr(i) {
-			hasCont = true
-			break
-		}
-	}
+	hasCont := !s.raw.AllCategorical()
 	floats := make([][]float64, len(rows))
 	for r, row := range rows {
 		if len(row) != n {
@@ -206,7 +172,7 @@ func (s *Session) validateBatch(rows [][]string) ([][]float64, error) {
 		}
 		fr := make([]float64, n)
 		for i := 0; i < n; i++ {
-			if !s.binnedAttr(i) {
+			if s.raw.Attr(i).Kind != dataset.Continuous {
 				continue
 			}
 			f, err := dataset.ParseContinuous(row[i])
@@ -230,7 +196,7 @@ func (s *Session) appendWorkingRow(row []string, fr []float64) ([]int32, error) 
 	}
 	n := s.raw.NumAttrs()
 	codes := make([]int32, n)
-	if s.ds == s.raw && len(s.cuts) == 0 {
+	if s.ds == s.raw {
 		// All-categorical schema: the working dataset IS the raw dataset
 		// and AppendRow above already grew it; just read the codes back.
 		last := s.ds.NumRows() - 1
@@ -239,16 +205,14 @@ func (s *Session) appendWorkingRow(row []string, fr []float64) ([]int32, error) 
 		}
 		return codes, nil
 	}
-	// Discretized working dataset — a live session's Derive of the raw
-	// dataset, or the single shared interval dataset of a restored
-	// session. A live session's categorical columns and dictionaries
-	// are raw's own, so the lookups below find the codes raw's
-	// AppendRow just wrote and AppendCodedRow re-slices the shared
-	// columns to raw's grown codes instead of writing them again.
-	// Numeric values bin through the remembered cuts (every bin is
-	// pre-registered in the interval dictionary).
+	// Discretized working dataset, a Derive of the raw dataset: its
+	// categorical columns and dictionaries are raw's own, so the lookups
+	// below find the codes raw's AppendRow just wrote and AppendCodedRow
+	// re-slices the shared columns to raw's grown codes instead of
+	// writing them again. Numeric values bin through the remembered cuts
+	// (every bin is pre-registered in the interval dictionary).
 	for i := 0; i < n; i++ {
-		if s.binnedAttr(i) {
+		if s.raw.Attr(i).Kind == dataset.Continuous {
 			name := s.raw.Attr(i).Name
 			if math.IsNaN(fr[i]) {
 				codes[i] = dataset.Missing
@@ -285,7 +249,7 @@ func (s *Session) noteDeltas(fr []float64) {
 		return
 	}
 	for i := 0; i < s.raw.NumAttrs(); i++ {
-		if !s.binnedAttr(i) || math.IsNaN(fr[i]) {
+		if s.raw.Attr(i).Kind != dataset.Continuous || math.IsNaN(fr[i]) {
 			continue
 		}
 		if s.appendDeltas == nil {

@@ -492,8 +492,8 @@ func TestIngestSeqRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Version != 2 || info.IngestSeq != 42 {
-		t.Errorf("peeked version=%d ingestSeq=%d, want 2/42", info.Version, info.IngestSeq)
+	if info.Version != 3 || info.IngestSeq != 42 {
+		t.Errorf("peeked version=%d ingestSeq=%d, want 3/42", info.Version, info.IngestSeq)
 	}
 	restored, err := LoadSnapshotFile(path)
 	if err != nil {

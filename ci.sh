@@ -252,6 +252,85 @@ if ! wait "$opmapd4_pid"; then
     exit 1
 fi
 
+echo "== opmapd smoke (lazy snapshot warm start survives kill -9) =="
+# A lazy daemon checkpoints its rows and resident cubes too: after a
+# hard kill it restarts from the snapshot alone, without reading the
+# CSV, and answers byte-identically to the cold run.
+lazysnapdir="$smokedir/lazysnaps"
+"$smokedir/opmapd" -lazy -data "east=$smokedir/east.csv" -addr 127.0.0.1:0 \
+    -ready-file "$smokedir/addr13" -snapshot-dir "$lazysnapdir" -checkpoint-interval 200ms \
+    >"$smokedir/opmapd13.log" 2>&1 &
+opmapd13_pid=$!
+for _ in $(seq 1 100); do
+    [ -s "$smokedir/addr13" ] && break
+    sleep 0.1
+done
+if [ ! -s "$smokedir/addr13" ]; then
+    echo "lazy snapshot opmapd never became ready:" >&2
+    cat "$smokedir/opmapd13.log" >&2
+    exit 1
+fi
+addr13=$(cat "$smokedir/addr13")
+grep -q "rows from $smokedir/east.csv" "$smokedir/opmapd13.log"
+"$smokedir/opmapd" -probe "$addr13/api/compare?attr=Phone-Model&v1=ph1&v2=ph2&class=dropped-in-progress" \
+    >"$smokedir/compare.lazycold"
+"$smokedir/opmapd" -probe "$addr13/api/drilldown" -probe-body "$drillbody" >"$smokedir/drill.lazycold"
+# The cold start checkpoints at once; wait for the periodic checkpoint
+# that follows the traffic.
+for _ in $(seq 1 100); do
+    [ "$(grep -c "checkpointed to" "$smokedir/opmapd13.log")" -ge 2 ] && break
+    sleep 0.1
+done
+if [ "$(grep -c "checkpointed to" "$smokedir/opmapd13.log")" -lt 2 ]; then
+    echo "lazy opmapd never checkpointed after serving:" >&2
+    cat "$smokedir/opmapd13.log" >&2
+    exit 1
+fi
+kill -9 "$opmapd13_pid"
+wait "$opmapd13_pid" 2>/dev/null || true
+"$smokedir/opmapd" -lazy -data "east=$smokedir/east.csv" -addr 127.0.0.1:0 \
+    -ready-file "$smokedir/addr14" -snapshot-dir "$lazysnapdir" -checkpoint-interval 200ms \
+    >"$smokedir/opmapd14.log" 2>&1 &
+opmapd14_pid=$!
+for _ in $(seq 1 100); do
+    [ -s "$smokedir/addr14" ] && break
+    sleep 0.1
+done
+if [ ! -s "$smokedir/addr14" ]; then
+    echo "warm lazy opmapd never became ready:" >&2
+    cat "$smokedir/opmapd14.log" >&2
+    exit 1
+fi
+addr14=$(cat "$smokedir/addr14")
+grep -q "warm start" "$smokedir/opmapd14.log"
+if grep -q "rows from $smokedir/east.csv" "$smokedir/opmapd14.log"; then
+    echo "warm lazy opmapd loaded the CSV:" >&2
+    cat "$smokedir/opmapd14.log" >&2
+    exit 1
+fi
+"$smokedir/opmapd" -probe "$addr14/api/datasets" | grep -q '"snapshot": "loaded"'
+"$smokedir/opmapd" -probe "$addr14/api/compare?attr=Phone-Model&v1=ph1&v2=ph2&class=dropped-in-progress" \
+    >"$smokedir/compare.lazywarm"
+"$smokedir/opmapd" -probe "$addr14/api/drilldown" -probe-body "$drillbody" >"$smokedir/drill.lazywarm"
+cmp "$smokedir/compare.lazycold" "$smokedir/compare.lazywarm"
+cmp "$smokedir/drill.lazycold" "$smokedir/drill.lazywarm"
+"$smokedir/opmapd" -probe "$addr14/metrics" >"$smokedir/metrics14"
+for want in \
+    'opmapd_snapshot_loads_total 1' \
+    'opmapd_snapshot_fallbacks_total{reason="stale"} 0'; do
+    if ! grep -qF "$want" "$smokedir/metrics14"; then
+        echo "lazy warm-start metrics missing: $want" >&2
+        cat "$smokedir/metrics14" >&2
+        exit 1
+    fi
+done
+kill -TERM "$opmapd14_pid"
+if ! wait "$opmapd14_pid"; then
+    echo "warm lazy opmapd did not drain cleanly on SIGTERM:" >&2
+    cat "$smokedir/opmapd14.log" >&2
+    exit 1
+fi
+
 echo "== opmapd smoke (WAL ingest survives kill -9) =="
 waldir="$smokedir/wal"
 cat >"$smokedir/ingest.csv" <<'EOF'
@@ -343,11 +422,10 @@ if ! wait "$opmapd6_pid"; then
 fi
 
 echo "== opmapd smoke (warm start + WAL replay on a continuous schema) =="
-# The combination that matters for restored sessions: the snapshot holds
-# only the discretized intervals, so replayed and live numeric values
-# must bin through the remembered cuts instead of registering new
-# labels. Temp gets 40 distinct numeric values so the sniffer marks it
-# continuous.
+# The combination that matters for restored sessions: replayed and live
+# numeric values must bin through the snapshot's remembered cuts into
+# the intervals a cold load gives, not register new labels. Temp gets
+# 40 distinct numeric values so the sniffer marks it continuous.
 waldir2="$smokedir/wal2"
 snapdir2="$smokedir/snaps2"
 {

@@ -40,12 +40,12 @@ commands:
   impressions   mine trends, exceptions and influential attributes
   rules         mine class association rules
   report        write a Markdown comparison report
-  savecubes     materialize rule cubes and persist them to a file
-  shard-build   cube one row-shard and write it as an eager snapshot
+  savecubes     materialize rule cubes and write the session as a snapshot
+  shard-build   cube one row-shard and write it as a snapshot (savecubes, named for its role)
   shard-merge   merge shard snapshots into one serving snapshot (needs no -data)
   repl          interactive exploration session (overview/detail/compare/focus/back)
 
-global flags (use -cubes FILE instead of -data to serve from persisted cubes):
+global flags (use -snapshot FILE instead of -data to serve from a saved session):
 `)
 	flag.PrintDefaults()
 }
@@ -54,7 +54,7 @@ func main() {
 	log.SetFlags(0)
 	var (
 		data    = flag.String("data", "", "CSV or ARFF file to analyze (by extension)")
-		cubes   = flag.String("cubes", "", "persisted cube store to serve from (alternative to -data)")
+		snap    = flag.String("snapshot", "", "session snapshot to serve from (alternative to -data)")
 		class   = flag.String("class", "", "class attribute name (default: last column)")
 		bins    = flag.Int("bins", 0, "bins for equal-width/frequency discretization")
 		method  = flag.String("discretize", "mdlp", "discretization: mdlp, width, freq")
@@ -63,7 +63,7 @@ func main() {
 	flag.Usage = usage
 	flag.Parse()
 	// shard-merge operates purely on snapshot files: intercept it before
-	// the -data/-cubes requirement below.
+	// the -data/-snapshot requirement below.
 	if flag.Arg(0) == "shard-merge" {
 		fs := flag.NewFlagSet("shard-merge", flag.ExitOnError)
 		out := fs.String("o", "merged.omapsnap", "output snapshot path")
@@ -77,15 +77,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "merged %d shard(s) into %s\n", fs.NArg(), *out)
 		return
 	}
-	if (*data == "" && *cubes == "") || flag.NArg() < 1 {
+	if (*data == "" && *snap == "") || flag.NArg() < 1 {
 		usage()
 		os.Exit(2)
 	}
 
 	var session *opmap.Session
 	var err error
-	if *cubes != "" {
-		session, err = opmap.OpenCubesFile(*cubes)
+	if *snap != "" {
+		session, err = opmap.LoadSnapshotFile(*snap)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -113,10 +113,10 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	fromCubes := *cubes != ""
+	fromSnapshot := *snap != ""
 
 	requireCubes := func() {
-		if fromCubes {
+		if fromSnapshot {
 			return // already materialized
 		}
 		if err := session.BuildCubes(); err != nil {
@@ -332,33 +332,35 @@ func main() {
 		if err := session.Explore(os.Stdin, os.Stdout); err != nil {
 			log.Fatal(err)
 		}
-	case "savecubes":
-		fs := flag.NewFlagSet("savecubes", flag.ExitOnError)
-		out := fs.String("o", "cubes.omap", "output path")
+	case "savecubes", "shard-build":
+		// Both write the session as a snapshot: savecubes one to serve
+		// from, shard-build one row-shard for shard-merge or opmapd
+		// -shard-dir to assemble. The snapshot records the source's hash,
+		// a reloaded snapshot's own.
+		out := "cubes.omapsnap"
+		if cmd == "shard-build" {
+			out = "shard.omapsnap"
+		}
+		fs := flag.NewFlagSet(cmd, flag.ExitOnError)
+		path := fs.String("o", out, "output snapshot path")
 		fs.Parse(args)
 		requireCubes()
-		if err := session.SaveCubesFile(*out); err != nil {
+		var hash string
+		if fromSnapshot {
+			info, err := opmap.PeekSnapshotFile(*snap)
+			if err != nil {
+				log.Fatal(err)
+			}
+			hash = info.SourceHash
+		} else if hash, err = opmap.HashSourceFile(*data); err != nil {
+			log.Fatal(err)
+		}
+		if err := session.SaveSnapshotFile(*path, opmap.SnapshotOptions{SourceHash: hash}); err != nil {
 			log.Fatal(err)
 		}
 		st := session.CubeStats()
-		fmt.Fprintf(os.Stderr, "wrote %d cubes (%d cells ≈ %.1f MiB counts) to %s\n",
-			st.Cubes, st.Cells, float64(st.Bytes)/(1<<20), *out)
-	case "shard-build":
-		fs := flag.NewFlagSet("shard-build", flag.ExitOnError)
-		out := fs.String("o", "shard.omapsnap", "output snapshot path")
-		fs.Parse(args)
-		if fromCubes {
-			log.Fatal("shard-build: needs -data (a cube store carries no source rows to hash)")
-		}
-		requireCubes()
-		hash, err := opmap.HashSourceFile(*data)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := session.SaveSnapshotFile(*out, opmap.SnapshotOptions{SourceHash: hash}); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote shard snapshot %s (%d rows)\n", *out, session.NumRows())
+		fmt.Fprintf(os.Stderr, "wrote %s: %d rows, %d cubes (%d cells ≈ %.1f MiB counts)\n",
+			*path, session.NumRows(), st.Cubes, st.Cells, float64(st.Bytes)/(1<<20))
 	case "impressions":
 		requireCubes()
 		imp, err := session.Impressions(opmap.ImpressionOptions{})

@@ -7,7 +7,7 @@
 //
 //	opmapd -data calls.csv -class Disposition -addr :8080
 //	opmapd -lazy -data east=east.csv -data west=west.csv -addr :8080
-//	opmapd -cubes store.bin -addr :8080
+//	opmapd -snapshot calls.omapsnap -addr :8080
 //	opmapd -demo -records 20000 -addr 127.0.0.1:0 -ready-file addr.txt
 //
 // -data is repeatable and takes name=path or a bare path (the name
@@ -35,12 +35,17 @@
 // (opmapd_shard_fallbacks_total) and the daemon cold-builds from
 // -data when that is also given.
 //
+// -snapshot serves one session snapshot (opmap savecubes or
+// shard-merge output) in the engine mode it records, without the
+// source data.
+//
 // -snapshot-dir makes sessions durable: at startup each dataset
 // warm-starts from <dir>/<name>.omapsnap when the snapshot matches
-// the source content hash (eager datasets restore with zero cube
-// builds; lazy datasets seed their caches), falling back to a cold
-// rebuild on a missing, stale or corrupt file — and after a cold
-// eager build the snapshot is written back immediately.
+// the source content hash and the -lazy and -cube-cache-bytes flags
+// (an eager snapshot restores with zero cube builds, a lazy one with
+// its resident cubes warm; neither reads the source), falling back to
+// a cold rebuild on a missing, stale, corrupt or incompatible file —
+// and after a cold build the snapshot is written back immediately.
 // -checkpoint-interval additionally rewrites changed snapshots in the
 // background (and once more on drain), always atomically, so a crash
 // mid-checkpoint never clobbers the previous good snapshot.
@@ -105,7 +110,7 @@ func main() {
 	flag.Var(&data, "data", "CSV file to analyze as name=path or bare path; repeat to serve several datasets (first is the default)")
 	var (
 		addr         = flag.String("addr", "127.0.0.1:8080", "listen address (port 0 picks a free port)")
-		cubes        = flag.String("cubes", "", "persisted cube store to serve from")
+		snapFile     = flag.String("snapshot", "", "session snapshot file to serve from instead of -data or -demo")
 		class        = flag.String("class", "", "class attribute name (default: last column)")
 		demo         = flag.Bool("demo", false, "serve the synthetic call-log case study instead of a file")
 		records      = flag.Int("records", 20000, "demo records")
@@ -147,8 +152,8 @@ func main() {
 
 	var snaps *snapman
 	if *snapDir != "" {
-		if *cubes != "" {
-			log.Fatal("-snapshot-dir is incompatible with -cubes (a persisted store is already durable)")
+		if *snapFile != "" {
+			log.Fatal("-snapshot-dir is incompatible with -snapshot (the snapshot file is already durable)")
 		}
 		snaps, err = newSnapman(*snapDir, *ckptEvery)
 		if err != nil {
@@ -160,8 +165,8 @@ func main() {
 
 	var shards *shardman
 	if *shardDir != "" {
-		if *cubes != "" || *demo {
-			log.Fatal("-shard-dir is incompatible with -cubes and -demo")
+		if *snapFile != "" || *demo {
+			log.Fatal("-shard-dir is incompatible with -snapshot and -demo")
 		}
 		if *snapDir != "" {
 			log.Fatal("-shard-dir is incompatible with -snapshot-dir (the shard directory is already the durable source)")
@@ -177,9 +182,6 @@ func main() {
 
 	var ingest *ingestman
 	if *walDir != "" {
-		if *cubes != "" {
-			log.Fatal("-wal-dir is incompatible with -cubes (a persisted store has no raw rows to append to)")
-		}
 		ingest, err = newIngestman(*walDir)
 		if err != nil {
 			log.Fatal(err)
@@ -188,7 +190,7 @@ func main() {
 
 	sessions, defaultName, err := loadSessions(ctx, loadConfig{
 		data:        data,
-		cubes:       *cubes,
+		snapshot:    *snapFile,
 		class:       *class,
 		demo:        *demo,
 		records:     *records,
@@ -280,7 +282,7 @@ func main() {
 // loadConfig carries the data-source flags into loadSessions.
 type loadConfig struct {
 	data        dataFlags
-	cubes       string
+	snapshot    string
 	class       string
 	demo        bool
 	records     int
@@ -321,22 +323,21 @@ func loadSessions(ctx context.Context, cfg loadConfig) (map[string]*opmap.Sessio
 		cfg.shards.trackCold(name)
 	}
 	sources := 0
-	for _, set := range []bool{len(cfg.data) > 0, cfg.cubes != "", cfg.demo} {
+	for _, set := range []bool{len(cfg.data) > 0, cfg.snapshot != "", cfg.demo} {
 		if set {
 			sources++
 		}
 	}
 	if sources != 1 {
-		return nil, "", fmt.Errorf("specify exactly one of -data, -cubes, -demo")
+		return nil, "", fmt.Errorf("specify exactly one of -data, -snapshot, -demo")
 	}
 	switch {
-	case cfg.cubes != "":
-		// Persisted stores carry their cubes eagerly; -lazy has nothing
-		// to defer there.
+	case cfg.snapshot != "":
+		// A snapshot records its own engine mode and budget.
 		if cfg.lazy {
-			return nil, "", fmt.Errorf("-lazy is incompatible with -cubes (a persisted store is already materialized)")
+			return nil, "", fmt.Errorf("-lazy is incompatible with -snapshot (the snapshot records its engine mode)")
 		}
-		sess, err := opmap.OpenCubesFile(cfg.cubes)
+		sess, err := opmap.LoadSnapshotFile(cfg.snapshot)
 		if err != nil {
 			return nil, "", err
 		}
@@ -377,6 +378,7 @@ func loadSessions(ctx context.Context, cfg loadConfig) (map[string]*opmap.Sessio
 				hash = h
 			}
 			sess, err := openDataset(ctx, cfg, name, hash, func() (*opmap.Session, error) {
+				start := time.Now()
 				sess, err := opmap.LoadCSVFile(path, opmap.LoadOptions{
 					Class:          cfg.class,
 					MaxRows:        cfg.maxRows,
@@ -386,6 +388,7 @@ func loadSessions(ctx context.Context, cfg loadConfig) (map[string]*opmap.Sessio
 				if err != nil {
 					return nil, fmt.Errorf("dataset %q: %w", name, err)
 				}
+				log.Printf("dataset %q: loaded %d rows from %s in %v", name, sess.NumRows(), path, time.Since(start).Round(time.Millisecond))
 				if err := sess.Discretize(opmap.DiscretizeOptions{}); err != nil {
 					return nil, fmt.Errorf("dataset %q: %w", name, err)
 				}
@@ -405,13 +408,11 @@ func loadSessions(ctx context.Context, cfg loadConfig) (map[string]*opmap.Sessio
 
 // openDataset produces one served session: warm from the dataset's
 // snapshot when possible, otherwise cold — load from source, build
-// the engine, and (eager mode) checkpoint the result immediately so
-// the build cost is paid at most once per source version. Lazy
-// sessions always build (startup is O(1)) and are seeded from the
-// snapshot afterwards.
+// the engine, and checkpoint the result immediately so the load and
+// build are paid at most once per source version.
 func openDataset(ctx context.Context, cfg loadConfig, name, hash string, cold func() (*opmap.Session, error)) (*opmap.Session, error) {
-	if cfg.snaps != nil && !cfg.lazy {
-		if sess, ok := cfg.snaps.loadEager(name, hash); ok {
+	if cfg.snaps != nil {
+		if sess, ok := cfg.snaps.load(name, hash, cfg.lazy, cfg.cacheBytes); ok {
 			return sess, nil
 		}
 	}
@@ -423,11 +424,7 @@ func openDataset(ctx context.Context, cfg loadConfig, name, hash string, cold fu
 		return nil, err
 	}
 	if cfg.snaps != nil {
-		if cfg.lazy {
-			cfg.snaps.seedLazy(name, hash, sess)
-		} else {
-			cfg.snaps.trackCold(name, hash, sess)
-		}
+		cfg.snaps.trackCold(name, hash, sess)
 	}
 	return sess, nil
 }

@@ -2,13 +2,13 @@ package main
 
 // Durable session snapshots for the daemon. A snapman owns one
 // -snapshot-dir: at startup it warm-starts each dataset from its
-// snapshot when the file is present, intact and matches the source
-// content hash (eager datasets load with zero cube builds; lazy
-// datasets seed their cube caches), and falls back to a cold rebuild
-// otherwise. While serving, an optional background checkpointer
-// rewrites each dataset's snapshot atomically whenever its engine has
-// changed since the last save, so a later restart warm-starts from
-// the freshest working set. Every load, fallback and checkpoint is
+// snapshot when the file is present, intact, matches the source
+// content hash and was taken in the daemon's engine mode and cube
+// budget (the snapshot carries the rows, so neither mode reads the
+// source), and falls back to a cold rebuild otherwise. While serving,
+// an optional background checkpointer rewrites each dataset's snapshot
+// atomically whenever its engine has changed since the last save, so a
+// later restart warm-starts from the freshest working set. Every load, fallback and checkpoint is
 // counted in the obsv default registry, which opmapd's /metrics
 // endpoint scrapes.
 
@@ -27,7 +27,9 @@ import (
 
 	"opmap"
 	"opmap/internal/atomicfile"
+	"opmap/internal/engine"
 	"opmap/internal/obsv"
+	"opmap/internal/snapshot"
 )
 
 // Snapshot metric families. Fallback reasons are bounded label values
@@ -119,22 +121,30 @@ func validName(name string) bool {
 	return name != "" && !strings.ContainsAny(name, "/\\") && name != "." && name != ".."
 }
 
-// loadEager attempts an eager warm start: peek the header for a cheap
-// staleness check, then load the full snapshot as a ready-to-serve
-// session. A missing, stale, corrupt or lazy-mode snapshot records a
-// fallback and returns false — the caller rebuilds from source.
-func (m *snapman) loadEager(name, hash string) (*opmap.Session, bool) {
+// load attempts a warm start: peek the header for a cheap staleness
+// and compatibility check, then load the full snapshot as a
+// ready-to-serve session. A missing, stale or corrupt snapshot, or an
+// incompatible one — another format version, engine mode or cube
+// budget than the daemon's flags — records a fallback and returns
+// false: the caller rebuilds from source.
+func (m *snapman) load(name, hash string, lazy bool, cacheBytes int64) (*opmap.Session, bool) {
+	if cacheBytes == 0 {
+		cacheBytes = engine.DefaultCacheBytes
+	}
 	path := m.path(name)
 	info, err := opmap.PeekSnapshotFile(path)
 	switch {
 	case errors.Is(err, fs.ErrNotExist):
 		m.fallback(name, "missing", nil)
 		return nil, false
+	case errors.Is(err, snapshot.ErrVersion):
+		m.fallback(name, "incompatible", err)
+		return nil, false
 	case err != nil:
 		m.fallback(name, "corrupt", err)
 		return nil, false
-	case info.Lazy:
-		m.fallback(name, "incompatible", fmt.Errorf("snapshot holds a lazy working set; daemon is eager"))
+	case info.Lazy != lazy || info.CacheBytes != cacheBytes:
+		m.fallback(name, "incompatible", fmt.Errorf("snapshot engine (lazy %v, cache %d bytes) differs from the daemon's (lazy %v, cache %d bytes)", info.Lazy, info.CacheBytes, lazy, cacheBytes))
 		return nil, false
 	case info.SourceHash != hash:
 		m.fallback(name, "stale", nil)
@@ -150,50 +160,15 @@ func (m *snapman) loadEager(name, hash string) (*opmap.Session, bool) {
 	}
 	obsv.Default().Counter(metricSnapLoads).Inc()
 	m.track(name, hash, "loaded", sess)
-	log.Printf("dataset %q: warm start from %s in %v (%d cubes, zero builds)",
-		name, path, time.Since(start).Round(time.Millisecond), sess.CubeCount())
+	log.Printf("dataset %q: warm start from %s in %v (%d rows, %d cubes resident)",
+		name, path, time.Since(start).Round(time.Millisecond), sess.NumRows(), sess.CubeCount())
 	return sess, true
 }
 
-// seedLazy warms a freshly built lazy session from the dataset's
-// snapshot. Both lazy and eager snapshots can seed (an eager snapshot
-// simply warms every cube); a missing, stale or mismatched one records
-// a fallback and the session serves cold.
-func (m *snapman) seedLazy(name, hash string, sess *opmap.Session) {
-	path := m.path(name)
-	info, err := opmap.PeekSnapshotFile(path)
-	switch {
-	case errors.Is(err, fs.ErrNotExist):
-		m.fallback(name, "missing", nil)
-		m.track(name, hash, "cold", sess)
-		return
-	case err != nil:
-		m.fallback(name, "corrupt", err)
-		m.track(name, hash, "cold", sess)
-		return
-	case info.SourceHash != hash:
-		m.fallback(name, "stale", nil)
-		m.track(name, hash, "cold", sess)
-		return
-	}
-	n, err := sess.SeedSnapshotFile(path)
-	if err != nil {
-		// The snapshot passed the hash check but its cubes disagree with
-		// the dataset; SeedCubes rejected it without touching the caches.
-		m.fallback(name, "incompatible", err)
-		m.track(name, hash, "cold", sess)
-		return
-	}
-	obsv.Default().Counter(metricSnapLoads).Inc()
-	m.track(name, hash, "seeded", sess)
-	log.Printf("dataset %q: seeded %d cube(s) from %s", name, n, path)
-}
-
-// trackCold registers an eager dataset that was rebuilt from source
-// and checkpoints it immediately, so the expensive build is durable
-// before the first request arrives. (Lazy engines go through seedLazy
-// instead: they start empty and are persisted by the periodic
-// checkpointer as they warm.)
+// trackCold registers a dataset that was rebuilt from source and
+// checkpoints it immediately, so the load and build are durable before
+// the first request arrives; a lazy engine's cubes follow in the
+// periodic checkpoints as it warms.
 func (m *snapman) trackCold(name, hash string, sess *opmap.Session) {
 	m.track(name, hash, "cold", sess)
 	m.mu.Lock()
@@ -207,7 +182,7 @@ func (m *snapman) trackCold(name, hash string, sess *opmap.Session) {
 // immediately rewrite the file it just loaded.
 func (m *snapman) track(name, hash, status string, sess *opmap.Session) {
 	e := &snapEntry{sess: sess, hash: hash, status: status}
-	if status == "loaded" || status == "seeded" {
+	if status == "loaded" {
 		e.lastSig = engineSig(sess)
 	}
 	m.mu.Lock()

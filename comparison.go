@@ -168,7 +168,7 @@ func compareDeps(in compare.Input, copts compare.Options) []int {
 func (s *Session) CompareByScan(attr, v1, v2, class string, opts CompareOptions) (*Comparison, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if _, err := s.scanRows("CompareByScan"); err != nil {
+	if _, err := s.working(); err != nil {
 		return nil, err
 	}
 	in, copts, err := s.resolve(attr, v1, v2, class, opts)

@@ -36,8 +36,8 @@
 // exactly, since contingency counts are additive — into a session
 // equal to a single pass over the concatenated shards. MergeFrom
 // folds sessions built elsewhere, and MergeSnapshotFiles /
-// LoadShardSnapshots do the same assembly from shard snapshot files
-// without the source rows.
+// LoadShardSnapshots do the same assembly from shard snapshot files,
+// which carry their shard's rows, without the source data.
 //
 // All functionality is deterministic given fixed seeds and uses only the
 // Go standard library.

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/csv"
 	"reflect"
-	"strings"
 	"testing"
 
 	"opmap/internal/rulecube"
@@ -210,39 +209,31 @@ func cellsOf(c *rulecube.Cube) []int64 {
 	return out
 }
 
-// TestDrillDownOnRestoredSessionErrors: a session restored from cubes
-// (a snapshot or a store file) holds no source rows, so it cannot
-// count the k ≥ 3 cubes a drill-down needs. DrillDown must say so
-// rather than rank findings counted over the schema-only dataset,
-// while the pair-cube comparison keeps working.
+// TestDrillDownOnRestoredSessionErrors: a session restored from its
+// snapshot holds the source rows, so it counts the k ≥ 3 cubes a
+// drill-down needs and ranks exactly the findings of the session it
+// was taken from. (The name is from when snapshots held no rows and
+// this drill-down had to fail.)
 func TestDrillDownOnRestoredSessionErrors(t *testing.T) {
 	s, gt := drillSession(t, false)
-	var snap, cubes bytes.Buffer
+	var snap bytes.Buffer
 	if err := s.SaveSnapshot(&snap, SnapshotOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SaveCubes(&cubes); err != nil {
-		t.Fatal(err)
-	}
-	fromSnap, err := LoadSnapshot(&snap)
+	restored, err := LoadSnapshot(&snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromCubes, err := OpenCubes(&cubes)
+	want, err := s.DrillDown(gt.PhoneAttr, gt.GoodPhone, gt.BadPhone, gt.DropClass, DrillOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, r := range map[string]*Session{"LoadSnapshot": fromSnap, "OpenCubes": fromCubes} {
-		res, err := r.DrillDown(gt.PhoneAttr, gt.GoodPhone, gt.BadPhone, gt.DropClass, DrillOptions{})
-		if err == nil {
-			t.Fatalf("%s: drill-down ranked %d findings without the source rows", name, len(res.Findings))
-		}
-		if !strings.Contains(err.Error(), "source rows") {
-			t.Errorf("%s: error does not name the missing source rows: %v", name, err)
-		}
-		if _, err := r.Compare(gt.PhoneAttr, gt.GoodPhone, gt.BadPhone, gt.DropClass, CompareOptions{}); err != nil {
-			t.Errorf("%s: compare from the restored cubes: %v", name, err)
-		}
+	got, err := restored.DrillDown(gt.PhoneAttr, gt.GoodPhone, gt.BadPhone, gt.DropClass, DrillOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Findings, want.Findings) {
+		t.Errorf("restored drill-down differs from the cold session's: got %d findings, want %d", len(got.Findings), len(want.Findings))
 	}
 }
 
@@ -307,7 +298,7 @@ func TestMergeFromDropsDrillCubes(t *testing.T) {
 
 // TestLazySnapshotAfterDrill: a lazy session holding k ≥ 3 drill-down
 // cubes still snapshots — the file carries its resident 1-D and pair
-// cubes — and a fresh lazy session seeds from it.
+// cubes — and the restored lazy session holds exactly those.
 func TestLazySnapshotAfterDrill(t *testing.T) {
 	s, gt := drillSession(t, true)
 	if _, err := s.DrillDown(gt.PhoneAttr, gt.GoodPhone, gt.BadPhone, gt.DropClass, DrillOptions{}); err != nil {
@@ -323,8 +314,11 @@ func TestLazySnapshotAfterDrill(t *testing.T) {
 			want++
 		}
 	}
-	fresh, _ := drillSession(t, true)
-	if n, err := fresh.SeedSnapshotFile(path); err != nil || n != want {
-		t.Fatalf("seeded %d cubes (err %v), want the %d resident 1-D and pair cubes", n, err, want)
+	restored, err := LoadSnapshotFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := restored.CubeCount(); n != want {
+		t.Fatalf("restored %d cubes, want the %d resident 1-D and pair cubes", n, want)
 	}
 }

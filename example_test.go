@@ -84,9 +84,9 @@ func ExampleSession_CompareOneVsRest() {
 	// morning vs rest
 }
 
-// ExampleOpenCubes shows the offline/online split: cubes persisted once,
-// comparisons served later without the raw data.
-func ExampleOpenCubes() {
+// ExampleLoadSnapshot shows the offline/online split: the session
+// saved once, comparisons served later without the source data.
+func ExampleLoadSnapshot() {
 	session, truth, err := opmap.GenerateCallLog(opmap.CallLogConfig{Seed: 42, Records: 40000})
 	if err != nil {
 		log.Fatal(err)
@@ -98,12 +98,12 @@ func ExampleOpenCubes() {
 		log.Fatal(err)
 	}
 	var blob bytes.Buffer
-	if err := session.SaveCubes(&blob); err != nil {
+	if err := session.SaveSnapshot(&blob, opmap.SnapshotOptions{}); err != nil {
 		log.Fatal(err)
 	}
 
-	// Later, possibly on another machine: no raw data needed.
-	live, err := opmap.OpenCubes(&blob)
+	// Later, possibly on another machine: no source data needed.
+	live, err := opmap.LoadSnapshot(&blob)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func ExampleOpenCubes() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("top attribute from reloaded cubes:", cmp.Top(1)[0].Name)
+	fmt.Println("top attribute from the reloaded session:", cmp.Top(1)[0].Name)
 	// Output:
-	// top attribute from reloaded cubes: Time-of-Call
+	// top attribute from the reloaded session: Time-of-Call
 }

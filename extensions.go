@@ -10,12 +10,10 @@ import (
 	"opmap/internal/car"
 	"opmap/internal/compare"
 	"opmap/internal/dataset"
-	"opmap/internal/engine"
 	"opmap/internal/explore"
 	"opmap/internal/gi"
 	"opmap/internal/obsv"
 	"opmap/internal/report"
-	"opmap/internal/rulecube"
 )
 
 // This file holds the Session capabilities beyond the paper's core
@@ -250,7 +248,7 @@ func (s *Session) wrapOneVsRestAll(attr, class string, res *compare.OneVsRestAll
 func (s *Session) CompareWhere(attr, v1, v2, class string, where map[string]string, opts CompareOptions) (*Comparison, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if _, err := s.scanRows("CompareWhere"); err != nil {
+	if _, err := s.working(); err != nil {
 		return nil, err
 	}
 	in, copts, err := s.resolve(attr, v1, v2, class, opts)
@@ -275,63 +273,6 @@ func (s *Session) CompareWhere(attr, v1, v2, class string, where map[string]stri
 		return nil, err
 	}
 	return s.wrapComparison(attr, class, in, res), nil
-}
-
-// SaveCubes persists the materialized cube store (the paper's offline
-// generation artifact) to w in a checksummed binary format.
-func (s *Session) SaveCubes(w io.Writer) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	store, err := s.requireStore()
-	if err != nil {
-		return err
-	}
-	return rulecube.WriteStore(w, store)
-}
-
-// SaveCubesFile is SaveCubes to a file path.
-func (s *Session) SaveCubesFile(path string) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	store, err := s.requireStore()
-	if err != nil {
-		return err
-	}
-	return rulecube.WriteStoreFile(path, store)
-}
-
-// OpenCubes builds a Session directly from a persisted cube store — no
-// raw data needed. Comparisons, screening, impressions and views work;
-// operations needing raw records (MineRules, CompareByScan,
-// CompareWhere, Completeness, re-Discretize, BuildCubes) return errors,
-// also after Append: the session then holds only the appended rows.
-func OpenCubes(r io.Reader) (*Session, error) {
-	store, err := rulecube.ReadStore(r)
-	if err != nil {
-		return nil, err
-	}
-	return sessionFromStore(store), nil
-}
-
-// OpenCubesFile is OpenCubes from a file path.
-func OpenCubesFile(path string) (*Session, error) {
-	store, err := rulecube.ReadStoreFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return sessionFromStore(store), nil
-}
-
-// sessionFromStore wires a persisted store into a ready Session with
-// every cube pinned (engine.FromStore) and a fresh result cache.
-func sessionFromStore(store *rulecube.Store) *Session {
-	return &Session{
-		raw:      store.Dataset(),
-		ds:       store.Dataset(),
-		src:      engine.FromStore(store),
-		results:  engine.NewResultCache(0),
-		restored: true,
-	}
 }
 
 // CubeStats summarizes the materialized cube store's size.
@@ -519,7 +460,7 @@ func (s *Session) TestSignificance(attr, v1, v2, class, candidate string, rounds
 func (s *Session) TestSignificanceContext(ctx context.Context, attr, v1, v2, class, candidate string, rounds int, seed int64) (SignificanceResult, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if _, err := s.scanRows("TestSignificance"); err != nil {
+	if _, err := s.working(); err != nil {
 		return SignificanceResult{}, err
 	}
 	in, copts, err := s.resolve(attr, v1, v2, class, CompareOptions{})
@@ -572,15 +513,10 @@ func (s *Session) ExploreScript(script string, w io.Writer) error {
 
 // Describe writes a per-attribute profile of the loaded data: domain
 // sizes, top values, missing rates, continuous ranges, and the class
-// skew that motivates unbalanced sampling. A session restored from
-// cubes holds only the rows appended since the restore, so Describe
-// fails there rather than profile that fraction of the data.
+// skew that motivates unbalanced sampling.
 func (s *Session) Describe(w io.Writer) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if err := s.requireSourceRows("Describe"); err != nil {
-		return err
-	}
 	return dataset.Describe(s.raw).Write(w)
 }
 
@@ -591,9 +527,6 @@ func (s *Session) Describe(w io.Writer) error {
 func (s *Session) DownsampleMajority(keepFraction float64, seed int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.requireSourceRows("DownsampleMajority"); err != nil {
-		return err
-	}
 	sampled, err := dataset.UnbalancedSample(s.raw, dataset.SampleOptions{
 		Seed:         seed,
 		KeepFraction: keepFraction,

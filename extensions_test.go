@@ -3,6 +3,7 @@ package opmap
 import (
 	"bytes"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -84,11 +85,11 @@ func TestCompareOneVsRestAPI(t *testing.T) {
 
 func TestCubePersistenceAPI(t *testing.T) {
 	s, gt := caseStudySession(t)
-	path := filepath.Join(t.TempDir(), "cubes.omap")
-	if err := s.SaveCubesFile(path); err != nil {
+	path := filepath.Join(t.TempDir(), "cubes.omapsnap")
+	if err := s.SaveSnapshotFile(path, SnapshotOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	reopened, err := OpenCubesFile(path)
+	reopened, err := LoadSnapshotFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,16 +114,24 @@ func TestCubePersistenceAPI(t *testing.T) {
 			t.Fatalf("rank %d differs: %+v vs %+v", i, ra[i], rb[i])
 		}
 	}
-	// Raw-data operations fail gracefully on a cube-only session.
-	if _, err := reopened.MineRules(MineOptions{}); err == nil {
-		t.Log("MineRules on cube-only session returned no error (empty data); acceptable")
+	// Raw-data operations answer from the reloaded rows.
+	want, err := s.MineRules(MineOptions{MaxConditions: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := reopened.MineRules(MineOptions{MaxConditions: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("MineRules on the reloaded session differs from the original")
 	}
 	// In-memory round trip.
 	var buf bytes.Buffer
-	if err := s.SaveCubes(&buf); err != nil {
+	if err := s.SaveSnapshot(&buf, SnapshotOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenCubes(&buf); err != nil {
+	if _, err := LoadSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	// Saving before cubes exist fails.
@@ -130,8 +139,8 @@ func TestCubePersistenceAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fresh.SaveCubes(&bytes.Buffer{}); err == nil {
-		t.Error("SaveCubes without BuildCubes should fail")
+	if err := fresh.SaveSnapshot(&bytes.Buffer{}, SnapshotOptions{}); err == nil {
+		t.Error("SaveSnapshot without BuildCubes should fail")
 	}
 }
 

@@ -157,8 +157,7 @@ func (s *Session) ConditionalTrends(groupAttr, ordAttr string) ([]ConditionalTre
 	}
 	// TrendsWithin fixes the cube's first dimension; when the store's
 	// canonical (min,max) order puts the group attribute second, slice
-	// that dimension manually — everything works from cube cells alone,
-	// so this also serves cube-only sessions.
+	// that dimension manually, from cube cells alone.
 	var out []ConditionalTrend
 	if cube.AttrIndices()[0] == g {
 		cts, err := gi.TrendsWithin(cube, gi.TrendOptions{})

@@ -12,13 +12,13 @@ import (
 
 // TestFullPipelineCSVToReport exercises the entire user-visible flow the
 // way the deployed system runs it: generate data → export CSV (the
-// customer's file) → load → discretize → build cubes → persist cubes →
+// customer's file) → load → discretize → build cubes → snapshot →
 // reload → screen pairs → compare → drill down with a where-clause →
 // write the report. Every artifact crosses a serialization boundary.
 func TestFullPipelineCSVToReport(t *testing.T) {
 	dir := t.TempDir()
 	csvPath := filepath.Join(dir, "calls.csv")
-	cubePath := filepath.Join(dir, "cubes.omap")
+	snapPath := filepath.Join(dir, "calls.omapsnap")
 
 	// 1. The "customer data": synthetic call log written to CSV.
 	ds, gt, err := workload.CallLog(workload.CallLogConfig{Seed: 1234, Records: 40000, NoiseAttrs: 6})
@@ -43,12 +43,12 @@ func TestFullPipelineCSVToReport(t *testing.T) {
 	if err := s.BuildCubes(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SaveCubesFile(cubePath); err != nil {
+	if err := s.SaveSnapshotFile(snapPath, SnapshotOptions{}); err != nil {
 		t.Fatal(err)
 	}
 
-	// 3. The interactive stage runs from the persisted cubes alone.
-	live, err := OpenCubesFile(cubePath)
+	// 3. The interactive stage runs from the snapshot alone.
+	live, err := LoadSnapshotFile(snapPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,8 +71,9 @@ func TestFullPipelineCSVToReport(t *testing.T) {
 		t.Fatalf("pipeline top attribute = %q, want %q", cmp.Top(1)[0].Name, gt.DistinguishingAttr)
 	}
 
-	// 4. Drill-down needs raw data: run it on the CSV-backed session.
-	within, err := s.CompareWhere(gt.PhoneAttr, top.Value1, top.Value2, gt.DropClass,
+	// 4. Drill down with a where-clause on the reloaded session: the
+	// snapshot carries the rows.
+	within, err := live.CompareWhere(gt.PhoneAttr, top.Value1, top.Value2, gt.DropClass,
 		map[string]string{gt.DistinguishingAttr: "morning"}, CompareOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +84,7 @@ func TestFullPipelineCSVToReport(t *testing.T) {
 
 	// 5. The report ties it together.
 	var buf bytes.Buffer
-	if err := s.WriteReport(&buf, cmp, ReportOptions{TopN: 3, IncludeImpressions: true}); err != nil {
+	if err := live.WriteReport(&buf, cmp, ReportOptions{TopN: 3, IncludeImpressions: true}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

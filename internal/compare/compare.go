@@ -290,9 +290,8 @@ func (c *Comparator) CompareContext(ctx context.Context, in Input, opts Options)
 	total := func() (int64, error) {
 		// The comparison attribute's 1-D cube totals the countable
 		// records (attribute and class both present) — the same
-		// population OneVsRest totals over, and, unlike the working
-		// dataset's physical row count, correct for sessions restored
-		// from a snapshot whose dataset holds only post-restore rows.
+		// population OneVsRest totals over, which unlike the working
+		// dataset's row count leaves out rows missing either value.
 		cube, err := c.src.CubeN(ctx, []int{in.Attr})
 		if err != nil {
 			return 0, fmt.Errorf("compare: attribute %d unavailable: %w", in.Attr, err)

@@ -47,6 +47,14 @@ func MakeCodes(n, labels int) Codes {
 	return Codes{narrow: b}
 }
 
+// NarrowCodes takes one-byte codes, 255 standing for Missing, as a
+// narrow column's storage.
+func NarrowCodes(b []uint8) Codes { return Codes{narrow: b} }
+
+// WideCodes takes int32 codes, Missing for absent values, as a wide
+// column's storage.
+func WideCodes(w []int32) Codes { return Codes{wide: w, isWide: true} }
+
 // Len returns the number of rows.
 func (c *Codes) Len() int {
 	if c.isWide {

@@ -190,10 +190,11 @@ func (c *Column) appendCode(code int32) {
 	c.Codes.append(code, c.Dict.Len())
 }
 
-// checkCodes rejects a present code at or beyond the dictionary's size.
+// checkCodes rejects a code that is neither Missing nor inside the
+// dictionary.
 func (c *Column) checkCodes(name string) error {
 	for r, n := 0, c.Codes.Len(); r < n; r++ {
-		if code := c.Codes.At(r); code >= 0 && int(code) >= c.Dict.Len() {
+		if code := c.Codes.At(r); code < Missing || int(code) >= c.Dict.Len() {
 			return fmt.Errorf("dataset: attribute %q has code %d beyond dictionary size %d", name, code, c.Dict.Len())
 		}
 	}
@@ -577,6 +578,37 @@ func (b *Builder) AddCodedRow(codes []int32, values []float64) error {
 	}
 	b.rows++
 	return nil
+}
+
+// FromColumns assembles a dataset from complete columns, one per
+// schema attribute and all of one length, taking them without a copy:
+// the constructor of a decoder that has every column at once (session
+// snapshots). A categorical column needs its dictionary and codes
+// inside it, a continuous one its values.
+func FromColumns(schema Schema, cols []Column) (*Dataset, error) {
+	if err := schema.Validate(); err != nil {
+		return nil, err
+	}
+	if len(cols) != len(schema.Attrs) {
+		return nil, fmt.Errorf("dataset: %d columns for %d attributes", len(cols), len(schema.Attrs))
+	}
+	rows := cols[0].Len()
+	for i := range cols {
+		c, a := &cols[i], schema.Attrs[i]
+		switch {
+		case c.Kind != a.Kind:
+			return nil, fmt.Errorf("dataset: attribute %q is %s but its column is %s", a.Name, a.Kind, c.Kind)
+		case c.Len() != rows:
+			return nil, fmt.Errorf("dataset: attribute %q has %d rows, attribute %q has %d", a.Name, c.Len(), schema.Attrs[0].Name, rows)
+		case c.Kind == Categorical && c.Dict == nil:
+			return nil, fmt.Errorf("dataset: categorical attribute %q has no dictionary", a.Name)
+		case c.Kind == Categorical:
+			if err := c.checkCodes(a.Name); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return &Dataset{schema: schema, cols: cols, rows: rows}, nil
 }
 
 // Build finalizes the dataset. The builder must not be used afterwards.

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -62,7 +63,7 @@ type LazyStats struct {
 	Hits, Misses, Evictions int64
 	// CachedBytes / CachedCubes describe the unpinned resident cubes the
 	// budget governs; Pinned counts the pinned ones (every 1-D cube,
-	// and every pair cube once PinAll or FromStore pinned them).
+	// and every pair cube once PinAll or Pin pinned them).
 	CachedBytes         int64
 	CachedCubes, Pinned int
 }
@@ -90,10 +91,10 @@ type flight struct {
 
 // LazySource is the cube engine: one cache that materializes a missing
 // cube on first use. 1-D cubes are pinned once built; PinAll pins every
-// pair cube up front (the paper's offline precomputation) and
-// FromStore pins an already-counted store's. Every other cube — lazy
-// pairs and drill-down k ≥ 3 cubes — is charged to one byte budget and
-// evicted least recently used. A 1-D or pair hit takes no lock and
+// pair cube up front (the paper's offline precomputation) and Pin an
+// already-counted store's. Every other cube — lazy pairs and
+// drill-down k ≥ 3 cubes — is charged to one byte budget and evicted
+// least recently used. A 1-D or pair hit takes no lock and
 // allocates nothing. Concurrent first-touch requests for one cube
 // collapse into a single build (per-key singleflight); build errors
 // reach every waiter but are never cached. Safe for concurrent use.
@@ -104,7 +105,6 @@ type LazySource struct {
 
 	budget int64           // <0 = unlimited
 	store  *rulecube.Store // the pinned 1-D and pair cubes, if all are pinned
-	counts bool            // false: cubes were counted elsewhere, a miss is an error
 
 	// obsv handles, resolved once so a hit never looks one up by name.
 	hitsC, missesC, evictionsC *obsv.Counter
@@ -155,7 +155,6 @@ func newSource(ds *dataset.Dataset, attrs []int, budget int64) *LazySource {
 		attrs:      attrs,
 		pos:        make([]int, ds.NumAttrs()),
 		budget:     budget,
-		counts:     true,
 		hitsC:      reg.Counter(CubeCacheHitsCounterName),
 		missesC:    reg.Counter(CubeCacheMissesCounterName),
 		evictionsC: reg.Counter(CubeCacheEvictionsCounterName),
@@ -175,13 +174,12 @@ func newSource(ds *dataset.Dataset, attrs []int, budget int64) *LazySource {
 	return s
 }
 
-// FromStore serves an already-counted store (a store file, a session
-// snapshot, a caller's BuildStore) with every cube pinned; Store
-// returns store itself. It never counts, because its dataset may be
-// schema-only: a request for a cube the store lacks is an error.
+// FromStore serves an already-counted store (a caller's BuildStore)
+// with every cube pinned and the default budget; Store returns store
+// itself. Cubes the store lacks are counted over its dataset.
 func FromStore(store *rulecube.Store) *LazySource {
 	s := newSource(store.Dataset(), store.Attrs(), DefaultCacheBytes)
-	s.counts, s.store = false, store
+	s.store = store
 	s.pin(store)
 	return s
 }
@@ -198,6 +196,19 @@ func (s *LazySource) PinAll(ctx context.Context) error {
 	n := int64(len(s.attrs))
 	s.oneDBuilds.Add(n)
 	s.twoDBuilds.Add(n * (n - 1) / 2)
+	s.store = store
+	s.pin(store)
+	return nil
+}
+
+// Pin pins a store counted elsewhere (a session snapshot's) as PinAll
+// would have counted it: the store must be over the source's dataset
+// and served attributes. Build counters do not advance. Call it before
+// the source is shared.
+func (s *LazySource) Pin(store *rulecube.Store) error {
+	if store.Dataset() != s.ds || !slices.Equal(store.Attrs(), s.attrs) {
+		return fmt.Errorf("engine: pinned store must cover the source's dataset and attributes")
+	}
 	s.store = store
 	s.pin(store)
 	return nil
@@ -237,7 +248,7 @@ func (s *LazySource) Attrs() []int { return s.attrs }
 
 // Store returns the pinned 1-D and pair cubes as one rulecube.Store —
 // the cubes themselves, not a copy — for whole-store operations; nil
-// unless PinAll or FromStore pinned them.
+// unless PinAll, Pin or FromStore pinned them.
 func (s *LazySource) Store() *rulecube.Store { return s.store }
 
 // Budget returns the configured byte budget of the unpinned cubes
@@ -378,10 +389,6 @@ func (s *LazySource) PairSlices(ctx context.Context, a1 int, v1, v2 int32, cands
 	}
 	s.misses.Add(int64(len(missing)))
 	s.missesC.Add(int64(len(missing)))
-	if !s.counts {
-		b := cands[missing[0]]
-		return nil, fmt.Errorf("engine: no resident cube for attributes %v, and none can be counted: the source's cubes were counted elsewhere and it holds no source rows", []int{min(a1, b), max(a1, b)})
-	}
 	start := time.Now()
 	tabs, err := rulecube.CountSlices(ctx, s.ds, a1, v1, v2, pick(cands, missing))
 	if err != nil {
@@ -592,14 +599,9 @@ func (s *LazySource) partitionBatch(items []batchItem, out []*rulecube.Cube) *ba
 
 // buildBatch runs the one shared scan for the keys this call leads,
 // timed by h, commits the cubes, fills the led output positions, and
-// releases every flight. On error (a cancel, or a source that cannot
-// count) the flights fail fast and nothing is cached.
+// releases every flight. On error (a cancel) the flights fail fast and
+// nothing is cached.
 func (s *LazySource) buildBatch(ctx context.Context, part *batchPartition, out []*rulecube.Cube, h *obsv.Histogram) error {
-	if !s.counts {
-		err := fmt.Errorf("engine: no resident cube for attributes %v, and none can be counted: the source's cubes were counted elsewhere and it holds no source rows", part.led[0].it.attrs)
-		s.failFlights(part, err)
-		return err
-	}
 	start := time.Now()
 	cubes, err := rulecube.BuildMany(ctx, s.ds, part.requests())
 	if err != nil {

@@ -22,9 +22,9 @@ func (s *Store) Cubes() []*Cube {
 }
 
 // AssembleStore builds a Store over ds from cubes counted earlier —
-// the warm-start path: a snapshot carries serialized cubes plus a
-// schema-only dataset, and assembly rebinds them without a single data
-// pass. Every cube is validated against ds (attribute membership,
+// the warm-start path: a snapshot carries serialized cubes beside its
+// rows, and assembly rebinds them to the dataset rebuilt from those
+// rows without a single data pass. Every cube is validated against ds (attribute membership,
 // per-dimension cardinality, class count) and its dictionaries are
 // rebound to ds's, so the assembled store has one source of truth for
 // labels; the caller must not keep using the cubes' previous bindings.

@@ -6,15 +6,14 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 
-	"opmap/internal/atomicfile"
 	"opmap/internal/dataset"
 )
 
-// Persistence for cube stores. The deployed system generates cubes
-// offline ("e.g., in the evening", Section V.C) and serves interactive
-// sessions from them; that workflow needs a durable format. The format
+// Persistence for cube stores: the cube block of a session snapshot
+// (internal/snapshot), which carries the rows and the cuts beside it.
+// The deployed system generates cubes offline ("e.g., in the evening",
+// Section V.C) and serves interactive sessions from them. The format
 // is a little-endian binary stream with a magic header, a schema block
 // (attribute names and dictionaries), one block per cube, and a CRC32
 // trailer. Counts are varint-encoded because most cells in sparse
@@ -228,20 +227,10 @@ func WriteStore(w io.Writer, s *Store) error {
 	return cw.w.Flush()
 }
 
-// WriteStoreFile is WriteStore to a file path. The write is atomic: the
-// stream is staged next to path and renamed over it only once fully
-// synced, so a crash mid-write cannot leave a truncated store where the
-// next startup expects a good one.
-func WriteStoreFile(path string, s *Store) error {
-	return atomicfile.WriteFile(path, func(w io.Writer) error {
-		return WriteStore(w, s)
-	})
-}
-
 // ReadStore deserializes a store previously written with WriteStore.
 // The returned store answers cube queries; Dataset() returns a schema-
-// only dataset with zero rows, so nothing that needs raw rows can be
-// recounted from it.
+// only dataset with zero rows, so a reader that has the rows rebinds
+// the cubes to them (AssembleStore), as a snapshot does.
 func ReadStore(r io.Reader) (*Store, error) {
 	cr := &crcReader{r: bufio.NewReader(r)}
 	magic := make([]byte, len(storeMagic))
@@ -465,14 +454,4 @@ func ReadStore(r io.Reader) (*Store, error) {
 		return nil, fmt.Errorf("rulecube: CRC mismatch: stream %08x, computed %08x", got, want)
 	}
 	return s, nil
-}
-
-// ReadStoreFile is ReadStore from a file path.
-func ReadStoreFile(path string) (*Store, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadStore(f)
 }

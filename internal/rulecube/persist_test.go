@@ -2,7 +2,6 @@ package rulecube_test
 
 import (
 	"bytes"
-	"path/filepath"
 	"testing"
 
 	"opmap/internal/compare"
@@ -115,28 +114,6 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 	if back.Dataset().ClassIndex() != ds.ClassIndex() {
 		t.Errorf("class index = %d, want %d", back.Dataset().ClassIndex(), ds.ClassIndex())
-	}
-}
-
-func TestStoreFileRoundTrip(t *testing.T) {
-	ds := fig1Dataset(t)
-	store, err := rulecube.BuildStore(ds, rulecube.StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "cubes.omap")
-	if err := rulecube.WriteStoreFile(path, store); err != nil {
-		t.Fatal(err)
-	}
-	back, err := rulecube.ReadStoreFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.CubeCount() != store.CubeCount() {
-		t.Error("file round trip lost cubes")
-	}
-	if _, err := rulecube.ReadStoreFile(filepath.Join(t.TempDir(), "missing")); err == nil {
-		t.Error("missing file should fail")
 	}
 }
 

@@ -377,7 +377,7 @@ type datasetEntry struct {
 	Lazy      bool   `json:"lazy"`
 	CubeCount int    `json:"cube_count"`
 	// Snapshot reports the dataset's warm-start state ("loaded",
-	// "seeded", "cold (stale)", ...) when the daemon serves with a
+	// "cold (stale)", ...) when the daemon serves with a
 	// snapshot directory; absent otherwise.
 	Snapshot string `json:"snapshot,omitempty"`
 }

@@ -106,7 +106,7 @@ type Config struct {
 	// serving layer and the analysis stages together.
 	Metrics *obsv.Registry
 	// SnapshotStatus, when set, reports each dataset's snapshot state
-	// ("loaded", "seeded", "cold (reason)", ...) for /api/datasets.
+	// ("loaded", "cold (reason)", ...) for /api/datasets.
 	// Empty return values omit the field; nil disables it entirely —
 	// the daemon wires this only when serving with a snapshot
 	// directory.

@@ -1,31 +1,38 @@
 package snapshot_test
 
+// Merging shard snapshot files. The file-level merge lives in the root
+// package, since it loads each shard as a session and folds it in with
+// Session.MergeFrom; these tests drive it over shard snapshots built
+// directly in this package's format.
+
 import (
 	"bytes"
-	"encoding/binary"
-	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"opmap"
 	"opmap/internal/dataset"
 	"opmap/internal/rulecube"
 	"opmap/internal/snapshot"
 )
 
-// shardSnapshot builds an eager snapshot over "phone location dropped"
-// rows with fresh dictionaries, so shards built from different row sets
-// have genuinely different code assignments.
+// shardSnapshot builds an eager snapshot over "phone location temp
+// dropped" rows with fresh dictionaries, so shards built from different
+// row sets have genuinely different code assignments. temp is
+// continuous, binned at the shared cuts 1.5 and 2.5.
 func shardSnapshot(t testing.TB, hash string, rows ...string) *snapshot.Snapshot {
 	t.Helper()
 	b, err := dataset.NewBuilder(dataset.Schema{
 		Attrs: []dataset.Attribute{
 			{Name: "phone", Kind: dataset.Categorical},
 			{Name: "location", Kind: dataset.Categorical},
+			{Name: "temp", Kind: dataset.Continuous},
 			{Name: "dropped", Kind: dataset.Categorical},
 		},
-		ClassIndex: 2,
+		ClassIndex: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -39,60 +46,54 @@ func shardSnapshot(t testing.TB, hash string, rows ...string) *snapshot.Snapshot
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := rulecube.BuildStore(ds, rulecube.StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &snapshot.Snapshot{
-		SourceHash:  snapshot.HashBytes([]byte(hash)),
-		CreatedUnix: 1754000000,
-		Rows:        ds.NumRows(),
-		Mode:        snapshot.ModeEager,
-		Cuts:        map[string][]float64{"temp": {1.5, 2.5}},
-		Dataset:     ds,
-		Store:       store,
-	}
+	snap := snapshotOf(t, ds, map[string][]float64{"temp": {1.5, 2.5}})
+	snap.SourceHash = snapshot.HashBytes([]byte(hash))
+	return snap
 }
 
 // Shard rows chosen so shard2 opens with labels shard1 never saw:
 // the merge has to remap, not just sum.
 var (
 	mergeShard1Rows = []string{
-		"p1 north yes", "p1 south no", "p2 north yes", "p2 south no",
+		"p1 north 1 yes", "p1 south 2 no", "p2 north 3 yes", "p2 south ? no",
 	}
 	mergeShard2Rows = []string{
-		"p3 east no", "p3 north maybe", "p1 east yes", "p4 south no",
+		"p3 east 1 no", "p3 north 2 maybe", "p1 east 3 yes", "p4 south 1 no",
 	}
 )
 
-// TestMergeMatchesSinglePass: merging two shard snapshots (with
-// non-identical dictionaries) through a Write/Read round trip must
-// serve exactly the store a single pass over the concatenated rows
-// would have built.
+// writeShards writes each snapshot to its own file under dir, in order.
+func writeShards(t testing.TB, dir string, snaps ...*snapshot.Snapshot) []string {
+	t.Helper()
+	paths := make([]string, len(snaps))
+	for i, sn := range snaps {
+		paths[i] = filepath.Join(dir, "shard"+string(rune('1'+i))+".omapsnap")
+		if err := snapshot.WriteFile(paths[i], sn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return paths
+}
+
+// TestMergeMatchesSinglePass: merging two shard snapshot files (with
+// non-identical dictionaries) must write exactly the rows and store a
+// single pass over the concatenated rows would have, with the header
+// reconciled: rows summed, the latest ingest sequence and created
+// time, and a source hash over the ordered shard hashes.
 func TestMergeMatchesSinglePass(t *testing.T) {
 	sn1 := shardSnapshot(t, "shard-1", mergeShard1Rows...)
 	sn1.IngestSeq = 7
 	sn2 := shardSnapshot(t, "shard-2", mergeShard2Rows...)
 	sn2.IngestSeq = 12
 	sn2.CreatedUnix = 1754009999
-
-	// Round-trip each shard through the file format first, like a real
-	// fleet would: the merge operates on restored (schema-only) shards.
-	r1, err := snapshot.Read(bytes.NewReader(encode(t, sn1)))
-	if err != nil {
+	dir := t.TempDir()
+	dst := filepath.Join(dir, "merged.omapsnap")
+	if err := opmap.MergeSnapshotFiles(dst, writeShards(t, dir, sn1, sn2)...); err != nil {
 		t.Fatal(err)
 	}
-	r2, err := snapshot.Read(bytes.NewReader(encode(t, sn2)))
+	merged, err := snapshot.ReadFile(dst)
 	if err != nil {
-		t.Fatal(err)
-	}
-	merged, err := snapshot.Merge(r1, r2)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if want := len(mergeShard1Rows) + len(mergeShard2Rows); merged.Rows != want {
-		t.Errorf("Rows = %d, want %d", merged.Rows, want)
+		t.Fatalf("merged snapshot does not read back: %v", err)
 	}
 	if merged.IngestSeq != 12 {
 		t.Errorf("IngestSeq = %d, want max 12", merged.IngestSeq)
@@ -108,46 +109,37 @@ func TestMergeMatchesSinglePass(t *testing.T) {
 		t.Errorf("SourceHash = %q, want hash over ordered shard hashes", merged.SourceHash)
 	}
 
-	// The store oracle: a single pass over the concatenated rows, also
-	// round-tripped, must serialize byte-identically to the merged store.
+	// The oracle: a single pass over the concatenated rows.
 	all := append(append([]string(nil), mergeShard1Rows...), mergeShard2Rows...)
 	single := shardSnapshot(t, "single", all...)
-	rs, err := snapshot.Read(bytes.NewReader(encode(t, single)))
-	if err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(rowsOf(merged.Raw), rowsOf(single.Raw)) {
+		t.Error("merged rows differ from the single pass's")
 	}
 	var mergedStore, singleStore bytes.Buffer
 	if err := rulecube.WriteStore(&mergedStore, merged.Store); err != nil {
 		t.Fatal(err)
 	}
-	if err := rulecube.WriteStore(&singleStore, rs.Store); err != nil {
+	if err := rulecube.WriteStore(&singleStore, single.Store); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(mergedStore.Bytes(), singleStore.Bytes()) {
 		t.Error("merged store stream differs from single-pass store stream")
 	}
-
-	// And the merged snapshot must itself round-trip: write, read,
-	// rebind — the dictionaries grown by the merge stay consistent with
-	// the re-laid cube dimensions.
-	back, err := snapshot.Read(bytes.NewReader(encode(t, merged)))
-	if err != nil {
-		t.Fatalf("merged snapshot does not round-trip: %v", err)
-	}
-	if back.Rows != merged.Rows || back.IngestSeq != merged.IngestSeq {
-		t.Errorf("round-tripped header = rows %d seq %d, want %d/%d",
-			back.Rows, back.IngestSeq, merged.Rows, merged.IngestSeq)
-	}
 }
 
 func TestMergeSingleShard(t *testing.T) {
 	sn := shardSnapshot(t, "solo", mergeShard1Rows...)
-	merged, err := snapshot.Merge(sn)
+	dir := t.TempDir()
+	dst := filepath.Join(dir, "merged.omapsnap")
+	if err := opmap.MergeSnapshotFiles(dst, writeShards(t, dir, sn)...); err != nil {
+		t.Fatal(err)
+	}
+	merged, err := snapshot.ReadFile(dst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if merged.Rows != sn.Rows || merged.Store != sn.Store {
-		t.Error("single-shard merge should pass the shard through")
+	if !reflect.DeepEqual(rowsOf(merged.Raw), rowsOf(sn.Raw)) {
+		t.Error("single-shard merge should pass the shard's rows through")
 	}
 	if merged.SourceHash != snapshot.HashBytes([]byte(sn.SourceHash)) {
 		t.Error("single-shard source hash should still derive from the shard hash")
@@ -158,9 +150,11 @@ func TestMergeRejectsLazy(t *testing.T) {
 	sn1 := shardSnapshot(t, "a", mergeShard1Rows...)
 	sn2 := shardSnapshot(t, "b", mergeShard2Rows...)
 	sn2.Mode = snapshot.ModeLazy
-	_, err := snapshot.Merge(sn1, sn2)
-	if err == nil || !strings.Contains(err.Error(), "shard 1") || !strings.Contains(err.Error(), "eager") {
-		t.Fatalf("err = %v, want lazy rejection naming shard 1", err)
+	dir := t.TempDir()
+	paths := writeShards(t, dir, sn1, sn2)
+	err := opmap.MergeSnapshotFiles(filepath.Join(dir, "out.omapsnap"), paths...)
+	if err == nil || !strings.Contains(err.Error(), paths[1]) || !strings.Contains(err.Error(), "lazy") {
+		t.Fatalf("err = %v, want lazy rejection naming %s", err, paths[1])
 	}
 }
 
@@ -168,97 +162,41 @@ func TestMergeCutsMismatchNamesAttribute(t *testing.T) {
 	sn1 := shardSnapshot(t, "a", mergeShard1Rows...)
 	sn2 := shardSnapshot(t, "b", mergeShard2Rows...)
 	sn2.Cuts = map[string][]float64{"temp": {1.5, 9.9}}
-	_, err := snapshot.Merge(sn1, sn2)
+	dir := t.TempDir()
+	err := opmap.MergeSnapshotFiles(filepath.Join(dir, "out.omapsnap"), writeShards(t, dir, sn1, sn2)...)
 	if err == nil || !strings.Contains(err.Error(), `"temp"`) {
 		t.Fatalf("err = %v, want cut mismatch naming \"temp\"", err)
 	}
 }
 
+// TestMergeNilShard: a shard that is not there, or no shard at all, is
+// an error.
 func TestMergeNilShard(t *testing.T) {
-	sn := shardSnapshot(t, "a", mergeShard1Rows...)
-	if _, err := snapshot.Merge(sn, nil); err == nil || !strings.Contains(err.Error(), "shard 1") {
-		t.Fatalf("err = %v, want nil shard error naming shard 1", err)
+	dir := t.TempDir()
+	paths := writeShards(t, dir, shardSnapshot(t, "a", mergeShard1Rows...))
+	missing := filepath.Join(dir, "missing.omapsnap")
+	dst := filepath.Join(dir, "out.omapsnap")
+	if err := opmap.MergeSnapshotFiles(dst, paths[0], missing); err == nil || !strings.Contains(err.Error(), missing) {
+		t.Fatalf("err = %v, want missing shard error naming %s", err, missing)
 	}
-	if _, err := snapshot.Merge(); err == nil {
+	if err := opmap.MergeSnapshotFiles(dst); err == nil {
 		t.Fatal("zero shards should error")
 	}
 }
 
 func TestMergeFiles(t *testing.T) {
 	dir := t.TempDir()
-	p1 := filepath.Join(dir, "shard1.omapsnap")
-	p2 := filepath.Join(dir, "shard2.omapsnap")
 	dst := filepath.Join(dir, "merged.omapsnap")
-	if err := snapshot.WriteFile(p1, shardSnapshot(t, "a", mergeShard1Rows...)); err != nil {
+	paths := writeShards(t, dir, shardSnapshot(t, "a", mergeShard1Rows...), shardSnapshot(t, "b", mergeShard2Rows...))
+	if err := opmap.MergeSnapshotFiles(dst, paths...); err != nil {
 		t.Fatal(err)
 	}
-	if err := snapshot.WriteFile(p2, shardSnapshot(t, "b", mergeShard2Rows...)); err != nil {
-		t.Fatal(err)
-	}
-	if err := snapshot.MergeFiles(dst, p1, p2); err != nil {
-		t.Fatal(err)
-	}
-	got, err := snapshot.ReadFile(dst)
+	info, err := opmap.PeekSnapshotFile(dst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := len(mergeShard1Rows) + len(mergeShard2Rows); got.Rows != want {
-		t.Errorf("merged file Rows = %d, want %d", got.Rows, want)
-	}
-}
-
-// TestMergeFilesAcceptsVersion1: a fleet upgraded mid-stream may hand
-// the merger a mix of format versions; any version Read accepts must
-// merge. The v1 fixture is synthesized the same way TestReadsVersion1
-// does: strip the IngestSeq field, re-stamp version and checksum.
-func TestMergeFilesAcceptsVersion1(t *testing.T) {
-	sn1 := shardSnapshot(t, "a", mergeShard1Rows...)
-	sn1.IngestSeq = 5
-	b := encode(t, sn1)
-
-	off := len(snapshot.Magic)
-	ver, n := binary.Uvarint(b[off:])
-	if ver != 2 || n != 1 {
-		t.Fatalf("version field = %d (%d bytes), want 2 (1 byte)", ver, n)
-	}
-	b[off] = 1
-	off += n
-	l, n := binary.Uvarint(b[off:]) // SourceHash string
-	off += n + int(l)
-	for i := 0; i < 3; i++ { // CreatedUnix, Rows, Mode
-		_, n = binary.Uvarint(b[off:])
-		off += n
-	}
-	_, n = binary.Varint(b[off:]) // CacheBytes (signed)
-	off += n
-	seq, n := binary.Uvarint(b[off:])
-	if seq != 5 {
-		t.Fatalf("located field = %d, want IngestSeq 5", seq)
-	}
-	v1 := append(append([]byte{}, b[:off]...), b[off+n:]...)
-	binary.LittleEndian.PutUint32(v1[len(v1)-4:], crc32.ChecksumIEEE(v1[:len(v1)-4]))
-
-	dir := t.TempDir()
-	p1 := filepath.Join(dir, "v1.omapsnap")
-	p2 := filepath.Join(dir, "v2.omapsnap")
-	dst := filepath.Join(dir, "merged.omapsnap")
-	if err := os.WriteFile(p1, v1, 0o600); err != nil {
-		t.Fatal(err)
-	}
-	sn2 := shardSnapshot(t, "b", mergeShard2Rows...)
-	sn2.IngestSeq = 9
-	if err := snapshot.WriteFile(p2, sn2); err != nil {
-		t.Fatal(err)
-	}
-	if err := snapshot.MergeFiles(dst, p1, p2); err != nil {
-		t.Fatalf("merging v1+v2 shards: %v", err)
-	}
-	got, err := snapshot.ReadFile(dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.IngestSeq != 9 {
-		t.Errorf("IngestSeq = %d, want 9 (v1 shard contributes 0)", got.IngestSeq)
+	if want := len(mergeShard1Rows) + len(mergeShard2Rows); info.Rows != want {
+		t.Errorf("merged file Rows = %d, want %d", info.Rows, want)
 	}
 }
 
@@ -277,7 +215,7 @@ func TestMergeFilesErrors(t *testing.T) {
 			t.Fatal(err)
 		}
 		dst := filepath.Join(dir, "out1.omapsnap")
-		err := snapshot.MergeFiles(dst, good, bad)
+		err := opmap.MergeSnapshotFiles(dst, good, bad)
 		if err == nil || !strings.Contains(err.Error(), bad) {
 			t.Fatalf("err = %v, want corrupt-shard error naming %s", err, bad)
 		}
@@ -292,7 +230,7 @@ func TestMergeFilesErrors(t *testing.T) {
 			t.Fatal(err)
 		}
 		missing := filepath.Join(dir, "missing.omapsnap")
-		if err := snapshot.MergeFiles(dst, good, missing); err == nil {
+		if err := opmap.MergeSnapshotFiles(dst, good, missing); err == nil {
 			t.Fatal("expected error for missing shard")
 		}
 		content, err := os.ReadFile(dst)
@@ -306,36 +244,26 @@ func TestMergeFilesErrors(t *testing.T) {
 			Attrs: []dataset.Attribute{
 				{Name: "phone", Kind: dataset.Categorical},
 				{Name: "region", Kind: dataset.Categorical},
+				{Name: "temp", Kind: dataset.Continuous},
 				{Name: "dropped", Kind: dataset.Categorical},
 			},
-			ClassIndex: 2,
+			ClassIndex: 3,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := b.AddRow([]string{"p1", "west", "yes"}); err != nil {
+		if err := b.AddRow([]string{"p1", "west", "1", "yes"}); err != nil {
 			t.Fatal(err)
 		}
 		ds, err := b.Build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		store, err := rulecube.BuildStore(ds, rulecube.StoreOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
 		other := filepath.Join(dir, "other.omapsnap")
-		if err := snapshot.WriteFile(other, &snapshot.Snapshot{
-			SourceHash: snapshot.HashBytes([]byte("c")),
-			Rows:       1,
-			Mode:       snapshot.ModeEager,
-			Cuts:       map[string][]float64{"temp": {1.5, 2.5}},
-			Dataset:    ds,
-			Store:      store,
-		}); err != nil {
+		if err := snapshot.WriteFile(other, snapshotOf(t, ds, map[string][]float64{"temp": {1.5, 2.5}})); err != nil {
 			t.Fatal(err)
 		}
-		err = snapshot.MergeFiles(filepath.Join(dir, "out3.omapsnap"), good, other)
+		err = opmap.MergeSnapshotFiles(filepath.Join(dir, "out3.omapsnap"), good, other)
 		if err == nil || !strings.Contains(err.Error(), `"location"`) {
 			t.Fatalf("err = %v, want schema mismatch naming \"location\"", err)
 		}
@@ -368,11 +296,7 @@ func FuzzMergeSnapshots(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		store, err := rulecube.BuildStore(ds, rulecube.StoreOptions{})
-		if err != nil {
-			f.Fatal(err)
-		}
-		return &snapshot.Snapshot{Mode: snapshot.ModeEager, Dataset: ds, Store: store}
+		return snapshotOf(f, ds, nil)
 	}())
 	f.Add(append([]byte(nil), valid1...), other)
 
@@ -387,7 +311,7 @@ func FuzzMergeSnapshots(f *testing.F) {
 		if err := os.WriteFile(p2, b, 0o600); err != nil {
 			t.Fatal(err)
 		}
-		if err := snapshot.MergeFiles(dst, p1, p2); err != nil {
+		if err := opmap.MergeSnapshotFiles(dst, p1, p2); err != nil {
 			// Errors are expected for hostile inputs; the merged output
 			// must simply not exist.
 			if _, statErr := os.Stat(dst); !os.IsNotExist(statErr) {

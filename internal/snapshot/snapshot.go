@@ -1,26 +1,33 @@
 // Package snapshot implements the durable session snapshot: everything
-// a serving session needs to answer Compare/Sweep/Impressions queries —
-// dataset schema and dictionaries, discretization cut points, the rule
+// a serving session holds — the dataset as loaded (schema,
+// dictionaries and every row), discretization cut points, the rule
 // cubes, and engine metadata — in one versioned, checksummed file. The
 // deployed Opportunity Map generates cubes offline and serves analysts
 // from them the next day (Section V.C of the paper); a snapshot lets
-// opmapd warm-start in milliseconds instead of re-counting every cube
-// from CSV. The header records a content hash of the source data so a
-// loader can detect stale snapshots, and every write goes through
+// opmapd warm-start without re-reading or re-counting the source data.
+// The header records a content hash of the source data so a loader can
+// detect stale snapshots, and every write goes through
 // internal/atomicfile so a crash can never clobber a good snapshot.
 //
-// Layout (all integers varint-encoded, little-endian where fixed):
+// Layout (integers varint-encoded; row values fixed-width
+// little-endian):
 //
 //	magic "OMAPSNAP" | version | header (source hash, created, rows,
-//	mode, cache bytes) | schema block (attrs: name, kind, dictionary) |
-//	cuts block | store block (length-prefixed rulecube stream) |
-//	CRC32 trailer
+//	mode, cache bytes, ingest sequence) | schema block (attrs: name,
+//	kind, dictionary) | cuts block | rows block (per attribute: a
+//	width byte, then one value per row at that width) | store block
+//	(length-prefixed rulecube stream) | CRC32 trailer
 //
+// The rows block holds the raw dataset column by column: a categorical
+// column's codes at their dataset.Codes width — 1 (255 for Missing)
+// while the dictionary has at most 255 labels, else 4 (int32, -1 for
+// Missing) — and a continuous column's values as 8-byte float64 bits.
 // The store block reuses the rulecube.WriteStore wire format verbatim,
 // length-prefixed so the embedded stream's own buffering cannot consume
 // snapshot bytes past the block. Readers bound every declared length
-// before allocating, so corrupt or hostile streams fail with a clear
-// error instead of driving huge allocations.
+// before allocating, and grow row buffers only with bytes that arrive,
+// so corrupt or hostile streams fail with a clear error instead of
+// driving huge allocations.
 package snapshot
 
 import (
@@ -29,25 +36,28 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sort"
 
 	"opmap/internal/atomicfile"
 	"opmap/internal/dataset"
+	"opmap/internal/discretize"
 	"opmap/internal/rulecube"
 )
 
 const (
 	// Magic is the 8-byte file signature opening every snapshot.
 	Magic = "OMAPSNAP"
-	// Version is the format version this package writes. Version 2
-	// added the ingest sequence number to the header; version-1 files
-	// (no sequence field) still read fine and report sequence zero.
-	Version = 2
+	// Version is the format version this package reads and writes.
+	// Version 3 added the rows block; versions 1 and 2 held cubes over a
+	// schema-only dataset and are rejected with ErrVersion.
+	Version = 3
 
 	// maxStringLen bounds every length-prefixed string on read (names,
 	// labels, the source hash). 1 MiB is far past any real value and
@@ -66,16 +76,20 @@ const (
 	maxStoreBytes = int64(1) << 32
 )
 
+// ErrVersion marks a file in a format version this build does not
+// read. Files of versions 1 and 2 predate the rows block: they must be
+// rebuilt from source.
+var ErrVersion = errors.New("snapshot: unsupported format version")
+
 // Mode records which engine the snapshotted session ran.
 type Mode uint8
 
 const (
-	// ModeEager marks a snapshot holding the full materialized store; a
-	// loader can serve from it standalone.
+	// ModeEager marks a snapshot of a session with every 1-D and pair
+	// cube pinned; its store holds them all.
 	ModeEager Mode = 1
-	// ModeLazy marks a snapshot holding only the cubes resident when it
-	// was taken; a loader seeds them into a fresh lazy engine over the
-	// source data.
+	// ModeLazy marks a snapshot of a lazy session; its store holds the
+	// 1-D and pair cubes resident when it was taken.
 	ModeLazy Mode = 2
 )
 
@@ -99,27 +113,27 @@ type Snapshot struct {
 	SourceHash string
 	// CreatedUnix is when the snapshot was taken (Unix seconds).
 	CreatedUnix int64
-	// Rows is the source row count; snapshot-loaded datasets are
-	// schema-only, so this is the only place the count survives.
-	Rows int
 	// Mode is the engine the session ran (eager or lazy).
 	Mode Mode
-	// CacheBytes is the lazy 2-D cube budget (ModeLazy only; negative
-	// means unlimited).
+	// CacheBytes is the engine's byte budget for unpinned cubes
+	// (negative means unlimited).
 	CacheBytes int64
 	// IngestSeq is the WAL sequence number of the last append batch the
 	// session had applied when the snapshot was taken; recovery replays
-	// the WAL from IngestSeq+1. Zero for sessions never fed from a WAL
-	// and for version-1 snapshots.
+	// the WAL from IngestSeq+1. Zero for sessions never fed from a WAL.
 	IngestSeq uint64
-	// Cuts are the discretization cut points per attribute name.
+	// Cuts are the discretization cut points per continuous attribute
+	// name.
 	Cuts map[string][]float64
-	// Dataset carries the schema and dictionaries. On write any dataset
-	// with the right schema serves (rows are not serialized); on read it
-	// is a freshly built zero-row dataset.
-	Dataset *dataset.Dataset
-	// Store holds the cubes: all of them for ModeEager, the resident
-	// subset for ModeLazy. On read it is rebound to Dataset.
+	// Raw is the session's dataset as loaded, every row of it: the
+	// header's row count and the rows block. Continuous columns hold
+	// their values; the working dataset is derived from them.
+	Raw *dataset.Dataset
+	// Store holds the cubes: all 1-D and pair cubes for ModeEager, the
+	// resident ones for ModeLazy. They count the working dataset; on
+	// read they are rebound to it — Raw itself when Raw is all
+	// categorical, else discretize.Bin(Raw, Cuts), as a cold session
+	// derives it — and Store.Dataset() returns it.
 	Store *rulecube.Store
 }
 
@@ -217,11 +231,11 @@ func readBoundedUvarint(r *crcReader, limit uint64, block string) (uint64, error
 }
 
 // Write serializes the snapshot to w. See the package comment for the
-// layout. The caller supplies a complete Snapshot; Dataset and Store
-// must be non-nil and Mode valid.
+// layout. The caller supplies a complete Snapshot; Raw and Store must
+// be non-nil and Mode valid.
 func Write(w io.Writer, snap *Snapshot) error {
-	if snap == nil || snap.Dataset == nil || snap.Store == nil {
-		return fmt.Errorf("snapshot: write needs a snapshot with dataset and store")
+	if snap == nil || snap.Raw == nil || snap.Store == nil {
+		return fmt.Errorf("snapshot: write needs a snapshot with raw dataset and store")
 	}
 	if snap.Mode != ModeEager && snap.Mode != ModeLazy {
 		return fmt.Errorf("snapshot: invalid mode %d", snap.Mode)
@@ -235,17 +249,14 @@ func Write(w io.Writer, snap *Snapshot) error {
 	}
 
 	// Header.
+	ds := snap.Raw
 	if err := writeString(cw, snap.SourceHash); err != nil {
 		return err
 	}
-	created := snap.CreatedUnix
-	if created < 0 {
-		created = 0
-	}
-	if err := writeUvarint(cw, uint64(created)); err != nil {
+	if err := writeUvarint(cw, uint64(max(snap.CreatedUnix, 0))); err != nil {
 		return err
 	}
-	if err := writeUvarint(cw, uint64(snap.Rows)); err != nil {
+	if err := writeUvarint(cw, uint64(ds.NumRows())); err != nil {
 		return err
 	}
 	if err := writeUvarint(cw, uint64(snap.Mode)); err != nil {
@@ -258,9 +269,8 @@ func Write(w io.Writer, snap *Snapshot) error {
 		return err
 	}
 
-	// Schema block: every attribute with its dictionary, so the loader
-	// rebuilds the full working dataset, not just the cube-covered part.
-	ds := snap.Dataset
+	// Schema block: every attribute of the raw dataset with its kind and
+	// (categorical) dictionary.
 	if err := writeUvarint(cw, uint64(ds.NumAttrs())); err != nil {
 		return err
 	}
@@ -315,6 +325,13 @@ func Write(w io.Writer, snap *Snapshot) error {
 		}
 	}
 
+	// Rows block, one column after another.
+	for i := 0; i < ds.NumAttrs(); i++ {
+		if err := writeColumn(cw, ds.Column(i)); err != nil {
+			return err
+		}
+	}
+
 	// Store block, length-prefixed so the reader can hand the embedded
 	// stream exactly its own bytes.
 	var sb bytes.Buffer
@@ -335,6 +352,52 @@ func Write(w io.Writer, snap *Snapshot) error {
 		return err
 	}
 	return cw.w.Flush()
+}
+
+// columnWidth is the rows-block width of a column: 8 bytes of float64
+// bits for a continuous one, else its codes' dataset.Codes width for a
+// dictionary of that size.
+func columnWidth(kind dataset.Kind, dict *dataset.Dictionary) int {
+	switch {
+	case kind == dataset.Continuous:
+		return 8
+	case dict.Len() <= dataset.MaxNarrowLabels:
+		return 1
+	default:
+		return 4
+	}
+}
+
+// writeColumn writes one column of the rows block: its width byte, then
+// its rows at that width.
+func writeColumn(w io.Writer, c *dataset.Column) error {
+	width := columnWidth(c.Kind, c.Dict)
+	if _, err := w.Write([]byte{byte(width)}); err != nil {
+		return err
+	}
+	if width == 1 && !c.Codes.IsWide() {
+		_, err := w.Write(c.Codes.Narrow())
+		return err
+	}
+	buf := make([]byte, 0, 64<<10)
+	for r, n := 0, c.Len(); r < n; r++ {
+		switch width {
+		case 1:
+			buf = append(buf, uint8(c.Codes.At(r))) // Missing (-1) is 255
+		case 4:
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(c.Codes.At(r)))
+		default:
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.Values[r]))
+		}
+		if len(buf) > cap(buf)-8 {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
+		}
+	}
+	_, err := w.Write(buf)
+	return err
 }
 
 // WriteFile writes the snapshot to path atomically: staged next to the
@@ -359,8 +422,11 @@ func readHeader(cr *crcReader) (*Header, error) {
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: reading version: %w", err)
 	}
-	if ver != 1 && ver != Version {
-		return nil, fmt.Errorf("snapshot: unsupported version %d (this build reads 1..%d)", ver, Version)
+	if ver < Version {
+		return nil, fmt.Errorf("%w %d: the file predates the rows block (version %d) and must be rebuilt from source", ErrVersion, ver, Version)
+	}
+	if ver != Version {
+		return nil, fmt.Errorf("%w %d (this build reads %d)", ErrVersion, ver, Version)
 	}
 	hash, err := readString(cr, "header source hash")
 	if err != nil {
@@ -385,12 +451,9 @@ func readHeader(cr *crcReader) (*Header, error) {
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: header cache bytes: %w", err)
 	}
-	var ingestSeq uint64
-	if ver >= 2 {
-		ingestSeq, err = binary.ReadUvarint(cr)
-		if err != nil {
-			return nil, fmt.Errorf("snapshot: header ingest sequence: %w", err)
-		}
+	ingestSeq, err := binary.ReadUvarint(cr)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: header ingest sequence: %w", err)
 	}
 	return &Header{
 		Version:     int(ver),
@@ -404,10 +467,11 @@ func readHeader(cr *crcReader) (*Header, error) {
 }
 
 // Read deserializes a snapshot written with Write, verifying the CRC
-// trailer, rebuilding the schema-only dataset and rebinding the cube
-// store to it. Corrupt, truncated or over-declared streams fail with an
-// error naming the offending block; no input can make Read panic or
-// allocate past the documented bounds.
+// trailer, rebuilding the raw dataset from the rows block and the
+// working dataset from it, and rebinding the cube store to the working
+// dataset. Corrupt, truncated or over-declared streams fail with an
+// error naming the offending block or attribute; no input can make
+// Read panic or allocate past the documented bounds.
 func Read(r io.Reader) (*Snapshot, error) {
 	cr := &crcReader{r: bufio.NewReader(r)}
 	h, err := readHeader(cr)
@@ -427,9 +491,9 @@ func Read(r io.Reader) (*Snapshot, error) {
 	if classIdx >= nAttrs {
 		return nil, fmt.Errorf("snapshot: class index %d outside schema of %d attributes", classIdx, nAttrs)
 	}
-	attrs := make([]dataset.Attribute, nAttrs)
-	dicts := make([]*dataset.Dictionary, nAttrs)
-	for i := range attrs {
+	schema := dataset.Schema{ClassIndex: int(classIdx)}
+	var cols []dataset.Column
+	for i := uint64(0); i < nAttrs; i++ {
 		block := fmt.Sprintf("schema attribute %d", i)
 		name, err := readString(cr, block+" name")
 		if err != nil {
@@ -443,31 +507,21 @@ func Read(r io.Reader) (*Snapshot, error) {
 		if err != nil {
 			return nil, err
 		}
-		d := dataset.NewDictionary()
+		col := dataset.Column{Kind: dataset.Kind(kind)}
+		if col.Kind == dataset.Categorical {
+			col.Dict = dataset.NewDictionary()
+		} else if nLabels > 0 {
+			return nil, fmt.Errorf("snapshot: %s: continuous attribute %q has a dictionary", block, name)
+		}
 		for j := uint64(0); j < nLabels; j++ {
 			l, err := readString(cr, block+" dictionary")
 			if err != nil {
 				return nil, err
 			}
-			d.Code(l)
+			col.Dict.Code(l)
 		}
-		attrs[i] = dataset.Attribute{Name: name, Kind: dataset.Kind(kind)}
-		if d.Len() > 0 || dataset.Kind(kind) == dataset.Categorical {
-			dicts[i] = d
-		}
-	}
-	b, err := dataset.NewBuilder(dataset.Schema{Attrs: attrs, ClassIndex: int(classIdx)})
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: rebuilding schema: %w", err)
-	}
-	for i, d := range dicts {
-		if d != nil {
-			b.WithDict(i, d)
-		}
-	}
-	ds, err := b.Build()
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: rebuilding schema: %w", err)
+		schema.Attrs = append(schema.Attrs, dataset.Attribute{Name: name, Kind: col.Kind})
+		cols = append(cols, col)
 	}
 
 	// Cuts block.
@@ -486,6 +540,9 @@ func Read(r io.Reader) (*Snapshot, error) {
 		if err != nil {
 			return nil, err
 		}
+		if a := schema.AttrIndex(name); a < 0 || schema.Attrs[a].Kind != dataset.Continuous {
+			return nil, fmt.Errorf("snapshot: %s: cuts for %q, which is not a continuous attribute", block, name)
+		}
 		nPts, err := readBoundedUvarint(cr, maxCutPoints, block)
 		if err != nil {
 			return nil, err
@@ -500,23 +557,24 @@ func Read(r io.Reader) (*Snapshot, error) {
 		cuts[name] = pts
 	}
 
+	// Rows block.
+	for i := range cols {
+		if err := readColumn(cr, &cols[i], schema.Attrs[i].Name, h.Rows); err != nil {
+			return nil, err
+		}
+	}
+
 	// Store block: buffer exactly the declared bytes so the embedded
-	// stream's own buffered reader cannot consume past the block, and
-	// grow the buffer only with bytes that actually arrive — a hostile
-	// length hits EOF, not an allocation.
+	// stream's own buffered reader cannot consume past the block.
 	storeLen, err := readBoundedUvarint(cr, uint64(maxStoreBytes), "store block length")
 	if err != nil {
 		return nil, err
 	}
-	var sb bytes.Buffer
-	n, err := io.Copy(&sb, io.LimitReader(cr, int64(storeLen)))
+	sb, err := readBytes(cr, int(storeLen))
 	if err != nil {
-		return nil, fmt.Errorf("snapshot: store block: %w", err)
+		return nil, fmt.Errorf("snapshot: store block truncated: declared %d bytes: %w", storeLen, err)
 	}
-	if uint64(n) != storeLen {
-		return nil, fmt.Errorf("snapshot: store block truncated: declared %d bytes, stream had %d", storeLen, n)
-	}
-	raw, err := rulecube.ReadStore(&sb)
+	stored, err := rulecube.ReadStore(bytes.NewReader(sb))
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: store block: %w", err)
 	}
@@ -531,24 +589,92 @@ func Read(r io.Reader) (*Snapshot, error) {
 		return nil, fmt.Errorf("snapshot: CRC mismatch: stream %08x, computed %08x", got, want)
 	}
 
-	// Rebind the store's cubes to the schema dataset so labels have one
-	// source of truth (the store block's own reconstruction is partial).
-	store, err := rulecube.AssembleStore(ds, raw.Attrs(), raw.Cubes())
+	raw, err := dataset.FromColumns(schema, cols)
 	if err != nil {
-		return nil, fmt.Errorf("snapshot: store does not match schema: %w", err)
+		return nil, fmt.Errorf("snapshot: rows block: %w", err)
+	}
+	// The working dataset, derived as a cold session derives it; the
+	// store's cubes are rebound to it so labels have one source of truth
+	// (the store block's own reconstruction is partial).
+	ds := raw
+	if !raw.AllCategorical() {
+		if ds, err = discretize.Bin(raw, cuts); err != nil {
+			return nil, fmt.Errorf("snapshot: cuts block: %w", err)
+		}
+	}
+	store, err := rulecube.AssembleStore(ds, stored.Attrs(), stored.Cubes())
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: store does not match the rows: %w", err)
 	}
 
 	return &Snapshot{
 		SourceHash:  h.SourceHash,
 		CreatedUnix: h.CreatedUnix,
-		Rows:        h.Rows,
 		Mode:        h.Mode,
 		CacheBytes:  h.CacheBytes,
 		IngestSeq:   h.IngestSeq,
 		Cuts:        cuts,
-		Dataset:     ds,
+		Raw:         raw,
 		Store:       store,
 	}, nil
+}
+
+// readColumn reads one column of the rows block into c, whose kind and
+// dictionary the schema block set: a width byte that must match them,
+// then rows values at that width.
+func readColumn(cr *crcReader, c *dataset.Column, name string, rows int) error {
+	width, err := cr.ReadByte()
+	if err != nil {
+		return fmt.Errorf("snapshot: rows block attribute %q: %w", name, err)
+	}
+	if want := columnWidth(c.Kind, c.Dict); int(width) != want {
+		labels := 0
+		if c.Dict != nil {
+			labels = c.Dict.Len()
+		}
+		return fmt.Errorf("snapshot: rows block attribute %q: width %d, but a %s column with %d labels is stored at width %d", name, width, c.Kind, labels, want)
+	}
+	b, err := readBytes(cr, rows*int(width))
+	if err != nil {
+		return fmt.Errorf("snapshot: rows block attribute %q: %d rows truncated: %w", name, rows, err)
+	}
+	switch width {
+	case 1:
+		c.Codes = dataset.NarrowCodes(b)
+	case 4:
+		w := make([]int32, rows)
+		for r := range w {
+			w[r] = int32(binary.LittleEndian.Uint32(b[4*r:]))
+		}
+		c.Codes = dataset.WideCodes(w)
+	default:
+		c.Values = make([]float64, rows)
+		for r := range c.Values {
+			c.Values[r] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*r:]))
+		}
+	}
+	return nil
+}
+
+// readBytes reads exactly n bytes. Its buffer starts at 64 KiB and
+// doubles only when full, so it grows only with bytes that arrive: a
+// hostile length hits EOF, not an allocation.
+func readBytes(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, 0, min(n, 64<<10))
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n, 2*len(buf))-len(buf))
+		}
+		k, err := io.ReadFull(r, buf[len(buf):min(n, cap(buf))])
+		buf = buf[:len(buf)+k]
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
 }
 
 // ReadFile reads and fully verifies the snapshot at path.

@@ -3,48 +3,53 @@ package snapshot_test
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
+	"math"
 	"os"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
 	"opmap/internal/dataset"
+	"opmap/internal/discretize"
 	"opmap/internal/rulecube"
 	"opmap/internal/snapshot"
 )
 
-// testDataset builds a small fully categorical dataset: two condition
-// attributes plus the class.
+// testDataset builds a small raw dataset: two categorical condition
+// attributes, a continuous one and the class.
 func testDataset(t testing.TB) *dataset.Dataset {
 	t.Helper()
 	b, err := dataset.NewBuilder(dataset.Schema{
 		Attrs: []dataset.Attribute{
 			{Name: "phone", Kind: dataset.Categorical},
 			{Name: "location", Kind: dataset.Categorical},
+			{Name: "temp", Kind: dataset.Continuous},
 			{Name: "dropped", Kind: dataset.Categorical},
 		},
-		ClassIndex: 2,
+		ClassIndex: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	b.WithDict(0, dataset.DictionaryOf("p1", "p2", "p3"))
 	b.WithDict(1, dataset.DictionaryOf("north", "south"))
-	b.WithDict(2, dataset.DictionaryOf("yes", "no"))
-	add := func(p, l, c string, n int) {
+	b.WithDict(3, dataset.DictionaryOf("yes", "no"))
+	add := func(p, l, temp, c string, n int) {
 		for i := 0; i < n; i++ {
-			if err := b.AddRow([]string{p, l, c}); err != nil {
+			if err := b.AddRow([]string{p, l, temp, c}); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	add("p1", "north", "yes", 10)
-	add("p1", "south", "no", 90)
-	add("p2", "north", "yes", 40)
-	add("p2", "south", "no", 60)
-	add("p3", "north", "no", 50)
-	add("p3", "south", "yes", 50)
+	add("p1", "north", "1", "yes", 1)
+	add("p1", "south", "2", "no", 9)
+	add("p2", "north", "?", "yes", 4)
+	add("p2", "?", "3", "no", 6)
+	add("p3", "north", "1", "no", 5)
+	add("p3", "south", "2", "yes", 5)
 	ds, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -52,10 +57,17 @@ func testDataset(t testing.TB) *dataset.Dataset {
 	return ds
 }
 
-// testSnapshot builds a complete eager snapshot over testDataset.
-func testSnapshot(t testing.TB) *snapshot.Snapshot {
+// snapshotOf builds a complete eager snapshot over raw discretized
+// with cuts, as a session would take it.
+func snapshotOf(t testing.TB, raw *dataset.Dataset, cuts map[string][]float64) *snapshot.Snapshot {
 	t.Helper()
-	ds := testDataset(t)
+	ds := raw
+	if !raw.AllCategorical() {
+		var err error
+		if ds, err = discretize.Bin(raw, cuts); err != nil {
+			t.Fatal(err)
+		}
+	}
 	store, err := rulecube.BuildStore(ds, rulecube.StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -63,12 +75,27 @@ func testSnapshot(t testing.TB) *snapshot.Snapshot {
 	return &snapshot.Snapshot{
 		SourceHash:  snapshot.HashBytes([]byte("test-source")),
 		CreatedUnix: 1754000000,
-		Rows:        ds.NumRows(),
 		Mode:        snapshot.ModeEager,
-		Cuts:        map[string][]float64{"temp": {1.5, 2.5}, "pressure": {0.25}},
-		Dataset:     ds,
+		CacheBytes:  64 << 20,
+		Cuts:        cuts,
+		Raw:         raw,
 		Store:       store,
 	}
+}
+
+// testSnapshot builds a complete eager snapshot over testDataset.
+func testSnapshot(t testing.TB) *snapshot.Snapshot {
+	t.Helper()
+	return snapshotOf(t, testDataset(t), map[string][]float64{"temp": {1.5, 2.5}})
+}
+
+// rowsOf renders every row of ds as labels, for comparing datasets.
+func rowsOf(ds *dataset.Dataset) [][]string {
+	out := make([][]string, ds.NumRows())
+	for r := range out {
+		out[r] = ds.Row(r)
+	}
+	return out
 }
 
 func encode(t testing.TB, snap *snapshot.Snapshot) []byte {
@@ -93,33 +120,34 @@ func TestRoundTrip(t *testing.T) {
 	if got.CreatedUnix != want.CreatedUnix {
 		t.Errorf("CreatedUnix = %d, want %d", got.CreatedUnix, want.CreatedUnix)
 	}
-	if got.Rows != want.Rows {
-		t.Errorf("Rows = %d, want %d", got.Rows, want.Rows)
-	}
-	if got.Mode != snapshot.ModeEager {
-		t.Errorf("Mode = %v, want eager", got.Mode)
+	if got.Mode != snapshot.ModeEager || got.CacheBytes != want.CacheBytes {
+		t.Errorf("Mode/CacheBytes = %v/%d, want eager/%d", got.Mode, got.CacheBytes, want.CacheBytes)
 	}
 	if !reflect.DeepEqual(got.Cuts, want.Cuts) {
 		t.Errorf("Cuts = %v, want %v", got.Cuts, want.Cuts)
 	}
-	// Schema fidelity: names, kinds, class, dictionaries.
-	if got.Dataset.NumAttrs() != want.Dataset.NumAttrs() {
-		t.Fatalf("NumAttrs = %d, want %d", got.Dataset.NumAttrs(), want.Dataset.NumAttrs())
+	// Raw fidelity: schema, dictionaries, every row, every code width.
+	if got.Raw.NumAttrs() != want.Raw.NumAttrs() || got.Raw.ClassIndex() != want.Raw.ClassIndex() {
+		t.Fatalf("schema = %d attrs class %d, want %d class %d",
+			got.Raw.NumAttrs(), got.Raw.ClassIndex(), want.Raw.NumAttrs(), want.Raw.ClassIndex())
 	}
-	if got.Dataset.ClassIndex() != want.Dataset.ClassIndex() {
-		t.Errorf("ClassIndex = %d, want %d", got.Dataset.ClassIndex(), want.Dataset.ClassIndex())
-	}
-	if got.Dataset.NumRows() != 0 {
-		t.Errorf("restored dataset has %d rows, want 0 (schema-only)", got.Dataset.NumRows())
-	}
-	for i := 0; i < want.Dataset.NumAttrs(); i++ {
-		if got.Dataset.Attr(i) != want.Dataset.Attr(i) {
-			t.Errorf("attr %d = %+v, want %+v", i, got.Dataset.Attr(i), want.Dataset.Attr(i))
+	for i := 0; i < want.Raw.NumAttrs(); i++ {
+		if got.Raw.Attr(i) != want.Raw.Attr(i) {
+			t.Errorf("attr %d = %+v, want %+v", i, got.Raw.Attr(i), want.Raw.Attr(i))
 		}
-		wd, gd := want.Dataset.Column(i).Dict, got.Dataset.Column(i).Dict
-		if !reflect.DeepEqual(wd.Labels(), gd.Labels()) {
-			t.Errorf("attr %d labels = %v, want %v", i, gd.Labels(), wd.Labels())
+		if wd := want.Raw.Column(i).Dict; wd != nil && !reflect.DeepEqual(wd.Labels(), got.Raw.Column(i).Dict.Labels()) {
+			t.Errorf("attr %d labels = %v, want %v", i, got.Raw.Column(i).Dict.Labels(), wd.Labels())
 		}
+		if gw, ww := got.Raw.Column(i).Codes.Width(), want.Raw.Column(i).Codes.Width(); gw != ww {
+			t.Errorf("attr %d code width = %d, want %d", i, gw, ww)
+		}
+	}
+	if !reflect.DeepEqual(rowsOf(got.Raw), rowsOf(want.Raw)) {
+		t.Error("restored rows differ from the original")
+	}
+	// The working dataset is re-derived and the cubes rebound to it.
+	if !reflect.DeepEqual(rowsOf(got.Store.Dataset()), rowsOf(want.Store.Dataset())) {
+		t.Error("re-derived working dataset differs from the original")
 	}
 	// Cube fidelity: re-serializing the rebound store must reproduce the
 	// original store stream byte for byte.
@@ -139,56 +167,27 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadsVersion1 guards backward compatibility: a version-1 file
-// (written before the header carried an ingest sequence) must still
-// load, with IngestSeq defaulting to zero. The fixture is synthesized
-// by stripping the IngestSeq field out of a freshly written version-2
-// stream and re-stamping version and checksum.
-func TestReadsVersion1(t *testing.T) {
-	snap := testSnapshot(t)
-	snap.IngestSeq = 99
-	b := encode(t, snap)
-
-	// Walk the header fields to find the IngestSeq uvarint.
+// TestRejectsVersionsBeforeRows: files of versions 1 and 2 hold cubes
+// over a schema-only dataset. Read and PeekHeader refuse them with
+// ErrVersion and say the file must be rebuilt; the fixtures re-stamp
+// a current stream's version byte.
+func TestRejectsVersionsBeforeRows(t *testing.T) {
+	b := encode(t, testSnapshot(t))
 	off := len(snapshot.Magic)
-	ver, n := binary.Uvarint(b[off:])
-	if ver != 2 || n != 1 {
-		t.Fatalf("version field = %d (%d bytes), want 2 (1 byte)", ver, n)
+	if ver, n := binary.Uvarint(b[off:]); ver != snapshot.Version || n != 1 {
+		t.Fatalf("version field = %d (%d bytes), want %d (1 byte)", ver, n, snapshot.Version)
 	}
-	b[off] = 1 // re-stamp as version 1
-	off += n
-	l, n := binary.Uvarint(b[off:]) // SourceHash string
-	off += n + int(l)
-	for i := 0; i < 3; i++ { // CreatedUnix, Rows, Mode
-		_, n = binary.Uvarint(b[off:])
-		off += n
-	}
-	_, n = binary.Varint(b[off:]) // CacheBytes (signed)
-	off += n
-	seq, n := binary.Uvarint(b[off:])
-	if seq != 99 {
-		t.Fatalf("located field = %d, want IngestSeq 99", seq)
-	}
-	v1 := append(append([]byte{}, b[:off]...), b[off+n:]...)
-	binary.LittleEndian.PutUint32(v1[len(v1)-4:], crc32.ChecksumIEEE(v1[:len(v1)-4]))
-
-	got, err := snapshot.Read(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatalf("reading synthesized v1 stream: %v", err)
-	}
-	if got.IngestSeq != 0 {
-		t.Errorf("v1 IngestSeq = %d, want 0", got.IngestSeq)
-	}
-	if got.Rows != snap.Rows || got.SourceHash != snap.SourceHash {
-		t.Errorf("v1 header = rows %d hash %q, want rows %d hash %q",
-			got.Rows, got.SourceHash, snap.Rows, snap.SourceHash)
-	}
-	h, err := snapshot.PeekHeader(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Version != 1 || h.IngestSeq != 0 {
-		t.Errorf("peeked version=%d ingestSeq=%d, want 1/0", h.Version, h.IngestSeq)
+	for _, ver := range []byte{1, 2} {
+		old := append([]byte(nil), b...)
+		old[off] = ver
+		binary.LittleEndian.PutUint32(old[len(old)-4:], crc32.ChecksumIEEE(old[:len(old)-4]))
+		_, err := snapshot.Read(bytes.NewReader(old))
+		if !errors.Is(err, snapshot.ErrVersion) || !strings.Contains(err.Error(), "rebuilt") {
+			t.Errorf("version %d: Read err = %v, want ErrVersion saying the file must be rebuilt", ver, err)
+		}
+		if _, err := snapshot.PeekHeader(bytes.NewReader(old)); !errors.Is(err, snapshot.ErrVersion) {
+			t.Errorf("version %d: PeekHeader err = %v, want ErrVersion", ver, err)
+		}
 	}
 }
 
@@ -204,8 +203,8 @@ func TestPeekHeader(t *testing.T) {
 	if h.Version != snapshot.Version {
 		t.Errorf("Version = %d, want %d", h.Version, snapshot.Version)
 	}
-	if h.SourceHash != want.SourceHash || h.CreatedUnix != want.CreatedUnix || h.Rows != want.Rows {
-		t.Errorf("header = %+v, want hash %q created %d rows %d", h, want.SourceHash, want.CreatedUnix, want.Rows)
+	if h.SourceHash != want.SourceHash || h.CreatedUnix != want.CreatedUnix || h.Rows != want.Raw.NumRows() {
+		t.Errorf("header = %+v, want hash %q created %d rows %d", h, want.SourceHash, want.CreatedUnix, want.Raw.NumRows())
 	}
 	if h.Mode != snapshot.ModeLazy || h.CacheBytes != -1 {
 		t.Errorf("mode/cache = %v/%d, want lazy/-1", h.Mode, h.CacheBytes)
@@ -310,6 +309,11 @@ func TestWriteRejectsIncomplete(t *testing.T) {
 		t.Error("snapshot without store accepted")
 	}
 	snap = testSnapshot(t)
+	snap.Raw = nil
+	if err := snapshot.Write(&buf, snap); err == nil {
+		t.Error("snapshot without rows accepted")
+	}
+	snap = testSnapshot(t)
 	snap.Mode = 0
 	if err := snapshot.Write(&buf, snap); err == nil {
 		t.Error("snapshot without mode accepted")
@@ -327,8 +331,8 @@ func TestWriteFileAtomic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Rows != snap.Rows {
-		t.Errorf("Rows = %d, want %d", got.Rows, snap.Rows)
+	if got.Raw.NumRows() != snap.Raw.NumRows() {
+		t.Errorf("rows = %d, want %d", got.Raw.NumRows(), snap.Raw.NumRows())
 	}
 }
 
@@ -358,6 +362,141 @@ func writeTestFile(t testing.TB, path, content string) {
 	}
 }
 
+// rowsDataset is the rows-block fixture: a narrow column (3 labels,
+// codes 0 1 2 repeating, every tenth row Missing), a wide one (256
+// labels, so int32 codes), a continuous one holding NaN, and the class,
+// over 20 rows.
+func rowsDataset(t testing.TB) *dataset.Dataset {
+	t.Helper()
+	b, err := dataset.NewBuilder(dataset.Schema{
+		Attrs: []dataset.Attribute{
+			{Name: "narrow", Kind: dataset.Categorical},
+			{Name: "wide", Kind: dataset.Categorical},
+			{Name: "temp", Kind: dataset.Continuous},
+			{Name: "class", Kind: dataset.Categorical},
+		},
+		ClassIndex: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels := make([]string, 256)
+	for i := range labels {
+		labels[i] = strconv.Itoa(i)
+	}
+	b.WithDict(0, dataset.DictionaryOf("n0", "n1", "n2"))
+	b.WithDict(1, dataset.DictionaryOf(labels...))
+	b.WithDict(3, dataset.DictionaryOf("c0", "c1"))
+	for r := 0; r < 20; r++ {
+		narrow, temp := int32(r%3), float64(r)/2
+		if r%10 == 9 {
+			narrow = dataset.Missing
+		}
+		if r%7 == 0 {
+			temp = math.NaN()
+		}
+		values := []float64{0, 0, temp, 0}
+		if err := b.AddCodedRow([]int32{narrow, int32(r * 37 % 256), 0, int32(r % 2)}, values); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ds, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds
+}
+
+// rowsBlockCase is one hostile rewrite of the rows-block fixture and
+// the text its read error must carry.
+type rowsBlockCase struct {
+	name string
+	data []byte
+	want string
+}
+
+// rowsBlockCases encodes the rows-block fixture, its cubes restricted
+// to the narrow and continuous columns to keep the stream small, and
+// derives a stream for each way the rows block can be wrong. Streams
+// that get past the parse are re-stamped with a matching CRC, so the
+// check they target — not the checksum — is what rejects them.
+func rowsBlockCases(t testing.TB) (valid []byte, cases []rowsBlockCase) {
+	t.Helper()
+	raw := rowsDataset(t)
+	cuts := map[string][]float64{"temp": {2, 8}}
+	ds, err := discretize.Bin(raw, cuts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := rulecube.BuildStore(ds, rulecube.StoreOptions{Attrs: []int{0, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid = encode(t, &snapshot.Snapshot{Mode: snapshot.ModeEager, Cuts: cuts, Raw: raw, Store: store})
+	// The narrow column opens the rows block: width 1, then codes
+	// 0 1 2 0 1 2 ...
+	narrow := bytes.Index(valid, []byte{1, 0, 1, 2, 0, 1, 2, 0, 1})
+	if narrow < 0 || bytes.Count(valid, []byte{1, 0, 1, 2, 0, 1, 2, 0, 1}) != 1 {
+		t.Fatal("rows block not found in the fixture stream")
+	}
+	wide := narrow + 1 + 20
+	if valid[wide] != 4 {
+		t.Fatalf("wide column width byte = %d, want 4", valid[wide])
+	}
+	patch := func(off int, b ...byte) []byte {
+		out := append([]byte(nil), valid...)
+		copy(out[off:], b)
+		binary.LittleEndian.PutUint32(out[len(out)-4:], crc32.ChecksumIEEE(out[:len(out)-4]))
+		return out
+	}
+	// The header's row count follows the magic, the version and the
+	// source hash string and the created time.
+	off := len(snapshot.Magic) + 1
+	l, n := binary.Uvarint(valid[off:])
+	off += n + int(l)
+	_, n = binary.Uvarint(valid[off:])
+	off += n
+	_, n = binary.Uvarint(valid[off:])
+	withRows := func(rows uint64) []byte {
+		out := append([]byte(nil), valid[:off]...)
+		out = binary.AppendUvarint(out, rows)
+		return append(out, valid[off+n:]...)
+	}
+	return valid, []rowsBlockCase{
+		{"truncated rows block", valid[:wide+40], `"wide"`},
+		{"hostile row count", withRows(1 << 39), `"narrow"`},
+		{"row count past maxRows", withRows(1<<40 + 1), "header rows"},
+		{"narrow code past dictionary", patch(narrow+1, 3), `"narrow"`},
+		{"wide code past dictionary", patch(wide+1, 0, 1, 0, 0), `"wide"`},
+		{"width disagrees with dictionary", patch(narrow, 4), `"narrow"`},
+		{"wide width disagrees with dictionary", patch(wide, 1), `"wide"`},
+	}
+}
+
+// TestReadRowsBlockErrors: every malformed rows block fails with an
+// error naming the attribute (the row count, declared once in the
+// header, names its header field), and a hostile row count hits EOF
+// rather than an allocation.
+func TestReadRowsBlockErrors(t *testing.T) {
+	valid, cases := rowsBlockCases(t)
+	got, err := snapshot.Read(bytes.NewReader(valid))
+	if err != nil {
+		t.Fatalf("fixture does not read: %v", err)
+	}
+	if w := got.Raw.Column(1).Codes.Width(); w != 4 {
+		t.Errorf("256-label column restored at width %d, want 4", w)
+	}
+	if v := got.Raw.Column(2).Values[0]; !math.IsNaN(v) {
+		t.Errorf("NaN restored as %v", v)
+	}
+	for _, c := range cases {
+		_, err := snapshot.Read(bytes.NewReader(c.data))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one naming %s", c.name, err, c.want)
+		}
+	}
+}
+
 func FuzzReadSnapshot(f *testing.F) {
 	snap := testSnapshot(f)
 	var buf bytes.Buffer
@@ -372,6 +511,11 @@ func FuzzReadSnapshot(f *testing.F) {
 	mutated := append([]byte(nil), valid...)
 	mutated[len(mutated)/3] ^= 0x40
 	f.Add(mutated)
+	rows, cases := rowsBlockCases(f)
+	f.Add(rows)
+	for _, c := range cases {
+		f.Add(c.data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := snapshot.Read(bytes.NewReader(data))
@@ -386,6 +530,9 @@ func FuzzReadSnapshot(f *testing.F) {
 				_ = c.ClassMarginals()
 				_ = c.RuleCount()
 			}
+		}
+		for r := 0; r < snap.Raw.NumRows(); r++ {
+			_ = snap.Raw.Row(r)
 		}
 	})
 }

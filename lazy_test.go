@@ -145,7 +145,6 @@ func TestLazyEagerOnlyOps(t *testing.T) {
 	_, lazy, _ := lazyPair(t)
 	var buf bytes.Buffer
 	for name, call := range map[string]func() error{
-		"SaveCubes":      func() error { return lazy.SaveCubes(&buf) },
 		"Explore":        func() error { return lazy.Explore(strings.NewReader("quit\n"), &buf) },
 		"RenderOverall":  func() error { return lazy.RenderOverall(&buf) },
 		"CubeExceptions": func() error { _, err := lazy.CubeExceptions(0); return err },

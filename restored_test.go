@@ -2,8 +2,8 @@ package opmap
 
 import (
 	"bytes"
-	"io"
-	"strings"
+	"context"
+	"reflect"
 	"testing"
 
 	"opmap/internal/dataset"
@@ -46,97 +46,120 @@ func restoredAppendRows(t *testing.T, s *Session, gt CallLogTruth, n int) [][]st
 	return rows
 }
 
-// TestRestoredSessionRefusesRowScans: a session restored from a
-// snapshot or a cube store holds only the rows appended since the
-// restore. Every path that counts the working dataset's rows itself —
-// rather than reading the restored cubes — must refuse instead of
-// answering over that fraction of the data (CompareByScan gave
-// 1,500/1,500 here against the true 6,588/6,482). The cube path keeps
-// counting everything.
-func TestRestoredSessionRefusesRowScans(t *testing.T) {
-	orig, gt := caseStudySession(t)
-	var snap, cubes bytes.Buffer
-	if err := orig.SaveSnapshot(&snap, SnapshotOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := orig.SaveCubes(&cubes); err != nil {
-		t.Fatal(err)
-	}
-	fromSnap, err := LoadSnapshot(&snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromCubes, err := OpenCubes(&cubes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := restoredAppendRows(t, orig, gt, 3000)
-	if err := orig.Append(batch); err != nil {
-		t.Fatal(err)
-	}
-	want, err := orig.Compare(gt.PhoneAttr, gt.GoodPhone, gt.BadPhone, gt.DropClass, CompareOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fixed := map[string]string{gt.DistinguishingAttr: orig.ds.Column(orig.ds.AttrIndex(gt.DistinguishingAttr)).Dict.Label(0)}
-
-	for name, r := range map[string]*Session{"LoadSnapshot": fromSnap, "OpenCubes": fromCubes} {
-		if err := r.Append(batch); err != nil {
-			t.Fatalf("%s: append: %v", name, err)
-		}
-		got, err := r.Compare(gt.PhoneAttr, gt.GoodPhone, gt.BadPhone, gt.DropClass, CompareOptions{})
+// restoredAnswers runs every query of a session that reads its rows
+// or its cubes, keyed by name, for TestRestoredSessionMatchesCold.
+func restoredAnswers(t *testing.T, s *Session, gt CallLogTruth, fixed map[string]string) map[string]any {
+	t.Helper()
+	out := map[string]any{}
+	record := func(name string, v any, err error) {
+		t.Helper()
 		if err != nil {
-			t.Fatalf("%s: compare: %v", name, err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		if got.res.Rule1.CondCount != want.res.Rule1.CondCount || got.res.Rule2.CondCount != want.res.Rule2.CondCount {
-			t.Errorf("%s: cube compare counts %d/%d, want %d/%d", name,
-				got.res.Rule1.CondCount, got.res.Rule2.CondCount, want.res.Rule1.CondCount, want.res.Rule2.CondCount)
-		}
-		scans := map[string]func() error{
-			"CompareByScan": func() error {
-				_, err := r.CompareByScan(gt.PhoneAttr, gt.GoodPhone, gt.BadPhone, gt.DropClass, CompareOptions{})
-				return err
-			},
-			"CompareWhere": func() error {
-				_, err := r.CompareWhere(gt.PhoneAttr, gt.GoodPhone, gt.BadPhone, gt.DropClass, fixed, CompareOptions{})
-				return err
-			},
-			"TestSignificance": func() error {
-				_, err := r.TestSignificance(gt.PhoneAttr, gt.GoodPhone, gt.BadPhone, gt.DropClass, gt.DistinguishingAttr, 10, 1)
-				return err
-			},
-			"MineRules": func() error {
-				_, err := r.MineRules(MineOptions{MaxConditions: 1})
-				return err
-			},
-			"RankRules": func() error {
-				_, err := r.RankRules("lift", MineOptions{MaxConditions: 1})
-				return err
-			},
-			"QueryRules": func() error {
-				_, err := r.QueryRules("len <= 1", MineOptions{MaxConditions: 1})
-				return err
-			},
-			"Completeness": func() error {
-				_, err := r.Completeness(1)
-				return err
-			},
-			"Describe": func() error { return r.Describe(io.Discard) },
-			// Re-counting or re-sampling would replace the restored
-			// cubes with counts over the appended rows alone.
-			"BuildCubes":         r.BuildCubes,
-			"Discretize":         func() error { return r.Discretize(DiscretizeOptions{}) },
-			"DownsampleMajority": func() error { return r.DownsampleMajority(0.5, 1) },
-		}
-		for op, run := range scans {
-			err := run()
-			if err == nil {
-				t.Errorf("%s: %s answered from the %d rows appended since the restore", name, op, len(batch))
-				continue
+		out[name] = v
+	}
+	cmp, err := s.Compare(gt.PhoneAttr, gt.GoodPhone, gt.BadPhone, gt.DropClass, CompareOptions{})
+	record("Compare", cmp, err)
+	scan, err := s.CompareByScan(gt.PhoneAttr, gt.GoodPhone, gt.BadPhone, gt.DropClass, CompareOptions{})
+	record("CompareByScan", scan, err)
+	where, err := s.CompareWhere(gt.PhoneAttr, gt.GoodPhone, gt.BadPhone, gt.DropClass, fixed, CompareOptions{})
+	record("CompareWhere", where, err)
+	sweep, err := s.Sweep(gt.PhoneAttr, gt.DropClass, 3)
+	record("Sweep", sweep, err)
+	drill, err := s.DrillDown(gt.PhoneAttr, gt.GoodPhone, gt.BadPhone, gt.DropClass, DrillOptions{})
+	record("DrillDown", drill, err)
+	imp, err := s.Impressions(ImpressionOptions{})
+	record("Impressions", imp, err)
+	sig, err := s.TestSignificance(gt.PhoneAttr, gt.GoodPhone, gt.BadPhone, gt.DropClass, gt.DistinguishingAttr, 10, 1)
+	record("TestSignificance", sig, err)
+	rules, err := s.MineRules(MineOptions{MaxConditions: 1})
+	record("MineRules", rules, err)
+	ranked, err := s.RankRules("lift", MineOptions{MaxConditions: 1})
+	record("RankRules", ranked, err)
+	queried, err := s.QueryRules("len <= 1", MineOptions{MaxConditions: 1})
+	record("QueryRules", queried, err)
+	complete, err := s.Completeness(1)
+	record("Completeness", complete, err)
+	var desc bytes.Buffer
+	record("Describe", desc.String(), s.Describe(&desc))
+	record("ClassDistribution", s.ClassDistribution(), nil)
+	record("NumRows", s.NumRows(), nil)
+	return out
+}
+
+// TestRestoredSessionMatchesCold: a session restored from its snapshot
+// holds every source row, so after the same 3,000-row append it
+// answers every query — cube reads and row scans alike — exactly as
+// the session it was taken from, in both engine modes. Before the
+// snapshot carried rows, CompareByScan on the restored session counted
+// only the appended rows (1,500/1,500 here against the true
+// 6,588/6,482).
+func TestRestoredSessionMatchesCold(t *testing.T) {
+	for _, lazy := range []bool{false, true} {
+		t.Run(map[bool]string{false: "eager", true: "lazy"}[lazy], func(t *testing.T) {
+			cold, gt := caseStudySession(t)
+			if lazy {
+				if err := cold.BuildCubesOptions(context.Background(), BuildOptions{Lazy: true}); err != nil {
+					t.Fatal(err)
+				}
+				// Leave some pair cubes resident for the snapshot to carry.
+				if _, err := cold.Sweep(gt.PhoneAttr, gt.DropClass, 3); err != nil {
+					t.Fatal(err)
+				}
 			}
-			if !strings.Contains(err.Error(), "source rows") {
-				t.Errorf("%s: %s error does not name the missing source rows: %v", name, op, err)
+			var snap bytes.Buffer
+			if err := cold.SaveSnapshot(&snap, SnapshotOptions{}); err != nil {
+				t.Fatal(err)
 			}
-		}
+			restored, err := LoadSnapshot(&snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := restored.EngineStats().Lazy; got != lazy {
+				t.Fatalf("restored engine lazy = %v, want %v", got, lazy)
+			}
+			batch := restoredAppendRows(t, cold, gt, 3000)
+			for _, s := range []*Session{cold, restored} {
+				if err := s.Append(batch); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fixed := map[string]string{gt.DistinguishingAttr: cold.ds.Column(cold.ds.AttrIndex(gt.DistinguishingAttr)).Dict.Label(0)}
+			want, got := restoredAnswers(t, cold, gt, fixed), restoredAnswers(t, restored, gt, fixed)
+			for name, w := range want {
+				if !reflect.DeepEqual(w, got[name]) {
+					t.Errorf("%s: restored answer differs from the cold session's", name)
+				}
+			}
+			scan := got["CompareByScan"].(*Comparison).res
+			if n1, n2 := scan.Rule1.CondCount, scan.Rule2.CondCount; n1 != 6588 || n2 != 6482 {
+				t.Errorf("restored CompareByScan counts %d/%d, want 6588/6482", n1, n2)
+			}
+
+			// Re-discretizing re-derives the same working dataset from the
+			// same rows.
+			for _, s := range []*Session{cold, restored} {
+				if err := s.Discretize(DiscretizeOptions{}); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.BuildCubes(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !reflect.DeepEqual(cold.Cuts(), restored.Cuts()) {
+				t.Errorf("re-Discretize cuts differ: cold %v, restored %v", cold.Cuts(), restored.Cuts())
+			}
+			wc, err := cold.Compare(gt.PhoneAttr, gt.GoodPhone, gt.BadPhone, gt.DropClass, CompareOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			gc, err := restored.Compare(gt.PhoneAttr, gt.GoodPhone, gt.BadPhone, gt.DropClass, CompareOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(wc, gc) {
+				t.Error("Compare after re-Discretize differs from the cold session's")
+			}
+		})
 	}
 }

@@ -42,14 +42,6 @@ type Session struct {
 	// version; Discretize, DownsampleMajority and rebuilds invalidate
 	// it wholly, appends surgically per attribute. Always non-nil.
 	results *engine.ResultCache
-	// rowsHint carries the source row count for sessions restored from
-	// a snapshot, whose datasets start schema-only; appended rows add
-	// on top of it.
-	rowsHint int
-	// restored marks a session built from cubes alone (a snapshot or a
-	// cube store): its dataset holds only the rows appended since, so
-	// nothing may count those rows as if they were all of them.
-	restored bool
 
 	// ingestSeq is the WAL sequence of the last applied append batch,
 	// recorded in snapshots so recovery knows where replay must resume.
@@ -324,9 +316,6 @@ type DiscretizeOptions struct {
 func (s *Session) Discretize(opts DiscretizeOptions) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.requireSourceRows("Discretize"); err != nil {
-		return err
-	}
 	s.discOpts = &opts
 	s.sinceCutEval = 0
 	s.appendDeltas = nil
@@ -466,8 +455,8 @@ type BuildOptions struct {
 	// Lazy skips the offline materialization: cubes are counted on
 	// first use, deduplicated across concurrent requests, and pair
 	// cubes join the byte-budgeted cache. Whole-store operations
-	// (SaveCubes, Explore, CubeExceptions, RenderOverall, CubeStats,
-	// MergeFrom) need every pair cube and are unavailable in lazy mode.
+	// (Explore, CubeExceptions, RenderOverall, CubeStats, MergeFrom)
+	// need every pair cube and are unavailable in lazy mode.
 	Lazy bool
 	// CubeCacheBytes bounds the unpinned cubes: lazy pair cubes and
 	// k ≥ 3 drill-down cubes (eager mode pins every 1-D and pair cube).
@@ -495,7 +484,7 @@ func (s *Session) BuildCubesOptions(ctx context.Context, opts BuildOptions) erro
 // rebuild after a cut re-evaluation changes the working dataset.
 // Callers hold the write lock.
 func (s *Session) buildCubesLocked(ctx context.Context, opts BuildOptions) error {
-	ds, err := s.scanRows("BuildCubes")
+	ds, err := s.working()
 	if err != nil {
 		return err
 	}
@@ -540,31 +529,6 @@ func (s *Session) working() (*dataset.Dataset, error) {
 	return s.ds, nil
 }
 
-// scanRows returns the working dataset for the paths that count its
-// rows themselves — row scans, rule mining, permutation tests — rather
-// than read cubes. A restored session's dataset holds only the rows
-// appended since the restore, so for it they fail instead of silently
-// counting a fraction of the data.
-func (s *Session) scanRows(op string) (*dataset.Dataset, error) {
-	ds, err := s.working()
-	if err != nil {
-		return nil, err
-	}
-	if err := s.requireSourceRows(op); err != nil {
-		return nil, err
-	}
-	return ds, nil
-}
-
-// requireSourceRows fails op on a session restored from cubes, whose
-// dataset holds only the rows appended since the restore.
-func (s *Session) requireSourceRows(op string) error {
-	if !s.restored {
-		return nil
-	}
-	return fmt.Errorf("opmap: %s needs the source rows, but this session was restored from cubes and holds only the %d rows appended since; load the source data instead", op, s.raw.NumRows())
-}
-
 // requireStore returns the engine's pinned 1-D and pair cubes as one
 // store for the whole-store operations, which stay eager-only.
 func (s *Session) requireStore() (*rulecube.Store, error) {
@@ -587,20 +551,11 @@ func (s *Session) requireSource() (*engine.LazySource, error) {
 	return s.src, nil
 }
 
-// NumRows returns the number of records. Sessions restored from a
-// snapshot hold a schema-only dataset; for them this is the row count
-// recorded when the snapshot was taken.
+// NumRows returns the number of records.
 func (s *Session) NumRows() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.numRows()
-}
-
-// numRows is NumRows without the lock, for callers already holding it
-// (buildSnapshot runs under the read lock). Restored sessions start
-// with a schema-only dataset, so the hint and the live count add.
-func (s *Session) numRows() int {
-	return s.rowsHint + s.raw.NumRows()
+	return s.raw.NumRows()
 }
 
 // Attributes returns all attribute names including the class, in schema

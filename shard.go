@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"time"
 
@@ -19,15 +20,15 @@ import (
 // This file is the session-level face of that architecture:
 // BuildSharded runs the per-shard builds in parallel and folds them
 // into one serving session via Session.MergeFrom; LoadShardSnapshots
-// does the same assembly from shard snapshot files a fleet shipped.
+// does the same assembly from shard snapshot files a fleet shipped,
+// and MergeSnapshotFiles writes that assembly back as one snapshot.
 
 // ShardMergeHistogramName observes the wall-clock seconds of each
-// shard-merge operation: one MergeFrom call, or the whole merge phase
-// of LoadShardSnapshots.
+// MergeFrom call.
 const ShardMergeHistogramName = "opmap_shard_merge_seconds"
 
 // ShardsMergedCounterName counts shards folded into a merge
-// destination: MergeFrom advances it by one, an N-shard snapshot
+// destination: MergeFrom advances it by one, so an N-shard snapshot
 // assembly by N-1.
 const ShardsMergedCounterName = "opmap_shards_merged_total"
 
@@ -154,11 +155,9 @@ func buildShard(ctx context.Context, path string, opts ShardOptions) (*Session, 
 // reproduces the single-pass session exactly.
 //
 // Both sessions must hold eagerly built cubes over the same schema and
-// bit-identical discretization cuts, and neither may be
-// snapshot-restored (a restored session holds no rows to merge — merge
-// the snapshot files instead, snapshot.MergeFiles). A failed merge
-// past validation drops s's engine rather than leave counts
-// inconsistent with rows. MergeFrom takes s's write lock and then
+// bit-identical discretization cuts. A failed merge past validation
+// drops s's engine rather than leave counts inconsistent with rows.
+// MergeFrom takes s's write lock and then
 // other's read lock: callers must not run merges between the same two
 // sessions in both directions concurrently.
 func (s *Session) MergeFrom(other *Session) error {
@@ -182,9 +181,6 @@ func (s *Session) mergeFromLocked(o *Session) error {
 	}
 	if s.src.Store() == nil || o.src.Store() == nil {
 		return fmt.Errorf("opmap: sharded merge requires eager stores; a lazy engine holds no complete store to merge")
-	}
-	if s.rowsHint != 0 || o.rowsHint != 0 {
-		return fmt.Errorf("opmap: snapshot-restored sessions hold no rows to merge; merge their snapshot files instead")
 	}
 	if (s.raw == s.ds) != (o.raw == o.ds) {
 		return fmt.Errorf("opmap: cannot merge a discretized session with an undiscretized one")
@@ -248,47 +244,63 @@ func (s *Session) mergeFromLocked(o *Session) error {
 	return nil
 }
 
-// LoadShardSnapshots reads eager shard snapshots and assembles them, in
+// LoadShardSnapshots loads eager shard snapshots and merges them, in
 // path order, into one ready-to-serve session with zero cube builds —
 // the warm-start path for a daemon fed by a fleet of shard builders.
-// The merged session carries the summed row count, the maximum ingest
-// sequence, and a source hash derived from the ordered shard hashes
-// (see snapshot.Merge). Like any snapshot-restored session it is
-// schema-only: operations needing raw records return errors.
+// Each shard loads as LoadSnapshotFile would and folds in through
+// MergeFrom, so the result is the session a single load of the
+// concatenated shards would build: rows summed, the ingest sequence the
+// maximum. A shard that fails to read is named as "opmap: shard
+// <path>", one that fails to merge as "opmap: merging shard <path>".
 func LoadShardSnapshots(paths ...string) (*Session, error) {
+	s, _, _, err := loadShards(paths)
+	return s, err
+}
+
+// loadShards is LoadShardSnapshots, also returning the header fields a
+// snapshot of the assembly records: HashBytes of the newline-joined
+// shard hashes in path order, and the latest shard's created time.
+func loadShards(paths []string) (s *Session, hash string, created int64, err error) {
 	if len(paths) == 0 {
-		return nil, fmt.Errorf("opmap: LoadShardSnapshots needs at least one snapshot path")
+		return nil, "", 0, fmt.Errorf("opmap: LoadShardSnapshots needs at least one snapshot path")
 	}
-	start := time.Now()
-	snaps := make([]*snapshot.Snapshot, len(paths))
+	hashes := make([]string, len(paths))
 	for i, p := range paths {
-		sn, err := snapshot.ReadFile(p)
+		snap, err := snapshot.ReadFile(p)
 		if err != nil {
-			return nil, fmt.Errorf("opmap: shard %s: %w", p, err)
+			return nil, "", 0, fmt.Errorf("opmap: shard %s: %w", p, err)
 		}
-		snaps[i] = sn
+		shard, err := sessionFromSnapshot(snap)
+		if err != nil {
+			return nil, "", 0, fmt.Errorf("opmap: shard %s: %w", p, err)
+		}
+		hashes[i] = snap.SourceHash
+		created = max(created, snap.CreatedUnix)
+		if s == nil {
+			s = shard
+		} else if err := s.MergeFrom(shard); err != nil {
+			return nil, "", 0, fmt.Errorf("opmap: merging shard %s: %w", p, err)
+		}
 	}
-	merged, err := snapshot.Merge(snaps...)
-	if err != nil {
-		return nil, err
-	}
-	s, err := sessionFromSnapshot(merged)
-	if err != nil {
-		return nil, err
-	}
-	if len(paths) > 1 {
-		obsv.Default().Histogram(ShardMergeHistogramName, nil).ObserveSince(start)
-		obsv.Default().Counter(ShardsMergedCounterName).Add(int64(len(paths) - 1))
-	}
-	return s, nil
+	return s, snapshot.HashBytes([]byte(strings.Join(hashes, "\n"))), created, nil
 }
 
 // MergeSnapshotFiles merges shard snapshot files, in argument order,
-// into one serving snapshot at dst (snapshot.MergeFiles): dictionaries
-// union, cube counts sum, row counts add, ingest sequences reconcile to
-// the maximum. dst is written atomically and left untouched on error.
+// into one serving snapshot at dst: LoadShardSnapshots, then a snapshot
+// of the merged session stamped with the assembly's source hash and
+// latest created time. dst is written atomically and left untouched on
+// error.
 func MergeSnapshotFiles(dst string, srcs ...string) error {
-	return snapshot.MergeFiles(dst, srcs...)
+	s, hash, created, err := loadShards(srcs)
+	if err != nil {
+		return err
+	}
+	snap, err := s.buildSnapshot(SnapshotOptions{SourceHash: hash})
+	if err != nil {
+		return err
+	}
+	snap.CreatedUnix = created
+	return snapshot.WriteFile(dst, snap)
 }
 
 // cutsCompatible requires bit-identical discretization cuts on both

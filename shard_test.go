@@ -302,20 +302,6 @@ func TestMergeFromErrors(t *testing.T) {
 			t.Errorf("err = %v, want lazy rejection", err)
 		}
 	})
-	t.Run("snapshot-restored", func(t *testing.T) {
-		s := built()
-		path := filepath.Join(t.TempDir(), "s.omapsnap")
-		if err := s.SaveSnapshotFile(path, SnapshotOptions{}); err != nil {
-			t.Fatal(err)
-		}
-		warm, err := LoadSnapshotFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := warm.MergeFrom(s); err == nil || !strings.Contains(err.Error(), "snapshot") {
-			t.Errorf("err = %v, want restored-session rejection", err)
-		}
-	})
 	// continuous builds a session over a forced-continuous column,
 	// discretized with the given manual cuts and cubed: the controlled
 	// way to get raw != ds and a non-empty cuts map.

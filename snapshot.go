@@ -10,12 +10,13 @@ import (
 	"opmap/internal/snapshot"
 )
 
-// Session snapshots: the durable form of a served session. An eager
-// session snapshots its full cube store and can be reloaded standalone
-// (LoadSnapshot) with zero cube builds; a lazy session snapshots the
-// cubes resident at the time, which a fresh lazy session over the same
-// data absorbs via SeedSnapshotFile. Either way the write is atomic, so
-// a crash mid-checkpoint never clobbers the previous good snapshot.
+// Session snapshots: the durable form of a served session. A snapshot
+// carries the session's rows, cuts and cubes — every cube of an eager
+// session, the resident ones of a lazy session — so LoadSnapshot
+// rebuilds the same session in either mode without the source data:
+// an eager one with zero cube builds, a lazy one with its working set
+// warm. Either way the write is atomic, so a crash mid-checkpoint never
+// clobbers the previous good snapshot.
 
 // SnapshotOptions configures SaveSnapshot.
 type SnapshotOptions struct {
@@ -26,28 +27,31 @@ type SnapshotOptions struct {
 	SourceHash string
 }
 
-// SnapshotInfo summarizes a snapshot file's header (PeekSnapshotFile).
-// The header is read without verifying the file's checksum, so treat
-// the fields as advisory until LoadSnapshot or SeedSnapshotFile
-// succeeds.
+// SnapshotInfo summarizes a snapshot file's header (PeekSnapshotFile):
+// enough to decide whether to load it. The header is read without
+// verifying the file's checksum, so treat the fields as advisory until
+// LoadSnapshotFile succeeds.
 type SnapshotInfo struct {
 	Version    int
 	SourceHash string
 	Created    time.Time
-	Rows       int
-	// Lazy reports whether the snapshot holds a lazy session's resident
-	// cubes (seed it) rather than a full eager store (load it).
-	Lazy       bool
+	// Rows is the number of rows the snapshot holds.
+	Rows int
+	// Lazy reports whether the snapshotted session ran the lazy engine;
+	// LoadSnapshot restores it in the same mode.
+	Lazy bool
+	// CacheBytes is the engine's byte budget for unpinned cubes
+	// (negative means unlimited).
 	CacheBytes int64
 	// IngestSeq is the WAL sequence of the last append batch applied
 	// before the snapshot; WAL replay resumes at IngestSeq+1.
 	IngestSeq uint64
 }
 
-// SaveSnapshot persists the session — schema, dictionaries,
+// SaveSnapshot persists the session — schema, dictionaries, rows,
 // discretization cuts, cubes and engine configuration — to w. Eager
-// sessions write every cube; lazy sessions write the resident working
-// set. A BuildCubes variant must have run.
+// sessions write every cube; lazy sessions write their resident 1-D
+// and pair cubes. A BuildCubes variant must have run.
 func (s *Session) SaveSnapshot(w io.Writer, opts SnapshotOptions) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -74,41 +78,42 @@ func (s *Session) SaveSnapshotFile(path string, opts SnapshotOptions) error {
 // buildSnapshot assembles the in-memory snapshot for the session's
 // current engine. Callers hold at least the read lock.
 func (s *Session) buildSnapshot(opts SnapshotOptions) (*snapshot.Snapshot, error) {
-	if _, err := s.requireSource(); err != nil {
+	src, err := s.requireSource()
+	if err != nil {
 		return nil, err
 	}
 	snap := &snapshot.Snapshot{
 		SourceHash:  opts.SourceHash,
 		CreatedUnix: time.Now().Unix(),
-		Rows:        s.numRows(),
+		Mode:        snapshot.ModeEager,
+		CacheBytes:  src.Budget(),
 		IngestSeq:   s.ingestSeq,
 		Cuts:        s.cuts,
-		Dataset:     s.ds,
+		Raw:         s.raw,
+		Store:       src.Store(),
 	}
-	snap.Mode, snap.Store = snapshot.ModeEager, s.src.Store()
 	if snap.Store == nil {
 		// A lazy engine writes its resident 1-D and pair cubes only.
 		var cubes []*rulecube.Cube
-		for _, c := range s.src.ResidentCubes() {
+		for _, c := range src.ResidentCubes() {
 			if c.NumDims() <= 2 {
 				cubes = append(cubes, c)
 			}
 		}
-		store, err := rulecube.AssembleStore(s.ds, s.src.Attrs(), cubes)
+		store, err := rulecube.AssembleStore(s.ds, src.Attrs(), cubes)
 		if err != nil {
 			return nil, fmt.Errorf("opmap: snapshotting lazy engine: %w", err)
 		}
-		snap.Mode, snap.CacheBytes, snap.Store = snapshot.ModeLazy, s.src.Budget(), store
+		snap.Mode, snap.Store = snapshot.ModeLazy, store
 	}
 	return snap, nil
 }
 
-// LoadSnapshot rebuilds a ready-to-serve Session from an eager snapshot
-// stream with zero cube builds: the schema-only dataset, cuts and cube
-// store come straight from the snapshot. Operations needing raw records
-// (MineRules, CompareWhere, re-Discretize) return errors, exactly as
-// with OpenCubes, also after Append. Lazy snapshots cannot stand alone (they hold only a
-// resident subset); load the source data and SeedSnapshotFile instead.
+// LoadSnapshot rebuilds a ready-to-serve Session from a snapshot
+// stream: the session it was taken from, rows and all, in the same
+// engine mode and cube budget. An eager snapshot pins its cubes, so
+// the session serves with zero cube builds; a lazy one seeds its
+// resident cubes into a fresh lazy engine.
 func LoadSnapshot(r io.Reader) (*Session, error) {
 	snap, err := snapshot.Read(r)
 	if err != nil {
@@ -127,39 +132,27 @@ func LoadSnapshotFile(path string) (*Session, error) {
 }
 
 func sessionFromSnapshot(snap *snapshot.Snapshot) (*Session, error) {
-	if snap.Mode != snapshot.ModeEager {
-		return nil, fmt.Errorf("opmap: %s snapshot holds only resident cubes and cannot serve standalone; rebuild the lazy session from source and seed it with SeedSnapshotFile", snap.Mode)
+	ds := snap.Store.Dataset()
+	src, err := engine.NewLazy(ds, engine.LazyOptions{Attrs: snap.Store.Attrs(), CacheBytes: snap.CacheBytes})
+	if err != nil {
+		return nil, err
+	}
+	if snap.Mode == snapshot.ModeLazy {
+		_, err = src.SeedCubes(snap.Store.Cubes())
+	} else {
+		err = src.Pin(snap.Store)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return &Session{
-		raw:       snap.Dataset,
-		ds:        snap.Dataset,
+		raw:       snap.Raw,
+		ds:        ds,
 		cuts:      snap.Cuts,
-		rowsHint:  snap.Rows,
-		restored:  true,
 		ingestSeq: snap.IngestSeq,
-		src:       engine.FromStore(snap.Store),
+		src:       src,
 		results:   engine.NewResultCache(0),
 	}, nil
-}
-
-// SeedSnapshotFile warms a lazy session from a snapshot taken over the
-// same source data: the snapshot's cubes are validated against the
-// session's dataset and installed in the engine's caches, so their
-// first touch is a hit instead of a data pass. The session must be in
-// lazy mode (BuildCubesOptions with Lazy). Returns the number of cubes
-// seeded. A snapshot that disagrees with the dataset fails without
-// mutating the engine — the caller falls back to cold serving.
-func (s *Session) SeedSnapshotFile(path string) (int, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.src == nil || s.src.Store() != nil {
-		return 0, fmt.Errorf("opmap: SeedSnapshotFile requires a lazy session (BuildCubesOptions with Lazy)")
-	}
-	snap, err := snapshot.ReadFile(path)
-	if err != nil {
-		return 0, err
-	}
-	return s.src.SeedCubes(snap.Store.Cubes())
 }
 
 // PeekSnapshotFile reads a snapshot file's header only — source hash,

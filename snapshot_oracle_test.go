@@ -8,6 +8,7 @@ import (
 
 	"opmap/internal/obsv"
 	"opmap/internal/rulecube"
+	"opmap/internal/snapshot"
 )
 
 // snapshotPair builds a fresh eager session and a second session
@@ -146,8 +147,8 @@ func TestSnapshotFileRoundTripAndPeek(t *testing.T) {
 }
 
 // TestSnapshotSeedLazy pins the lazy warm-start path: a lazy session's
-// resident cubes survive the snapshot and seed a fresh lazy session,
-// whose queries then run with zero additional builds.
+// resident cubes survive the snapshot and seed the restored lazy
+// session, whose queries then run with zero additional builds.
 func TestSnapshotSeedLazy(t *testing.T) {
 	cfg := CallLogConfig{Seed: 23, Records: 10000, NumPhones: 4, NoiseAttrs: 2}
 	first, gt, err := GenerateCallLog(cfg)
@@ -157,7 +158,7 @@ func TestSnapshotSeedLazy(t *testing.T) {
 	if err := first.Discretize(DiscretizeOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := first.BuildCubesOptions(context.Background(), BuildOptions{Lazy: true}); err != nil {
+	if err := first.BuildCubesOptions(context.Background(), BuildOptions{Lazy: true, CubeCacheBytes: 1 << 22}); err != nil {
 		t.Fatal(err)
 	}
 	// A sweep caches the phone attribute's pair cubes; a pairwise
@@ -176,30 +177,20 @@ func TestSnapshotSeedLazy(t *testing.T) {
 	if err := first.SaveSnapshotFile(path, SnapshotOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if info, err := PeekSnapshotFile(path); err != nil || !info.Lazy {
+	if info, err := PeekSnapshotFile(path); err != nil || !info.Lazy || info.CacheBytes != 1<<22 {
 		t.Fatalf("lazy snapshot peek: info=%+v err=%v", info, err)
 	}
-	// A lazy snapshot cannot serve standalone.
-	if _, err := LoadSnapshotFile(path); err == nil {
-		t.Fatal("LoadSnapshotFile accepted a lazy snapshot")
-	}
 
-	second, _, err := GenerateCallLog(cfg)
+	second, err := LoadSnapshotFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := second.Discretize(DiscretizeOptions{}); err != nil {
-		t.Fatal(err)
+	if n := second.CubeCount(); n != first.CubeCount() {
+		t.Errorf("restored %d cubes, snapshot held %d", n, first.CubeCount())
 	}
-	if err := second.BuildCubesOptions(context.Background(), BuildOptions{Lazy: true}); err != nil {
-		t.Fatal(err)
-	}
-	seeded, err := second.SeedSnapshotFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seeded != first.CubeCount() {
-		t.Errorf("seeded %d cubes, snapshot held %d", seeded, first.CubeCount())
+	st := second.EngineStats()
+	if !st.Lazy {
+		t.Error("a lazy snapshot restored as an eager session")
 	}
 	scans := obsv.Default().Counter(rulecube.CubeScansCounterName)
 	s0 := scans.Value()
@@ -208,63 +199,52 @@ func TestSnapshotSeedLazy(t *testing.T) {
 		t.Fatal(err)
 	}
 	if d := scans.Value() - s0; d != 0 {
-		t.Errorf("seeded session's compare performed %d scans, want 0", d)
+		t.Errorf("restored session's compare performed %d scans, want 0", d)
 	}
 	if !reflect.DeepEqual(want.Ranked(), got.Ranked()) {
-		t.Error("seeded session's ranking differs from the original")
+		t.Error("restored session's ranking differs from the original")
 	}
-	st := second.EngineStats()
+	st = second.EngineStats()
 	if st.OneDBuilds != 0 || st.TwoDBuilds != 0 {
-		t.Errorf("seeded session built cubes for a snapshot-covered query: 1-D %d, 2-D %d", st.OneDBuilds, st.TwoDBuilds)
+		t.Errorf("restored session built cubes for a snapshot-covered query: 1-D %d, 2-D %d", st.OneDBuilds, st.TwoDBuilds)
 	}
 }
 
-// TestSnapshotSeedRejectsMismatch pins the staleness guard below the
-// hash check: a snapshot over different data must not seed.
+// TestSnapshotSeedRejectsMismatch pins the guard below the checksum: a
+// snapshot whose cubes disagree with its rows must not load.
 func TestSnapshotSeedRejectsMismatch(t *testing.T) {
-	big, gt, err := GenerateCallLog(CallLogConfig{Seed: 5, Records: 8000, NumPhones: 6, NoiseAttrs: 3})
+	session := func(phones int) *Session {
+		s, gt, err := GenerateCallLog(CallLogConfig{Seed: 5, Records: 8000, NumPhones: phones, NoiseAttrs: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Discretize(DiscretizeOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.BuildCubesOptions(context.Background(), BuildOptions{Lazy: true}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Sweep(gt.PhoneAttr, gt.DropClass, 0); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	big, small := session(6), session(3)
+	snap, err := small.buildSnapshot(SnapshotOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := big.Discretize(DiscretizeOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := big.BuildCubesOptions(context.Background(), BuildOptions{Lazy: true}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := big.Compare(gt.PhoneAttr, gt.GoodPhone, gt.BadPhone, gt.DropClass, CompareOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	path := t.TempDir() + "/other.omapsnap"
-	if err := big.SaveSnapshotFile(path, SnapshotOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	small, _, err := GenerateCallLog(CallLogConfig{Seed: 5, Records: 8000, NumPhones: 3, NoiseAttrs: 3})
+	other, err := big.buildSnapshot(SnapshotOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := small.Discretize(DiscretizeOptions{}); err != nil {
+	snap.Store = other.Store
+	var buf bytes.Buffer
+	if err := snapshot.Write(&buf, snap); err != nil {
 		t.Fatal(err)
 	}
-	if err := small.BuildCubesOptions(context.Background(), BuildOptions{Lazy: true}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := small.SeedSnapshotFile(path); err == nil {
-		t.Error("seeding from a mismatched snapshot succeeded")
-	}
-	// Eager sessions cannot seed.
-	eager, _, err := GenerateCallLog(CallLogConfig{Seed: 5, Records: 1000, NumPhones: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eager.Discretize(DiscretizeOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := eager.BuildCubes(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eager.SeedSnapshotFile(path); err == nil {
-		t.Error("SeedSnapshotFile on an eager session succeeded")
+	if _, err := LoadSnapshot(&buf); err == nil {
+		t.Error("a snapshot whose cubes count other rows loaded")
 	}
 }
 
