@@ -16,6 +16,7 @@ import (
 	"opmap/internal/compare"
 	"opmap/internal/dataset"
 	"opmap/internal/discretize"
+	"opmap/internal/engine"
 	"opmap/internal/rulecube"
 	"opmap/internal/visual"
 	"opmap/internal/workload"
@@ -29,30 +30,38 @@ const benchRecords = 50000
 
 var (
 	benchMu    sync.Mutex
-	scaleCache = map[int]*rulecube.Store{}
-	scaleData  = map[int]*dataset.Dataset{}
+	scaleCache = map[int]*engine.LazySource{}
 )
 
-// scaleStore returns (building once) the cube store for a scale dataset
-// with the given number of attributes.
-func scaleStore(b *testing.B, attrs int) (*rulecube.Store, *dataset.Dataset) {
+// pinnedEngine counts every 1-D and pair cube of ds and pins them, the
+// engine an eager session serves.
+func pinnedEngine(ds *dataset.Dataset) (*engine.LazySource, error) {
+	src, err := engine.NewLazy(ds, engine.LazyOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return src, src.PinAll(context.Background())
+}
+
+// scaleSource returns (building once) the pinned engine for a scale
+// dataset with the given number of attributes.
+func scaleSource(b *testing.B, attrs int) *engine.LazySource {
 	b.Helper()
 	benchMu.Lock()
 	defer benchMu.Unlock()
 	if s, ok := scaleCache[attrs]; ok {
-		return s, scaleData[attrs]
+		return s
 	}
 	ds, err := workload.Scale(workload.ScaleConfig{Seed: 1, Records: benchRecords, Attrs: attrs})
 	if err != nil {
 		b.Fatal(err)
 	}
-	store, err := rulecube.BuildStore(ds, rulecube.StoreOptions{})
+	src, err := pinnedEngine(ds)
 	if err != nil {
 		b.Fatal(err)
 	}
-	scaleCache[attrs] = store
-	scaleData[attrs] = ds
-	return store, ds
+	scaleCache[attrs] = src
+	return src
 }
 
 // BenchmarkFig9Comparison measures the comparison computation time as
@@ -61,8 +70,7 @@ func scaleStore(b *testing.B, attrs int) (*rulecube.Store, *dataset.Dataset) {
 func BenchmarkFig9Comparison(b *testing.B) {
 	for _, attrs := range []int{40, 80, 120, 160} {
 		b.Run(fmt.Sprintf("attrs-%d", attrs), func(b *testing.B) {
-			store, _ := scaleStore(b, attrs)
-			cmp := compare.New(store)
+			cmp := compare.NewSource(scaleSource(b, attrs))
 			in := compare.Input{Attr: 0, V1: 0, V2: 1, Class: 1}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -134,13 +142,13 @@ func BenchmarkFig4Boundaries(b *testing.B) {
 // ablation benchmarks.
 var caseStudyOnce struct {
 	sync.Once
-	store *rulecube.Store
-	ds    *dataset.Dataset
-	in    compare.Input
-	err   error
+	src *engine.LazySource
+	ds  *dataset.Dataset
+	in  compare.Input
+	err error
 }
 
-func caseStudyFixture(b *testing.B) (*rulecube.Store, *dataset.Dataset, compare.Input) {
+func caseStudyFixture(b *testing.B) (*engine.LazySource, *dataset.Dataset, compare.Input) {
 	b.Helper()
 	caseStudyOnce.Do(func() {
 		ds, gt, err := workload.CallLog(workload.CaseStudyConfig(7, benchRecords))
@@ -148,7 +156,7 @@ func caseStudyFixture(b *testing.B) (*rulecube.Store, *dataset.Dataset, compare.
 			caseStudyOnce.err = err
 			return
 		}
-		store, err := rulecube.BuildStore(ds, rulecube.StoreOptions{})
+		src, err := pinnedEngine(ds)
 		if err != nil {
 			caseStudyOnce.err = err
 			return
@@ -157,21 +165,21 @@ func caseStudyFixture(b *testing.B) (*rulecube.Store, *dataset.Dataset, compare.
 		v1, _ := ds.Column(attr).Dict.Lookup(gt.GoodPhone)
 		v2, _ := ds.Column(attr).Dict.Lookup(gt.BadPhone)
 		cls, _ := ds.ClassDict().Lookup(gt.DropClass)
-		caseStudyOnce.store = store
+		caseStudyOnce.src = src
 		caseStudyOnce.ds = ds
 		caseStudyOnce.in = compare.Input{Attr: attr, V1: v1, V2: v2, Class: cls}
 	})
 	if caseStudyOnce.err != nil {
 		b.Fatal(caseStudyOnce.err)
 	}
-	return caseStudyOnce.store, caseStudyOnce.ds, caseStudyOnce.in
+	return caseStudyOnce.src, caseStudyOnce.ds, caseStudyOnce.in
 }
 
 // BenchmarkCaseStudyComparison times the Section V.B comparison on the
 // 41-attribute call log.
 func BenchmarkCaseStudyComparison(b *testing.B) {
-	store, _, in := caseStudyFixture(b)
-	cmp := compare.New(store)
+	src, _, in := caseStudyFixture(b)
+	cmp := compare.NewSource(src)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := cmp.Compare(in, compare.Options{}); err != nil {
@@ -183,8 +191,8 @@ func BenchmarkCaseStudyComparison(b *testing.B) {
 // BenchmarkAblationCI isolates the cost of the confidence-interval
 // adjustment (DESIGN.md §5): Eq. 1 with and without interval revision.
 func BenchmarkAblationCI(b *testing.B) {
-	store, _, in := caseStudyFixture(b)
-	cmp := compare.New(store)
+	src, _, in := caseStudyFixture(b)
+	cmp := compare.NewSource(src)
 	b.Run("with-ci", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := cmp.Compare(in, compare.Options{}); err != nil {
@@ -212,8 +220,8 @@ func BenchmarkAblationCI(b *testing.B) {
 // re-scanning (DESIGN.md §5): the scan path's cost grows with records,
 // the cube path's does not — the paper's V.C claim.
 func BenchmarkAblationCubeVsScan(b *testing.B) {
-	store, ds, in := caseStudyFixture(b)
-	cmp := compare.New(store)
+	src, ds, in := caseStudyFixture(b)
+	cmp := compare.NewSource(src)
 	b.Run("cube", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := cmp.Compare(in, compare.Options{}); err != nil {
@@ -303,11 +311,11 @@ func BenchmarkDiscretizeMDLP(b *testing.B) {
 
 // BenchmarkOverallRender times the Fig. 5 overall view rendering.
 func BenchmarkOverallRender(b *testing.B) {
-	store, _, _ := caseStudyFixture(b)
+	src, _, _ := caseStudyFixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var sink countingWriter
-		if err := visual.Overall(&sink, store, visual.OverallOptions{Scale: true}); err != nil {
+		if err := visual.Overall(context.Background(), &sink, src, visual.OverallOptions{Scale: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -323,8 +331,8 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 // BenchmarkScreenPairs times the pair-screening extension over the
 // case-study phone attribute.
 func BenchmarkScreenPairs(b *testing.B) {
-	store, ds, in := caseStudyFixture(b)
-	cmp := compare.New(store)
+	src, ds, in := caseStudyFixture(b)
+	cmp := compare.NewSource(src)
 	attr := ds.AttrIndex("Phone-Model")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -336,8 +344,8 @@ func BenchmarkScreenPairs(b *testing.B) {
 
 // BenchmarkOneVsRest times the one-vs-rest comparison.
 func BenchmarkOneVsRest(b *testing.B) {
-	store, ds, in := caseStudyFixture(b)
-	cmp := compare.New(store)
+	src, ds, in := caseStudyFixture(b)
+	cmp := compare.NewSource(src)
 	timeAttr := ds.AttrIndex("Time-of-Call")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -349,7 +357,8 @@ func BenchmarkOneVsRest(b *testing.B) {
 
 // BenchmarkStorePersistence times the offline artifact's write and read.
 func BenchmarkStorePersistence(b *testing.B) {
-	store, _, _ := caseStudyFixture(b)
+	src, _, _ := caseStudyFixture(b)
+	store := src.Store()
 	var buf bytes.Buffer
 	if err := rulecube.WriteStore(&buf, store); err != nil {
 		b.Fatal(err)

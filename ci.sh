@@ -677,16 +677,19 @@ kill -TERM "$opmapd12_pid"
 wait "$opmapd12_pid" 2>/dev/null || true
 
 echo "== fuzz smoke (10s per target) =="
-go test -run '^$' -fuzz '^FuzzReadStore$' -fuzztime 10s ./internal/rulecube
-go test -run '^$' -fuzz '^FuzzIngestRows$' -fuzztime 10s ./internal/rulecube
-go test -run '^$' -fuzz '^FuzzCountSlices$' -fuzztime 10s ./internal/rulecube
-go test -run '^$' -fuzz '^FuzzComparator$' -fuzztime 10s ./internal/compare
-go test -run '^$' -fuzz '^FuzzSweepOptions$' -fuzztime 10s ./internal/compare
-go test -run '^$' -fuzz '^FuzzReadSnapshot$' -fuzztime 10s ./internal/snapshot
-go test -run '^$' -fuzz '^FuzzMergeSnapshots$' -fuzztime 10s ./internal/snapshot
-go test -run '^$' -fuzz '^FuzzReplayWAL$' -fuzztime 10s ./internal/wal
-go test -run '^$' -fuzz '^FuzzReadCSV$' -fuzztime 10s ./internal/dataset
-go test -run '^$' -fuzz '^FuzzAppendWiden$' -fuzztime 10s ./internal/dataset
-go test -run '^$' -fuzz '^FuzzApplyMatchesReference$' -fuzztime 10s ./internal/discretize
+# -fuzzminimizetime bounds minimizing each new input to a few
+# executions, so the budget goes to executing inputs; a crash still
+# fails the run and saves its input under testdata/fuzz.
+go test -run '^$' -fuzz '^FuzzReadStore$' -fuzztime 10s -fuzzminimizetime 5x ./internal/rulecube
+go test -run '^$' -fuzz '^FuzzIngestRows$' -fuzztime 10s -fuzzminimizetime 5x ./internal/rulecube
+go test -run '^$' -fuzz '^FuzzCountSlices$' -fuzztime 10s -fuzzminimizetime 5x ./internal/rulecube
+go test -run '^$' -fuzz '^FuzzComparator$' -fuzztime 10s -fuzzminimizetime 5x ./internal/compare
+go test -run '^$' -fuzz '^FuzzSweepOptions$' -fuzztime 10s -fuzzminimizetime 5x ./internal/compare
+go test -run '^$' -fuzz '^FuzzReadSnapshot$' -fuzztime 10s -fuzzminimizetime 5x ./internal/snapshot
+go test -run '^$' -fuzz '^FuzzMergeSnapshots$' -fuzztime 10s -fuzzminimizetime 5x ./internal/snapshot
+go test -run '^$' -fuzz '^FuzzReplayWAL$' -fuzztime 10s -fuzzminimizetime 5x ./internal/wal
+go test -run '^$' -fuzz '^FuzzReadCSV$' -fuzztime 10s -fuzzminimizetime 5x ./internal/dataset
+go test -run '^$' -fuzz '^FuzzAppendWiden$' -fuzztime 10s -fuzzminimizetime 5x ./internal/dataset
+go test -run '^$' -fuzz '^FuzzApplyMatchesReference$' -fuzztime 10s -fuzzminimizetime 5x ./internal/discretize
 
 echo "CI PASSED"

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -24,6 +25,8 @@ import (
 	"opmap/internal/baseline"
 	"opmap/internal/car"
 	"opmap/internal/compare"
+	"opmap/internal/dataset"
+	"opmap/internal/engine"
 	"opmap/internal/gi"
 	"opmap/internal/obsv"
 	"opmap/internal/rulecube"
@@ -87,16 +90,13 @@ func ablations(seed int64) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	store, err := rulecube.BuildStore(ds, rulecube.StoreOptions{})
-	if err != nil {
-		log.Fatal(err)
-	}
+	src := pinned(ds)
 	attr := ds.AttrIndex(gt.PhoneAttr)
 	v1, _ := ds.Column(attr).Dict.Lookup(gt.GoodPhone)
 	v2, _ := ds.Column(attr).Dict.Lookup(gt.BadPhone)
 	cls, _ := ds.ClassDict().Lookup(gt.DropClass)
 	in := compare.Input{Attr: attr, V1: v1, V2: v2, Class: cls}
-	cmp := compare.New(store)
+	cmp := compare.NewSource(src)
 
 	timeIt := func(name string, reps int, f func() error) time.Duration {
 		if err := f(); err != nil { // warm-up
@@ -157,9 +157,23 @@ func ablations(seed int64) {
 	fmt.Printf("  CBA keeps %d of %d candidate rules (%.2f%%) at %.1f%% accuracy\n",
 		len(cba.Rules), cba.TotalCandidates, 100*cba.UsageRatio(), 100*cba.Accuracy(ds))
 
-	st := store.Stats()
+	st := src.Store().Stats()
 	fmt.Printf("Cube store size: %d cubes, %d cells (rules), ≈%.1f MiB counts\n",
 		st.Cubes, st.Cells, float64(st.Bytes)/(1<<20))
+}
+
+// pinned counts every 1-D and pair cube of ds and pins them in an
+// engine: the paper's offline precomputation, as an eager session
+// serves it.
+func pinned(ds *dataset.Dataset) *engine.LazySource {
+	src, err := engine.NewLazy(ds, engine.LazyOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := src.PinAll(context.Background()); err != nil {
+		log.Fatal(err)
+	}
+	return src
 }
 
 func header(title string) {
@@ -220,15 +234,12 @@ func caseStudy(seed int64, run func(string) bool) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	store, err := rulecube.BuildStore(ds, rulecube.StoreOptions{})
-	if err != nil {
-		log.Fatal(err)
-	}
+	src := pinned(ds)
 	attr := ds.AttrIndex(gt.PhoneAttr)
 	v1, _ := ds.Column(attr).Dict.Lookup(gt.GoodPhone)
 	v2, _ := ds.Column(attr).Dict.Lookup(gt.BadPhone)
 	cls, _ := ds.ClassDict().Lookup(gt.DropClass)
-	res, err := compare.New(store).Compare(compare.Input{Attr: attr, V1: v1, V2: v2, Class: cls}, compare.Options{})
+	res, err := compare.NewSource(src).Compare(compare.Input{Attr: attr, V1: v1, V2: v2, Class: cls}, compare.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -236,18 +247,22 @@ func caseStudy(seed int64, run func(string) bool) {
 	if run("fig5") || run("casestudy") {
 		fmt.Println("\n--- Fig. 5: overall view (truncated) ---")
 		var buf strings.Builder
-		rep, err := gi.MineAll(store, gi.TrendOptions{}, gi.ExceptionOptions{})
+		rep, err := gi.MineAllSource(context.Background(), src, gi.TrendOptions{}, gi.ExceptionOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := visual.Overall(&buf, store, visual.OverallOptions{Scale: true, Trends: rep.Trends}); err != nil {
+		if err := visual.Overall(context.Background(), &buf, src, visual.OverallOptions{Scale: true, Trends: rep.Trends}); err != nil {
 			log.Fatal(err)
 		}
 		printHead(buf.String(), 48)
 	}
 	if run("fig6") || run("casestudy") {
 		fmt.Println("\n--- Fig. 6: detailed view of Phone-Model ---")
-		if err := visual.Detailed(os.Stdout, store.Cube1(attr)); err != nil {
+		cube, err := src.CubeN(context.Background(), []int{attr})
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := visual.Detailed(os.Stdout, cube); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -280,12 +295,8 @@ func fig9(seed int64, records, maxAttrs int) {
 		if err != nil {
 			log.Fatal(err)
 		}
-		store, err := rulecube.BuildStore(ds, rulecube.StoreOptions{})
-		if err != nil {
-			log.Fatal(err)
-		}
 		in := compare.Input{Attr: 0, V1: 0, V2: 1, Class: 1}
-		cmp := compare.New(store)
+		cmp := compare.NewSource(pinned(ds))
 		// Warm-up, then measure repeated comparisons for a stable time.
 		if _, err := cmp.Compare(in, compare.Options{}); err != nil {
 			log.Fatal(err)

@@ -358,9 +358,9 @@ func main() {
 		if err := session.SaveSnapshotFile(*path, opmap.SnapshotOptions{SourceHash: hash}); err != nil {
 			log.Fatal(err)
 		}
-		st := session.CubeStats()
+		cells := session.RuleSpaceSize()
 		fmt.Fprintf(os.Stderr, "wrote %s: %d rows, %d cubes (%d cells ≈ %.1f MiB counts)\n",
-			*path, session.NumRows(), st.Cubes, st.Cells, float64(st.Bytes)/(1<<20))
+			*path, session.NumRows(), session.CubeCount(), cells, float64(8*cells)/(1<<20))
 	case "impressions":
 		requireCubes()
 		imp, err := session.Impressions(opmap.ImpressionOptions{})

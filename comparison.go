@@ -162,26 +162,6 @@ func compareDeps(in compare.Input, copts compare.Options) []int {
 	return deps
 }
 
-// CompareByScan runs the same comparison by scanning the raw records
-// instead of reading cubes. It does not require BuildCubes; its runtime
-// grows with the dataset size (the ablation of DESIGN.md §5).
-func (s *Session) CompareByScan(attr, v1, v2, class string, opts CompareOptions) (*Comparison, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if _, err := s.working(); err != nil {
-		return nil, err
-	}
-	in, copts, err := s.resolve(attr, v1, v2, class, opts)
-	if err != nil {
-		return nil, err
-	}
-	res, err := compare.Scan(s.ds, in, copts)
-	if err != nil {
-		return nil, err
-	}
-	return s.wrapComparison(attr, class, in, res), nil
-}
-
 // resolve translates names to codes and builds the internal options.
 func (s *Session) resolve(attr, v1, v2, class string, opts CompareOptions) (compare.Input, compare.Options, error) {
 	ds := s.ds

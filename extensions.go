@@ -275,34 +275,6 @@ func (s *Session) CompareWhere(attr, v1, v2, class string, where map[string]stri
 	return s.wrapComparison(attr, class, in, res), nil
 }
 
-// CubeStats summarizes the materialized cube store's size.
-type CubeStats struct {
-	Attributes   int
-	Cubes        int
-	Cells        int64 // total cells = rules represented
-	Bytes        int64 // approximate count-array memory
-	MaxCubeCells int64
-}
-
-// CubeStats reports the store's size (zero value before BuildCubes and
-// in lazy mode).
-func (s *Session) CubeStats() CubeStats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	store, err := s.requireStore()
-	if err != nil {
-		return CubeStats{}
-	}
-	st := store.Stats()
-	return CubeStats{
-		Attributes:   st.Attributes,
-		Cubes:        st.Cubes,
-		Cells:        st.Cells,
-		Bytes:        st.Bytes,
-		MaxCubeCells: st.MaxCubeCells,
-	}
-}
-
 // SweepAttribute aggregates one attribute's appearances across the
 // comparisons of a sweep.
 type SweepAttribute struct {
@@ -489,14 +461,15 @@ func (s *Session) TestSignificanceContext(ctx context.Context, attr, v1, v2, cla
 // system's GUI workflow as a line-oriented REPL): overview → detail →
 // pairs → compare → focus, with navigation history. Commands are read
 // from r until EOF or "quit"; see the REPL's "help" for the command
-// language. Rule cubes must be built.
+// language. Rule cubes must be built, eagerly or lazily.
 func (s *Session) Explore(r io.Reader, w io.Writer) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if _, err := s.requireStore(); err != nil {
+	src, err := s.requireSource()
+	if err != nil {
 		return err
 	}
-	return explore.New(s.src).Run(r, w)
+	return explore.New(src).Run(r, w)
 }
 
 // ExploreScript executes a newline-separated command script against an
@@ -505,10 +478,11 @@ func (s *Session) Explore(r io.Reader, w io.Writer) error {
 func (s *Session) ExploreScript(script string, w io.Writer) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if _, err := s.requireStore(); err != nil {
+	src, err := s.requireSource()
+	if err != nil {
 		return err
 	}
-	return explore.New(s.src).RunScript(script, w)
+	return explore.New(src).RunScript(script, w)
 }
 
 // Describe writes a per-attribute profile of the loaded data: domain

@@ -358,27 +358,6 @@ func TestSweepAPI(t *testing.T) {
 	}
 }
 
-func TestCubeStatsAPI(t *testing.T) {
-	s, _ := caseStudySession(t)
-	st := s.CubeStats()
-	if st.Cubes != s.CubeCount() {
-		t.Errorf("stats cubes %d != CubeCount %d", st.Cubes, s.CubeCount())
-	}
-	if int64(st.Cells) != s.RuleSpaceSize() {
-		t.Errorf("stats cells %d != RuleSpaceSize %d", st.Cells, s.RuleSpaceSize())
-	}
-	if st.Bytes != int64(st.Cells)*8 {
-		t.Errorf("bytes = %d", st.Bytes)
-	}
-	fresh, _, err := GenerateCallLog(CallLogConfig{Seed: 1, Records: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fresh.CubeStats() != (CubeStats{}) {
-		t.Error("stats before BuildCubes should be zero")
-	}
-}
-
 func TestRenderOverallSVGAPI(t *testing.T) {
 	s, gt := caseStudySession(t)
 	var buf bytes.Buffer

@@ -211,33 +211,49 @@ type CubeException struct {
 }
 
 // CubeExceptions runs the discovery-driven exploration baseline over
-// every materialized 3-D cube, returning exceptional cells by descending
-// surprise. minSelfExp ≤ 0 uses the default (2.5).
+// every 3-D cube (two served attributes × class), returning exceptional
+// cells by descending surprise. minSelfExp ≤ 0 uses the default (2.5).
+// The pair cubes are requested one anchor attribute at a time, so a
+// lazy session counts each anchor's missing pairs in one shared scan
+// and holds at most one anchor's cubes beyond its budget; a pinned
+// session counts nothing.
 func (s *Session) CubeExceptions(minSelfExp float64) ([]CubeException, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	store, err := s.requireStore()
+	src, err := s.requireSource()
 	if err != nil {
 		return nil, err
 	}
-	byPair, err := baseline.ExploreStore(store, baseline.ExplorerOptions{MinSelfExp: minSelfExp, Class: -1})
-	if err != nil {
-		return nil, err
-	}
+	opts := baseline.ExplorerOptions{MinSelfExp: minSelfExp, Class: -1}
+	attrs := src.Attrs()
 	var out []CubeException
-	for pair, exs := range byPair {
-		n1 := s.ds.Attr(pair[0]).Name
-		n2 := s.ds.Attr(pair[1]).Name
-		for _, e := range exs {
-			out = append(out, CubeException{
-				Attr1: n1, Value1: e.Labels[0],
-				Attr2: n2, Value2: e.Labels[1],
-				Class:    e.ClassLabel,
-				Observed: e.Observed,
-				Expected: e.Expected,
-				SelfExp:  e.SelfExp,
-				Support:  e.Support,
-			})
+	for i, a := range attrs {
+		partners := attrs[i+1:]
+		reqs := make([][]int, len(partners))
+		for k, b := range partners {
+			reqs[k] = []int{a, b}
+		}
+		cubes, err := src.Cubes(context.Background(), reqs)
+		if err != nil {
+			return nil, err
+		}
+		for k, cube := range cubes {
+			exs, err := baseline.ExploreCube(cube, opts)
+			if err != nil {
+				return nil, err
+			}
+			n1, n2 := s.ds.Attr(a).Name, s.ds.Attr(partners[k]).Name
+			for _, e := range exs {
+				out = append(out, CubeException{
+					Attr1: n1, Value1: e.Labels[0],
+					Attr2: n2, Value2: e.Labels[1],
+					Class:    e.ClassLabel,
+					Observed: e.Observed,
+					Expected: e.Expected,
+					SelfExp:  e.SelfExp,
+					Support:  e.Support,
+				})
+			}
 		}
 	}
 	sortCubeExceptions(out)
@@ -278,15 +294,16 @@ func sortCubeExceptions(out []CubeException) {
 func (s *Session) RenderOverall(w io.Writer) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	store, err := s.requireStore()
+	src, err := s.requireSource()
 	if err != nil {
 		return err
 	}
-	rep, err := gi.MineAllSource(context.Background(), s.src, gi.TrendOptions{}, gi.ExceptionOptions{})
+	ctx := context.Background()
+	rep, err := gi.MineAllSource(ctx, src, gi.TrendOptions{}, gi.ExceptionOptions{})
 	if err != nil {
 		return err
 	}
-	return visual.Overall(w, store, visual.OverallOptions{Scale: true, Trends: rep.Trends})
+	return visual.Overall(ctx, w, src, visual.OverallOptions{Scale: true, Trends: rep.Trends})
 }
 
 // RenderOverallSVG writes the Fig. 5-style overall view as an SVG
@@ -294,15 +311,16 @@ func (s *Session) RenderOverall(w io.Writer) error {
 func (s *Session) RenderOverallSVG(w io.Writer) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	store, err := s.requireStore()
+	src, err := s.requireSource()
 	if err != nil {
 		return err
 	}
-	rep, err := gi.MineAllSource(context.Background(), s.src, gi.TrendOptions{}, gi.ExceptionOptions{})
+	ctx := context.Background()
+	rep, err := gi.MineAllSource(ctx, src, gi.TrendOptions{}, gi.ExceptionOptions{})
 	if err != nil {
 		return err
 	}
-	return visual.OverallSVG(w, store, visual.OverallOptions{Scale: true, Trends: rep.Trends})
+	return visual.OverallSVG(ctx, w, src, visual.OverallOptions{Scale: true, Trends: rep.Trends})
 }
 
 // RenderDetailed writes the Fig. 6-style detailed view of one

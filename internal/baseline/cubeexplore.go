@@ -180,27 +180,3 @@ func ExploreCube(cube *rulecube.Cube, opts ExplorerOptions) ([]CellException, er
 	})
 	return out, nil
 }
-
-// ExploreStore runs ExploreCube over every materialized 3-D cube of the
-// store and returns the exceptions pooled and sorted by |SelfExp|, with
-// the cube's attribute names attached via Labels ordering.
-func ExploreStore(store *rulecube.Store, opts ExplorerOptions) (map[[2]int][]CellException, error) {
-	out := make(map[[2]int][]CellException)
-	attrs := store.Attrs()
-	for i, a := range attrs {
-		for _, b := range attrs[i+1:] {
-			cube := store.Cube2(a, b)
-			if cube == nil {
-				continue
-			}
-			ex, err := ExploreCube(cube, opts)
-			if err != nil {
-				return nil, err
-			}
-			if len(ex) > 0 {
-				out[[2]int{a, b}] = ex
-			}
-		}
-	}
-	return out, nil
-}

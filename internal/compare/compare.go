@@ -240,23 +240,17 @@ func (r *Result) Find(name string) (score AttrScore, rank int, ok bool) {
 	return AttrScore{}, 0, false
 }
 
-// Comparator evaluates comparisons against a cube source — either a
-// fully materialized store (the deployed configuration: because only
+// Comparator evaluates comparisons against the cube engine — with
+// every pair cube pinned (the deployed configuration: because only
 // cube cells are read, the comparison time is independent of the raw
-// dataset size, Section V.C) or a lazy engine that materializes cubes
-// on first touch.
+// dataset size, Section V.C) or with cubes materialized on first
+// touch.
 type Comparator struct {
 	src *engine.LazySource
 	ds  *dataset.Dataset
 }
 
-// New returns a Comparator over the cubes of an already-counted store
-// (engine.FromStore); NewSource accepts any engine.
-func New(store *rulecube.Store) *Comparator {
-	return NewSource(engine.FromStore(store))
-}
-
-// NewSource returns a Comparator over any cube source.
+// NewSource returns a Comparator over the cube engine src.
 func NewSource(src *engine.LazySource) *Comparator {
 	return &Comparator{src: src, ds: src.Dataset()}
 }

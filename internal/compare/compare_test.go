@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"opmap/internal/dataset"
+	"opmap/internal/engine"
 	"opmap/internal/rulecube"
 	"opmap/internal/workload"
 )
@@ -311,6 +312,20 @@ func buildCaseStudy(t testing.TB, records, noise int) (*rulecube.Store, workload
 	return store, gt, ds
 }
 
+// pinned returns a Comparator over store's cubes pinned into an
+// engine, as an eager session serves them.
+func pinned(t testing.TB, store *rulecube.Store) *Comparator {
+	t.Helper()
+	src, err := engine.NewLazy(store.Dataset(), engine.LazyOptions{Attrs: store.Attrs()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Pin(store); err != nil {
+		t.Fatal(err)
+	}
+	return NewSource(src)
+}
+
 func inputFor(t testing.TB, ds *dataset.Dataset, gt workload.GroundTruth) Input {
 	t.Helper()
 	attr := ds.AttrIndex(gt.PhoneAttr)
@@ -328,7 +343,7 @@ func inputFor(t testing.TB, ds *dataset.Dataset, gt workload.GroundTruth) Input 
 // not be near the top, and the property attribute must be set aside.
 func TestCaseStudyRecoversPlantedAttribute(t *testing.T) {
 	store, gt, ds := buildCaseStudy(t, 60000, 10)
-	res, err := New(store).Compare(inputFor(t, ds, gt), Options{})
+	res, err := pinned(t, store).Compare(inputFor(t, ds, gt), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +388,7 @@ func TestCaseStudyRecoversPlantedAttribute(t *testing.T) {
 // attribute must score well below the distinguishing attribute.
 func TestProportionalAttributeScoresLow(t *testing.T) {
 	store, gt, ds := buildCaseStudy(t, 60000, 0)
-	res, err := New(store).Compare(inputFor(t, ds, gt), Options{})
+	res, err := pinned(t, store).Compare(inputFor(t, ds, gt), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +407,7 @@ func TestProportionalAttributeScoresLow(t *testing.T) {
 func TestCubeAndScanAgree(t *testing.T) {
 	store, gt, ds := buildCaseStudy(t, 20000, 5)
 	in := inputFor(t, ds, gt)
-	a, err := New(store).Compare(in, Options{})
+	a, err := pinned(t, store).Compare(in, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +478,7 @@ func cubeAndScanAgreeMissingClass(t *testing.T) {
 	}
 	drop, _ := ds.ClassDict().Lookup("drop")
 	in := Input{Attr: 0, V1: 0, V2: 1, Class: drop}
-	a, err := New(store).Compare(in, Options{})
+	a, err := pinned(t, store).Compare(in, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,7 +505,7 @@ func cubeAndScanAgreeMissingClass(t *testing.T) {
 func TestCompareInputValidation(t *testing.T) {
 	store, gt, ds := buildCaseStudy(t, 2000, 0)
 	in := inputFor(t, ds, gt)
-	c := New(store)
+	c := pinned(t, store)
 
 	bad := in
 	bad.V1 = bad.V2
@@ -524,7 +539,7 @@ func TestCompareAttrSubset(t *testing.T) {
 	store, gt, ds := buildCaseStudy(t, 20000, 3)
 	in := inputFor(t, ds, gt)
 	sub := []int{ds.AttrIndex(gt.DistinguishingAttr), ds.AttrIndex(gt.ProportionalAttr)}
-	res, err := New(store).Compare(in, Options{Attrs: sub})
+	res, err := pinned(t, store).Compare(in, Options{Attrs: sub})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -535,7 +550,7 @@ func TestCompareAttrSubset(t *testing.T) {
 
 func TestResultHelpers(t *testing.T) {
 	store, gt, ds := buildCaseStudy(t, 20000, 3)
-	res, err := New(store).Compare(inputFor(t, ds, gt), Options{})
+	res, err := pinned(t, store).Compare(inputFor(t, ds, gt), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -564,7 +579,7 @@ func TestResultHelpers(t *testing.T) {
 
 func TestNormScoreBounded(t *testing.T) {
 	store, gt, ds := buildCaseStudy(t, 30000, 5)
-	res, err := New(store).Compare(inputFor(t, ds, gt), Options{})
+	res, err := pinned(t, store).Compare(inputFor(t, ds, gt), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -619,7 +634,7 @@ func TestCompareWithMissingValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := New(store).Compare(inputFor(t, ds, gt), Options{})
+	res, err := pinned(t, store).Compare(inputFor(t, ds, gt), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -667,7 +682,7 @@ func TestCompareSingleValuedCandidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := New(store).Compare(Input{Attr: 0, V1: 0, V2: 1, Class: 1}, Options{DisableCI: true})
+	res, err := pinned(t, store).Compare(Input{Attr: 0, V1: 0, V2: 1, Class: 1}, Options{DisableCI: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -709,7 +724,7 @@ func TestCompareEqualConfidences(t *testing.T) {
 func TestConcurrentComparisons(t *testing.T) {
 	store, gt, ds := buildCaseStudy(t, 20000, 3)
 	in := inputFor(t, ds, gt)
-	c := New(store)
+	c := pinned(t, store)
 	want, err := c.Compare(in, Options{})
 	if err != nil {
 		t.Fatal(err)

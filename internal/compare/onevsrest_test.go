@@ -17,7 +17,7 @@ func TestOneVsRestRecoversPlantedCause(t *testing.T) {
 		t.Fatal("morning value missing")
 	}
 	cls, _ := ds.ClassDict().Lookup(gt.DropClass)
-	res, err := New(store).OneVsRest(OneVsRestInput{Attr: timeAttr, Value: morning, Class: cls}, Options{})
+	res, err := pinned(t, store).OneVsRest(OneVsRestInput{Attr: timeAttr, Value: morning, Class: cls}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestOneVsRestCountsConsistent(t *testing.T) {
 	store, gt, ds := buildCaseStudy(t, 20000, 2)
 	timeAttr := ds.AttrIndex(gt.DistinguishingAttr)
 	cls, _ := ds.ClassDict().Lookup(gt.DropClass)
-	res, err := New(store).OneVsRest(OneVsRestInput{Attr: timeAttr, Value: 0, Class: cls}, Options{})
+	res, err := pinned(t, store).OneVsRest(OneVsRestInput{Attr: timeAttr, Value: 0, Class: cls}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestOneVsRestCountsConsistent(t *testing.T) {
 func TestOneVsRestValidation(t *testing.T) {
 	store, gt, ds := buildCaseStudy(t, 5000, 0)
 	cls, _ := ds.ClassDict().Lookup(gt.DropClass)
-	c := New(store)
+	c := pinned(t, store)
 	timeAttr := ds.AttrIndex(gt.DistinguishingAttr)
 	if _, err := c.OneVsRest(OneVsRestInput{Attr: ds.ClassIndex(), Value: 0, Class: cls}, Options{}); err == nil {
 		t.Error("class attribute should fail")
@@ -99,7 +99,7 @@ func TestOneVsRestAgreesWithScanOnTwoValueAttr(t *testing.T) {
 	phone := ds.AttrIndex(gt.PhoneAttr)
 	good, _ := ds.Column(phone).Dict.Lookup(gt.GoodPhone)
 	cls, _ := ds.ClassDict().Lookup(gt.DropClass)
-	res, err := New(store).OneVsRest(OneVsRestInput{Attr: phone, Value: good, Class: cls}, Options{})
+	res, err := pinned(t, store).OneVsRest(OneVsRestInput{Attr: phone, Value: good, Class: cls}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestScreenPairsFindsPlantedGap(t *testing.T) {
 	store, gt, ds := buildCaseStudy(t, 60000, 2)
 	phone := ds.AttrIndex(gt.PhoneAttr)
 	cls, _ := ds.ClassDict().Lookup(gt.DropClass)
-	pairs, err := New(store).ScreenPairs(phone, cls, ScreenOptions{})
+	pairs, err := pinned(t, store).ScreenPairs(phone, cls, ScreenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestScreenPairsOptions(t *testing.T) {
 	store, gt, ds := buildCaseStudy(t, 20000, 0)
 	phone := ds.AttrIndex(gt.PhoneAttr)
 	cls, _ := ds.ClassDict().Lookup(gt.DropClass)
-	c := New(store)
+	c := pinned(t, store)
 	all, err := c.ScreenPairs(phone, cls, ScreenOptions{MinZ: 0.0001})
 	if err != nil {
 		t.Fatal(err)
@@ -217,7 +217,7 @@ func TestScreenThenCompareWorkflow(t *testing.T) {
 	store, gt, ds := buildCaseStudy(t, 60000, 2)
 	phone := ds.AttrIndex(gt.PhoneAttr)
 	cls, _ := ds.ClassDict().Lookup(gt.DropClass)
-	c := New(store)
+	c := pinned(t, store)
 	pairs, err := c.ScreenPairs(phone, cls, ScreenOptions{MaxPairs: 1})
 	if err != nil || len(pairs) == 0 {
 		t.Fatalf("screening failed: %v", err)

@@ -143,12 +143,6 @@ func NewLazy(ds *dataset.Dataset, opts LazyOptions) (*LazySource, error) {
 	if budget == 0 {
 		budget = DefaultCacheBytes
 	}
-	return newSource(ds, attrs, budget), nil
-}
-
-// newSource allocates an empty source over a validated, sorted
-// attribute list.
-func newSource(ds *dataset.Dataset, attrs []int, budget int64) *LazySource {
 	n, reg := len(attrs), obsv.Default()
 	s := &LazySource{
 		ds:         ds,
@@ -171,17 +165,7 @@ func newSource(ds *dataset.Dataset, attrs []int, budget int64) *LazySource {
 	for i, a := range attrs {
 		s.pos[a] = i
 	}
-	return s
-}
-
-// FromStore serves an already-counted store (a caller's BuildStore)
-// with every cube pinned and the default budget; Store returns store
-// itself. Cubes the store lacks are counted over its dataset.
-func FromStore(store *rulecube.Store) *LazySource {
-	s := newSource(store.Dataset(), store.Attrs(), DefaultCacheBytes)
-	s.store = store
-	s.pin(store)
-	return s
+	return s, nil
 }
 
 // PinAll counts every 1-D and pair cube in one shared scan (what
@@ -247,8 +231,8 @@ func (s *LazySource) Dataset() *dataset.Dataset { return s.ds }
 func (s *LazySource) Attrs() []int { return s.attrs }
 
 // Store returns the pinned 1-D and pair cubes as one rulecube.Store —
-// the cubes themselves, not a copy — for whole-store operations; nil
-// unless PinAll, Pin or FromStore pinned them.
+// the cubes themselves, not a copy — for snapshot writing and shard
+// merges; nil unless PinAll or Pin pinned them.
 func (s *LazySource) Store() *rulecube.Store { return s.store }
 
 // Budget returns the configured byte budget of the unpinned cubes

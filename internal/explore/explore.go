@@ -10,6 +10,7 @@ package explore
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -19,7 +20,6 @@ import (
 	"opmap/internal/drill"
 	"opmap/internal/engine"
 	"opmap/internal/gi"
-	"opmap/internal/rulecube"
 	"opmap/internal/visual"
 )
 
@@ -34,20 +34,18 @@ type view struct {
 	label2 string
 }
 
-// Explorer is an interactive session over a cube engine whose 1-D and
-// pair cubes are pinned: views render from the pinned store, and
-// drill-downs fault their k ≥ 3 cubes into the same engine.
+// Explorer is an interactive session over a cube engine: every view
+// reads its cubes through the engine, which serves pinned cubes as they
+// are and counts any other on first touch.
 type Explorer struct {
 	src   *engine.LazySource
-	store *rulecube.Store
 	cmp   *compare.Comparator
 	stack []view
 }
 
-// New creates an explorer over src, whose 1-D and pair cubes must be
-// pinned (engine.LazySource.PinAll or engine.FromStore).
+// New creates an explorer over src, pinned or lazy.
 func New(src *engine.LazySource) *Explorer {
-	return &Explorer{src: src, store: src.Store(), cmp: compare.NewSource(src)}
+	return &Explorer{src: src, cmp: compare.NewSource(src)}
 }
 
 // Depth returns the navigation-history depth.
@@ -79,10 +77,9 @@ func (e *Explorer) Back(w io.Writer) error {
 	return e.current().render(w)
 }
 
-// attrIndex resolves an attribute name against the store's dataset.
+// attrIndex resolves an attribute name against the engine's dataset.
 func (e *Explorer) attrIndex(name string) (int, error) {
-	ds := e.store.Dataset()
-	a := ds.AttrIndex(name)
+	a := e.src.Dataset().AttrIndex(name)
 	if a < 0 {
 		return 0, fmt.Errorf("explore: unknown attribute %q", name)
 	}
@@ -90,16 +87,16 @@ func (e *Explorer) attrIndex(name string) (int, error) {
 }
 
 func (e *Explorer) valueCode(attr int, label string) (int32, error) {
-	dict := e.store.Dataset().Column(attr).Dict
+	dict := e.src.Dataset().Column(attr).Dict
 	v, ok := dict.Lookup(label)
 	if !ok {
-		return 0, fmt.Errorf("explore: attribute %q has no value %q", e.store.Dataset().Attr(attr).Name, label)
+		return 0, fmt.Errorf("explore: attribute %q has no value %q", e.src.Dataset().Attr(attr).Name, label)
 	}
 	return v, nil
 }
 
 func (e *Explorer) classCode(label string) (int32, error) {
-	c, ok := e.store.Dataset().ClassDict().Lookup(label)
+	c, ok := e.src.Dataset().ClassDict().Lookup(label)
 	if !ok {
 		return 0, fmt.Errorf("explore: unknown class %q", label)
 	}
@@ -109,11 +106,12 @@ func (e *Explorer) classCode(label string) (int32, error) {
 // Overview pushes the Fig. 5 overall view.
 func (e *Explorer) Overview(w io.Writer) error {
 	render := func(w io.Writer) error {
-		rep, err := gi.MineAll(e.store, gi.TrendOptions{}, gi.ExceptionOptions{})
+		ctx := context.Background()
+		rep, err := gi.MineAllSource(ctx, e.src, gi.TrendOptions{}, gi.ExceptionOptions{})
 		if err != nil {
 			return err
 		}
-		return visual.Overall(w, e.store, visual.OverallOptions{Scale: true, Trends: rep.Trends})
+		return visual.Overall(ctx, w, e.src, visual.OverallOptions{Scale: true, Trends: rep.Trends})
 	}
 	return e.push(w, view{kind: "overview", render: render})
 }
@@ -124,9 +122,9 @@ func (e *Explorer) Detail(w io.Writer, attr string) error {
 	if err != nil {
 		return err
 	}
-	cube := e.store.Cube1(a)
-	if cube == nil {
-		return fmt.Errorf("explore: attribute %q not materialized", attr)
+	cube, err := e.src.CubeN(context.Background(), []int{a})
+	if err != nil {
+		return fmt.Errorf("explore: attribute %q: %w", attr, err)
 	}
 	render := func(w io.Writer) error { return visual.Detailed(w, cube) }
 	return e.push(w, view{kind: "detail", render: render})
@@ -142,9 +140,9 @@ func (e *Explorer) Detail3D(w io.Writer, attr1, attr2 string) error {
 	if err != nil {
 		return err
 	}
-	cube := e.store.Cube2(a, b)
-	if cube == nil {
-		return fmt.Errorf("explore: pair (%s,%s) not materialized", attr1, attr2)
+	cube, err := e.src.CubeN(context.Background(), []int{a, b})
+	if err != nil {
+		return fmt.Errorf("explore: pair (%s,%s): %w", attr1, attr2, err)
 	}
 	render := func(w io.Writer) error { return visual.Detailed3D(w, cube) }
 	return e.push(w, view{kind: "detail3", render: render})
@@ -172,7 +170,7 @@ func (e *Explorer) Compare(w io.Writer, attr, v1, v2, class string) error {
 	if err != nil {
 		return err
 	}
-	dict := e.store.Dataset().Column(a).Dict
+	dict := e.src.Dataset().Column(a).Dict
 	l1 := dict.Label(res.Rule1.Conditions[0].Value)
 	l2 := dict.Label(res.Rule2.Conditions[0].Value)
 	render := func(w io.Writer) error {
@@ -213,7 +211,7 @@ func (e *Explorer) Drill(w io.Writer, attr, v1, v2, class string, depth int) err
 	if err != nil {
 		return err
 	}
-	dict := e.store.Dataset().Column(a).Dict
+	dict := e.src.Dataset().Column(a).Dict
 	l1 := dict.Label(res.Root.Rule1.Conditions[0].Value)
 	l2 := dict.Label(res.Root.Rule2.Conditions[0].Value)
 	render := func(w io.Writer) error {
@@ -319,7 +317,7 @@ func (e *Explorer) Sweep(w io.Writer, attr, class string) error {
 // Impressions pushes the GI-miner summary view.
 func (e *Explorer) Impressions(w io.Writer) error {
 	render := func(w io.Writer) error {
-		rep, err := gi.MineAll(e.store, gi.TrendOptions{}, gi.ExceptionOptions{})
+		rep, err := gi.MineAllSource(context.Background(), e.src, gi.TrendOptions{}, gi.ExceptionOptions{})
 		if err != nil {
 			return err
 		}
@@ -339,11 +337,11 @@ func (e *Explorer) Impressions(w io.Writer) error {
 	return e.push(w, view{kind: "impressions", render: render})
 }
 
-// Attributes lists the store's attribute names.
+// Attributes lists the engine's attribute names.
 func (e *Explorer) Attributes() []string {
-	ds := e.store.Dataset()
+	ds := e.src.Dataset()
 	var names []string
-	for _, a := range e.store.Attrs() {
+	for _, a := range e.src.Attrs() {
 		names = append(names, ds.Attr(a).Name)
 	}
 	sort.Strings(names)

@@ -3,36 +3,43 @@ package gi
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
+	"opmap/internal/dataset"
+	"opmap/internal/engine"
 	"opmap/internal/faultinject"
-	"opmap/internal/rulecube"
 )
 
-func ctxStore(t *testing.T) *rulecube.Store {
+// pinnedSource counts every 1-D and pair cube of ds and pins them, the
+// engine an eager session serves.
+func pinnedSource(t *testing.T, ds *dataset.Dataset) *engine.LazySource {
 	t.Helper()
-	store, err := rulecube.BuildStore(trendDataset(t), rulecube.StoreOptions{})
+	src, err := engine.NewLazy(ds, engine.LazyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return store
+	if err := src.PinAll(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	return src
 }
 
 func TestMineAllContextPreCanceled(t *testing.T) {
-	store := ctxStore(t)
+	src := pinnedSource(t, trendDataset(t))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := MineAllContext(ctx, store, TrendOptions{}, ExceptionOptions{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("MineAllContext err = %v, want context.Canceled", err)
+	if _, err := MineAllSource(ctx, src, TrendOptions{}, ExceptionOptions{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("MineAllSource err = %v, want context.Canceled", err)
 	}
-	if _, err := InfluentialAttributesContext(ctx, store); !errors.Is(err, context.Canceled) {
-		t.Fatalf("InfluentialAttributesContext err = %v, want context.Canceled", err)
+	if _, err := InfluentialAttributesSource(ctx, src); !errors.Is(err, context.Canceled) {
+		t.Fatalf("InfluentialAttributesSource err = %v, want context.Canceled", err)
 	}
 }
 
 func TestMineAllContextFaultError(t *testing.T) {
 	defer faultinject.Reset()
-	store := ctxStore(t)
+	src := pinnedSource(t, trendDataset(t))
 	disarm, err := faultinject.Arm(faultinject.Fault{
 		Site: faultinject.SiteGIAttr,
 		Kind: faultinject.Error,
@@ -41,26 +48,29 @@ func TestMineAllContextFaultError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer disarm()
-	if _, err := MineAllContext(context.Background(), store, TrendOptions{}, ExceptionOptions{}); !errors.Is(err, faultinject.ErrInjected) {
+	if _, err := MineAllSource(context.Background(), src, TrendOptions{}, ExceptionOptions{}); !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
 	}
 }
 
-// TestMineAllContextUnchanged pins that the wrapper is behaviorally
-// identical to the pre-context API.
+// TestMineAllContextUnchanged pins that the report does not depend on
+// the engine mode: a cold lazy engine, which counts each 1-D cube on
+// first touch, mines the pinned engine's report.
 func TestMineAllContextUnchanged(t *testing.T) {
-	store := ctxStore(t)
-	plain, err := MineAll(store, TrendOptions{}, ExceptionOptions{})
+	ds := trendDataset(t)
+	pinned, err := MineAllSource(context.Background(), pinnedSource(t, ds), TrendOptions{}, ExceptionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctxed, err := MineAllContext(context.Background(), store, TrendOptions{}, ExceptionOptions{})
+	lazy, err := engine.NewLazy(ds, engine.LazyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plain.Trends) != len(ctxed.Trends) || len(plain.Exceptions) != len(ctxed.Exceptions) || len(plain.Influential) != len(ctxed.Influential) {
-		t.Errorf("reports differ: %d/%d/%d vs %d/%d/%d trends/exceptions/influences",
-			len(plain.Trends), len(plain.Exceptions), len(plain.Influential),
-			len(ctxed.Trends), len(ctxed.Exceptions), len(ctxed.Influential))
+	got, err := MineAllSource(context.Background(), lazy, TrendOptions{}, ExceptionOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pinned.Trends) == 0 || !reflect.DeepEqual(pinned, got) {
+		t.Errorf("lazy report %+v differs from the pinned one %+v", got, pinned)
 	}
 }

@@ -335,23 +335,12 @@ type Influence struct {
 	MutualInformation float64
 }
 
-// InfluentialAttributes ranks every materialized attribute of the store
-// by how much it influences the class, using the chi-square statistic of
+// InfluentialAttributesSource ranks every served attribute of src by
+// how much it influences the class, using the chi-square statistic of
 // its value × class contingency table (ties broken by mutual
 // information). This realizes the "important attributes" part of the GI
-// miner.
-func InfluentialAttributes(store *rulecube.Store) ([]Influence, error) {
-	return InfluentialAttributesContext(context.Background(), store)
-}
-
-// InfluentialAttributesContext is InfluentialAttributes under a
-// context, checked once per attribute.
-func InfluentialAttributesContext(ctx context.Context, store *rulecube.Store) ([]Influence, error) {
-	return InfluentialAttributesSource(ctx, engine.FromStore(store))
-}
-
-// InfluentialAttributesSource is the engine-agnostic form: a lazy
-// source materializes each attribute's 1-D cube on first touch.
+// miner. A lazy source materializes each attribute's 1-D cube on first
+// touch; ctx is checked once per attribute.
 func InfluentialAttributesSource(ctx context.Context, src *engine.LazySource) ([]Influence, error) {
 	var out []Influence
 	for _, a := range src.Attrs() {
@@ -457,22 +446,12 @@ type Report struct {
 	Influential []Influence
 }
 
-// MineAll runs trends, exceptions and influence over every materialized
-// 2-D cube in the store.
-func MineAll(store *rulecube.Store, topts TrendOptions, eopts ExceptionOptions) (*Report, error) {
-	return MineAllContext(context.Background(), store, topts, eopts)
-}
-
-// MineAllContext is MineAll under a context, checked once per
-// attribute. It is strict: a partial impressions report would silently
-// miss trends, so cancellation returns ctx.Err().
-func MineAllContext(ctx context.Context, store *rulecube.Store, topts TrendOptions, eopts ExceptionOptions) (*Report, error) {
-	return MineAllSource(ctx, engine.FromStore(store), topts, eopts)
-}
-
-// MineAllSource is the engine-agnostic form of MineAllContext. Only
-// 1-D cubes are touched, so a lazy source serves an impressions report
-// without materializing any pair cube.
+// MineAllSource runs trends, exceptions and influence over every
+// served attribute's 1-D cube. Only 1-D cubes are touched, so a lazy
+// source serves an impressions report without materializing any pair
+// cube. ctx is checked once per attribute. It is strict: a partial
+// impressions report would silently miss trends, so cancellation
+// returns ctx.Err().
 func MineAllSource(ctx context.Context, src *engine.LazySource, topts TrendOptions, eopts ExceptionOptions) (*Report, error) {
 	defer obsv.Stage(obsv.StageGIMine)()
 	rep := &Report{}

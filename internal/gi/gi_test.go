@@ -1,6 +1,7 @@
 package gi
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -235,12 +236,7 @@ func TestExceptionsMinSupport(t *testing.T) {
 }
 
 func TestInfluentialAttributesOrder(t *testing.T) {
-	ds := trendDataset(t)
-	store, err := rulecube.BuildStore(ds, rulecube.StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	infs, err := InfluentialAttributes(store)
+	infs, err := InfluentialAttributesSource(context.Background(), pinnedSource(t, trendDataset(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,12 +262,7 @@ func TestInfluentialAttributesOrder(t *testing.T) {
 }
 
 func TestMineAll(t *testing.T) {
-	ds := trendDataset(t)
-	store, err := rulecube.BuildStore(ds, rulecube.StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := MineAll(store, TrendOptions{}, ExceptionOptions{MinSupport: 10})
+	rep, err := MineAllSource(context.Background(), pinnedSource(t, trendDataset(t)), TrendOptions{}, ExceptionOptions{MinSupport: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,16 +2,32 @@ package report
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"strings"
 	"testing"
 	"time"
 
 	"opmap/internal/compare"
+	"opmap/internal/dataset"
+	"opmap/internal/engine"
 	"opmap/internal/gi"
-	"opmap/internal/rulecube"
 	"opmap/internal/workload"
 )
+
+// pinned counts every 1-D and pair cube of ds and pins them, the
+// engine an eager session serves.
+func pinned(t *testing.T, ds *dataset.Dataset) *engine.LazySource {
+	t.Helper()
+	src, err := engine.NewLazy(ds, engine.LazyOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.PinAll(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	return src
+}
 
 func fixture(t *testing.T) (*compare.Result, *gi.Report, workload.GroundTruth) {
 	t.Helper()
@@ -19,19 +35,16 @@ func fixture(t *testing.T) (*compare.Result, *gi.Report, workload.GroundTruth) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := rulecube.BuildStore(ds, rulecube.StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := pinned(t, ds)
 	attr := ds.AttrIndex(gt.PhoneAttr)
 	v1, _ := ds.Column(attr).Dict.Lookup(gt.GoodPhone)
 	v2, _ := ds.Column(attr).Dict.Lookup(gt.BadPhone)
 	cls, _ := ds.ClassDict().Lookup(gt.DropClass)
-	res, err := compare.New(store).Compare(compare.Input{Attr: attr, V1: v1, V2: v2, Class: cls}, compare.Options{})
+	res, err := compare.NewSource(src).Compare(compare.Input{Attr: attr, V1: v1, V2: v2, Class: cls}, compare.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	imp, err := gi.MineAll(store, gi.TrendOptions{}, gi.ExceptionOptions{})
+	imp, err := gi.MineAllSource(context.Background(), src, gi.TrendOptions{}, gi.ExceptionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,13 +178,9 @@ func TestSweepReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := rulecube.BuildStore(ds, rulecube.StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	phone := ds.AttrIndex(gt.PhoneAttr)
 	cls, _ := ds.ClassDict().Lookup(gt.DropClass)
-	sweep, err := compare.New(store).Sweep(phone, cls, compare.SweepOptions{})
+	sweep, err := compare.NewSource(pinned(t, ds)).Sweep(phone, cls, compare.SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

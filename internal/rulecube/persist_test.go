@@ -6,9 +6,24 @@ import (
 
 	"opmap/internal/compare"
 	"opmap/internal/dataset"
+	"opmap/internal/engine"
 	"opmap/internal/rulecube"
 	"opmap/internal/workload"
 )
+
+// pinnedComparator compares over store's cubes pinned into an engine,
+// as an eager session serves them.
+func pinnedComparator(t *testing.T, store *rulecube.Store) *compare.Comparator {
+	t.Helper()
+	src, err := engine.NewLazy(store.Dataset(), engine.LazyOptions{Attrs: store.Attrs()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Pin(store); err != nil {
+		t.Fatal(err)
+	}
+	return compare.NewSource(src)
+}
 
 // fig1Dataset mirrors the in-package fixture (the paper's Fig. 1 cube)
 // for this external test package.
@@ -180,11 +195,11 @@ func TestPersistedStoreServesComparisons(t *testing.T) {
 	cls, _ := ds.ClassDict().Lookup(gt.DropClass)
 	in := compare.Input{Attr: attr, V1: v1, V2: v2, Class: cls}
 
-	orig, err := compare.New(store).Compare(in, compare.Options{})
+	orig, err := pinnedComparator(t, store).Compare(in, compare.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reloaded, err := compare.New(back).Compare(in, compare.Options{})
+	reloaded, err := pinnedComparator(t, back).Compare(in, compare.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -163,6 +163,7 @@ func (c *crcWriter) Write(p []byte) (int, error) {
 type crcReader struct {
 	r   *bufio.Reader
 	crc uint32
+	one [1]byte // ReadByte's CRC input, so a byte costs no allocation
 }
 
 func (c *crcReader) Read(p []byte) (int, error) {
@@ -174,7 +175,8 @@ func (c *crcReader) Read(p []byte) (int, error) {
 func (c *crcReader) ReadByte() (byte, error) {
 	b, err := c.r.ReadByte()
 	if err == nil {
-		c.crc = crc32.Update(c.crc, crc32.IEEETable, []byte{b})
+		c.one[0] = b
+		c.crc = crc32.Update(c.crc, crc32.IEEETable, c.one[:])
 	}
 	return b, err
 }

@@ -1,10 +1,11 @@
 package visual
 
 import (
+	"context"
 	"fmt"
 	"io"
 
-	"opmap/internal/rulecube"
+	"opmap/internal/engine"
 	"opmap/internal/stats"
 )
 
@@ -12,16 +13,16 @@ import (
 // document: one row per attribute, one grid per class holding the
 // confidences of all one-condition rules as thumbnail bars, with
 // per-class scaling and trend arrows — the static equivalent of the
-// deployed system's entry screen.
-func OverallSVG(w io.Writer, store *rulecube.Store, opts OverallOptions) error {
+// deployed system's entry screen. Like Overall it reads only 1-D cubes.
+func OverallSVG(ctx context.Context, w io.Writer, src *engine.LazySource, opts OverallOptions) error {
 	maxVals := opts.MaxValuesPerGrid
 	if maxVals == 0 {
 		maxVals = 24
 	}
-	ds := store.Dataset()
+	ds := src.Dataset()
 	classDict := ds.ClassDict()
 	numClasses := ds.NumClasses()
-	attrs := store.Attrs()
+	attrs := src.Attrs()
 
 	const (
 		rowH    = 34
@@ -56,7 +57,10 @@ func OverallSVG(w io.Writer, store *rulecube.Store, opts OverallOptions) error {
 	palette := []string{"#4878a8", "#a85448", "#6a994e", "#bc8034", "#7161a8", "#4aa0a0"}
 	for row, a := range attrs {
 		y := float64(headerH + row*rowH)
-		cube := store.Cube1(a)
+		cube, err := src.CubeN(ctx, []int{a})
+		if err != nil {
+			return err
+		}
 		card := cube.Dim(0)
 		shown := card
 		if shown > maxVals {

@@ -8,11 +8,13 @@
 package visual
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strings"
 
 	"opmap/internal/compare"
+	"opmap/internal/engine"
 	"opmap/internal/gi"
 	"opmap/internal/rulecube"
 	"opmap/internal/stats"
@@ -78,11 +80,13 @@ type OverallOptions struct {
 	Trends []gi.Trend
 }
 
-// Overall writes the Fig. 5-style overall visualization of a cube store:
-// one row per class, one block per attribute showing the confidences of
-// all one-condition rules for that class as a sparkline, plus each
-// attribute's data-distribution strip.
-func Overall(w io.Writer, store *rulecube.Store, opts OverallOptions) error {
+// Overall writes the Fig. 5-style overall visualization of the
+// engine's attributes: one row per class, one block per attribute
+// showing the confidences of all one-condition rules for that class as
+// a sparkline, plus each attribute's data-distribution strip. Only 1-D
+// cubes are read, under ctx; a lazy engine counts and pins each on
+// first touch.
+func Overall(ctx context.Context, w io.Writer, src *engine.LazySource, opts OverallOptions) error {
 	maxVals := opts.MaxValuesPerGrid
 	if maxVals == 0 {
 		maxVals = 24
@@ -96,14 +100,14 @@ func Overall(w io.Writer, store *rulecube.Store, opts OverallOptions) error {
 		return " "
 	}
 
-	ds := store.Dataset()
+	ds := src.Dataset()
 	classDict := ds.ClassDict()
 	classDist := ds.ClassDistribution()
 	var totalRecords int64
 	for _, n := range classDist {
 		totalRecords += n
 	}
-	fmt.Fprintf(w, "Overall visualization — %d attributes × %d classes (%d records)\n", len(store.Attrs()), ds.NumClasses(), totalRecords)
+	fmt.Fprintf(w, "Overall visualization — %d attributes × %d classes (%d records)\n", len(src.Attrs()), ds.NumClasses(), totalRecords)
 	fmt.Fprintf(w, "Class distribution:\n")
 	for k, n := range classDist {
 		frac := 0.0
@@ -114,8 +118,11 @@ func Overall(w io.Writer, store *rulecube.Store, opts OverallOptions) error {
 	}
 	fmt.Fprintln(w)
 
-	for _, a := range store.Attrs() {
-		cube := store.Cube1(a)
+	for _, a := range src.Attrs() {
+		cube, err := src.CubeN(ctx, []int{a})
+		if err != nil {
+			return err
+		}
 		card := cube.Dim(0)
 		truncated := ""
 		shown := card

@@ -2,31 +2,38 @@ package visual
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
 	"opmap/internal/compare"
 	"opmap/internal/dataset"
+	"opmap/internal/engine"
 	"opmap/internal/gi"
 	"opmap/internal/rulecube"
 	"opmap/internal/workload"
 )
 
-func fixtures(t *testing.T) (*rulecube.Store, *compare.Result, compare.AttrScore, workload.GroundTruth) {
+// fixtures returns the planted call log's pinned engine (the eager
+// session's) and its ph1-vs-ph2 comparison.
+func fixtures(t *testing.T) (*engine.LazySource, *compare.Result, compare.AttrScore, workload.GroundTruth) {
 	t.Helper()
 	ds, gt, err := workload.CallLog(workload.CallLogConfig{Seed: 21, Records: 30000, NoiseAttrs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := rulecube.BuildStore(ds, rulecube.StoreOptions{})
+	src, err := engine.NewLazy(ds, engine.LazyOptions{})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.PinAll(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	attr := ds.AttrIndex(gt.PhoneAttr)
 	v1, _ := ds.Column(attr).Dict.Lookup(gt.GoodPhone)
 	v2, _ := ds.Column(attr).Dict.Lookup(gt.BadPhone)
 	cls, _ := ds.ClassDict().Lookup(gt.DropClass)
-	res, err := compare.New(store).Compare(compare.Input{Attr: attr, V1: v1, V2: v2, Class: cls}, compare.Options{})
+	res, err := compare.NewSource(src).Compare(compare.Input{Attr: attr, V1: v1, V2: v2, Class: cls}, compare.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,17 +41,17 @@ func fixtures(t *testing.T) (*rulecube.Store, *compare.Result, compare.AttrScore
 	if !ok {
 		t.Fatal("distinguishing attribute missing")
 	}
-	return store, res, score, gt
+	return src, res, score, gt
 }
 
 func TestOverallRendersEveryAttribute(t *testing.T) {
-	store, _, _, gt := fixtures(t)
+	src, _, _, gt := fixtures(t)
 	var buf bytes.Buffer
-	rep, err := gi.MineAll(store, gi.TrendOptions{}, gi.ExceptionOptions{})
+	rep, err := gi.MineAllSource(context.Background(), src, gi.TrendOptions{}, gi.ExceptionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Overall(&buf, store, OverallOptions{Scale: true, Trends: rep.Trends}); err != nil {
+	if err := Overall(context.Background(), &buf, src, OverallOptions{Scale: true, Trends: rep.Trends}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -63,9 +70,9 @@ func TestOverallRendersEveryAttribute(t *testing.T) {
 }
 
 func TestOverallTruncatesWideAttributes(t *testing.T) {
-	store, _, _, _ := fixtures(t)
+	src, _, _, _ := fixtures(t)
 	var buf bytes.Buffer
-	if err := Overall(&buf, store, OverallOptions{Scale: true, MaxValuesPerGrid: 2}); err != nil {
+	if err := Overall(context.Background(), &buf, src, OverallOptions{Scale: true, MaxValuesPerGrid: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "values)") {
@@ -74,7 +81,8 @@ func TestOverallTruncatesWideAttributes(t *testing.T) {
 }
 
 func TestDetailedShowsCountsAndRates(t *testing.T) {
-	store, _, _, gt := fixtures(t)
+	src, _, _, gt := fixtures(t)
+	store := src.Store()
 	cube := store.Cube1(store.Dataset().AttrIndex(gt.PhoneAttr))
 	var buf bytes.Buffer
 	if err := Detailed(&buf, cube); err != nil {
@@ -90,7 +98,8 @@ func TestDetailedShowsCountsAndRates(t *testing.T) {
 }
 
 func TestDetailedRejects3D(t *testing.T) {
-	store, _, _, _ := fixtures(t)
+	src, _, _, _ := fixtures(t)
+	store := src.Store()
 	attrs := store.Attrs()
 	cube := store.Cube2(attrs[0], attrs[1])
 	if err := Detailed(&bytes.Buffer{}, cube); err == nil {
@@ -165,7 +174,8 @@ func TestComparisonSVGEmptyScore(t *testing.T) {
 }
 
 func TestDetailedSVGWellFormed(t *testing.T) {
-	store, _, _, gt := fixtures(t)
+	src, _, _, gt := fixtures(t)
+	store := src.Store()
 	cube := store.Cube1(store.Dataset().AttrIndex(gt.DistinguishingAttr))
 	var buf bytes.Buffer
 	if err := DetailedSVG(&buf, cube); err != nil {
@@ -296,7 +306,8 @@ func TestPropertyView(t *testing.T) {
 }
 
 func TestDetailed3D(t *testing.T) {
-	store, _, _, gt := fixtures(t)
+	src, _, _, gt := fixtures(t)
+	store := src.Store()
 	ds := store.Dataset()
 	cube := store.Cube2(ds.AttrIndex(gt.PhoneAttr), ds.AttrIndex(gt.DistinguishingAttr))
 	var buf bytes.Buffer
@@ -320,13 +331,14 @@ func TestDetailed3D(t *testing.T) {
 }
 
 func TestOverallSVGWellFormed(t *testing.T) {
-	store, _, _, gt := fixtures(t)
-	rep, err := gi.MineAll(store, gi.TrendOptions{}, gi.ExceptionOptions{})
+	src, _, _, gt := fixtures(t)
+	store := src.Store()
+	rep, err := gi.MineAllSource(context.Background(), src, gi.TrendOptions{}, gi.ExceptionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := OverallSVG(&buf, store, OverallOptions{Scale: true, Trends: rep.Trends}); err != nil {
+	if err := OverallSVG(context.Background(), &buf, src, OverallOptions{Scale: true, Trends: rep.Trends}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -16,7 +16,13 @@ import (
 // eager, one lazy. The pair backs the session-level oracle tests.
 func lazyPair(t testing.TB) (eager, lazy *Session, gt CallLogTruth) {
 	t.Helper()
-	cfg := CallLogConfig{Seed: 77, Records: 30000, NumPhones: 6, NoiseAttrs: 4}
+	return enginePair(t, CallLogConfig{Seed: 77, Records: 30000, NumPhones: 6, NoiseAttrs: 4}, 0)
+}
+
+// enginePair builds an eager and a lazy session over the call log cfg
+// generates; cacheBytes is the lazy engine's budget (0: the default).
+func enginePair(t testing.TB, cfg CallLogConfig, cacheBytes int64) (eager, lazy *Session, gt CallLogTruth) {
+	t.Helper()
 	e, gt, err := GenerateCallLog(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +39,7 @@ func lazyPair(t testing.TB) (eager, lazy *Session, gt CallLogTruth) {
 	if err := e.BuildCubes(); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.BuildCubesOptions(context.Background(), BuildOptions{Lazy: true}); err != nil {
+	if err := l.BuildCubesOptions(context.Background(), BuildOptions{Lazy: true, CubeCacheBytes: cacheBytes}); err != nil {
 		t.Fatal(err)
 	}
 	return e, l, gt
@@ -133,6 +139,16 @@ func TestLazyCubeCountAndRuleSpace(t *testing.T) {
 	if e, l := eager.RuleSpaceSize(), lazy.RuleSpaceSize(); e != l {
 		t.Errorf("RuleSpaceSize: eager %d, lazy %d", e, l)
 	}
+	// The eager session pins every 1-D and pair cube: CubeCount and
+	// RuleSpaceSize are its store's cube and cell counts, at 8 bytes a
+	// cell.
+	st := eager.src.Store().Stats()
+	if n := len(eager.src.Attrs()); eager.CubeCount() != st.Cubes || st.Cubes != n+n*(n-1)/2 {
+		t.Errorf("eager CubeCount %d, store cubes %d, want %d", eager.CubeCount(), st.Cubes, n+n*(n-1)/2)
+	}
+	if eager.RuleSpaceSize() != st.Cells || st.Bytes != 8*st.Cells {
+		t.Errorf("eager RuleSpaceSize %d, store cells %d, bytes %d", eager.RuleSpaceSize(), st.Cells, st.Bytes)
+	}
 	if _, err := lazy.Compare(gt.PhoneAttr, gt.GoodPhone, gt.BadPhone, gt.DropClass, CompareOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -141,22 +157,95 @@ func TestLazyCubeCountAndRuleSpace(t *testing.T) {
 	}
 }
 
-func TestLazyEagerOnlyOps(t *testing.T) {
-	_, lazy, _ := lazyPair(t)
-	var buf bytes.Buffer
-	for name, call := range map[string]func() error{
-		"Explore":        func() error { return lazy.Explore(strings.NewReader("quit\n"), &buf) },
-		"RenderOverall":  func() error { return lazy.RenderOverall(&buf) },
-		"CubeExceptions": func() error { _, err := lazy.CubeExceptions(0); return err },
+// wholeStoreViews runs every view that reads all of a session's
+// attributes: an exploration script through overview, detail, detail3,
+// compare, focus, impressions and back, the overall map as text and
+// SVG, and the cube-exception baseline.
+func wholeStoreViews(t *testing.T, s *Session, gt CallLogTruth) (script, overall, svg string, exceptions []CubeException) {
+	t.Helper()
+	var sb, ob, vb strings.Builder
+	commands := strings.Join([]string{
+		"detail " + gt.PhoneAttr,
+		"detail3 " + gt.PhoneAttr + " " + gt.DistinguishingAttr,
+		"compare " + gt.PhoneAttr + " " + gt.GoodPhone + " " + gt.BadPhone + " " + gt.DropClass,
+		"focus",
+		"impressions",
+		"back",
+		"back",
+		"overview",
+	}, "\n")
+	if err := s.ExploreScript(commands, &sb); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(sb.String(), "error:") {
+		t.Fatalf("exploration script reported an error:\n%s", sb.String())
+	}
+	if err := s.RenderOverall(&ob); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RenderOverallSVG(&vb); err != nil {
+		t.Fatal(err)
+	}
+	exceptions, err := s.CubeExceptions(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sb.String(), ob.String(), vb.String(), exceptions
+}
+
+// TestLazyWholeStoreViewsMatchEager: a lazy session serves every
+// whole-store view and answers byte-for-byte as the eager session does,
+// also under a 1 MiB budget that a 66-attribute schema's pair cubes
+// (1.7 MB) overflow, so CubeExceptions streams them under eviction.
+// CubeExceptions counts one shared scan per anchor attribute with a
+// later partner on a cold lazy session, and none on a pinned one.
+func TestLazyWholeStoreViewsMatchEager(t *testing.T) {
+	scans := obsv.Default().Counter(rulecube.CubeScansCounterName)
+	exceptionScans := func(s *Session) int64 {
+		t.Helper()
+		s0 := scans.Value()
+		if _, err := s.CubeExceptions(0); err != nil {
+			t.Fatal(err)
+		}
+		return scans.Value() - s0
+	}
+	for _, c := range []struct {
+		name       string
+		cfg        CallLogConfig
+		cacheBytes int64
+	}{
+		{"default budget", CallLogConfig{Seed: 77, Records: 30000, NumPhones: 6, NoiseAttrs: 4}, 0},
+		{"1 MiB budget", CallLogConfig{Seed: 77, Records: 10000, NumPhones: 6, NoiseAttrs: 60}, 1 << 20},
 	} {
-		err := call()
-		if err == nil {
-			t.Errorf("%s should fail in lazy mode", name)
-			continue
-		}
-		if !strings.Contains(err.Error(), "lazy mode") {
-			t.Errorf("%s error should mention lazy mode, got: %v", name, err)
-		}
+		t.Run(c.name, func(t *testing.T) {
+			eager, lazy, gt := enginePair(t, c.cfg, c.cacheBytes)
+			if d := exceptionScans(eager); d != 0 {
+				t.Errorf("pinned CubeExceptions counted %d scans, want 0", d)
+			}
+			if n, d := int64(len(lazy.src.Attrs())), exceptionScans(lazy); d != n-1 {
+				t.Errorf("cold lazy CubeExceptions counted %d scans, want %d (one per anchor attribute)", d, n-1)
+			}
+			if ev := lazy.EngineStats().CubeCacheEvictions; c.cacheBytes > 0 && ev == 0 {
+				t.Error("CubeExceptions evicted nothing; the budget does not bind")
+			}
+			wantScript, wantOverall, wantSVG, wantEx := wholeStoreViews(t, eager, gt)
+			if len(wantEx) == 0 {
+				t.Fatal("eager CubeExceptions found nothing in planted data")
+			}
+			script, overall, svg, ex := wholeStoreViews(t, lazy, gt)
+			if script != wantScript {
+				t.Errorf("exploration transcript differs from eager:\n%s\nwant:\n%s", script, wantScript)
+			}
+			if overall != wantOverall {
+				t.Error("RenderOverall differs from eager")
+			}
+			if svg != wantSVG {
+				t.Error("RenderOverallSVG differs from eager")
+			}
+			if !reflect.DeepEqual(ex, wantEx) {
+				t.Errorf("CubeExceptions differ from eager (%d vs %d exceptions)", len(ex), len(wantEx))
+			}
+		})
 	}
 }
 

@@ -60,8 +60,8 @@ func restoredAnswers(t *testing.T, s *Session, gt CallLogTruth, fixed map[string
 	}
 	cmp, err := s.Compare(gt.PhoneAttr, gt.GoodPhone, gt.BadPhone, gt.DropClass, CompareOptions{})
 	record("Compare", cmp, err)
-	scan, err := s.CompareByScan(gt.PhoneAttr, gt.GoodPhone, gt.BadPhone, gt.DropClass, CompareOptions{})
-	record("CompareByScan", scan, err)
+	scan, err := scanCompare(s, gt.PhoneAttr, gt.GoodPhone, gt.BadPhone, gt.DropClass)
+	record("Scan", scan, err)
 	where, err := s.CompareWhere(gt.PhoneAttr, gt.GoodPhone, gt.BadPhone, gt.DropClass, fixed, CompareOptions{})
 	record("CompareWhere", where, err)
 	sweep, err := s.Sweep(gt.PhoneAttr, gt.DropClass, 3)
@@ -91,9 +91,9 @@ func restoredAnswers(t *testing.T, s *Session, gt CallLogTruth, fixed map[string
 // holds every source row, so after the same 3,000-row append it
 // answers every query — cube reads and row scans alike — exactly as
 // the session it was taken from, in both engine modes. Before the
-// snapshot carried rows, CompareByScan on the restored session counted
-// only the appended rows (1,500/1,500 here against the true
-// 6,588/6,482).
+// snapshot carried rows, a raw-row scan comparison on the restored
+// session counted only the appended rows (1,500/1,500 here against the
+// true 6,588/6,482).
 func TestRestoredSessionMatchesCold(t *testing.T) {
 	for _, lazy := range []bool{false, true} {
 		t.Run(map[bool]string{false: "eager", true: "lazy"}[lazy], func(t *testing.T) {
@@ -131,9 +131,9 @@ func TestRestoredSessionMatchesCold(t *testing.T) {
 					t.Errorf("%s: restored answer differs from the cold session's", name)
 				}
 			}
-			scan := got["CompareByScan"].(*Comparison).res
+			scan := got["Scan"].(*Comparison).res
 			if n1, n2 := scan.Rule1.CondCount, scan.Rule2.CondCount; n1 != 6588 || n2 != 6482 {
-				t.Errorf("restored CompareByScan counts %d/%d, want 6588/6482", n1, n2)
+				t.Errorf("restored scan comparison counts %d/%d, want 6588/6482", n1, n2)
 			}
 
 			// Re-discretizing re-derives the same working dataset from the

@@ -11,7 +11,6 @@ import (
 	"opmap/internal/discretize"
 	"opmap/internal/engine"
 	"opmap/internal/obsv"
-	"opmap/internal/rulecube"
 	"opmap/internal/workload"
 )
 
@@ -454,9 +453,8 @@ func (s *Session) BuildCubesForContext(ctx context.Context, attrNames []string) 
 type BuildOptions struct {
 	// Lazy skips the offline materialization: cubes are counted on
 	// first use, deduplicated across concurrent requests, and pair
-	// cubes join the byte-budgeted cache. Whole-store operations
-	// (Explore, CubeExceptions, RenderOverall, CubeStats, MergeFrom)
-	// need every pair cube and are unavailable in lazy mode.
+	// cubes join the byte-budgeted cache. Every query and view works
+	// in both modes; only MergeFrom needs every pair cube pinned.
 	Lazy bool
 	// CubeCacheBytes bounds the unpinned cubes: lazy pair cubes and
 	// k ≥ 3 drill-down cubes (eager mode pins every 1-D and pair cube).
@@ -527,19 +525,6 @@ func (s *Session) working() (*dataset.Dataset, error) {
 		return nil, fmt.Errorf("opmap: dataset has continuous attributes; call Discretize first")
 	}
 	return s.ds, nil
-}
-
-// requireStore returns the engine's pinned 1-D and pair cubes as one
-// store for the whole-store operations, which stay eager-only.
-func (s *Session) requireStore() (*rulecube.Store, error) {
-	src, err := s.requireSource()
-	if err != nil {
-		return nil, err
-	}
-	if st := src.Store(); st != nil {
-		return st, nil
-	}
-	return nil, fmt.Errorf("opmap: operation requires eagerly built cubes; the session is in lazy mode (rebuild with BuildCubes)")
 }
 
 // requireSource returns the cube engine, erroring if no BuildCubes

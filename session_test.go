@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"opmap/internal/compare"
 )
 
 // caseStudySession builds (once per test binary) a moderately sized
@@ -123,13 +125,28 @@ func TestCompareSwappedInputOrientation(t *testing.T) {
 	}
 }
 
+// scanCompare runs the cube-free reference comparison: compare.Scan
+// over the session's working dataset, wrapped as Compare wraps its
+// answer.
+func scanCompare(s *Session, attr, v1, v2, class string) (*Comparison, error) {
+	in, copts, err := s.resolve(attr, v1, v2, class, CompareOptions{})
+	if err != nil {
+		return nil, err
+	}
+	res, err := compare.Scan(s.ds, in, copts)
+	if err != nil {
+		return nil, err
+	}
+	return s.wrapComparison(attr, class, in, res), nil
+}
+
 func TestCompareByScanAgrees(t *testing.T) {
 	s, gt := caseStudySession(t)
 	a, err := s.Compare(gt.PhoneAttr, gt.GoodPhone, gt.BadPhone, gt.DropClass, CompareOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.CompareByScan(gt.PhoneAttr, gt.GoodPhone, gt.BadPhone, gt.DropClass, CompareOptions{})
+	b, err := scanCompare(s, gt.PhoneAttr, gt.GoodPhone, gt.BadPhone, gt.DropClass)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +186,7 @@ func TestCompareByScanAgrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err = m.CompareByScan("Phone", "p1", "p2", "drop", CompareOptions{})
+	b, err = scanCompare(m, "Phone", "p1", "p2", "drop")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,10 +228,6 @@ func TestCompareErrors(t *testing.T) {
 	}
 	if _, err := s2.Compare(gt.PhoneAttr, gt.GoodPhone, gt.BadPhone, gt.DropClass, CompareOptions{}); err == nil {
 		t.Error("comparison before BuildCubes should fail")
-	}
-	// But scan works without cubes (categorical data needs no Discretize).
-	if _, err := s2.CompareByScan(gt.PhoneAttr, gt.GoodPhone, gt.BadPhone, gt.DropClass, CompareOptions{}); err != nil {
-		t.Errorf("scan without cubes should work: %v", err)
 	}
 }
 
