@@ -299,7 +299,10 @@ func (s *Session) maybeReevalCuts(ctx context.Context) error {
 	}
 	s.sinceCutEval = 0
 	s.appendDeltas = nil
-	if cutsEqual(ncuts, s.cuts) {
+	// Bit-identity, not tolerance: re-running the same deterministic
+	// discretizer either reproduces the exact cuts or genuinely moved
+	// them.
+	if cutsCompatible(ncuts, s.cuts) == nil {
 		return nil
 	}
 	nds, err := discretize.Bin(s.raw, ncuts)
@@ -313,29 +316,6 @@ func (s *Session) maybeReevalCuts(ctx context.Context) error {
 		return nil
 	}
 	return s.buildCubesLocked(ctx, *s.buildOpts)
-}
-
-// cutsEqual reports whether two cut-point maps describe the same
-// discretization.
-func cutsEqual(a, b map[string][]float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, av := range a {
-		bv, ok := b[k]
-		if !ok || len(av) != len(bv) {
-			return false
-		}
-		for i := range av {
-			// Bit-identity, not tolerance: re-running the same
-			// deterministic discretizer either reproduces the exact cut
-			// or genuinely moved it.
-			if math.Float64bits(av[i]) != math.Float64bits(bv[i]) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // SetCutReevaluation makes the session re-run its remembered

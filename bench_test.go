@@ -18,6 +18,7 @@ import (
 	"opmap/internal/discretize"
 	"opmap/internal/engine"
 	"opmap/internal/rulecube"
+	"opmap/internal/snapshot"
 	"opmap/internal/visual"
 	"opmap/internal/workload"
 )
@@ -94,7 +95,7 @@ func BenchmarkFig10CubeGenAttrs(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := rulecube.BuildStore(ds, rulecube.StoreOptions{}); err != nil {
+				if _, err := pinnedEngine(ds); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -115,7 +116,7 @@ func BenchmarkFig11CubeGenRecords(b *testing.B) {
 			ds := base.Duplicate(factor)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := rulecube.BuildStore(ds, rulecube.StoreOptions{}); err != nil {
+				if _, err := pinnedEngine(ds); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -355,19 +356,21 @@ func BenchmarkOneVsRest(b *testing.B) {
 	}
 }
 
-// BenchmarkStorePersistence times the offline artifact's write and read.
+// BenchmarkStorePersistence times the offline artifact's write and
+// read: an eager snapshot of the pinned cubes and the rows they count.
 func BenchmarkStorePersistence(b *testing.B) {
-	src, _, _ := caseStudyFixture(b)
-	store := src.Store()
+	src, ds, _ := caseStudyFixture(b)
+	snap := &snapshot.Snapshot{Mode: snapshot.ModeEager, Raw: ds, Attrs: src.Attrs()}
+	snap.SetCubes(src.ResidentCubes())
 	var buf bytes.Buffer
-	if err := rulecube.WriteStore(&buf, store); err != nil {
+	if err := snapshot.Write(&buf, snap); err != nil {
 		b.Fatal(err)
 	}
 	blob := buf.Bytes()
 	b.Run("write", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var w countingWriter
-			if err := rulecube.WriteStore(&w, store); err != nil {
+			if err := snapshot.Write(&w, snap); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -375,7 +378,7 @@ func BenchmarkStorePersistence(b *testing.B) {
 	b.Run("read", func(b *testing.B) {
 		b.SetBytes(int64(len(blob)))
 		for i := 0; i < b.N; i++ {
-			if _, err := rulecube.ReadStore(bytes.NewReader(blob)); err != nil {
+			if _, err := snapshot.Read(bytes.NewReader(blob)); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -680,7 +680,6 @@ echo "== fuzz smoke (10s per target) =="
 # -fuzzminimizetime bounds minimizing each new input to a few
 # executions, so the budget goes to executing inputs; a crash still
 # fails the run and saves its input under testdata/fuzz.
-go test -run '^$' -fuzz '^FuzzReadStore$' -fuzztime 10s -fuzzminimizetime 5x ./internal/rulecube
 go test -run '^$' -fuzz '^FuzzIngestRows$' -fuzztime 10s -fuzzminimizetime 5x ./internal/rulecube
 go test -run '^$' -fuzz '^FuzzCountSlices$' -fuzztime 10s -fuzzminimizetime 5x ./internal/rulecube
 go test -run '^$' -fuzz '^FuzzComparator$' -fuzztime 10s -fuzzminimizetime 5x ./internal/compare

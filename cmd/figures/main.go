@@ -157,9 +157,17 @@ func ablations(seed int64) {
 	fmt.Printf("  CBA keeps %d of %d candidate rules (%.2f%%) at %.1f%% accuracy\n",
 		len(cba.Rules), cba.TotalCandidates, 100*cba.UsageRatio(), 100*cba.Accuracy(ds))
 
-	st := src.Store().Stats()
+	// The store's size is the quantified form of the paper's
+	// combinatorial-explosion concern (Section III.B): the two-condition
+	// cap keeps the rules it represents tractable.
+	var cells, bytes int64
+	cubes := src.ResidentCubes()
+	for _, c := range cubes {
+		cells += c.RuleCount()
+		bytes += c.SizeBytes()
+	}
 	fmt.Printf("Cube store size: %d cubes, %d cells (rules), ≈%.1f MiB counts\n",
-		st.Cubes, st.Cells, float64(st.Bytes)/(1<<20))
+		len(cubes), cells, float64(bytes)/(1<<20))
 }
 
 // pinned counts every 1-D and pair cube of ds and pins them in an
@@ -329,12 +337,9 @@ func fig10(seed int64, records, maxAttrs int) {
 		}
 		s0 := scans.Value()
 		start := time.Now()
-		store, err := rulecube.BuildStore(ds, rulecube.StoreOptions{})
-		if err != nil {
-			log.Fatal(err)
-		}
+		src := pinned(ds)
 		elapsed := time.Since(start)
-		fmt.Printf("%5d    %5d    %5d    %v\n", n, store.CubeCount(), scans.Value()-s0, elapsed)
+		fmt.Printf("%5d    %5d    %5d    %v\n", n, src.Stats().Pinned, scans.Value()-s0, elapsed)
 	}
 }
 
@@ -353,9 +358,7 @@ func fig11(seed int64, baseRecords, attrs int) {
 	for factor := 1; factor <= 4; factor++ {
 		ds := base.Duplicate(factor)
 		start := time.Now()
-		if _, err := rulecube.BuildStore(ds, rulecube.StoreOptions{}); err != nil {
-			log.Fatal(err)
-		}
+		pinned(ds)
 		fmt.Printf("%9d    %v\n", ds.NumRows(), time.Since(start))
 	}
 }

@@ -38,17 +38,19 @@ func TestSnapshotFallbackIncompatible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := append([]byte(nil), current...)
-	old[len(snapshot.Magic)] = 2
-	binary.LittleEndian.PutUint32(old[len(old)-4:], crc32.ChecksumIEEE(old[:len(old)-4]))
-	if err := os.WriteFile(path, old, 0o644); err != nil {
-		t.Fatal(err)
+	for _, ver := range []byte{2, 3} {
+		old := append([]byte(nil), current...)
+		old[len(snapshot.Magic)] = ver
+		binary.LittleEndian.PutUint32(old[len(old)-4:], crc32.ChecksumIEEE(old[:len(old)-4]))
+		if err := os.WriteFile(path, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := m.load("d", "h", false, 0); ok {
+			t.Errorf("a daemon warm-started from a version-%d snapshot", ver)
+		}
 	}
-	if _, ok := m.load("d", "h", false, 0); ok {
-		t.Error("a daemon warm-started from a version-2 snapshot")
-	}
-	if got := incompatible.Value() - before; got != 3 {
-		t.Errorf("incompatible fallbacks = %d, want 3", got)
+	if got := incompatible.Value() - before; got != 4 {
+		t.Errorf("incompatible fallbacks = %d, want 4", got)
 	}
 
 	if err := os.WriteFile(path, current, 0o644); err != nil {

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 
 	"opmap/internal/baseline"
 	"opmap/internal/gi"
@@ -260,32 +262,34 @@ func (s *Session) CubeExceptions(minSelfExp float64) ([]CubeException, error) {
 	return out, nil
 }
 
+// sortCubeExceptions orders exceptions by descending |SelfExp|, ties
+// broken by attribute names; fully tied exceptions keep their order.
 func sortCubeExceptions(out []CubeException) {
-	// Descending |SelfExp|; deterministic tie-break on names.
-	lessAbs := func(a, b CubeException) bool {
-		aa, bb := a.SelfExp, b.SelfExp
-		if aa < 0 {
-			aa = -aa
-		}
-		if bb < 0 {
-			bb = -bb
-		}
+	slices.SortStableFunc(out, func(a, b CubeException) int {
 		switch {
-		case aa > bb:
-			return true
-		case bb > aa:
-			return false
+		case cubeExceptionLess(a, b):
+			return -1
+		case cubeExceptionLess(b, a):
+			return 1
 		}
-		if a.Attr1 != b.Attr1 {
-			return a.Attr1 < b.Attr1
-		}
-		return a.Attr2 < b.Attr2
+		return 0
+	})
+}
+
+// cubeExceptionLess reports whether a ranks before b: a larger
+// |SelfExp|, then a smaller Attr1, then a smaller Attr2.
+func cubeExceptionLess(a, b CubeException) bool {
+	aa, bb := math.Abs(a.SelfExp), math.Abs(b.SelfExp)
+	switch {
+	case aa > bb:
+		return true
+	case bb > aa:
+		return false
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && lessAbs(out[j], out[j-1]); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
+	if a.Attr1 != b.Attr1 {
+		return a.Attr1 < b.Attr1
 	}
+	return a.Attr2 < b.Attr2
 }
 
 // RenderOverall writes the Fig. 5-style overall visualization: every

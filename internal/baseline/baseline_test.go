@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -385,21 +386,22 @@ func TestExploreCubeRejects2D(t *testing.T) {
 // as the session's CubeExceptions does.
 func TestExploreStore(t *testing.T) {
 	ds := callLog(t, 30000)
-	store, err := rulecube.BuildStore(ds, rulecube.StoreOptions{})
+	attrs, err := rulecube.NormalizeAttrs(ds, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cubes, err := rulecube.BuildMany(context.Background(), ds, rulecube.StoreRequests(attrs))
 	if err != nil {
 		t.Fatal(err)
 	}
 	pairs := 0
-	attrs := store.Attrs()
-	for i, a := range attrs {
-		for _, b := range attrs[i+1:] {
-			ex, err := ExploreCube(store.Cube2(a, b), ExplorerOptions{Class: -1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(ex) > 0 {
-				pairs++
-			}
+	for _, c := range cubes[len(attrs):] {
+		ex, err := ExploreCube(c, ExplorerOptions{Class: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ex) > 0 {
+			pairs++
 		}
 	}
 	// The planted Phone-Model × Time-of-Call interaction should surface

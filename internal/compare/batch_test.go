@@ -26,7 +26,7 @@ func batchSources(t testing.TB, records, noise int) (*Comparator, *Comparator, i
 	if !ok {
 		t.Fatal("ground truth class missing")
 	}
-	return pinned(t, store), NewSource(lazy), attr, cls
+	return NewSource(store), NewSource(lazy), attr, cls
 }
 
 // counterDelta returns how far the named default-registry counter
@@ -347,7 +347,7 @@ func FuzzSweepOptions(f *testing.F) {
 	if !ok {
 		f.Fatal("ground truth class missing")
 	}
-	c := pinned(f, store)
+	c := NewSource(store)
 	f.Add(0, 0.0)
 	f.Add(-3, 0.0)
 	f.Add(2, math.Inf(1))

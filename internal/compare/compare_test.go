@@ -1,6 +1,7 @@
 package compare
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"reflect"
@@ -293,8 +294,8 @@ func TestBothZeroValuesIgnored(t *testing.T) {
 	}
 }
 
-// buildCaseStudy builds the planted call log and its cube store once.
-func buildCaseStudy(t testing.TB, records, noise int) (*rulecube.Store, workload.GroundTruth, *dataset.Dataset) {
+// buildCaseStudy builds the planted call log and pins its cube store.
+func buildCaseStudy(t testing.TB, records, noise int) (*engine.LazySource, workload.GroundTruth, *dataset.Dataset) {
 	t.Helper()
 	ds, gt, err := workload.CallLog(workload.CallLogConfig{
 		Seed:       42,
@@ -305,25 +306,32 @@ func buildCaseStudy(t testing.TB, records, noise int) (*rulecube.Store, workload
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := rulecube.BuildStore(ds, rulecube.StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	store := pinAll(t, ds)
 	return store, gt, ds
 }
 
-// pinned returns a Comparator over store's cubes pinned into an
+// pinAll counts every 1-D and pair cube of ds and pins them into an
 // engine, as an eager session serves them.
-func pinned(t testing.TB, store *rulecube.Store) *Comparator {
+func pinAll(t testing.TB, ds *dataset.Dataset) *engine.LazySource {
 	t.Helper()
-	src, err := engine.NewLazy(store.Dataset(), engine.LazyOptions{Attrs: store.Attrs()})
+	src, err := engine.NewLazy(ds, engine.LazyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := src.Pin(store); err != nil {
+	if err := src.PinAll(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	return NewSource(src)
+	return src
+}
+
+// cube1 returns src's 1-D cube of attribute a.
+func cube1(t testing.TB, src *engine.LazySource, a int) *rulecube.Cube {
+	t.Helper()
+	c, err := src.CubeN(context.Background(), []int{a})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 func inputFor(t testing.TB, ds *dataset.Dataset, gt workload.GroundTruth) Input {
@@ -343,7 +351,7 @@ func inputFor(t testing.TB, ds *dataset.Dataset, gt workload.GroundTruth) Input 
 // not be near the top, and the property attribute must be set aside.
 func TestCaseStudyRecoversPlantedAttribute(t *testing.T) {
 	store, gt, ds := buildCaseStudy(t, 60000, 10)
-	res, err := pinned(t, store).Compare(inputFor(t, ds, gt), Options{})
+	res, err := NewSource(store).Compare(inputFor(t, ds, gt), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +396,7 @@ func TestCaseStudyRecoversPlantedAttribute(t *testing.T) {
 // attribute must score well below the distinguishing attribute.
 func TestProportionalAttributeScoresLow(t *testing.T) {
 	store, gt, ds := buildCaseStudy(t, 60000, 0)
-	res, err := pinned(t, store).Compare(inputFor(t, ds, gt), Options{})
+	res, err := NewSource(store).Compare(inputFor(t, ds, gt), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +415,7 @@ func TestProportionalAttributeScoresLow(t *testing.T) {
 func TestCubeAndScanAgree(t *testing.T) {
 	store, gt, ds := buildCaseStudy(t, 20000, 5)
 	in := inputFor(t, ds, gt)
-	a, err := pinned(t, store).Compare(in, Options{})
+	a, err := NewSource(store).Compare(in, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,13 +480,10 @@ func missingClassTable(t *testing.T) *dataset.Dataset {
 // path, which skips rows without a class.
 func cubeAndScanAgreeMissingClass(t *testing.T) {
 	ds := missingClassTable(t)
-	store, err := rulecube.BuildStore(ds, rulecube.StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	store := pinAll(t, ds)
 	drop, _ := ds.ClassDict().Lookup("drop")
 	in := Input{Attr: 0, V1: 0, V2: 1, Class: drop}
-	a, err := pinned(t, store).Compare(in, Options{})
+	a, err := NewSource(store).Compare(in, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,7 +510,7 @@ func cubeAndScanAgreeMissingClass(t *testing.T) {
 func TestCompareInputValidation(t *testing.T) {
 	store, gt, ds := buildCaseStudy(t, 2000, 0)
 	in := inputFor(t, ds, gt)
-	c := pinned(t, store)
+	c := NewSource(store)
 
 	bad := in
 	bad.V1 = bad.V2
@@ -539,7 +544,7 @@ func TestCompareAttrSubset(t *testing.T) {
 	store, gt, ds := buildCaseStudy(t, 20000, 3)
 	in := inputFor(t, ds, gt)
 	sub := []int{ds.AttrIndex(gt.DistinguishingAttr), ds.AttrIndex(gt.ProportionalAttr)}
-	res, err := pinned(t, store).Compare(in, Options{Attrs: sub})
+	res, err := NewSource(store).Compare(in, Options{Attrs: sub})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -550,7 +555,7 @@ func TestCompareAttrSubset(t *testing.T) {
 
 func TestResultHelpers(t *testing.T) {
 	store, gt, ds := buildCaseStudy(t, 20000, 3)
-	res, err := pinned(t, store).Compare(inputFor(t, ds, gt), Options{})
+	res, err := NewSource(store).Compare(inputFor(t, ds, gt), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -579,7 +584,7 @@ func TestResultHelpers(t *testing.T) {
 
 func TestNormScoreBounded(t *testing.T) {
 	store, gt, ds := buildCaseStudy(t, 30000, 5)
-	res, err := pinned(t, store).Compare(inputFor(t, ds, gt), Options{})
+	res, err := NewSource(store).Compare(inputFor(t, ds, gt), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -630,11 +635,8 @@ func TestCompareWithMissingValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := rulecube.BuildStore(ds, rulecube.StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := pinned(t, store).Compare(inputFor(t, ds, gt), Options{})
+	store := pinAll(t, ds)
+	res, err := NewSource(store).Compare(inputFor(t, ds, gt), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -678,11 +680,8 @@ func TestCompareSingleValuedCandidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := rulecube.BuildStore(ds, rulecube.StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := pinned(t, store).Compare(Input{Attr: 0, V1: 0, V2: 1, Class: 1}, Options{DisableCI: true})
+	store := pinAll(t, ds)
+	res, err := NewSource(store).Compare(Input{Attr: 0, V1: 0, V2: 1, Class: 1}, Options{DisableCI: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -724,7 +723,7 @@ func TestCompareEqualConfidences(t *testing.T) {
 func TestConcurrentComparisons(t *testing.T) {
 	store, gt, ds := buildCaseStudy(t, 20000, 3)
 	in := inputFor(t, ds, gt)
-	c := pinned(t, store)
+	c := NewSource(store)
 	want, err := c.Compare(in, Options{})
 	if err != nil {
 		t.Fatal(err)

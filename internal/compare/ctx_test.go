@@ -15,7 +15,7 @@ func TestCompareContextPreCanceled(t *testing.T) {
 	store, gt, ds := buildCaseStudy(t, 4000, 6)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := pinned(t, store).CompareContext(ctx, inputFor(t, ds, gt), Options{})
+	_, err := NewSource(store).CompareContext(ctx, inputFor(t, ds, gt), Options{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -32,7 +32,7 @@ func TestCompareContextFaultError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer disarm()
-	if _, err := pinned(t, store).CompareContext(context.Background(), inputFor(t, ds, gt), Options{}); !errors.Is(err, faultinject.ErrInjected) {
+	if _, err := NewSource(store).CompareContext(context.Background(), inputFor(t, ds, gt), Options{}); !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
 	}
 }
@@ -53,7 +53,7 @@ func TestSweepContextStrictFaultFailsWithPairLabel(t *testing.T) {
 	defer disarm()
 	attr := ds.AttrIndex(gt.PhoneAttr)
 	cls, _ := ds.ClassDict().Lookup(gt.DropClass)
-	_, err = pinned(t, store).SweepContext(context.Background(), attr, cls, SweepOptions{})
+	_, err = NewSource(store).SweepContext(context.Background(), attr, cls, SweepOptions{})
 	if !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
 	}
@@ -82,7 +82,7 @@ func TestSweepContextPartialAnnotatesAndContinues(t *testing.T) {
 	// Loosen the screen so several pairs survive: the test needs at
 	// least one pair after the injected failure.
 	screen := ScreenOptions{MinSupport: 1, MinZ: 0.001}
-	cmp := pinned(t, store)
+	cmp := NewSource(store)
 	pairs, err := cmp.ScreenPairs(attr, cls, screen)
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +117,7 @@ func TestSweepContextPartialDeadline(t *testing.T) {
 	cls, _ := ds.ClassDict().Lookup(gt.DropClass)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := pinned(t, store).SweepContext(ctx, attr, cls, SweepOptions{Partial: true})
+	res, err := NewSource(store).SweepContext(ctx, attr, cls, SweepOptions{Partial: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestSweepContextCancelMidSweep(t *testing.T) {
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		_, err := pinned(t, store).SweepContext(ctx, attr, cls, SweepOptions{})
+		_, err := NewSource(store).SweepContext(ctx, attr, cls, SweepOptions{})
 		done <- err
 	}()
 	time.Sleep(20 * time.Millisecond) // land inside the stalled pair
@@ -189,11 +189,11 @@ func TestOneVsRestContextPartial(t *testing.T) {
 	cancel()
 
 	// Strict mode: the cancellation is an error.
-	if _, err := pinned(t, store).OneVsRestContext(ctx, ovr, Options{}); !errors.Is(err, context.Canceled) {
+	if _, err := NewSource(store).OneVsRestContext(ctx, ovr, Options{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("strict err = %v, want context.Canceled", err)
 	}
 
-	res, err := pinned(t, store).OneVsRestContext(ctx, ovr, Options{PartialOnDeadline: true})
+	res, err := NewSource(store).OneVsRestContext(ctx, ovr, Options{PartialOnDeadline: true})
 	if err != nil {
 		t.Fatal(err)
 	}

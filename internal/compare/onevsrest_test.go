@@ -17,7 +17,7 @@ func TestOneVsRestRecoversPlantedCause(t *testing.T) {
 		t.Fatal("morning value missing")
 	}
 	cls, _ := ds.ClassDict().Lookup(gt.DropClass)
-	res, err := pinned(t, store).OneVsRest(OneVsRestInput{Attr: timeAttr, Value: morning, Class: cls}, Options{})
+	res, err := NewSource(store).OneVsRest(OneVsRestInput{Attr: timeAttr, Value: morning, Class: cls}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,18 +42,18 @@ func TestOneVsRestCountsConsistent(t *testing.T) {
 	store, gt, ds := buildCaseStudy(t, 20000, 2)
 	timeAttr := ds.AttrIndex(gt.DistinguishingAttr)
 	cls, _ := ds.ClassDict().Lookup(gt.DropClass)
-	res, err := pinned(t, store).OneVsRest(OneVsRestInput{Attr: timeAttr, Value: 0, Class: cls}, Options{})
+	res, err := NewSource(store).OneVsRest(OneVsRestInput{Attr: timeAttr, Value: 0, Class: cls}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The two sides partition the cube total.
-	if res.Rule1.CondCount+res.Rule2.CondCount != store.Cube1(timeAttr).Total() {
+	if res.Rule1.CondCount+res.Rule2.CondCount != cube1(t, store, timeAttr).Total() {
 		t.Errorf("sides do not partition the data: %d + %d != %d",
-			res.Rule1.CondCount, res.Rule2.CondCount, store.Cube1(timeAttr).Total())
+			res.Rule1.CondCount, res.Rule2.CondCount, cube1(t, store, timeAttr).Total())
 	}
 	// Per candidate attribute, N1+N2 per value equals the marginal.
 	for _, s := range append(res.Ranked, res.Property...) {
-		marg := store.Cube1(s.Attr)
+		marg := cube1(t, store, s.Attr)
 		for _, d := range s.Values {
 			all, err := marg.CondCount([]int32{d.Value})
 			if err != nil {
@@ -69,7 +69,7 @@ func TestOneVsRestCountsConsistent(t *testing.T) {
 func TestOneVsRestValidation(t *testing.T) {
 	store, gt, ds := buildCaseStudy(t, 5000, 0)
 	cls, _ := ds.ClassDict().Lookup(gt.DropClass)
-	c := pinned(t, store)
+	c := NewSource(store)
 	timeAttr := ds.AttrIndex(gt.DistinguishingAttr)
 	if _, err := c.OneVsRest(OneVsRestInput{Attr: ds.ClassIndex(), Value: 0, Class: cls}, Options{}); err == nil {
 		t.Error("class attribute should fail")
@@ -99,11 +99,11 @@ func TestOneVsRestAgreesWithScanOnTwoValueAttr(t *testing.T) {
 	phone := ds.AttrIndex(gt.PhoneAttr)
 	good, _ := ds.Column(phone).Dict.Lookup(gt.GoodPhone)
 	cls, _ := ds.ClassDict().Lookup(gt.DropClass)
-	res, err := pinned(t, store).OneVsRest(OneVsRestInput{Attr: phone, Value: good, Class: cls}, Options{})
+	res, err := NewSource(store).OneVsRest(OneVsRestInput{Attr: phone, Value: good, Class: cls}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cube := store.Cube1(phone)
+	cube := cube1(t, store, phone)
 	var restCond, restSup int64
 	for v := int32(0); int(v) < cube.Dim(0); v++ {
 		if v == good {
@@ -125,7 +125,7 @@ func TestScreenPairsFindsPlantedGap(t *testing.T) {
 	store, gt, ds := buildCaseStudy(t, 60000, 2)
 	phone := ds.AttrIndex(gt.PhoneAttr)
 	cls, _ := ds.ClassDict().Lookup(gt.DropClass)
-	pairs, err := pinned(t, store).ScreenPairs(phone, cls, ScreenOptions{})
+	pairs, err := NewSource(store).ScreenPairs(phone, cls, ScreenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestScreenPairsOptions(t *testing.T) {
 	store, gt, ds := buildCaseStudy(t, 20000, 0)
 	phone := ds.AttrIndex(gt.PhoneAttr)
 	cls, _ := ds.ClassDict().Lookup(gt.DropClass)
-	c := pinned(t, store)
+	c := NewSource(store)
 	all, err := c.ScreenPairs(phone, cls, ScreenOptions{MinZ: 0.0001})
 	if err != nil {
 		t.Fatal(err)
@@ -217,7 +217,7 @@ func TestScreenThenCompareWorkflow(t *testing.T) {
 	store, gt, ds := buildCaseStudy(t, 60000, 2)
 	phone := ds.AttrIndex(gt.PhoneAttr)
 	cls, _ := ds.ClassDict().Lookup(gt.DropClass)
-	c := pinned(t, store)
+	c := NewSource(store)
 	pairs, err := c.ScreenPairs(phone, cls, ScreenOptions{MaxPairs: 1})
 	if err != nil || len(pairs) == 0 {
 		t.Fatalf("screening failed: %v", err)

@@ -13,7 +13,7 @@ func TestSweepAggregatesSystemicCause(t *testing.T) {
 	store, gt, ds := buildCaseStudy(t, 60000, 2)
 	phone := ds.AttrIndex(gt.PhoneAttr)
 	cls, _ := ds.ClassDict().Lookup(gt.DropClass)
-	res, err := pinned(t, store).Sweep(phone, cls, SweepOptions{})
+	res, err := NewSource(store).Sweep(phone, cls, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestSweepOptionsRespected(t *testing.T) {
 	store, gt, ds := buildCaseStudy(t, 30000, 1)
 	phone := ds.AttrIndex(gt.PhoneAttr)
 	cls, _ := ds.ClassDict().Lookup(gt.DropClass)
-	c := pinned(t, store)
+	c := NewSource(store)
 	// A huge MinScore filters every appearance.
 	res, err := c.Sweep(phone, cls, SweepOptions{MinScore: 1e12})
 	if err != nil {

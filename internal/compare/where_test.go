@@ -82,7 +82,7 @@ func TestScreenPairsQValues(t *testing.T) {
 	store, gt, ds := buildCaseStudy(t, 40000, 0)
 	phone := ds.AttrIndex(gt.PhoneAttr)
 	cls, _ := ds.ClassDict().Lookup(gt.DropClass)
-	pairs, err := pinned(t, store).ScreenPairs(phone, cls, ScreenOptions{MinZ: 0.0001})
+	pairs, err := NewSource(store).ScreenPairs(phone, cls, ScreenOptions{MinZ: 0.0001})
 	if err != nil {
 		t.Fatal(err)
 	}

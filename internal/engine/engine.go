@@ -7,7 +7,7 @@
 // aggregates. LazySource is the one engine for both shapes: a working
 // set materialized on demand under a byte budget, with the paper's
 // precomputed cubes as the same cache with every 1-D and pair cube
-// pinned (PinAll, or Pin for a store counted elsewhere).
+// pinned (PinAll, or Pin for cubes counted elsewhere).
 package engine
 
 import "opmap/internal/obsv"

@@ -91,8 +91,8 @@ type flight struct {
 
 // LazySource is the cube engine: one cache that materializes a missing
 // cube on first use. 1-D cubes are pinned once built; PinAll pins every
-// pair cube up front (the paper's offline precomputation) and Pin an
-// already-counted store's. Every other cube — lazy pairs and
+// pair cube up front (the paper's offline precomputation) and Pin the
+// cubes a snapshot counted. Every other cube — lazy pairs and
 // drill-down k ≥ 3 cubes — is charged to one byte budget and evicted
 // least recently used. A 1-D or pair hit takes no lock and
 // allocates nothing. Concurrent first-touch requests for one cube
@@ -103,8 +103,7 @@ type LazySource struct {
 	attrs []int
 	pos   []int // pos[a]: a's position in attrs, -1 when a is not served
 
-	budget int64           // <0 = unlimited
-	store  *rulecube.Store // the pinned 1-D and pair cubes, if all are pinned
+	budget int64 // <0 = unlimited
 
 	// obsv handles, resolved once so a hit never looks one up by name.
 	hitsC, missesC, evictionsC *obsv.Counter
@@ -127,7 +126,7 @@ type LazySource struct {
 }
 
 // NewLazy creates a lazy source over ds. The dataset must be fully
-// categorical (discretize first), mirroring rulecube.BuildStore.
+// categorical (discretize first).
 func NewLazy(ds *dataset.Dataset, opts LazyOptions) (*LazySource, error) {
 	if ds == nil {
 		return nil, fmt.Errorf("engine: nil dataset")
@@ -168,59 +167,79 @@ func NewLazy(ds *dataset.Dataset, opts LazyOptions) (*LazySource, error) {
 	return s, nil
 }
 
-// PinAll counts every 1-D and pair cube in one shared scan (what
-// rulecube.BuildStoreContext counts) and pins them: never evicted, not
-// charged to the budget, returned by Store. Build counters advance, hit
-// and miss counters do not. Call it before the source is shared.
+// PinAll counts every 1-D and pair cube (rulecube.StoreRequests) in
+// one shared scan and pins them: never evicted, not charged to the
+// budget. Build counters advance, hit and miss counters do not. Call it
+// before the source is shared.
 func (s *LazySource) PinAll(ctx context.Context) error {
-	store, err := rulecube.BuildStoreContext(ctx, s.ds, rulecube.StoreOptions{Attrs: s.attrs})
+	cubes, err := rulecube.BuildMany(ctx, s.ds, rulecube.StoreRequests(s.attrs))
 	if err != nil {
 		return err
 	}
 	n := int64(len(s.attrs))
 	s.oneDBuilds.Add(n)
 	s.twoDBuilds.Add(n * (n - 1) / 2)
-	s.store = store
-	s.pin(store)
+	s.pin(cubes)
 	return nil
 }
 
-// Pin pins a store counted elsewhere (a session snapshot's) as PinAll
-// would have counted it: the store must be over the source's dataset
-// and served attributes. Build counters do not advance. Call it before
+// Pin pins cubes counted elsewhere (a session snapshot's) as PinAll
+// would have counted them: every 1-D and pair cube of the served
+// attributes, each once, each validated against the dataset as
+// SeedCubes validates it. Build counters do not advance. Call it before
 // the source is shared.
-func (s *LazySource) Pin(store *rulecube.Store) error {
-	if store.Dataset() != s.ds || !slices.Equal(store.Attrs(), s.attrs) {
-		return fmt.Errorf("engine: pinned store must cover the source's dataset and attributes")
+func (s *LazySource) Pin(cubes []*rulecube.Cube) error {
+	if want := s.pinSetSize(); len(cubes) != want {
+		return fmt.Errorf("engine: pinning %d cubes, the served attributes have %d 1-D and pair cubes", len(cubes), want)
 	}
-	s.store = store
-	s.pin(store)
+	seen := make([]bool, len(s.slots))
+	for i, c := range cubes {
+		it, err := s.seedItem(i, c)
+		if err != nil {
+			return err
+		}
+		if it.slot < 0 {
+			return fmt.Errorf("engine: pinned cube %d has %d condition dimensions, want 1 or 2", i, c.NumDims())
+		}
+		if seen[it.slot] {
+			return fmt.Errorf("engine: pinned cube %d repeats the cube over attributes %v", i, c.AttrIndices())
+		}
+		seen[it.slot] = true
+	}
+	s.pin(cubes)
 	return nil
 }
 
-// pin installs every cube of store, a store over the served
-// attributes, as a pinned entry, replacing whatever occupied its slot.
-func (s *LazySource) pin(store *rulecube.Store) {
+// pinSetSize is the number of 1-D and pair cubes of the served
+// attributes: the pinned count of an eager source.
+func (s *LazySource) pinSetSize() int {
 	n := len(s.attrs)
-	slab := make([]entry, store.CubeCount())
+	return n + n*(n-1)/2
+}
+
+// pin installs cubes, 1-D and pair cubes of the served attributes, as
+// pinned entries, replacing whatever occupied their slots.
+func (s *LazySource) pin(cubes []*rulecube.Cube) {
+	slab := make([]entry, len(cubes))
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for slot := range s.slots {
-		var c *rulecube.Cube
-		if i, j := (slot-n)/n, (slot-n)%n; slot < n {
-			c = store.Cube1(s.attrs[slot])
-		} else if i < j {
-			c = store.Cube2(s.attrs[i], s.attrs[j])
-		}
-		if c == nil {
-			continue
-		}
-		if old := s.slots[slot].Load(); old != nil {
+	for i, c := range cubes {
+		it := batchItem{attrs: c.AttrIndices(), slot: s.slot(c.AttrIndices())}
+		if old := s.slots[it.slot].Load(); old != nil {
 			s.unlinkLocked(old)
 		}
-		s.insertLocked(batchItem{attrs: c.AttrIndices(), slot: slot}, c, &slab[0], true)
-		slab = slab[1:]
+		s.insertLocked(it, c, &slab[i], true)
 	}
+}
+
+// Eager reports whether every 1-D and pair cube is pinned, as PinAll or
+// Pin leaves them. A lazy source pins only the 1-D cubes it builds, so
+// it reads as eager only when it serves a single attribute whose cube
+// it built: then both hold the same cubes.
+func (s *LazySource) Eager() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.pinned == s.pinSetSize()
 }
 
 // Dataset returns the (discretized) dataset the cubes are counted over.
@@ -229,11 +248,6 @@ func (s *LazySource) Dataset() *dataset.Dataset { return s.ds }
 // Attrs returns the servable attribute indices in ascending order;
 // callers must not modify the slice.
 func (s *LazySource) Attrs() []int { return s.attrs }
-
-// Store returns the pinned 1-D and pair cubes as one rulecube.Store —
-// the cubes themselves, not a copy — for snapshot writing and shard
-// merges; nil unless PinAll or Pin pinned them.
-func (s *LazySource) Store() *rulecube.Store { return s.store }
 
 // Budget returns the configured byte budget of the unpinned cubes
 // (negative means unlimited) — recorded in session snapshots so a warm
@@ -833,23 +847,40 @@ func (s *LazySource) IngestRows(rows [][]int32, classes []int32) error {
 	return err
 }
 
-// Merge folds o's pinned store into s's (rulecube.Store.Merge) and
-// drops s's unpinned cubes: counted over s's rows alone, they would
-// miss o's. The caller appends o's rows to s's dataset, so later
-// misses count the union.
-func (s *LazySource) Merge(o *LazySource) error {
-	if s.store == nil || o.store == nil {
+// Merge folds o's pinned cubes into s's, slot by slot through
+// rulecube.Cube.Merge, translating o's codes through rm: the
+// s.Dataset().UnionDicts(o.Dataset()) remap, which already grew the
+// dictionaries s's cubes share. It drops s's unpinned cubes: counted
+// over s's rows alone, they would miss o's. The caller appends o's rows
+// to s's dataset, so later misses count the union. Both sources must
+// be eager over the same attributes.
+func (s *LazySource) Merge(o *LazySource, rm *dataset.Remap) error {
+	if !s.Eager() || !o.Eager() {
 		return fmt.Errorf("engine: merge needs both sources' 1-D and pair cubes pinned")
 	}
-	if err := s.store.Merge(o.store); err != nil {
-		return err
+	if !slices.Equal(s.attrs, o.attrs) {
+		return fmt.Errorf("engine: merge sources serve different attributes: %v vs %v", s.attrs, o.attrs)
 	}
+	class := rm.Attr(s.ds.ClassIndex())
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	for len(s.lru) > 0 {
 		s.unlinkLocked(s.lru[0])
 	}
 	s.bytesG.Set(s.bytes)
-	s.mu.Unlock()
-	s.pin(s.store) // a merge may add cubes the destination lacked
+	var dims [2][]int32
+	for i := range s.slots {
+		dst := s.slots[i].Load()
+		if dst == nil {
+			continue
+		}
+		attrs := dst.cube.AttrIndices()
+		for p, a := range attrs {
+			dims[p] = rm.Attr(a)
+		}
+		if err := dst.cube.Merge(o.slots[i].Load().cube, dims[:len(attrs)], class); err != nil {
+			return err
+		}
+	}
 	return nil
 }

@@ -94,11 +94,15 @@ func TestSeedCubesRejectsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := rulecube.BuildStore(other, rulecube.StoreOptions{})
+	attrs, err := rulecube.NormalizeAttrs(other, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := lazy.SeedCubes(store.Cubes()); err == nil {
+	cubes, err := rulecube.BuildMany(ctx, other, rulecube.StoreRequests(attrs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lazy.SeedCubes(cubes); err == nil {
 		t.Fatal("cubes over a mismatched dataset seeded")
 	}
 	st := lazy.Stats()

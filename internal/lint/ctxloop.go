@@ -14,7 +14,7 @@ import (
 // through every entry point by hand; this analyzer keeps that invariant
 // as the batch engine and row-sharded builds multiply the hot loops.
 // Inner loops are exempt (poll granularity is the outer iteration, the
-// convention BuildStoreContext documents), as are ranges over channels,
+// convention BuildMany documents), as are ranges over channels,
 // whose producers own the cancellation path.
 var CtxLoop = &Analyzer{
 	Name: "ctxloop",

@@ -8,12 +8,11 @@ import (
 
 // CubeAccess flags direct access to a cube cache field — a map or
 // slice field whose elements are cubes, point to a struct holding one,
-// or atomically hold such a pointer, like rulecube.Store's oneD/twoD or
-// the engine's atomic slots — from outside the owning type's methods.
-// Those containers carry invariants the accessors maintain (canonical
-// pair keys, slot indexing, use stamps, byte accounting, mutex
-// discipline); a stray `s.twoD[k]` in a helper bypasses all of them
-// and compiles silently. Access from any method of the declaring type
+// or atomically hold such a pointer, like the engine's atomic slots —
+// from outside the owning type's methods. Those containers carry
+// invariants the accessors maintain (slot indexing, use stamps, byte
+// accounting, mutex discipline); a stray `s.slots[i]` in a helper
+// bypasses all of them and compiles silently. Access from any method of the declaring type
 // is allowed: that is where the accessors live.
 var CubeAccess = &Analyzer{
 	Name: "cubeaccess",

@@ -14,8 +14,8 @@ import (
 
 // Shared-scan batch building (DESIGN.md §14). BuildMany is the one
 // code path that counts rows into cubes: Build is a one-request call,
-// BuildStore one call over every 1-D and pair cube, and the lazy engine
-// sends its misses here. A sweep or a one-vs-rest over all values needs
+// the engine's PinAll one call over every 1-D and pair cube
+// (StoreRequests), and the lazy engine sends its misses here. A sweep or a one-vs-rest over all values needs
 // the split attribute's 1-D cube plus one pair cube (and possibly one
 // 1-D marginal) per ranked attribute — dozens of cubes whose
 // independent builds would each re-scan the same rows. BuildMany counts
@@ -27,7 +27,7 @@ import (
 // through separate scans.
 
 // CubeScansCounterName counts full dataset passes performed to count
-// cubes: one per BuildMany call (Build and BuildStore included),
+// cubes: one per BuildMany call (Build and PinAll included),
 // however many cubes that one scan produced. The ratio of
 // opmap_cubes_built_total to this counter is the shared-scan
 // amplification.

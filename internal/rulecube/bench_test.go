@@ -69,11 +69,8 @@ func BenchmarkStoreIngestRows(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	st, err := rulecube.BuildStore(ds, rulecube.StoreOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if n := st.CubeCount(); n != 3240 {
+	cubes := storeCubes(b, ds)
+	if n := len(cubes); n != 3240 {
 		b.Fatalf("store has %d cubes, want 3240", n)
 	}
 	planted := map[string]bool{
@@ -96,7 +93,6 @@ func BenchmarkStoreIngestRows(b *testing.B) {
 		}
 		return rows, classes
 	}
-	cubes := st.Cubes()
 	for _, mode := range []string{"dense", "sparse"} {
 		rows, classes := batch(mode == "sparse")
 		b.Run(mode, func(b *testing.B) {

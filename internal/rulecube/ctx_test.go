@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -51,6 +52,16 @@ func wideDataset(t *testing.T, nAttrs, rows int) *dataset.Dataset {
 	return ds
 }
 
+// buildStore counts every 1-D and pair cube over attrs (nil: every
+// attribute) in one BuildMany scan, as the engine's PinAll does.
+func buildStore(ctx context.Context, ds *dataset.Dataset, attrs []int) ([]*Cube, error) {
+	attrs, err := NormalizeAttrs(ds, attrs)
+	if err != nil {
+		return nil, err
+	}
+	return BuildMany(ctx, ds, StoreRequests(attrs))
+}
+
 // pollSignalCtx passes every call through to its parent context but
 // closes reached on the at-th Err poll. BuildMany polls once before
 // planning and then once per scan block in every shard, so with at ≥ 3
@@ -69,10 +80,10 @@ func (c *pollSignalCtx) Err() error {
 	return c.Context.Err()
 }
 
-// TestBuildStoreContextPreCanceled: a canceled context fails the build
+// TestStoreRequestsContextPreCanceled: a canceled context fails the build
 // before it counts anything, whatever the scan's parallelism
 // (GOMAXPROCS, which sets how many row shards the scan may use).
-func TestBuildStoreContextPreCanceled(t *testing.T) {
+func TestStoreRequestsContextPreCanceled(t *testing.T) {
 	ds := wideDataset(t, 6, 64)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -80,7 +91,7 @@ func TestBuildStoreContextPreCanceled(t *testing.T) {
 		t.Run(fmt.Sprintf("parallelism=%d", procs), func(t *testing.T) {
 			defer testutil.VerifyNoLeak(t)()
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			store, err := BuildStoreContext(ctx, ds, StoreOptions{})
+			store, err := buildStore(ctx, ds, nil)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled", err)
 			}
@@ -107,7 +118,7 @@ func cancelMidScan(t *testing.T, procs int) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := BuildStoreContext(ctx, ds, StoreOptions{})
+		_, err := buildStore(ctx, ds, nil)
 		done <- err
 	}()
 	select {
@@ -133,18 +144,18 @@ func cancelMidScan(t *testing.T, procs int) {
 	}
 }
 
-// TestBuildStoreContextCancelMidBuild is the acceptance check on the
-// sharded scan: with GOMAXPROCS 4 the rows split across shards, and a
-// cancel mid-scan stops every shard at its next block.
-func TestBuildStoreContextCancelMidBuild(t *testing.T) { cancelMidScan(t, 4) }
+// TestStoreRequestsContextCancelMidBuild is the acceptance check on
+// the sharded scan: with GOMAXPROCS 4 the rows split across shards, and
+// a cancel mid-scan stops every shard at its next block.
+func TestStoreRequestsContextCancelMidBuild(t *testing.T) { cancelMidScan(t, 4) }
 
-// TestBuildStoreContextSerialCancel is the same check on the
+// TestStoreRequestsContextSerialCancel is the same check on the
 // single-shard scan (GOMAXPROCS 1).
-func TestBuildStoreContextSerialCancel(t *testing.T) { cancelMidScan(t, 1) }
+func TestStoreRequestsContextSerialCancel(t *testing.T) { cancelMidScan(t, 1) }
 
-// TestBuildStoreContextFaultError proves an injected error at the
+// TestStoreRequestsContextFaultError proves an injected error at the
 // counting scan's fault site fails the store build cleanly.
-func TestBuildStoreContextFaultError(t *testing.T) {
+func TestStoreRequestsContextFaultError(t *testing.T) {
 	defer testutil.VerifyNoLeak(t)()
 	defer faultinject.Reset()
 	ds := wideDataset(t, 8, 64)
@@ -159,7 +170,7 @@ func TestBuildStoreContextFaultError(t *testing.T) {
 	defer disarm()
 
 	h0 := faultinject.HitCount(faultinject.SiteCubeBatch)
-	store, err := BuildStoreContext(context.Background(), ds, StoreOptions{})
+	store, err := buildStore(context.Background(), ds, nil)
 	if !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
 	}
@@ -171,10 +182,10 @@ func TestBuildStoreContextFaultError(t *testing.T) {
 	}
 }
 
-// TestBuildStoreContextFaultOneD: a store of 1-D cubes only (one
+// TestStoreRequestsContextFaultOneD: a store of 1-D cubes only (one
 // attribute, so no pairs) is counted by the same scan and fails at the
 // same site.
-func TestBuildStoreContextFaultOneD(t *testing.T) {
+func TestStoreRequestsContextFaultOneD(t *testing.T) {
 	defer testutil.VerifyNoLeak(t)()
 	defer faultinject.Reset()
 	ds := wideDataset(t, 4, 64)
@@ -187,27 +198,35 @@ func TestBuildStoreContextFaultOneD(t *testing.T) {
 	}
 	defer disarm()
 
-	if _, err := BuildStoreContext(context.Background(), ds, StoreOptions{Attrs: []int{0}}); !errors.Is(err, faultinject.ErrInjected) {
+	if _, err := buildStore(context.Background(), ds, []int{0}); !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
 	}
 }
 
-// TestBuildStoreContextUnchanged pins backward compatibility: a build
-// under a background context equals the context-free build.
-func TestBuildStoreContextUnchanged(t *testing.T) {
+// TestStoreRequestsContextUnchanged pins backward compatibility: a
+// store build under a background context equals the context-free
+// builds of the same cubes.
+func TestStoreRequestsContextUnchanged(t *testing.T) {
 	ds := wideDataset(t, 5, 64)
-	plain, err := BuildStore(ds, StoreOptions{})
+	ctxed, err := buildStore(context.Background(), ds, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctxed, err := BuildStoreContext(context.Background(), ds, StoreOptions{})
+	attrs, err := NormalizeAttrs(ds, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.CubeCount() != ctxed.CubeCount() {
-		t.Errorf("cube counts differ: %d vs %d", plain.CubeCount(), ctxed.CubeCount())
+	reqs := StoreRequests(attrs)
+	if len(ctxed) != len(reqs) {
+		t.Fatalf("cube counts differ: %d vs %d", len(ctxed), len(reqs))
 	}
-	if ps, cs := plain.Stats(), ctxed.Stats(); ps != cs {
-		t.Errorf("store stats differ: %+v vs %+v", ps, cs)
+	for i, attrs := range reqs {
+		plain, err := Build(ds, attrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(plain, ctxed[i]) {
+			t.Errorf("cube %v differs from its context-free build", attrs)
+		}
 	}
 }

@@ -4,8 +4,9 @@
 // of the rule A_i1=v1, .., A_ip=vp -> C=c. Mining with zero minimum
 // support/confidence corresponds to fully counting the array, which
 // removes holes from the knowledge space. OLAP-style slice, dice and
-// roll-up operations navigate cubes; a Store materializes all 2-D and
-// 3-D cubes of a dataset the way the deployed Opportunity Map does.
+// roll-up operations navigate cubes. StoreRequests lists the 2-D and
+// 3-D cubes the deployed Opportunity Map materializes; the engine
+// (internal/engine) pins them, and snapshots persist them.
 package rulecube
 
 import (
@@ -410,8 +411,8 @@ func (c *Cube) Rules() ([]car.Rule, error) {
 
 // SizeBytes approximates the memory held by the cube's count array
 // (8 bytes per cell). Dictionaries and headers are shared with the
-// dataset and not charged here; this is the figure cache budgets and
-// StoreStats account in. Like RuleCount it saturates at math.MaxInt64
+// dataset and not charged here; this is the figure cache budgets
+// account in. Like RuleCount it saturates at math.MaxInt64
 // instead of wrapping negative.
 func (c *Cube) SizeBytes() int64 {
 	n := c.RuleCount()
@@ -446,61 +447,16 @@ func EstimateCubeBytes(ds *dataset.Dataset, attrs []int) int64 {
 	return cells * 8
 }
 
-// pairKey normalizes an attribute pair for Store lookup.
-func pairKey(a, b int) [2]int {
-	if a > b {
-		a, b = b, a
-	}
-	return [2]int{a, b}
-}
-
-// StoreOptions configures Store materialization.
-type StoreOptions struct {
-	// Attrs restricts the attributes materialized (class excluded
-	// automatically). Nil means all non-class attributes.
-	Attrs []int
-}
-
-// Store holds the materialized rule cubes of a dataset: one 2-D cube per
-// attribute (attribute × class) and one 3-D cube per attribute pair
-// (A × B × class), mirroring the deployed system ("In our current
-// implementation, we store all 3-dimensional rule cubes").
-type Store struct {
-	ds    *dataset.Dataset
-	attrs []int
-	oneD  map[int]*Cube
-	twoD  map[[2]int]*Cube
-}
-
 // CubesBuiltCounterName is the counter advanced once per cube counted,
 // so a /metrics scrape shows offline-build progress and totals.
 const CubesBuiltCounterName = "opmap_cubes_built_total"
 
-// BuildStore materializes the cube store for ds.
-func BuildStore(ds *dataset.Dataset, opts StoreOptions) (*Store, error) {
-	return BuildStoreContext(context.Background(), ds, opts)
-}
-
-// BuildStoreContext is BuildStore under a context. Every 1-D cube and
-// every pair cube is counted in one BuildMany scan, so cancellation is
-// observed inside that scan (see BuildMany).
-func BuildStoreContext(ctx context.Context, ds *dataset.Dataset, opts StoreOptions) (*Store, error) {
-	attrs, err := NormalizeAttrs(ds, opts.Attrs)
-	if err != nil {
-		return nil, err
-	}
-	cubes, err := BuildMany(ctx, ds, storeRequests(attrs))
-	if err != nil {
-		return nil, err
-	}
-	return AssembleStore(ds, attrs, cubes)
-}
-
-// storeRequests lists a store's cubes for BuildMany: the 1-D cube of
-// every attribute, then every pair (a, b) with a < b in the sorted
-// attrs.
-func storeRequests(attrs []int) [][]int {
-	reqs := make([][]int, 0, len(attrs))
+// StoreRequests lists the cubes the deployed system precomputes over
+// attrs ("we store all 3-dimensional rule cubes"), as BuildMany
+// requests: the 1-D cube of every attribute, then every pair (a, b)
+// with a < b in the sorted attrs.
+func StoreRequests(attrs []int) [][]int {
+	reqs := make([][]int, 0, len(attrs)+len(attrs)*(len(attrs)-1)/2)
 	for _, a := range attrs {
 		reqs = append(reqs, []int{a})
 	}
@@ -539,104 +495,39 @@ func NormalizeAttrs(ds *dataset.Dataset, attrs []int) ([]int, error) {
 	return attrs, nil
 }
 
-// Dataset returns the dataset the store was built from.
-func (s *Store) Dataset() *dataset.Dataset { return s.ds }
+// Counts returns the cube's cells in row-major order, the class
+// varying fastest: the layout FromCounts takes back. The caller must
+// not modify the slice.
+func (c *Cube) Counts() []int64 { return c.counts }
 
-// Attrs returns the materialized attribute indices in ascending order.
-func (s *Store) Attrs() []int { return s.attrs }
-
-// Cube1 returns the 2-D cube (attr × class), or nil if not materialized.
-func (s *Store) Cube1(attr int) *Cube { return s.oneD[attr] }
-
-// Cube2 returns the 3-D cube over the attribute pair, or nil. The cube's
-// first dimension is min(a,b) and second is max(a,b).
-func (s *Store) Cube2(a, b int) *Cube { return s.twoD[pairKey(a, b)] }
-
-// putCube1 records the 2-D cube for attr. All writes to the oneD map
-// go through here so the cubeaccess lint can confine cube-cache map
-// access to the owning accessors.
-func (s *Store) putCube1(attr int, c *Cube) { s.oneD[attr] = c }
-
-// putCube2 records the 3-D cube for the (normalized) attribute pair.
-func (s *Store) putCube2(a, b int, c *Cube) { s.twoD[pairKey(a, b)] = c }
-
-// oneDAttrs returns the attribute indices with a materialized 1-D cube,
-// in ascending order.
-func (s *Store) oneDAttrs() []int {
-	out := make([]int, 0, len(s.oneD))
-	for a := range s.oneD {
-		out = append(out, a)
+// FromCounts binds cells counted elsewhere (a snapshot's) to ds as the
+// cube over attrs: dimensions, names and dictionaries come from ds, the
+// cells in Counts order from counts, which the cube keeps. counts must
+// hold exactly the cells the dimensions span — the class count times
+// each attribute's cardinality (at least 1); the total is their sum.
+func FromCounts(ds *dataset.Dataset, attrs []int, counts []int64) (*Cube, error) {
+	c := &Cube{
+		attrIdx:    append([]int(nil), attrs...),
+		classDict:  ds.ClassDict(),
+		numClasses: ds.NumClasses(),
+		counts:     counts,
 	}
-	sort.Ints(out)
-	return out
-}
-
-// twoDPairs returns the materialized pair keys in ascending order.
-func (s *Store) twoDPairs() [][2]int {
-	out := make([][2]int, 0, len(s.twoD))
-	for p := range s.twoD {
-		out = append(out, p)
+	size := c.numClasses
+	for _, a := range attrs {
+		if a < 0 || a >= ds.NumAttrs() {
+			return nil, fmt.Errorf("rulecube: attribute index %d out of range", a)
+		}
+		d := cubeDim(ds, a)
+		c.dims = append(c.dims, d)
+		c.attrNames = append(c.attrNames, ds.Attr(a).Name)
+		c.dicts = append(c.dicts, ds.Column(a).Dict)
+		size *= d
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
-	return out
-}
-
-// forEachCube visits every materialized cube (1-D then 2-D, unordered
-// within each group).
-func (s *Store) forEachCube(f func(c *Cube)) {
-	for _, c := range s.oneD {
-		f(c)
+	if len(counts) != size {
+		return nil, fmt.Errorf("rulecube: %d cells for a cube of %d", len(counts), size)
 	}
-	for _, c := range s.twoD {
-		f(c)
+	for _, n := range counts {
+		c.total += n
 	}
-}
-
-// CubeCount returns the number of materialized cubes.
-func (s *Store) CubeCount() int { return len(s.oneD) + len(s.twoD) }
-
-// StoreStats summarizes a store's size — the quantified form of the
-// paper's combinatorial-explosion concern (Section III.B: storing all
-// rules "will result in a huge number of rules"; the two-condition cap
-// keeps it tractable).
-type StoreStats struct {
-	Attributes int
-	Cubes      int
-	// Cells is the total cell count across all cubes = the number of
-	// rules the store represents.
-	Cells int64
-	// Bytes approximates count-array memory (8 bytes per cell).
-	Bytes int64
-	// MaxCubeCells is the largest single cube.
-	MaxCubeCells int64
-}
-
-// Stats computes the store's size summary. Sums saturate at
-// math.MaxInt64 like the per-cube figures they aggregate.
-func (s *Store) Stats() StoreStats {
-	st := StoreStats{Attributes: len(s.attrs)}
-	s.forEachCube(func(c *Cube) {
-		st.Cubes++
-		n := c.RuleCount()
-		if st.Cells > math.MaxInt64-n {
-			st.Cells = math.MaxInt64
-		} else {
-			st.Cells += n
-		}
-		b := c.SizeBytes()
-		if st.Bytes > math.MaxInt64-b {
-			st.Bytes = math.MaxInt64
-		} else {
-			st.Bytes += b
-		}
-		if n > st.MaxCubeCells {
-			st.MaxCubeCells = n
-		}
-	})
-	return st
+	return c, nil
 }

@@ -1,7 +1,9 @@
 package rulecube
 
 import (
+	"context"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -332,35 +334,32 @@ func TestMissingValuesSkipped(t *testing.T) {
 	}
 }
 
-func TestBuildStoreShapes(t *testing.T) {
+func TestStoreRequestsShapes(t *testing.T) {
 	ds := fig1Dataset(t)
-	store, err := BuildStore(ds, StoreOptions{})
+	cubes, err := buildStore(context.Background(), ds, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 2 attrs → 2 one-D cubes + 1 pair cube.
-	if store.CubeCount() != 3 {
-		t.Errorf("CubeCount = %d, want 3", store.CubeCount())
+	// 2 attrs → 2 one-D cubes + 1 pair cube, the pair's dimensions
+	// ascending and never a self-pair.
+	if len(cubes) != 3 {
+		t.Errorf("CubeCount = %d, want 3", len(cubes))
 	}
-	if store.Cube1(0) == nil || store.Cube1(1) == nil {
-		t.Error("missing 2-D cube")
+	for i, want := range [][]int{{0}, {1}, {0, 1}} {
+		if got := cubes[i].AttrIndices(); !reflect.DeepEqual(got, want) {
+			t.Errorf("cube %d over %v, want %v", i, got, want)
+		}
 	}
-	if store.Cube2(0, 1) == nil || store.Cube2(1, 0) == nil {
-		t.Error("pair lookup should be order-insensitive")
-	}
-	if store.Cube2(0, 0) != nil {
-		t.Error("self-pair should not exist")
-	}
-	if _, err := BuildStore(ds, StoreOptions{Attrs: []int{2}}); err == nil {
+	if _, err := buildStore(context.Background(), ds, []int{2}); err == nil {
 		t.Error("class in store attrs should fail")
 	}
 }
 
 func TestStoreCubesMatchDirectBuild(t *testing.T) {
 	ds := fig1Dataset(t)
-	store, _ := BuildStore(ds, StoreOptions{})
+	cubes, _ := buildStore(context.Background(), ds, nil)
 	direct, _ := Build(ds, []int{0, 1})
-	got := store.Cube2(0, 1)
+	got := cubes[2]
 	direct.ForEach(func(values []int32, class int32, count int64) {
 		n, err := got.Count(values, class)
 		if err != nil {
@@ -418,25 +417,32 @@ func TestSlicePartitionsTotal(t *testing.T) {
 	}
 }
 
+// TestStoreStats sizes the Fig. 1 store: the quantified form of the
+// paper's combinatorial-explosion concern (Section III.B).
 func TestStoreStats(t *testing.T) {
 	ds := fig1Dataset(t)
-	store, err := BuildStore(ds, StoreOptions{})
+	cubes, err := buildStore(context.Background(), ds, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := store.Stats()
-	if st.Attributes != 2 || st.Cubes != 3 {
-		t.Errorf("stats = %+v", st)
+	var cells, bytes, maxCells int64
+	for _, c := range cubes {
+		cells += c.RuleCount()
+		bytes += c.SizeBytes()
+		maxCells = max(maxCells, c.RuleCount())
+	}
+	if len(cubes) != 3 {
+		t.Errorf("cubes = %d, want 3", len(cubes))
 	}
 	// Cells: A1 cube 4·2=8, A2 cube 3·2=6, pair 4·3·2=24 → 38.
-	if st.Cells != 38 {
-		t.Errorf("cells = %d, want 38", st.Cells)
+	if cells != 38 {
+		t.Errorf("cells = %d, want 38", cells)
 	}
-	if st.Bytes != 38*8 {
-		t.Errorf("bytes = %d", st.Bytes)
+	if bytes != 38*8 {
+		t.Errorf("bytes = %d", bytes)
 	}
-	if st.MaxCubeCells != 24 {
-		t.Errorf("max cube = %d, want 24 (Fig. 1's cube)", st.MaxCubeCells)
+	if maxCells != 24 {
+		t.Errorf("max cube = %d, want 24 (Fig. 1's cube)", maxCells)
 	}
 }
 

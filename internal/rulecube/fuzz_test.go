@@ -1,7 +1,6 @@
 package rulecube_test
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -10,47 +9,6 @@ import (
 	"opmap/internal/dataset"
 	"opmap/internal/rulecube"
 )
-
-// FuzzReadStore hardens the persistence reader against arbitrary bytes:
-// whatever the input, ReadStore must return an error or a usable store —
-// never panic, never allocate absurdly.
-func FuzzReadStore(f *testing.F) {
-	// Seed with a valid store and a few mutations of it.
-	ds := fig1Dataset(f)
-	store, err := rulecube.BuildStore(ds, rulecube.StoreOptions{})
-	if err != nil {
-		f.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := rulecube.WriteStore(&buf, store); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])
-	f.Add([]byte("OMAPCUBE"))
-	f.Add([]byte{})
-	mutated := append([]byte{}, valid...)
-	mutated[len(mutated)/3] ^= 0x40
-	f.Add(mutated)
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := rulecube.ReadStore(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		// A successfully parsed store must answer basic queries without
-		// panicking.
-		for _, a := range s.Attrs() {
-			c := s.Cube1(a)
-			if c == nil {
-				continue
-			}
-			_ = c.ClassMarginals()
-			_ = c.RuleCount()
-		}
-	})
-}
 
 // FuzzIngestRows decodes arbitrary bytes into an ingest batch — codes
 // and classes that are negative, missing, in range or beyond the
@@ -79,15 +37,12 @@ func FuzzIngestRows(f *testing.F) {
 		for a0.Len() < dataset.MaxNarrowLabels {
 			a0.Code(fmt.Sprintf("pad%d", a0.Len()))
 		}
-		st, err := rulecube.BuildStore(ds, rulecube.StoreOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		st := storeCubes(t, ds)
 		nd, err := rulecube.Build(ds, []int{0, 2, 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		cubes := append(st.Cubes(), nd)
+		cubes := append(st, nd)
 		for i := 0; i < int(grow); i++ {
 			a0.Code(fmt.Sprintf("new%d", i))
 		}
@@ -141,11 +96,7 @@ func FuzzIngestRows(f *testing.F) {
 		if wide := ds.Column(0).Codes.IsWide(); wide != (len(rows) > 0 && a0.Len() > dataset.MaxNarrowLabels) {
 			t.Fatalf("A0 has %d labels after %d rows, wide %v", a0.Len(), len(rows), wide)
 		}
-		fresh, err := rulecube.BuildStore(ds, rulecube.StoreOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, c := range append(fresh.Cubes(), nd) {
+		for _, c := range append(storeCubes(t, ds), nd) {
 			rulecube.CheckBruteForce(t, ds, c.AttrIndices(), c, fmt.Sprint("fresh cube ", c.AttrIndices()))
 		}
 	})

@@ -135,7 +135,7 @@ func TestIngestOracle(t *testing.T) {
 	if err := eager.PinAll(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	st := eager.Store()
+	st := eager.ResidentCubes()
 	if _, err := eager.CubeN(context.Background(), []int{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestIngestOracle(t *testing.T) {
 
 	check := func(step string) {
 		t.Helper()
-		for _, c := range st.Cubes() {
+		for _, c := range st {
 			rulecube.CheckBruteForce(t, ds, c.AttrIndices(), c, fmt.Sprintf("%s: store cube %v", step, c.AttrIndices()))
 		}
 		nd, err := eager.CubeN(context.Background(), []int{1, 2, 3})
@@ -201,11 +201,7 @@ func TestIngestOracle(t *testing.T) {
 			t.Fatalf("%s: wide %v, want %d labels, wide %v", name, ds.Column(0).Codes.IsWide(), step.labels, step.wide)
 		}
 		check(name)
-		fresh, err := rulecube.BuildStore(ds, rulecube.StoreOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, c := range fresh.Cubes() {
+		for _, c := range storeCubes(t, ds) {
 			rulecube.CheckBruteForce(t, ds, c.AttrIndices(), c, fmt.Sprintf("%s: fresh cube %v", name, c.AttrIndices()))
 		}
 	}
@@ -242,16 +238,13 @@ func stateOf(c *rulecube.Cube) cubeState {
 func TestIngestAllOrNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ds := ingestDataset(t, rng, 300)
-	st, err := rulecube.BuildStore(ds, rulecube.StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := storeCubes(t, ds)
 	last := ingestAttrs - 1
 	lazy := lazyResidents(t, ds, [][]int{{0}, {1}, {0, 1}, {1, 2}, {0, 2, last}})
 
 	snapshot := func() (map[string]cubeState, int64) {
 		out := make(map[string]cubeState)
-		for _, c := range st.Cubes() {
+		for _, c := range st {
 			out[fmt.Sprint("store", c.AttrIndices())] = stateOf(c)
 		}
 		for _, c := range lazy.ResidentCubes() {
@@ -281,7 +274,7 @@ func TestIngestAllOrNothing(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rows, classes := tc.spoil(codedRows(ds, 0, 50))
-			if err := rulecube.IngestCubes(st.Cubes(), ds.NumAttrs(), rows, classes); err == nil {
+			if err := rulecube.IngestCubes(st, ds.NumAttrs(), rows, classes); err == nil {
 				t.Fatal("store accepted the batch")
 			}
 			rows, classes = tc.spoil(codedRows(ds, 0, 50))

@@ -14,7 +14,8 @@ import (
 // labels in different orders — the merge remaps source coordinates
 // through the dictionary union (dataset.UnionDicts) first. Everything
 // that combines counts funnels through here: BuildMany's row-shard
-// scratch merge (AddCounts) and shard-snapshot assembly (Store.Merge).
+// scratch merge (AddCounts) and the engine's shard merge, which folds
+// each pinned cube through Cube.Merge.
 // WAL ingest adds single rows rather than counted partials; it folds
 // them in cell by cell through IngestCubes (ingest.go).
 
@@ -120,60 +121,5 @@ func (c *Cube) Merge(src *Cube, dims [][]int32, class []int32) error {
 		total += v
 	}
 	c.total += total
-	return nil
-}
-
-// Merge folds every cube of src into st, unioning the underlying
-// datasets' dictionaries first and remapping source counts through the
-// union. The two stores must cover the same attribute set; schema
-// mismatches surface from UnionDicts naming the offending attribute.
-// st's dataset dictionaries grow in place (its cubes share them);
-// src — dataset and cubes — is never modified. Row storage is not
-// merged: counts describe rows the destination dataset may not hold,
-// which is exactly the shard-merge contract (the session layer appends
-// remapped rows separately when it needs them).
-func (st *Store) Merge(src *Store) error {
-	if src == nil {
-		return fmt.Errorf("rulecube: merge source store is nil")
-	}
-	if len(st.attrs) != len(src.attrs) {
-		return fmt.Errorf("rulecube: store attribute sets differ: %d vs %d attributes", len(st.attrs), len(src.attrs))
-	}
-	for i := range st.attrs {
-		if st.attrs[i] != src.attrs[i] {
-			return fmt.Errorf("rulecube: store attribute sets differ at %d: %d vs %d", i, st.attrs[i], src.attrs[i])
-		}
-	}
-	rm, err := st.ds.UnionDicts(src.ds)
-	if err != nil {
-		return err
-	}
-	// The union may have grown st.ds's dictionaries; bring every
-	// destination cube to the union layout, including any with no
-	// source counterpart.
-	st.forEachCube(func(c *Cube) { c.SyncDims() })
-	classRemap := rm.Attr(st.ds.ClassIndex())
-	for _, a := range src.oneDAttrs() {
-		sc := src.Cube1(a)
-		dc := st.Cube1(a)
-		if dc == nil {
-			dc = newCubeHeader(st.ds, []int{a}, st.ds.NumClasses())
-			st.putCube1(a, dc)
-		}
-		if err := dc.Merge(sc, [][]int32{rm.Attr(a)}, classRemap); err != nil {
-			return err
-		}
-	}
-	for _, p := range src.twoDPairs() {
-		sc := src.Cube2(p[0], p[1])
-		dc := st.Cube2(p[0], p[1])
-		if dc == nil {
-			dc = newCubeHeader(st.ds, []int{p[0], p[1]}, st.ds.NumClasses())
-			st.putCube2(p[0], p[1], dc)
-		}
-		if err := dc.Merge(sc, [][]int32{rm.Attr(p[0]), rm.Attr(p[1])}, classRemap); err != nil {
-			return err
-		}
-	}
 	return nil
 }

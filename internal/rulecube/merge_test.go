@@ -1,6 +1,7 @@
 package rulecube
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -55,6 +56,36 @@ func TestAddCounts(t *testing.T) {
 	}
 }
 
+// storeOf counts every 1-D and pair cube of ds (buildStore).
+func storeOf(t *testing.T, ds *dataset.Dataset) []*Cube {
+	t.Helper()
+	cubes, err := buildStore(context.Background(), ds, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cubes
+}
+
+// mergeStores folds src, the store cubes of srcDS, into dst, those of
+// dstDS, cube by cube through Cube.Merge under one dictionary union —
+// the engine's shard merge — and appends srcDS's rows to dstDS.
+func mergeStores(dstDS *dataset.Dataset, dst []*Cube, srcDS *dataset.Dataset, src []*Cube) error {
+	rm, err := dstDS.UnionDicts(srcDS)
+	if err != nil {
+		return err
+	}
+	for i, c := range dst {
+		dims := make([][]int32, c.NumDims())
+		for p, a := range c.attrIdx {
+			dims[p] = rm.Attr(a)
+		}
+		if err := c.Merge(src[i], dims, rm.Attr(dstDS.ClassIndex())); err != nil {
+			return err
+		}
+	}
+	return dstDS.AppendRemapped(srcDS, rm)
+}
+
 // TestStoreMergeMatchesSinglePass is the core merge oracle: build
 // stores over two shards with non-identical dictionaries, merge, and
 // require the result DeepEqual to the single-pass store over the
@@ -62,91 +93,51 @@ func TestAddCounts(t *testing.T) {
 func TestStoreMergeMatchesSinglePass(t *testing.T) {
 	ds1 := shardDataset(t, shard1Rows...)
 	ds2 := shardDataset(t, shard2Rows...)
-	st1, err := BuildStore(ds1, StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st2, err := BuildStore(ds2, StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st1.Merge(st2); err != nil {
+	st1, st2 := storeOf(t, ds1), storeOf(t, ds2)
+	if err := mergeStores(ds1, st1, ds2, st2); err != nil {
 		t.Fatal(err)
 	}
 
 	all := append(append([]string(nil), shard1Rows...), shard2Rows...)
 	dsAll := shardDataset(t, all...)
-	want, err := BuildStore(dsAll, StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
+	want := storeOf(t, dsAll)
+	if !reflect.DeepEqual(ds1, dsAll) {
+		t.Fatal("merged dataset differs from the single-pass dataset")
 	}
-	// The merged store's dataset holds only shard1's rows (stores merge
-	// counts, not rows — the session layer appends rows separately), so
-	// append shard2's remapped rows before the full comparison.
-	rm, err := st1.Dataset().UnionDicts(ds2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st1.Dataset().AppendRemapped(ds2, rm); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(st1, want) {
-		t.Fatalf("merged store differs from single-pass store\n got: %+v\nwant: %+v", st1.Stats(), want.Stats())
+	for i := range want {
+		if !reflect.DeepEqual(st1[i], want[i]) {
+			t.Fatalf("merged cube %v differs from the single-pass cube", want[i].attrIdx)
+		}
 	}
 }
 
 // TestStoreMergeZeroRowShard checks both positions of an empty shard:
 // empty-into-populated and populated-into-empty.
 func TestStoreMergeZeroRowShard(t *testing.T) {
-	buildPair := func() (*Store, *Store, *Store) {
-		t.Helper()
-		empty, err := BuildStore(shardDataset(t), StoreOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		full, err := BuildStore(shardDataset(t, shard1Rows...), StoreOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := BuildStore(shardDataset(t, shard1Rows...), StoreOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return empty, full, want
-	}
-
 	t.Run("empty destination", func(t *testing.T) {
-		empty, full, want := buildPair()
-		if err := empty.Merge(full); err != nil {
+		empty, full := shardDataset(t), shardDataset(t, shard1Rows...)
+		got := storeOf(t, empty)
+		if err := mergeStores(empty, got, full, storeOf(t, full)); err != nil {
 			t.Fatal(err)
 		}
-		rm, err := empty.Dataset().UnionDicts(full.Dataset())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := empty.Dataset().AppendRemapped(full.Dataset(), rm); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(empty, want) {
+		if !reflect.DeepEqual(got, storeOf(t, shardDataset(t, shard1Rows...))) {
 			t.Fatalf("empty-destination merge differs from single-pass store")
 		}
 	})
 	t.Run("empty source", func(t *testing.T) {
-		empty, full, want := buildPair()
-		if err := full.Merge(empty); err != nil {
+		empty, full := shardDataset(t), shardDataset(t, shard1Rows...)
+		got := storeOf(t, full)
+		if err := mergeStores(full, got, empty, storeOf(t, empty)); err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(full, want) {
+		if !reflect.DeepEqual(got, storeOf(t, shardDataset(t, shard1Rows...))) {
 			t.Fatalf("empty-source merge changed the store")
 		}
 	})
 }
 
 func TestStoreMergeSchemaMismatchNamesAttribute(t *testing.T) {
-	st1, err := BuildStore(shardDataset(t, shard1Rows...), StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds1 := shardDataset(t, shard1Rows...)
 	b, err := dataset.NewBuilder(dataset.Schema{
 		Attrs: []dataset.Attribute{
 			{Name: "A1", Kind: dataset.Categorical},
@@ -165,11 +156,7 @@ func TestStoreMergeSchemaMismatchNamesAttribute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st2, err := BuildStore(other, StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = st1.Merge(st2)
+	err = mergeStores(ds1, storeOf(t, ds1), other, storeOf(t, other))
 	if err == nil || !strings.Contains(err.Error(), `"A2"`) {
 		t.Fatalf("err = %v, want mismatch naming \"A2\"", err)
 	}
@@ -198,8 +185,8 @@ func TestCubeMergeDimensionMismatch(t *testing.T) {
 }
 
 // TestIngestRowsMatchesRebuild: folding appended rows into every cube
-// of a built store with IngestCubes must land exactly where a fresh BuildStore over
-// the base rows plus the appended rows lands — new labels, a new
+// of a built store with IngestCubes must land exactly where a fresh
+// store build over the base rows plus the appended rows lands — new labels, a new
 // class, missing values and a missing class included.
 func TestIngestRowsMatchesRebuild(t *testing.T) {
 	appended := []string{
@@ -210,10 +197,7 @@ func TestIngestRowsMatchesRebuild(t *testing.T) {
 		"z g ?", // missing class: counted nowhere
 	}
 	ds := shardDataset(t, shard1Rows...)
-	st, err := BuildStore(ds, StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := storeOf(t, ds)
 	// Row layout: [A1, A2, C]; -1 is a missing value.
 	rows := make([][]int32, len(appended))
 	classes := make([]int32, len(appended))
@@ -225,14 +209,11 @@ func TestIngestRowsMatchesRebuild(t *testing.T) {
 		rows[i] = []int32{ds.CatCode(r, 0), ds.CatCode(r, 1), ds.ClassCode(r)}
 		classes[i] = ds.ClassCode(r)
 	}
-	if err := IngestCubes(st.Cubes(), ds.NumAttrs(), rows, classes); err != nil {
+	if err := IngestCubes(st, ds.NumAttrs(), rows, classes); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := BuildStore(shardDataset(t, append(append([]string(nil), shard1Rows...), appended...)...), StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, want := st.Cubes(), fresh.Cubes()
+	got := st
+	want := storeOf(t, shardDataset(t, append(append([]string(nil), shard1Rows...), appended...)...))
 	if len(got) != len(want) {
 		t.Fatalf("ingested store has %d cubes, rebuilt store %d", len(got), len(want))
 	}

@@ -1,6 +1,7 @@
 package rulecube
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -109,28 +110,24 @@ func TestCubeMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestBuildStoreMatchesBruteForce checks every 1-D and pair cube of
+// TestStoreRequestsMatchBruteForce checks every 1-D and pair cube of
 // stores built over a random dataset with missing values and missing
 // classes against the brute-force recount: the full store and an
 // attribute subset.
-func TestBuildStoreMatchesBruteForce(t *testing.T) {
+func TestStoreRequestsMatchBruteForce(t *testing.T) {
 	ds := randomDatasetMissingClass(t, 9, 3000, 6, 4, 3, 0.08)
-	for _, opts := range []StoreOptions{{}, {Attrs: []int{4, 1, 3}}} {
-		store, err := BuildStore(ds, opts)
+	for _, subset := range [][]int{nil, {4, 1, 3}} {
+		cubes, err := buildStore(context.Background(), ds, subset)
 		if err != nil {
 			t.Fatal(err)
 		}
-		attrs := store.Attrs()
-		want := len(attrs)
-		for i, a := range attrs {
-			checkBruteForce(t, ds, []int{a}, store.Cube1(a), fmt.Sprintf("%+v: cube %d", opts, a))
-			for _, b := range attrs[i+1:] {
-				checkBruteForce(t, ds, []int{a, b}, store.Cube2(a, b), fmt.Sprintf("%+v: cube (%d,%d)", opts, a, b))
-				want++
-			}
+		attrs, _ := NormalizeAttrs(ds, subset)
+		want := len(attrs) + len(attrs)*(len(attrs)-1)/2
+		if len(cubes) != want {
+			t.Errorf("%v: %d cubes, want %d", subset, len(cubes), want)
 		}
-		if store.CubeCount() != want {
-			t.Errorf("%+v: %d cubes, want %d", opts, store.CubeCount(), want)
+		for _, c := range cubes {
+			checkBruteForce(t, ds, c.AttrIndices(), c, fmt.Sprintf("%v: cube %v", subset, c.AttrIndices()))
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"opmap/internal/rulecube"
 	"opmap/internal/workload"
 )
 
@@ -19,18 +18,12 @@ func TestConcurrentReadersDuringForEach(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := rulecube.BuildStore(ds, rulecube.StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
+	cubes := storeCubes(t, ds)
+	n := ds.NumAttrs() - 1 // StoreRequests order: n 1-D cubes, then the pairs
+	if n < 2 {
+		t.Fatalf("need at least 2 attributes, got %d", n)
 	}
-	attrs := store.Attrs()
-	if len(attrs) < 2 {
-		t.Fatalf("need at least 2 attributes, got %d", len(attrs))
-	}
-	cube := store.Cube2(attrs[0], attrs[1])
-	if cube == nil {
-		t.Fatal("pair cube missing")
-	}
+	oneD, cube := cubes[:n], cubes[n]
 
 	const readers = 8
 	errs := make(chan error, 2*readers)
@@ -59,8 +52,7 @@ func TestConcurrentReadersDuringForEach(t *testing.T) {
 		go func() {
 			defer func() { done <- struct{}{} }()
 			for rep := 0; rep < 3; rep++ {
-				for _, a := range attrs {
-					c1 := store.Cube1(a)
+				for _, c1 := range oneD {
 					if _, err := c1.ValueMarginals(0); err != nil {
 						errs <- err
 						return

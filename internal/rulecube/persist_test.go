@@ -2,27 +2,69 @@ package rulecube_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"opmap/internal/compare"
 	"opmap/internal/dataset"
 	"opmap/internal/engine"
 	"opmap/internal/rulecube"
+	"opmap/internal/snapshot"
 	"opmap/internal/workload"
 )
 
-// pinnedComparator compares over store's cubes pinned into an engine,
-// as an eager session serves them.
-func pinnedComparator(t *testing.T, store *rulecube.Store) *compare.Comparator {
+// pinAll counts every 1-D and pair cube of ds and pins them into an
+// engine, as an eager session serves them.
+func pinAll(t testing.TB, ds *dataset.Dataset) *engine.LazySource {
 	t.Helper()
-	src, err := engine.NewLazy(store.Dataset(), engine.LazyOptions{Attrs: store.Attrs()})
+	src, err := engine.NewLazy(ds, engine.LazyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := src.Pin(store); err != nil {
+	if err := src.PinAll(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	return compare.NewSource(src)
+	return src
+}
+
+// storeCubes counts every 1-D and pair cube of ds in one BuildMany
+// scan, in StoreRequests order.
+func storeCubes(t testing.TB, ds *dataset.Dataset) []*rulecube.Cube {
+	t.Helper()
+	attrs, err := rulecube.NormalizeAttrs(ds, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cubes, err := rulecube.BuildMany(context.Background(), ds, rulecube.StoreRequests(attrs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cubes
+}
+
+// snapshotRoundTrip writes src's pinned cubes and dataset as an eager
+// snapshot, reads it back, and pins the read cubes into a fresh engine
+// over the read dataset: the offline build reloaded in a new process.
+func snapshotRoundTrip(t testing.TB, src *engine.LazySource) *engine.LazySource {
+	t.Helper()
+	snap := &snapshot.Snapshot{Mode: snapshot.ModeEager, Raw: src.Dataset(), Attrs: src.Attrs()}
+	snap.SetCubes(src.ResidentCubes())
+	var buf bytes.Buffer
+	if err := snapshot.Write(&buf, snap); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := snapshot.Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := engine.NewLazy(snap.Working, engine.LazyOptions{Attrs: snap.Attrs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := back.Pin(snap.Cubes()); err != nil {
+		t.Fatal(err)
+	}
+	return back
 }
 
 // fig1Dataset mirrors the in-package fixture (the paper's Fig. 1 cube)
@@ -66,62 +108,36 @@ func fig1Dataset(t testing.TB) *dataset.Dataset {
 	return ds
 }
 
+// TestStoreRoundTrip: every cell of every pinned cube, and the names
+// and dictionaries around them, survive a snapshot round trip.
 func TestStoreRoundTrip(t *testing.T) {
 	ds := fig1Dataset(t)
-	store, err := rulecube.BuildStore(ds, rulecube.StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
+	src := pinAll(t, ds)
+	back := snapshotRoundTrip(t, src)
+	want, got := src.ResidentCubes(), back.ResidentCubes()
+	if len(got) != len(want) {
+		t.Fatalf("cube count %d != %d", len(got), len(want))
 	}
-	var buf bytes.Buffer
-	if err := rulecube.WriteStore(&buf, store); err != nil {
-		t.Fatal(err)
-	}
-	back, err := rulecube.ReadStore(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.CubeCount() != store.CubeCount() {
-		t.Fatalf("cube count %d != %d", back.CubeCount(), store.CubeCount())
-	}
-	// Every cell of every cube survives.
-	for _, a := range store.Attrs() {
-		orig := store.Cube1(a)
-		got := back.Cube1(a)
-		if got == nil {
-			t.Fatalf("cube %d missing after round trip", a)
-		}
+	for i, orig := range want {
+		c := got[i]
 		orig.ForEach(func(values []int32, class int32, count int64) {
-			n, err := got.Count(values, class)
+			n, err := c.Count(values, class)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if n != count {
-				t.Fatalf("cube %d cell %v/%d: %d != %d", a, values, class, n, count)
+				t.Fatalf("cube %v cell %v/%d: %d != %d", orig.AttrIndices(), values, class, n, count)
 			}
 		})
-		if got.Total() != orig.Total() {
-			t.Fatalf("cube %d total changed", a)
+		if c.Total() != orig.Total() {
+			t.Fatalf("cube %v total changed", orig.AttrIndices())
 		}
 	}
-	pair := store.Cube2(0, 1)
-	gotPair := back.Cube2(0, 1)
-	if gotPair == nil {
-		t.Fatal("pair cube missing")
-	}
-	pair.ForEach(func(values []int32, class int32, count int64) {
-		n, err := gotPair.Count(values, class)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != count {
-			t.Fatalf("pair cell %v/%d: %d != %d", values, class, n, count)
-		}
-	})
 	// Metadata survives: names, dictionaries, class labels.
 	if back.Dataset().Attr(0).Name != "A1" {
 		t.Errorf("attr name = %q", back.Dataset().Attr(0).Name)
 	}
-	if back.Cube1(0).Dict(0).Label(0) != "a" {
+	if got[0].Dict(0).Label(0) != "a" {
 		t.Error("value dictionary lost")
 	}
 	if back.Dataset().ClassDict().Label(1) != "no" {
@@ -132,62 +148,16 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadStoreDetectsCorruption(t *testing.T) {
-	ds := fig1Dataset(t)
-	store, err := rulecube.BuildStore(ds, rulecube.StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := rulecube.WriteStore(&buf, store); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
-
-	// Bad magic.
-	bad := append([]byte{}, good...)
-	bad[0] ^= 0xFF
-	if _, err := rulecube.ReadStore(bytes.NewReader(bad)); err == nil {
-		t.Error("corrupted magic accepted")
-	}
-	// Flipped byte in the body → CRC mismatch (or structural error).
-	bad = append([]byte{}, good...)
-	bad[len(bad)/2] ^= 0x01
-	if _, err := rulecube.ReadStore(bytes.NewReader(bad)); err == nil {
-		t.Error("corrupted body accepted")
-	}
-	// Truncation.
-	if _, err := rulecube.ReadStore(bytes.NewReader(good[:len(good)-6])); err == nil {
-		t.Error("truncated stream accepted")
-	}
-	// Flipped CRC trailer.
-	bad = append([]byte{}, good...)
-	bad[len(bad)-1] ^= 0xFF
-	if _, err := rulecube.ReadStore(bytes.NewReader(bad)); err == nil {
-		t.Error("corrupted CRC accepted")
-	}
-}
-
 // TestPersistedStoreServesComparisons is the workflow test: cubes built
-// offline, saved, reloaded in a fresh process, and used for the paper's
-// comparison — without the raw data.
+// offline, snapshotted, reloaded in a fresh process, and used for the
+// paper's comparison without re-counting.
 func TestPersistedStoreServesComparisons(t *testing.T) {
 	ds, gt, err := workload.CallLog(workload.CallLogConfig{Seed: 4, Records: 30000, NoiseAttrs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := rulecube.BuildStore(ds, rulecube.StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := rulecube.WriteStore(&buf, store); err != nil {
-		t.Fatal(err)
-	}
-	back, err := rulecube.ReadStore(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := pinAll(t, ds)
+	back := snapshotRoundTrip(t, src)
 
 	attr := ds.AttrIndex(gt.PhoneAttr)
 	v1, _ := ds.Column(attr).Dict.Lookup(gt.GoodPhone)
@@ -195,11 +165,11 @@ func TestPersistedStoreServesComparisons(t *testing.T) {
 	cls, _ := ds.ClassDict().Lookup(gt.DropClass)
 	in := compare.Input{Attr: attr, V1: v1, V2: v2, Class: cls}
 
-	orig, err := pinnedComparator(t, store).Compare(in, compare.Options{})
+	orig, err := compare.NewSource(src).Compare(in, compare.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reloaded, err := pinnedComparator(t, back).Compare(in, compare.Options{})
+	reloaded, err := compare.NewSource(back).Compare(in, compare.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

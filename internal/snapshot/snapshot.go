@@ -15,24 +15,28 @@
 //	magic "OMAPSNAP" | version | header (source hash, created, rows,
 //	mode, cache bytes, ingest sequence) | schema block (attrs: name,
 //	kind, dictionary) | cuts block | rows block (per attribute: a
-//	width byte, then one value per row at that width) | store block
-//	(length-prefixed rulecube stream) | CRC32 trailer
+//	width byte, then one value per row at that width) | cube block
+//	(served attributes; per cube: its 1 or 2 attribute indices, its
+//	total, its cells) | CRC32 trailer
 //
 // The rows block holds the raw dataset column by column: a categorical
 // column's codes at their dataset.Codes width — 1 (255 for Missing)
 // while the dictionary has at most 255 labels, else 4 (int32, -1 for
 // Missing) — and a continuous column's values as 8-byte float64 bits.
-// The store block reuses the rulecube.WriteStore wire format verbatim,
-// length-prefixed so the embedded stream's own buffering cannot consume
-// snapshot bytes past the block. Readers bound every declared length
-// before allocating, and grow row buffers only with bytes that arrive,
-// so corrupt or hostile streams fail with a clear error instead of
-// driving huge allocations.
+// The cube block indexes the schema block: attribute indices are
+// schema positions, and a cube's cell count follows from the working
+// dataset's cardinalities, so the block carries no dictionary of its
+// own. Cubes come in slot order — 1-D cubes by attribute, then pairs
+// (a, b), a < b, by pair — each cube at most once. Readers bound every
+// declared length before allocating; a file read through ReadFile
+// checks each column against the bytes left and allocates it once,
+// while a stream of unknown size grows columns only with bytes that
+// arrive, so corrupt or hostile input fails with a clear error instead
+// of driving huge allocations.
 package snapshot
 
 import (
 	"bufio"
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -42,7 +46,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"slices"
 	"sort"
 
 	"opmap/internal/atomicfile"
@@ -55,9 +58,11 @@ const (
 	// Magic is the 8-byte file signature opening every snapshot.
 	Magic = "OMAPSNAP"
 	// Version is the format version this package reads and writes.
-	// Version 3 added the rows block; versions 1 and 2 held cubes over a
-	// schema-only dataset and are rejected with ErrVersion.
-	Version = 3
+	// Version 4 writes the cubes inline, indexing the schema block;
+	// version 3 embedded a separate cube-store stream, and versions 1
+	// and 2 held cubes over a schema-only dataset. All three are
+	// rejected with ErrVersion.
+	Version = 4
 
 	// maxStringLen bounds every length-prefixed string on read (names,
 	// labels, the source hash). 1 MiB is far past any real value and
@@ -72,13 +77,16 @@ const (
 	maxCutPoints = 1 << 20
 	// maxRows bounds the recorded row count.
 	maxRows = 1 << 40
-	// maxStoreBytes bounds the embedded cube-store block.
-	maxStoreBytes = int64(1) << 32
+	// maxCubeCells bounds one cube's cell count on read: 1<<24 cells
+	// (128 MiB of counts) is far beyond any real pair cube.
+	maxCubeCells = 1 << 24
+	// chunkBytes is the rows block's read unit, a multiple of every
+	// column width.
+	chunkBytes = 64 << 10
 )
 
 // ErrVersion marks a file in a format version this build does not
-// read. Files of versions 1 and 2 predate the rows block: they must be
-// rebuilt from source.
+// read. Files of versions 1 to 3 must be rebuilt from source.
 var ErrVersion = errors.New("snapshot: unsupported format version")
 
 // Mode records which engine the snapshotted session ran.
@@ -86,10 +94,10 @@ type Mode uint8
 
 const (
 	// ModeEager marks a snapshot of a session with every 1-D and pair
-	// cube pinned; its store holds them all.
+	// cube pinned; its cube block holds them all.
 	ModeEager Mode = 1
-	// ModeLazy marks a snapshot of a lazy session; its store holds the
-	// 1-D and pair cubes resident when it was taken.
+	// ModeLazy marks a snapshot of a lazy session; its cube block holds
+	// the 1-D and pair cubes resident when it was taken.
 	ModeLazy Mode = 2
 )
 
@@ -129,13 +137,24 @@ type Snapshot struct {
 	// header's row count and the rows block. Continuous columns hold
 	// their values; the working dataset is derived from them.
 	Raw *dataset.Dataset
-	// Store holds the cubes: all 1-D and pair cubes for ModeEager, the
-	// resident ones for ModeLazy. They count the working dataset; on
-	// read they are rebound to it — Raw itself when Raw is all
-	// categorical, else discretize.Bin(Raw, Cuts), as a cold session
-	// derives it — and Store.Dataset() returns it.
-	Store *rulecube.Store
+	// Attrs are the served attributes, ascending.
+	Attrs []int
+	// Working is the dataset the cubes count: Raw itself when Raw is
+	// all categorical, else discretize.Bin(Raw, Cuts), as a cold
+	// session derives it. Read sets it and binds the cubes to it; Write
+	// does not read it.
+	Working *dataset.Dataset
+
+	cubes []*rulecube.Cube
 }
+
+// Cubes returns the snapshot's 1-D and pair cubes over Attrs, in slot
+// order (see the package comment): all of them for ModeEager, the
+// resident ones for ModeLazy. They count the working dataset.
+func (s *Snapshot) Cubes() []*rulecube.Cube { return s.cubes }
+
+// SetCubes sets the cubes Cubes returns and Write writes.
+func (s *Snapshot) SetCubes(cubes []*rulecube.Cube) { s.cubes = cubes }
 
 // Header is the cheaply readable prefix of a snapshot, enough for a
 // staleness decision without decoding cubes. PeekHeader does not verify
@@ -163,12 +182,14 @@ func (c *crcWriter) Write(p []byte) (int, error) {
 type crcReader struct {
 	r   *bufio.Reader
 	crc uint32
+	n   int64   // bytes read so far
 	one [1]byte // ReadByte's CRC input, so a byte costs no allocation
 }
 
 func (c *crcReader) Read(p []byte) (int, error) {
 	n, err := c.r.Read(p)
 	c.crc = crc32.Update(c.crc, crc32.IEEETable, p[:n])
+	c.n += int64(n)
 	return n, err
 }
 
@@ -177,6 +198,7 @@ func (c *crcReader) ReadByte() (byte, error) {
 	if err == nil {
 		c.one[0] = b
 		c.crc = crc32.Update(c.crc, crc32.IEEETable, c.one[:])
+		c.n++
 	}
 	return b, err
 }
@@ -233,14 +255,17 @@ func readBoundedUvarint(r *crcReader, limit uint64, block string) (uint64, error
 }
 
 // Write serializes the snapshot to w. See the package comment for the
-// layout. The caller supplies a complete Snapshot; Raw and Store must
-// be non-nil and Mode valid.
+// layout. The caller supplies a complete Snapshot; Raw must be non-nil,
+// Mode valid and Cubes in slot order over Attrs.
 func Write(w io.Writer, snap *Snapshot) error {
-	if snap == nil || snap.Raw == nil || snap.Store == nil {
-		return fmt.Errorf("snapshot: write needs a snapshot with raw dataset and store")
+	if snap == nil || snap.Raw == nil {
+		return fmt.Errorf("snapshot: write needs a snapshot with a raw dataset")
 	}
 	if snap.Mode != ModeEager && snap.Mode != ModeLazy {
 		return fmt.Errorf("snapshot: invalid mode %d", snap.Mode)
+	}
+	if n := len(snap.Attrs); snap.Mode == ModeEager && len(snap.Cubes()) != n+n*(n-1)/2 {
+		return fmt.Errorf("snapshot: an eager snapshot needs all %d 1-D and pair cubes, got %d", n+n*(n-1)/2, len(snap.Cubes()))
 	}
 	cw := &crcWriter{w: bufio.NewWriter(w)}
 	if _, err := io.WriteString(cw, Magic); err != nil {
@@ -334,16 +359,27 @@ func Write(w io.Writer, snap *Snapshot) error {
 		}
 	}
 
-	// Store block, length-prefixed so the reader can hand the embedded
-	// stream exactly its own bytes.
-	var sb bytes.Buffer
-	if err := rulecube.WriteStore(&sb, snap.Store); err != nil {
-		return err
+	// Cube block.
+	buf := binary.AppendUvarint(nil, uint64(len(snap.Attrs)))
+	for _, a := range snap.Attrs {
+		buf = binary.AppendUvarint(buf, uint64(a))
 	}
-	if err := writeUvarint(cw, uint64(sb.Len())); err != nil {
-		return err
+	buf = binary.AppendUvarint(buf, uint64(len(snap.Cubes())))
+	for _, c := range snap.Cubes() {
+		buf = binary.AppendUvarint(buf, uint64(c.NumDims()))
+		for _, a := range c.AttrIndices() {
+			buf = binary.AppendUvarint(buf, uint64(a))
+		}
+		buf = binary.AppendUvarint(buf, uint64(c.Total()))
+		for _, n := range c.Counts() {
+			buf = binary.AppendUvarint(buf, uint64(n))
+		}
+		if _, err := cw.Write(buf); err != nil {
+			return err
+		}
+		buf = buf[:0]
 	}
-	if _, err := cw.Write(sb.Bytes()); err != nil {
+	if _, err := cw.Write(buf); err != nil {
 		return err
 	}
 
@@ -425,7 +461,7 @@ func readHeader(cr *crcReader) (*Header, error) {
 		return nil, fmt.Errorf("snapshot: reading version: %w", err)
 	}
 	if ver < Version {
-		return nil, fmt.Errorf("%w %d: the file predates the rows block (version %d) and must be rebuilt from source", ErrVersion, ver, Version)
+		return nil, fmt.Errorf("%w %d: the file predates format %d and must be rebuilt from source", ErrVersion, ver, Version)
 	}
 	if ver != Version {
 		return nil, fmt.Errorf("%w %d (this build reads %d)", ErrVersion, ver, Version)
@@ -470,11 +506,17 @@ func readHeader(cr *crcReader) (*Header, error) {
 
 // Read deserializes a snapshot written with Write, verifying the CRC
 // trailer, rebuilding the raw dataset from the rows block and the
-// working dataset from it, and rebinding the cube store to the working
+// working dataset from it, and binding the cubes to the working
 // dataset. Corrupt, truncated or over-declared streams fail with an
 // error naming the offending block or attribute; no input can make
 // Read panic or allocate past the documented bounds.
 func Read(r io.Reader) (*Snapshot, error) {
+	return read(r, -1)
+}
+
+// read is Read over a stream of size bytes; a negative size is
+// unknown.
+func read(r io.Reader, size int64) (*Snapshot, error) {
 	cr := &crcReader{r: bufio.NewReader(r)}
 	h, err := readHeader(cr)
 	if err != nil {
@@ -560,25 +602,31 @@ func Read(r io.Reader) (*Snapshot, error) {
 	}
 
 	// Rows block.
+	scratch := make([]byte, chunkBytes)
 	for i := range cols {
-		if err := readColumn(cr, &cols[i], schema.Attrs[i].Name, h.Rows); err != nil {
+		left := int64(-1)
+		if size >= 0 {
+			left = size - cr.n - 1 - 4 // less the width byte and the CRC trailer
+		}
+		if err := readColumn(cr, scratch, &cols[i], schema.Attrs[i].Name, h.Rows, left); err != nil {
 			return nil, err
 		}
 	}
-
-	// Store block: buffer exactly the declared bytes so the embedded
-	// stream's own buffered reader cannot consume past the block.
-	storeLen, err := readBoundedUvarint(cr, uint64(maxStoreBytes), "store block length")
+	raw, err := dataset.FromColumns(schema, cols)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: rows block: %w", err)
+	}
+	// The working dataset, derived as a cold session derives it: the
+	// cube block's cells are sized from its cardinalities.
+	ds := raw
+	if !raw.AllCategorical() {
+		if ds, err = discretize.Bin(raw, cuts); err != nil {
+			return nil, fmt.Errorf("snapshot: cuts block: %w", err)
+		}
+	}
+	attrs, cubes, err := readCubes(cr, ds, h.Mode)
 	if err != nil {
 		return nil, err
-	}
-	sb, err := readBytes(cr, int(storeLen))
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: store block truncated: declared %d bytes: %w", storeLen, err)
-	}
-	stored, err := rulecube.ReadStore(bytes.NewReader(sb))
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: store block: %w", err)
 	}
 
 	// Trailer.
@@ -591,24 +639,6 @@ func Read(r io.Reader) (*Snapshot, error) {
 		return nil, fmt.Errorf("snapshot: CRC mismatch: stream %08x, computed %08x", got, want)
 	}
 
-	raw, err := dataset.FromColumns(schema, cols)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: rows block: %w", err)
-	}
-	// The working dataset, derived as a cold session derives it; the
-	// store's cubes are rebound to it so labels have one source of truth
-	// (the store block's own reconstruction is partial).
-	ds := raw
-	if !raw.AllCategorical() {
-		if ds, err = discretize.Bin(raw, cuts); err != nil {
-			return nil, fmt.Errorf("snapshot: cuts block: %w", err)
-		}
-	}
-	store, err := rulecube.AssembleStore(ds, stored.Attrs(), stored.Cubes())
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: store does not match the rows: %w", err)
-	}
-
 	return &Snapshot{
 		SourceHash:  h.SourceHash,
 		CreatedUnix: h.CreatedUnix,
@@ -617,14 +647,131 @@ func Read(r io.Reader) (*Snapshot, error) {
 		IngestSeq:   h.IngestSeq,
 		Cuts:        cuts,
 		Raw:         raw,
-		Store:       store,
+		Attrs:       attrs,
+		Working:     ds,
+		cubes:       cubes,
 	}, nil
+}
+
+// readCubes reads the cube block: the served attributes, ascending and
+// never the class, then the cubes in slot order, each sized from ds's
+// cardinalities and capped at maxCubeCells before any allocation, with
+// cells that sum to its total. An eager snapshot holds every 1-D and
+// pair cube.
+func readCubes(cr *crcReader, ds *dataset.Dataset, mode Mode) ([]int, []*rulecube.Cube, error) {
+	nAttrs := ds.NumAttrs()
+	n, err := readBoundedUvarint(cr, uint64(nAttrs), "cube block attribute count")
+	if err != nil {
+		return nil, nil, err
+	}
+	served := make([]bool, nAttrs)
+	attrs := make([]int, n)
+	for i := range attrs {
+		a, err := readBoundedUvarint(cr, uint64(nAttrs-1), "cube block served attribute")
+		if err != nil {
+			return nil, nil, err
+		}
+		if int(a) == ds.ClassIndex() {
+			return nil, nil, fmt.Errorf("snapshot: cube block: served attribute %q is the class", ds.Attr(int(a)).Name)
+		}
+		if i > 0 && int(a) <= attrs[i-1] {
+			return nil, nil, fmt.Errorf("snapshot: cube block: served attribute %q is out of order or repeated", ds.Attr(int(a)).Name)
+		}
+		attrs[i], served[a] = int(a), true
+	}
+	full := n + n*(n-1)/2
+	nCubes, err := readBoundedUvarint(cr, full, "cube block cube count")
+	if err != nil {
+		return nil, nil, err
+	}
+	if mode == ModeEager && nCubes != full {
+		return nil, nil, fmt.Errorf("snapshot: cube block: eager snapshot holds %d of its %d 1-D and pair cubes", nCubes, full)
+	}
+	var cubes []*rulecube.Cube // grows with the cubes that arrive
+	var prev [2]int            // the previous cube's attributes; a 1-D cube's second is -1
+	for i := range nCubes {
+		block := fmt.Sprintf("cube block cube %d", i)
+		dims, err := readBoundedUvarint(cr, 2, block+" dimensions")
+		if err != nil {
+			return nil, nil, err
+		}
+		if dims == 0 {
+			return nil, nil, fmt.Errorf("snapshot: %s: no condition dimensions", block)
+		}
+		key := [2]int{-1, -1}
+		cells := int64(ds.NumClasses())
+		for p := range dims {
+			a, err := readBoundedUvarint(cr, maxAttrs, block+" attribute")
+			if err != nil {
+				return nil, nil, err
+			}
+			if a >= uint64(nAttrs) || !served[a] {
+				return nil, nil, fmt.Errorf("snapshot: %s: attribute %d is not served", block, a)
+			}
+			key[p] = int(a)
+			if cells *= int64(max(ds.Cardinality(int(a)), 1)); cells > maxCubeCells {
+				return nil, nil, fmt.Errorf("snapshot: %s: attribute %q takes the cube past %d cells", block, ds.Attr(int(a)).Name, maxCubeCells)
+			}
+		}
+		if dims == 2 && key[0] >= key[1] || i > 0 && !slotAfter(key, prev) {
+			return nil, nil, fmt.Errorf("snapshot: %s: cube over %q is out of order or repeated", block, cubeName(ds, key))
+		}
+		prev = key
+		total, err := readBoundedUvarint(cr, math.MaxInt64, block+" total")
+		if err != nil {
+			return nil, nil, err
+		}
+		counts := make([]int64, cells)
+		left := total
+		for k := range counts {
+			v, err := binary.ReadUvarint(cr)
+			if err != nil {
+				return nil, nil, fmt.Errorf("snapshot: %s: %w", block, err)
+			}
+			if v > left {
+				return nil, nil, fmt.Errorf("snapshot: %s: cells of %q sum past the total %d", block, cubeName(ds, key), total)
+			}
+			left -= v
+			counts[k] = int64(v)
+		}
+		if left != 0 {
+			return nil, nil, fmt.Errorf("snapshot: %s: cells of %q sum to %d, the total says %d", block, cubeName(ds, key), total-left, total)
+		}
+		c, err := rulecube.FromCounts(ds, key[:dims], counts)
+		if err != nil {
+			return nil, nil, fmt.Errorf("snapshot: %s: %w", block, err)
+		}
+		cubes = append(cubes, c)
+	}
+	return attrs, cubes, nil
+}
+
+// slotAfter reports whether the cube over key comes after the one over
+// prev in slot order: 1-D cubes (second attribute -1) by attribute,
+// then pairs by pair.
+func slotAfter(key, prev [2]int) bool {
+	if (key[1] < 0) != (prev[1] < 0) {
+		return prev[1] < 0
+	}
+	return key[0] > prev[0] || key[0] == prev[0] && key[1] > prev[1]
+}
+
+// cubeName names the cube over key by its attributes, "A" or "A × B".
+func cubeName(ds *dataset.Dataset, key [2]int) string {
+	if key[1] < 0 {
+		return ds.Attr(key[0]).Name
+	}
+	return ds.Attr(key[0]).Name + " × " + ds.Attr(key[1]).Name
 }
 
 // readColumn reads one column of the rows block into c, whose kind and
 // dictionary the schema block set: a width byte that must match them,
-// then rows values at that width.
-func readColumn(cr *crcReader, c *dataset.Column, name string, rows int) error {
+// then rows values at that width, through scratch. left is the number
+// of bytes the stream has left, or negative when unknown: a known size
+// vouches for the column, which is checked against it and allocated
+// once; an unknown one grows the column only with bytes that arrive,
+// so a hostile length hits EOF, not an allocation.
+func readColumn(cr *crcReader, scratch []byte, c *dataset.Column, name string, rows int, left int64) error {
 	width, err := cr.ReadByte()
 	if err != nil {
 		return fmt.Errorf("snapshot: rows block attribute %q: %w", name, err)
@@ -636,57 +783,72 @@ func readColumn(cr *crcReader, c *dataset.Column, name string, rows int) error {
 		}
 		return fmt.Errorf("snapshot: rows block attribute %q: width %d, but a %s column with %d labels is stored at width %d", name, width, c.Kind, labels, want)
 	}
-	b, err := readBytes(cr, rows*int(width))
-	if err != nil {
-		return fmt.Errorf("snapshot: rows block attribute %q: %d rows truncated: %w", name, rows, err)
+	n := rows * int(width)
+	if left >= 0 && int64(n) > left {
+		return fmt.Errorf("snapshot: rows block attribute %q: %d rows need %d bytes, the file has %d left", name, rows, n, left)
+	}
+	capacity := n
+	if left < 0 {
+		capacity = min(n, chunkBytes)
 	}
 	switch width {
 	case 1:
+		b := make([]byte, 0, capacity)
+		err = readChunks(cr, scratch, n, func(p []byte) { b = append(b, p...) })
 		c.Codes = dataset.NarrowCodes(b)
 	case 4:
-		w := make([]int32, rows)
-		for r := range w {
-			w[r] = int32(binary.LittleEndian.Uint32(b[4*r:]))
-		}
+		w := make([]int32, 0, capacity/4)
+		err = readChunks(cr, scratch, n, func(p []byte) {
+			for ; len(p) > 0; p = p[4:] {
+				w = append(w, int32(binary.LittleEndian.Uint32(p)))
+			}
+		})
 		c.Codes = dataset.WideCodes(w)
 	default:
-		c.Values = make([]float64, rows)
-		for r := range c.Values {
-			c.Values[r] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*r:]))
-		}
+		v := make([]float64, 0, capacity/8)
+		err = readChunks(cr, scratch, n, func(p []byte) {
+			for ; len(p) > 0; p = p[8:] {
+				v = append(v, math.Float64frombits(binary.LittleEndian.Uint64(p)))
+			}
+		})
+		c.Values = v
+	}
+	if err != nil {
+		return fmt.Errorf("snapshot: rows block attribute %q: %d rows truncated: %w", name, rows, err)
 	}
 	return nil
 }
 
-// readBytes reads exactly n bytes. Its buffer starts at 64 KiB and
-// doubles only when full, so it grows only with bytes that arrive: a
-// hostile length hits EOF, not an allocation.
-func readBytes(r io.Reader, n int) ([]byte, error) {
-	buf := make([]byte, 0, min(n, 64<<10))
-	for len(buf) < n {
-		if len(buf) == cap(buf) {
-			buf = slices.Grow(buf, min(n, 2*len(buf))-len(buf))
+// readChunks reads n bytes through scratch, handing each chunk to add.
+func readChunks(r io.Reader, scratch []byte, n int, add func([]byte)) error {
+	for n > 0 {
+		p := scratch[:min(n, len(scratch))]
+		if _, err := io.ReadFull(r, p); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
 		}
-		k, err := io.ReadFull(r, buf[len(buf):min(n, cap(buf))])
-		buf = buf[:len(buf)+k]
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		if err != nil {
-			return nil, err
-		}
+		add(p)
+		n -= len(p)
 	}
-	return buf, nil
+	return nil
 }
 
-// ReadFile reads and fully verifies the snapshot at path.
+// ReadFile reads and fully verifies the snapshot at path. The file's
+// size bounds every column before it is allocated, so each column is
+// allocated once.
 func ReadFile(path string) (*Snapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return Read(f)
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	return read(f, fi.Size())
 }
 
 // PeekHeader reads just the snapshot header — enough for a staleness

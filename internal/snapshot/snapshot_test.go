@@ -2,6 +2,7 @@ package snapshot_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -68,18 +69,46 @@ func snapshotOf(t testing.TB, raw *dataset.Dataset, cuts map[string][]float64) *
 			t.Fatal(err)
 		}
 	}
-	store, err := rulecube.BuildStore(ds, rulecube.StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &snapshot.Snapshot{
+	attrs, cubes := storeCubes(t, ds, nil)
+	snap := &snapshot.Snapshot{
 		SourceHash:  snapshot.HashBytes([]byte("test-source")),
 		CreatedUnix: 1754000000,
 		Mode:        snapshot.ModeEager,
 		CacheBytes:  64 << 20,
 		Cuts:        cuts,
 		Raw:         raw,
-		Store:       store,
+		Attrs:       attrs,
+		Working:     ds,
+	}
+	snap.SetCubes(cubes)
+	return snap
+}
+
+// storeCubes counts every 1-D and pair cube over attrs (nil: every
+// attribute) of ds in slot order, as an eager session pins them.
+func storeCubes(t testing.TB, ds *dataset.Dataset, attrs []int) ([]int, []*rulecube.Cube) {
+	t.Helper()
+	attrs, err := rulecube.NormalizeAttrs(ds, attrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cubes, err := rulecube.BuildMany(context.Background(), ds, rulecube.StoreRequests(attrs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return attrs, cubes
+}
+
+// assertSameCubes requires got to DeepEqual want, cube by cube.
+func assertSameCubes(t testing.TB, got, want []*rulecube.Cube) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d cubes, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("cube %v differs", want[i].AttrIndices())
+		}
 	}
 }
 
@@ -145,22 +174,19 @@ func TestRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(rowsOf(got.Raw), rowsOf(want.Raw)) {
 		t.Error("restored rows differ from the original")
 	}
-	// The working dataset is re-derived and the cubes rebound to it.
-	if !reflect.DeepEqual(rowsOf(got.Store.Dataset()), rowsOf(want.Store.Dataset())) {
+	// The working dataset is re-derived and the cubes bound to it.
+	if !reflect.DeepEqual(rowsOf(got.Working), rowsOf(want.Working)) {
 		t.Error("re-derived working dataset differs from the original")
 	}
-	// Cube fidelity: re-serializing the rebound store must reproduce the
-	// original store stream byte for byte.
-	var wantStore, gotStore bytes.Buffer
-	if err := rulecube.WriteStore(&wantStore, want.Store); err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(got.Attrs, want.Attrs) {
+		t.Errorf("Attrs = %v, want %v", got.Attrs, want.Attrs)
 	}
-	if err := rulecube.WriteStore(&gotStore, got.Store); err != nil {
-		t.Fatal(err)
+	for _, c := range got.Cubes() {
+		if c.Dict(0) != got.Working.Column(c.AttrIndices()[0]).Dict {
+			t.Errorf("cube %v is not bound to the working dataset", c.AttrIndices())
+		}
 	}
-	if !bytes.Equal(wantStore.Bytes(), gotStore.Bytes()) {
-		t.Error("restored store stream differs from the original")
-	}
+	assertSameCubes(t, got.Cubes(), want.Cubes())
 	// And a second snapshot write must be deterministic.
 	if !bytes.Equal(raw, encode(t, got)) {
 		t.Error("re-snapshotting the restored snapshot is not byte-identical")
@@ -168,16 +194,17 @@ func TestRoundTrip(t *testing.T) {
 }
 
 // TestRejectsVersionsBeforeRows: files of versions 1 and 2 hold cubes
-// over a schema-only dataset. Read and PeekHeader refuse them with
-// ErrVersion and say the file must be rebuilt; the fixtures re-stamp
-// a current stream's version byte.
+// over a schema-only dataset, and version 3 files embed a separate
+// cube-store stream. Read and PeekHeader refuse them with ErrVersion
+// and say the file must be rebuilt; the fixtures re-stamp a current
+// stream's version byte.
 func TestRejectsVersionsBeforeRows(t *testing.T) {
 	b := encode(t, testSnapshot(t))
 	off := len(snapshot.Magic)
 	if ver, n := binary.Uvarint(b[off:]); ver != snapshot.Version || n != 1 {
 		t.Fatalf("version field = %d (%d bytes), want %d (1 byte)", ver, n, snapshot.Version)
 	}
-	for _, ver := range []byte{1, 2} {
+	for _, ver := range []byte{1, 2, 3} {
 		old := append([]byte(nil), b...)
 		old[off] = ver
 		binary.LittleEndian.PutUint32(old[len(old)-4:], crc32.ChecksumIEEE(old[:len(old)-4]))
@@ -273,27 +300,23 @@ func TestReadRejectsCorruption(t *testing.T) {
 	})
 
 	t.Run("oversized-store-block", func(t *testing.T) {
-		// Declare a store block far larger than the stream: the copy must
-		// stop at EOF with a truncation error, not allocate the claim.
-		idx := bytes.Index(valid, []byte("OMAPCUBE"))
-		if idx < 0 {
-			t.Fatal("embedded store magic not found")
+		// A cube block declaring more cubes than its served attributes
+		// have must be rejected by the bound, not read as a longer block.
+		prefix, served, cubes := splitCubeBlock(t, valid)
+		data := withCubeBlock(prefix, served, cubes)
+		n := uint64(len(served) + len(served)*(len(served)-1)/2)
+		at := len(prefix) + len(binary.AppendUvarint(nil, uint64(len(served))))
+		for _, a := range served {
+			at += len(binary.AppendUvarint(nil, uint64(a)))
 		}
-		var buf bytes.Buffer
-		// The store length prefix immediately precedes the embedded
-		// magic: its final varint byte is valid[idx-1] (high bit clear),
-		// preceded by continuation bytes with the high bit set.
-		start := idx - 1
-		for start > 0 && valid[start-1]&0x80 != 0 {
-			start--
+		if got, k := binary.Uvarint(data[at:]); got != n || k != 1 {
+			t.Fatalf("cube count field = %d (%d bytes), want %d", got, k, n)
 		}
-		buf.Write(valid[:start])
-		var v [binary.MaxVarintLen64]byte
-		buf.Write(v[:binary.PutUvarint(v[:], uint64(1)<<31)])
-		buf.Write(valid[idx:])
-		_, err := snapshot.Read(&buf)
-		if err == nil {
-			t.Error("oversized store block accepted")
+		data[at] = byte(n + 1)
+		binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(data[:len(data)-4]))
+		_, err := snapshot.Read(bytes.NewReader(data))
+		if err == nil || !strings.Contains(err.Error(), "cube block cube count") {
+			t.Errorf("want cube-count bound error, got %v", err)
 		}
 	})
 }
@@ -304,9 +327,9 @@ func TestWriteRejectsIncomplete(t *testing.T) {
 		t.Error("nil snapshot accepted")
 	}
 	snap := testSnapshot(t)
-	snap.Store = nil
+	snap.SetCubes(nil)
 	if err := snapshot.Write(&buf, snap); err == nil {
-		t.Error("snapshot without store accepted")
+		t.Error("eager snapshot without its cubes accepted")
 	}
 	snap = testSnapshot(t)
 	snap.Raw = nil
@@ -428,11 +451,10 @@ func rowsBlockCases(t testing.TB) (valid []byte, cases []rowsBlockCase) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := rulecube.BuildStore(ds, rulecube.StoreOptions{Attrs: []int{0, 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	valid = encode(t, &snapshot.Snapshot{Mode: snapshot.ModeEager, Cuts: cuts, Raw: raw, Store: store})
+	attrs, cubes := storeCubes(t, ds, []int{0, 2})
+	snap := &snapshot.Snapshot{Mode: snapshot.ModeEager, Cuts: cuts, Raw: raw, Attrs: attrs}
+	snap.SetCubes(cubes)
+	valid = encode(t, snap)
 	// The narrow column opens the rows block: width 1, then codes
 	// 0 1 2 0 1 2 ...
 	narrow := bytes.Index(valid, []byte{1, 0, 1, 2, 0, 1, 2, 0, 1})
@@ -516,6 +538,9 @@ func FuzzReadSnapshot(f *testing.F) {
 	for _, c := range cases {
 		f.Add(c.data)
 	}
+	for _, c := range cubeBlockCases(f) {
+		f.Add(c.data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := snapshot.Read(bytes.NewReader(data))
@@ -525,11 +550,9 @@ func FuzzReadSnapshot(f *testing.F) {
 		// A successfully parsed snapshot must answer basic queries
 		// without panicking.
 		_ = snap.Mode.String()
-		for _, a := range snap.Store.Attrs() {
-			if c := snap.Store.Cube1(a); c != nil {
-				_ = c.ClassMarginals()
-				_ = c.RuleCount()
-			}
+		for _, c := range snap.Cubes() {
+			_ = c.ClassMarginals()
+			_ = c.RuleCount()
 		}
 		for r := 0; r < snap.Raw.NumRows(); r++ {
 			_ = snap.Raw.Row(r)

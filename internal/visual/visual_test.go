@@ -80,10 +80,19 @@ func TestOverallTruncatesWideAttributes(t *testing.T) {
 	}
 }
 
+// cubeOf returns src's cube over attrs.
+func cubeOf(t *testing.T, src *engine.LazySource, attrs ...int) *rulecube.Cube {
+	t.Helper()
+	c, err := src.CubeN(context.Background(), attrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func TestDetailedShowsCountsAndRates(t *testing.T) {
 	src, _, _, gt := fixtures(t)
-	store := src.Store()
-	cube := store.Cube1(store.Dataset().AttrIndex(gt.PhoneAttr))
+	cube := cubeOf(t, src, src.Dataset().AttrIndex(gt.PhoneAttr))
 	var buf bytes.Buffer
 	if err := Detailed(&buf, cube); err != nil {
 		t.Fatal(err)
@@ -99,9 +108,8 @@ func TestDetailedShowsCountsAndRates(t *testing.T) {
 
 func TestDetailedRejects3D(t *testing.T) {
 	src, _, _, _ := fixtures(t)
-	store := src.Store()
-	attrs := store.Attrs()
-	cube := store.Cube2(attrs[0], attrs[1])
+	attrs := src.Attrs()
+	cube := cubeOf(t, src, attrs[0], attrs[1])
 	if err := Detailed(&bytes.Buffer{}, cube); err == nil {
 		t.Error("3-D cube should be rejected")
 	}
@@ -175,8 +183,7 @@ func TestComparisonSVGEmptyScore(t *testing.T) {
 
 func TestDetailedSVGWellFormed(t *testing.T) {
 	src, _, _, gt := fixtures(t)
-	store := src.Store()
-	cube := store.Cube1(store.Dataset().AttrIndex(gt.DistinguishingAttr))
+	cube := cubeOf(t, src, src.Dataset().AttrIndex(gt.DistinguishingAttr))
 	var buf bytes.Buffer
 	if err := DetailedSVG(&buf, cube); err != nil {
 		t.Fatal(err)
@@ -307,9 +314,8 @@ func TestPropertyView(t *testing.T) {
 
 func TestDetailed3D(t *testing.T) {
 	src, _, _, gt := fixtures(t)
-	store := src.Store()
-	ds := store.Dataset()
-	cube := store.Cube2(ds.AttrIndex(gt.PhoneAttr), ds.AttrIndex(gt.DistinguishingAttr))
+	ds := src.Dataset()
+	cube := cubeOf(t, src, ds.AttrIndex(gt.PhoneAttr), ds.AttrIndex(gt.DistinguishingAttr))
 	var buf bytes.Buffer
 	if err := Detailed3D(&buf, cube); err != nil {
 		t.Fatal(err)
@@ -325,14 +331,13 @@ func TestDetailed3D(t *testing.T) {
 		t.Error("3-D view missing annotated second-dimension confidences")
 	}
 	// Rejects 2-D cubes.
-	if err := Detailed3D(&bytes.Buffer{}, store.Cube1(ds.AttrIndex(gt.PhoneAttr))); err == nil {
+	if err := Detailed3D(&bytes.Buffer{}, cubeOf(t, src, ds.AttrIndex(gt.PhoneAttr))); err == nil {
 		t.Error("2-D cube should be rejected")
 	}
 }
 
 func TestOverallSVGWellFormed(t *testing.T) {
 	src, _, _, gt := fixtures(t)
-	store := src.Store()
 	rep, err := gi.MineAllSource(context.Background(), src, gi.TrendOptions{}, gi.ExceptionOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -354,7 +359,7 @@ func TestOverallSVGWellFormed(t *testing.T) {
 		t.Error("overall SVG missing class headers")
 	}
 	// One grid frame per attribute per class.
-	wantFrames := len(store.Attrs()) * store.Dataset().NumClasses()
+	wantFrames := len(src.Attrs()) * src.Dataset().NumClasses()
 	if strings.Count(out, "#f4f4f4") != wantFrames {
 		t.Errorf("grid frames = %d, want %d", strings.Count(out, "#f4f4f4"), wantFrames)
 	}

@@ -142,12 +142,17 @@ func TestLazyCubeCountAndRuleSpace(t *testing.T) {
 	// The eager session pins every 1-D and pair cube: CubeCount and
 	// RuleSpaceSize are its store's cube and cell counts, at 8 bytes a
 	// cell.
-	st := eager.src.Store().Stats()
-	if n := len(eager.src.Attrs()); eager.CubeCount() != st.Cubes || st.Cubes != n+n*(n-1)/2 {
-		t.Errorf("eager CubeCount %d, store cubes %d, want %d", eager.CubeCount(), st.Cubes, n+n*(n-1)/2)
+	var cells, bytes int64
+	cubes := eager.src.ResidentCubes()
+	for _, c := range cubes {
+		cells += c.RuleCount()
+		bytes += c.SizeBytes()
 	}
-	if eager.RuleSpaceSize() != st.Cells || st.Bytes != 8*st.Cells {
-		t.Errorf("eager RuleSpaceSize %d, store cells %d, bytes %d", eager.RuleSpaceSize(), st.Cells, st.Bytes)
+	if n := len(eager.src.Attrs()); eager.CubeCount() != len(cubes) || len(cubes) != n+n*(n-1)/2 {
+		t.Errorf("eager CubeCount %d, store cubes %d, want %d", eager.CubeCount(), len(cubes), n+n*(n-1)/2)
+	}
+	if eager.RuleSpaceSize() != cells || bytes != 8*cells {
+		t.Errorf("eager RuleSpaceSize %d, store cells %d, bytes %d", eager.RuleSpaceSize(), cells, bytes)
 	}
 	if _, err := lazy.Compare(gt.PhoneAttr, gt.GoodPhone, gt.BadPhone, gt.DropClass, CompareOptions{}); err != nil {
 		t.Fatal(err)

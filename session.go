@@ -690,7 +690,7 @@ func (s *Session) EngineStats() EngineStats {
 	st := EngineStats{}
 	if s.src != nil {
 		ls := s.src.Stats()
-		st.Lazy = s.src.Store() == nil
+		st.Lazy = !s.src.Eager()
 		st.OneDBuilds = ls.OneDBuilds
 		st.TwoDBuilds = ls.TwoDBuilds
 		st.CubeCacheHits = ls.Hits

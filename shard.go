@@ -179,7 +179,7 @@ func (s *Session) mergeFromLocked(o *Session) error {
 	if s.src == nil || o.src == nil {
 		return fmt.Errorf("opmap: rule cubes not built; call BuildCubes on both sessions first")
 	}
-	if s.src.Store() == nil || o.src.Store() == nil {
+	if !s.src.Eager() || !o.src.Eager() {
 		return fmt.Errorf("opmap: sharded merge requires eager stores; a lazy engine holds no complete store to merge")
 	}
 	if (s.raw == s.ds) != (o.raw == o.ds) {
@@ -198,14 +198,18 @@ func (s *Session) mergeFromLocked(o *Session) error {
 		}
 	}
 	start := time.Now()
-	// The store merge unions the working dictionaries (cubes share them)
-	// and sums counts, and drops s's drill-down cubes, counted over s's
-	// rows alone; the row appends then translate o's codes through the
-	// same union — UnionDicts is idempotent, so re-deriving the remap
-	// here sees exactly the dictionaries the counts merged under. Raw
-	// grows first: a discretized working dataset shares raw's
-	// categorical columns and takes their grown codes from it.
-	if err := s.src.Merge(o.src); err != nil {
+	// One union of the working dictionaries (cubes share them) remaps
+	// both the engine merge, which sums the pinned cubes and drops s's
+	// drill-down cubes, counted over s's rows alone, and the working row
+	// append. Raw grows first: a discretized working dataset shares raw's
+	// categorical columns and takes their grown codes from it; raw's own
+	// union finds those dictionaries already grown.
+	rm, err := s.ds.UnionDicts(o.ds)
+	if err != nil {
+		return err
+	}
+	if err := s.src.Merge(o.src, rm); err != nil {
+		s.dropEngine()
 		return err
 	}
 	if s.raw != s.ds {
@@ -218,11 +222,6 @@ func (s *Session) mergeFromLocked(o *Session) error {
 			s.dropEngine()
 			return err
 		}
-	}
-	rm, err := s.ds.UnionDicts(o.ds)
-	if err != nil {
-		s.dropEngine()
-		return err
 	}
 	if err := s.ds.AppendRemapped(o.ds, rm); err != nil {
 		s.dropEngine()

@@ -127,6 +127,25 @@ func assertSameQueries(t *testing.T, want, got *Session, gt CallLogTruth) {
 	}
 }
 
+// assertSameCubes requires got's working dataset and resident cubes to
+// DeepEqual want's, cube by cube: rows, dictionaries, cube layouts and
+// counts all bit-identical.
+func assertSameCubes(t *testing.T, got, want *Session) {
+	t.Helper()
+	if !reflect.DeepEqual(got.ds, want.ds) {
+		t.Fatal("working dataset differs from the single-pass one")
+	}
+	g, w := got.src.ResidentCubes(), want.src.ResidentCubes()
+	if len(g) != len(w) {
+		t.Fatalf("%d resident cubes, single pass has %d", len(g), len(w))
+	}
+	for i := range w {
+		if !reflect.DeepEqual(g[i], w[i]) {
+			t.Fatalf("cube %v differs from the single-pass cube", w[i].AttrIndices())
+		}
+	}
+}
+
 // TestBuildShardedMatchesSinglePass is the session-level oracle: at 1,
 // 2, and 8 shards the sharded build must hold a store DeepEqual to the
 // single-pass store — rows, dictionaries, cube layouts, and counts all
@@ -141,9 +160,7 @@ func TestBuildShardedMatchesSinglePass(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got.src.Store(), want.src.Store()) {
-				t.Fatalf("%d-shard store differs from single-pass store", n)
-			}
+			assertSameCubes(t, got, want)
 			if got.NumRows() != want.NumRows() {
 				t.Fatalf("rows = %d, want %d", got.NumRows(), want.NumRows())
 			}
@@ -171,9 +188,7 @@ func TestBuildShardedZeroRowShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.src.Store(), want.src.Store()) {
-		t.Fatal("store with zero-row shard differs from single-pass store")
-	}
+	assertSameCubes(t, got, want)
 	assertSameQueries(t, want, got, gt)
 }
 
@@ -203,9 +218,7 @@ func TestBuildShardedDisjointDictionaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.src.Store(), want.src.Store()) {
-		t.Fatal("disjoint-dictionary merge differs from single-pass store")
-	}
+	assertSameCubes(t, got, want)
 	// Spot-check a query spanning labels only one shard contributed.
 	wc, err := want.Compare("model", "m1", "m3", "drop", CompareOptions{})
 	if err != nil {

@@ -1,7 +1,6 @@
 package opmap
 
 import (
-	"fmt"
 	"io"
 	"time"
 
@@ -90,22 +89,20 @@ func (s *Session) buildSnapshot(opts SnapshotOptions) (*snapshot.Snapshot, error
 		IngestSeq:   s.ingestSeq,
 		Cuts:        s.cuts,
 		Raw:         s.raw,
-		Store:       src.Store(),
+		Attrs:       src.Attrs(),
 	}
-	if snap.Store == nil {
-		// A lazy engine writes its resident 1-D and pair cubes only.
-		var cubes []*rulecube.Cube
-		for _, c := range src.ResidentCubes() {
-			if c.NumDims() <= 2 {
-				cubes = append(cubes, c)
-			}
-		}
-		store, err := rulecube.AssembleStore(s.ds, src.Attrs(), cubes)
-		if err != nil {
-			return nil, fmt.Errorf("opmap: snapshotting lazy engine: %w", err)
-		}
-		snap.Mode, snap.Store = snapshot.ModeLazy, store
+	if !src.Eager() {
+		snap.Mode = snapshot.ModeLazy
 	}
+	// Resident cubes come in slot order; drill-down cubes follow them
+	// and are not written.
+	var cubes []*rulecube.Cube
+	for _, c := range src.ResidentCubes() {
+		if c.NumDims() <= 2 {
+			cubes = append(cubes, c)
+		}
+	}
+	snap.SetCubes(cubes)
 	return snap, nil
 }
 
@@ -132,15 +129,15 @@ func LoadSnapshotFile(path string) (*Session, error) {
 }
 
 func sessionFromSnapshot(snap *snapshot.Snapshot) (*Session, error) {
-	ds := snap.Store.Dataset()
-	src, err := engine.NewLazy(ds, engine.LazyOptions{Attrs: snap.Store.Attrs(), CacheBytes: snap.CacheBytes})
+	ds := snap.Working
+	src, err := engine.NewLazy(ds, engine.LazyOptions{Attrs: snap.Attrs, CacheBytes: snap.CacheBytes})
 	if err != nil {
 		return nil, err
 	}
 	if snap.Mode == snapshot.ModeLazy {
-		_, err = src.SeedCubes(snap.Store.Cubes())
+		_, err = src.SeedCubes(snap.Cubes())
 	} else {
-		err = src.Pin(snap.Store)
+		err = src.Pin(snap.Cubes())
 	}
 	if err != nil {
 		return nil, err

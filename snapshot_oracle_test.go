@@ -137,12 +137,23 @@ func TestSnapshotFileRoundTripAndPeek(t *testing.T) {
 	if info.Rows != sess.NumRows() {
 		t.Errorf("peeked rows %d, want %d", info.Rows, sess.NumRows())
 	}
+	// An eager warm start pins the snapshot's cubes: loading and
+	// comparing count no cube and scan no row.
+	scans := obsv.Default().Counter(rulecube.CubeScansCounterName)
+	built := obsv.Default().Counter(rulecube.CubesBuiltCounterName)
+	s0, b0 := scans.Value(), built.Value()
 	warm, err := LoadSnapshotFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := warm.Compare(gt.PhoneAttr, gt.GoodPhone, gt.BadPhone, gt.DropClass, CompareOptions{}); err != nil {
 		t.Fatalf("compare on file-loaded session: %v", err)
+	}
+	if ds, db := scans.Value()-s0, built.Value()-b0; ds != 0 || db != 0 {
+		t.Errorf("eager warm start scanned %d times and built %d cubes, want 0 and 0", ds, db)
+	}
+	if st := warm.EngineStats(); st.Lazy || st.OneDBuilds != 0 || st.TwoDBuilds != 0 {
+		t.Errorf("eager warm start: lazy %v, 1-D builds %d, 2-D builds %d; want eager, 0, 0", st.Lazy, st.OneDBuilds, st.TwoDBuilds)
 	}
 }
 
@@ -238,7 +249,8 @@ func TestSnapshotSeedRejectsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap.Store = other.Store
+	snap.Attrs = other.Attrs
+	snap.SetCubes(other.Cubes())
 	var buf bytes.Buffer
 	if err := snapshot.Write(&buf, snap); err != nil {
 		t.Fatal(err)
