@@ -3,6 +3,7 @@ package opmap
 import (
 	"context"
 	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"sync"
@@ -551,5 +552,71 @@ func TestConcurrentAppendAndQuery(t *testing.T) {
 	sc, _, _ := queryTriple(t, s)
 	if !reflect.DeepEqual(oc, sc) {
 		t.Errorf("post-concurrency Compare diverges from oracle:\noracle %+v\ngot    %+v", oc, sc)
+	}
+}
+
+// TestBreakdownWhileIngestGrowsLabels derives breakdowns and renders
+// the per-value view of answers while appends grow the ranked
+// attribute's dictionary: an answer reads labels from a view taken when
+// it was scored, never from the growing dictionary.
+func TestBreakdownWhileIngestGrowsLabels(t *testing.T) {
+	defer testutil.VerifyNoLeak(t)()
+	var b strings.Builder
+	b.WriteString("Region,Site,Outcome\n")
+	for i := 0; i < 120; i++ {
+		outcome := "ok"
+		if i%3 == 0 || (i%2 == 1 && i%5 == 0) {
+			outcome = "fail"
+		}
+		fmt.Fprintf(&b, "%s,s%d,%s\n", []string{"north", "south"}[i%2], i%4, outcome)
+	}
+	s, err := LoadCSV(strings.NewReader(b.String()), LoadOptions{Class: "Outcome"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.BuildCubes(); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 40; i++ {
+			if err := s.Append([][]string{{"north", fmt.Sprintf("new%d", i), "fail"}}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				cmp, err := s.Compare("Region", "north", "south", "fail", CompareOptions{})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				rows, ok := cmp.Breakdown("Site")
+				if !ok || len(rows) < 4 {
+					t.Errorf("Site breakdown: %d rows, ok=%v", len(rows), ok)
+					return
+				}
+				if err := cmp.RenderAttribute(io.Discard, "Site"); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	cmp, err := s.Compare("Region", "north", "south", "fail", CompareOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, _ := cmp.Breakdown("Site")
+	if len(rows) != 44 || rows[43].Label != "new39" || rows[43].N1+rows[43].N2 != 1 {
+		t.Errorf("Site breakdown after ingest: %d rows, last %+v", len(rows), rows[len(rows)-1])
 	}
 }

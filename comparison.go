@@ -66,11 +66,10 @@ type AttributeScore struct {
 	Property bool
 	// PropertyRatio is P/(P+T) of Section IV.C.
 	PropertyRatio float64
-	// Values is the per-value breakdown (the data behind Fig. 7).
-	Values []ValueBreakdown
 }
 
-// ValueBreakdown is the comparison detail of one attribute value.
+// ValueBreakdown is the comparison detail of one attribute value;
+// Comparison.Breakdown derives it.
 type ValueBreakdown struct {
 	Label string
 	// Sub-population 1 (lower confidence side): records, class records,
@@ -241,51 +240,63 @@ func toItemErrors(in []compare.ItemError) []ItemError {
 	return out
 }
 
-// toScores converts internal scores to the public form in two
-// allocations: the entries and one slab for all their breakdowns.
+// toScores converts internal scores to the public form in one
+// allocation; none gives nil.
 func toScores(in []compare.AttrScore) []AttributeScore {
 	if len(in) == 0 {
 		return nil
 	}
-	values := 0
-	for _, s := range in {
-		values += len(s.Values)
-	}
-	slab := make([]ValueBreakdown, 0, values)
 	out := make([]AttributeScore, len(in))
 	for i, s := range in {
-		out[i] = AttributeScore{
-			Name:          s.Name,
-			Score:         s.Score,
-			NormScore:     s.NormScore,
-			Property:      s.Property,
-			PropertyRatio: s.PropertyRatio,
-		}
-		if len(s.Values) == 0 {
-			continue
-		}
-		first := len(slab)
-		for _, d := range s.Values {
-			slab = append(slab, ValueBreakdown{
-				Label: d.Label,
-				N1:    d.N1, C1: d.C1, Cf1: d.Cf1, E1: d.E1,
-				N2: d.N2, C2: d.C2, Cf2: d.Cf2, E2: d.E2,
-				F: d.F, W: d.W,
-			})
-		}
-		out[i].Values = slab[first:len(slab):len(slab)]
+		out[i] = toScore(s)
 	}
 	return out
 }
 
+func toScore(s compare.AttrScore) AttributeScore {
+	return AttributeScore{
+		Name:          s.Name,
+		Score:         s.Score,
+		NormScore:     s.NormScore,
+		Property:      s.Property,
+		PropertyRatio: s.PropertyRatio,
+	}
+}
+
 // Top returns the n highest-ranked non-property attributes.
 func (c *Comparison) Top(n int) []AttributeScore { return toScores(c.res.Top(n)) }
+
+// TopProperty returns the n highest-scoring property attributes.
+func (c *Comparison) TopProperty(n int) []AttributeScore {
+	return toScores(c.res.Property[:min(max(n, 0), len(c.res.Property))])
+}
 
 // Ranked returns all non-property attributes by descending score.
 func (c *Comparison) Ranked() []AttributeScore { return toScores(c.res.Ranked) }
 
 // PropertyAttributes returns the attributes set aside per Section IV.C.
 func (c *Comparison) PropertyAttributes() []AttributeScore { return toScores(c.res.Property) }
+
+// Breakdown derives the per-value breakdown of the named attribute,
+// ranked or property (the data behind Fig. 7): one entry per value that
+// occurs in either sub-population, in value-code order.
+func (c *Comparison) Breakdown(name string) ([]ValueBreakdown, bool) {
+	s, _, ok := c.res.Find(name)
+	if !ok {
+		return nil, false
+	}
+	out := make([]ValueBreakdown, len(s.Values))
+	for k := range s.Values {
+		d := c.res.Detail(s, k)
+		out[k] = ValueBreakdown{
+			Label: d.Label,
+			N1:    d.N1, C1: d.C1, Cf1: d.Cf1, E1: d.E1,
+			N2: d.N2, C2: d.C2, Cf2: d.Cf2, E2: d.E2,
+			F: d.F, W: d.W,
+		}
+	}
+	return out, true
+}
 
 // Rank returns the 1-based rank of the named attribute among the
 // non-property ranking (0 when the attribute is a property attribute),
@@ -302,7 +313,7 @@ func (c *Comparison) Attribute(name string) (AttributeScore, bool) {
 	if !ok {
 		return AttributeScore{}, false
 	}
-	return toScores([]compare.AttrScore{s})[0], true
+	return toScore(s), true
 }
 
 // RenderRanking writes the ranking view (top n plus the property list).
@@ -329,7 +340,7 @@ func (c *Comparison) RenderProperty(w io.Writer, name string) error {
 	if !ok {
 		return fmt.Errorf("opmap: attribute %q not in the comparison", name)
 	}
-	visual.PropertyView(w, s, c.Label1, c.Label2)
+	visual.PropertyView(w, c.res, s, c.Label1, c.Label2)
 	return nil
 }
 

@@ -114,6 +114,9 @@ func TestCubePersistenceAPI(t *testing.T) {
 			t.Fatalf("rank %d differs: %+v vs %+v", i, ra[i], rb[i])
 		}
 	}
+	if !reflect.DeepEqual(breakdowns(t, a), breakdowns(t, b)) {
+		t.Error("per-value breakdowns differ after reload")
+	}
 	// Raw-data operations answer from the reloaded rows.
 	want, err := s.MineRules(MineOptions{MaxConditions: 1})
 	if err != nil {

@@ -19,24 +19,18 @@ import (
 // prefetchPairs bulk-materializes the split attribute's 1-D cube and
 // the (split, candidate) pair cube for every candidate — plus each
 // candidate's own 1-D marginal when withMarginals is set (the
-// one-vs-rest table needs it). Candidate-list validation errors are
-// returned; anything else is best-effort: attributes outside the
-// source's served set are left out, and a failed bulk build is ignored,
-// so the sequential loop reproduces any real failure with its usual
-// shape (and partial modes can still degrade per item).
-func (c *Comparator) prefetchPairs(ctx context.Context, attr int, explicit []int, withMarginals bool) error {
-	attrs, err := resolveRankAttrs(c.ds, attr, explicit)
-	if err != nil {
-		return err
-	}
+// one-vs-rest table needs it). attrs is the candidate list
+// resolveRankAttrs validated. The prefetch is best-effort: attributes
+// outside the source's served set are left out, and a failed bulk build
+// is ignored, so the sequential loop reproduces any real failure with
+// its usual shape (and partial modes can still degrade per item).
+func (c *Comparator) prefetchPairs(ctx context.Context, attr int, attrs []int, withMarginals bool) {
 	reqs := batchReqsFor(c.src.Attrs(), attr, attrs, withMarginals)
 	if reqs == nil {
-		return nil // let the sequential path report the unavailable attribute
+		return // let the sequential path report the unavailable attribute
 	}
-	if _, err := c.src.Cubes(ctx, reqs); err != nil {
-		return nil // best-effort: the per-cube path will surface real failures
-	}
-	return nil
+	// Best-effort: the per-cube path will surface real failures.
+	_, _ = c.src.Cubes(ctx, reqs)
 }
 
 // annotateSkippedValues marks the value range [from, card) as skipped
@@ -123,11 +117,13 @@ func (c *Comparator) OneVsRestAllContext(ctx context.Context, attr int, class in
 	if class < 0 || int(class) >= ds.NumClasses() {
 		return nil, fmt.Errorf("compare: class %d out of range [0,%d)", class, ds.NumClasses())
 	}
-	// The prefetch also validates the candidate list, so a bad explicit
-	// list fails before any value is ranked.
-	if err := c.prefetchPairs(ctx, attr, opts.Compare.Attrs, true); err != nil {
+	// The candidate list is resolved once for every value, so a bad
+	// explicit list fails before any value is ranked.
+	attrs, err := resolveRankAttrs(ds, attr, opts.Compare.Attrs)
+	if err != nil {
 		return nil, err
 	}
+	c.prefetchPairs(ctx, attr, attrs, true)
 	dict := ds.Column(attr).Dict
 	res := &OneVsRestAllResult{Attr: attr}
 	card := ds.Cardinality(attr)
@@ -144,7 +140,7 @@ func (c *Comparator) OneVsRestAllContext(ctx context.Context, attr int, class in
 			break
 		}
 		label := dict.Label(int32(v))
-		one, err := c.OneVsRestContext(ctx, OneVsRestInput{Attr: attr, Value: int32(v), Class: class}, opts.Compare)
+		one, err := c.oneVsRest(ctx, OneVsRestInput{Attr: attr, Value: int32(v), Class: class}, opts.Compare, attrs)
 		switch {
 		case err == nil:
 			res.Values = append(res.Values, int32(v))

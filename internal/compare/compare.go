@@ -146,15 +146,23 @@ type Input struct {
 	Class  int32 // c_a: the class of interest (e.g. "dropped")
 }
 
-// ValueDetail is the per-value breakdown behind an attribute's score —
-// exactly the data Fig. 7 visualizes (side-by-side confidences with CI
-// regions).
-type ValueDetail struct {
-	Value int32  // value code of the candidate attribute
-	Label string // value label
-
+// ValueCounts is one candidate value's four counts. They are all an
+// answer keeps per value: every other field of its breakdown is a
+// function of them, the answer's ratio cf2/cf1 and its options
+// (Result.Detail). The type holds no pointers, so the collector never
+// scans the slab an answer's counts are cut from.
+type ValueCounts struct {
+	Value  int32 // value code of the candidate attribute
 	N1, N2 int64 // records with this value in D1 / D2
 	C1, C2 int64 // of those, records in class c_a
+}
+
+// ValueDetail is the per-value breakdown behind an attribute's score —
+// exactly the data Fig. 7 visualizes (side-by-side confidences with CI
+// regions). Result.Detail derives it from the value's counts.
+type ValueDetail struct {
+	ValueCounts
+	Label string // value label
 
 	Cf1, Cf2   float64 // raw confidences cf_1k, cf_2k
 	E1, E2     float64 // CI margins e_1k, e_2k (0 when CI disabled)
@@ -178,7 +186,14 @@ type AttrScore struct {
 	Property      bool    // Section IV.C property attribute
 	PropertyRatio float64 // P/(P+T); NaN when P+T = 0
 
-	Values []ValueDetail // per-value breakdown, in value-code order
+	// Values holds the counts of every value that occurs in D1 or D2,
+	// in value-code order; Result.Detail derives each one's breakdown.
+	Values []ValueCounts
+
+	// labels is the attribute's dictionary in code order, as it stood
+	// when the attribute was scored. Dictionaries only append, so the
+	// view stays valid while ingest grows them.
+	labels []string
 }
 
 // Result is a full comparison: the oriented input rules and the ranking.
@@ -205,6 +220,8 @@ type Result struct {
 	Unscored []ItemError
 
 	Options Options
+
+	z float64 // the CI z-value of Options.Level; 0 with CI disabled
 }
 
 // ItemError annotates one item (an attribute, a value pair) that a
@@ -215,12 +232,22 @@ type ItemError struct {
 	Err  string `json:"err"`
 }
 
-// Top returns the n highest-ranked non-property attributes.
+// Top returns the n highest-ranked non-property attributes; a negative
+// n returns none.
 func (r *Result) Top(n int) []AttrScore {
-	if n > len(r.Ranked) {
-		n = len(r.Ranked)
+	return r.Ranked[:min(max(n, 0), len(r.Ranked))]
+}
+
+// Detail derives the breakdown of s.Values[k], where s is one of this
+// result's scores.
+func (r *Result) Detail(s AttrScore, k int) ValueDetail {
+	c := s.Values[k]
+	d := derive(c, r.z, r.Ratio, &r.Options)
+	d.Label = dataset.MissingLabel
+	if int(c.Value) < len(s.labels) {
+		d.Label = s.labels[c.Value]
 	}
-	return r.Ranked[:n]
+	return d
 }
 
 // Find returns the score entry (ranked or property) for the named
@@ -333,11 +360,7 @@ func (c *Comparator) CompareContext(ctx context.Context, in Input, opts Options)
 		if attrTimes != nil {
 			attrStart = time.Now()
 		}
-		score, err := scoreAttribute(c.ds, ai, res.sliceTable(tabs[k], in.Class), res, opts)
-		if err != nil {
-			return nil, err
-		}
-		res.add(score)
+		res.add(res.scoreAttribute(c.ds, ai, res.sliceTable(tabs[k], in.Class)))
 		if attrTimes != nil {
 			attrTimes.ObserveSince(attrStart)
 		}
@@ -381,14 +404,28 @@ func newValueTable(card int) valueTable {
 // computation carries the oriented comparison state while attributes are
 // scored. It allocates once per answer, not once per candidate or
 // value: reserve sizes one value table that every candidate refills,
-// one ValueDetail slab the candidates' breakdowns are cut from, and the
+// one ValueCounts slab the candidates' counts are cut from, and the
 // ranking.
 type computation struct {
 	result *Result
 	v1, v2 int32 // oriented value codes (v1 = lower-confidence side)
 
-	tab     valueTable
-	details []ValueDetail
+	tab    valueTable
+	counts []ValueCounts
+}
+
+// newComputation starts scoring for res, whose Ratio and Options are
+// set: it fixes the result's CI z-value, which fails for an invalid
+// confidence level.
+func newComputation(res *Result, v1, v2 int32) (*computation, error) {
+	if !res.Options.DisableCI {
+		z, err := stats.ZValue(res.Options.level())
+		if err != nil {
+			return nil, err
+		}
+		res.z = z
+	}
+	return &computation{result: res, v1: v1, v2: v2}, nil
 }
 
 // reserve sizes the computation's buffers for scoring attrs of ds.
@@ -400,7 +437,7 @@ func (c *computation) reserve(ds *dataset.Dataset, attrs []int) {
 		values += card
 	}
 	c.tab = newValueTable(maxCard)
-	c.details = make([]ValueDetail, 0, values)
+	c.counts = make([]ValueCounts, 0, values)
 	c.result.Ranked = make([]AttrScore, 0, len(attrs))
 }
 
@@ -522,65 +559,46 @@ func prepare(ds *dataset.Dataset, in Input, opts Options, total func() (int64, e
 		Ratio:   cf2 / cf1,
 		Options: opts,
 	}
-	comp := &computation{result: res, v1: in.V1, v2: in.V2}
+	comp, err := newComputation(res, in.V1, in.V2)
+	if err != nil {
+		return nil, nil, err
+	}
 	comp.reserve(ds, attrs)
 	return comp, attrs, nil
 }
 
-// scoreAttribute computes M_i (Eq. 1–3) and the property classification
-// for one candidate attribute from its value table.
-func scoreAttribute(ds *dataset.Dataset, attr int, tab valueTable, comp *computation, opts Options) (AttrScore, error) {
-	res := comp.result
-	dict := ds.Column(attr).Dict
-	z := 0.0
-	if !opts.DisableCI {
-		var err error
-		z, err = stats.ZValue(opts.level())
-		if err != nil {
-			return AttrScore{}, err
-		}
-	}
+// scoreAttribute scores candidate attribute attr of ds from its value
+// table; see score.
+func (c *computation) scoreAttribute(ds *dataset.Dataset, attr int, tab valueTable) AttrScore {
+	return c.score(attr, ds.Attr(attr).Name, ds.Column(attr).Dict.View(), tab)
+}
 
-	score := AttrScore{Attr: attr, Name: ds.Attr(attr).Name}
-	first := len(comp.details)
+// score computes M_i (Eq. 1–3) and the property classification for one
+// candidate attribute from its value table, keeping the counts of every
+// value that occurs in D1 or D2. labels is the attribute's dictionary
+// in code order.
+func (c *computation) score(attr int, name string, labels []string, tab valueTable) AttrScore {
+	res := c.result
+	score := AttrScore{Attr: attr, Name: name, labels: labels}
+	first := len(c.counts)
 	var p, t int
 	var m float64
 	for k := range tab.n1 {
-		n1, c1, n2, c2 := tab.n1[k], tab.c1[k], tab.n2[k], tab.c2[k]
-		if n1 == 0 && n2 == 0 {
+		v := ValueCounts{Value: int32(k), N1: tab.n1[k], N2: tab.n2[k], C1: tab.c1[k], C2: tab.c2[k]}
+		if v.N1 == 0 && v.N2 == 0 {
 			continue // value occurs in neither sub-population: ignore
 		}
 		switch {
-		case n1 > 0 && n2 > 0:
+		case v.N1 > 0 && v.N2 > 0:
 			t++
 		default:
 			p++
 		}
-		d := ValueDetail{Value: int32(k), Label: dict.Label(int32(k)), N1: n1, N2: n2, C1: c1, C2: c2}
-		if n1 > 0 {
-			d.Cf1 = float64(c1) / float64(n1)
-		}
-		if n2 > 0 {
-			d.Cf2 = float64(c2) / float64(n2)
-		}
-		d.RCf1, d.RCf2 = d.Cf1, d.Cf2
-		if !opts.DisableCI {
-			d.E1 = margin(opts.Method, z, d.Cf1, n1, c1, opts.level())
-			d.E2 = margin(opts.Method, z, d.Cf2, n2, c2, opts.level())
-			d.RCf1 = math.Min(1, d.Cf1+d.E1)
-			d.RCf2 = math.Max(0, d.Cf2-d.E2)
-		}
-		// Eq. 1–2: the expected confidence of cf_2k is cf_1k·(cf2/cf1);
-		// F_k is the excess beyond it, counted only when positive.
-		d.F = d.RCf2 - d.RCf1*res.Ratio
-		if d.F > 0 && n2 > 0 {
-			d.W = d.F * float64(n2)
-		}
-		m += d.W
-		comp.details = append(comp.details, d)
+		m += derive(v, res.z, res.Ratio, &res.Options).W
+		c.counts = append(c.counts, v)
 	}
-	if n := len(comp.details); n > first {
-		score.Values = comp.details[first:n:n]
+	if n := len(c.counts); n > first {
+		score.Values = c.counts[first:n:n]
 	}
 	score.Score = m
 	if denom := res.Cf2 * float64(res.Rule2.CondCount); denom > 0 {
@@ -588,11 +606,39 @@ func scoreAttribute(ds *dataset.Dataset, attr int, tab valueTable, comp *computa
 	}
 	if p+t > 0 {
 		score.PropertyRatio = float64(p) / float64(p+t)
-		score.Property = score.PropertyRatio > opts.propertyThreshold()
+		score.Property = score.PropertyRatio > res.Options.propertyThreshold()
 	} else {
 		score.PropertyRatio = math.NaN()
 	}
-	return score, nil
+	return score
+}
+
+// derive computes one value's breakdown from its counts: the raw
+// confidences, Section IV.B's interval-revised ones (z is the CI
+// z-value, unused with CI disabled), and Eq. 1–2's F and W given the
+// answer's ratio cf2/cf1. The label is left empty.
+func derive(v ValueCounts, z, ratio float64, opts *Options) ValueDetail {
+	d := ValueDetail{ValueCounts: v}
+	if v.N1 > 0 {
+		d.Cf1 = float64(v.C1) / float64(v.N1)
+	}
+	if v.N2 > 0 {
+		d.Cf2 = float64(v.C2) / float64(v.N2)
+	}
+	d.RCf1, d.RCf2 = d.Cf1, d.Cf2
+	if !opts.DisableCI {
+		d.E1 = margin(opts.Method, z, d.Cf1, v.N1, v.C1, opts.level())
+		d.E2 = margin(opts.Method, z, d.Cf2, v.N2, v.C2, opts.level())
+		d.RCf1 = math.Min(1, d.Cf1+d.E1)
+		d.RCf2 = math.Max(0, d.Cf2-d.E2)
+	}
+	// Eq. 1–2: the expected confidence of cf_2k is cf_1k·(cf2/cf1);
+	// F_k is the excess beyond it, counted only when positive.
+	d.F = d.RCf2 - d.RCf1*ratio
+	if d.F > 0 && v.N2 > 0 {
+		d.W = d.F * float64(v.N2)
+	}
+	return d
 }
 
 // margin computes the CI half-width for a confidence value.
@@ -657,11 +703,7 @@ func Scan(ds *dataset.Dataset, in Input, opts Options) (*Result, error) {
 		return nil, err
 	}
 	for k, ai := range attrs {
-		score, err := scoreAttribute(ds, ai, res.sliceTable(tabs[k], in.Class), res, opts)
-		if err != nil {
-			return nil, err
-		}
-		res.add(score)
+		res.add(res.scoreAttribute(ds, ai, res.sliceTable(tabs[k], in.Class)))
 	}
 	res.finish()
 	return res.result, nil
@@ -713,53 +755,23 @@ func CompareValues(name string, labels []string, n1, c1, n2, c2 []int64, opts Op
 		Ratio:   cf2 / cf1,
 		Options: opts,
 	}
-	comp := &computation{result: &res}
-	tab := valueTable{n1: n1, c1: c1, n2: n2, c2: c2}
-	dict := dataset.NewDictionary()
-	for k := 0; k < card; k++ {
-		if labels != nil && k < len(labels) {
-			dict.Code(labels[k])
+	comp, err := newComputation(&res, 0, 0)
+	if err != nil {
+		return AttrScore{}, Result{}, err
+	}
+	names := make([]string, card)
+	for k := range names {
+		if k < len(labels) {
+			names[k] = labels[k]
 		} else {
-			dict.Code(fmt.Sprintf("v%d", k))
+			names[k] = fmt.Sprintf("v%d", k)
 		}
 	}
-	// Build a one-attribute façade dataset so scoreAttribute can resolve
-	// names/labels uniformly.
-	ds, err := syntheticAttr(name, dict)
-	if err != nil {
-		return AttrScore{}, Result{}, err
-	}
-	score, err := scoreAttribute(ds, 0, tab, comp, opts)
-	if err != nil {
-		return AttrScore{}, Result{}, err
-	}
-	comp.add(score)
-	comp.finish()
-	return score, res, nil
-}
-
-// syntheticAttr builds a tiny dataset whose attribute 0 carries the
-// given name and dictionary; only metadata is consulted by
-// scoreAttribute. The schema is statically valid, so errors indicate a
-// builder regression and are propagated rather than panicking.
-func syntheticAttr(name string, dict *dataset.Dictionary) (*dataset.Dataset, error) {
 	if name == "" {
 		name = "attr"
 	}
-	b, err := dataset.NewBuilder(dataset.Schema{
-		Attrs: []dataset.Attribute{
-			{Name: name, Kind: dataset.Categorical},
-			{Name: "__class", Kind: dataset.Categorical},
-		},
-		ClassIndex: 1,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("compare: building synthetic attribute: %w", err)
-	}
-	b.WithDict(0, dict)
-	ds, err := b.Build()
-	if err != nil {
-		return nil, fmt.Errorf("compare: building synthetic attribute: %w", err)
-	}
-	return ds, nil
+	score := comp.score(0, name, names, valueTable{n1: n1, c1: c1, n2: n2, c2: c2})
+	comp.add(score)
+	comp.finish()
+	return score, res, nil
 }

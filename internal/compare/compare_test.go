@@ -38,7 +38,7 @@ func TestMeasureBoundaryMin(t *testing.T) {
 	if score.Score != 0 {
 		t.Errorf("proportional situation: M = %v, want 0 (Fig. 4(A))", score.Score)
 	}
-	for _, d := range score.Values {
+	for _, d := range details(&res, score) {
 		if d.F > 1e-12 {
 			t.Errorf("value %s has positive F = %v in the expected situation", d.Label, d.F)
 		}
@@ -97,11 +97,12 @@ func TestMeasureFig2B(t *testing.T) {
 	if score.Score <= 0 {
 		t.Fatalf("M = %v, want positive", score.Score)
 	}
-	morning := score.Values[0]
+	vals := details(&res, score)
+	morning := vals[0]
 	if morning.W <= 0 {
 		t.Error("morning should carry positive contribution")
 	}
-	for _, d := range score.Values[1:] {
+	for _, d := range vals[1:] {
 		if d.W != 0 {
 			t.Errorf("%s W = %v, want 0 (cf2k below expectation there)", d.Label, d.W)
 		}
@@ -158,16 +159,16 @@ func TestCIAdjustmentSuppressesNoise(t *testing.T) {
 	c1 := []int64{0, 200}
 	n2 := []int64{5, 10000}
 	c2 := []int64{2, 405}
-	raw, _, err := CompareValues("a", nil, n1, c1, n2, c2, noCI)
+	raw, rawRes, err := CompareValues("a", nil, n1, c1, n2, c2, noCI)
 	if err != nil {
 		t.Fatal(err)
 	}
-	adjusted, _, err := CompareValues("a", nil, n1, c1, n2, c2, Options{})
+	adjusted, adjRes, err := CompareValues("a", nil, n1, c1, n2, c2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rawSmall := raw.Values[0].W
-	adjSmall := adjusted.Values[0].W
+	rawSmall := rawRes.Detail(raw, 0).W
+	adjSmall := adjRes.Detail(adjusted, 0).W
 	if adjSmall >= rawSmall {
 		t.Errorf("CI adjustment did not shrink the noisy value's contribution: raw=%v adj=%v", rawSmall, adjSmall)
 	}
@@ -181,12 +182,12 @@ func TestCIRevisedConfidencesMatchFormula(t *testing.T) {
 	c1 := []int64{40, 60}
 	n2 := []int64{500, 500}
 	c2 := []int64{100, 50}
-	score, _, err := CompareValues("a", nil, n1, c1, n2, c2, Options{})
+	score, res, err := CompareValues("a", nil, n1, c1, n2, c2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	z := 1.96
-	for _, d := range score.Values {
+	for _, d := range details(&res, score) {
 		e1 := z * math.Sqrt(d.Cf1*(1-d.Cf1)/float64(d.N1))
 		e2 := z * math.Sqrt(d.Cf2*(1-d.Cf2)/float64(d.N2))
 		if math.Abs(d.E1-e1) > 1e-12 || math.Abs(d.E2-e2) > 1e-12 {
@@ -206,15 +207,15 @@ func TestWilsonOptionDiffers(t *testing.T) {
 	c1 := []int64{5, 6}
 	n2 := []int64{50, 60}
 	c2 := []int64{20, 6}
-	wald, _, err := CompareValues("a", nil, n1, c1, n2, c2, Options{Method: Wald})
+	wald, waldRes, err := CompareValues("a", nil, n1, c1, n2, c2, Options{Method: Wald})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wilson, _, err := CompareValues("a", nil, n1, c1, n2, c2, Options{Method: Wilson})
+	wilson, wilsonRes, err := CompareValues("a", nil, n1, c1, n2, c2, Options{Method: Wilson})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wald.Values[0].E1 == wilson.Values[0].E1 {
+	if waldRes.Detail(wald, 0).E1 == wilsonRes.Detail(wilson, 0).E1 {
 		t.Error("Wilson and Wald margins should differ on small samples")
 	}
 }
@@ -568,6 +569,9 @@ func TestResultHelpers(t *testing.T) {
 	}
 	if res.Top(1000); len(res.Top(1000)) != len(res.Ranked) {
 		t.Error("Top should clamp")
+	}
+	if got := res.Top(-1); len(got) != 0 {
+		t.Errorf("Top(-1) returned %d entries, want none", len(got))
 	}
 	if _, _, ok := res.Find("no-such-attr"); ok {
 		t.Error("Find should miss unknown attributes")

@@ -50,7 +50,7 @@ func FuzzComparator(f *testing.F) {
 			t.Fatalf("M = %v < 0 (table n1=%v c1=%v n2=%v c2=%v)", score.Score, n1, c1, n2, c2)
 		}
 		var sum float64
-		for _, d := range score.Values {
+		for _, d := range details(&res, score) {
 			if d.W < 0 {
 				t.Fatalf("W_k = %v < 0 for value %q", d.W, d.Label)
 			}

@@ -63,6 +63,17 @@ func (c *Comparator) OneVsRest(in OneVsRestInput, opts Options) (*Result, error)
 // Result.Partial set and the rest annotated in Result.Unscored;
 // otherwise the call fails with the context's error.
 func (c *Comparator) OneVsRestContext(ctx context.Context, in OneVsRestInput, opts Options) (*Result, error) {
+	attrs, err := resolveRankAttrs(c.ds, in.Attr, opts.Attrs)
+	if err != nil {
+		return nil, err
+	}
+	return c.oneVsRest(ctx, in, opts, attrs)
+}
+
+// oneVsRest is OneVsRestContext over the candidate list attrs, resolved
+// from opts.Attrs by resolveRankAttrs: once per call, or once for a
+// whole OneVsRestAll sweep.
+func (c *Comparator) oneVsRest(ctx context.Context, in OneVsRestInput, opts Options, attrs []int) (*Result, error) {
 	ds := c.ds
 	if in.Attr < 0 || in.Attr >= ds.NumAttrs() || in.Attr == ds.ClassIndex() {
 		return nil, fmt.Errorf("compare: invalid comparison attribute %d", in.Attr)
@@ -137,8 +148,7 @@ func (c *Comparator) OneVsRestContext(ctx context.Context, in OneVsRestInput, op
 	res.Rule1 = mk(lo)
 	res.Rule2 = mk(hi)
 
-	comp := &computation{result: res}
-	attrs, err := resolveRankAttrs(ds, in.Attr, opts.Attrs)
+	comp, err := newComputation(res, 0, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -169,11 +179,7 @@ func (c *Comparator) OneVsRestContext(ctx context.Context, in OneVsRestInput, op
 		if err != nil {
 			return nil, err
 		}
-		score, err := scoreAttribute(ds, ai, tab, comp, opts)
-		if err != nil {
-			return nil, err
-		}
-		comp.add(score)
+		comp.add(comp.scoreAttribute(ds, ai, tab))
 	}
 	comp.finish()
 	return res, nil
@@ -185,7 +191,7 @@ type carRule struct{ cond, sup int64 }
 // defaultRankAttrs lists every attribute except the split attribute and
 // the class, the default candidate set for ranking.
 func defaultRankAttrs(ds *dataset.Dataset, splitAttr int) []int {
-	var attrs []int
+	attrs := make([]int, 0, ds.NumAttrs())
 	for a := 0; a < ds.NumAttrs(); a++ {
 		if a != splitAttr && a != ds.ClassIndex() {
 			attrs = append(attrs, a)

@@ -54,7 +54,8 @@ func TestOneVsRestCountsConsistent(t *testing.T) {
 	// Per candidate attribute, N1+N2 per value equals the marginal.
 	for _, s := range append(res.Ranked, res.Property...) {
 		marg := cube1(t, store, s.Attr)
-		for _, d := range s.Values {
+		for k := range s.Values {
+			d := res.Detail(s, k)
 			all, err := marg.CondCount([]int32{d.Value})
 			if err != nil {
 				t.Fatal(err)

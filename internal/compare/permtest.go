@@ -191,25 +191,11 @@ func permScore(tab valueTable, t1n, t1c, t2n, t2c int64, opts Options) (float64,
 	if t1c == 0 || t2c == 0 {
 		return 0, false
 	}
-	res := &Result{Cf1: cf1, Cf2: cf2, Ratio: cf2 / cf1, Options: opts}
-	comp := &computation{result: res}
-	ds, err := syntheticAttr("perm", permDict(len(tab.n1)))
+	comp, err := newComputation(&Result{Cf1: cf1, Cf2: cf2, Ratio: cf2 / cf1, Options: opts}, 0, 0)
 	if err != nil {
 		return 0, false
 	}
-	score, err := scoreAttribute(ds, 0, tab, comp, opts)
-	if err != nil {
-		return 0, false
-	}
-	return score.Score, true
-}
-
-func permDict(card int) *dataset.Dictionary {
-	d := dataset.NewDictionary()
-	for i := 0; i < card; i++ {
-		d.Code(fmt.Sprintf("v%d", i))
-	}
-	return d
+	return comp.score(0, "perm", nil, tab).Score, true
 }
 
 // withAttrs restricts opts to a single candidate attribute.

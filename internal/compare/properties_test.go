@@ -35,14 +35,14 @@ func TestMeasureNonNegative(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
 		n1, c1, n2, c2 := randomTable(rng, 2+rng.Intn(6))
-		score, _, err := CompareValues("a", nil, n1, c1, n2, c2, noCI)
+		score, res, err := CompareValues("a", nil, n1, c1, n2, c2, noCI)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if score.Score < 0 {
 			t.Fatalf("trial %d: M = %v < 0", trial, score.Score)
 		}
-		for _, d := range score.Values {
+		for _, d := range details(&res, score) {
 			if d.W < 0 {
 				t.Fatalf("trial %d: W = %v < 0", trial, d.W)
 			}
@@ -173,11 +173,11 @@ func TestCINeverIncreasesContribution(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		card := 2 + rng.Intn(5)
 		n1, c1, n2, c2 := randomTable(rng, card)
-		raw, _, err := CompareValues("a", nil, n1, c1, n2, c2, noCI)
+		raw, rawRes, err := CompareValues("a", nil, n1, c1, n2, c2, noCI)
 		if err != nil {
 			t.Fatal(err)
 		}
-		adj, _, err := CompareValues("a", nil, n1, c1, n2, c2, Options{})
+		adj, adjRes, err := CompareValues("a", nil, n1, c1, n2, c2, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +185,7 @@ func TestCINeverIncreasesContribution(t *testing.T) {
 			t.Fatalf("trial %d: CI increased M: %v > %v", trial, adj.Score, raw.Score)
 		}
 		for k := range raw.Values {
-			if adj.Values[k].W > raw.Values[k].W+1e-9 {
+			if adjRes.Detail(adj, k).W > rawRes.Detail(raw, k).W+1e-9 {
 				t.Fatalf("trial %d value %d: CI increased W", trial, k)
 			}
 		}

@@ -114,9 +114,11 @@ func (c *Comparator) SweepContext(ctx context.Context, attr int, class int32, op
 	// (split, candidate) pair cube. A lazy source answers all cache
 	// misses from one shared dataset scan; afterwards the loop below
 	// only hits resident cubes.
-	if err := c.prefetchPairs(ctx, attr, opts.Compare.Attrs, false); err != nil {
+	attrs, err := resolveRankAttrs(c.ds, attr, opts.Compare.Attrs)
+	if err != nil {
 		return nil, err
 	}
+	c.prefetchPairs(ctx, attr, attrs, false)
 	pairs, err := c.ScreenPairsContext(ctx, attr, class, opts.Screen)
 	if err != nil {
 		return nil, err

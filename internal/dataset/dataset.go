@@ -147,6 +147,11 @@ func (d *Dictionary) Label(code int32) string {
 // Len returns the number of distinct registered labels.
 func (d *Dictionary) Len() int { return len(d.labels) }
 
+// View returns the labels in code order without copying; callers must
+// not modify it. A dictionary only ever appends, so a view taken under
+// a reader's lock keeps its labels while the dictionary grows.
+func (d *Dictionary) View() []string { return d.labels[:len(d.labels):len(d.labels)] }
+
 // Labels returns a copy of all labels in code order.
 func (d *Dictionary) Labels() []string {
 	out := make([]string, len(d.labels))

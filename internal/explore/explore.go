@@ -254,7 +254,7 @@ func (e *Explorer) Focus(w io.Writer, name string) error {
 	l1, l2 := cur.label1, cur.label2
 	render := func(w io.Writer) error {
 		if score.Property {
-			visual.PropertyView(w, score, l1, l2)
+			visual.PropertyView(w, res, score, l1, l2)
 			return nil
 		}
 		visual.Comparison(w, res, score, l1, l2)

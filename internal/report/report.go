@@ -95,7 +95,8 @@ func Comparison(w io.Writer, res *compare.Result, attrName, label1, label2, clas
 		fmt.Fprintf(bw, "| Value | %s n | %s rate | ± | %s n | %s rate | ± | F | W |\n",
 			label1, label1, label2, label2)
 		fmt.Fprintf(bw, "|---|---:|---:|---:|---:|---:|---:|---:|---:|\n")
-		for _, d := range s.Values {
+		for k := range s.Values {
+			d := res.Detail(s, k)
 			if opts.MinW > 0 && d.W < opts.MinW {
 				continue
 			}
@@ -103,7 +104,7 @@ func Comparison(w io.Writer, res *compare.Result, attrName, label1, label2, clas
 				escapeCell(d.Label), d.N1, 100*d.Cf1, 100*d.E1, d.N2, 100*d.Cf2, 100*d.E2, d.F, d.W)
 		}
 		fmt.Fprintln(bw)
-		if hot := hottestValue(s); hot != "" {
+		if hot := hottestValue(res, s); hot != "" {
 			fmt.Fprintf(bw, "Focus: the gap concentrates in **%s**.\n\n", hot)
 		}
 	}
@@ -159,13 +160,13 @@ func writeImpressions(bw *errWriter, rep *gi.Report) {
 
 // hottestValue names the value carrying the majority of an attribute's
 // contribution, or "" when contributions are spread out.
-func hottestValue(s compare.AttrScore) string {
+func hottestValue(res *compare.Result, s compare.AttrScore) string {
 	if s.Score <= 0 {
 		return ""
 	}
 	var best compare.ValueDetail
-	for _, d := range s.Values {
-		if d.W > best.W {
+	for k := range s.Values {
+		if d := res.Detail(s, k); d.W > best.W {
 			best = d
 		}
 	}

@@ -151,24 +151,26 @@ func TestComparisonReportPropagatesWriteError(t *testing.T) {
 }
 
 func TestHottestValueSpread(t *testing.T) {
-	// A score with evenly spread contributions has no focus value.
-	s := compare.AttrScore{
-		Score: 10,
-		Values: []compare.ValueDetail{
-			{Label: "a", W: 3},
-			{Label: "b", W: 3},
-			{Label: "c", W: 4},
-		},
+	// D1 has a flat 10% rate over three values. Raw confidences make
+	// each value's W = C2 − ΣC2/3.
+	focus := func(c2 []int64) string {
+		t.Helper()
+		n := []int64{10, 10, 10}
+		s, res, err := compare.CompareValues("x", []string{"a", "b", "c"}, n, []int64{1, 1, 1}, n, c2, compare.Options{DisableCI: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return hottestValue(&res, s)
 	}
-	if hottestValue(s) != "" {
+	// W = (1, 1, 0): no value carries more than half of M = 2.
+	if focus([]int64{4, 4, 1}) != "" {
 		t.Error("spread contributions should yield no focus")
 	}
-	s.Values[2].W = 8
-	s.Score = 14
-	if hottestValue(s) != "c" {
+	// W = (0, 0, 4): c carries all of M = 4.
+	if focus([]int64{1, 1, 7}) != "c" {
 		t.Error("dominant value not detected")
 	}
-	if hottestValue(compare.AttrScore{}) != "" {
+	if hottestValue(&compare.Result{}, compare.AttrScore{}) != "" {
 		t.Error("zero score should yield no focus")
 	}
 }

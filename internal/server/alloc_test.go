@@ -5,29 +5,52 @@
 
 package server
 
-import "testing"
+import (
+	"net/http"
+	"testing"
+)
 
 // TestServeAllocs gates the garbage one answer makes through Handler()
-// over resident cubes. The bounds sit about 20% above this change's
-// measurement on the call-log fixture (91 allocations per pinned
-// compare, 384 per all_values sweep; before it, 1,051 and 6,011). The
-// counts must also not depend on how many values the candidates have:
-// per-value append growth would show up as a difference between 4- and
-// 16-valued candidates.
+// over resident cubes, in allocations and in bytes. The bounds sit
+// about 20% above this change's measurement on the call-log fixture:
+// 83 allocations and 43.3 KB per pinned compare, 330 allocations and
+// 225.4 KB per all_values sweep. Before answers kept counts only, they
+// were 91 allocations and 85.4 KB, and 384 allocations and 476.9 KB.
+// The allocation counts must also not depend on how many values the
+// candidates have: per-value append growth would show up as a
+// difference between 4- and 16-valued candidates.
 func TestServeAllocs(t *testing.T) {
 	f := callLogServeFixture(t)
-	if got := allocsPerAnswer(t, f, f.compares, 200); got > 110 {
-		t.Errorf("pinned compare: %.0f allocations per answer, want ≤ 110", got)
+	allocs, bytes := costPerAnswer(t, f, f.compares, 200)
+	t.Logf("pinned compare: %.0f allocations, %.1f KB per answer", allocs, bytes/1024)
+	if allocs > 100 {
+		t.Errorf("pinned compare: %.0f allocations per answer, want ≤ 100", allocs)
 	}
-	if got := allocsPerAnswer(t, f, f.sweeps, 100); got > 460 {
-		t.Errorf("all_values sweep: %.0f allocations per answer, want ≤ 460", got)
+	if bytes > 52<<10 {
+		t.Errorf("pinned compare: %.1f KB per answer, want ≤ 52 KB", bytes/1024)
+	}
+	allocs, bytes = costPerAnswer(t, f, f.sweeps, 100)
+	t.Logf("all_values sweep: %.0f allocations, %.1f KB per answer", allocs, bytes/1024)
+	if allocs > 400 {
+		t.Errorf("all_values sweep: %.0f allocations per answer, want ≤ 400", allocs)
+	}
+	if bytes > 270<<10 {
+		t.Errorf("all_values sweep: %.1f KB per answer, want ≤ 270 KB", bytes/1024)
 	}
 
 	narrow, wide := cardinalityServeFixture(t, 4), cardinalityServeFixture(t, 16)
-	if n, w := allocsPerAnswer(t, narrow, narrow.compares, 200), allocsPerAnswer(t, wide, wide.compares, 200); n != w {
-		t.Errorf("pinned compare: %.0f allocations with 4-valued candidates, %.0f with 16-valued", n, w)
-	}
-	if n, w := allocsPerAnswer(t, narrow, narrow.sweeps, 16), allocsPerAnswer(t, wide, wide.sweeps, 16); n != w {
-		t.Errorf("all_values sweep: %.0f allocations with 4-valued candidates, %.0f with 16-valued", n, w)
+	for _, c := range []struct {
+		name         string
+		narrow, wide []*http.Request
+		n            int
+	}{
+		{"pinned compare", narrow.compares, wide.compares, 200},
+		{"all_values sweep", narrow.sweeps, wide.sweeps, 16},
+	} {
+		n, _ := costPerAnswer(t, narrow, c.narrow, c.n)
+		w, _ := costPerAnswer(t, wide, c.wide, c.n)
+		if n != w {
+			t.Errorf("%s: %.0f allocations with 4-valued candidates, %.0f with 16-valued", c.name, n, w)
+		}
 	}
 }

@@ -285,8 +285,7 @@ func toCompareResponse(cmp *opmap.Comparison, top int) *compareResponse {
 		Unscored: toItemErrors(cmp.Unscored),
 	}
 	resp.Ranked = toScoreEntries(cmp.Top(top))
-	property := cmp.PropertyAttributes()
-	resp.Property = toScoreEntries(property[:min(top, len(property))])
+	resp.Property = toScoreEntries(cmp.TopProperty(top))
 	return resp
 }
 

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -227,18 +228,24 @@ func cardinalityServeFixture(tb testing.TB, card int) *serveFixture {
 	return newServeFixture(tb, sess, func(a string) bool { return strings.HasPrefix(a, "s") })
 }
 
-// allocsPerAnswer averages the allocations of serving each of the
-// first n requests once; the list holds distinct cache keys, so none
-// is answered from the result cache.
-func allocsPerAnswer(t *testing.T, f *serveFixture, reqs []*http.Request, n int) float64 {
+// costPerAnswer serves each of the first n+1 requests once, the first
+// as a warm-up as testing.AllocsPerRun does, and returns the mean
+// allocations (truncated, as AllocsPerRun reports them) and bytes
+// allocated per answer over the other n. The list holds distinct cache
+// keys, so none is answered from the result cache.
+func costPerAnswer(t *testing.T, f *serveFixture, reqs []*http.Request, n int) (allocs, bytes float64) {
 	t.Helper()
 	if len(reqs) < n+1 {
 		t.Fatalf("fixture has %d distinct requests, need %d", len(reqs), n+1)
 	}
 	f.invalidate(t)
-	i := 0
-	return testing.AllocsPerRun(n, func() {
-		f.serve(t, reqs[i])
-		i++
-	})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f.serve(t, reqs[0])
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, r := range reqs[1 : n+1] {
+		f.serve(t, r)
+	}
+	runtime.ReadMemStats(&after)
+	return float64((after.Mallocs - before.Mallocs) / uint64(n)), float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
 }

@@ -12,7 +12,7 @@ import (
 // zero-count sides — the reason the attribute is an artifact — visually
 // explicit ("It can be seen in the first grid on the left that the first
 // phone does not use that attribute value at all (0 count)").
-func PropertyView(w io.Writer, score compare.AttrScore, label1, label2 string) {
+func PropertyView(w io.Writer, res *compare.Result, score compare.AttrScore, label1, label2 string) {
 	fmt.Fprintf(w, "Property attribute %q — exclusivity ratio %.2f\n", score.Name, score.PropertyRatio)
 	if !score.Property {
 		fmt.Fprintf(w, "(note: below the property threshold; shown for inspection)\n")
@@ -27,7 +27,8 @@ func PropertyView(w io.Writer, score compare.AttrScore, label1, label2 string) {
 		}
 	}
 	const width = 24
-	for _, d := range score.Values {
+	for k := range score.Values {
+		d := res.Detail(score, k)
 		fmt.Fprintf(w, "%-20s\n", d.Label)
 		for _, side := range []struct {
 			label string

@@ -57,7 +57,8 @@ func ComparisonSVG(w io.Writer, res *compare.Result, score compare.AttrScore, la
 		return fmt.Errorf("visual: attribute %q has no values to draw", score.Name)
 	}
 	var maxCf float64
-	for _, d := range score.Values {
+	for k := range score.Values {
+		d := res.Detail(score, k)
 		if v := d.Cf1 + d.E1; v > maxCf {
 			maxCf = v
 		}
@@ -93,7 +94,8 @@ func ComparisonSVG(w io.Writer, res *compare.Result, score compare.AttrScore, la
 	}
 
 	x := float64(svgMarginLeft + svgGroupGap/2)
-	for _, d := range score.Values {
+	for k := range score.Values {
+		d := res.Detail(score, k)
 		drawBar := func(bx float64, cf, e float64, fill string) {
 			y := yOf(cf)
 			b.rect(bx, y, svgBarWidth, svgMarginTop+svgChartH-y, fill, 0.85)

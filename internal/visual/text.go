@@ -223,7 +223,8 @@ func Comparison(w io.Writer, res *compare.Result, score compare.AttrScore, label
 	fmt.Fprintf(w, "M = %.2f (normalized %.4f)\n", score.Score, score.NormScore)
 
 	var maxCf float64
-	for _, d := range score.Values {
+	for k := range score.Values {
+		d := res.Detail(score, k)
 		hi := d.Cf1 + d.E1
 		if d.Cf2+d.E2 > hi {
 			hi = d.Cf2 + d.E2
@@ -236,7 +237,8 @@ func Comparison(w io.Writer, res *compare.Result, score compare.AttrScore, label
 		maxCf = 1
 	}
 	const width = 28
-	for _, d := range score.Values {
+	for k := range score.Values {
+		d := res.Detail(score, k)
 		fmt.Fprintf(w, "%-20s\n", d.Label)
 		fmt.Fprintf(w, "  %-10s %s %7.3f%% ±%.3f%%  (n=%d)\n", label1, ciBar(d.Cf1, d.E1, maxCf, width), 100*d.Cf1, 100*d.E1, d.N1)
 		fmt.Fprintf(w, "  %-10s %s %7.3f%% ±%.3f%%  (n=%d)", label2, ciBar(d.Cf2, d.E2, maxCf, width), 100*d.Cf2, 100*d.E2, d.N2)

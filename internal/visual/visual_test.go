@@ -293,7 +293,7 @@ func TestPropertyView(t *testing.T) {
 		t.Fatal("planted property attribute missing")
 	}
 	var buf bytes.Buffer
-	PropertyView(&buf, prop, gt.GoodPhone, gt.BadPhone)
+	PropertyView(&buf, res, prop, gt.GoodPhone, gt.BadPhone)
 	out := buf.String()
 	if !strings.Contains(out, "exclusivity ratio 1.00") {
 		t.Error("ratio missing")
@@ -306,7 +306,7 @@ func TestPropertyView(t *testing.T) {
 	}
 	// A non-property score renders with a caveat, not a panic.
 	buf.Reset()
-	PropertyView(&buf, compare.AttrScore{Name: "x"}, "a", "b")
+	PropertyView(&buf, res, compare.AttrScore{Name: "x"}, "a", "b")
 	if !strings.Contains(buf.String(), "below the property threshold") {
 		t.Error("non-property caveat missing")
 	}

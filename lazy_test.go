@@ -66,6 +66,9 @@ func TestLazyCompareMatchesEager(t *testing.T) {
 	if !reflect.DeepEqual(want.PropertyAttributes(), got.PropertyAttributes()) {
 		t.Error("lazy property attributes differ from eager")
 	}
+	if !reflect.DeepEqual(breakdowns(t, want), breakdowns(t, got)) {
+		t.Error("lazy per-value breakdowns differ from eager")
+	}
 }
 
 func TestLazySweepAndImpressionsMatchEager(t *testing.T) {

@@ -96,10 +96,22 @@ func TestCompareEndToEnd(t *testing.T) {
 	if !foundProp {
 		t.Errorf("property attribute %q missing from %v", gt.PropertyAttr, props)
 	}
+	if got := cmp.TopProperty(len(props) + 1); !reflect.DeepEqual(got, props) {
+		t.Errorf("TopProperty(%d) = %v, want %v", len(props)+1, got, props)
+	}
+	if got := cmp.TopProperty(1); len(got) != 1 || got[0] != props[0] {
+		t.Errorf("TopProperty(1) = %v, want %v", got, props[:1])
+	}
+	if cmp.Top(-1) != nil || cmp.TopProperty(-1) != nil {
+		t.Error("a negative count should select no attributes")
+	}
 	// Detail breakdown available.
-	score, ok := cmp.Attribute(gt.DistinguishingAttr)
-	if !ok || len(score.Values) != 3 {
-		t.Errorf("breakdown = %+v", score)
+	breakdown, ok := cmp.Breakdown(gt.DistinguishingAttr)
+	if !ok || len(breakdown) != 3 {
+		t.Errorf("breakdown = %+v", breakdown)
+	}
+	if _, ok := cmp.Breakdown("no-such-attr"); ok {
+		t.Error("Breakdown of an unranked attribute reported ok")
 	}
 	if s := cmp.String(); !strings.Contains(s, gt.PhoneAttr) {
 		t.Errorf("String() = %q", s)
@@ -201,8 +213,10 @@ func TestCompareByScanAgrees(t *testing.T) {
 		t.Fatalf("missing-class table: %d vs %d ranked", len(ra), len(rb))
 	}
 	for i := range ra {
-		if ra[i].Name != rb[i].Name || !reflect.DeepEqual(ra[i].Values, rb[i].Values) {
-			t.Errorf("missing-class table rank %d: cube %s %+v, scan %s %+v", i, ra[i].Name, ra[i].Values, rb[i].Name, rb[i].Values)
+		va, _ := a.Breakdown(ra[i].Name)
+		vb, _ := b.Breakdown(rb[i].Name)
+		if ra[i].Name != rb[i].Name || !reflect.DeepEqual(va, vb) {
+			t.Errorf("missing-class table rank %d: cube %s %+v, scan %s %+v", i, ra[i].Name, va, rb[i].Name, vb)
 		}
 	}
 }
@@ -558,4 +572,19 @@ func TestCaseStudyFactory(t *testing.T) {
 	if gt.DistinguishingAttr == "" {
 		t.Error("ground truth empty")
 	}
+}
+
+// breakdowns derives the per-value breakdown of every attribute c
+// ranked or set aside, in ranking order.
+func breakdowns(t *testing.T, c *Comparison) [][]ValueBreakdown {
+	t.Helper()
+	var out [][]ValueBreakdown
+	for _, s := range append(c.Ranked(), c.PropertyAttributes()...) {
+		b, ok := c.Breakdown(s.Name)
+		if !ok {
+			t.Fatalf("no breakdown for ranked attribute %q", s.Name)
+		}
+		out = append(out, b)
+	}
+	return out
 }

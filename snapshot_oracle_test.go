@@ -58,6 +58,9 @@ func TestSnapshotCompareMatchesFresh(t *testing.T) {
 	if !reflect.DeepEqual(want.PropertyAttributes(), got.PropertyAttributes()) {
 		t.Error("snapshot-loaded property attributes differ from fresh build")
 	}
+	if !reflect.DeepEqual(breakdowns(t, want), breakdowns(t, got)) {
+		t.Error("snapshot-loaded per-value breakdowns differ from fresh build")
+	}
 }
 
 func TestSnapshotSweepAndImpressionsMatchFresh(t *testing.T) {
@@ -214,6 +217,9 @@ func TestSnapshotSeedLazy(t *testing.T) {
 	}
 	if !reflect.DeepEqual(want.Ranked(), got.Ranked()) {
 		t.Error("restored session's ranking differs from the original")
+	}
+	if !reflect.DeepEqual(breakdowns(t, want), breakdowns(t, got)) {
+		t.Error("restored session's per-value breakdowns differ from the original")
 	}
 	st = second.EngineStats()
 	if st.OneDBuilds != 0 || st.TwoDBuilds != 0 {
