@@ -26,20 +26,18 @@ func (s *Session) Append(rows [][]string) error {
 }
 
 // AppendContext appends a batch of rows, incrementally maintaining the
-// working dataset, all resident cubes (eager store and lazy engine
+// working dataset and all resident cubes (eager store and lazy engine
 // alike — non-resident lazy cubes simply materialize later over the
-// grown dataset), and the discretization delta counters. Cached
-// Compare/Sweep/Impressions results that depend on a touched attribute
-// are invalidated; untouched entries survive.
+// grown dataset). Cached Compare/Sweep/Impressions results that depend
+// on a touched attribute are invalidated; untouched entries survive.
 //
 // The whole batch is validated before anything mutates, so a malformed
 // batch leaves the session untouched. After validation the batch
 // applies row by row; a mid-batch engine error (which cannot arise
 // from a validated row) drops the engine rather than serve skewed
-// counts. Every N appended rows (SetCutReevaluation) the discretizer
-// re-runs over the grown data; changed cuts rebuild the working
-// dataset and the engine with the remembered Discretize/BuildCubes
-// configurations.
+// counts. Numeric values bin through the current cuts: an append never
+// moves them. To re-cut a grown session, call Discretize and then a
+// BuildCubes variant.
 func (s *Session) AppendContext(ctx context.Context, rows [][]string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -50,8 +48,8 @@ func (s *Session) AppendContext(ctx context.Context, rows [][]string) error {
 // recording seq as the session's ingest sequence, in one critical
 // section. A concurrent snapshot (which runs under the read lock)
 // therefore can never capture the batch's rows without the sequence
-// that makes recovery skip them — split Append/SetIngestSeq calls
-// would leave a window where a checkpoint taken between the two
+// that makes recovery skip them: a sequence recorded apart from the
+// apply would leave a window where a checkpoint taken between the two
 // double-applies the batch after a crash. The sequence advances even
 // when the session rejects the batch: Append validates before
 // mutating and the rejection is deterministic, so replay reproduces
@@ -132,8 +130,6 @@ func (s *Session) appendLocked(ctx context.Context, rows [][]string) error {
 				}
 			}
 		}
-		s.noteDeltas(floats[r])
-		s.sinceCutEval++
 	}
 	if err := applyPending(); err != nil {
 		s.flushTouched(touched)
@@ -141,7 +137,7 @@ func (s *Session) appendLocked(ctx context.Context, rows [][]string) error {
 		return err
 	}
 	s.flushTouched(touched)
-	return s.maybeReevalCuts(ctx)
+	return nil
 }
 
 // ValidateBatch checks a batch against the session's schema — row
@@ -241,24 +237,6 @@ func (s *Session) applyRowsToEngine(rows [][]int32, classes []int32) error {
 	return s.src.IngestRows(rows, classes)
 }
 
-// noteDeltas advances the per-attribute discretization delta counters
-// for one appended row: how many non-missing values each continuous
-// attribute has gained since its cuts were last (re-)evaluated.
-func (s *Session) noteDeltas(fr []float64) {
-	if fr == nil {
-		return
-	}
-	for i := 0; i < s.raw.NumAttrs(); i++ {
-		if s.raw.Attr(i).Kind != dataset.Continuous || math.IsNaN(fr[i]) {
-			continue
-		}
-		if s.appendDeltas == nil {
-			s.appendDeltas = make(map[string]int)
-		}
-		s.appendDeltas[s.raw.Attr(i).Name]++
-	}
-}
-
 // flushTouched invalidates cached results depending on the attributes
 // the batch (or the applied prefix of it) touched, then clears the set.
 func (s *Session) flushTouched(touched map[int]bool) {
@@ -276,60 +254,6 @@ func (s *Session) flushTouched(touched map[int]bool) {
 	}
 }
 
-// maybeReevalCuts re-runs the remembered discretizer once enough rows
-// have accumulated. Unchanged cuts keep the engine and all incremental
-// state; changed cuts rebuild the working dataset (re-binning history
-// under the new intervals) and, when a BuildCubes configuration is
-// remembered, the engine.
-func (s *Session) maybeReevalCuts(ctx context.Context) error {
-	if s.cutReevalEvery <= 0 || s.sinceCutEval < s.cutReevalEvery {
-		return nil
-	}
-	if s.discOpts == nil || s.raw.AllCategorical() {
-		s.sinceCutEval = 0
-		return nil
-	}
-	d, err := s.discretizer(*s.discOpts)
-	if err != nil {
-		return err
-	}
-	ncuts, err := discretize.FindCuts(s.raw, d)
-	if err != nil {
-		return fmt.Errorf("opmap: cut re-evaluation: %w", err)
-	}
-	s.sinceCutEval = 0
-	s.appendDeltas = nil
-	// Bit-identity, not tolerance: re-running the same deterministic
-	// discretizer either reproduces the exact cuts or genuinely moved
-	// them.
-	if cutsCompatible(ncuts, s.cuts) == nil {
-		return nil
-	}
-	nds, err := discretize.Bin(s.raw, ncuts)
-	if err != nil {
-		return fmt.Errorf("opmap: cut re-evaluation: %w", err)
-	}
-	s.ds = nds
-	s.cuts = ncuts
-	s.dropEngine()
-	if s.buildOpts == nil {
-		return nil
-	}
-	return s.buildCubesLocked(ctx, *s.buildOpts)
-}
-
-// SetCutReevaluation makes the session re-run its remembered
-// discretizer every `every` appended rows, adopting changed cut points
-// (and rebuilding the engine with the remembered BuildCubes
-// configuration) or cheaply confirming the current ones. Zero disables
-// re-evaluation (the default): cuts then stay fixed until an explicit
-// Discretize.
-func (s *Session) SetCutReevaluation(every int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cutReevalEvery = every
-}
-
 // IngestSeq returns the WAL sequence number of the last batch the
 // serving layer marked applied (zero when the session has never been
 // fed from a WAL).
@@ -337,42 +261,4 @@ func (s *Session) IngestSeq() uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.ingestSeq
-}
-
-// SetIngestSeq records the WAL sequence number of the last applied
-// batch. Callers applying WAL batches should prefer AppendSeq, which
-// records the sequence atomically with the apply; a separate
-// SetIngestSeq leaves a window where a concurrent snapshot captures
-// the batch's rows under the previous sequence and recovery
-// double-applies the batch.
-func (s *Session) SetIngestSeq(seq uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.ingestSeq = seq
-}
-
-// IngestStats describes the session's streaming-ingestion state.
-type IngestStats struct {
-	// IngestSeq is the WAL sequence of the last applied batch.
-	IngestSeq uint64
-	// RowsSinceCutEval counts appended rows since cuts were last
-	// (re-)evaluated.
-	RowsSinceCutEval int
-	// PendingDeltas maps each continuous attribute to the number of
-	// non-missing values it gained since its cuts were last evaluated.
-	PendingDeltas map[string]int
-}
-
-// IngestStats snapshots the session's ingestion counters.
-func (s *Session) IngestStats() IngestStats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	st := IngestStats{IngestSeq: s.ingestSeq, RowsSinceCutEval: s.sinceCutEval}
-	if len(s.appendDeltas) > 0 {
-		st.PendingDeltas = make(map[string]int, len(s.appendDeltas))
-		for k, v := range s.appendDeltas {
-			st.PendingDeltas[k] = v
-		}
-	}
-	return st
 }

@@ -272,7 +272,7 @@ func TestAppendValidation(t *testing.T) {
 // number as a whole ("12abc" once read as 12) is an error naming the
 // attribute on every append path — Session.Append, ValidateBatch,
 // Dataset.AppendRow, Builder.AddRow — and a rejected session batch
-// leaves rows, ingest counters and query answers as they were.
+// leaves rows, the ingest sequence and query answers as they were.
 func TestAppendRejectsMalformedNumbers(t *testing.T) {
 	schema := dataset.Schema{Attrs: []dataset.Attribute{
 		{Name: "Region", Kind: dataset.Categorical},
@@ -282,7 +282,7 @@ func TestAppendRejectsMalformedNumbers(t *testing.T) {
 	for _, v := range []string{"12abc", "-3,5", "1.5.5", "1e3x", " 7", "7 ", "0x"} {
 		t.Run(v, func(t *testing.T) {
 			s := loadIngestSession(t, ingestRows(50), false)
-			rowsBefore, statsBefore := s.NumRows(), s.IngestStats()
+			rowsBefore, seqBefore := s.NumRows(), s.IngestSeq()
 			cmpBefore, _, _ := queryTriple(t, s)
 			bad := []string{"north", "m1", v, "20", "ok"}
 			if err := s.ValidateBatch([][]string{bad}); err == nil || !strings.Contains(err.Error(), `"Temp"`) {
@@ -292,7 +292,7 @@ func TestAppendRejectsMalformedNumbers(t *testing.T) {
 				t.Errorf("Append error = %v, want one naming Temp", err)
 			}
 			cmpAfter, _, _ := queryTriple(t, s)
-			if s.NumRows() != rowsBefore || !reflect.DeepEqual(s.IngestStats(), statsBefore) || !reflect.DeepEqual(cmpAfter, cmpBefore) {
+			if s.NumRows() != rowsBefore || s.IngestSeq() != seqBefore || !reflect.DeepEqual(cmpAfter, cmpBefore) {
 				t.Errorf("rejected batch changed the session: rows %d→%d", rowsBefore, s.NumRows())
 			}
 
@@ -352,49 +352,6 @@ func TestAppendInvalidatesTouchedCache(t *testing.T) {
 	want, _, _ := queryTriple(t, oracle)
 	if !reflect.DeepEqual(want, after) {
 		t.Errorf("post-append Compare diverges from batch oracle:\noracle %+v\ngot    %+v", want, after)
-	}
-}
-
-// TestAppendCutReevaluation: with periodic re-evaluation armed, enough
-// appended rows re-run the discretizer; when the data distribution
-// shifted, the cuts move and the session keeps serving consistently.
-func TestAppendCutReevaluation(t *testing.T) {
-	rows := ingestRows(120)
-	s, err := LoadCSV(strings.NewReader(ingestCSV(rows)), LoadOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Discretize(DiscretizeOptions{Method: EqualWidth, Bins: 4}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.BuildCubes(); err != nil {
-		t.Fatal(err)
-	}
-	oldCuts := s.Cuts()["Temp"]
-	s.SetCutReevaluation(50)
-
-	// Shifted regime: Temp values far outside the original [0,100) range
-	// move the equal-width cut points once re-evaluation triggers.
-	shifted := make([][]string, 60)
-	for i := range shifted {
-		shifted[i] = []string{"north", "m1", fmt.Sprintf("%d", 500+i*7), fmt.Sprintf("%d", i%80), "ok"}
-	}
-	if err := s.Append(shifted); err != nil {
-		t.Fatal(err)
-	}
-	newCuts := s.Cuts()["Temp"]
-	if reflect.DeepEqual(oldCuts, newCuts) {
-		t.Errorf("cuts unchanged after shifted appends: %v", newCuts)
-	}
-	if st := s.IngestStats(); st.RowsSinceCutEval >= 50 {
-		t.Errorf("RowsSinceCutEval = %d, want reset below 50", st.RowsSinceCutEval)
-	}
-	// The rebuilt engine serves the grown dataset.
-	if s.NumRows() != 180 {
-		t.Errorf("rows = %d, want 180", s.NumRows())
-	}
-	if _, err := s.Compare("Region", "north", "south", "fail", CompareOptions{}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -480,8 +437,11 @@ func TestAppendWALReplayRowCounts(t *testing.T) {
 // round trip (OMAPSNAP v2) and shows in both the peeked header and
 // the reloaded session.
 func TestIngestSeqRoundTrip(t *testing.T) {
-	s := loadIngestSession(t, ingestRows(80), false)
-	s.SetIngestSeq(42)
+	rows := ingestRows(90)
+	s := loadIngestSession(t, rows[:80], false)
+	if err := s.AppendSeq(context.Background(), rows[80:], 42); err != nil {
+		t.Fatal(err)
+	}
 	if got := s.IngestSeq(); got != 42 {
 		t.Fatalf("IngestSeq = %d", got)
 	}
@@ -502,9 +462,6 @@ func TestIngestSeqRoundTrip(t *testing.T) {
 	}
 	if got := restored.IngestSeq(); got != 42 {
 		t.Errorf("restored IngestSeq = %d, want 42", got)
-	}
-	if st := restored.IngestStats(); st.IngestSeq != 42 {
-		t.Errorf("IngestStats.IngestSeq = %d, want 42", st.IngestSeq)
 	}
 }
 

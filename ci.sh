@@ -3,8 +3,8 @@
 # .github/workflows/ci.yml runs exactly this script, so green here
 # means green in CI. Zero external dependencies: everything below is
 # the Go toolchain operating on this module. Sections: gofmt, vet,
-# build, tests (plain and -race), opmaplint, opmapd/shard smokes and
-# fuzz smokes. Every gate checks a fact (an exit status, an exact
+# build, tests (plain and -race), deterministic examples, opmaplint,
+# opmapd/shard smokes and fuzz smokes. Every gate checks a fact (an exit status, an exact
 # counter, byte-identical responses); none reads a wall clock. The
 # benchmark is perfbench/run.sh, not part of this gate.
 set -euo pipefail
@@ -29,6 +29,33 @@ go test ./...
 
 echo "== go test -race =="
 go test -race ./...
+
+echo "== examples (every run prints the same) =="
+# Each example runs in a directory of its own (callfailures writes its
+# report into the working directory), and every run's stdout must
+# equal the first run's. Go randomizes map iteration per run, so an
+# example that prints in map order differs from its first run only
+# some of the time: a two-key map takes its rarer order in about one
+# run in eight, so 40 runs leave such a bug under a 1% chance to pass.
+exdir=$(mktemp -d)
+trap 'rm -rf "$exdir"' EXIT
+for ex in examples/*/; do
+    go build -o "$exdir/bin/" "./$ex"
+done
+for bin in "$exdir"/bin/*; do
+    name=$(basename "$bin")
+    for i in $(seq 1 40); do
+        rundir="$exdir/run/$name.$i"
+        mkdir -p "$rundir"
+        (cd "$rundir" && "$bin" >stdout)
+        if ! cmp -s "$exdir/run/$name.1/stdout" "$rundir/stdout"; then
+            echo "examples/$name printed differently on run $i:" >&2
+            diff "$exdir/run/$name.1/stdout" "$rundir/stdout" >&2 || true
+            exit 1
+        fi
+    done
+done
+rm -rf "$exdir"
 
 echo "== serving benchmark (compiles and runs once) =="
 go test -run '^$' -bench BenchmarkServeCompare -benchtime 1x -benchmem ./internal/server

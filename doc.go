@@ -31,11 +31,11 @@
 // comparison predicts, ranked by the paper's contribution measure (or
 // lift/conviction via DrillOptions.Measure).
 //
-// For data too large to load once, BuildSharded cubes row-shards of
-// one logical dataset concurrently and merges the partial sessions —
-// exactly, since contingency counts are additive — into a session
-// equal to a single pass over the concatenated shards. MergeFrom
-// folds sessions built elsewhere, and MergeSnapshotFiles /
+// For data too large to load once, each row-shard of one logical
+// dataset is loaded and cubed as its own session (or snapshot), and
+// MergeFrom folds the shards in path order — exactly, since
+// contingency counts are additive — into a session equal to a single
+// pass over the concatenated shards. MergeSnapshotFiles and
 // LoadShardSnapshots do the same assembly from shard snapshot files,
 // which carry their shard's rows, without the source data.
 //

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"sort"
 
 	"opmap"
 )
@@ -36,8 +37,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for attr, cuts := range session.Cuts() {
-		fmt.Printf("discretized %-12s cuts=%v\n", attr, cuts)
+	cuts := session.Cuts()
+	attrs := make([]string, 0, len(cuts))
+	for attr := range cuts {
+		attrs = append(attrs, attr)
+	}
+	sort.Strings(attrs) // map order varies run to run
+	for _, attr := range attrs {
+		fmt.Printf("discretized %-12s cuts=%v\n", attr, cuts[attr])
 	}
 	if err := session.BuildCubes(); err != nil {
 		log.Fatal(err)

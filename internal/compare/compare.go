@@ -250,6 +250,14 @@ func (r *Result) Detail(s AttrScore, k int) ValueDetail {
 	return d
 }
 
+// DetailAt derives the breakdown of counts v at expectation ratio
+// ratio, with this result's CI z-value and options: Detail's
+// arithmetic for counts outside the ranking, such as a drill-down
+// node's refined populations. The label is left empty.
+func (r *Result) DetailAt(v ValueCounts, ratio float64) ValueDetail {
+	return derive(v, r.z, ratio, &r.Options)
+}
+
 // Find returns the score entry (ranked or property) for the named
 // attribute, with its 1-based rank among non-property attributes (0 for
 // property attributes), or ok=false.
@@ -308,6 +316,13 @@ func ctxOrFault(ctx context.Context, site string) error {
 // call (engine.LazySource.PairSlices): resident pair cubes are read,
 // and the rest are counted in one pass over D1 ∪ D2, never cached.
 func (c *Comparator) CompareContext(ctx context.Context, in Input, opts Options) (*Result, error) {
+	return c.compare(ctx, in, opts, nil)
+}
+
+// compare is CompareContext over the candidate list attrs, resolved
+// from opts.Attrs by resolveRankAttrs once for a whole sweep; nil
+// resolves it per call (see prepare).
+func (c *Comparator) compare(ctx context.Context, in Input, opts Options, attrs []int) (*Result, error) {
 	total := func() (int64, error) {
 		// The comparison attribute's 1-D cube totals the countable
 		// records (attribute and class both present) — the same
@@ -319,7 +334,7 @@ func (c *Comparator) CompareContext(ctx context.Context, in Input, opts Options)
 		}
 		return cube.Total(), nil
 	}
-	res, attrs, err := prepare(c.ds, in, opts, total, func(attr int, value, class int32) (condCount, supCount int64, err error) {
+	res, attrs, err := prepare(c.ds, in, opts, attrs, total, func(attr int, value, class int32) (condCount, supCount int64, err error) {
 		cube, err := c.src.CubeN(ctx, []int{attr})
 		if err != nil {
 			return 0, 0, fmt.Errorf("compare: attribute %d unavailable: %w", attr, err)
@@ -484,11 +499,13 @@ func byScore(a, b AttrScore) int {
 type ruleCounter func(attr int, value, class int32) (condCount, supCount int64, err error)
 
 // prepare validates the input, counts the two input rules, orients them
-// so cf1 < cf2, and resolves the candidate attribute list. total is
+// so cf1 < cf2, and returns the candidate attribute list: attrs when
+// the caller resolved it already, else opts.Attrs resolved after the
+// rules are counted, so an input error wins over a list error. total is
 // called only after the input validates; it supplies the record count
 // the input rules' Support is relative to (records where the
 // comparison attribute and the class are both present).
-func prepare(ds *dataset.Dataset, in Input, opts Options, total func() (int64, error), count ruleCounter) (*computation, []int, error) {
+func prepare(ds *dataset.Dataset, in Input, opts Options, attrs []int, total func() (int64, error), count ruleCounter) (*computation, []int, error) {
 	if in.Attr < 0 || in.Attr >= ds.NumAttrs() || in.Attr == ds.ClassIndex() {
 		return nil, nil, fmt.Errorf("compare: invalid comparison attribute %d", in.Attr)
 	}
@@ -545,9 +562,10 @@ func prepare(ds *dataset.Dataset, in Input, opts Options, total func() (int64, e
 		return nil, nil, fmt.Errorf("compare: rule %s has zero confidence; the expectation ratio cf2/cf1 is undefined", r1.Format(ds))
 	}
 
-	attrs, err := resolveRankAttrs(ds, in.Attr, opts.Attrs)
-	if err != nil {
-		return nil, nil, err
+	if attrs == nil {
+		if attrs, err = resolveRankAttrs(ds, in.Attr, opts.Attrs); err != nil {
+			return nil, nil, err
+		}
 	}
 
 	res := &Result{
@@ -679,7 +697,7 @@ func Scan(ds *dataset.Dataset, in Input, opts Options) (*Result, error) {
 		}
 		return n, nil
 	}
-	res, attrs, err := prepare(ds, in, opts, total, func(attr int, value, class int32) (int64, int64, error) {
+	res, attrs, err := prepare(ds, in, opts, nil, total, func(attr int, value, class int32) (int64, int64, error) {
 		var cond, sup int64
 		col, cls := &ds.Column(attr).Codes, &ds.Column(ds.ClassIndex()).Codes
 		for r := 0; r < ds.NumRows(); r++ {

@@ -109,6 +109,7 @@ func (c *Comparator) SweepContext(ctx context.Context, attr int, class int32, op
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
+	// Resolve the candidate list once, for the prefetch and every pair.
 	// Declare the sweep's full cube needs up front: the split
 	// attribute's 1-D cube (screening and rule counting) plus every
 	// (split, candidate) pair cube. A lazy source answers all cache
@@ -133,7 +134,7 @@ func (c *Comparator) SweepContext(ctx context.Context, attr int, class int32, op
 		err := ctxOrFault(ctx, faultinject.SiteSweepPair)
 		if err == nil {
 			var cmp *Result
-			cmp, err = c.CompareContext(ctx, Input{Attr: attr, V1: p.V1, V2: p.V2, Class: class}, opts.Compare)
+			cmp, err = c.compare(ctx, Input{Attr: attr, V1: p.V1, V2: p.V2, Class: class}, opts.Compare, attrs)
 			if err == nil {
 				res.PairsCompared++
 				aggregatePair(res, agg, cmp, p.Label1, p.Label2, opts)

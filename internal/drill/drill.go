@@ -45,7 +45,6 @@ import (
 	"opmap/internal/faultinject"
 	"opmap/internal/obsv"
 	"opmap/internal/rulecube"
-	"opmap/internal/stats"
 )
 
 // Stats carries one candidate extension cell's counts and revised
@@ -62,6 +61,16 @@ type Stats struct {
 	// multiplier by which the cell's D2 confidence is *expected* to
 	// exceed its D1 confidence.
 	Ratio float64
+}
+
+// cellStats is the Stats of one cell's breakdown d at the parent
+// node's expectation ratio.
+func cellStats(d compare.ValueDetail, ratio float64) Stats {
+	return Stats{
+		N1: d.N1, C1: d.C1, N2: d.N2, C2: d.C2,
+		Cf1: d.Cf1, Cf2: d.Cf2, RCf1: d.RCf1, RCf2: d.RCf2,
+		Ratio: ratio,
+	}
 }
 
 // Measure scores one candidate condition extension. A score of zero or
@@ -369,12 +378,7 @@ func (p *Planner) DrillContext(ctx context.Context, in compare.Input, opts Optio
 	for _, s := range root.Ranked {
 		for k := range s.Values {
 			d := root.Detail(s, k)
-			st := Stats{
-				N1: d.N1, C1: d.C1, N2: d.N2, C2: d.C2,
-				Cf1: d.Cf1, Cf2: d.Cf2, RCf1: d.RCf1, RCf2: d.RCf2,
-				Ratio: root.Ratio,
-			}
-			w := meas.Score(st)
+			w := meas.Score(cellStats(d, root.Ratio))
 			if w <= 0 || d.N1 < opts.minSupport() || d.N2 < opts.minSupport() {
 				continue
 			}
@@ -460,7 +464,7 @@ search:
 				annotateSites(res, sites[si:], p.ds, err)
 				break search
 			}
-			children, full, err := p.expand(cubes[si], split, s.parent, s.cand, v1, v2, in.Class, meas, opts, &created, budget)
+			children, full, err := p.expand(root, cubes[si], split, s.parent, s.cand, v1, v2, in.Class, meas, opts, &created, budget)
 			if err != nil {
 				return nil, err
 			}
@@ -524,9 +528,11 @@ func annotateSites(res *Result, sites []site, ds *dataset.Dataset, err error) {
 
 // expand scores candidate attribute cand inside the populations
 // refined by parent's conditions, using the (split × conds × cand)
-// cube, and returns the qualifying child findings. full reports that
-// the node budget ran out mid-expansion.
-func (p *Planner) expand(cube *rulecube.Cube, split int, parent *Finding, cand int, v1, v2, class int32, meas Measure, opts Options, created *int, budget int) (children []Finding, full bool, err error) {
+// cube, and returns the qualifying child findings. Each cell's
+// confidences come from the root comparison's arithmetic at the
+// parent's ratio. full reports that the node budget ran out
+// mid-expansion.
+func (p *Planner) expand(root *compare.Result, cube *rulecube.Cube, split int, parent *Finding, cand int, v1, v2, class int32, meas Measure, opts Options, created *int, budget int) (children []Finding, full bool, err error) {
 	// Fix the parent's conditions one slice at a time, reducing the
 	// cube to the 2-D (split × cand) plane of the refined populations.
 	c := cube
@@ -549,18 +555,6 @@ func (p *Planner) expand(cube *rulecube.Cube, split int, parent *Finding, cand i
 	cf2 := float64(parent.C2) / float64(parent.N2)
 	ratio := cf2 / cf1
 	denom := cf2 * float64(parent.N2)
-
-	lvl := opts.Compare.Level
-	if stats.IsZero(float64(lvl)) {
-		lvl = stats.Level95
-	}
-	z := 0.0
-	if !opts.Compare.DisableCI {
-		z, err = stats.ZValue(lvl)
-		if err != nil {
-			return nil, false, err
-		}
-	}
 
 	coords := make([]int32, 2)
 	cell := func(v, k int32) (n, cc int64, err error) {
@@ -586,15 +580,8 @@ func (p *Planner) expand(cube *rulecube.Cube, split int, parent *Finding, cand i
 		if n1 < opts.minSupport() || n2 < opts.minSupport() {
 			continue
 		}
-		st := Stats{N1: n1, C1: c1, N2: n2, C2: c2, Ratio: ratio}
-		st.Cf1 = float64(c1) / float64(n1)
-		st.Cf2 = float64(c2) / float64(n2)
-		st.RCf1, st.RCf2 = st.Cf1, st.Cf2
-		if !opts.Compare.DisableCI {
-			st.RCf1 = math.Min(1, st.Cf1+margin(opts.Compare.Method, z, st.Cf1, n1, c1, lvl))
-			st.RCf2 = math.Max(0, st.Cf2-margin(opts.Compare.Method, z, st.Cf2, n2, c2, lvl))
-		}
-		w := meas.Score(st)
+		d := root.DetailAt(compare.ValueCounts{Value: k, N1: n1, N2: n2, C1: c1, C2: c2}, ratio)
+		w := meas.Score(cellStats(d, ratio))
 		if w <= 0 {
 			continue
 		}
@@ -607,7 +594,7 @@ func (p *Planner) expand(cube *rulecube.Cube, split int, parent *Finding, cand i
 			Depth: parent.Depth + 1,
 			Raw:   w,
 			N1:    n1, C1: c1, N2: n2, C2: c2,
-			Cf1: st.Cf1, Cf2: st.Cf2,
+			Cf1: d.Cf1, Cf2: d.Cf2,
 		}
 		if denom > 0 {
 			f.Score = w / denom
@@ -615,22 +602,6 @@ func (p *Planner) expand(cube *rulecube.Cube, split int, parent *Finding, cand i
 		children = append(children, f)
 	}
 	return children, false, nil
-}
-
-// margin computes the CI half-width for one cell, mirroring the
-// comparison's interval arithmetic (compare.margin).
-func margin(method compare.IntervalMethod, z, cf float64, n, c int64, lvl stats.ConfidenceLevel) float64 {
-	if n == 0 {
-		return 0.5
-	}
-	if method == compare.Wilson {
-		ci, err := stats.WilsonCI(c, n, lvl)
-		if err != nil {
-			return 0.5
-		}
-		return ci.Margin
-	}
-	return z * math.Sqrt(cf*(1-cf)/float64(n))
 }
 
 // condition resolves display names for one attribute=value pair.

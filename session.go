@@ -44,23 +44,8 @@ type Session struct {
 
 	// ingestSeq is the WAL sequence of the last applied append batch,
 	// recorded in snapshots so recovery knows where replay must resume.
-	// Maintained by the serving layer via SetIngestSeq.
+	// Set by AppendSeq.
 	ingestSeq uint64
-	// discOpts remembers the last Discretize configuration so periodic
-	// cut re-evaluation can re-run it over the grown raw data.
-	discOpts *DiscretizeOptions
-	// buildOpts remembers the last BuildCubesOptions configuration so a
-	// cut change can rebuild the engine in place.
-	buildOpts *BuildOptions
-	// cutReevalEvery and sinceCutEval drive periodic cut re-evaluation:
-	// every N appended rows the discretizer reruns; unchanged cuts keep
-	// the engine, changed cuts rebuild it.
-	cutReevalEvery int
-	sinceCutEval   int
-	// appendDeltas counts non-missing appended values per continuous
-	// attribute since the last cut (re-)evaluation — the discretization
-	// delta counters surfaced by IngestStats.
-	appendDeltas map[string]int
 }
 
 // LoadOptions configures CSV loading.
@@ -312,23 +297,14 @@ type DiscretizeOptions struct {
 
 // Discretize converts every continuous attribute to categorical
 // intervals. It is a no-op when the dataset is already categorical.
+// Either way it drops the cube engine and every cached result: call a
+// BuildCubes variant next. This is also how a session grown by Append
+// is re-cut over all its rows.
 func (s *Session) Discretize(opts DiscretizeOptions) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.discOpts = &opts
-	s.sinceCutEval = 0
-	s.appendDeltas = nil
-	return s.discretizeLocked(opts)
-}
-
-// discretizeLocked is Discretize's body, shared with periodic cut
-// re-evaluation during appends. Callers hold the write lock.
-func (s *Session) discretizeLocked(opts DiscretizeOptions) error {
 	if s.raw.AllCategorical() {
 		s.ds = s.raw
-		// Even a no-op re-discretize resets the engine: the caller asked
-		// for a fresh working dataset, and a stale result cache fenced to
-		// the old snapshot version must not survive the request.
 		s.dropEngine()
 		return nil
 	}
@@ -342,7 +318,7 @@ func (s *Session) discretizeLocked(opts DiscretizeOptions) error {
 	}
 	s.ds = ds
 	s.cuts = cuts
-	s.dropEngine() // cubes and cached results over the old dataset are invalid
+	s.dropEngine()
 	return nil
 }
 
@@ -474,14 +450,6 @@ func (s *Session) BuildCubesOptions(ctx context.Context, opts BuildOptions) erro
 	defer obsv.Stage(obsv.StageBuildCubes)()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.buildOpts = &opts
-	return s.buildCubesLocked(ctx, opts)
-}
-
-// buildCubesLocked is BuildCubesOptions's body, shared with the engine
-// rebuild after a cut re-evaluation changes the working dataset.
-// Callers hold the write lock.
-func (s *Session) buildCubesLocked(ctx context.Context, opts BuildOptions) error {
 	ds, err := s.working()
 	if err != nil {
 		return err

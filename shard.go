@@ -1,12 +1,9 @@
 package opmap
 
 import (
-	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"opmap/internal/obsv"
@@ -18,10 +15,10 @@ import (
 // build can hold, but contingency counts are additive: N processes can
 // each cube a slice of the logs and the partial stores merge exactly.
 // This file is the session-level face of that architecture:
-// BuildSharded runs the per-shard builds in parallel and folds them
-// into one serving session via Session.MergeFrom; LoadShardSnapshots
-// does the same assembly from shard snapshot files a fleet shipped,
-// and MergeSnapshotFiles writes that assembly back as one snapshot.
+// Session.MergeFrom folds one shard's session into another, in path
+// order; LoadShardSnapshots does that assembly from shard snapshot
+// files a fleet shipped, and MergeSnapshotFiles writes it back as one
+// snapshot.
 
 // ShardMergeHistogramName observes the wall-clock seconds of each
 // MergeFrom call.
@@ -31,119 +28,6 @@ const ShardMergeHistogramName = "opmap_shard_merge_seconds"
 // destination: MergeFrom advances it by one, so an N-shard snapshot
 // assembly by N-1.
 const ShardsMergedCounterName = "opmap_shards_merged_total"
-
-// ShardOptions configures BuildSharded.
-type ShardOptions struct {
-	// Workers bounds the shard builds running concurrently; zero means
-	// GOMAXPROCS (and never more than there are shards).
-	Workers int
-	// Load applies to every shard CSV. Force attribute kinds explicitly
-	// (Load.Continuous / Load.Categorical) when a column could sniff
-	// differently across shards — a kind mismatch fails the merge naming
-	// the attribute.
-	Load LoadOptions
-	// Discretize, when non-nil, runs on every shard before its cubes
-	// build. Shards must end up with bit-identical cut points, so use
-	// Manual cuts: method-derived cuts are computed per shard and will
-	// almost always differ, which MergeFrom rejects.
-	Discretize *DiscretizeOptions
-	// Build configures each shard's cube build. Lazy is rejected: a
-	// lazy engine holds no complete store to merge.
-	Build BuildOptions
-}
-
-// BuildSharded loads and cubes each CSV shard concurrently, then merges
-// the per-shard sessions in path order into one serving session. The
-// result is exactly the session a single load of the concatenated
-// shards would produce: dictionary union preserves first-appearance
-// order across shards, so codes, cube layouts, and counts all land
-// identically. See ShardOptions for the per-shard configuration.
-func BuildSharded(paths []string, opts ShardOptions) (*Session, error) {
-	return BuildShardedContext(context.Background(), paths, opts)
-}
-
-// BuildShardedContext is BuildSharded under a context: cancellation
-// stops shard builds between cube counts and is checked between merges.
-func BuildShardedContext(ctx context.Context, paths []string, opts ShardOptions) (*Session, error) {
-	if len(paths) == 0 {
-		return nil, fmt.Errorf("opmap: BuildSharded needs at least one shard path")
-	}
-	if opts.Build.Lazy {
-		return nil, fmt.Errorf("opmap: sharded builds are eager-only: a lazy engine holds no complete store to merge")
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(paths) {
-		workers = len(paths)
-	}
-	sessions := make([]*Session, len(paths))
-	errs := make([]error, len(paths))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				if ctx.Err() != nil {
-					errs[i] = ctx.Err()
-					continue
-				}
-				sessions[i], errs[i] = buildShard(ctx, paths[i], opts)
-			}
-		}()
-	}
-feed:
-	for i := range paths {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for i, err := range errs {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
-		if err != nil {
-			return nil, fmt.Errorf("opmap: shard %s: %w", paths[i], err)
-		}
-	}
-	base := sessions[0]
-	for i, other := range sessions[1:] {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if err := base.MergeFrom(other); err != nil {
-			return nil, fmt.Errorf("opmap: merging shard %s: %w", paths[i+1], err)
-		}
-	}
-	return base, nil
-}
-
-// buildShard is one worker's unit: load, optionally discretize, cube.
-func buildShard(ctx context.Context, path string, opts ShardOptions) (*Session, error) {
-	s, err := LoadCSVFile(path, opts.Load)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Discretize != nil {
-		if err := s.Discretize(*opts.Discretize); err != nil {
-			return nil, err
-		}
-	}
-	if err := s.BuildCubesOptions(ctx, opts.Build); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
 
 // MergeFrom folds another session's data and cubes into s: raw and
 // working rows append (categorical codes remapped through the
@@ -230,13 +114,6 @@ func (s *Session) mergeFromLocked(o *Session) error {
 	s.results.Invalidate()
 	if o.ingestSeq > s.ingestSeq {
 		s.ingestSeq = o.ingestSeq
-	}
-	s.sinceCutEval += o.sinceCutEval
-	for k, v := range o.appendDeltas {
-		if s.appendDeltas == nil {
-			s.appendDeltas = make(map[string]int)
-		}
-		s.appendDeltas[k] += v
 	}
 	obsv.Default().Histogram(ShardMergeHistogramName, nil).ObserveSince(start)
 	obsv.Default().Counter(ShardsMergedCounterName).Inc()

@@ -32,7 +32,8 @@ func shardWorkload(t testing.TB, n int) (all string, shards []string, load LoadO
 		header[i] = ds.Attr(i).Name
 	}
 	// Force every attribute categorical so no shard can kind-sniff a
-	// column differently from its siblings (see ShardOptions.Load).
+	// column differently from its siblings: a kind mismatch fails the
+	// merge naming the attribute.
 	load = LoadOptions{Class: ds.Attr(ds.ClassIndex()).Name, Categorical: header}
 
 	dir := t.TempDir()
@@ -86,6 +87,29 @@ func singleSession(t testing.TB, all string, load LoadOptions) *Session {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// mergeShards loads and cubes each CSV shard as its own session, then
+// folds them into the first with MergeFrom in path order: the one way
+// sharded data is combined.
+func mergeShards(t testing.TB, paths []string, load LoadOptions) *Session {
+	t.Helper()
+	var base *Session
+	for _, p := range paths {
+		s, err := LoadCSVFile(p, load)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.BuildCubes(); err != nil {
+			t.Fatal(err)
+		}
+		if base == nil {
+			base = s
+		} else if err := base.MergeFrom(s); err != nil {
+			t.Fatalf("merging shard %s: %v", p, err)
+		}
+	}
+	return base
 }
 
 // assertSameQueries requires the cube-served query surface of got to be
@@ -146,20 +170,17 @@ func assertSameCubes(t *testing.T, got, want *Session) {
 	}
 }
 
-// TestBuildShardedMatchesSinglePass is the session-level oracle: at 1,
-// 2, and 8 shards the sharded build must hold a store DeepEqual to the
-// single-pass store — rows, dictionaries, cube layouts, and counts all
+// TestMergeShardsMatchesSinglePass is the session-level oracle: at 1,
+// 2, and 8 shards the merged sessions must hold cubes DeepEqual to the
+// single-pass cubes — rows, dictionaries, cube layouts, and counts all
 // bit-identical — and answer every query identically.
-func TestBuildShardedMatchesSinglePass(t *testing.T) {
+func TestMergeShardsMatchesSinglePass(t *testing.T) {
 	defer testutil.VerifyNoLeak(t)()
 	for _, n := range []int{1, 2, 8} {
 		t.Run(string(rune('0'+n))+" shards", func(t *testing.T) {
 			all, shards, load, gt := shardWorkload(t, n)
 			want := singleSession(t, all, load)
-			got, err := BuildSharded(shards, ShardOptions{Load: load})
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := mergeShards(t, shards, load)
 			assertSameCubes(t, got, want)
 			if got.NumRows() != want.NumRows() {
 				t.Fatalf("rows = %d, want %d", got.NumRows(), want.NumRows())
@@ -169,9 +190,9 @@ func TestBuildShardedMatchesSinglePass(t *testing.T) {
 	}
 }
 
-// TestBuildShardedZeroRowShard: a header-only shard mid-sequence must
+// TestMergeShardsZeroRowShard: a header-only shard mid-sequence must
 // be a no-op, not an error.
-func TestBuildShardedZeroRowShard(t *testing.T) {
+func TestMergeShardsZeroRowShard(t *testing.T) {
 	defer testutil.VerifyNoLeak(t)()
 	all, shards, load, gt := shardWorkload(t, 2)
 	empty := filepath.Join(t.TempDir(), "empty.csv")
@@ -184,18 +205,15 @@ func TestBuildShardedZeroRowShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := singleSession(t, all, load)
-	got, err := BuildSharded([]string{shards[0], empty, shards[1]}, ShardOptions{Load: load})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := mergeShards(t, []string{shards[0], empty, shards[1]}, load)
 	assertSameCubes(t, got, want)
 	assertSameQueries(t, want, got, gt)
 }
 
-// TestBuildShardedDisjointDictionaries: shards whose label sets barely
+// TestMergeShardsDisjointDictionaries: shards whose label sets barely
 // overlap (shard 2 opens with values shard 1 never saw) must still
-// merge to the single-pass store — the dictionary-union remap at work.
-func TestBuildShardedDisjointDictionaries(t *testing.T) {
+// merge to the single-pass cubes — the dictionary-union remap at work.
+func TestMergeShardsDisjointDictionaries(t *testing.T) {
 	defer testutil.VerifyNoLeak(t)()
 	dir := t.TempDir()
 	write := func(name, content string) string {
@@ -214,10 +232,7 @@ func TestBuildShardedDisjointDictionaries(t *testing.T) {
 	load := LoadOptions{Class: "outcome", Categorical: []string{"model", "band", "outcome"}}
 
 	want := singleSession(t, all, load)
-	got, err := BuildSharded([]string{p1, p2}, ShardOptions{Load: load})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := mergeShards(t, []string{p1, p2}, load)
 	assertSameCubes(t, got, want)
 	// Spot-check a query spanning labels only one shard contributed.
 	wc, err := want.Compare("model", "m1", "m3", "drop", CompareOptions{})
@@ -373,24 +388,4 @@ func TestMergeFromErrors(t *testing.T) {
 			t.Errorf("err = %v, want schema mismatch naming \"x\"", err)
 		}
 	})
-}
-
-func TestBuildShardedRejects(t *testing.T) {
-	defer testutil.VerifyNoLeak(t)()
-	if _, err := BuildSharded(nil, ShardOptions{}); err == nil {
-		t.Error("empty shard list accepted")
-	}
-	if _, err := BuildSharded([]string{"x.csv"}, ShardOptions{Build: BuildOptions{Lazy: true}}); err == nil || !strings.Contains(err.Error(), "lazy") {
-		t.Errorf("err = %v, want lazy rejection", err)
-	}
-}
-
-func TestBuildShardedContextCancel(t *testing.T) {
-	defer testutil.VerifyNoLeak(t)()
-	_, shards, load, _ := shardWorkload(t, 2)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := BuildShardedContext(ctx, shards, ShardOptions{Load: load}); err == nil {
-		t.Error("cancelled context accepted")
-	}
 }

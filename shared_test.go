@@ -73,8 +73,8 @@ func plantedRows(n int) [][]string {
 // after Discretize, after Append batches that grow the columns past
 // their capacity (and so move raw's backing arrays), after the Append
 // whose new labels take Region's dictionary past 255 and so widen its
-// column from one byte per row to four, after MergeFrom, and after a
-// cut re-evaluation that keeps the cuts. At the end the session still
+// column from one byte per row to four, after MergeFrom, and after an
+// Append that follows the merge. At the end the session still
 // answers compare, sweep, impressions and drill-down exactly like a
 // batch load of the same rows.
 func TestWorkingColumnsStayShared(t *testing.T) {
@@ -116,18 +116,10 @@ func TestWorkingColumnsStayShared(t *testing.T) {
 		t.Error("MergeFrom changed a column's width: Region must stay wide and Model narrow")
 	}
 
-	working := s.ds
-	s.SetCutReevaluation(100)
 	if err := s.Append(rows[2300:2400]); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.IngestStats(); st.RowsSinceCutEval != 0 {
-		t.Fatalf("cuts were not re-evaluated: %d rows since", st.RowsSinceCutEval)
-	}
-	if s.ds != working {
-		t.Fatal("re-evaluation rebuilt the working dataset although the manual cuts hold")
-	}
-	checkOneCopy(t, s, "cut re-evaluation")
+	checkOneCopy(t, s, "Append after MergeFrom")
 
 	oracle := loadIngestSession(t, rows, false)
 	oc, os, oi := queryTriple(t, oracle)
