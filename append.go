@@ -3,8 +3,6 @@ package opmap
 import (
 	"context"
 	"fmt"
-	"math"
-	"sort"
 
 	"opmap/internal/dataset"
 	"opmap/internal/discretize"
@@ -31,13 +29,13 @@ func (s *Session) Append(rows [][]string) error {
 // grown dataset). Cached Compare/Sweep/Impressions results that depend
 // on a touched attribute are invalidated; untouched entries survive.
 //
-// The whole batch is validated before anything mutates, so a malformed
-// batch leaves the session untouched. After validation the batch
-// applies row by row; a mid-batch engine error (which cannot arise
-// from a validated row) drops the engine rather than serve skewed
-// counts. Numeric values bin through the current cuts: an append never
-// moves them. To re-cut a grown session, call Discretize and then a
-// BuildCubes variant.
+// The batch applies whole or not at all. It is parsed, which is its
+// validation, before anything mutates, so a malformed batch leaves the
+// session untouched. Cancellation is honoured before the batch starts
+// to apply, never mid-batch: a ctx that is done by then returns
+// ctx.Err() with nothing applied. Numeric values bin through the
+// current cuts: an append never moves them. To re-cut a grown session,
+// call Discretize and then a BuildCubes variant.
 func (s *Session) AppendContext(ctx context.Context, rows [][]string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -54,8 +52,8 @@ func (s *Session) AppendContext(ctx context.Context, rows [][]string) error {
 // when the session rejects the batch: Append validates before
 // mutating and the rejection is deterministic, so replay reproduces
 // the same decision and must not re-attempt it. Callers must not
-// cancel ctx mid-batch (the WAL apply path passes an uncancellable
-// context); a partially applied batch would still be marked consumed.
+// cancel ctx (the WAL apply path passes an uncancellable context): a
+// batch cancelled before it applies would still be marked consumed.
 func (s *Session) AppendSeq(ctx context.Context, rows [][]string, seq uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -65,193 +63,120 @@ func (s *Session) AppendSeq(ctx context.Context, rows [][]string, seq uint64) er
 }
 
 // appendLocked is the body shared by the Append variants. Callers hold
-// the write lock.
+// the write lock. The batch grows the session the way MergeFrom grows
+// it by another session's rows: a dictionary union and a remapped
+// append, raw dataset first, then the working dataset, whose
+// categorical columns are raw's own and whose binned columns take the
+// batch binned through the session's cuts. The engine then folds the
+// appended row range from the working dataset's columns.
 func (s *Session) appendLocked(ctx context.Context, rows [][]string) error {
 	if len(rows) == 0 {
 		return nil
 	}
-	// Validate pass: width and continuous parses for the whole batch.
-	floats, err := s.validateBatch(rows)
+	batch, err := s.parseBatch(rows)
 	if err != nil {
 		return err
 	}
-
-	classIdx := s.raw.ClassIndex()
-	touched := make(map[int]bool)
-	// Coded rows accumulate here and fold into the resident engine in
-	// one batched apply (rulecube.IngestCubes behind the engine's
-	// IngestRows): the dictionaries are fully grown by then, so each
-	// cube pays one SyncDims per batch instead of one per row. Any early
-	// return must flush the accumulated prefix first so the engine's
-	// counts match the rows already appended to the dataset.
-	var (
-		pending [][]int32
-		classes []int32
-	)
-	applyPending := func() error {
-		if len(pending) == 0 {
-			return nil
+	// work is the batch as the working dataset holds it; nil while a
+	// continuous schema awaits Discretize and only raw grows.
+	var work *dataset.Dataset
+	switch {
+	case s.ds == s.raw:
+		work = batch
+	case s.ds != nil:
+		if work, err = discretize.Bin(batch, s.cuts); err != nil {
+			return err
 		}
-		err := s.applyRowsToEngine(pending, classes)
-		pending, classes = nil, nil
+	}
+	if err := ctx.Err(); err != nil {
 		return err
 	}
-	// bail ends the batch early: the applied prefix stays applied and
-	// consistent (engine folded, caches invalidated), err is returned.
-	// An engine error while folding (which cannot arise from a validated
-	// row) drops the engine rather than serve skewed counts.
-	bail := func(err error) error {
-		if aerr := applyPending(); aerr != nil {
-			s.dropEngine()
-		}
-		s.flushTouched(touched)
-		return err
-	}
-	for r, row := range rows {
-		if err := ctx.Err(); err != nil {
-			// Already-applied rows of the batch stay applied and
-			// consistent; the caller decides whether to re-send the rest.
-			return bail(err)
-		}
-		if err := s.raw.AppendRow(row); err != nil {
-			// Unreachable after validateBatch; fail loudly if it isn't.
-			return bail(err)
-		}
-		codes, err := s.appendWorkingRow(row, floats[r])
-		if err != nil {
-			return bail(err)
-		}
-		if codes != nil {
-			pending = append(pending, codes)
-			classes = append(classes, codes[classIdx])
-			for i, c := range codes {
-				if i != classIdx && c >= 0 {
-					touched[i] = true
-				}
-			}
-		}
-	}
-	if err := applyPending(); err != nil {
-		s.flushTouched(touched)
+	// Neither append below can fail on a parsed batch; should one, the
+	// engine goes rather than serve counts that disagree with the rows.
+	from := s.raw.NumRows()
+	if err := appendBatch(s.raw, batch); err != nil {
 		s.dropEngine()
 		return err
 	}
-	s.flushTouched(touched)
+	if work == nil {
+		return nil
+	}
+	if s.ds != s.raw {
+		if err := appendBatch(s.ds, work); err != nil {
+			s.dropEngine()
+			return err
+		}
+	}
+	if s.src != nil {
+		s.src.IngestRows(from)
+	}
+	if touched := presentAttrs(work); len(touched) > 0 {
+		s.results.BumpAttrs(touched)
+	}
 	return nil
 }
 
 // ValidateBatch checks a batch against the session's schema — row
 // widths and numeric parses — without mutating anything: exactly the
-// validation Append runs before applying. A durability layer calls it
+// parse Append runs before applying. A durability layer calls it
 // before logging a batch, so a batch that the (possibly asynchronous)
 // apply would reject is never acknowledged as durably accepted.
 func (s *Session) ValidateBatch(rows [][]string) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	_, err := s.validateBatch(rows)
+	_, err := s.parseBatch(rows)
 	return err
 }
 
-// validateBatch checks every row's width and parses its continuous
-// fields, returning the parsed values per row (nil entries when the
-// schema has no continuous attributes). Nothing mutates.
-func (s *Session) validateBatch(rows [][]string) ([][]float64, error) {
-	n := s.raw.NumAttrs()
-	hasCont := !s.raw.AllCategorical()
-	floats := make([][]float64, len(rows))
+// parseBatch parses rows into a dataset over the raw schema with
+// Builder.AddRow's semantics ("?" is missing, unseen labels register
+// in the batch's own dictionaries, continuous fields parse as
+// numbers). The parse is the batch's validation: its error names the
+// row and, for a number that does not parse, the attribute. Nothing of
+// the session mutates.
+func (s *Session) parseBatch(rows [][]string) (*dataset.Dataset, error) {
+	b, err := dataset.NewBuilder(s.raw.Schema())
+	if err != nil {
+		return nil, err
+	}
 	for r, row := range rows {
-		if len(row) != n {
-			return nil, fmt.Errorf("opmap: append row %d has %d values, schema has %d attributes", r, len(row), n)
+		if err := b.AddRow(row); err != nil {
+			return nil, fmt.Errorf("opmap: append row %d: %w", r, err)
 		}
-		if !hasCont {
-			continue
-		}
-		fr := make([]float64, n)
-		for i := 0; i < n; i++ {
-			if s.raw.Attr(i).Kind != dataset.Continuous {
-				continue
-			}
-			f, err := dataset.ParseContinuous(row[i])
-			if err != nil {
-				return nil, fmt.Errorf("opmap: append row %d attribute %q: cannot parse %q as number", r, s.raw.Attr(i).Name, row[i])
-			}
-			fr[i] = f
-		}
-		floats[r] = fr
 	}
-	return floats, nil
+	return b.Build()
 }
 
-// appendWorkingRow folds one validated row into the discretized
-// working dataset and returns its coded form (nil when no working
-// dataset exists yet — before Discretize on a continuous schema —
-// in which case only the raw dataset grows).
-func (s *Session) appendWorkingRow(row []string, fr []float64) ([]int32, error) {
-	if s.ds == nil {
-		return nil, nil
+// appendBatch appends every row of batch to dst through the dictionary
+// union: batch's labels register in dst's dictionaries, its codes are
+// remapped to dst's.
+func appendBatch(dst, batch *dataset.Dataset) error {
+	rm, err := dst.UnionDicts(batch)
+	if err != nil {
+		return err
 	}
-	n := s.raw.NumAttrs()
-	codes := make([]int32, n)
-	if s.ds == s.raw {
-		// All-categorical schema: the working dataset IS the raw dataset
-		// and AppendRow above already grew it; just read the codes back.
-		last := s.ds.NumRows() - 1
-		for i := 0; i < n; i++ {
-			codes[i] = s.ds.Column(i).Codes.At(last)
+	return dst.AppendRemapped(batch, rm)
+}
+
+// presentAttrs lists, in index order, the non-class attributes that
+// some row of the categorical dataset ds sets: the attributes whose
+// cached results an append of ds invalidates. A row whose class is
+// missing still counts.
+func presentAttrs(ds *dataset.Dataset) []int {
+	var out []int
+	for a := 0; a < ds.NumAttrs(); a++ {
+		if a == ds.ClassIndex() {
+			continue
 		}
-		return codes, nil
-	}
-	// Discretized working dataset, a Derive of the raw dataset: its
-	// categorical columns and dictionaries are raw's own, so the lookups
-	// below find the codes raw's AppendRow just wrote and AppendCodedRow
-	// re-slices the shared columns to raw's grown codes instead of
-	// writing them again. Numeric values bin through the remembered cuts
-	// (every bin is pre-registered in the interval dictionary).
-	for i := 0; i < n; i++ {
-		if s.raw.Attr(i).Kind == dataset.Continuous {
-			name := s.raw.Attr(i).Name
-			if math.IsNaN(fr[i]) {
-				codes[i] = dataset.Missing
-				continue
+		codes := &ds.Column(a).Codes
+		for r := 0; r < ds.NumRows(); r++ {
+			if codes.At(r) >= 0 {
+				out = append(out, a)
+				break
 			}
-			codes[i] = int32(discretize.BinOf(s.cuts[name], fr[i]))
-			continue
 		}
-		if row[i] == dataset.MissingLabel {
-			codes[i] = dataset.Missing
-			continue
-		}
-		codes[i] = s.ds.Column(i).Dict.Code(row[i])
 	}
-	return codes, s.ds.AppendCodedRow(codes, nil)
-}
-
-// applyRowsToEngine folds a batch of coded rows into every resident
-// cube of the engine through rulecube's one batch apply. No engine
-// means nothing to maintain: cubes built later count the grown dataset
-// anyway.
-func (s *Session) applyRowsToEngine(rows [][]int32, classes []int32) error {
-	if s.src == nil {
-		return nil
-	}
-	return s.src.IngestRows(rows, classes)
-}
-
-// flushTouched invalidates cached results depending on the attributes
-// the batch (or the applied prefix of it) touched, then clears the set.
-func (s *Session) flushTouched(touched map[int]bool) {
-	if len(touched) == 0 {
-		return
-	}
-	attrs := make([]int, 0, len(touched))
-	for a := range touched {
-		attrs = append(attrs, a)
-	}
-	sort.Ints(attrs)
-	s.results.BumpAttrs(attrs)
-	for a := range touched {
-		delete(touched, a)
-	}
+	return out
 }
 
 // IngestSeq returns the WAL sequence number of the last batch the

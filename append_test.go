@@ -2,9 +2,11 @@ package opmap
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -94,9 +96,14 @@ func queryTriple(t *testing.T, s *Session) (*Comparison, *SweepResult, *Impressi
 // TestAppendMatchesBatchLoad is the oracle equivalence test: loading N
 // rows at once and loading a prefix then streaming the rest through
 // Append must produce identical Compare, Sweep and Impressions
-// results, in both eager and lazy engines.
+// results, and identical counts in every cube the streamed session
+// holds, in both eager and lazy engines. The last batch brings 300 new
+// Model labels, taking that dictionary past dataset.MaxNarrowLabels.
 func TestAppendMatchesBatchLoad(t *testing.T) {
-	all := ingestRows(400)
+	all := ingestRows(700)
+	for i, row := range all[400:] {
+		row[1] = fmt.Sprintf("w%d", i)
+	}
 	for _, lazy := range []bool{false, true} {
 		name := "eager"
 		if lazy {
@@ -113,13 +120,16 @@ func TestAppendMatchesBatchLoad(t *testing.T) {
 				}
 			}
 			// Stream the tail in uneven batches.
-			for _, batch := range [][][]string{all[300:301], all[301:350], all[350:400]} {
+			for _, batch := range [][][]string{all[300:301], all[301:350], all[350:400], all[400:700]} {
 				if err := streamed.Append(batch); err != nil {
 					t.Fatal(err)
 				}
 			}
 			if got, want := streamed.NumRows(), oracle.NumRows(); got != want {
 				t.Fatalf("streamed rows = %d, want %d", got, want)
+			}
+			if models, _ := streamed.Values("Model"); len(models) <= dataset.MaxNarrowLabels {
+				t.Fatalf("Model has %d labels, want more than %d", len(models), dataset.MaxNarrowLabels)
 			}
 			oc, os, oi := queryTriple(t, oracle)
 			sc, ss, si := queryTriple(t, streamed)
@@ -131,6 +141,19 @@ func TestAppendMatchesBatchLoad(t *testing.T) {
 			}
 			if !reflect.DeepEqual(oi, si) {
 				t.Errorf("Impressions diverge:\noracle   %+v\nstreamed %+v", oi, si)
+			}
+			resident := streamed.src.ResidentCubes()
+			if len(resident) == 0 {
+				t.Fatal("the streamed session holds no cubes")
+			}
+			for _, c := range resident {
+				want, err := oracle.src.CubeN(context.Background(), c.AttrIndices())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(c.Counts(), want.Counts()) || c.Total() != want.Total() {
+					t.Errorf("cube %v: streamed counts (total %d) differ from the oracle's (total %d)", c.AttrNames(), c.Total(), want.Total())
+				}
 			}
 		})
 	}
@@ -243,7 +266,10 @@ func TestAppendSeqSnapshotConsistency(t *testing.T) {
 }
 
 // TestAppendValidation: a malformed batch is rejected atomically —
-// nothing about the session changes, and the error names the row.
+// nothing about the session changes, and the error names the row. A
+// batch whose last row has a bad number leaves every resident cube's
+// counts, the row count and (through AppendSeq) the ingest sequence
+// where they were.
 func TestAppendValidation(t *testing.T) {
 	s := loadIngestSession(t, ingestRows(50), false)
 	rowsBefore, cubesBefore := s.NumRows(), s.CubeCount()
@@ -266,12 +292,81 @@ func TestAppendValidation(t *testing.T) {
 		t.Errorf("failed batches mutated the session: rows %d→%d cubes %d→%d",
 			rowsBefore, s.NumRows(), cubesBefore, s.CubeCount())
 	}
+
+	if err := s.AppendSeq(context.Background(), ingestRows(60)[50:], 7); err != nil {
+		t.Fatal(err)
+	}
+	counts := func() [][]int64 {
+		var out [][]int64
+		for _, c := range s.src.ResidentCubes() {
+			out = append(out, slices.Clone(c.Counts()))
+		}
+		return out
+	}
+	before, rowsBefore := counts(), s.NumRows()
+	bad := ingestRows(80)[60:]
+	bad[len(bad)-1][3] = "12abc"
+	for i := range bad[:len(bad)-1] {
+		bad[i][0] = fmt.Sprintf("new-region-%d", i) // labels the batch would register
+	}
+	err = s.AppendSeq(context.Background(), bad, 8)
+	if err == nil || !strings.Contains(err.Error(), "row 19") || !strings.Contains(err.Error(), `"Load"`) {
+		t.Errorf("bad last row error = %v", err)
+	}
+	if !reflect.DeepEqual(counts(), before) || s.NumRows() != rowsBefore {
+		t.Errorf("a batch rejected at its last row changed cube counts or rows (%d→%d)", rowsBefore, s.NumRows())
+	}
+	if regions, _ := s.Values("Region"); len(regions) != 4 {
+		t.Errorf("a rejected batch registered labels: Region has %v", regions)
+	}
+	if got := s.IngestSeq(); got != 8 {
+		t.Errorf("IngestSeq after a rejected AppendSeq = %d, want 8", got)
+	}
+}
+
+// TestAppendContextCancelled: a context done before the batch starts
+// to apply returns its error with nothing applied.
+func TestAppendContextCancelled(t *testing.T) {
+	s := loadIngestSession(t, ingestRows(50), false)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := s.AppendContext(ctx, ingestRows(60)[50:]); !errors.Is(err, context.Canceled) {
+		t.Fatalf("AppendContext error = %v, want context.Canceled", err)
+	}
+	if got := s.NumRows(); got != 50 {
+		t.Errorf("a cancelled batch changed the rows: %d, want 50", got)
+	}
+}
+
+// TestCutsReturnsCopy: writing to the map Cuts returns, or to one of
+// its slices, leaves the cuts appends bin through unchanged.
+func TestCutsReturnsCopy(t *testing.T) {
+	s := loadIngestSession(t, ingestRows(50), false)
+	cuts := s.Cuts()
+	cuts["Temp"][0] = -1e9
+	cuts["Load"] = []float64{1e9}
+	if err := s.Append([][]string{{"north", "m1", "10", "30", "ok"}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Cuts(); !reflect.DeepEqual(got, manualCuts.Manual) {
+		t.Errorf("session cuts = %v, want %v", got, manualCuts.Manual)
+	}
+	// 10 falls in Temp's first interval and 30 in Load's second under
+	// the session's cuts; under the caller's writes, in Temp's second
+	// and Load's first.
+	last := s.NumRows() - 1
+	for attr, want := range map[string]string{"Temp": "(-inf,25]", "Load": "(20,40]"} {
+		a := s.ds.AttrIndex(attr)
+		if got := s.ds.Label(last, a); got != want {
+			t.Errorf("appended %s binned to %s, want %s", attr, got, want)
+		}
+	}
 }
 
 // TestAppendRejectsMalformedNumbers: a continuous value that is not a
 // number as a whole ("12abc" once read as 12) is an error naming the
 // attribute on every append path — Session.Append, ValidateBatch,
-// Dataset.AppendRow, Builder.AddRow — and a rejected session batch
+// Builder.AddRow — and a rejected session batch
 // leaves rows, the ingest sequence and query answers as they were.
 func TestAppendRejectsMalformedNumbers(t *testing.T) {
 	schema := dataset.Schema{Attrs: []dataset.Attribute{
@@ -302,23 +397,6 @@ func TestAppendRejectsMalformedNumbers(t *testing.T) {
 			}
 			if err := b.AddRow([]string{"north", v, "ok"}); err == nil || !strings.Contains(err.Error(), `"Temp"`) {
 				t.Errorf("Builder.AddRow error = %v, want one naming Temp", err)
-			}
-			b, err = dataset.NewBuilder(schema)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := b.AddRow([]string{"north", "1.5", "ok"}); err != nil {
-				t.Fatal(err)
-			}
-			ds, err := b.Build()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := ds.AppendRow([]string{"south", v, "ok"}); err == nil || !strings.Contains(err.Error(), `"Temp"`) {
-				t.Errorf("Dataset.AppendRow error = %v, want one naming Temp", err)
-			}
-			if ds.NumRows() != 1 || ds.Cardinality(0) != 1 {
-				t.Errorf("rejected row changed the dataset: %d rows, %d regions", ds.NumRows(), ds.Cardinality(0))
 			}
 		})
 	}

@@ -98,7 +98,8 @@ func requireCacheRoundTrip(t *testing.T, s *Session, name string, query func() e
 // attribute must invalidate the cached sweep and the cached all-values
 // comparison — on the eager engine, the lazy engine, and a
 // snapshot-restored session — while an entry restricted to untouched
-// attributes survives.
+// attributes survives until a row touches one of them, even a row whose
+// class is missing.
 func TestBatchInvalidationOnTouchedAttr(t *testing.T) {
 	restoredSession := func(t *testing.T) *Session {
 		live := loadIngestSession(t, ingestRows(300), false)
@@ -169,6 +170,17 @@ func TestBatchInvalidationOnTouchedAttr(t *testing.T) {
 			post := s.EngineStats()
 			if post.ResultCacheHits != pre.ResultCacheHits+1 {
 				t.Error("entry restricted to untouched attributes was invalidated")
+			}
+			// A row whose class is missing counts in no cube, but it
+			// still touches Load, so the restricted entry goes.
+			if err := s.Append([][]string{{"?", "?", "?", "30", "?"}}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.CompareOneVsRestAll("Region", "fail", restricted); err != nil {
+				t.Fatal(err)
+			}
+			if s.EngineStats().ResultCacheHits != post.ResultCacheHits {
+				t.Error("a missing-class row touching Load left the restricted entry cached")
 			}
 		})
 	}

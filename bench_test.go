@@ -9,6 +9,9 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -383,4 +386,64 @@ func BenchmarkStorePersistence(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkSessionAppend times one 100-row Append into an eager
+// session over a 20,000-row call log of 80 categorical attributes (5
+// planted, 75 noise) and two class-dependent continuous columns,
+// discretized by entropy-MDLP: the shape and batch size of perfbench's
+// ingest-interleaved workload. Each batch parses, bins, grows both
+// datasets and folds into the 3,400 pinned cubes.
+func BenchmarkSessionAppend(b *testing.B) {
+	const baseRows, batchRows, poolBatches = 20000, 100, 20
+	ds, _, err := workload.CallLog(workload.CallLogConfig{Seed: 1, Records: baseRows + batchRows*poolBatches, NumPhones: 8, NoiseAttrs: 75})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(2))
+	classIdx := ds.ClassIndex()
+	var csv bytes.Buffer
+	for i := 0; i < ds.NumAttrs(); i++ {
+		if i != classIdx {
+			fmt.Fprintf(&csv, "%s,", ds.Attr(i).Name)
+		}
+	}
+	csv.WriteString("Signal-dBm,Call-Duration-s,Disposition\n")
+	rows := make([][]string, ds.NumRows())
+	for r := range rows {
+		for i := 0; i < ds.NumAttrs(); i++ {
+			if i != classIdx {
+				rows[r] = append(rows[r], ds.Label(r, i))
+			}
+		}
+		class := ds.Label(r, classIdx)
+		dbm, secs := -84+8*rng.NormFloat64(), 180*rng.ExpFloat64()
+		if class != workload.ClassOK {
+			dbm, secs = -98+6*rng.NormFloat64(), 40*rng.ExpFloat64()
+		}
+		rows[r] = append(rows[r], strconv.FormatFloat(dbm, 'f', 1, 64), strconv.FormatFloat(secs, 'f', 1, 64), class)
+		if r < baseRows {
+			csv.WriteString(strings.Join(rows[r], ","))
+			csv.WriteByte('\n')
+		}
+	}
+	s, err := LoadCSV(&csv, LoadOptions{Continuous: []string{"Signal-dBm", "Call-Duration-s"}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := s.Discretize(DiscretizeOptions{Method: EntropyMDLP}); err != nil {
+		b.Fatal(err)
+	}
+	if err := s.BuildCubes(); err != nil {
+		b.Fatal(err)
+	}
+	pool := rows[baseRows:]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % poolBatches
+		if err := s.Append(pool[k*batchRows : (k+1)*batchRows]); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

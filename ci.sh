@@ -59,6 +59,7 @@ rm -rf "$exdir"
 
 echo "== serving benchmark (compiles and runs once) =="
 go test -run '^$' -bench BenchmarkServeCompare -benchtime 1x -benchmem ./internal/server
+go test -run '^$' -bench BenchmarkSessionAppend -benchtime 1x -benchmem .
 
 echo "== opmaplint =="
 lintdir=$(mktemp -d)

@@ -119,6 +119,13 @@ func (s *Session) CompareOneVsRestContext(ctx context.Context, attr, value, clas
 	if err != nil {
 		return nil, err
 	}
+	return oneVsRestComparison(attr, value, class, res), nil
+}
+
+// oneVsRestComparison wraps one internal one-vs-rest result as the
+// public Comparison, naming the complement "rest" on whichever side
+// the ranking oriented it.
+func oneVsRestComparison(attr, value, class string, res *compare.Result) *Comparison {
 	l1, l2 := value, "rest"
 	if res.Swapped { // the named value is the higher-confidence side
 		l1, l2 = "rest", value
@@ -134,7 +141,7 @@ func (s *Session) CompareOneVsRestContext(ctx context.Context, attr, value, clas
 		Partial:  res.Partial,
 		Unscored: toItemErrors(res.Unscored),
 		res:      res,
-	}, nil
+	}
 }
 
 // OneVsRestAllResult aggregates CompareOneVsRestAll: one comparison per
@@ -210,8 +217,7 @@ func (s *Session) CompareOneVsRestAllContext(ctx context.Context, attr, class st
 }
 
 // wrapOneVsRestAll converts the internal all-values result to the
-// public shape, orienting each per-value comparison's labels the same
-// way CompareOneVsRest does.
+// public shape, one oneVsRestComparison per compared value.
 func (s *Session) wrapOneVsRestAll(attr, class string, res *compare.OneVsRestAllResult) *OneVsRestAllResult {
 	out := &OneVsRestAllResult{
 		Attr:    attr,
@@ -219,23 +225,7 @@ func (s *Session) wrapOneVsRestAll(attr, class string, res *compare.OneVsRestAll
 		Partial: res.Partial,
 	}
 	for i, r := range res.Results {
-		value := res.Labels[i]
-		l1, l2 := value, "rest"
-		if r.Swapped { // the named value is the higher-confidence side
-			l1, l2 = "rest", value
-		}
-		out.Comparisons = append(out.Comparisons, &Comparison{
-			Attr:     attr,
-			Label1:   l1,
-			Label2:   l2,
-			Cf1:      r.Cf1,
-			Cf2:      r.Cf2,
-			Ratio:    r.Ratio,
-			Class:    class,
-			Partial:  r.Partial,
-			Unscored: toItemErrors(r.Unscored),
-			res:      r,
-		})
+		out.Comparisons = append(out.Comparisons, oneVsRestComparison(attr, res.Labels[i], class, r))
 	}
 	return out
 }

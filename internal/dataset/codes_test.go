@@ -160,15 +160,14 @@ func TestNarrowCodeWidths(t *testing.T) {
 	}
 }
 
-// FuzzAppendWiden appends a label stream to a dataset in batches —
-// each batch row by row through AppendRow, or loaded on its own and
-// merged through UnionDicts + AppendRemapped — and checks the result
-// against one Builder load of the same rows: equal codes through At
-// and equal dictionaries, each column narrow exactly while its
-// dictionary has at most 255 labels. Each label byte is a fresh label
-// (below 128), one of 127 reused labels (128..254) or missing (255);
-// each split byte sizes a batch ((b&63)+1 rows) and picks its path
-// (b&64).
+// FuzzAppendWiden appends a label stream to a dataset in batches, each
+// loaded on its own and merged through UnionDicts + AppendRemapped (the
+// path a session appends by), and checks the result against one
+// Builder load of the same rows: equal codes through At and equal
+// dictionaries, each column narrow exactly while its dictionary has at
+// most 255 labels. Each label byte is a fresh label (below 128), one
+// of 127 reused labels (128..254) or missing (255); each split byte
+// sizes a batch ((b&63)+1 rows).
 func FuzzAppendWiden(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0}, 255), []byte{63, 63, 63, 63, 63})
 	f.Add(bytes.Repeat([]byte{0}, 256), []byte{63 | 64, 63, 63 | 64, 63})
@@ -213,14 +212,6 @@ func FuzzAppendWiden(f *testing.F) {
 			split := splits[s%len(splits)]
 			batch := rows[r:min(r+int(split&63)+1, len(rows))]
 			r += len(batch)
-			if split&64 == 0 {
-				for _, row := range batch {
-					if err := got.AppendRow(row); err != nil {
-						t.Fatal(err)
-					}
-				}
-				continue
-			}
 			src := load(batch)
 			rm, err := got.UnionDicts(src)
 			if err != nil {

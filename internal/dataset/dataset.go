@@ -413,14 +413,14 @@ func (ds *Dataset) SelectAttrs(attrs []int) (*Dataset, error) {
 // (interval) dictionary. Entries of binned at categorical attributes
 // are ignored.
 //
-// ds becomes the result's base, and the two grow in one order: the
-// base first, then the derived dataset, whose AppendCodedRow and
-// AppendRemapped take each shared column's new codes from the base
-// (re-slicing its grown backing array) instead of writing them again.
-// The shared columns therefore stay one copy across slice growth, and
-// across the one widening of a shared column whose dictionary outgrows
-// a byte: the base widens it as it appends, the derived dataset
-// re-slices the wide codes.
+// ds becomes the result's base, and the two grow in one order, each
+// by UnionDicts and AppendRemapped: the base first, then the derived
+// dataset, whose AppendRemapped takes each shared column's new codes
+// from the base (re-slicing its grown backing array) instead of
+// writing them again. The shared columns therefore stay one copy
+// across slice growth, and across the one widening of a shared column
+// whose dictionary outgrows a byte: the base widens it as it appends,
+// the derived dataset re-slices the wide codes.
 func (ds *Dataset) Derive(binned []Column) (*Dataset, error) {
 	if len(binned) != len(ds.cols) {
 		return nil, fmt.Errorf("dataset: Derive: %d columns for %d attributes", len(binned), len(ds.cols))

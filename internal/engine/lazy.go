@@ -826,17 +826,17 @@ func (s *LazySource) seedItem(i int, c *rulecube.Cube) (batchItem, error) {
 	return batchItem{key: keyOf(norm), attrs: norm, slot: -1}, nil
 }
 
-// IngestRows folds a batch of appended records — full working-dataset
-// rows with their class codes — into every resident cube, pinned or
-// not, in one atomic rulecube.IngestCubes apply, then re-accounts the
-// unpinned bytes (grown dimensions may evict). Non-resident cubes
-// materialize later from the grown dataset. Callers must ensure no
-// query concurrently reads cube counts (the Session ingest lock does);
-// the source's lock only protects the cache structures.
-func (s *LazySource) IngestRows(rows [][]int32, classes []int32) error {
+// IngestRows folds the working dataset's rows [from, NumRows()), just
+// appended to it, into every resident cube, pinned or not, in one
+// rulecube.IngestCubes apply, then re-accounts the unpinned bytes
+// (grown dimensions may evict). Non-resident cubes materialize later
+// from the grown dataset. Callers must ensure no query concurrently
+// reads cube counts (the Session write lock does); the source's lock
+// only protects the cache structures.
+func (s *LazySource) IngestRows(from int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	err := rulecube.IngestCubes(s.cubesLocked(), s.ds.NumAttrs(), rows, classes)
+	rulecube.IngestCubes(s.cubesLocked(), s.ds, from)
 	for _, e := range s.lru {
 		if grown := e.cube.SizeBytes(); grown != e.size {
 			s.bytes += grown - e.size
@@ -844,7 +844,6 @@ func (s *LazySource) IngestRows(rows [][]int32, classes []int32) error {
 		}
 	}
 	s.evictLocked()
-	return err
 }
 
 // Merge folds o's pinned cubes into s's, slot by slot through

@@ -11,6 +11,7 @@ import (
 	"opmap/internal/dataset"
 	"opmap/internal/engine"
 	"opmap/internal/rulecube"
+	"opmap/internal/testutil"
 )
 
 // modelAttrs is the number of condition attributes of the model-test
@@ -212,22 +213,10 @@ func TestCacheModel(t *testing.T) {
 				labels++ // grow the dictionaries, and with them cube sizes
 			}
 			lines := make([][]string, 1+rng.Intn(20))
-			rows := make([][]int32, len(lines))
-			classes := make([]int32, len(lines))
 			for i := range lines {
-				if err := ds.AppendRow(modelRow(rng, labels)); err != nil {
-					t.Fatal(err)
-				}
-				r := ds.NumRows() - 1
-				rows[i] = make([]int32, ds.NumAttrs())
-				for a := range rows[i] {
-					rows[i][a] = ds.Column(a).Codes.At(r)
-				}
-				classes[i] = ds.ClassCode(r)
+				lines[i] = modelRow(rng, labels)
 			}
-			if err := src.IngestRows(rows, classes); err != nil {
-				t.Fatal(err)
-			}
+			src.IngestRows(testutil.AppendBatch(t, ds, lines))
 			ref.evict()
 		}
 

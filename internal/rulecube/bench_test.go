@@ -3,7 +3,9 @@ package rulecube_test
 import (
 	"testing"
 
+	"opmap/internal/dataset"
 	"opmap/internal/rulecube"
+	"opmap/internal/testutil"
 	"opmap/internal/workload"
 )
 
@@ -65,42 +67,36 @@ func BenchmarkCubeDice(b *testing.B) {
 // attribute; "sparse" rows keep only the five planted attributes and
 // leave the rest missing, so most cubes see no countable row.
 func BenchmarkStoreIngestRows(b *testing.B) {
-	ds, _, err := workload.CallLog(workload.CallLogConfig{Seed: 1, Records: 20000, NumPhones: 8, NoiseAttrs: 75})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cubes := storeCubes(b, ds)
-	if n := len(cubes); n != 3240 {
-		b.Fatalf("store has %d cubes, want 3240", n)
-	}
 	planted := map[string]bool{
 		"Phone-Model": true, "Time-of-Call": true, "Signal-Band": true,
 		"Terrain": true, "Phone-Hardware-Version": true,
 	}
 	const batchRows = 100
-	batch := func(sparse bool) ([][]int32, []int32) {
-		rows := make([][]int32, batchRows)
-		classes := make([]int32, batchRows)
+	for _, mode := range []string{"dense", "sparse"} {
+		ds, _, err := workload.CallLog(workload.CallLogConfig{Seed: 1, Records: 20000, NumPhones: 8, NoiseAttrs: 75})
+		if err != nil {
+			b.Fatal(err)
+		}
+		cubes := storeCubes(b, ds)
+		if n := len(cubes); n != 3240 {
+			b.Fatalf("store has %d cubes, want 3240", n)
+		}
+		// The batch repeats the first rows, appended after the store
+		// was counted.
+		rows := make([][]string, batchRows)
 		for r := range rows {
-			rows[r] = make([]int32, ds.NumAttrs())
+			rows[r] = ds.Row(r)
 			for a := range rows[r] {
-				rows[r][a] = ds.Column(a).Codes.At(r)
-				if sparse && a != ds.ClassIndex() && !planted[ds.Attr(a).Name] {
-					rows[r][a] = -1
+				if mode == "sparse" && a != ds.ClassIndex() && !planted[ds.Attr(a).Name] {
+					rows[r][a] = dataset.MissingLabel
 				}
 			}
-			classes[r] = ds.ClassCode(r)
 		}
-		return rows, classes
-	}
-	for _, mode := range []string{"dense", "sparse"} {
-		rows, classes := batch(mode == "sparse")
+		from := testutil.AppendBatch(b, ds, rows)
 		b.Run(mode, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if err := rulecube.IngestCubes(cubes, ds.NumAttrs(), rows, classes); err != nil {
-					b.Fatal(err)
-				}
+				rulecube.IngestCubes(cubes, ds, from)
 			}
 		})
 	}

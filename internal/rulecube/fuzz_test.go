@@ -8,23 +8,24 @@ import (
 
 	"opmap/internal/dataset"
 	"opmap/internal/rulecube"
+	"opmap/internal/testutil"
 )
 
-// FuzzIngestRows decodes arbitrary bytes into an ingest batch — codes
-// and classes that are negative, missing, in range or beyond the
-// dictionaries, and rows cut short — and folds it into every cube of a
-// store plus a 3-D cube. The call must either fail with every cube
-// unchanged, or succeed with every cube equal to the brute-force
-// recount over the base rows plus the batch. A0's dictionary starts at
-// dataset.MaxNarrowLabels labels, the most a one-byte column holds, and
-// the batch registers grow new ones first, so a batch that uses them
-// widens A0's column; cubes counted afresh over the appended dataset
-// must then match the recount too.
+// FuzzIngestRows decodes arbitrary bytes into a batch of text rows —
+// labels known, new or missing, classes known, new or missing — appends
+// it the way a session does (testutil.AppendBatch: a dataset.Builder
+// parse, then UnionDicts and AppendRemapped) and folds the appended
+// range into every cube of a store plus a 3-D cube. Every cube must
+// equal the brute-force recount over the base rows plus the batch, and
+// a cube counted afresh over the grown dataset. A0's dictionary starts
+// at dataset.MaxNarrowLabels labels, the most a one-byte column holds;
+// with grow > 0 the batch's A0 labels are new ones, so a batch that
+// sets A0 widens its column.
 func FuzzIngestRows(f *testing.F) {
-	// Each row is ingestAttrs+1 codes then one class byte: byte%8-2 is
-	// the code (-2..5; A0's is 251..258 once grow > 0), byte%6-2 the
-	// class (-2..3), and a class byte of 0xf0 or more also drops the
-	// row's last code.
+	// Each row is ingestAttrs+1 label bytes then one class byte: byte%8
+	// picks the label (0, 1: missing; else v0..v5, of which v3..v5 are
+	// new; A0's is one of grow new labels once grow > 0), byte%6 the
+	// class (0, 1: missing; else c0..c3, of which c2, c3 are new).
 	f.Add([]byte{2, 3, 4, 2, 3, 9, 3, 4, 2, 2, 3, 4, 0, 2}, uint8(0))
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}, uint8(0))
 	f.Add([]byte{2, 2, 2, 2, 2, 2, 0xf3}, uint8(0))
@@ -42,62 +43,43 @@ func FuzzIngestRows(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cubes := append(st, nd)
-		for i := 0; i < int(grow); i++ {
-			a0.Code(fmt.Sprintf("new%d", i))
-		}
-		// IngestCubes grows every layout to its dictionaries even when
-		// it rejects the batch; that adds only zero cells, so take the
-		// before-state at the grown layout.
-		for _, c := range cubes {
-			c.SyncDims()
-		}
 		width := ds.NumAttrs()
-		var rows [][]int32
-		var classes []int32
+		var rows [][]string
 		for len(data) >= width+1 && len(rows) < 16 {
-			row := make([]int32, width)
+			row := make([]string, width)
 			for a := range row {
-				row[a] = int32(data[a]%8) - 2
-			}
-			if grow > 0 {
-				row[0] += dataset.MaxNarrowLabels - 2
-			}
-			classByte := data[width]
-			if classByte >= 0xf0 {
-				row = row[:width-1]
-			}
-			rows = append(rows, row)
-			classes = append(classes, int32(classByte%6)-2)
-			data = data[width+1:]
-		}
-		before := make([]cubeState, len(cubes))
-		for i, c := range cubes {
-			before[i] = stateOf(c)
-		}
-		if err := rulecube.IngestCubes(cubes, width, rows, classes); err != nil {
-			for i, c := range cubes {
-				if !reflect.DeepEqual(stateOf(c), before[i]) {
-					t.Fatalf("rejected batch (%v) changed cube %v", err, c.AttrIndices())
+				switch b := data[a] % 8; {
+				case a == ds.ClassIndex():
+					row[a] = dataset.MissingLabel
+					if c := data[width] % 6; c >= 2 {
+						row[a] = fmt.Sprintf("c%d", c-2)
+					}
+				case b < 2:
+					row[a] = dataset.MissingLabel
+				case a == 0 && grow > 0:
+					row[a] = fmt.Sprintf("new%d", int(b)%int(grow))
+				default:
+					row[a] = fmt.Sprintf("v%d", b-2)
 				}
 			}
-			return
+			rows = append(rows, row)
+			data = data[width+1:]
 		}
-		for r, row := range rows {
-			codes := append([]int32(nil), row...)
-			codes[ds.ClassIndex()] = classes[r]
-			if err := ds.AppendCodedRow(codes, nil); err != nil {
-				t.Fatalf("accepted row %d %v does not fit the dataset: %v", r, row, err)
+		from := testutil.AppendBatch(t, ds, rows)
+		cubes := append(st, nd)
+		rulecube.IngestCubes(cubes, ds, from)
+		fresh := append(storeCubes(t, ds), nil)
+		if fresh[len(fresh)-1], err = rulecube.Build(ds, []int{0, 2, 4}); err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range cubes {
+			rulecube.CheckBruteForce(t, ds, c.AttrIndices(), c, fmt.Sprint("cube ", c.AttrIndices()))
+			if f := fresh[i]; !reflect.DeepEqual(c.Counts(), f.Counts()) || c.Total() != f.Total() {
+				t.Fatalf("cube %v: ingested counts differ from a fresh count", c.AttrIndices())
 			}
 		}
-		for _, c := range cubes {
-			rulecube.CheckBruteForce(t, ds, c.AttrIndices(), c, fmt.Sprint("cube ", c.AttrIndices()))
-		}
-		if wide := ds.Column(0).Codes.IsWide(); wide != (len(rows) > 0 && a0.Len() > dataset.MaxNarrowLabels) {
+		if wide := ds.Column(0).Codes.IsWide(); wide != (a0.Len() > dataset.MaxNarrowLabels) {
 			t.Fatalf("A0 has %d labels after %d rows, wide %v", a0.Len(), len(rows), wide)
-		}
-		for _, c := range append(storeCubes(t, ds), nd) {
-			rulecube.CheckBruteForce(t, ds, c.AttrIndices(), c, fmt.Sprint("fresh cube ", c.AttrIndices()))
 		}
 	})
 }

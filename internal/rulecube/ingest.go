@@ -1,18 +1,15 @@
 package rulecube
 
-import (
-	"fmt"
-	"math"
-)
+import "opmap/internal/dataset"
 
 // This file is the incremental-maintenance path behind streaming
 // ingestion: contingency counts are additive, so an appended record
 // folds into a materialized cube as a single cell increment instead of
-// a rebuild. IngestCubes applies one batch to a whole set of cubes —
-// every resident cube of the engine, pinned or not — in four steps:
-// grow each cube's layout to its dictionaries (SyncDims), validate
-// every row once per attribute, transpose the counted rows into
-// per-attribute code columns, and increment cells cube by cube.
+// a rebuild. IngestCubes folds the rows just appended to a dataset into
+// a whole set of cubes — every resident cube of the engine, pinned or
+// not — in three steps: grow each cube's layout to its dictionaries
+// (SyncDims), read the appended rows that count (present class) from
+// the columns the cubes cover, and increment cells cube by cube.
 // Work scales with rows × touched cubes, never with cube size, and a
 // cube over an attribute no counted row sets is skipped outright.
 
@@ -69,41 +66,29 @@ func (c *Cube) SyncDims() {
 	c.counts = nc
 }
 
-// IngestCubes folds a batch of appended records into every cube of
-// cubes, whatever its arity. rows holds full working-dataset rows of
-// width attributes (codes indexed by dataset attribute index), classes
-// the parallel class codes; a negative code is a missing value. Rows
-// with a missing class, or a missing value in a cube dimension, are
-// skipped for that cube exactly as BuildMany skips them.
-//
-// Each cube first grows its layout to its dictionaries (SyncDims),
-// which adds only zero cells. The whole batch is then validated —
-// every row's width, every class code against the smallest class
-// count, every code against the smallest dimension of any cube over
-// its attribute — before any count changes, so on error no cube's
-// counts or totals have moved.
-func IngestCubes(cubes []*Cube, width int, rows [][]int32, classes []int32) error {
-	if len(rows) != len(classes) {
-		return fmt.Errorf("rulecube: %d rows but %d class codes", len(rows), len(classes))
-	}
-	if len(rows) == 0 || len(cubes) == 0 {
-		return nil
+// IngestCubes folds rows [from, ds.NumRows()) of ds, the rows appended
+// since the cubes last counted it, into every cube of cubes, whatever
+// its arity. Every cube must count ds: its dimensions index ds's
+// attributes and share their dictionaries. Rows with a missing class,
+// or a missing value in a cube dimension, are skipped for that cube
+// exactly as BuildMany skips them. Each cube first grows its layout to
+// its dictionaries (SyncDims), which adds only zero cells and gives
+// every appended code a cell.
+func IngestCubes(cubes []*Cube, ds *dataset.Dataset, from int) {
+	if from >= ds.NumRows() || len(cubes) == 0 {
+		return
 	}
 	for _, c := range cubes {
 		c.SyncDims()
 	}
-	b, err := transposeBatch(cubes, width, rows, classes)
-	if err != nil {
-		return err
-	}
+	b := readBatch(cubes, ds, from)
 	for _, c := range cubes {
 		b.apply(c)
 	}
-	return nil
 }
 
-// ingestBatch is a validated batch in column-major form, restricted to
-// the rows that count anywhere (present class).
+// ingestBatch holds the appended rows that count anywhere (present
+// class), column by column.
 type ingestBatch struct {
 	classes []int32
 	// cols[a] holds attribute a's codes over the counted rows, or nil
@@ -111,77 +96,44 @@ type ingestBatch struct {
 	cols [][]int32
 }
 
-// transposeBatch validates the batch against every cube's layout and
-// transposes its counted rows into the per-attribute columns that
-// every cube's apply reads.
-func transposeBatch(cubes []*Cube, width int, rows [][]int32, classes []int32) (*ingestBatch, error) {
-	// limit[a] is the smallest dimension over attribute a across the
-	// cubes (-1: no cube covers a), name[a] the attribute's name.
-	limit := make([]int, width)
-	for a := range limit {
-		limit[a] = -1
+// readBatch reads the counted rows of [from, ds.NumRows()) of every
+// attribute some cube covers.
+func readBatch(cubes []*Cube, ds *dataset.Dataset, from int) *ingestBatch {
+	b := &ingestBatch{cols: make([][]int32, ds.NumAttrs())}
+	class := &ds.Column(ds.ClassIndex()).Codes
+	var counted []int
+	for r := from; r < ds.NumRows(); r++ {
+		if v := class.At(r); v >= 0 {
+			counted = append(counted, r)
+			b.classes = append(b.classes, v)
+		}
 	}
-	name := make([]string, width)
-	numClasses := math.MaxInt
+	covered, n := make([]bool, ds.NumAttrs()), 0
 	for _, c := range cubes {
-		numClasses = min(numClasses, c.numClasses)
-		for i, a := range c.attrIdx {
-			if a < 0 || a >= width {
-				return nil, fmt.Errorf("rulecube: cube dimension %q indexes attribute %d beyond row width %d", c.attrNames[i], a, width)
-			}
-			if limit[a] < 0 || c.dims[i] < limit[a] {
-				limit[a] = c.dims[i]
-				name[a] = c.attrNames[i]
+		for _, a := range c.attrIdx {
+			if !covered[a] {
+				covered[a] = true
+				n++
 			}
 		}
 	}
-	// set[a]: some counted row (present class) has a value for a.
-	set := make([]bool, width)
-	counted, touched := 0, 0
-	for r, row := range rows {
-		if len(row) != width {
-			return nil, fmt.Errorf("rulecube: row %d has %d codes, dataset has %d attributes", r, len(row), width)
-		}
-		if int(classes[r]) >= numClasses {
-			return nil, fmt.Errorf("rulecube: row %d: class code %d beyond %d classes", r, classes[r], numClasses)
-		}
-		for a, v := range row {
-			if limit[a] < 0 {
-				continue
-			}
-			if int(v) >= limit[a] {
-				return nil, fmt.Errorf("rulecube: row %d: value code %d for %q beyond dimension %d", r, v, name[a], limit[a])
-			}
-			if v >= 0 && classes[r] >= 0 && !set[a] {
-				set[a] = true
-				touched++
-			}
-		}
-		if classes[r] >= 0 {
-			counted++
-		}
-	}
-
-	b := &ingestBatch{classes: make([]int32, 0, counted), cols: make([][]int32, width)}
-	buf := make([]int32, touched*counted)
-	for a := range set {
-		if set[a] {
-			b.cols[a], buf = buf[:counted:counted], buf[counted:]
-		}
-	}
-	for r, row := range rows {
-		if classes[r] < 0 {
+	k := len(counted)
+	buf := make([]int32, n*k)
+	for a, ok := range covered {
+		if !ok {
 			continue
 		}
-		i := len(b.classes)
-		b.classes = append(b.classes, classes[r])
-		for a, col := range b.cols {
-			if col != nil {
-				col[i] = row[a]
-			}
+		codes := &ds.Column(a).Codes
+		col, set := buf[:k:k], false
+		for i, r := range counted {
+			col[i] = codes.At(r)
+			set = set || col[i] >= 0
+		}
+		if set {
+			b.cols[a], buf = col, buf[k:]
 		}
 	}
-	return b, nil
+	return b
 }
 
 // apply increments c's cells for every counted row of the batch with a

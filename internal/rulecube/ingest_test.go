@@ -4,18 +4,17 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"opmap/internal/dataset"
 	"opmap/internal/engine"
 	"opmap/internal/rulecube"
+	"opmap/internal/testutil"
 )
 
 // Ingest tests: batches folded into an eager store, the eager engine's
 // k ≥ 3 drill-down cubes and a lazy source's resident cubes must land
-// exactly on a brute-force recount of base plus appended rows, and a
-// rejected batch must leave every cube as it was.
+// exactly on a brute-force recount of base plus appended rows.
 
 // ingestAttrs is the number of condition attributes of the ingest
 // datasets; the class sits at index ingestAttrs.
@@ -62,41 +61,6 @@ func ingestDataset(t *testing.T, rng *rand.Rand, n int) *dataset.Dataset {
 		t.Fatal(err)
 	}
 	return ds
-}
-
-// appendRows appends textual rows to ds (growing its dictionaries) and
-// returns their coded forms and class codes, the batch IngestRows takes.
-func appendRows(t *testing.T, ds *dataset.Dataset, lines [][]string) ([][]int32, []int32) {
-	t.Helper()
-	rows := make([][]int32, len(lines))
-	classes := make([]int32, len(lines))
-	for i, line := range lines {
-		if err := ds.AppendRow(line); err != nil {
-			t.Fatal(err)
-		}
-		r := ds.NumRows() - 1
-		rows[i] = make([]int32, ds.NumAttrs())
-		for a := range rows[i] {
-			rows[i][a] = ds.Column(a).Codes.At(r)
-		}
-		classes[i] = ds.ClassCode(r)
-	}
-	return rows, classes
-}
-
-// codedRows reads rows [from, to) of ds back as an ingest batch.
-func codedRows(ds *dataset.Dataset, from, to int) ([][]int32, []int32) {
-	var rows [][]int32
-	var classes []int32
-	for r := from; r < to; r++ {
-		row := make([]int32, ds.NumAttrs())
-		for a := range row {
-			row[a] = ds.Column(a).Codes.At(r)
-		}
-		rows = append(rows, row)
-		classes = append(classes, ds.ClassCode(r))
-	}
-	return rows, classes
 }
 
 // lazyResidents makes the lazy source hold 1-D, pair and 3-D cubes.
@@ -167,13 +131,9 @@ func TestIngestOracle(t *testing.T) {
 		for i := range lines {
 			lines[i] = ingestRow(rng, labels, classes, 0.15, b%3 == 2)
 		}
-		rows, cls := appendRows(t, ds, lines)
-		if err := eager.IngestRows(rows, cls); err != nil {
-			t.Fatalf("batch %d: eager: %v", b, err)
-		}
-		if err := lazy.IngestRows(rows, cls); err != nil {
-			t.Fatalf("batch %d: lazy: %v", b, err)
-		}
+		from := testutil.AppendBatch(t, ds, lines)
+		eager.IngestRows(from)
+		lazy.IngestRows(from)
 		check(fmt.Sprintf("batch %d", b))
 	}
 	if got := ds.Cardinality(0); got <= 3 {
@@ -189,13 +149,9 @@ func TestIngestOracle(t *testing.T) {
 			line[0] = fmt.Sprintf("w%d", n)
 			lines = append(lines, line)
 		}
-		rows, cls := appendRows(t, ds, lines)
-		if err := eager.IngestRows(rows, cls); err != nil {
-			t.Fatalf("%d labels: eager: %v", step.labels, err)
-		}
-		if err := lazy.IngestRows(rows, cls); err != nil {
-			t.Fatalf("%d labels: lazy: %v", step.labels, err)
-		}
+		from := testutil.AppendBatch(t, ds, lines)
+		eager.IngestRows(from)
+		lazy.IngestRows(from)
 		name := fmt.Sprintf("A0 at %d labels", ds.Cardinality(0))
 		if ds.Cardinality(0) != step.labels || ds.Column(0).Codes.IsWide() != step.wide {
 			t.Fatalf("%s: wide %v, want %d labels, wide %v", name, ds.Column(0).Codes.IsWide(), step.labels, step.wide)
@@ -205,102 +161,6 @@ func TestIngestOracle(t *testing.T) {
 			rulecube.CheckBruteForce(t, ds, c.AttrIndices(), c, fmt.Sprintf("%s: fresh cube %v", name, c.AttrIndices()))
 		}
 	}
-}
-
-// cubeState is a deep copy of a cube's counted state.
-type cubeState struct {
-	dims   []int
-	cells  map[string]int64
-	total  int64
-	nbytes int64
-}
-
-func stateOf(c *rulecube.Cube) cubeState {
-	s := cubeState{cells: make(map[string]int64), total: c.Total(), nbytes: c.SizeBytes()}
-	for i := 0; i < c.NumDims(); i++ {
-		s.dims = append(s.dims, c.Dim(i))
-	}
-	c.ForEach(func(values []int32, class int32, n int64) {
-		if n != 0 {
-			s.cells[fmt.Sprint(values, class)] = n
-		}
-	})
-	return s
-}
-
-// TestIngestAllOrNothing sends batches whose valid rows come first and
-// whose one bad code sits where a cube-by-cube apply would meet it
-// last: in the highest-indexed attribute (the store's last cubes), in
-// the third dimension of a 3-D lazy cube (the only resident cube over
-// that attribute), in the class, or in a short row. Every call must
-// fail and leave every cube's counts and totals, and the lazy source's
-// resident bytes, exactly as they were.
-func TestIngestAllOrNothing(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	ds := ingestDataset(t, rng, 300)
-	st := storeCubes(t, ds)
-	last := ingestAttrs - 1
-	lazy := lazyResidents(t, ds, [][]int{{0}, {1}, {0, 1}, {1, 2}, {0, 2, last}})
-
-	snapshot := func() (map[string]cubeState, int64) {
-		out := make(map[string]cubeState)
-		for _, c := range st {
-			out[fmt.Sprint("store", c.AttrIndices())] = stateOf(c)
-		}
-		for _, c := range lazy.ResidentCubes() {
-			out[fmt.Sprint("lazy", c.AttrIndices())] = stateOf(c)
-		}
-		return out, lazy.Stats().CachedBytes
-	}
-	before, bytesBefore := snapshot()
-
-	cases := []struct {
-		name  string
-		spoil func(rows [][]int32, classes []int32) ([][]int32, []int32)
-	}{
-		{"highest attribute", func(rows [][]int32, classes []int32) ([][]int32, []int32) {
-			rows[len(rows)-1][last] = int32(ds.Cardinality(last))
-			return rows, classes
-		}},
-		{"class", func(rows [][]int32, classes []int32) ([][]int32, []int32) {
-			classes[len(classes)-1] = int32(ds.NumClasses())
-			return rows, classes
-		}},
-		{"short row", func(rows [][]int32, classes []int32) ([][]int32, []int32) {
-			rows[len(rows)-1] = rows[len(rows)-1][:last]
-			return rows, classes
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			rows, classes := tc.spoil(codedRows(ds, 0, 50))
-			if err := rulecube.IngestCubes(st, ds.NumAttrs(), rows, classes); err == nil {
-				t.Fatal("store accepted the batch")
-			}
-			rows, classes = tc.spoil(codedRows(ds, 0, 50))
-			if err := lazy.IngestRows(rows, classes); err == nil {
-				t.Fatal("lazy source accepted the batch")
-			}
-			after, bytesAfter := snapshot()
-			if !reflect.DeepEqual(after, before) || bytesAfter != bytesBefore {
-				t.Fatal("a rejected batch changed cube state")
-			}
-		})
-	}
-
-	// The lazy source alone: attribute `last` is covered only by the
-	// 3-D cube's third dimension, so only that cube can reject the code.
-	t.Run("3-D lazy third dimension", func(t *testing.T) {
-		rows, classes := codedRows(ds, 0, 50)
-		rows[len(rows)-1][last] = int32(ds.Cardinality(last)) + 3
-		if err := lazy.IngestRows(rows, classes); err == nil {
-			t.Fatal("lazy source accepted the batch")
-		}
-		after, bytesAfter := snapshot()
-		if !reflect.DeepEqual(after, before) || bytesAfter != bytesBefore {
-			t.Fatal("a rejected batch changed cube state")
-		}
-	})
 }
 
 // TestSyncDimsAllocFree: with no dictionary growth — the steady state

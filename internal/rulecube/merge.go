@@ -16,8 +16,8 @@ import (
 // that combines counts funnels through here: BuildMany's row-shard
 // scratch merge (AddCounts) and the engine's shard merge, which folds
 // each pinned cube through Cube.Merge.
-// WAL ingest adds single rows rather than counted partials; it folds
-// them in cell by cell through IngestCubes (ingest.go).
+// WAL ingest appends rows rather than counted partials; it folds them
+// in cell by cell through IngestCubes (ingest.go).
 
 // AddCounts accumulates src into dst element-wise: dst[i] += src[i].
 // This is the raw merge primitive for two count arrays with identical

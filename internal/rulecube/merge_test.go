@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"opmap/internal/dataset"
+	"opmap/internal/testutil"
 )
 
 // shardDataset builds a three-attribute categorical dataset (A1, A2,
@@ -198,20 +199,11 @@ func TestIngestRowsMatchesRebuild(t *testing.T) {
 	}
 	ds := shardDataset(t, shard1Rows...)
 	st := storeOf(t, ds)
-	// Row layout: [A1, A2, C]; -1 is a missing value.
-	rows := make([][]int32, len(appended))
-	classes := make([]int32, len(appended))
+	lines := make([][]string, len(appended))
 	for i, line := range appended {
-		if err := ds.AppendRow(strings.Fields(line)); err != nil {
-			t.Fatal(err)
-		}
-		r := ds.NumRows() - 1
-		rows[i] = []int32{ds.CatCode(r, 0), ds.CatCode(r, 1), ds.ClassCode(r)}
-		classes[i] = ds.ClassCode(r)
+		lines[i] = strings.Fields(line)
 	}
-	if err := IngestCubes(st, ds.NumAttrs(), rows, classes); err != nil {
-		t.Fatal(err)
-	}
+	IngestCubes(st, ds, testutil.AppendBatch(t, ds, lines))
 	got := st
 	want := storeOf(t, shardDataset(t, append(append([]string(nil), shard1Rows...), appended...)...))
 	if len(got) != len(want) {
@@ -224,19 +216,5 @@ func TestIngestRowsMatchesRebuild(t *testing.T) {
 			t.Errorf("cube %v: ingested (dims %v, total %d) differs from rebuilt (dims %v, total %d)",
 				w.attrIdx, g.dims, g.total, w.dims, w.total)
 		}
-	}
-}
-
-func TestIngestRowsLengthMismatch(t *testing.T) {
-	ds := shardDataset(t, shard1Rows...)
-	c, err := Build(ds, []int{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := IngestCubes([]*Cube{c}, ds.NumAttrs(), [][]int32{{0, 0, 0}}, []int32{0, 1}); err == nil {
-		t.Fatal("expected length-mismatch error")
-	}
-	if err := IngestCubes([]*Cube{c}, ds.NumAttrs(), [][]int32{{0, 0}}, []int32{0}); err == nil {
-		t.Fatal("expected row-width error")
 	}
 }

@@ -9,10 +9,10 @@ import (
 	"opmap/internal/dataset"
 )
 
-// restoredAppendRows returns n rows over the case-study schema with the
+// restoredBatch returns n rows over the case-study schema with the
 // good and bad phones alternating and the classes cycling; every other
 // attribute takes its first value.
-func restoredAppendRows(t *testing.T, s *Session, gt CallLogTruth, n int) [][]string {
+func restoredBatch(t *testing.T, s *Session, gt CallLogTruth, n int) [][]string {
 	t.Helper()
 	attrs := s.Attributes()
 	classes := s.Classes()
@@ -118,7 +118,7 @@ func TestRestoredSessionMatchesCold(t *testing.T) {
 			if got := restored.EngineStats().Lazy; got != lazy {
 				t.Fatalf("restored engine lazy = %v, want %v", got, lazy)
 			}
-			batch := restoredAppendRows(t, cold, gt, 3000)
+			batch := restoredBatch(t, cold, gt, 3000)
 			for _, s := range []*Session{cold, restored} {
 				if err := s.Append(batch); err != nil {
 					t.Fatal(err)

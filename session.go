@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 
 	"opmap/internal/dataset"
@@ -390,13 +391,21 @@ func (m *manualOverride) Cuts(values []float64, classes []int32, numClasses int)
 	return m.fallback.Cuts(values, classes, numClasses)
 }
 
-// Cuts returns the cut points chosen for each discretized attribute
-// (empty until Discretize has run on a dataset with continuous
-// attributes).
+// Cuts returns a copy of the cut points chosen for each discretized
+// attribute (nil until Discretize has run on a dataset with continuous
+// attributes). Appends bin through the session's own cuts, which a
+// caller's writes to the copy never reach.
 func (s *Session) Cuts() map[string][]float64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.cuts
+	if s.cuts == nil {
+		return nil
+	}
+	out := make(map[string][]float64, len(s.cuts))
+	for name, c := range s.cuts {
+		out[name] = slices.Clone(c)
+	}
+	return out
 }
 
 // BuildCubes materializes all 2-D and 3-D rule cubes over the working
@@ -514,6 +523,8 @@ func (s *Session) NumRows() int {
 // Attributes returns all attribute names including the class, in schema
 // order.
 func (s *Session) Attributes() []string {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	out := make([]string, s.raw.NumAttrs())
 	for i := range out {
 		out[i] = s.raw.Attr(i).Name
@@ -523,6 +534,8 @@ func (s *Session) Attributes() []string {
 
 // ClassAttribute returns the name of the class attribute.
 func (s *Session) ClassAttribute() string {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.raw.Attr(s.raw.ClassIndex()).Name
 }
 

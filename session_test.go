@@ -588,3 +588,34 @@ func breakdowns(t *testing.T, c *Comparison) [][]ValueBreakdown {
 	}
 	return out
 }
+
+// TestSchemaReadsRaceDownsample reads Attributes and ClassAttribute
+// while DownsampleMajority replaces the dataset they read: under -race
+// an unlocked read is reported.
+func TestSchemaReadsRaceDownsample(t *testing.T) {
+	s := loadIngestSession(t, ingestRows(400), false)
+	want := strings.Join(s.Attributes(), ",")
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 20; i++ {
+			if err := s.DownsampleMajority(0.95, int64(i)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for {
+		select {
+		case <-done:
+			return
+		default:
+		}
+		if got := strings.Join(s.Attributes(), ","); got != want {
+			t.Fatalf("Attributes = %s, want %s", got, want)
+		}
+		if got := s.ClassAttribute(); got != "Outcome" {
+			t.Fatalf("ClassAttribute = %s, want Outcome", got)
+		}
+	}
+}

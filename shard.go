@@ -97,12 +97,7 @@ func (s *Session) mergeFromLocked(o *Session) error {
 		return err
 	}
 	if s.raw != s.ds {
-		rawRm, err := s.raw.UnionDicts(o.raw)
-		if err != nil {
-			s.dropEngine()
-			return err
-		}
-		if err := s.raw.AppendRemapped(o.raw, rawRm); err != nil {
+		if err := appendBatch(s.raw, o.raw); err != nil {
 			s.dropEngine()
 			return err
 		}
