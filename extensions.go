@@ -10,7 +10,6 @@ import (
 	"opmap/internal/car"
 	"opmap/internal/compare"
 	"opmap/internal/dataset"
-	"opmap/internal/explore"
 	"opmap/internal/gi"
 	"opmap/internal/obsv"
 	"opmap/internal/report"
@@ -31,6 +30,9 @@ type PairCandidate struct {
 	Ratio          float64
 	Z              float64
 	PValue         float64
+	// QValue is PValue adjusted for the number of pairs screened
+	// (Benjamini–Hochberg).
+	QValue float64
 }
 
 // ScreenPairs ranks value pairs of attr by the statistical significance
@@ -73,6 +75,7 @@ func (s *Session) ScreenPairs(attr, class string, maxPairs int) ([]PairCandidate
 			Ratio:  p.Ratio,
 			Z:      p.Z,
 			PValue: p.PValue,
+			QValue: p.QValue,
 		})
 	}
 	return out, nil
@@ -445,34 +448,6 @@ func (s *Session) TestSignificanceContext(ctx context.Context, attr, v1, v2, cla
 		NullQ95:  res.NullQ95,
 		Rounds:   res.Rounds,
 	}, nil
-}
-
-// Explore runs an interactive exploration session (the deployed
-// system's GUI workflow as a line-oriented REPL): overview → detail →
-// pairs → compare → focus, with navigation history. Commands are read
-// from r until EOF or "quit"; see the REPL's "help" for the command
-// language. Rule cubes must be built, eagerly or lazily.
-func (s *Session) Explore(r io.Reader, w io.Writer) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	src, err := s.requireSource()
-	if err != nil {
-		return err
-	}
-	return explore.New(src).Run(r, w)
-}
-
-// ExploreScript executes a newline-separated command script against an
-// exploration session, writing the transcript to w (the scriptable
-// variant of Explore).
-func (s *Session) ExploreScript(script string, w io.Writer) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	src, err := s.requireSource()
-	if err != nil {
-		return err
-	}
-	return explore.New(src).RunScript(script, w)
 }
 
 // Describe writes a per-attribute profile of the loaded data: domain
