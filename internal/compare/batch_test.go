@@ -50,7 +50,7 @@ func TestSweepBatchOracle(t *testing.T) {
 	var ref *SweepResult
 	scans := counterDelta(t, rulecube.CubeScansCounterName, func() {
 		var err error
-		if ref, err = eager.Sweep(attr, cls, SweepOptions{}); err != nil {
+		if ref, err = eager.SweepContext(context.Background(), attr, cls, SweepOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -60,7 +60,7 @@ func TestSweepBatchOracle(t *testing.T) {
 	if ref.PairsCompared == 0 {
 		t.Fatal("reference sweep compared nothing")
 	}
-	got, err := lazy.Sweep(attr, cls, SweepOptions{})
+	got, err := lazy.SweepContext(context.Background(), attr, cls, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestSweepSingleScan(t *testing.T) {
 	var built int64
 	scans := counterDelta(t, rulecube.CubeScansCounterName, func() {
 		built = counterDelta(t, rulecube.CubesBuiltCounterName, func() {
-			if _, err := lazy.Sweep(attr, cls, SweepOptions{}); err != nil {
+			if _, err := lazy.SweepContext(context.Background(), attr, cls, SweepOptions{}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -225,7 +225,7 @@ func TestCompareCountsOnlyComparedRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	swept := candidates[:len(candidates)/2]
-	if _, err := NewSource(warm).Sweep(attr, cls, SweepOptions{Compare: Options{Attrs: swept}}); err != nil {
+	if _, err := NewSource(warm).SweepContext(context.Background(), attr, cls, SweepOptions{Compare: Options{Attrs: swept}}); err != nil {
 		t.Fatal(err)
 	}
 	st0 = warm.Stats()
@@ -306,14 +306,14 @@ func TestRankSelfVsClassDistinct(t *testing.T) {
 // accepted and silently empty the aggregation.
 func TestSweepOptionValidation(t *testing.T) {
 	eager, _, attr, cls := batchSources(t, 5000, 1)
-	if _, err := eager.Sweep(attr, cls, SweepOptions{TopK: -1}); err == nil {
+	if _, err := eager.SweepContext(context.Background(), attr, cls, SweepOptions{TopK: -1}); err == nil {
 		t.Error("negative TopK accepted")
 	}
-	if _, err := eager.Sweep(attr, cls, SweepOptions{MinScore: math.NaN()}); err == nil {
+	if _, err := eager.SweepContext(context.Background(), attr, cls, SweepOptions{MinScore: math.NaN()}); err == nil {
 		t.Error("NaN MinScore accepted")
 	}
 	// A sanity check that valid extremes still work.
-	if _, err := eager.Sweep(attr, cls, SweepOptions{TopK: 1 << 20, MinScore: -1}); err != nil {
+	if _, err := eager.SweepContext(context.Background(), attr, cls, SweepOptions{TopK: 1 << 20, MinScore: -1}); err != nil {
 		t.Errorf("valid options rejected: %v", err)
 	}
 }
@@ -354,7 +354,7 @@ func FuzzSweepOptions(f *testing.F) {
 	f.Add(1, -1.5)
 	f.Fuzz(func(t *testing.T, topK int, minScore float64) {
 		opts := SweepOptions{TopK: topK, MinScore: minScore}
-		res, err := c.Sweep(attr, cls, opts)
+		res, err := c.SweepContext(context.Background(), attr, cls, opts)
 		if topK < 0 || math.IsNaN(minScore) {
 			if err == nil {
 				t.Fatalf("invalid options %+v accepted", opts)

@@ -94,13 +94,8 @@ type SweepResult struct {
 	Errors  []ItemError
 }
 
-// Sweep screens attr's value pairs on the class and compares every
-// significant pair.
-func (c *Comparator) Sweep(attr int, class int32, opts SweepOptions) (*SweepResult, error) {
-	return c.SweepContext(context.Background(), attr, class, opts)
-}
-
-// SweepContext is Sweep under a context, checked once per screened
+// SweepContext screens attr's value pairs on the class and compares
+// every significant pair. The context is checked once per screened
 // pair. When opts.Partial is set and the context expires mid-sweep the
 // pairs compared so far are aggregated and returned with Partial set
 // and the remaining pairs annotated in Errors; otherwise the first

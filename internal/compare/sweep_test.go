@@ -1,6 +1,7 @@
 package compare
 
 import (
+	"context"
 	"testing"
 )
 
@@ -13,7 +14,7 @@ func TestSweepAggregatesSystemicCause(t *testing.T) {
 	store, gt, ds := buildCaseStudy(t, 60000, 2)
 	phone := ds.AttrIndex(gt.PhoneAttr)
 	cls, _ := ds.ClassDict().Lookup(gt.DropClass)
-	res, err := NewSource(store).Sweep(phone, cls, SweepOptions{})
+	res, err := NewSource(store).SweepContext(context.Background(), phone, cls, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestSweepOptionsRespected(t *testing.T) {
 	cls, _ := ds.ClassDict().Lookup(gt.DropClass)
 	c := NewSource(store)
 	// A huge MinScore filters every appearance.
-	res, err := c.Sweep(phone, cls, SweepOptions{MinScore: 1e12})
+	res, err := c.SweepContext(context.Background(), phone, cls, SweepOptions{MinScore: 1e12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestSweepOptionsRespected(t *testing.T) {
 		t.Error("MinScore not honored")
 	}
 	// MaxPairs bounds the work.
-	res, err = c.Sweep(phone, cls, SweepOptions{Screen: ScreenOptions{MaxPairs: 1}})
+	res, err = c.SweepContext(context.Background(), phone, cls, SweepOptions{Screen: ScreenOptions{MaxPairs: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestSweepOptionsRespected(t *testing.T) {
 		t.Errorf("compared %d pairs with MaxPairs 1", res.PairsCompared)
 	}
 	// Bad attribute propagates the screening error.
-	if _, err := c.Sweep(ds.ClassIndex(), cls, SweepOptions{}); err == nil {
+	if _, err := c.SweepContext(context.Background(), ds.ClassIndex(), cls, SweepOptions{}); err == nil {
 		t.Error("class attribute should fail")
 	}
 }

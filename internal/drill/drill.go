@@ -333,11 +333,6 @@ func New(src *engine.LazySource) *Planner {
 	return &Planner{src: src, ds: src.Dataset()}
 }
 
-// Drill runs DrillContext with a background context.
-func (p *Planner) Drill(in compare.Input, opts Options) (*Result, error) {
-	return p.DrillContext(context.Background(), in, opts)
-}
-
 // site is one unit of frontier work: score candidate attribute cand
 // inside the populations refined by parent's conditions.
 type site struct {

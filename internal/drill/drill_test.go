@@ -55,7 +55,7 @@ func TestDrillRecoversPlantedPair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := New(src).Drill(in, Options{})
+	res, err := New(src).DrillContext(context.Background(), in, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,11 +121,11 @@ func TestDrillEagerMatchesLazy(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{MaxDepth: 2, Beam: 4}
-	a, err := New(lazy).Drill(in, opts)
+	a, err := New(lazy).DrillContext(context.Background(), in, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := New(eager).Drill(in, opts)
+	b, err := New(eager).DrillContext(context.Background(), in, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestDrillNodeBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := New(src).Drill(in, Options{MaxNodes: 1})
+	res, err := New(src).DrillContext(context.Background(), in, Options{MaxNodes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestDrillPartialOnDeadline(t *testing.T) {
 	}
 
 	disarm := arm()
-	_, err = New(src).Drill(in, Options{})
+	_, err = New(src).DrillContext(context.Background(), in, Options{})
 	disarm()
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("strict run: err = %v, want DeadlineExceeded", err)
@@ -238,7 +238,7 @@ func TestDrillPartialOnDeadline(t *testing.T) {
 	// The injected error is not a *context* expiry, so PartialOnDeadline
 	// alone must not degrade: only a genuinely expired context does.
 	disarm = arm()
-	_, err = New(src).Drill(in, Options{PartialOnDeadline: true})
+	_, err = New(src).DrillContext(context.Background(), in, Options{PartialOnDeadline: true})
 	disarm()
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("injected-error run: err = %v, want DeadlineExceeded", err)

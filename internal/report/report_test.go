@@ -182,7 +182,7 @@ func TestSweepReport(t *testing.T) {
 	}
 	phone := ds.AttrIndex(gt.PhoneAttr)
 	cls, _ := ds.ClassDict().Lookup(gt.DropClass)
-	sweep, err := compare.NewSource(pinned(t, ds)).Sweep(phone, cls, compare.SweepOptions{})
+	sweep, err := compare.NewSource(pinned(t, ds)).SweepContext(context.Background(), phone, cls, compare.SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
