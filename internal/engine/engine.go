@@ -37,8 +37,8 @@ const (
 	ResultCacheHitsCounterName   = "opmap_result_cache_hits_total"
 	ResultCacheMissesCounterName = "opmap_result_cache_misses_total"
 	// ResultCacheInvalidationsCounterName counts cached results removed
-	// by per-attribute epoch bumps when appended rows touched an
-	// attribute the result depended on.
+	// by BumpAttrs when appended rows touched an attribute the result
+	// depended on.
 	ResultCacheInvalidationsCounterName = "opmap_resultcache_invalidations_total"
 	// BatchBuildHistogramName times each shared-scan batch build a
 	// LazySource performs for a bulk Cubes request — one observation per

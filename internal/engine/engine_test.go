@@ -387,12 +387,6 @@ func TestResultCacheEpochInvalidation(t *testing.T) {
 	if rc.Version() != v {
 		t.Error("BumpAttrs must not change the cache version")
 	}
-	if got := rc.AttrEpoch(3); got != 1 {
-		t.Errorf("AttrEpoch(3) = %d, want 1", got)
-	}
-	if got := rc.AttrEpoch(1); got != 0 {
-		t.Errorf("AttrEpoch(1) = %d, want 0", got)
-	}
 	if st := rc.Stats(); st.Invalidations != 2 {
 		t.Errorf("Stats.Invalidations = %d, want 2", st.Invalidations)
 	}

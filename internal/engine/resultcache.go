@@ -15,8 +15,9 @@ import (
 // would be a second setting that no workload needs.
 const DefaultResultCacheEntries = 256
 
-// ResultCache memoizes finished query results (Compare, Sweep,
-// Impressions) under a (snapshot version, normalized query key) pair.
+// ResultCache memoizes finished query results (compare, one-vs-rest
+// over all values, sweep, drill-down and impressions) under a
+// (snapshot version, normalized query key) pair.
 // The version fences staleness: Invalidate bumps it and clears the
 // cache, so results computed against a dropped snapshot can neither be
 // returned nor inserted afterwards — re-discretizing or downsampling a
@@ -24,8 +25,8 @@ const DefaultResultCacheEntries = 256
 //
 // Streaming appends invalidate more surgically: each entry may carry
 // the set of attribute indices its result depends on, and BumpAttrs
-// advances a per-attribute epoch and removes only the entries whose
-// dependency set intersects the appended attributes (entries with no
+// removes only the entries whose dependency set intersects the
+// appended attributes (entries with no
 // recorded set depend on everything and always go). An append batch of
 // rows that are missing most fields — the common shape in streaming
 // call logs — therefore leaves restricted Compare results on untouched
@@ -37,9 +38,6 @@ type ResultCache struct {
 	entries map[string]*rcEntry
 	tick    int64 // use-stamp clock
 	max     int
-
-	attrEpochs map[int]int64 // per-attribute append epoch
-	anyEpoch   int64         // bumped by every BumpAttrs call
 
 	hits          int64
 	misses        int64
@@ -62,9 +60,8 @@ func NewResultCache(max int) *ResultCache {
 		max = DefaultResultCacheEntries
 	}
 	return &ResultCache{
-		entries:    make(map[string]*rcEntry),
-		max:        max,
-		attrEpochs: make(map[int]int64),
+		entries: make(map[string]*rcEntry),
+		max:     max,
 	}
 }
 
@@ -144,18 +141,15 @@ func (rc *ResultCache) PutDeps(version int64, key string, val any, deps []int) {
 }
 
 // BumpAttrs records an append batch that changed the given attribute
-// indices: each attribute's epoch advances and every resident entry
-// whose dependency set intersects attrs — plus every entry with no
+// indices: every resident entry whose dependency set intersects attrs — plus every entry with no
 // recorded set, which depends on all of them — is removed. It returns
 // how many entries were invalidated. Unlike Invalidate, the version is
 // unchanged: results for untouched attributes stay servable.
 func (rc *ResultCache) BumpAttrs(attrs []int) int {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	rc.anyEpoch++
 	touched := make(map[int]bool, len(attrs))
 	for _, a := range attrs {
-		rc.attrEpochs[a]++
 		touched[a] = true
 	}
 	removed := 0
@@ -179,14 +173,6 @@ func (rc *ResultCache) BumpAttrs(attrs []int) int {
 	return removed
 }
 
-// AttrEpoch returns how many append batches have touched attribute a
-// since the cache was created.
-func (rc *ResultCache) AttrEpoch(a int) int64 {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.attrEpochs[a]
-}
-
 // Len returns the number of resident entries.
 func (rc *ResultCache) Len() int {
 	rc.mu.Lock()
@@ -200,7 +186,7 @@ type ResultCacheStats struct {
 	Misses        int64
 	Entries       int
 	Version       int64
-	Invalidations int64 // entries removed by per-attribute epoch bumps
+	Invalidations int64 // entries removed by BumpAttrs
 }
 
 // Stats snapshots the cache counters.
