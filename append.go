@@ -117,15 +117,21 @@ func (s *Session) appendLocked(ctx context.Context, rows [][]string) error {
 }
 
 // ValidateBatch checks a batch against the session's schema — row
-// widths and numeric parses — without mutating anything: exactly the
-// parse Append runs before applying. A durability layer calls it
-// before logging a batch, so a batch that the (possibly asynchronous)
-// apply would reject is never acknowledged as durably accepted.
+// widths and numeric parses — without mutating or building anything:
+// the check Append's parse makes of each row, with the same error. A
+// durability layer calls it before logging a batch, so a batch that
+// the (possibly asynchronous) apply would reject is never acknowledged
+// as durably accepted.
 func (s *Session) ValidateBatch(rows [][]string) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	_, err := s.parseBatch(rows)
-	return err
+	schema := s.raw.Schema()
+	for r, row := range rows {
+		if err := schema.CheckRow(row); err != nil {
+			return rowError(r, err)
+		}
+	}
+	return nil
 }
 
 // parseBatch parses rows into a dataset over the raw schema with
@@ -141,10 +147,15 @@ func (s *Session) parseBatch(rows [][]string) (*dataset.Dataset, error) {
 	}
 	for r, row := range rows {
 		if err := b.AddRow(row); err != nil {
-			return nil, fmt.Errorf("opmap: append row %d: %w", r, err)
+			return nil, rowError(r, err)
 		}
 	}
 	return b.Build()
+}
+
+// rowError names the batch row a parse error came from.
+func rowError(r int, err error) error {
+	return fmt.Errorf("opmap: append row %d: %w", r, err)
 }
 
 // appendBatch appends every row of batch to dst through the dictionary

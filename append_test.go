@@ -655,3 +655,57 @@ func TestBreakdownWhileIngestGrowsLabels(t *testing.T) {
 		t.Errorf("Site breakdown after ingest: %d rows, last %+v", len(rows), rows[len(rows)-1])
 	}
 }
+
+// TestValidateBatchMatchesAppend: ValidateBatch accepts exactly the
+// batches Append accepts and rejects the others with Append's error
+// text, for short and long rows and bad numbers in either continuous
+// column, wherever in the batch they sit.
+func TestValidateBatchMatchesAppend(t *testing.T) {
+	batch := func(edit func(rows [][]string)) [][]string {
+		rows := ingestRows(60)[50:]
+		edit(rows)
+		return rows
+	}
+	for name, rows := range map[string][][]string{
+		"good":           batch(func([][]string) {}),
+		"empty":          {},
+		"short first":    batch(func(r [][]string) { r[0] = r[0][:3] }),
+		"short last":     batch(func(r [][]string) { r[9] = r[9][:4] }),
+		"empty row":      batch(func(r [][]string) { r[4] = nil }),
+		"long":           batch(func(r [][]string) { r[2] = append(r[2], "extra") }),
+		"bad Temp":       batch(func(r [][]string) { r[3][2] = "12abc" }),
+		"bad Load last":  batch(func(r [][]string) { r[9][3] = "1.5.5" }),
+		"bad both":       batch(func(r [][]string) { r[1][3] = " 7"; r[1][2] = "x" }),
+		"bad after long": batch(func(r [][]string) { r[5] = append(r[5], "x"); r[6][2] = "0x" }),
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := loadIngestSession(t, ingestRows(50), false)
+			verr := s.ValidateBatch(rows)
+			aerr := s.Append(rows)
+			if (verr == nil) != (aerr == nil) || (verr != nil && verr.Error() != aerr.Error()) {
+				t.Errorf("ValidateBatch = %v, Append = %v", verr, aerr)
+			}
+		})
+	}
+}
+
+// TestValidateBatchAllocs: validating a batch builds nothing; a 100-row
+// batch costs at most two allocations.
+func TestValidateBatchAllocs(t *testing.T) {
+	s, _, err := GenerateCallLog(CallLogConfig{Seed: 1, Records: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]string, s.raw.NumRows())
+	for r := range rows {
+		for a := 0; a < s.raw.NumAttrs(); a++ {
+			rows[r] = append(rows[r], s.raw.Label(r, a))
+		}
+	}
+	if err := s.ValidateBatch(rows); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(20, func() { _ = s.ValidateBatch(rows) }); n > 2 {
+		t.Errorf("ValidateBatch made %.0f allocations per 100-row batch, want ≤ 2", n)
+	}
+}

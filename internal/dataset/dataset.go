@@ -523,9 +523,9 @@ func (b *Builder) AddRow(values []string) error {
 	if b.err != nil {
 		return b.err
 	}
-	if len(values) != len(b.cols) {
-		b.err = fmt.Errorf("dataset: row has %d values, schema has %d attributes", len(values), len(b.cols))
-		return b.err
+	if err := b.schema.CheckRow(values); err != nil {
+		b.err = err
+		return err
 	}
 	for i := range b.cols {
 		c := &b.cols[i]
@@ -538,14 +538,28 @@ func (b *Builder) AddRow(values []string) error {
 			}
 			continue
 		}
-		f, err := ParseContinuous(v)
-		if err != nil {
-			b.err = fmt.Errorf("dataset: attribute %q: cannot parse %q as number: %v", b.schema.Attrs[i].Name, v, err)
-			return b.err
-		}
+		f, _ := ParseContinuous(v) // CheckRow parsed it
 		c.Values = append(c.Values, f)
 	}
 	b.rows++
+	return nil
+}
+
+// CheckRow reports why AddRow would reject a row of textual values:
+// a width other than the schema's, or a continuous field that
+// ParseContinuous rejects. Nothing else about a textual row can fail.
+func (s Schema) CheckRow(values []string) error {
+	if len(values) != len(s.Attrs) {
+		return fmt.Errorf("dataset: row has %d values, schema has %d attributes", len(values), len(s.Attrs))
+	}
+	for i, a := range s.Attrs {
+		if a.Kind != Continuous {
+			continue
+		}
+		if _, err := ParseContinuous(values[i]); err != nil {
+			return fmt.Errorf("dataset: attribute %q: cannot parse %q as number: %v", a.Name, values[i], err)
+		}
+	}
 	return nil
 }
 
