@@ -10,6 +10,21 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# One exit trap for the whole script: whatever check fails, it stops
+# the daemons still running in the background and removes every temp
+# dir the sections below made.
+exdir="" lintdir="" smokedir=""
+cleanup() {
+    local pids
+    pids=$(jobs -p)
+    if [ -n "$pids" ]; then
+        kill $pids 2>/dev/null || true
+        wait $pids 2>/dev/null || true
+    fi
+    rm -rf "$exdir" "$lintdir" "$smokedir"
+}
+trap cleanup EXIT
+
 echo "== gofmt =="
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
@@ -38,7 +53,6 @@ echo "== examples (every run prints the same) =="
 # some of the time: a two-key map takes its rarer order in about one
 # run in eight, so 40 runs leave such a bug under a 1% chance to pass.
 exdir=$(mktemp -d)
-trap 'rm -rf "$exdir"' EXIT
 for ex in examples/*/; do
     go build -o "$exdir/bin/" "./$ex"
 done
@@ -63,7 +77,6 @@ go test -run '^$' -bench BenchmarkSessionAppend -benchtime 1x -benchmem .
 
 echo "== opmaplint =="
 lintdir=$(mktemp -d)
-trap 'rm -rf "$lintdir"' EXIT
 go build -o "$lintdir/opmaplint" ./cmd/opmaplint
 # Exit status 1 on any finding fails the gate here; the SARIF is the
 # CI artifact upload.
@@ -72,7 +85,6 @@ rm -rf "$lintdir"
 
 echo "== opmapd smoke (serve, probe, drain) =="
 smokedir=$(mktemp -d)
-trap 'rm -rf "$smokedir"' EXIT
 go build -o "$smokedir/opmapd" ./cmd/opmapd
 "$smokedir/opmapd" -demo -records 4000 -addr 127.0.0.1:0 \
     -ready-file "$smokedir/addr" >"$smokedir/opmapd.log" 2>&1 &
