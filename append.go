@@ -26,8 +26,8 @@ func (s *Session) Append(rows [][]string) error {
 // AppendContext appends a batch of rows, incrementally maintaining the
 // working dataset and all resident cubes (eager store and lazy engine
 // alike — non-resident lazy cubes simply materialize later over the
-// grown dataset). Cached Compare/Sweep/Impressions results that depend
-// on a touched attribute are invalidated; untouched entries survive.
+// grown dataset). Cached query results that depend on a touched
+// attribute are invalidated; untouched entries survive.
 //
 // The batch applies whole or not at all. It is parsed, which is its
 // validation, before anything mutates, so a malformed batch leaves the

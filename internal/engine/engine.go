@@ -33,7 +33,8 @@ const (
 	// 2-D) performed by a LazySource — the user-facing cold-path cost.
 	LazyBuildHistogramName = "opmap_lazy_build_seconds"
 	// ResultCacheHitsCounterName / ResultCacheMissesCounterName count
-	// query-result cache lookups (Compare/Sweep/Impressions).
+	// query-result cache lookups (compare, one-vs-rest over all
+	// values, sweep, drill-down and impressions).
 	ResultCacheHitsCounterName   = "opmap_result_cache_hits_total"
 	ResultCacheMissesCounterName = "opmap_result_cache_misses_total"
 	// ResultCacheInvalidationsCounterName counts cached results removed

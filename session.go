@@ -28,7 +28,9 @@ type Session struct {
 	// mu serializes mutations (Append, Discretize, BuildCubes,
 	// DownsampleMajority) against queries. Every public entry point
 	// acquires it exactly once — locked methods never call other locked
-	// methods, so the lock never nests.
+	// methods, so the lock never nests. Explore and ExploreScript are
+	// the exception: they hold no lock themselves and make one such
+	// call per command, between which a mutation may run.
 	mu sync.RWMutex
 
 	raw *dataset.Dataset // as loaded; may contain continuous attributes
@@ -38,7 +40,8 @@ type Session struct {
 	ds   *dataset.Dataset
 	cuts map[string][]float64
 	src  *engine.LazySource // set by any BuildCubes variant
-	// results memoizes Compare/Sweep/Impressions under a snapshot
+	// results memoizes every completed compare, one-vs-rest over all
+	// values, sweep, drill-down and impressions run under a snapshot
 	// version; Discretize, DownsampleMajority and rebuilds invalidate
 	// it wholly, appends surgically per attribute. Always non-nil.
 	results *engine.ResultCache
@@ -414,10 +417,10 @@ func (s *Session) BuildCubes() error {
 	return s.BuildCubesForContext(context.Background(), nil)
 }
 
-// BuildCubesContext is BuildCubes under a context: cancellation stops
-// the cube counting promptly (between individual cube builds) and
-// returns ctx.Err() without leaking the parallel pair-counting
-// workers.
+// BuildCubesContext is BuildCubes under a context. Every cube is
+// counted in one shared scan of the rows, which checks ctx once per
+// 2,048-row block: cancellation returns ctx.Err() within a block's
+// work, with no scan goroutine left behind.
 func (s *Session) BuildCubesContext(ctx context.Context) error {
 	return s.BuildCubesForContext(ctx, nil)
 }
@@ -657,8 +660,9 @@ type EngineStats struct {
 	CubeCacheEvictions int64
 	CubeCacheBytes     int64
 	CubeCacheCubes     int
-	// ResultCacheHits/Misses/Entries describe the memoized
-	// Compare/Sweep/Impressions results.
+	// ResultCacheHits/Misses/Entries describe the memoized query
+	// results (compare, one-vs-rest over all values, sweep, drill-down
+	// and impressions).
 	ResultCacheHits    int64
 	ResultCacheMisses  int64
 	ResultCacheEntries int
