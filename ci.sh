@@ -71,9 +71,10 @@ for bin in "$exdir"/bin/*; do
 done
 rm -rf "$exdir"
 
-echo "== serving benchmark (compiles and runs once) =="
+echo "== benchmarks (each compiles and runs once) =="
 go test -run '^$' -bench BenchmarkServeCompare -benchtime 1x -benchmem ./internal/server
 go test -run '^$' -bench BenchmarkSessionAppend -benchtime 1x -benchmem .
+go test -run '^$' -bench BenchmarkCountSlices -benchtime 1x -benchmem ./internal/rulecube
 
 echo "== opmaplint =="
 lintdir=$(mktemp -d)

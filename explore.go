@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -265,16 +266,16 @@ const exploreHelp = `commands:
 
 // optCount parses the optional count that ends a pairs or drill command
 // of n fields plus the count: def when absent, ok=false when the
-// command has the wrong number of fields or the count is not ≥ 1.
-func optCount(fields []string, n, def int) (v int, ok bool) {
+// command has the wrong number of fields or the count is not a decimal
+// integer ≥ 1 ("2x" and "2.5" are rejected, not read as 2).
+func optCount(fields []string, n, def int) (int, bool) {
 	switch len(fields) {
 	case n:
 		return def, true
 	case n + 1:
-		if _, err := fmt.Sscanf(fields[n], "%d", &v); err != nil || v < 1 {
-			return 0, false
+		if v, err := strconv.Atoi(fields[n]); err == nil && v >= 1 {
+			return v, true
 		}
-		return v, true
 	}
 	return 0, false
 }

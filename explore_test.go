@@ -314,6 +314,27 @@ func TestPairsCommandArgValidation(t *testing.T) {
 	}
 }
 
+// TestExplorerCountParsing: a pairs count or drill depth that is not a
+// whole decimal number prints the usage line instead of running with
+// the digits in front of the first non-digit.
+func TestExplorerCountParsing(t *testing.T) {
+	s, gt := navSession(t)
+	pair := gt.PhoneAttr + " " + gt.GoodPhone + " " + gt.BadPhone
+	for _, tc := range []struct{ line, usage string }{
+		{"pairs " + gt.PhoneAttr + " " + gt.DropClass + " 2x", "usage: pairs <attr> <class> [n]"},
+		{"drill " + pair + " " + gt.DropClass + " 2.5", "usage: drill <attr> <v1> <v2> <class> [depth]"},
+	} {
+		var buf bytes.Buffer
+		if err := s.ExploreScript(tc.line, &buf); err != nil {
+			t.Fatal(err)
+		}
+		want := "opmap> " + tc.line + "\nerror: " + tc.usage + "\n"
+		if !strings.HasSuffix(buf.String(), want) {
+			t.Errorf("%q printed\n%s\nwant it to end with\n%s", tc.line, buf.String(), want)
+		}
+	}
+}
+
 func TestExplorerDetail3D(t *testing.T) {
 	s, gt := navSession(t)
 	var buf bytes.Buffer
