@@ -75,6 +75,7 @@ echo "== benchmarks (each compiles and runs once) =="
 go test -run '^$' -bench BenchmarkServeCompare -benchtime 1x -benchmem ./internal/server
 go test -run '^$' -bench BenchmarkSessionAppend -benchtime 1x -benchmem .
 go test -run '^$' -bench BenchmarkCountSlices -benchtime 1x -benchmem ./internal/rulecube
+go test -run '^$' -bench BenchmarkBuildManyStore -benchtime 1x -benchmem ./internal/rulecube
 
 echo "== opmaplint =="
 lintdir=$(mktemp -d)
@@ -723,6 +724,7 @@ echo "== fuzz smoke (10s per target) =="
 # fails the run and saves its input under testdata/fuzz.
 go test -run '^$' -fuzz '^FuzzIngestRows$' -fuzztime 10s -fuzzminimizetime 5x ./internal/rulecube
 go test -run '^$' -fuzz '^FuzzCountSlices$' -fuzztime 10s -fuzzminimizetime 5x ./internal/rulecube
+go test -run '^$' -fuzz '^FuzzBuildMany$' -fuzztime 10s -fuzzminimizetime 5x ./internal/rulecube
 go test -run '^$' -fuzz '^FuzzComparator$' -fuzztime 10s -fuzzminimizetime 5x ./internal/compare
 go test -run '^$' -fuzz '^FuzzSweepOptions$' -fuzztime 10s -fuzzminimizetime 5x ./internal/compare
 go test -run '^$' -fuzz '^FuzzReadSnapshot$' -fuzztime 10s -fuzzminimizetime 5x ./internal/snapshot

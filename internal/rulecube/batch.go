@@ -3,7 +3,9 @@ package rulecube
 import (
 	"context"
 	"fmt"
+	mathbits "math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -62,6 +64,32 @@ func wideBit(c *dataset.Codes) int {
 	return 0
 }
 
+// tripleCells bounds a triple plan's table: 2,816 int64 cells, 22 KiB.
+// On a 48 KiB-L1d Xeon a triple table beat tallying its three pairs
+// alone clearly up to 2,662 cells, barely at 3,000 and not from 3,456
+// cells on (DESIGN.md §14, "Triple tables").
+const tripleCells = 2816
+
+// triplePlan counts three narrow attributes in one table of
+// (dims[0]+1) × (dims[1]+1) × (dims[2]+1) × numClasses cells, with slot
+// 0 of every dimension catching missing values as in a pairPlan: each
+// row bumps one cell, where the three pairs' plans would bump one each.
+// foldTriples sums the table into the scratch of every requested pair
+// plan over two of the three attributes at the end of a shard's scan.
+type triplePlan struct {
+	cols    [3]dataset.Codes
+	dims    [3]int
+	strides [2]int // strides of dimensions 0 and 1; dimension 2's is numClasses
+	folds   []tripleFold
+	table   []int64
+}
+
+// tripleFold routes a triple table into one pair plan: the pair's first
+// attribute is the triple's dimension i, its second dimension j.
+type tripleFold struct {
+	pair, i, j int
+}
+
 // onePlan accumulates a 1-D cube that no requested pair covers; its
 // scratch is (dim+1) × numClasses with the same missing slot 0.
 type onePlan struct {
@@ -106,11 +134,14 @@ func cubeDim(ds *dataset.Dataset, a int) int {
 // ordered list of a cube's condition attributes; rows with a missing
 // value in any cube dimension (including the class) are skipped.
 // Results arrive in request order; duplicate requests share one
-// underlying cube. The scan parallelizes across GOMAXPROCS row shards
-// when the dataset is large enough (counts are additive, so shard
-// partials merge by summation). Every shard polls ctx once per
-// scanBlockRows-row block, so a cancel mid-scan returns ctx.Err()
-// within one block's work and leaves no goroutine behind.
+// underlying cube. Requested pairs that close a triangle {x, y, z} of
+// narrow attributes bump one cell of a triple table per row instead of
+// three pair cells, and each shard folds the table into the three pairs'
+// scratch after its scan (groupTriples). The scan parallelizes across
+// GOMAXPROCS row shards when the dataset is large enough (counts are
+// additive, so shard partials merge by summation). Every shard polls
+// ctx once per scanBlockRows-row block, so a cancel mid-scan returns
+// ctx.Err() within one block's work and leaves no goroutine behind.
 func BuildMany(ctx context.Context, ds *dataset.Dataset, reqs [][]int) ([]*Cube, error) {
 	if !ds.AllCategorical() {
 		return nil, fmt.Errorf("rulecube: dataset has continuous attributes; discretize first")
@@ -176,13 +207,16 @@ func validateBatchReqs(ds *dataset.Dataset, reqs [][]int) error {
 // batchPlan is the deduplicated working set of one shared scan: one
 // pairPlan per distinct pair, one onePlan per 1-D request no pair
 // covers, and the index maps extraction uses to route each request to
-// its accumulator. pairsByWidth and onesByWidth group the plans by
-// their columns' code widths (wideBit), so the scan picks each tally
-// loop once per pass.
+// its accumulator. triples counts narrow pairs three at a time (every
+// pair plan keeps its scratch, which the triples fold into), and
+// pairsByWidth lists the pair plans no triple covers. pairsByWidth and
+// onesByWidth group the plans by their columns' code widths (wideBit),
+// so the scan picks each tally loop once per pass.
 type batchPlan struct {
 	pairs        []pairPlan
 	ones         []onePlan
 	ks           []kPlan
+	triples      []triplePlan
 	pairsByWidth [4][]int
 	onesByWidth  [2][]int
 	pairIdx      map[[2]int]int
@@ -197,8 +231,9 @@ type batchPlan struct {
 func kKey(attrs []int) string { return fmt.Sprint(attrs) }
 
 // planBatch dedupes the requests into scan plans, routing 1-D requests
-// through a covering pair's scratch whenever one exists and k ≥ 3
-// requests into k-D plans.
+// through a covering pair's scratch whenever one exists, narrow pairs
+// into triple plans where groupTriples finds them, and k ≥ 3 requests
+// into k-D plans.
 func planBatch(ds *dataset.Dataset, nc int, reqs [][]int) (*batchPlan, error) {
 	p := &batchPlan{
 		pairIdx: make(map[[2]int]int),
@@ -227,6 +262,7 @@ func planBatch(ds *dataset.Dataset, nc int, reqs [][]int) (*batchPlan, error) {
 			scratch: make([]int64, (dimA+1)*(dimB+1)*nc),
 		})
 	}
+	p.groupTriples(ds, nc)
 	for _, attrs := range reqs {
 		if len(attrs) < 3 {
 			continue
@@ -283,6 +319,153 @@ func planBatch(ds *dataset.Dataset, nc int, reqs [][]int) (*batchPlan, error) {
 	}
 	return p, nil
 }
+
+// groupTriples packs the narrow pair plans into triple plans: triangles
+// {x, y, z} of the requested-pair graph (a pair requested in either
+// order, or both, is one edge) whose table holds at most tripleCells
+// cells, each edge in at most one triangle. It is greedy: the attribute
+// with the most ungrouped edges takes the fitting triangle through its
+// lowest-degree neighbour and their lowest-degree common neighbour
+// (taking the highest-degree ones instead grouped 2,700 of 3,321 store
+// pairs at the benchmark's schema, this 3,180); an attribute with no
+// such triangle left is dropped. Fewer than three narrow pairs (a
+// one-cube build) skip it; a sweep's star of pairs around its split
+// attribute has no triangle. The triples' pairs leave pairsByWidth[0];
+// their tables are cut from one allocation.
+func (p *batchPlan) groupTriples(ds *dataset.Dataset, nc int) {
+	narrow := p.pairsByWidth[0]
+	if len(narrow) < 3 {
+		return
+	}
+	// Vertices are the attributes of narrow pairs, numbered in order of
+	// first appearance; adj is their n × n adjacency matrix.
+	vid := make(map[int]int)
+	var attrs []int
+	for _, pi := range narrow {
+		for _, a := range [2]int{p.pairs[pi].a, p.pairs[pi].b} {
+			if _, ok := vid[a]; !ok {
+				vid[a] = len(attrs)
+				attrs = append(attrs, a)
+			}
+		}
+	}
+	n, words := len(attrs), (len(attrs)+63)/64
+	adj := make([]uint64, n*words) // row u's bit v: edge {u, v} ungrouped
+	row := func(u int) []uint64 { return adj[u*words : (u+1)*words] }
+	cut := func(u, v int) { row(u)[v/64] &^= 1 << (v % 64) }
+	deg := make([]int, n)
+	for _, pi := range narrow {
+		u, v := vid[p.pairs[pi].a], vid[p.pairs[pi].b]
+		if row(u)[v/64]&(1<<(v%64)) == 0 {
+			row(u)[v/64] |= 1 << (v % 64)
+			row(v)[u/64] |= 1 << (u % 64)
+			deg[u]++
+			deg[v]++
+		}
+	}
+	size := make([]int, n)
+	for u, a := range attrs {
+		size[u] = cubeDim(ds, a) + 1
+	}
+	// minNeighbour returns the lowest-degree vertex in set whose size
+	// fits a table over it and fixed cells, or -1.
+	minNeighbour := func(set []uint64, fixed int) int {
+		best := -1
+		for wi, bits := range set {
+			for ; bits != 0; bits &= bits - 1 {
+				w := wi*64 + mathbits.TrailingZeros64(bits)
+				if fixed*size[w] <= tripleCells && (best < 0 || deg[w] < deg[best]) {
+					best = w
+				}
+			}
+		}
+		return best
+	}
+	var tris [][3]int
+	cand, common := make([]uint64, words), make([]uint64, words)
+	for {
+		x := -1
+		for u := range deg {
+			if deg[u] >= 2 && (x < 0 || deg[u] > deg[x]) {
+				x = u
+			}
+		}
+		if x < 0 {
+			break
+		}
+		// y is x's lowest-degree neighbour that closes a fitting
+		// triangle, z the lowest-degree vertex that closes it.
+		y, z := -1, -1
+		copy(cand, row(x))
+		for y < 0 || z < 0 {
+			if y = minNeighbour(cand, size[x]*nc); y < 0 {
+				break
+			}
+			for i := range common {
+				common[i] = row(x)[i] & row(y)[i]
+			}
+			if z = minNeighbour(common, size[x]*size[y]*nc); z < 0 {
+				cand[y/64] &^= 1 << (y % 64)
+			}
+		}
+		if y < 0 {
+			// No triangle through x fits; x's edges stay pairs.
+			deg[x] = 0
+			continue
+		}
+		for _, e := range [3][2]int{{x, y}, {x, z}, {y, z}} {
+			cut(e[0], e[1])
+			cut(e[1], e[0])
+			deg[e[0]]--
+			deg[e[1]]--
+		}
+		tris = append(tris, [3]int{x, y, z})
+	}
+	if len(tris) == 0 {
+		return
+	}
+	grouped := make([]bool, len(p.pairs))
+	p.triples = make([]triplePlan, len(tris))
+	folds := make([]tripleFold, 0, 6*len(tris)) // at most both orders of three pairs
+	for ti, tri := range tris {
+		t := &p.triples[ti]
+		for d, u := range tri {
+			t.cols[d] = ds.Column(attrs[u]).Codes
+			t.dims[d] = size[u] - 1
+		}
+		t.strides = [2]int{size[tri[1]] * size[tri[2]] * nc, size[tri[2]] * nc}
+		for i := 0; i < 3; i++ {
+			for j := 0; j < 3; j++ {
+				pi, ok := p.pairIdx[[2]int{attrs[tri[i]], attrs[tri[j]]}]
+				if i != j && ok {
+					folds = append(folds, tripleFold{pair: pi, i: i, j: j})
+					grouped[pi] = true
+				}
+			}
+		}
+		t.folds, folds = folds[:len(folds):len(folds)], folds[len(folds):]
+	}
+	p.pairsByWidth[0] = slices.DeleteFunc(narrow, func(pi int) bool { return grouped[pi] })
+	p.cutTripleTables()
+}
+
+// cutTripleTables gives every triple plan a zeroed table, all cut from
+// one allocation.
+func (p *batchPlan) cutTripleTables() {
+	total := 0
+	for i := range p.triples {
+		total += p.triples[i].cells()
+	}
+	slab := make([]int64, total)
+	for i := range p.triples {
+		t := &p.triples[i]
+		n := t.cells()
+		t.table, slab = slab[:n:n], slab[n:]
+	}
+}
+
+// cells is the size of t's table.
+func (t *triplePlan) cells() int { return t.strides[0] * (t.dims[0] + 1) }
 
 // extractAll materializes each distinct cube once from the counted
 // scratch (duplicate requests share the pointer) and reports how many
@@ -402,9 +585,11 @@ func (p *batchPlan) scratchCopies(n int) []*batchPlan {
 			pairs:        append([]pairPlan(nil), p.pairs...),
 			ones:         append([]onePlan(nil), p.ones...),
 			ks:           append([]kPlan(nil), p.ks...),
+			triples:      append([]triplePlan(nil), p.triples...),
 			pairsByWidth: p.pairsByWidth,
 			onesByWidth:  p.onesByWidth,
 		}
+		c.cutTripleTables()
 		for i := range c.pairs {
 			c.pairs[i].scratch = make([]int64, len(p.pairs[i].scratch))
 		}
@@ -452,8 +637,10 @@ const scanBlockRows = 2048
 // revisited while still in cache — the row-outer form re-derefs every
 // plan per row and thrashes between all the plans' columns. Pairs and
 // 1-D plans are tallied by width group, so each plan's loop is
-// specialized to its columns' widths, picked at planning. ctx is
-// polled once per block.
+// specialized to its columns' widths, picked at planning; triple plans
+// are all narrow. ctx is polled once per block. After the last block
+// the triple tables are folded into their pairs' scratch, so each shard
+// hands addScratch and extraction plain pair scratch.
 func scanRange[C dataset.Code](ctx context.Context, classCol []C, nc int, plan *batchPlan, lo, hi int) error {
 	pairs, ones, ks := plan.pairs, plan.ones, plan.ks
 	for blo := lo; blo < hi; blo += scanBlockRows {
@@ -478,6 +665,10 @@ func scanRange[C dataset.Code](ctx context.Context, classCol []C, nc int, plan *
 			p := &pairs[i]
 			tallyPair(p.colA.Wide()[blo:bhi], p.colB.Wide()[blo:bhi], cls, p.scratch, p.strideA, nc)
 		}
+		for i := range plan.triples {
+			t := &plan.triples[i]
+			tallyTriple(t.cols[0].Narrow()[blo:bhi], t.cols[1].Narrow()[blo:bhi], t.cols[2].Narrow()[blo:bhi], cls, t.table, t.strides, nc)
+		}
 		for _, i := range plan.onesByWidth[0] {
 			o := &ones[i]
 			tallyOne(o.col.Narrow()[blo:bhi], cls, o.scratch, nc)
@@ -501,6 +692,7 @@ func scanRange[C dataset.Code](ctx context.Context, classCol []C, nc int, plan *
 			}
 		}
 	}
+	plan.foldTriples(nc)
 	return ctx.Err()
 }
 
@@ -513,6 +705,43 @@ func tallyPair[A, B, C dataset.Code](colA []A, colB []B, cls []C, scratch []int6
 			continue
 		}
 		scratch[int(colA[r]+1)*strideA+int(colB[r]+1)*nc+int(cl)]++
+	}
+}
+
+// tallyTriple bumps one triple-table cell per row of a block with a
+// present class.
+func tallyTriple[C dataset.Code](x, y, z []uint8, cls []C, table []int64, strides [2]int, nc int) {
+	x, y, z = x[:len(cls)], y[:len(cls)], z[:len(cls)]
+	for r, cl := range cls {
+		if cl+1 == 0 {
+			continue
+		}
+		table[int(x[r]+1)*strides[0]+int(y[r]+1)*strides[1]+int(z[r]+1)*nc+int(cl)]++
+	}
+}
+
+// foldTriples adds each triple table into its pairs' scratch. A pair
+// over the triple's dimensions i and j gets the table summed over the
+// third dimension, all its slots included (a row with a present pair and
+// class is counted wherever its third value fell), so the scratch holds
+// what tallyPair would have counted. The third dimension's stride into
+// the pair scratch is 0, which does the summing.
+func (p *batchPlan) foldTriples(nc int) {
+	for _, t := range p.triples {
+		for _, f := range t.folds {
+			pp := &p.pairs[f.pair]
+			var st [3]int
+			st[f.i], st[f.j] = pp.strideA, nc
+			src := t.table
+			for x := 0; x <= t.dims[0]; x++ {
+				for y := 0; y <= t.dims[1]; y++ {
+					for z := 0; z <= t.dims[2]; z++ {
+						AddCounts(pp.scratch[x*st[0]+y*st[1]+z*st[2]:][:nc], src[:nc])
+						src = src[nc:]
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"opmap/internal/dataset"
@@ -65,7 +66,7 @@ func randomDatasetMissingClass(t *testing.T, seed int64, rows, attrs, card, clas
 // TestBuildManyOracle checks every request shape against the
 // brute-force recount: pair cubes in both dimension orders, 1-D cubes
 // derived from a pair plan's scratch, 1-D cubes with a dedicated plan,
-// and duplicate requests.
+// duplicate requests, and pairs counted in triple tables.
 func TestBuildManyOracle(t *testing.T) {
 	for trial := int64(0); trial < 4; trial++ {
 		ds := randomDatasetMissingClass(t, trial, 2500, 5, 4, 3, 0.08)
@@ -92,6 +93,114 @@ func TestBuildManyOracle(t *testing.T) {
 			t.Error("duplicate requests should share one cube")
 		}
 	}
+	// Request sets whose narrow pairs group into triple tables: a
+	// triple's pairs leave the pair loop, a table exactly at tripleCells
+	// forms and one value over does not, and fewer than three narrow
+	// pairs form none.
+	ds := tripleDataset(t, 3, 3*scanBlockRows+77)
+	for _, tc := range []struct {
+		name    string
+		reqs    [][]int
+		triples int
+	}{
+		{"six attributes", tripleReqs(), 4},
+		{"at the bound", [][]int{{6, 7}, {8, 7}, {6, 8}, {8}}, 1},
+		{"one value over", [][]int{{6, 7}, {9, 7}, {6, 9}, {9}}, 0},
+		{"two pairs", [][]int{{0, 1}, {1, 2}, {0}}, 0},
+		{"triangle in both orders", [][]int{{0, 1}, {1, 0}, {1, 2}, {2, 1}, {2, 0}, {0, 2}}, 1},
+	} {
+		plan, err := planBatch(ds, ds.NumClasses(), tc.reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(plan.triples) != tc.triples {
+			t.Errorf("%s: %d triples, want %d", tc.name, len(plan.triples), tc.triples)
+		}
+		folded := make(map[int]bool)
+		for _, tr := range plan.triples {
+			for _, f := range tr.folds {
+				folded[f.pair] = true
+			}
+		}
+		for _, pi := range plan.pairsByWidth[0] {
+			if folded[pi] {
+				t.Errorf("%s: pair %d is both tallied and folded", tc.name, pi)
+			}
+		}
+		if n := len(folded) + len(plan.pairsByWidth[0]) + len(plan.pairsByWidth[1]) + len(plan.pairsByWidth[2]) + len(plan.pairsByWidth[3]); n != len(plan.pairs) {
+			t.Errorf("%s: %d pair plans counted, want %d", tc.name, n, len(plan.pairs))
+		}
+		got, err := BuildMany(context.Background(), ds, tc.reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, attrs := range tc.reqs {
+			checkBruteForce(t, ds, attrs, got[i], fmt.Sprintf("%s: req %d %v", tc.name, i, attrs))
+		}
+	}
+}
+
+// tripleDataset draws a dataset for the triple-table tests: a0..a5
+// have 3, 4, 2, 5, 3 and 0 values, a6 and a7 have 7, and a8 and a9 are
+// sized so that the table over (a6, a7, a8) holds exactly tripleCells
+// cells at two classes and the one over (a6, a7, a9) a value over; a10
+// is wide. Every column, the class included, is missing at 10% of the
+// rows.
+func tripleDataset(t testing.TB, seed int64, rows int) *dataset.Dataset {
+	t.Helper()
+	const nc = 2
+	atBound := tripleCells/((7+1)*(7+1)*nc) - 1
+	if (7+1)*(7+1)*(atBound+1)*nc != tripleCells {
+		t.Fatalf("no a8 fills tripleCells = %d", tripleCells)
+	}
+	cards := []int{3, 4, 2, 5, 3, 0, 7, 7, atBound, atBound + 1, dataset.MaxNarrowLabels + 45}
+	rng := rand.New(rand.NewSource(seed))
+	codes := make([][]int32, rows)
+	for r := range codes {
+		row := make([]int32, len(cards)+1)
+		for i := range row {
+			card := nc
+			if i < len(cards) {
+				card = cards[i]
+			}
+			row[i] = dataset.Missing
+			if card > 0 && rng.Float64() >= 0.1 {
+				row[i] = int32(rng.Intn(card))
+			}
+		}
+		codes[r] = row
+	}
+	ds := codedDataset(t, cards, nc, codes)
+	if !ds.Column(10).Codes.IsWide() || ds.Column(9).Codes.IsWide() {
+		t.Fatal("a10 must be stored wide and a9 narrow")
+	}
+	return ds
+}
+
+// tripleReqs is a request set over tripleDataset's a0..a5 with
+// triangles: every pair of the six in mixed dimension orders, one pair
+// in both orders, duplicates, 1-D requests derived from pairs, pairs
+// with the wide a10, and a 3-D request.
+func tripleReqs() [][]int {
+	var reqs [][]int
+	for a := 0; a < 6; a++ {
+		for b := a + 1; b < 6; b++ {
+			if (a+b)%2 == 0 {
+				reqs = append(reqs, []int{a, b})
+			} else {
+				reqs = append(reqs, []int{b, a})
+			}
+		}
+	}
+	return append(reqs,
+		// One pair in both orders, and two duplicates.
+		[]int{0, 1}, []int{0, 2}, []int{3, 5},
+		// 1-D cubes derived from pairs, one requested twice.
+		[]int{0}, []int{3}, []int{5}, []int{3},
+		// The wide a10.
+		[]int{0, 10}, []int{10, 4}, []int{10},
+		[]int{4, 1, 2},
+	)
 }
 
 func TestBuildManyValidation(t *testing.T) {
@@ -134,6 +243,31 @@ func TestBuildManyCounters(t *testing.T) {
 	if d := built.Value() - b0; d != 3 {
 		t.Errorf("built counter advanced by %d, want 3", d)
 	}
+	// A store build over six attributes: 6 1-D and 15 pair cubes, most
+	// pairs counted in triple tables, still one scan over every row.
+	ds6 := randomDatasetMissingClass(t, 9, 3000, 6, 4, 3, 0.05)
+	attrs, err := NormalizeAttrs(ds6, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := StoreRequests(attrs)
+	if plan, err := planBatch(ds6, ds6.NumClasses(), reqs); err != nil || len(plan.triples) == 0 {
+		t.Fatalf("store requests form no triples (%v)", err)
+	}
+	rows := obsv.Default().Counter(RowsCountedCounterName)
+	s0, b0, r0 := scans.Value(), built.Value(), rows.Value()
+	if _, err := BuildMany(context.Background(), ds6, reqs); err != nil {
+		t.Fatal(err)
+	}
+	if d := scans.Value() - s0; d != 1 {
+		t.Errorf("store build advanced scans by %d, want 1", d)
+	}
+	if d := built.Value() - b0; d != 21 {
+		t.Errorf("store build advanced built by %d, want 21", d)
+	}
+	if d := rows.Value() - r0; d != int64(ds6.NumRows()) {
+		t.Errorf("store build advanced rows counted by %d, want %d", d, ds6.NumRows())
+	}
 	// Build is a one-request BuildMany: one scan, one cube.
 	s1, b1 := scans.Value(), built.Value()
 	if _, err := Build(ds, []int{0, 1}); err != nil {
@@ -171,8 +305,7 @@ func TestBuildManyCancelAndFault(t *testing.T) {
 func TestBuildManySharded(t *testing.T) {
 	rows := 3 * batchShardRows
 	ds := randomDatasetMissingClass(t, 42, rows, 4, 4, 2, 0.05)
-	reqs := [][]int{{0, 1}, {2}, {0, 1, 3}}
-	build := func(procs int) []*Cube {
+	build := func(ds *dataset.Dataset, reqs [][]int, procs int) []*Cube {
 		old := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(old)
 		cubes, err := BuildMany(context.Background(), ds, reqs)
@@ -181,13 +314,33 @@ func TestBuildManySharded(t *testing.T) {
 		}
 		return cubes
 	}
-	sharded, single := build(4), build(1)
+	reqs := [][]int{{0, 1}, {2}, {0, 1, 3}}
+	sharded, single := build(ds, reqs, 4), build(ds, reqs, 1)
 	for i, attrs := range reqs {
 		checkBruteForce(t, ds, attrs, sharded[i], fmt.Sprintf("sharded cube %v", attrs))
 		if !reflect.DeepEqual(sharded[i], single[i]) {
 			t.Errorf("sharded cube %v differs from the single-shard scan", attrs)
 		}
 	}
+	// Each shard folds its own triple tables: the merged cubes must
+	// equal the single-shard scan and a lone Build, which forms no
+	// triple.
+	ds = tripleDataset(t, 42, rows)
+	reqs = tripleReqs()
+	if plan, err := planBatch(ds, ds.NumClasses(), reqs); err != nil || len(plan.triples) == 0 {
+		t.Fatalf("request set forms no triples (%v)", err)
+	}
+	sharded, single = build(ds, reqs, 4), build(ds, reqs, 1)
+	for i, attrs := range reqs {
+		alone, err := Build(ds, attrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(sharded[i], single[i]) || !reflect.DeepEqual(sharded[i], alone) {
+			t.Errorf("sharded cube %v differs from the single-shard scan or a lone build", attrs)
+		}
+	}
+	checkBruteForce(t, ds, reqs[0], sharded[0], "sharded triple-table cube")
 }
 
 // BenchmarkBatchVsSequential records the shared-scan win over N
@@ -247,6 +400,98 @@ func BenchmarkBatchVsSequential(b *testing.B) {
 			for _, attrs := range reqs {
 				if _, err := Build(ds, attrs); err != nil {
 					b.Fatal(err)
+				}
+			}
+		}
+	})
+}
+
+// FuzzBuildMany decodes arbitrary bytes into a small dataset (missing
+// values and classes, empty domains) and a request list (1-D, pairs in
+// either order, 3-D and 4-D cubes, duplicates, the class and repeated
+// attributes), and checks every cube BuildMany returns against the
+// brute-force recount; an invalid list must fail, never panic. Up to
+// six attributes of at most four values make triangles of requested
+// pairs common, so triple tables form. Bit i of wide pads attribute i's
+// dictionary past dataset.MaxNarrowLabels labels (bit 7 the class's):
+// pairs with a wide column stay out of the triples, and a wide class
+// leaves room in tripleCells only for attributes of at most one value.
+func FuzzBuildMany(f *testing.F) {
+	// Six attributes, two classes, 15 requests: two triangles of pairs,
+	// a pair in both orders, a duplicate, a derived 1-D, a 3-D and a
+	// 4-D cube, then 20 rows.
+	tri := []byte{4, 3, 4, 2, 4, 3, 0, 1, 15, 1, 0, 1, 1, 1, 2, 1, 2, 0, 1, 3, 4, 1, 4, 5, 1, 5, 3, 1, 0, 3, 1, 3, 0, 1, 1, 4, 1, 0, 1, 0, 2, 4, 0, 2, 4, 5, 1, 2, 3, 5, 1, 2, 5, 1, 1, 5, 3, 10, 6, 2, 9, 5, 1, 8, 4, 0, 7, 3, 10, 6, 2, 9, 5, 1, 8, 4, 0, 7, 3, 10, 6, 2, 9, 5, 1, 8, 4, 0, 7, 3, 10, 6, 2, 9, 5, 1, 8, 4, 0, 7, 3, 10, 6, 2, 9, 5, 1, 8, 4, 0, 7, 3, 10, 6, 2, 9, 5, 1, 8, 4, 0, 7, 3, 10, 6, 2, 9, 5, 1, 8, 4, 0, 7, 3, 10, 6, 2, 9, 5, 1}
+	f.Add(tri, uint8(0))
+	f.Add(tri, uint8(0x02))
+	// A triangle over one-valued attributes with a wide class.
+	f.Add([]byte{1, 1, 0, 1, 0, 3, 1, 0, 1, 1, 1, 2, 1, 2, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, uint8(0x80))
+	f.Add([]byte{2, 0, 4, 0, 3, 1, 0, 2, 2, 1, 3, 0, 1, 2, 4, 1, 0, 2, 1, 1, 1, 1}, uint8(0))
+	f.Add([]byte{3, 1, 1, 1, 1, 1, 0, 0, 1, 0, 2, 0, 1, 2}, uint8(0))
+	f.Add([]byte{}, uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, wide uint8) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		attrs := 2 + next()%5
+		cards := make([]int, attrs)
+		for i := range cards {
+			cards[i] = next() % 5
+		}
+		nc := 1 + next()%3
+		var reqs [][]int
+		valid := true
+		for i, n := 0, next()%16; i < n; i++ {
+			req := make([]int, []int{1, 2, 2, 2, 3, 4}[next()%6])
+			for j := range req {
+				req[j] = next() % (attrs + 1)
+				valid = valid && req[j] != attrs && !slices.Contains(req[:j], req[j])
+			}
+			reqs = append(reqs, req)
+		}
+		var rows [][]int32
+		for len(data) > 0 && len(rows) < 256 {
+			row := make([]int32, attrs+1)
+			for i := range row {
+				card := nc
+				if i < attrs {
+					card = cards[i]
+				}
+				row[i] = int32(next()%(card+1)) - 1
+			}
+			rows = append(rows, row)
+		}
+		for i := range cards {
+			if wide&(1<<i) != 0 {
+				cards[i] += dataset.MaxNarrowLabels
+			}
+		}
+		if wide&0x80 != 0 {
+			nc += dataset.MaxNarrowLabels
+		}
+		ds := codedDataset(t, cards, nc, rows)
+		got, err := BuildMany(context.Background(), ds, reqs)
+		if !valid {
+			if err == nil {
+				t.Fatalf("invalid requests %v accepted", reqs)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("valid requests %v: %v", reqs, err)
+		}
+		if len(got) != len(reqs) {
+			t.Fatalf("%d cubes for %d requests", len(got), len(reqs))
+		}
+		for i, attrs := range reqs {
+			checkBruteForce(t, ds, attrs, got[i], fmt.Sprintf("req %d %v of %v", i, attrs, reqs))
+			for j, other := range reqs[:i] {
+				if slices.Equal(attrs, other) && got[i] != got[j] {
+					t.Fatalf("duplicate requests %d and %d %v do not share one cube", j, i, attrs)
 				}
 			}
 		}

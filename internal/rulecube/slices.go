@@ -171,29 +171,48 @@ func validateSliceReq(ds *dataset.Dataset, a1 int, v1, v2 int32, cands []int) er
 	return nil
 }
 
-// planSlices allocates one plan per distinct candidate and returns,
-// per request, the table that views its plan's present-value block
-// (slot 0, the missing candidate values, dropped); the pass fills the
-// viewed scratch in place. pairSlices then joins narrow plans in pairs.
+// planSlices makes one plan per distinct candidate and returns, per
+// request, the table that views its plan's present-value block (slot
+// 0, the missing candidate values, dropped); the pass fills the viewed
+// scratch in place. Every plan's scratch is cut from one allocation, and
+// the map from a candidate to its first request is built only when a
+// candidate repeats. pairSlices then joins narrow plans in pairs.
 func planSlices(ds *dataset.Dataset, nc int, cands []int) (slicePlans, []Slices) {
-	var plans slicePlans
-	tables := make([]Slices, len(cands))
-	first := make(map[int]Slices, len(cands))
-	for i, b := range cands {
-		t, ok := first[b]
-		if !ok {
-			p := slicePlan{col: ds.Column(b).Codes, dim: cubeDim(ds, b)}
-			p.scratch = make([]int64, (p.dim+1)*2*nc)
-			if p.col.IsWide() {
-				plans.wide = append(plans.wide, p)
-			} else {
-				plans.narrow = append(plans.narrow, p)
-			}
-			present := p.scratch[2*nc:]
-			t = Slices{dim: p.dim, nc: nc, stride: 2 * nc, sides: [2][]int64{present, present[nc:]}}
-			first[b] = t
+	seen := make([]uint64, (ds.NumAttrs()+63)/64)
+	total, repeats := 0, false
+	for _, b := range cands {
+		if seen[b/64]&(1<<(b%64)) != 0 {
+			repeats = true
+			continue
 		}
-		tables[i] = t
+		seen[b/64] |= 1 << (b % 64)
+		total += (cubeDim(ds, b) + 1) * 2 * nc
+	}
+	var first map[int]int // candidate -> its first request, if any repeats
+	if repeats {
+		first = make(map[int]int)
+	}
+	plans := slicePlans{narrow: make([]slicePlan, 0, len(cands))}
+	tables := make([]Slices, len(cands))
+	slab := make([]int64, total)
+	for i, b := range cands {
+		if j, ok := first[b]; ok {
+			tables[i] = tables[j]
+			continue
+		}
+		if first != nil {
+			first[b] = i
+		}
+		p := slicePlan{col: ds.Column(b).Codes, dim: cubeDim(ds, b)}
+		n := (p.dim + 1) * 2 * nc
+		p.scratch, slab = slab[:n:n], slab[n:]
+		if p.col.IsWide() {
+			plans.wide = append(plans.wide, p)
+		} else {
+			plans.narrow = append(plans.narrow, p)
+		}
+		present := p.scratch[2*nc:]
+		tables[i] = Slices{dim: p.dim, nc: nc, stride: 2 * nc, sides: [2][]int64{present, present[nc:]}}
 	}
 	plans.pairSlices(nc)
 	return plans, tables
