@@ -73,6 +73,7 @@ rm -rf "$exdir"
 
 echo "== benchmarks (each compiles and runs once) =="
 go test -run '^$' -bench BenchmarkServeCompare -benchtime 1x -benchmem ./internal/server
+go test -run '^$' -bench BenchmarkServeIngest -benchtime 1x -benchmem ./internal/server
 go test -run '^$' -bench BenchmarkSessionAppend -benchtime 1x -benchmem .
 go test -run '^$' -bench BenchmarkCountSlices -benchtime 1x -benchmem ./internal/rulecube
 go test -run '^$' -bench BenchmarkBuildManyStore -benchtime 1x -benchmem ./internal/rulecube
@@ -730,6 +731,9 @@ go test -run '^$' -fuzz '^FuzzSweepOptions$' -fuzztime 10s -fuzzminimizetime 5x 
 go test -run '^$' -fuzz '^FuzzReadSnapshot$' -fuzztime 10s -fuzzminimizetime 5x ./internal/snapshot
 go test -run '^$' -fuzz '^FuzzMergeSnapshots$' -fuzztime 10s -fuzzminimizetime 5x ./internal/snapshot
 go test -run '^$' -fuzz '^FuzzReplayWAL$' -fuzztime 10s -fuzzminimizetime 5x ./internal/wal
+go test -run '^$' -fuzz '^FuzzDecodeRows$' -fuzztime 10s -fuzzminimizetime 5x ./internal/wal
+go test -run '^$' -fuzz '^FuzzHandlers$' -fuzztime 10s -fuzzminimizetime 5x ./internal/server
+go test -run '^$' -fuzz '^FuzzDecodeIngestBody$' -fuzztime 10s -fuzzminimizetime 5x ./internal/server
 go test -run '^$' -fuzz '^FuzzReadCSV$' -fuzztime 10s -fuzzminimizetime 5x ./internal/dataset
 go test -run '^$' -fuzz '^FuzzAppendWiden$' -fuzztime 10s -fuzzminimizetime 5x ./internal/dataset
 go test -run '^$' -fuzz '^FuzzApplyMatchesReference$' -fuzztime 10s -fuzzminimizetime 5x ./internal/discretize

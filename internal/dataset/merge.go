@@ -1,6 +1,9 @@
 package dataset
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // This file implements the dictionary-union layer of shard merging.
 // Two shards loaded from different slices of the same logical CSV see
@@ -16,14 +19,20 @@ import "fmt"
 // returns the code translation: remap[srcCode] = d's code for the same
 // label. Labels d already knows keep their existing codes; unseen
 // labels append. The remap always has length src.Len(), and a nil src
-// yields a nil remap.
+// yields a nil remap. An unseen label is registered as a copy, so d
+// never pins the memory src's label was cut from: an ingest batch's
+// labels are substrings of its request body or WAL record.
 func (d *Dictionary) Union(src *Dictionary) []int32 {
 	if src == nil {
 		return nil
 	}
 	remap := make([]int32, len(src.labels))
 	for i, l := range src.labels {
-		remap[i] = d.Code(l)
+		c, ok := d.codes[l]
+		if !ok {
+			c = d.Code(strings.Clone(l))
+		}
+		remap[i] = c
 	}
 	return remap
 }

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestDictionaryUnion(t *testing.T) {
@@ -27,6 +28,26 @@ func TestDictionaryUnion(t *testing.T) {
 	}
 	if dst.Len() != 4 {
 		t.Fatalf("second union grew dictionary to %d", dst.Len())
+	}
+}
+
+// TestDictionaryUnionClonesLabels checks that a label Union registers
+// does not share memory with the source's label: a batch's labels are
+// substrings of a request body or WAL record, which the session's
+// dictionary must not keep alive.
+func TestDictionaryUnionClonesLabels(t *testing.T) {
+	body := strings.Repeat("x", 64) + "fresh,known"
+	src := DictionaryOf(body[64:69], body[70:])
+	dst := DictionaryOf("known")
+	if remap := dst.Union(src); !reflect.DeepEqual(remap, []int32{1, 0}) {
+		t.Fatalf("remap = %v, want [1 0]", remap)
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(body)))
+	for c := int32(0); c < int32(dst.Len()); c++ {
+		l := dst.Label(c)
+		if p := uintptr(unsafe.Pointer(unsafe.StringData(l))); p >= lo && p < lo+uintptr(len(body)) {
+			t.Errorf("label %q shares memory with the source string", l)
+		}
 	}
 }
 

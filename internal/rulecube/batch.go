@@ -3,6 +3,7 @@ package rulecube
 import (
 	"context"
 	"fmt"
+	"math"
 	mathbits "math/bits"
 	"runtime"
 	"slices"
@@ -64,7 +65,7 @@ func wideBit(c *dataset.Codes) int {
 	return 0
 }
 
-// tripleCells bounds a triple plan's table: 2,816 int64 cells, 22 KiB.
+// tripleCells bounds a triple plan's table: 2,816 uint32 cells, 11 KiB.
 // On a 48 KiB-L1d Xeon a triple table beat tallying its three pairs
 // alone clearly up to 2,662 cells, barely at 3,000 and not from 3,456
 // cells on (DESIGN.md §14, "Triple tables").
@@ -76,12 +77,15 @@ const tripleCells = 2816
 // row bumps one cell, where the three pairs' plans would bump one each.
 // foldTriples sums the table into the scratch of every requested pair
 // plan over two of the three attributes at the end of a shard's scan.
+// A cell counts rows of one shard, so uint32 cells cannot wrap while the
+// dataset has at most math.MaxUint32 rows; groupTriples forms no triple
+// over a larger one.
 type triplePlan struct {
 	cols    [3]dataset.Codes
 	dims    [3]int
 	strides [2]int // strides of dimensions 0 and 1; dimension 2's is numClasses
 	folds   []tripleFold
-	table   []int64
+	table   []uint32
 }
 
 // tripleFold routes a triple table into one pair plan: the pair's first
@@ -330,11 +334,13 @@ func planBatch(ds *dataset.Dataset, nc int, reqs [][]int) (*batchPlan, error) {
 // pairs at the benchmark's schema, this 3,180); an attribute with no
 // such triangle left is dropped. Fewer than three narrow pairs (a
 // one-cube build) skip it; a sweep's star of pairs around its split
-// attribute has no triangle. The triples' pairs leave pairsByWidth[0];
-// their tables are cut from one allocation.
+// attribute has no triangle. A dataset of more than math.MaxUint32
+// rows, which a triple's uint32 cells could not count, forms none. The
+// triples' pairs leave pairsByWidth[0]; their tables are cut from one
+// allocation.
 func (p *batchPlan) groupTriples(ds *dataset.Dataset, nc int) {
 	narrow := p.pairsByWidth[0]
-	if len(narrow) < 3 {
+	if len(narrow) < 3 || uint64(ds.NumRows()) > math.MaxUint32 {
 		return
 	}
 	// Vertices are the attributes of narrow pairs, numbered in order of
@@ -456,7 +462,7 @@ func (p *batchPlan) cutTripleTables() {
 	for i := range p.triples {
 		total += p.triples[i].cells()
 	}
-	slab := make([]int64, total)
+	slab := make([]uint32, total)
 	for i := range p.triples {
 		t := &p.triples[i]
 		n := t.cells()
@@ -710,7 +716,7 @@ func tallyPair[A, B, C dataset.Code](colA []A, colB []B, cls []C, scratch []int6
 
 // tallyTriple bumps one triple-table cell per row of a block with a
 // present class.
-func tallyTriple[C dataset.Code](x, y, z []uint8, cls []C, table []int64, strides [2]int, nc int) {
+func tallyTriple[C dataset.Code](x, y, z []uint8, cls []C, table []uint32, strides [2]int, nc int) {
 	x, y, z = x[:len(cls)], y[:len(cls)], z[:len(cls)]
 	for r, cl := range cls {
 		if cl+1 == 0 {
@@ -725,7 +731,8 @@ func tallyTriple[C dataset.Code](x, y, z []uint8, cls []C, table []int64, stride
 // third dimension, all its slots included (a row with a present pair and
 // class is counted wherever its third value fell), so the scratch holds
 // what tallyPair would have counted. The third dimension's stride into
-// the pair scratch is 0, which does the summing.
+// the pair scratch is 0, which does the summing; each cell widens to
+// int64 as it is added.
 func (p *batchPlan) foldTriples(nc int) {
 	for _, t := range p.triples {
 		for _, f := range t.folds {
@@ -736,7 +743,10 @@ func (p *batchPlan) foldTriples(nc int) {
 			for x := 0; x <= t.dims[0]; x++ {
 				for y := 0; y <= t.dims[1]; y++ {
 					for z := 0; z <= t.dims[2]; z++ {
-						AddCounts(pp.scratch[x*st[0]+y*st[1]+z*st[2]:][:nc], src[:nc])
+						dst := pp.scratch[x*st[0]+y*st[1]+z*st[2]:][:nc]
+						for c, n := range src[:nc] {
+							dst[c] += int64(n)
+						}
 						src = src[nc:]
 					}
 				}

@@ -474,6 +474,19 @@ func FuzzBuildMany(f *testing.F) {
 			nc += dataset.MaxNarrowLabels
 		}
 		ds := codedDataset(t, cards, nc, rows)
+		// A k-D cube whose scratch would pass maxBatchScratchCells is
+		// refused by design: four wide attributes and a wide class are
+		// about 1.2e12 cells.
+		for _, req := range reqs {
+			if !valid || len(req) < 3 {
+				continue
+			}
+			cells := int64(ds.NumClasses())
+			for _, a := range req {
+				cells *= int64(cubeDim(ds, a) + 1)
+			}
+			valid = cells <= maxBatchScratchCells
+		}
 		got, err := BuildMany(context.Background(), ds, reqs)
 		if !valid {
 			if err == nil {

@@ -440,15 +440,14 @@ func (s *Server) handleIngest(r *http.Request) (any, error) {
 	if _, ok := s.sessions[name]; !ok {
 		return nil, badRequest("unknown dataset %q (GET /api/datasets lists the served datasets)", name)
 	}
-	var req ingestRequest
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxIngestBody))
-	if err := dec.Decode(&req); err != nil {
+	rows, err := decodeIngestBody(r.Body, r.ContentLength)
+	if err != nil {
 		return nil, badRequest("ingest body: %v", err)
 	}
-	if len(req.Rows) == 0 {
+	if len(rows) == 0 {
 		return nil, badRequest(`ingest body has no rows (expected {"rows": [[...], ...]})`)
 	}
-	seq, err := s.ingest(r.Context(), name, req.Rows)
+	seq, err := s.ingest(r.Context(), name, rows)
 	if err != nil {
 		if errors.Is(err, ErrBackpressure) {
 			s.metrics.Counter(metricIngestSheds).Inc()
@@ -460,8 +459,8 @@ func (s *Server) handleIngest(r *http.Request) (any, error) {
 		}
 		return nil, err
 	}
-	s.metrics.Counter(metricIngestRows).Add(int64(len(req.Rows)))
-	return &ingestResponse{Dataset: name, Accepted: len(req.Rows), Seq: seq}, nil
+	s.metrics.Counter(metricIngestRows).Add(int64(len(rows)))
+	return &ingestResponse{Dataset: name, Accepted: len(rows), Seq: seq}, nil
 }
 
 // attrList validates a client-supplied ranked-attribute restriction

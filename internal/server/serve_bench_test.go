@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -248,4 +249,38 @@ func costPerAnswer(t *testing.T, f *serveFixture, reqs []*http.Request, n int) (
 	}
 	runtime.ReadMemStats(&after)
 	return float64((after.Mallocs - before.Mallocs) / uint64(n)), float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+}
+
+// replayBody is a request body that can be rewound, so one request
+// serves every iteration of a benchmark without allocating a reader.
+type replayBody struct{ bytes.Reader }
+
+func (*replayBody) Close() error { return nil }
+
+// BenchmarkServeIngest measures one 100-row ingest request of
+// perfbench's shape through Handler(): the body read and decode,
+// the hook's ValidateBatch, and the response. The hook acknowledges
+// without applying the batch; BenchmarkSessionAppend (package opmap)
+// measures the apply.
+func BenchmarkServeIngest(b *testing.B) {
+	sess, body := benchIngest(b, 1000)
+	hook := &sessionIngest{sess: sess}
+	srv, err := New(Config{Session: sess, Ingest: hook.ingest})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := srv.Handler()
+	rb := &replayBody{}
+	r := httptest.NewRequest(http.MethodPost, "/api/ingest", nil)
+	r.Body, r.ContentLength = rb, int64(len(body))
+	w := &discardWriter{h: make(http.Header)}
+	b.ReportAllocs()
+	b.SetBytes(int64(len(body)))
+	for i := 0; i < b.N; i++ {
+		rb.Reset(body)
+		h.ServeHTTP(w, r)
+		if w.status != http.StatusOK {
+			b.Fatalf("ingest: status %d", w.status)
+		}
+	}
 }

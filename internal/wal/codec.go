@@ -45,8 +45,13 @@ func EncodeRows(rows [][]string) []byte {
 }
 
 // DecodeRows parses a payload produced by EncodeRows, with every count
-// and length bounds-checked against the payload that remains.
+// and length bounds-checked against the payload that remains. Every
+// field is a substring of one string copy of the payload, so a record
+// costs one string however many fields it has; a caller that keeps a
+// field must copy it or hold the whole record, as
+// dataset.Dictionary.Union does for the labels it registers.
 func DecodeRows(payload []byte) ([][]string, error) {
+	text := string(payload)
 	off := 0
 	next := func(what string, limit uint64) (uint64, error) {
 		v, n := binary.Uvarint(payload[off:])
@@ -78,7 +83,7 @@ func DecodeRows(payload []byte) ([][]string, error) {
 			if uint64(len(payload)-off) < flen {
 				return nil, fmt.Errorf("wal: rows payload: field of %d bytes overruns payload at offset %d", flen, off)
 			}
-			row = append(row, string(payload[off:off+int(flen)]))
+			row = append(row, text[off:off+int(flen)])
 			off += int(flen)
 		}
 		rows = append(rows, row)
