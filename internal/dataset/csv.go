@@ -1,6 +1,9 @@
 package dataset
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -8,6 +11,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"opmap/internal/atomicfile"
 )
@@ -43,25 +47,26 @@ type CSVOptions struct {
 
 // ReadCSV parses a header-bearing CSV stream into a Dataset in one
 // streaming pass: each record is encoded into per-column state as soon
-// as it is read, so no record outlives the next Read. A column's kind
+// as it is read, so no record outlives the next one. A column's kind
 // is the class's (categorical), the one Kinds declares, or else the
 // sniffing rule CSVOptions.Kinds documents, decided at EOF; see
-// csvColumn for how an undeclared column is held until then.
+// csvColumn for how an undeclared column is held until then. Records
+// come from csvRecords, which splits quote-free lines itself and hands
+// the rest of the stream to encoding/csv at the first '"'.
 func ReadCSV(r io.Reader, opts CSVOptions) (*Dataset, error) {
-	cr := csv.NewReader(r)
-	if opts.Comma != 0 {
-		cr.Comma = opts.Comma
-	}
-	cr.ReuseRecord = true
-	header, err := cr.Read()
+	rs := newCSVRecords(r, opts.Comma)
+	fields, err := rs.next()
 	if err != nil {
 		return nil, fmt.Errorf("dataset: reading CSV header: %w", err)
 	}
-	if opts.MaxColumns > 0 && len(header) > opts.MaxColumns {
-		return nil, fmt.Errorf("dataset: CSV header has %d columns, limit is %d", len(header), opts.MaxColumns)
+	if opts.MaxColumns > 0 && len(fields) > opts.MaxColumns {
+		return nil, fmt.Errorf("dataset: CSV header has %d columns, limit is %d", len(fields), opts.MaxColumns)
 	}
-	line, _ := cr.FieldPos(0)
-	if err := checkRecordBytes(header, line, opts.MaxRecordBytes); err != nil {
+	header := make([]string, len(fields))
+	for i, f := range fields {
+		header[i] = string(f)
+	}
+	if err := checkRecordBytes(header, rs.line, opts.MaxRecordBytes); err != nil {
 		return nil, err
 	}
 	maxCard := opts.MaxSniffCardinality
@@ -75,7 +80,7 @@ func ReadCSV(r io.Reader, opts CSVOptions) (*Dataset, error) {
 
 	rows := 0
 	for {
-		rec, err := cr.Read()
+		rec, err := rs.next()
 		if err == io.EOF {
 			break
 		}
@@ -85,13 +90,18 @@ func ReadCSV(r io.Reader, opts CSVOptions) (*Dataset, error) {
 		if opts.MaxRows > 0 && rows >= opts.MaxRows {
 			return nil, fmt.Errorf("dataset: CSV exceeds %d data rows", opts.MaxRows)
 		}
-		line, _ = cr.FieldPos(0)
-		if err := checkRecordBytes(rec, line, opts.MaxRecordBytes); err != nil {
-			return nil, err
+		if opts.MaxRecordBytes > 0 {
+			n := 0
+			for _, f := range rec {
+				n += len(f)
+			}
+			if err := checkRecordSize(n, rs.line, opts.MaxRecordBytes); err != nil {
+				return nil, err
+			}
 		}
 		for i, v := range rec {
-			if err := cols[i].add(strings.TrimSpace(v), maxCard); err != nil {
-				return nil, fmt.Errorf("dataset: CSV line %d: attribute %q: %w", line, schema.Attrs[i].Name, err)
+			if err := cols[i].addField(v, maxCard); err != nil {
+				return nil, fmt.Errorf("dataset: CSV line %d: attribute %q: %w", rs.line, schema.Attrs[i].Name, err)
 			}
 		}
 		rows++
@@ -111,6 +121,135 @@ func ReadCSV(r io.Reader, opts CSVOptions) (*Dataset, error) {
 		}
 	}
 	return ds, nil
+}
+
+// readBufferSize is csvRecords' read buffer. A longer line is collected
+// across reads.
+const readBufferSize = 64 << 10
+
+// csvRecords yields ReadCSV's records, each as fields sliced from a
+// buffer that the next call reuses. A physical line with no '"' byte is
+// a whole record, as encoding/csv reads it: its "\n" or "\r\n" (or a
+// final '\r' at EOF) is dropped, an empty line is skipped, and the rest
+// is split at the comma byte in place. From the first line that holds a
+// '"', encoding/csv reads the rest of the stream, that line included,
+// and its line numbers are shifted by the lines already read, so every
+// error and record names the line encoding/csv alone would. A Comma
+// that is not one ASCII byte hands the whole stream over.
+type csvRecords struct {
+	br    *bufio.Reader
+	comma byte
+	lines int // physical lines read before the handoff
+	// line is the 1-based line the last record started on.
+	line int
+	// width is the first record's field count, as encoding/csv sets
+	// FieldsPerRecord; a later record of another width is
+	// csv.ErrFieldCount.
+	width  int
+	long   []byte // a line longer than br's buffer, collected
+	fields [][]byte
+
+	cr *csv.Reader // non-nil once encoding/csv reads the stream
+	// shift is the number of lines read before cr's first line.
+	shift int
+	buf   []byte // cr's last record, its fields back to back
+}
+
+func newCSVRecords(r io.Reader, comma rune) *csvRecords {
+	rs := &csvRecords{comma: ','}
+	switch {
+	case comma == 0:
+	case 0 < comma && comma < utf8.RuneSelf && comma != '"' && comma != '\r' && comma != '\n':
+		rs.comma = byte(comma)
+	default:
+		rs.cr = csv.NewReader(r)
+		rs.cr.Comma = comma
+		rs.cr.ReuseRecord = true
+		return rs
+	}
+	rs.br = bufio.NewReaderSize(r, readBufferSize)
+	return rs
+}
+
+// next returns the next record's fields, valid until the following
+// call, or io.EOF after the last one.
+func (rs *csvRecords) next() ([][]byte, error) {
+	for rs.cr == nil {
+		raw, err := rs.br.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			rs.long = append(rs.long[:0], raw...)
+			for err == bufio.ErrBufferFull {
+				raw, err = rs.br.ReadSlice('\n')
+				rs.long = append(rs.long, raw...)
+			}
+			raw = rs.long
+		}
+		if len(raw) == 0 || (err != nil && err != io.EOF) {
+			return nil, err
+		}
+		rs.lines++
+		if bytes.IndexByte(raw, '"') >= 0 {
+			rs.handoff(raw)
+			break
+		}
+		line := raw
+		if n := len(line); line[n-1] == '\n' {
+			line = line[:n-1]
+			if n > 1 && line[n-2] == '\r' {
+				line = line[:n-2]
+			}
+		} else if line[n-1] == '\r' {
+			line = line[:n-1] // encoding/csv drops a final '\r' at EOF
+		}
+		if len(line) == 0 {
+			continue
+		}
+		rs.line = rs.lines
+		fields, start := rs.fields[:0], 0
+		for i, b := range line {
+			if b == rs.comma {
+				fields = append(fields, line[start:i])
+				start = i + 1
+			}
+		}
+		rs.fields = append(fields, line[start:])
+		if rs.width == 0 {
+			rs.width = len(rs.fields)
+		} else if len(rs.fields) != rs.width {
+			return nil, &csv.ParseError{StartLine: rs.line, Line: rs.line, Column: 1, Err: csv.ErrFieldCount}
+		}
+		return rs.fields, nil
+	}
+	rec, err := rs.cr.Read()
+	if err != nil {
+		if pe, ok := err.(*csv.ParseError); ok {
+			pe.StartLine += rs.shift
+			pe.Line += rs.shift
+		}
+		return nil, err
+	}
+	line, _ := rs.cr.FieldPos(0)
+	rs.line = line + rs.shift
+	rs.buf, rs.fields = rs.buf[:0], rs.fields[:0]
+	for _, f := range rec {
+		rs.buf = append(rs.buf, f...)
+	}
+	off := 0
+	for _, f := range rec {
+		rs.fields = append(rs.fields, rs.buf[off:off+len(f)])
+		off += len(f)
+	}
+	return rs.fields, nil
+}
+
+// handoff gives the stream to encoding/csv from raw, the line just
+// read, on.
+func (rs *csvRecords) handoff(raw []byte) {
+	rs.shift = rs.lines - 1
+	rs.cr = csv.NewReader(io.MultiReader(bytes.NewReader(bytes.Clone(raw)), rs.br))
+	rs.cr.Comma = rune(rs.comma)
+	rs.cr.ReuseRecord = true
+	rs.cr.FieldsPerRecord = rs.width
 }
 
 // csvSchema checks the trimmed header (class lookup, then
@@ -200,10 +339,124 @@ type csvColumn struct {
 	// order, each followed by '\n'. No field held there can contain a
 	// newline: it is MissingLabel, "" or a number.
 	text []byte
+	// short codes labels of 1–7 bytes without the dictionary's map
+	// while the column is colCategorical or colSniffing.
+	short shortLabels
 }
 
+// addField appends one raw field: it trims it, codes a label the short
+// table knows without calling add, and otherwise calls add. A label
+// enters the table only after add has coded it and the column is still
+// categorical or sniffing, and the table is cleared whenever add
+// changes the column's state, so a hit is exactly a label the
+// dictionary already holds: code order and the sniffing decision are
+// add's alone.
+func (c *csvColumn) addField(v []byte, maxCard int) error {
+	if n := len(v); n == 0 || !graphic(v[0]) || !graphic(v[n-1]) {
+		v = bytes.TrimSpace(v)
+	}
+	key := uint64(0)
+	if c.state <= colSniffing && len(v) > 0 && len(v) < 8 {
+		key = shortKey(v)
+		if code, ok := c.short.get(key); ok {
+			c.codes.append(code, c.dict.Len())
+			return nil
+		}
+	}
+	state := c.state
+	if err := c.add(v, maxCard); err != nil {
+		return err
+	}
+	if c.state != state {
+		c.short.clear()
+	}
+	if key != 0 && c.state <= colSniffing {
+		c.short.put(key, c.codes.At(c.codes.Len()-1))
+	}
+	return nil
+}
+
+// graphic reports whether b is a printable ASCII byte other than
+// space: a field that starts and ends with one has nothing to trim.
+func graphic(b byte) bool { return b-0x21 < 0x7f-0x21 }
+
+// shortKey packs a label of 1–7 bytes with its length into a nonzero
+// uint64, one key per label. A label sliced from a buffer with 8 bytes
+// left from its start is read in one load and masked to its length.
+func shortKey(v []byte) uint64 {
+	k := uint64(len(v)) << 56
+	if cap(v) >= 8 {
+		return k | binary.LittleEndian.Uint64(v[:8])&(1<<(8*len(v))-1)
+	}
+	for i, b := range v {
+		k |= uint64(b) << (8 * i)
+	}
+	return k
+}
+
+// shortSlots is the size of a shortLabels table. It holds at most half
+// as many labels, so a probe for an absent one soon meets an empty slot.
+const (
+	shortBits  = 6
+	shortSlots = 1 << shortBits
+)
+
+// shortLabels is an open-addressing table from shortKey to code, seeded
+// with MissingLabel. A column with more labels than it holds keeps the
+// first ones it sees and codes the rest through the dictionary.
+type shortLabels struct {
+	slots [shortSlots]struct {
+		key  uint64 // 0: empty
+		code int32
+	}
+	n int
+}
+
+var missingKey = shortKey([]byte(MissingLabel))
+
+// slotOf is key's home slot, by Fibonacci hashing.
+func slotOf(key uint64) int { return int((key * 0x9e3779b97f4a7c15) >> (64 - shortBits)) }
+
+// get returns key's code. An empty table knows only MissingLabel.
+func (t *shortLabels) get(key uint64) (int32, bool) {
+	if t.n == 0 {
+		return Missing, key == missingKey
+	}
+	for i := slotOf(key); ; i = (i + 1) % shortSlots {
+		switch s := &t.slots[i]; s.key {
+		case key:
+			return s.code, true
+		case 0:
+			return 0, false
+		}
+	}
+}
+
+// put adds key, which get has just missed, unless the table is full.
+func (t *shortLabels) put(key uint64, code int32) {
+	if t.n >= shortSlots/2 {
+		return
+	}
+	if t.n == 0 {
+		t.insert(missingKey, Missing)
+	}
+	t.insert(key, code)
+}
+
+func (t *shortLabels) insert(key uint64, code int32) {
+	i := slotOf(key)
+	for t.slots[i].key != 0 {
+		i = (i + 1) % shortSlots
+	}
+	t.slots[i].key, t.slots[i].code = key, code
+	t.n++
+}
+
+// clear empties the table.
+func (t *shortLabels) clear() { *t = shortLabels{} }
+
 // add appends one trimmed field. Only a colDeclared column can fail.
-func (c *csvColumn) add(v string, maxCard int) error {
+func (c *csvColumn) add(v []byte, maxCard int) error {
 	switch c.state {
 	case colCategorical:
 		code, _ := c.dict.encode(v)
@@ -215,9 +468,9 @@ func (c *csvColumn) add(v string, maxCard int) error {
 			return nil
 		}
 		f := math.NaN()
-		if v != "" {
+		if len(v) > 0 {
 			var err error
-			if f, err = strconv.ParseFloat(v, 64); err != nil {
+			if f, err = strconv.ParseFloat(c.dict.labels[code], 64); err != nil {
 				c.state, c.labelValues = colCategorical, nil
 				return nil
 			}
@@ -228,7 +481,7 @@ func (c *csvColumn) add(v string, maxCard int) error {
 			c.toNumeric()
 		}
 	case colNumeric:
-		f, err := ParseContinuous(v)
+		f, err := ParseContinuous(string(v))
 		if err != nil {
 			c.toCategorical()
 			code, _ := c.dict.encode(v)
@@ -238,9 +491,9 @@ func (c *csvColumn) add(v string, maxCard int) error {
 		c.values = append(c.values, f)
 		c.text = append(append(c.text, v...), '\n')
 	case colDeclared:
-		f, err := ParseContinuous(v)
+		f, err := ParseContinuous(string(v))
 		if err != nil {
-			return fmt.Errorf("cannot parse %q as number: %w", v, err)
+			return fmt.Errorf("cannot parse %q as number: %w", string(v), err)
 		}
 		c.values = append(c.values, f)
 	}
@@ -272,9 +525,8 @@ func (c *csvColumn) toNumeric() {
 func (c *csvColumn) toCategorical() {
 	c.dict = NewDictionary()
 	c.codes = Codes{narrow: make([]uint8, 0, len(c.values)+1)}
-	text := string(c.text)
-	for text != "" {
-		i := strings.IndexByte(text, '\n')
+	for text := c.text; len(text) > 0; {
+		i := bytes.IndexByte(text, '\n')
 		code, _ := c.dict.encode(text[:i])
 		c.codes.append(code, c.dict.Len())
 		text = text[i+1:]
@@ -283,31 +535,37 @@ func (c *csvColumn) toCategorical() {
 }
 
 // encode is Code for a loader field: MissingLabel is Missing, and an
-// unseen label is registered as a copy, so the dictionary does not pin
-// the record string the field was sliced from. added reports a new
+// unseen label is registered as a new string, so the dictionary does
+// not pin the buffer the field was sliced from. added reports a new
 // label.
-func (d *Dictionary) encode(label string) (code int32, added bool) {
-	if label == MissingLabel {
+func (d *Dictionary) encode(label []byte) (code int32, added bool) {
+	if string(label) == MissingLabel {
 		return Missing, false
 	}
-	if c, ok := d.codes[label]; ok {
+	if c, ok := d.codes[string(label)]; ok {
 		return c, false
 	}
-	return d.Code(strings.Clone(label)), true
+	s := string(label)
+	code = int32(len(d.labels))
+	d.labels = append(d.labels, s)
+	d.codes[s] = code
+	return code, true
 }
 
 // checkRecordBytes enforces MaxRecordBytes on one record; line is the
 // 1-based CSV line the record starts on, for the error message.
 func checkRecordBytes(rec []string, line, limit int) error {
-	if limit <= 0 {
-		return nil
-	}
 	n := 0
 	for _, f := range rec {
 		n += len(f)
-		if n > limit {
-			return fmt.Errorf("dataset: CSV record at line %d exceeds %d bytes", line, limit)
-		}
+	}
+	return checkRecordSize(n, line, limit)
+}
+
+// checkRecordSize is checkRecordBytes for a record of n field bytes.
+func checkRecordSize(n, line, limit int) error {
+	if limit > 0 && n > limit {
+		return fmt.Errorf("dataset: CSV record at line %d exceeds %d bytes", line, limit)
 	}
 	return nil
 }

@@ -83,3 +83,69 @@ func TestReadCSVErrorLineAfterMultilineField(t *testing.T) {
 		t.Errorf("error %q does not name line 5 and attribute b", err)
 	}
 }
+
+// TestReadCSVErrorText pins the text of every kind of load error, on
+// lines the loader splits itself and on lines past the first '"', where
+// encoding/csv reads the stream: a field-count mismatch, a bare or
+// unterminated quote, a declared-numeric parse failure, MaxRecordBytes,
+// MaxRows and MaxColumns, each naming the line encoding/csv alone
+// would.
+func TestReadCSVErrorText(t *testing.T) {
+	cases := []struct {
+		name string
+		csv  string
+		opts CSVOptions
+		want string
+	}{
+		{"field count", "a,b,class\nx,1,yes\ny,2\n", CSVOptions{},
+			"dataset: reading CSV data row 2: record on line 3: wrong number of fields"},
+		{"field count after blank lines", "a,b,class\r\n\r\nx,1,yes\n\ny,2,no,3\n", CSVOptions{},
+			"dataset: reading CSV data row 2: record on line 5: wrong number of fields"},
+		{"field count after handoff", "a,b,class\nx,1,yes\n\"y\",2,no\nz,3\n", CSVOptions{},
+			"dataset: reading CSV data row 3: record on line 4: wrong number of fields"},
+		{"field count after multiline field", "a,b,class\nx,1,yes\n\"y\nw\",2,no\n\nz,3\n", CSVOptions{},
+			"dataset: reading CSV data row 3: record on line 6: wrong number of fields"},
+		{"header field count", "\"a\",b,class\nx,1\n", CSVOptions{},
+			"dataset: reading CSV data row 1: record on line 2: wrong number of fields"},
+		{"bare quote", "a,b,class\nx,1,yes\ny,2,no\nz,3\"x,yes\n", CSVOptions{},
+			"dataset: reading CSV data row 3: parse error on line 4, column 4: bare \" in non-quoted-field"},
+		{"bare quote in header", "\n\na,b\"c,class\nx,1,yes\n", CSVOptions{},
+			"dataset: reading CSV header: parse error on line 3, column 4: bare \" in non-quoted-field"},
+		{"bare quote after multiline field", "a,b,class\n\"x\ny\",1,yes\nz,3\"x,yes\n", CSVOptions{},
+			"dataset: reading CSV data row 2: parse error on line 4, column 4: bare \" in non-quoted-field"},
+		{"unterminated quote", "a,b,class\nx,1,yes\n\"y,2,no\n", CSVOptions{},
+			"dataset: reading CSV data row 2: parse error on line 3, column 9: extraneous or missing \" in quoted-field"},
+		{"declared numeric", "a,b,class\nx,1,yes\ny,abc,no\n", CSVOptions{Kinds: map[string]Kind{"b": Continuous}},
+			"dataset: CSV line 3: attribute \"b\": cannot parse \"abc\" as number: strconv.ParseFloat: parsing \"abc\": invalid syntax"},
+		{"declared numeric after handoff", "a,b,class\n\"x\ny\",1,yes\n\nw, abc ,no\n", CSVOptions{Kinds: map[string]Kind{"b": Continuous}},
+			"dataset: CSV line 5: attribute \"b\": cannot parse \"abc\" as number: strconv.ParseFloat: parsing \"abc\": invalid syntax"},
+		{"record bytes", "a,b,class\nx,1,yes\ny," + strings.Repeat("v", 60) + ",no\n", CSVOptions{MaxRecordBytes: 50},
+			"dataset: CSV record at line 3 exceeds 50 bytes"},
+		{"record bytes after handoff", "a,b,class\n\"x\",1,yes\n\ny," + strings.Repeat("v", 60) + ",no\n", CSVOptions{MaxRecordBytes: 50},
+			"dataset: CSV record at line 4 exceeds 50 bytes"},
+		{"header bytes", strings.Repeat("h", 60) + ",class\nx,yes\n", CSVOptions{MaxRecordBytes: 50},
+			"dataset: CSV record at line 1 exceeds 50 bytes"},
+		{"rows", "a,b,class\nx,1,yes\ny,2,no\nz,3,yes\n", CSVOptions{MaxRows: 2},
+			"dataset: CSV exceeds 2 data rows"},
+		{"rows after handoff", "a,b,class\nx,1,yes\n\"y\",2,no\nz,3,yes\n", CSVOptions{MaxRows: 2},
+			"dataset: CSV exceeds 2 data rows"},
+		{"field count before rows", "a,b,class\nx,1,yes\ny,2,no\nz,3\n", CSVOptions{MaxRows: 2},
+			"dataset: reading CSV data row 3: record on line 4: wrong number of fields"},
+		{"empty", "", CSVOptions{},
+			"dataset: reading CSV header: EOF"},
+		{"blank only", "\n\r\n\r", CSVOptions{},
+			"dataset: reading CSV header: EOF"},
+		{"invalid comma", "a,b,class\nx,1,yes\n", CSVOptions{Comma: '\n'},
+			"dataset: reading CSV header: csv: invalid field or comment delimiter"},
+		{"columns", "a,b,class\nx,1,yes\n", CSVOptions{MaxColumns: 2},
+			"dataset: CSV header has 3 columns, limit is 2"},
+	}
+	for _, tc := range cases {
+		_, err := ReadCSV(strings.NewReader(tc.csv), tc.opts)
+		if err == nil {
+			t.Errorf("%s: loaded, want error %q", tc.name, tc.want)
+		} else if err.Error() != tc.want {
+			t.Errorf("%s: error\n%q\nwant\n%q", tc.name, err, tc.want)
+		}
+	}
+}

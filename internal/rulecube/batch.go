@@ -768,20 +768,28 @@ func tallyOne[B, C dataset.Code](col []B, cls []C, scratch []int64, nc int) {
 }
 
 // newCubeHeader builds an empty cube over attrs: one slot per
-// dictionary code in each condition dimension, plus the class.
-func newCubeHeader(ds *dataset.Dataset, attrs []int, nc int) *Cube {
+// dictionary code in each condition dimension, plus the class. Each
+// slice is allocated once at its length (attrIdx and dims share one
+// array); the cells are the cube's own allocation, so an evicted cube
+// pins nothing else.
+func newCubeHeader(ds *dataset.Dataset, nc int, attrs ...int) *Cube {
+	k := len(attrs)
+	ints := make([]int, 2*k)
 	c := &Cube{
-		attrIdx:    append([]int(nil), attrs...),
+		attrIdx:    ints[:k:k],
+		dims:       ints[k:],
+		attrNames:  make([]string, k),
+		dicts:      make([]*dataset.Dictionary, k),
 		classDict:  ds.ClassDict(),
 		numClasses: nc,
 	}
+	copy(c.attrIdx, attrs)
 	size := nc
-	for _, a := range attrs {
-		d := cubeDim(ds, a)
-		c.dims = append(c.dims, d)
-		c.attrNames = append(c.attrNames, ds.Attr(a).Name)
-		c.dicts = append(c.dicts, ds.Column(a).Dict)
-		size *= d
+	for i, a := range attrs {
+		c.dims[i] = cubeDim(ds, a)
+		c.attrNames[i] = ds.Attr(a).Name
+		c.dicts[i] = ds.Column(a).Dict
+		size *= c.dims[i]
 	}
 	c.counts = make([]int64, size)
 	return c
@@ -791,7 +799,7 @@ func newCubeHeader(ds *dataset.Dataset, attrs []int, nc int) *Cube {
 // into an exact cube: slot 0 of either dimension (rows where that value
 // was missing) is dropped, since such rows are not counted.
 func extractPair(ds *dataset.Dataset, nc int, p *pairPlan) *Cube {
-	c := newCubeHeader(ds, []int{p.a, p.b}, nc)
+	c := newCubeHeader(ds, nc, p.a, p.b)
 	blk := p.dimB * nc
 	for va := 0; va < p.dimA; va++ {
 		src := ((va+1)*(p.dimB+1) + 1) * nc
@@ -805,7 +813,7 @@ func extractPair(ds *dataset.Dataset, nc int, p *pairPlan) *Cube {
 
 // extractOne copies a dedicated 1-D plan's present-value block.
 func extractOne(ds *dataset.Dataset, nc int, o *onePlan) *Cube {
-	c := newCubeHeader(ds, []int{o.a}, nc)
+	c := newCubeHeader(ds, nc, o.a)
 	copy(c.counts, o.scratch[nc:(o.dim+1)*nc])
 	for _, n := range c.counts {
 		c.total += n
@@ -820,7 +828,7 @@ func extractOne(ds *dataset.Dataset, nc int, o *onePlan) *Cube {
 // layouts, so the copy walks an odometer over the outer dimensions and
 // moves dims[k-1]×nc cells at a time.
 func extractK(ds *dataset.Dataset, nc int, p *kPlan) *Cube {
-	c := newCubeHeader(ds, p.attrs, nc)
+	c := newCubeHeader(ds, nc, p.attrs...)
 	k := len(p.dims)
 	blk := p.dims[k-1] * nc
 	idx := make([]int, k-1)
@@ -856,7 +864,7 @@ func extractK(ds *dataset.Dataset, nc int, p *kPlan) *Cube {
 // class is counted in the scratch wherever its partner value fell, and
 // a 1-D cube keeps exactly those rows regardless of the partner.
 func extractDerivedOne(ds *dataset.Dataset, nc int, a int, p *pairPlan, pos int) *Cube {
-	c := newCubeHeader(ds, []int{a}, nc)
+	c := newCubeHeader(ds, nc, a)
 	if pos == 0 {
 		for va := 0; va < p.dimA; va++ {
 			dst := c.counts[va*nc : (va+1)*nc]
