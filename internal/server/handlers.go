@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -90,14 +91,16 @@ type detailResponse struct {
 	Pairs  []pairEntry `json:"pairs"`
 }
 
+// pairEntry is one screened pair. Ratio is cf2/cf1, left out when cf1
+// is 0 and the ratio is infinite: JSON has no infinity.
 type pairEntry struct {
-	Value1 string  `json:"value1"`
-	Value2 string  `json:"value2"`
-	Cf1    float64 `json:"cf1"`
-	Cf2    float64 `json:"cf2"`
-	Ratio  float64 `json:"ratio"`
-	Z      float64 `json:"z"`
-	PValue float64 `json:"p_value"`
+	Value1 string   `json:"value1"`
+	Value2 string   `json:"value2"`
+	Cf1    float64  `json:"cf1"`
+	Cf2    float64  `json:"cf2"`
+	Ratio  *float64 `json:"ratio,omitempty"`
+	Z      float64  `json:"z"`
+	PValue float64  `json:"p_value"`
 }
 
 func (s *Server) handleDetail(r *http.Request) (any, error) {
@@ -124,15 +127,18 @@ func (s *Server) handleDetail(r *http.Request) (any, error) {
 	}
 	resp := &detailResponse{Attr: attr, Values: values}
 	for _, p := range pairs {
-		resp.Pairs = append(resp.Pairs, pairEntry{
+		e := pairEntry{
 			Value1: p.Value1,
 			Value2: p.Value2,
 			Cf1:    p.Cf1,
 			Cf2:    p.Cf2,
-			Ratio:  p.Ratio,
 			Z:      p.Z,
 			PValue: p.PValue,
-		})
+		}
+		if !math.IsInf(p.Ratio, 0) {
+			e.Ratio = &p.Ratio
+		}
+		resp.Pairs = append(resp.Pairs, e)
 	}
 	return resp, nil
 }
@@ -173,6 +179,9 @@ type compareResponse struct {
 
 func (c *compareResponse) partialResult() bool { return c.Partial }
 
+// scoreEntry is one ranked attribute. PropertyRatio is left out when
+// it is 0, and when it is NaN: a candidate with no value present in
+// either sub-population has no ratio, and JSON has no NaN.
 type scoreEntry struct {
 	Name          string  `json:"name"`
 	Score         float64 `json:"score"`
@@ -297,11 +306,9 @@ func toScoreEntries(scores []opmap.AttributeScore) []scoreEntry {
 	}
 	out := make([]scoreEntry, len(scores))
 	for i, sc := range scores {
-		out[i] = scoreEntry{
-			Name:          sc.Name,
-			Score:         sc.Score,
-			NormScore:     sc.NormScore,
-			PropertyRatio: sc.PropertyRatio,
+		out[i] = scoreEntry{Name: sc.Name, Score: sc.Score, NormScore: sc.NormScore}
+		if !math.IsNaN(sc.PropertyRatio) {
+			out[i].PropertyRatio = sc.PropertyRatio
 		}
 	}
 	return out
