@@ -179,7 +179,7 @@ func (c *Comparator) oneVsRest(ctx context.Context, in OneVsRestInput, opts Opti
 		if err != nil {
 			return nil, err
 		}
-		comp.add(comp.scoreAttribute(ds, ai, tab))
+		comp.addAttribute(ds, ai, tab)
 	}
 	comp.finish()
 	return res, nil
@@ -203,47 +203,41 @@ func defaultRankAttrs(ds *dataset.Dataset, splitAttr int) []int {
 // oneVsRestTable builds the per-value contingency rows of candidate
 // attribute ai for the split A=v vs A≠v: the "value" side comes from the
 // pair cube sliced at v; the "rest" side is the candidate's marginal
-// cube minus the value side. The table is the computation's scratch.
-func (comp *computation) oneVsRestTable(pair, marginal *rulecube.Cube, a1, ai int, v, class int32, restIsHigh bool) (valueTable, error) {
+// cube minus the value side. Ranges are checked once, then both sides
+// are read from the cubes' cells. The table is the computation's
+// scratch.
+func (comp *computation) oneVsRestTable(pair, marginal *rulecube.Cube, a1, ai int, v, class int32, restIsHigh bool) (*valueTable, error) {
 	idx := pair.AttrIndices()
-	var posA1, posAi int
-	switch {
-	case idx[0] == a1 && idx[1] == ai:
-		posA1, posAi = 0, 1
-	case idx[0] == ai && idx[1] == a1:
-		posA1, posAi = 1, 0
-	default:
-		return valueTable{}, fmt.Errorf("compare: cube dimensions %v do not match (%d,%d)", idx, a1, ai)
+	if len(idx) != 2 || !(idx[0] == a1 && idx[1] == ai || idx[0] == ai && idx[1] == a1) {
+		return nil, fmt.Errorf("compare: cube dimensions %v do not match (%d,%d)", idx, a1, ai)
 	}
-	card := pair.Dim(posAi)
+	side, err := rulecube.SliceOf(pair, a1, v)
+	if err != nil {
+		return nil, err
+	}
+	card, nc := side.Dim(), marginal.NumClasses()
+	if class < 0 || int(class) >= pair.NumClasses() || int(class) >= nc {
+		return nil, fmt.Errorf("compare: class %d out of range of cubes with %d and %d classes", class, pair.NumClasses(), nc)
+	}
+	if mi := marginal.AttrIndices(); len(mi) != 1 || mi[0] != ai || marginal.Dim(0) < card {
+		return nil, fmt.Errorf("compare: marginal cube %v does not cover the %d values of attribute %d", mi, card, ai)
+	}
 	t := comp.table(card)
-	coords := make([]int32, 2)
-	coords[posA1] = v
-	for k := int32(0); int(k) < card; k++ {
-		coords[posAi] = k
-		condV, err := pair.CondCount(coords)
-		if err != nil {
-			return valueTable{}, err
+	// The value side goes where the lower-confidence side belongs; the
+	// rest is the marginal minus it.
+	vn, vc, rn, rc := t.n1, t.c1, t.n2, t.c2
+	if !restIsHigh {
+		vn, vc, rn, rc = rn, rc, vn, vc
+	}
+	side.Fill(class, vn, vc)
+	cells := marginal.Counts()
+	for k := range rn {
+		row := cells[k*nc:][:nc]
+		var all int64
+		for _, c := range row {
+			all += c
 		}
-		supV, err := pair.Count(coords, class)
-		if err != nil {
-			return valueTable{}, err
-		}
-		condAll, err := marginal.CondCount([]int32{k})
-		if err != nil {
-			return valueTable{}, err
-		}
-		supAll, err := marginal.Count([]int32{k}, class)
-		if err != nil {
-			return valueTable{}, err
-		}
-		if restIsHigh {
-			t.n1[k], t.c1[k] = condV, supV
-			t.n2[k], t.c2[k] = condAll-condV, supAll-supV
-		} else {
-			t.n1[k], t.c1[k] = condAll-condV, supAll-supV
-			t.n2[k], t.c2[k] = condV, supV
-		}
+		rn[k], rc[k] = all-vn[k], row[class]-vc[k]
 	}
 	return t, nil
 }

@@ -195,7 +195,9 @@ func permScore(tab valueTable, t1n, t1c, t2n, t2c int64, opts Options) (float64,
 	if err != nil {
 		return 0, false
 	}
-	return comp.score(0, "perm", nil, tab).Score, true
+	var s AttrScore
+	comp.score(&s, 0, "perm", nil, &tab)
+	return s.Score, true
 }
 
 // withAttrs restricts opts to a single candidate attribute.
