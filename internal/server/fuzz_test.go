@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -15,10 +16,14 @@ import (
 )
 
 // FuzzHandlers drives arbitrary bodies and query strings through
-// Handler() at /api/ingest, /api/compare and /api/drilldown, over an
-// eager session whose ingest hook validates and applies each batch. No
-// input may answer 500 or panic: a bad request is the client's error
-// (4xx), and a request that runs out of time degrades or answers 504.
+// Handler() at /api/ingest, /api/compare, /api/drilldown, /api/sweep,
+// /api/overview and /api/detail, over two eager sessions whose ingest
+// hooks validate and apply each batch: the call log by default, and
+// as dataset "table" the golden answers' small table, whose compares
+// and details hold values JSON cannot carry (NaN, +Inf). No input may
+// answer 500 or panic: a bad request is the client's error (4xx), and
+// a request that runs out of time degrades or answers 504. Every 2xx
+// body must be valid JSON.
 func FuzzHandlers(f *testing.F) {
 	sess, truth, err := opmap.CaseStudy(1, 3000)
 	if err == nil {
@@ -27,9 +32,25 @@ func FuzzHandlers(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	table, err := opmap.LoadCSV(strings.NewReader(goldenTableCSV()), opmap.LoadOptions{Class: "class"})
+	if err == nil {
+		err = table.BuildCubes()
+	}
+	if err != nil {
+		f.Fatal(err)
+	}
 	reg := obsv.NewRegistry()
-	hook := &sessionIngest{sess: sess, apply: true}
-	srv, err := New(Config{Session: sess, Ingest: hook.ingest, Metrics: reg, RequestTimeout: time.Second})
+	hooks := map[string]*sessionIngest{DefaultDatasetName: {sess: sess, apply: true}, "table": {sess: table, apply: true}}
+	ingest := func(ctx context.Context, name string, rows [][]string) (uint64, error) {
+		return hooks[name].ingest(ctx, name, rows)
+	}
+	srv, err := New(Config{
+		Session:        sess,
+		Sessions:       map[string]*opmap.Session{"table": table},
+		Ingest:         ingest,
+		Metrics:        reg,
+		RequestTimeout: time.Second,
+	})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -71,13 +92,30 @@ func FuzzHandlers(f *testing.F) {
 	f.Add(uint8(2), "", drill)
 	f.Add(uint8(2), "", []byte(`{"attr":"x","v1":"a","v2":"b","class":"c","beam":-1}`))
 	f.Add(uint8(2), "", []byte(`{"attrs":["a","a"]}`))
+	phone := url.Values{"attr": {truth.PhoneAttr}, "class": {truth.DropClass}}
+	f.Add(uint8(3), phone.Encode()+"&max_pairs=2", []byte(nil))
+	f.Add(uint8(3), "dataset=table&attr=A&class=bad", []byte(nil))
+	f.Add(uint8(4), "top=3", []byte(nil))
+	f.Add(uint8(4), "dataset=table&top=x", []byte(nil))
+	f.Add(uint8(5), phone.Encode(), []byte(nil))
+	// X has no present value where A is a1 or a2, and G = g1 has no bad
+	// rows: a NaN property ratio and an infinite pair ratio.
+	f.Add(uint8(1), "dataset=table&attr=A&v1=a1&v2=a2&class=bad", []byte(nil))
+	f.Add(uint8(5), "dataset=table&attr=G&class=bad", []byte(nil))
+	f.Add(uint8(0), "dataset=table", []byte(`{"rows":[["a1","?","b1","b1","d1","e","f","g2","p1","bad"]]}`))
 	f.Fuzz(func(t *testing.T, endpoint uint8, query string, body []byte) {
 		method, path := http.MethodPost, "/api/ingest"
-		switch endpoint % 3 {
+		switch endpoint % 6 {
 		case 1:
 			method, path = http.MethodGet, "/api/compare"
 		case 2:
 			path = "/api/drilldown"
+		case 3:
+			method, path = http.MethodGet, "/api/sweep"
+		case 4:
+			method, path = http.MethodGet, "/api/overview"
+		case 5:
+			method, path = http.MethodGet, "/api/detail"
 		}
 		r := httptest.NewRequest(method, path, bytes.NewReader(body))
 		r.URL.RawQuery = query
@@ -85,6 +123,9 @@ func FuzzHandlers(f *testing.F) {
 		h.ServeHTTP(w, r)
 		if w.Code == http.StatusInternalServerError {
 			t.Fatalf("%s %s?%s: 500: %s", method, path, query, w.Body)
+		}
+		if w.Code/100 == 2 && !json.Valid(w.Body.Bytes()) {
+			t.Fatalf("%s %s?%s: %d with a body that is not JSON: %q", method, path, query, w.Code, w.Body)
 		}
 		if n := reg.Counter(metricPanics).Value(); n != 0 {
 			t.Fatalf("%s %s?%s: %d panics recovered", method, path, query, n)

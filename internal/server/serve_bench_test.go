@@ -34,14 +34,16 @@ func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 
 func (w *discardWriter) WriteHeader(status int) { w.status = status }
 
-// serveFixture is an eager session behind Handler() with two request
-// lists: every pairwise compare question and every all-values
-// one-vs-rest question, each a distinct result-cache key.
+// serveFixture is an eager session behind Handler() with three request
+// lists: every pairwise compare question, every value= one-vs-rest
+// question and every all-values one-vs-rest question, each a distinct
+// result-cache key.
 type serveFixture struct {
-	sess     *opmap.Session
-	h        http.Handler
-	compares []*http.Request
-	sweeps   []*http.Request
+	sess       *opmap.Session
+	h          http.Handler
+	compares   []*http.Request
+	oneVsRests []*http.Request
+	sweeps     []*http.Request
 	// row is a valid record; appending it bumps every attribute and so
 	// empties the result cache when a request list wraps around.
 	row []string
@@ -72,6 +74,10 @@ func newServeFixture(tb testing.TB, sess *opmap.Session, split func(attr string)
 		for _, c := range classes {
 			q := url.Values{"attr": {a}, "class": {c}, "all_values": {"1"}}
 			f.sweeps = append(f.sweeps, httptest.NewRequest(http.MethodGet, "/api/compare?"+q.Encode(), nil))
+			for _, v := range vals {
+				q := url.Values{"attr": {a}, "class": {c}, "value": {v}}
+				f.oneVsRests = append(f.oneVsRests, httptest.NewRequest(http.MethodGet, "/api/compare?"+q.Encode(), nil))
+			}
 		}
 	}
 	// Interleave the compare questions across attributes so any window
@@ -158,8 +164,8 @@ func callLogServeFixture(tb testing.TB) *serveFixture {
 }
 
 // BenchmarkServeCompare measures one answer through Handler() over
-// resident cubes: a pinned pairwise compare and an all_values
-// one-vs-rest sweep. Every iteration asks a question the result cache
+// resident cubes: a pinned pairwise compare, a value= one-vs-rest
+// compare and an all_values one-vs-rest sweep. Every iteration asks a question the result cache
 // has not seen; when a request list wraps, the cache is emptied
 // outside the timer.
 func BenchmarkServeCompare(b *testing.B) {
@@ -169,6 +175,7 @@ func BenchmarkServeCompare(b *testing.B) {
 		reqs []*http.Request
 	}{
 		{"pinned", f.compares},
+		{"one_vs_rest", f.oneVsRests},
 		{"all_values", f.sweeps},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
