@@ -75,17 +75,23 @@ func randomSliceDataset(t testing.TB, rng *rand.Rand, rows, used int) *dataset.D
 	return codedDataset(t, cards, nc, codes)
 }
 
-// sliceCells flattens a slice table through its accessors, side by
-// side, value by value, class by class, with each (side, value)'s
-// condition count after its classes.
+// sliceCells flattens a slice table through Slice.Fill, side by side,
+// value by value, class by class, with each (side, value)'s condition
+// count after its classes.
 func sliceCells(s Slices) []int64 {
 	var out []int64
+	cond := make([]int64, s.Dim())
+	sup := make([][]int64, s.nc) // sup[class][value]
 	for side := 0; side < 2; side++ {
-		for v := int32(0); int(v) < s.Dim(); v++ {
-			for c := int32(0); int(c) < s.nc; c++ {
-				out = append(out, s.Count(side, v, c))
+		for c := range sup {
+			sup[c] = make([]int64, s.Dim())
+			s.Side(side).Fill(int32(c), cond, sup[c])
+		}
+		for v := range cond {
+			for c := range sup {
+				out = append(out, sup[c][v])
 			}
-			out = append(out, s.CondCount(side, v))
+			out = append(out, cond[v])
 		}
 	}
 	return out

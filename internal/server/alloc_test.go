@@ -17,6 +17,9 @@ import (
 // 83 allocations and 43.3 KB per pinned compare, 330 allocations and
 // 225.4 KB per all_values sweep. Before answers kept counts only, they
 // were 91 allocations and 85.4 KB, and 384 allocations and 476.9 KB.
+// Since answers are encoded into pooled buffers and scored in place,
+// they are 74 allocations and 40.1 KB, and 315 and 191.9 KB; the
+// bounds stayed where they were.
 // The allocation counts must also not depend on how many values the
 // candidates have: per-value append growth would show up as a
 // difference between 4- and 16-valued candidates.
