@@ -6,7 +6,25 @@ import (
 
 	"opmap/internal/compare"
 	"opmap/internal/drill"
+	"opmap/internal/engine"
 )
+
+// memo answers key from the result cache rc or computes it. compute
+// reports whether its answer is partial; a complete answer is cached
+// under the version read before it was computed, so an invalidation in
+// between drops it, with deps (nil: the answer depends on every
+// attribute). Partial answers are never cached.
+func memo[T any](rc *engine.ResultCache, key string, deps []int, compute func() (T, bool, error)) (T, error) {
+	ver := rc.Version()
+	if v, ok := rc.Get(ver, key); ok {
+		return v.(T), nil
+	}
+	val, partial, err := compute()
+	if err == nil && !partial {
+		rc.PutDeps(ver, key, val, deps)
+	}
+	return val, err
+}
 
 // Result-cache key construction. Keys are normalized so queries that
 // must return identical results share an entry:

@@ -736,6 +736,7 @@ go test -run '^$' -fuzz '^FuzzDecodeRows$' -fuzztime 10s -fuzzminimizetime 5x ./
 go test -run '^$' -fuzz '^FuzzHandlers$' -fuzztime 10s -fuzzminimizetime 5x ./internal/server
 go test -run '^$' -fuzz '^FuzzDecodeIngestBody$' -fuzztime 10s -fuzzminimizetime 5x ./internal/server
 go test -run '^$' -fuzz '^FuzzReadCSV$' -fuzztime 10s -fuzzminimizetime 5x ./internal/dataset
+go test -run '^$' -fuzz '^FuzzReadARFF$' -fuzztime 10s -fuzzminimizetime 5x ./internal/dataset
 go test -run '^$' -fuzz '^FuzzAppendWiden$' -fuzztime 10s -fuzzminimizetime 5x ./internal/dataset
 go test -run '^$' -fuzz '^FuzzApplyMatchesReference$' -fuzztime 10s -fuzzminimizetime 5x ./internal/discretize
 

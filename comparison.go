@@ -128,17 +128,12 @@ func (s *Session) CompareContext(ctx context.Context, attr, v1, v2, class string
 	if err != nil {
 		return nil, err
 	}
-	ver := s.results.Version()
-	key := compareKey(in, copts)
-	if v, ok := s.results.Get(ver, key); ok {
-		return s.wrapComparison(attr, class, in, v.(*compare.Result)), nil
-	}
-	res, err := compare.NewSource(src).CompareContext(ctx, in, copts)
+	res, err := memo(s.results, compareKey(in, copts), compareDeps(in, copts), func() (*compare.Result, bool, error) {
+		res, err := compare.NewSource(src).CompareContext(ctx, in, copts)
+		return res, err == nil && res.Partial, err
+	})
 	if err != nil {
 		return nil, err
-	}
-	if !res.Partial {
-		s.results.PutDeps(ver, key, res, compareDeps(in, copts))
 	}
 	return s.wrapComparison(attr, class, in, res), nil
 }

@@ -154,20 +154,15 @@ func (s *Session) DrillDownContext(ctx context.Context, attr, v1, v2, class stri
 		Compare:           copts,
 		PartialOnDeadline: opts.PartialOnDeadline,
 	}
-	ver := s.results.Version()
-	key := drilldownKey(in, dopts)
-	if v, ok := s.results.Get(ver, key); ok {
-		return s.wrapDrill(attr, class, in, v.(*drill.Result)), nil
-	}
-	res, err := drill.New(src).DrillContext(ctx, in, dopts)
+	// An unrestricted drill-down may condition on any attribute, so it
+	// depends on all of them (nil deps); a restricted one only on the
+	// comparison attribute and the explicit candidates.
+	res, err := memo(s.results, drilldownKey(in, dopts), compareDeps(in, copts), func() (*drill.Result, bool, error) {
+		res, err := drill.New(src).DrillContext(ctx, in, dopts)
+		return res, err == nil && res.Partial, err
+	})
 	if err != nil {
 		return nil, err
-	}
-	if !res.Partial {
-		// An unrestricted drill-down may condition on any attribute, so
-		// it depends on all of them (nil deps); a restricted one only on
-		// the comparison attribute and the explicit candidates.
-		s.results.PutDeps(ver, key, res, compareDeps(in, copts))
 	}
 	return s.wrapDrill(attr, class, in, res), nil
 }

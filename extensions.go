@@ -201,20 +201,15 @@ func (s *Session) CompareOneVsRestAllContext(ctx context.Context, attr, class st
 	if err != nil {
 		return nil, err
 	}
-	ver := s.results.Version()
-	key := oneVsRestAllKey(a, cls, copts)
-	if v, ok := s.results.Get(ver, key); ok {
-		return s.wrapOneVsRestAll(attr, class, v.(*compare.OneVsRestAllResult)), nil
-	}
-	res, err := compare.NewSource(src).OneVsRestAllContext(ctx, a, cls, compare.OneVsRestAllOptions{Compare: copts})
+	// Deps mirror compareDeps: an unrestricted run ranks every
+	// attribute (nil deps = depends on all); a restricted one depends
+	// on the split attribute plus the explicit candidates.
+	res, err := memo(s.results, oneVsRestAllKey(a, cls, copts), compareDeps(compare.Input{Attr: a}, copts), func() (*compare.OneVsRestAllResult, bool, error) {
+		res, err := compare.NewSource(src).OneVsRestAllContext(ctx, a, cls, compare.OneVsRestAllOptions{Compare: copts})
+		return res, err == nil && res.Partial, err
+	})
 	if err != nil {
 		return nil, err
-	}
-	if !res.Partial {
-		// Deps mirror compareDeps: an unrestricted run ranks every
-		// attribute (nil deps = depends on all); a restricted one
-		// depends on the split attribute plus the explicit candidates.
-		s.results.PutDeps(ver, key, res, compareDeps(compare.Input{Attr: a}, copts))
 	}
 	return s.wrapOneVsRestAll(attr, class, res), nil
 }
@@ -368,23 +363,14 @@ func (s *Session) sweepInternal(ctx context.Context, attr, class string, maxPair
 	if !ok {
 		return nil, fmt.Errorf("opmap: unknown class %q", class)
 	}
-	ver := s.results.Version()
-	key := sweepKey(a, cls, maxPairs)
-	if v, ok := s.results.Get(ver, key); ok {
-		return v.(*compare.SweepResult), nil
-	}
-	opts := compare.SweepOptions{Partial: partial}
-	if maxPairs > 0 {
-		opts.Screen.MaxPairs = maxPairs
-	}
-	res, err := compare.NewSource(src).SweepContext(ctx, a, cls, opts)
-	if err != nil {
-		return nil, err
-	}
-	if !res.Partial {
-		s.results.Put(ver, key, res)
-	}
-	return res, nil
+	return memo(s.results, sweepKey(a, cls, maxPairs), nil, func() (*compare.SweepResult, bool, error) {
+		opts := compare.SweepOptions{Partial: partial}
+		if maxPairs > 0 {
+			opts.Screen.MaxPairs = maxPairs
+		}
+		res, err := compare.NewSource(src).SweepContext(ctx, a, cls, opts)
+		return res, err == nil && res.Partial, err
+	})
 }
 
 // WriteSweepReport renders a Markdown report of a sweep over attr's

@@ -76,20 +76,15 @@ func (s *Session) ImpressionsContext(ctx context.Context, opts ImpressionOptions
 	if err != nil {
 		return nil, err
 	}
-	ver := s.results.Version()
-	key := impressionsKey(opts)
-	if v, ok := s.results.Get(ver, key); ok {
-		return v.(*Impressions), nil
-	}
-	rep, err := gi.MineAllSource(ctx, src,
-		gi.TrendOptions{Tolerance: opts.TrendTolerance, MinStrength: opts.TrendMinStrength},
-		gi.ExceptionOptions{MinZ: opts.ExceptionMinZ, MinSupport: opts.ExceptionMinSupport})
-	if err != nil {
-		return nil, err
-	}
-	out := toImpressions(rep)
-	s.results.Put(ver, key, out)
-	return out, nil
+	return memo(s.results, impressionsKey(opts), nil, func() (*Impressions, bool, error) {
+		rep, err := gi.MineAllSource(ctx, src,
+			gi.TrendOptions{Tolerance: opts.TrendTolerance, MinStrength: opts.TrendMinStrength},
+			gi.ExceptionOptions{MinZ: opts.ExceptionMinZ, MinSupport: opts.ExceptionMinSupport})
+		if err != nil {
+			return nil, false, err
+		}
+		return toImpressions(rep), false, nil
+	})
 }
 
 // toImpressions converts the GI miner's report to the public type.

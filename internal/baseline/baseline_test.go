@@ -146,29 +146,6 @@ func TestRankRulesOrdering(t *testing.T) {
 	}
 }
 
-func TestAttrOfTopRules(t *testing.T) {
-	ds := callLog(t, 20000)
-	rs, err := car.Mine(ds, car.Options{MaxConditions: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ranked, err := RankRules(ds, rs, Confidence)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := AttrOfTopRules(ranked, 10)
-	total := 0
-	for _, n := range counts {
-		total += n
-	}
-	if total != 10 {
-		t.Errorf("top-10 condition count = %d, want 10 for 1-condition rules", total)
-	}
-	if got := AttrOfTopRules(ranked, 1<<30); got == nil {
-		t.Error("oversized k should clamp, not fail")
-	}
-}
-
 func TestDecisionTreeLearnsPlantedSignal(t *testing.T) {
 	ds := callLog(t, 40000)
 	tree, err := Learn(ds, TreeOptions{MaxDepth: 3})

@@ -177,19 +177,3 @@ func RankRules(ds *dataset.Dataset, rs *car.RuleSet, m Measure) ([]RankedRule, e
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Value > out[j].Value })
 	return out, nil
 }
-
-// AttrOfTopRules summarizes which attributes dominate the top-k ranked
-// rules — used in the evaluation to contrast rule-level ranking with the
-// comparator's attribute-level ranking.
-func AttrOfTopRules(ranked []RankedRule, k int) map[int]int {
-	if k > len(ranked) {
-		k = len(ranked)
-	}
-	counts := make(map[int]int)
-	for _, rr := range ranked[:k] {
-		for _, c := range rr.Rule.Conditions {
-			counts[c.Attr]++
-		}
-	}
-	return counts
-}

@@ -122,17 +122,6 @@ func (rs *RuleSet) SortByConfidence() {
 	})
 }
 
-// FilterClass returns the subset of rules predicting the given class.
-func (rs *RuleSet) FilterClass(class int32) *RuleSet {
-	out := &RuleSet{Total: rs.Total}
-	for _, r := range rs.Rules {
-		if r.Class == class {
-			out.Rules = append(out.Rules, r)
-		}
-	}
-	return out
-}
-
 // Mine enumerates class association rules of ds under the options using
 // level-wise (Apriori-style) candidate generation over condition sets,
 // with class-conditional counting. ds must be fully categorical.
@@ -306,30 +295,4 @@ func collect(ds *dataset.Dataset, rows []int32, attr int, value int32) []int32 {
 
 func sortConds(conds []Condition) {
 	sort.Slice(conds, func(i, j int) bool { return conds[i].Attr < conds[j].Attr })
-}
-
-// OneConditionRule counts and returns the single rule Attr=Value ->
-// Class over ds, regardless of thresholds. It is the primitive the
-// comparator uses for its two input rules.
-func OneConditionRule(ds *dataset.Dataset, attr int, value, class int32) (Rule, error) {
-	if attr < 0 || attr >= ds.NumAttrs() || attr == ds.ClassIndex() {
-		return Rule{}, fmt.Errorf("car: invalid condition attribute %d", attr)
-	}
-	var condCount, supCount int64
-	for r := 0; r < ds.NumRows(); r++ {
-		if ds.CatCode(r, attr) != value {
-			continue
-		}
-		condCount++
-		if ds.ClassCode(r) == class {
-			supCount++
-		}
-	}
-	return Rule{
-		Conditions: []Condition{{Attr: attr, Value: value}},
-		Class:      class,
-		SupCount:   supCount,
-		CondCount:  condCount,
-		Total:      int64(ds.NumRows()),
-	}, nil
 }

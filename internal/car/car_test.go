@@ -286,41 +286,6 @@ func TestSortByConfidence(t *testing.T) {
 	}
 }
 
-func TestFilterClass(t *testing.T) {
-	ds := paperFig1Dataset(t)
-	rs, err := Mine(ds, Options{MaxConditions: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	yes := rs.FilterClass(0)
-	if yes.Len() == 0 {
-		t.Fatal("no yes-rules")
-	}
-	for _, r := range yes.Rules {
-		if r.Class != 0 {
-			t.Fatal("FilterClass leaked another class")
-		}
-	}
-}
-
-func TestOneConditionRule(t *testing.T) {
-	ds := paperFig1Dataset(t)
-	r, err := OneConditionRule(ds, 0, 0, 0) // A1=a -> yes
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A1=a: 100+50+8 = 158 records; yes: 100+8 = 108.
-	if r.CondCount != 158 || r.SupCount != 108 {
-		t.Errorf("counts %d/%d, want 158/108", r.CondCount, r.SupCount)
-	}
-	if _, err := OneConditionRule(ds, 2, 0, 0); err == nil {
-		t.Error("class attribute as condition should fail")
-	}
-	if _, err := OneConditionRule(ds, -1, 0, 0); err == nil {
-		t.Error("negative attribute should fail")
-	}
-}
-
 func TestRuleFormatWithoutDataset(t *testing.T) {
 	r := Rule{
 		Conditions: []Condition{{Attr: 3, Value: 2}},

@@ -297,16 +297,6 @@ func (c *Comparator) Compare(in Input, opts Options) (*Result, error) {
 	return c.CompareContext(context.Background(), in, opts)
 }
 
-// ctxOrFault is the per-item check inserted into the pipeline loops:
-// it returns the context's error as soon as it is done, and otherwise
-// passes through the named fault point.
-func ctxOrFault(ctx context.Context, site string) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return faultinject.HitContext(ctx, site)
-}
-
 // CompareContext is Compare under a context, checked once per
 // candidate attribute (and once per row block while counting). It is
 // always strict: on cancellation it returns ctx.Err() rather than a
@@ -323,39 +313,27 @@ func (c *Comparator) CompareContext(ctx context.Context, in Input, opts Options)
 // from opts.Attrs by resolveRankAttrs once for a whole sweep; nil
 // resolves it per call (see prepare).
 func (c *Comparator) compare(ctx context.Context, in Input, opts Options, attrs []int) (*Result, error) {
-	total := func() (int64, error) {
-		// The comparison attribute's 1-D cube totals the countable
-		// records (attribute and class both present) — the same
-		// population OneVsRest totals over, which unlike the working
-		// dataset's row count leaves out rows missing either value.
-		cube, err := c.src.CubeN(ctx, []int{in.Attr})
-		if err != nil {
-			return 0, fmt.Errorf("compare: attribute %d unavailable: %w", in.Attr, err)
-		}
-		return cube.Total(), nil
+	if err := checkInput(c.ds, in); err != nil {
+		return nil, err
 	}
-	res, attrs, err := prepare(c.ds, in, opts, attrs, total, func(attr int, value, class int32) (condCount, supCount int64, err error) {
-		cube, err := c.src.CubeN(ctx, []int{attr})
-		if err != nil {
-			return 0, 0, fmt.Errorf("compare: attribute %d unavailable: %w", attr, err)
-		}
-		cond, err := cube.CondCount([]int32{value})
-		if err != nil {
-			return 0, 0, err
-		}
-		sup, err := cube.Count([]int32{value}, class)
-		if err != nil {
-			return 0, 0, err
-		}
-		return cond, sup, nil
-	})
+	// The comparison attribute's 1-D cube holds both input rules and
+	// their total: the countable records (attribute and class both
+	// present), the same population OneVsRest totals over, which unlike
+	// the working dataset's row count leaves out rows missing either
+	// value.
+	cube, err := c.src.CubeN(ctx, []int{in.Attr})
+	if err != nil {
+		return nil, fmt.Errorf("compare: attribute %d unavailable: %w", in.Attr, err)
+	}
+	res, attrs, err := prepare(c.ds, cube, in, opts, attrs)
 	if err != nil {
 		return nil, err
 	}
+	v1, v2 := res.result.Rule1.Conditions[0].Value, res.result.Rule2.Conditions[0].Value
 
 	// One engine call serves every candidate: resident pair cubes are
 	// read, the rest counted together over D1 ∪ D2 alone.
-	tabs, err := c.src.PairSlices(ctx, in.Attr, res.v1, res.v2, attrs)
+	tabs, err := c.src.PairSlices(ctx, in.Attr, v1, v2, attrs)
 	if err != nil {
 		return nil, fmt.Errorf("compare: pair cubes of attribute %d unavailable: %w", in.Attr, err)
 	}
@@ -368,7 +346,7 @@ func (c *Comparator) compare(ctx context.Context, in Input, opts Options, attrs 
 		attrTimes = obsv.Default().Histogram(obsv.CompareAttrHistogramName, nil)
 	}
 	for k, ai := range attrs {
-		if err := ctxOrFault(ctx, faultinject.SiteCompareAttr); err != nil {
+		if err := faultinject.Check(ctx, faultinject.SiteCompareAttr); err != nil {
 			return nil, err
 		}
 		var attrStart time.Time
@@ -402,6 +380,11 @@ type valueTable struct {
 	n2, c2 []int64 // per value: total and class-c_a counts in D2
 }
 
+// flip returns the table with its two sides exchanged.
+func (t valueTable) flip() valueTable {
+	return valueTable{n1: t.n2, c1: t.c2, n2: t.n1, c2: t.c1}
+}
+
 // newValueTable returns a zeroed table of card values in one
 // allocation.
 func newValueTable(card int) valueTable {
@@ -426,25 +409,10 @@ func tableOf(buf []int64, card int) valueTable {
 // ranking, which every score is written into in place.
 type computation struct {
 	result *Result
-	v1, v2 int32 // oriented value codes (v1 = lower-confidence side)
 
 	buf    []int64    // the reserved scratch every value table is cut from
 	tab    valueTable // the current candidate's table
 	counts []ValueCounts
-}
-
-// newComputation starts scoring for res, whose Ratio and Options are
-// set: it fixes the result's CI z-value, which fails for an invalid
-// confidence level.
-func newComputation(res *Result, v1, v2 int32) (*computation, error) {
-	if !res.Options.DisableCI {
-		z, err := stats.ZValue(res.Options.level())
-		if err != nil {
-			return nil, err
-		}
-		res.z = z
-	}
-	return &computation{result: res, v1: v1, v2: v2}, nil
 }
 
 // reserve sizes the computation's buffers for scoring attrs of ds.
@@ -550,92 +518,81 @@ func byScore(a, b *AttrScore) int {
 	return strings.Compare(a.Name, b.Name)
 }
 
-// ruleCounter abstracts how the two input rules' counts are obtained
-// (cube store vs. raw scan).
-type ruleCounter func(attr int, value, class int32) (condCount, supCount int64, err error)
-
-// prepare validates the input, counts the two input rules, orients them
-// so cf1 < cf2, and returns the candidate attribute list: attrs when
-// the caller resolved it already, else opts.Attrs resolved after the
-// rules are counted, so an input error wins over a list error. total is
-// called only after the input validates; it supplies the record count
-// the input rules' Support is relative to (records where the
-// comparison attribute and the class are both present).
-func prepare(ds *dataset.Dataset, in Input, opts Options, attrs []int, total func() (int64, error), count ruleCounter) (*computation, []int, error) {
+// checkInput rejects a pairwise input that does not name two distinct
+// values of a condition attribute of ds and one of its classes.
+func checkInput(ds *dataset.Dataset, in Input) error {
 	if in.Attr < 0 || in.Attr >= ds.NumAttrs() || in.Attr == ds.ClassIndex() {
-		return nil, nil, fmt.Errorf("compare: invalid comparison attribute %d", in.Attr)
+		return fmt.Errorf("compare: invalid comparison attribute %d", in.Attr)
 	}
 	card := ds.Cardinality(in.Attr)
 	if in.V1 < 0 || int(in.V1) >= card || in.V2 < 0 || int(in.V2) >= card {
-		return nil, nil, fmt.Errorf("compare: values %d,%d out of range [0,%d) for attribute %q", in.V1, in.V2, card, ds.Attr(in.Attr).Name)
+		return fmt.Errorf("compare: values %d,%d out of range [0,%d) for attribute %q", in.V1, in.V2, card, ds.Attr(in.Attr).Name)
 	}
 	if in.V1 == in.V2 {
-		return nil, nil, fmt.Errorf("compare: the two values must differ")
+		return fmt.Errorf("compare: the two values must differ")
 	}
 	if in.Class < 0 || int(in.Class) >= ds.NumClasses() {
-		return nil, nil, fmt.Errorf("compare: class %d out of range [0,%d)", in.Class, ds.NumClasses())
+		return fmt.Errorf("compare: class %d out of range [0,%d)", in.Class, ds.NumClasses())
 	}
+	return nil
+}
 
-	n1, c1, err := count(in.Attr, in.V1, in.Class)
-	if err != nil {
-		return nil, nil, err
-	}
-	n2, c2, err := count(in.Attr, in.V2, in.Class)
-	if err != nil {
-		return nil, nil, err
-	}
-	if opts.MinRuleSupport > 0 {
-		if n1 < opts.MinRuleSupport || n2 < opts.MinRuleSupport {
-			return nil, nil, fmt.Errorf("compare: sub-population sizes %d and %d below MinRuleSupport %d", n1, n2, opts.MinRuleSupport)
-		}
+// orient is the comparator's preamble (Fig. 3), shared by every
+// comparison: r1 and r2 are the counted input rules of the caller's
+// two sub-populations. It rejects a side below opts.MinRuleSupport, an
+// empty side and a lower side of zero confidence (the ratio cf2/cf1 is
+// then undefined) as ErrValueUndefined, orients the rules so that
+// cf1 < cf2, and starts scoring; it also fails for an invalid
+// confidence level.
+func orient(r1, r2 car.Rule, opts Options) (*computation, error) {
+	n1, n2 := r1.CondCount, r2.CondCount
+	if opts.MinRuleSupport > 0 && (n1 < opts.MinRuleSupport || n2 < opts.MinRuleSupport) {
+		return nil, undefinedf("compare: sub-population sizes %d and %d below MinRuleSupport %d", n1, n2, opts.MinRuleSupport)
 	}
 	if n1 == 0 || n2 == 0 {
-		return nil, nil, fmt.Errorf("compare: empty sub-population (|D1|=%d, |D2|=%d)", n1, n2)
+		return nil, undefinedf("compare: empty sub-population (|D1|=%d, |D2|=%d)", n1, n2)
 	}
-	tot, err := total()
+	res := &Result{Rule1: r1, Rule2: r2, Options: opts}
+	if r1.Confidence() > r2.Confidence() {
+		res.Rule1, res.Rule2, res.Swapped = r2, r1, true
+	}
+	if res.Rule1.SupCount == 0 {
+		return nil, undefinedf("compare: the lower-confidence side (%d records) has zero confidence; the expectation ratio cf2/cf1 is undefined", res.Rule1.CondCount)
+	}
+	res.Cf1, res.Cf2 = res.Rule1.Confidence(), res.Rule2.Confidence()
+	res.Ratio = res.Cf2 / res.Cf1
+	if !opts.DisableCI {
+		z, err := stats.ZValue(opts.level())
+		if err != nil {
+			return nil, err
+		}
+		res.z = z
+	}
+	return &computation{result: res}, nil
+}
+
+// prepare reads a pairwise comparison's two input rules from the
+// comparison attribute's 1-D cube, orients them, and returns the
+// candidate attribute list: attrs when the caller resolved it already,
+// else opts.Attrs resolved after the preamble, so an input error wins
+// over a list error.
+func prepare(ds *dataset.Dataset, cube *rulecube.Cube, in Input, opts Options, attrs []int) (*computation, []int, error) {
+	r1, err := cube.Rule([]int32{in.V1}, in.Class)
 	if err != nil {
 		return nil, nil, err
 	}
-
-	mk := func(v int32, cond, sup int64) car.Rule {
-		return car.Rule{
-			Conditions: []car.Condition{{Attr: in.Attr, Value: v}},
-			Class:      in.Class,
-			SupCount:   sup,
-			CondCount:  cond,
-			Total:      tot,
-		}
+	r2, err := cube.Rule([]int32{in.V2}, in.Class)
+	if err != nil {
+		return nil, nil, err
 	}
-	r1, r2 := mk(in.V1, n1, c1), mk(in.V2, n2, c2)
-	swapped := false
-	if r1.Confidence() > r2.Confidence() {
-		r1, r2 = r2, r1
-		in.V1, in.V2 = in.V2, in.V1
-		swapped = true
+	comp, err := orient(r1, r2, opts)
+	if err != nil {
+		return nil, nil, err
 	}
-	cf1, cf2 := r1.Confidence(), r2.Confidence()
-	if r1.SupCount == 0 {
-		return nil, nil, fmt.Errorf("compare: rule %s has zero confidence; the expectation ratio cf2/cf1 is undefined", r1.Format(ds))
-	}
-
 	if attrs == nil {
 		if attrs, err = resolveRankAttrs(ds, in.Attr, opts.Attrs); err != nil {
 			return nil, nil, err
 		}
-	}
-
-	res := &Result{
-		Rule1:   r1,
-		Rule2:   r2,
-		Swapped: swapped,
-		Cf1:     cf1,
-		Cf2:     cf2,
-		Ratio:   cf2 / cf1,
-		Options: opts,
-	}
-	comp, err := newComputation(res, in.V1, in.V2)
-	if err != nil {
-		return nil, nil, err
 	}
 	comp.reserve(ds, attrs)
 	return comp, attrs, nil
@@ -743,38 +700,22 @@ func Scan(ds *dataset.Dataset, in Input, opts Options) (*Result, error) {
 	if !ds.AllCategorical() {
 		return nil, fmt.Errorf("compare: dataset has continuous attributes; discretize first")
 	}
-	total := func() (int64, error) {
-		// Mirror the cube path's population exactly: records where the
-		// comparison attribute and the class are both present.
-		var n int64
-		col, cls := &ds.Column(in.Attr).Codes, &ds.Column(ds.ClassIndex()).Codes
-		for r := 0; r < ds.NumRows(); r++ {
-			if col.At(r) >= 0 && cls.At(r) >= 0 {
-				n++
-			}
-		}
-		return n, nil
+	if err := checkInput(ds, in); err != nil {
+		return nil, err
 	}
-	res, attrs, err := prepare(ds, in, opts, nil, total, func(attr int, value, class int32) (int64, int64, error) {
-		var cond, sup int64
-		col, cls := &ds.Column(attr).Codes, &ds.Column(ds.ClassIndex()).Codes
-		for r := 0; r < ds.NumRows(); r++ {
-			cl := cls.At(r)
-			if col.At(r) != value || cl < 0 {
-				continue
-			}
-			cond++
-			if cl == class {
-				sup++
-			}
-		}
-		return cond, sup, nil
-	})
+	// One pass counts both input rules and their total, as the cube
+	// path reads them.
+	cube, err := rulecube.Build(ds, []int{in.Attr})
+	if err != nil {
+		return nil, err
+	}
+	res, attrs, err := prepare(ds, cube, in, opts, nil)
 	if err != nil {
 		return nil, err
 	}
 	// One pass over D1 ∪ D2 counts every candidate's two slices.
-	tabs, err := rulecube.CountSlices(context.Background(), ds, in.Attr, res.v1, res.v2, attrs)
+	v1, v2 := res.result.Rule1.Conditions[0].Value, res.result.Rule2.Conditions[0].Value
+	tabs, err := rulecube.CountSlices(context.Background(), ds, in.Attr, v1, v2, attrs)
 	if err != nil {
 		return nil, err
 	}
@@ -789,51 +730,32 @@ func Scan(ds *dataset.Dataset, in Input, opts Options) (*Result, error) {
 // per-value counts, without a dataset. It is the computational core
 // exposed for tests and for the boundary-condition demonstrations of
 // Fig. 2/Fig. 4: n1/c1 are the per-value total and class counts in D1,
-// n2/c2 in D2. Labels may be nil.
+// n2/c2 in D2. Labels may be nil. The input rules are the two sides'
+// totals, validated and oriented as every comparison's are.
 func CompareValues(name string, labels []string, n1, c1, n2, c2 []int64, opts Options) (AttrScore, Result, error) {
 	card := len(n1)
 	if len(c1) != card || len(n2) != card || len(c2) != card {
 		return AttrScore{}, Result{}, fmt.Errorf("compare: count slices must have equal length")
 	}
-	var t1n, t1c, t2n, t2c int64
+	var r1, r2 car.Rule
 	for k := 0; k < card; k++ {
 		if c1[k] > n1[k] || c2[k] > n2[k] || n1[k] < 0 || n2[k] < 0 || c1[k] < 0 || c2[k] < 0 {
 			return AttrScore{}, Result{}, fmt.Errorf("compare: invalid counts at value %d", k)
 		}
-		t1n += n1[k]
-		t1c += c1[k]
-		t2n += n2[k]
-		t2c += c2[k]
+		r1.CondCount += n1[k]
+		r1.SupCount += c1[k]
+		r2.CondCount += n2[k]
+		r2.SupCount += c2[k]
 	}
-	if t1n == 0 || t2n == 0 {
-		return AttrScore{}, Result{}, fmt.Errorf("compare: empty sub-population")
-	}
-	cf1 := float64(t1c) / float64(t1n)
-	cf2 := float64(t2c) / float64(t2n)
-	swapped := false
-	if cf1 > cf2 {
-		n1, n2 = n2, n1
-		c1, c2 = c2, c1
-		t1n, t2n = t2n, t1n
-		t1c, t2c = t2c, t1c
-		cf1, cf2 = cf2, cf1
-		swapped = true
-	}
-	if t1c == 0 {
-		return AttrScore{}, Result{}, fmt.Errorf("compare: lower-confidence rule has zero confidence")
-	}
-	res := Result{
-		Rule1:   car.Rule{SupCount: t1c, CondCount: t1n, Total: t1n + t2n},
-		Rule2:   car.Rule{SupCount: t2c, CondCount: t2n, Total: t1n + t2n},
-		Swapped: swapped,
-		Cf1:     cf1,
-		Cf2:     cf2,
-		Ratio:   cf2 / cf1,
-		Options: opts,
-	}
-	comp, err := newComputation(&res, 0, 0)
+	r1.Total = r1.CondCount + r2.CondCount
+	r2.Total = r1.Total
+	comp, err := orient(r1, r2, opts)
 	if err != nil {
 		return AttrScore{}, Result{}, err
+	}
+	tab := valueTable{n1: n1, c1: c1, n2: n2, c2: c2}
+	if comp.result.Swapped {
+		tab = tab.flip()
 	}
 	names := make([]string, card)
 	for k := range names {
@@ -846,10 +768,11 @@ func CompareValues(name string, labels []string, n1, c1, n2, c2 []int64, opts Op
 	if name == "" {
 		name = "attr"
 	}
-	comp.add(0, name, names, &valueTable{n1: n1, c1: c1, n2: n2, c2: c2})
+	comp.add(0, name, names, &tab)
 	comp.finish()
+	res := comp.result
 	if len(res.Property) > 0 {
-		return res.Property[0], res, nil
+		return res.Property[0], *res, nil
 	}
-	return res.Ranked[0], res, nil
+	return res.Ranked[0], *res, nil
 }

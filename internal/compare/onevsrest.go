@@ -5,22 +5,23 @@ import (
 	"errors"
 	"fmt"
 
-	"opmap/internal/car"
 	"opmap/internal/dataset"
 	"opmap/internal/faultinject"
 	"opmap/internal/rulecube"
 )
 
-// ErrValueUndefined classifies one-vs-rest failures that are properties
-// of the data rather than of the request: a degenerate split, a side
-// below MinRuleSupport, a class absent from both sides, or an undefined
-// confidence ratio. OneVsRestAll skips such values instead of failing
-// the whole run; callers can test with errors.Is.
+// ErrValueUndefined classifies comparison failures that are properties
+// of the data rather than of the request: a side below MinRuleSupport,
+// an empty side, or a lower side of zero confidence (a class absent
+// from both sides among them), where the ratio cf2/cf1 is undefined.
+// Every comparison's preamble (orient) reports them; OneVsRestAll skips
+// such values instead of failing the whole run. Callers can test with
+// errors.Is.
 var ErrValueUndefined = errors.New("compare: value comparison undefined")
 
 // undefinedError carries a specific message while matching
-// ErrValueUndefined under errors.Is, so the long-standing error texts
-// stay stable for callers that match on them.
+// ErrValueUndefined under errors.Is, so each failure keeps its own
+// text.
 type undefinedError struct{ msg string }
 
 func (e *undefinedError) Error() string { return e.msg }
@@ -89,79 +90,33 @@ func (c *Comparator) oneVsRest(ctx context.Context, in OneVsRestInput, opts Opti
 	if err != nil {
 		return nil, fmt.Errorf("compare: attribute %d unavailable: %w", in.Attr, err)
 	}
-
-	// Counts of the two sides from the 2-D cube.
-	condV, err := cube.CondCount([]int32{in.Value})
+	// The value side's rule is a cell of the 1-D cube; the rest is the
+	// cube's total minus it. car.Rule cannot express the negated "rest"
+	// condition; both sides carry the positive condition for display,
+	// and the counts tell the sides apart (the value side has CondCount
+	// == |D_v|).
+	value, err := cube.Rule([]int32{in.Value}, in.Class)
 	if err != nil {
 		return nil, err
 	}
-	supV, err := cube.Count([]int32{in.Value}, in.Class)
+	rest := value
+	rest.CondCount = cube.Total() - value.CondCount
+	rest.SupCount = cube.ClassMarginals()[in.Class] - value.SupCount
+	comp, err := orient(value, rest, opts)
 	if err != nil {
 		return nil, err
 	}
-	classTotals := cube.ClassMarginals()
-	total := cube.Total()
-	condRest := total - condV
-	supRest := classTotals[in.Class] - supV
-
-	if condV == 0 || condRest == 0 {
-		return nil, undefinedf("compare: degenerate split (|D_v|=%d, |D_rest|=%d)", condV, condRest)
-	}
-	if opts.MinRuleSupport > 0 && (condV < opts.MinRuleSupport || condRest < opts.MinRuleSupport) {
-		return nil, undefinedf("compare: sub-population below MinRuleSupport %d", opts.MinRuleSupport)
-	}
-	cfV := float64(supV) / float64(condV)
-	cfRest := float64(supRest) / float64(condRest)
-	if supV == 0 && supRest == 0 {
-		return nil, undefinedf("compare: class %d absent from both sides", in.Class)
-	}
-
-	// Orient: sub-population 1 is the lower-confidence side.
-	res := &Result{Options: opts}
-	restIsHigh := cfRest >= cfV
-	mkRule := func(cond, sup int64) carRule {
-		return carRule{cond: cond, sup: sup}
-	}
-	lo, hi := mkRule(condV, supV), mkRule(condRest, supRest)
-	if !restIsHigh {
-		lo, hi = hi, lo
-		res.Swapped = true
-	}
-	res.Cf1 = float64(lo.sup) / float64(lo.cond)
-	res.Cf2 = float64(hi.sup) / float64(hi.cond)
-	if lo.sup == 0 {
-		return nil, undefinedf("compare: lower-confidence side has zero confidence; ratio undefined")
-	}
-	res.Ratio = res.Cf2 / res.Cf1
-	// car.Rule cannot express the negated "rest" condition; both sides
-	// carry the positive condition for display, and the counts tell the
-	// sides apart (the value side has CondCount == condV).
-	mk := func(r carRule) car.Rule {
-		return car.Rule{
-			Conditions: []car.Condition{{Attr: in.Attr, Value: in.Value}},
-			Class:      in.Class,
-			SupCount:   r.sup,
-			CondCount:  r.cond,
-			Total:      total,
-		}
-	}
-	res.Rule1 = mk(lo)
-	res.Rule2 = mk(hi)
-
-	comp, err := newComputation(res, 0, 0)
-	if err != nil {
-		return nil, err
-	}
+	res := comp.result
 	comp.reserve(ds, attrs)
 	for i, ai := range attrs {
-		if err := ctxOrFault(ctx, faultinject.SiteCompareAttr); err != nil {
+		if err := faultinject.Check(ctx, faultinject.SiteCompareAttr); err != nil {
 			if !opts.PartialOnDeadline || ctx.Err() == nil {
 				return nil, err
 			}
 			res.Partial = true
-			for _, rest := range attrs[i:] {
+			for _, skipped := range attrs[i:] {
 				res.Unscored = append(res.Unscored, ItemError{
-					Item: ds.Attr(rest).Name,
+					Item: ds.Attr(skipped).Name,
 					Err:  err.Error(),
 				})
 			}
@@ -175,7 +130,7 @@ func (c *Comparator) oneVsRest(ctx context.Context, in OneVsRestInput, opts Opti
 		if err != nil {
 			return nil, fmt.Errorf("compare: attribute %d unavailable: %w", ai, err)
 		}
-		tab, err := comp.oneVsRestTable(pair, marginal, in.Attr, ai, in.Value, in.Class, restIsHigh)
+		tab, err := comp.oneVsRestTable(pair, marginal, in.Attr, ai, in.Value, in.Class)
 		if err != nil {
 			return nil, err
 		}
@@ -184,9 +139,6 @@ func (c *Comparator) oneVsRest(ctx context.Context, in OneVsRestInput, opts Opti
 	comp.finish()
 	return res, nil
 }
-
-// carRule is a minimal count pair used during orientation.
-type carRule struct{ cond, sup int64 }
 
 // defaultRankAttrs lists every attribute except the split attribute and
 // the class, the default candidate set for ranking.
@@ -204,9 +156,9 @@ func defaultRankAttrs(ds *dataset.Dataset, splitAttr int) []int {
 // attribute ai for the split A=v vs A≠v: the "value" side comes from the
 // pair cube sliced at v; the "rest" side is the candidate's marginal
 // cube minus the value side. Ranges are checked once, then both sides
-// are read from the cubes' cells. The table is the computation's
-// scratch.
-func (comp *computation) oneVsRestTable(pair, marginal *rulecube.Cube, a1, ai int, v, class int32, restIsHigh bool) (*valueTable, error) {
+// are read from the cubes' cells into the sides the preamble oriented
+// them to. The table is the computation's scratch.
+func (comp *computation) oneVsRestTable(pair, marginal *rulecube.Cube, a1, ai int, v, class int32) (*valueTable, error) {
 	idx := pair.AttrIndices()
 	if len(idx) != 2 || !(idx[0] == a1 && idx[1] == ai || idx[0] == ai && idx[1] == a1) {
 		return nil, fmt.Errorf("compare: cube dimensions %v do not match (%d,%d)", idx, a1, ai)
@@ -223,21 +175,20 @@ func (comp *computation) oneVsRestTable(pair, marginal *rulecube.Cube, a1, ai in
 		return nil, fmt.Errorf("compare: marginal cube %v does not cover the %d values of attribute %d", mi, card, ai)
 	}
 	t := comp.table(card)
-	// The value side goes where the lower-confidence side belongs; the
-	// rest is the marginal minus it.
-	vn, vc, rn, rc := t.n1, t.c1, t.n2, t.c2
-	if !restIsHigh {
-		vn, vc, rn, rc = rn, rc, vn, vc
+	// Side 1 is the value side unless the preamble swapped it to 2.
+	vr := *t
+	if comp.result.Swapped {
+		vr = vr.flip()
 	}
-	side.Fill(class, vn, vc)
+	side.Fill(class, vr.n1, vr.c1)
 	cells := marginal.Counts()
-	for k := range rn {
+	for k := range vr.n2 {
 		row := cells[k*nc:][:nc]
 		var all int64
 		for _, c := range row {
 			all += c
 		}
-		rn[k], rc[k] = all-vn[k], row[class]-vc[k]
+		vr.n2[k], vr.c2[k] = all-vr.n1[k], row[class]-vr.c1[k]
 	}
 	return t, nil
 }

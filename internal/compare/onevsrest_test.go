@@ -1,8 +1,12 @@
 package compare
 
 import (
+	"errors"
 	"math"
+	"slices"
 	"testing"
+
+	"opmap/internal/dataset"
 )
 
 func TestOneVsRestRecoversPlantedCause(t *testing.T) {
@@ -119,6 +123,157 @@ func TestOneVsRestAgreesWithScanOnTwoValueAttr(t *testing.T) {
 	if res.Rule2.CondCount != restCond || res.Rule2.SupCount != restSup {
 		t.Errorf("rest side counts (%d,%d), want (%d,%d)",
 			res.Rule2.CondCount, res.Rule2.SupCount, restCond, restSup)
+	}
+
+	// The same two sub-populations, recounted row by row and scored
+	// one candidate at a time through CompareValues, give the same
+	// scores and ranking: both go through the one preamble. The call
+	// log has no missing values, so each candidate's per-value counts
+	// total the input rules.
+	var ranked, property []AttrScore
+	for a := 0; a < ds.NumAttrs(); a++ {
+		if a == phone || a == ds.ClassIndex() {
+			continue
+		}
+		card := ds.Cardinality(a)
+		n := [2][]int64{make([]int64, card), make([]int64, card)}
+		c := [2][]int64{make([]int64, card), make([]int64, card)}
+		for r := 0; r < ds.NumRows(); r++ {
+			side := 1
+			if ds.CatCode(r, phone) == good {
+				side = 0
+			}
+			k := ds.CatCode(r, a)
+			if k < 0 || ds.ClassCode(r) < 0 {
+				continue
+			}
+			n[side][k]++
+			if ds.ClassCode(r) == cls {
+				c[side][k]++
+			}
+		}
+		s, one, err := CompareValues(ds.Attr(a).Name, nil, n[0], c[0], n[1], c[1], Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if one.Cf1 != res.Cf1 || one.Cf2 != res.Cf2 || one.Swapped != res.Swapped {
+			t.Fatalf("%s: CompareValues oriented cf1=%v cf2=%v swapped=%t, one-vs-rest cf1=%v cf2=%v swapped=%t",
+				s.Name, one.Cf1, one.Cf2, one.Swapped, res.Cf1, res.Cf2, res.Swapped)
+		}
+		if s.Property {
+			property = append(property, s)
+		} else {
+			ranked = append(ranked, s)
+		}
+	}
+	for _, l := range []struct {
+		name      string
+		got, want []AttrScore
+	}{{"ranked", ranked, res.Ranked}, {"property", property, res.Property}} {
+		slices.SortStableFunc(l.got, func(a, b AttrScore) int { return byScore(&a, &b) })
+		if len(l.got) != len(l.want) {
+			t.Fatalf("%s: CompareValues gives %d attributes, one-vs-rest %d", l.name, len(l.got), len(l.want))
+		}
+		for i := range l.got {
+			if l.got[i].Name != l.want[i].Name || l.got[i].Score != l.want[i].Score {
+				t.Errorf("%s %d: CompareValues %s (%v), one-vs-rest %s (%v)",
+					l.name, i, l.got[i].Name, l.got[i].Score, l.want[i].Name, l.want[i].Score)
+			}
+		}
+	}
+
+	// Each data-dependent failure of the preamble, on a two-valued
+	// split: one-vs-rest, the pairwise compare and CompareValues all
+	// refuse it as ErrValueUndefined, and OneVsRestAll skips both
+	// values.
+	side := func(label string, rows, drops int) [][]string {
+		out := make([][]string, rows)
+		for i := range out {
+			class := "ok"
+			if i < drops {
+				class = "drop"
+			}
+			out[i] = []string{label, []string{"x1", "x2"}[i%2], class}
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name string
+		rows [][]string
+		opts Options
+	}{
+		{"side below MinRuleSupport", slices.Concat(side("a", 5, 1), side("b", 50, 10)), Options{MinRuleSupport: 10}},
+		// b is in the dictionary, but its one row has no class.
+		{"empty side", slices.Concat(side("a", 20, 4), [][]string{{"b", "x1", dataset.MissingLabel}}), Options{}},
+		{"lower side with zero confidence", slices.Concat(side("a", 20, 0), side("b", 20, 5)), Options{}},
+		// drop is a class only on a row with no split value.
+		{"class absent from both sides", slices.Concat(side("a", 20, 0), side("b", 20, 0), [][]string{{dataset.MissingLabel, "x1", "drop"}}), Options{}},
+	} {
+		b, err := dataset.NewBuilder(dataset.Schema{
+			Attrs: []dataset.Attribute{
+				{Name: "Split", Kind: dataset.Categorical},
+				{Name: "X", Kind: dataset.Categorical},
+				{Name: "Class", Kind: dataset.Categorical},
+			},
+			ClassIndex: 2,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range tc.rows {
+			if err := b.AddRow(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tds, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		va, _ := tds.Column(0).Dict.Lookup("a")
+		vb, _ := tds.Column(0).Dict.Lookup("b")
+		drop, ok := tds.ClassDict().Lookup("drop")
+		if !ok {
+			t.Fatalf("%s: no drop class", tc.name)
+		}
+		c := NewSource(pinAll(t, tds))
+		_, err = c.OneVsRest(OneVsRestInput{Attr: 0, Value: va, Class: drop}, tc.opts)
+		if !errors.Is(err, ErrValueUndefined) {
+			t.Errorf("%s: one-vs-rest error %v, want ErrValueUndefined", tc.name, err)
+		}
+		if _, err := c.Compare(Input{Attr: 0, V1: va, V2: vb, Class: drop}, tc.opts); !errors.Is(err, ErrValueUndefined) {
+			t.Errorf("%s: compare error %v, want ErrValueUndefined", tc.name, err)
+		}
+		all, err := c.OneVsRestAll(0, drop, OneVsRestAllOptions{Compare: tc.opts})
+		if err != nil || len(all.Values) != 0 || len(all.Skipped) != 2 {
+			t.Errorf("%s: OneVsRestAll ranked %d values and skipped %d (err %v), want both skipped", tc.name, len(all.Values), len(all.Skipped), err)
+		}
+		// CompareValues over X's per-value counts of each side.
+		n := [2][]int64{make([]int64, 2), make([]int64, 2)}
+		cc := [2][]int64{make([]int64, 2), make([]int64, 2)}
+		for r := 0; r < tds.NumRows(); r++ {
+			v, cl := tds.CatCode(r, 0), tds.ClassCode(r)
+			if v < 0 || cl < 0 {
+				continue
+			}
+			s := 0
+			if v == vb {
+				s = 1
+			}
+			n[s][tds.CatCode(r, 1)]++
+			if cl == drop {
+				cc[s][tds.CatCode(r, 1)]++
+			}
+		}
+		if _, _, err := CompareValues("X", nil, n[0], cc[0], n[1], cc[1], tc.opts); !errors.Is(err, ErrValueUndefined) {
+			t.Errorf("%s: CompareValues error %v, want ErrValueUndefined", tc.name, err)
+		}
+		if tc.opts.MinRuleSupport > 0 {
+			// The counts themselves are comparable: only MinRuleSupport
+			// refuses them.
+			if _, _, err := CompareValues("X", nil, n[0], cc[0], n[1], cc[1], Options{}); err != nil {
+				t.Errorf("%s: CompareValues without MinRuleSupport: %v", tc.name, err)
+			}
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"opmap/internal/car"
 	"opmap/internal/dataset"
 	"opmap/internal/faultinject"
 	"opmap/internal/obsv"
@@ -84,7 +85,7 @@ func PermutationTestContext(ctx context.Context, ds *dataset.Dataset, in Input, 
 	var null []float64
 	exceed := 0
 	for round := 0; round < rounds; round++ {
-		if err := ctxOrFault(ctx, faultinject.SitePermRound); err != nil {
+		if err := faultinject.Check(ctx, faultinject.SitePermRound); err != nil {
 			return PermutationResult{}, err
 		}
 		rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
@@ -149,7 +150,7 @@ func collectPool(ds *dataset.Dataset, in Input, attr int, swapped bool) (pool []
 	ai := &ds.Column(attr).Codes
 	cls := &ds.Column(ds.ClassIndex()).Codes
 	v1, v2 := in.V1, in.V2
-	// Match the observed orientation: prepare() may have swapped.
+	// Match the observed orientation: the preamble may have swapped.
 	if swapped {
 		v1, v2 = v2, v1
 	}
@@ -176,24 +177,17 @@ func summarizeNull(null []float64) (mean, q95 float64) {
 	return sum / float64(len(null)), null[int(0.95*float64(len(null)-1))]
 }
 
-// permScore computes M for a permuted table, orienting so cf1 < cf2.
+// permScore computes M for a permuted table through the comparator's
+// preamble. MinRuleSupport is left to the observed comparison, which
+// applied it to the whole sub-populations.
 func permScore(tab valueTable, t1n, t1c, t2n, t2c int64, opts Options) (float64, bool) {
-	if t1n == 0 || t2n == 0 {
-		return 0, false
-	}
-	cf1 := float64(t1c) / float64(t1n)
-	cf2 := float64(t2c) / float64(t2n)
-	if cf1 > cf2 {
-		tab.n1, tab.n2 = tab.n2, tab.n1
-		tab.c1, tab.c2 = tab.c2, tab.c1
-		cf1, cf2 = cf2, cf1
-	}
-	if t1c == 0 || t2c == 0 {
-		return 0, false
-	}
-	comp, err := newComputation(&Result{Cf1: cf1, Cf2: cf2, Ratio: cf2 / cf1, Options: opts}, 0, 0)
+	opts.MinRuleSupport = 0
+	comp, err := orient(car.Rule{CondCount: t1n, SupCount: t1c}, car.Rule{CondCount: t2n, SupCount: t2c}, opts)
 	if err != nil {
 		return 0, false
+	}
+	if comp.result.Swapped {
+		tab = tab.flip()
 	}
 	var s AttrScore
 	comp.score(&s, 0, "perm", nil, &tab)

@@ -74,7 +74,7 @@ func TestOneVsRestTableRejectsMismatchedCubes(t *testing.T) {
 	const phone, tm, region = 0, 1, 2
 	pair, marginal := build(wide, phone, tm), build(wide, tm)
 	comp := &computation{result: &Result{}}
-	if _, err := comp.oneVsRestTable(pair, marginal, phone, tm, 0, 0, true); err != nil {
+	if _, err := comp.oneVsRestTable(pair, marginal, phone, tm, 0, 0); err != nil {
 		t.Fatalf("matching cubes: %v", err)
 	}
 	for _, c := range []struct {
@@ -89,7 +89,7 @@ func TestOneVsRestTableRejectsMismatchedCubes(t *testing.T) {
 		{"negative class", pair, marginal, 0, -1},
 		{"value out of range", pair, marginal, 2, 0},
 	} {
-		if _, err := comp.oneVsRestTable(c.pair, c.marginal, phone, tm, c.v, c.class, true); err == nil {
+		if _, err := comp.oneVsRestTable(c.pair, c.marginal, phone, tm, c.v, c.class); err == nil {
 			t.Errorf("%s: no error", c.name)
 		}
 	}

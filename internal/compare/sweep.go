@@ -126,7 +126,7 @@ func (c *Comparator) SweepContext(ctx context.Context, attr int, class int32, op
 			res.PairsSkipped++ // ratio undefined; the comparator cannot take it
 			continue
 		}
-		err := ctxOrFault(ctx, faultinject.SiteSweepPair)
+		err := faultinject.Check(ctx, faultinject.SiteSweepPair)
 		if err == nil {
 			var cmp *Result
 			cmp, err = c.compare(ctx, Input{Attr: attr, V1: p.V1, V2: p.V2, Class: class}, opts.Compare, attrs)

@@ -12,7 +12,6 @@ package dataset
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 )
 
@@ -645,21 +644,4 @@ func (b *Builder) Build() (*Dataset, error) {
 	}
 	ds := &Dataset{schema: b.schema, cols: b.cols, rows: b.rows}
 	return ds, nil
-}
-
-// SortedValueCodes returns the codes of attribute attr ordered by label,
-// useful for deterministic display.
-func (ds *Dataset) SortedValueCodes(attr int) []int32 {
-	c := &ds.cols[attr]
-	if c.Kind != Categorical {
-		return nil
-	}
-	codes := make([]int32, c.Dict.Len())
-	for i := range codes {
-		codes[i] = int32(i)
-	}
-	sort.Slice(codes, func(i, j int) bool {
-		return c.Dict.Label(codes[i]) < c.Dict.Label(codes[j])
-	})
-	return codes
 }

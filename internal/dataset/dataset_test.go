@@ -317,23 +317,6 @@ func TestWithDictErrors(t *testing.T) {
 	}
 }
 
-func TestSortedValueCodes(t *testing.T) {
-	ds := buildSmall(t)
-	codes := ds.SortedValueCodes(0)
-	prev := ""
-	dict := ds.Column(0).Dict
-	for _, c := range codes {
-		l := dict.Label(c)
-		if l < prev {
-			t.Fatalf("codes not label-sorted: %q after %q", l, prev)
-		}
-		prev = l
-	}
-	if ds.SortedValueCodes(1) != nil {
-		t.Error("continuous attribute should yield nil")
-	}
-}
-
 // Property: Gather(perm) preserves multiset of class codes.
 func TestGatherPreservesClassMultiset(t *testing.T) {
 	ds := buildSmall(t)

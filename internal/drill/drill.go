@@ -451,7 +451,7 @@ search:
 		parents := make(map[*Finding]bool, len(beam))
 		next := make([]Finding, 0, 16)
 		for si, s := range sites {
-			if err := ctxErrOrFault(ctx); err != nil {
+			if err := faultinject.Check(ctx, faultinject.SiteDrillNode); err != nil {
 				if !opts.PartialOnDeadline || ctx.Err() == nil {
 					return nil, err
 				}
@@ -502,14 +502,6 @@ search:
 	return res, nil
 }
 
-// ctxErrOrFault mirrors compare.ctxOrFault for the drill loop.
-func ctxErrOrFault(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return faultinject.HitContext(ctx, faultinject.SiteDrillNode)
-}
-
 // annotateSites records the frontier work a degraded run did not
 // attempt.
 func annotateSites(res *Result, sites []site, ds *dataset.Dataset, err error) {
@@ -541,37 +533,28 @@ func (p *Planner) expand(root *compare.Result, cube *rulecube.Cube, split int, p
 			return nil, false, err
 		}
 	}
-	posSplit, posCand := dimOf(c, split), dimOf(c, cand)
-	if c.NumDims() != 2 || posSplit < 0 || posCand < 0 {
+	if c.NumDims() != 2 || dimOf(c, cand) < 0 {
 		return nil, false, fmt.Errorf("drill: reduced cube %v does not match attributes (%d,%d)", c.AttrIndices(), split, cand)
 	}
+	// The refined populations are the split = v1 and split = v2 slices
+	// of the plane, read as a pairwise compare reads its pair cubes.
+	s, err := rulecube.SlicesOf(c, split, v1, v2)
+	if err != nil {
+		return nil, false, err
+	}
+	card := s.Dim()
+	tab := make([]int64, 4*card)
+	n1s, c1s, n2s, c2s := tab[:card], tab[card:2*card], tab[2*card:3*card], tab[3*card:]
+	s.Side(0).Fill(class, n1s, c1s)
+	s.Side(1).Fill(class, n2s, c2s)
 
 	cf1 := float64(parent.C1) / float64(parent.N1)
 	cf2 := float64(parent.C2) / float64(parent.N2)
 	ratio := cf2 / cf1
 	denom := cf2 * float64(parent.N2)
 
-	coords := make([]int32, 2)
-	cell := func(v, k int32) (n, cc int64, err error) {
-		coords[posSplit], coords[posCand] = v, k
-		if n, err = c.CondCount(coords); err != nil {
-			return 0, 0, err
-		}
-		if cc, err = c.Count(coords, class); err != nil {
-			return 0, 0, err
-		}
-		return n, cc, nil
-	}
-	card := c.Dim(posCand)
-	for k := int32(0); int(k) < card; k++ {
-		n1, c1, err := cell(v1, k)
-		if err != nil {
-			return nil, false, err
-		}
-		n2, c2, err := cell(v2, k)
-		if err != nil {
-			return nil, false, err
-		}
+	for k := range int32(card) {
+		n1, c1, n2, c2 := n1s[k], c1s[k], n2s[k], c2s[k]
 		if n1 < opts.minSupport() || n2 < opts.minSupport() {
 			continue
 		}

@@ -3,6 +3,7 @@ package drill
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -138,6 +139,107 @@ func TestDrillEagerMatchesLazy(t *testing.T) {
 			t.Fatalf("finding %d differs: lazy %s (%v), eager %s (%v)", i, fa.Label(), fa.Score, fb.Label(), fb.Score)
 		}
 	}
+}
+
+// TestDrillFindingsMatchRecount drills the planted drill log and the
+// call log (with missing noise values) at random seeds, from an eager
+// and a lazy source, three conditions deep, and checks every finding's
+// counts against a brute-force recount of the rows where the split is
+// v1 or v2 and every condition of the finding holds. As in the cubes,
+// rows with a missing class or condition value are not counted.
+func TestDrillFindingsMatchRecount(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	for range 2 {
+		seed := rng.Int63n(1 << 20)
+		drillDS, dt, err := workload.DrillLog(workload.DrillLogConfig{Seed: seed, Records: 20000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		callDS, ct, err := workload.CallLog(workload.CallLogConfig{Seed: seed, Records: 20000, NoiseAttrs: 4, MissingRate: 0.1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The call log's effects are one-condition, so its raw
+		// confidences (no CI) are what carry a drill three deep.
+		for _, w := range []struct {
+			name                 string
+			ds                   *dataset.Dataset
+			split, v1, v2, class string
+			opts                 Options
+		}{
+			{"drill log", drillDS, dt.PhoneAttr, dt.GoodPhone, dt.BadPhone, dt.DropClass, Options{MaxDepth: 3}},
+			{"call log", callDS, ct.PhoneAttr, ct.GoodPhone, ct.BadPhone, ct.DropClass,
+				Options{MaxDepth: 3, MinSupport: 2, Compare: compare.Options{DisableCI: true}}},
+		} {
+			in := compare.Input{Attr: w.ds.AttrIndex(w.split)}
+			v1, ok1 := w.ds.Column(in.Attr).Dict.Lookup(w.v1)
+			v2, ok2 := w.ds.Column(in.Attr).Dict.Lookup(w.v2)
+			class, ok3 := w.ds.ClassDict().Lookup(w.class)
+			if in.Attr < 0 || !ok1 || !ok2 || !ok3 {
+				t.Fatalf("%s: ground-truth labels not in the dataset", w.name)
+			}
+			in.V1, in.V2, in.Class = v1, v2, class
+			for _, eager := range []bool{false, true} {
+				src, err := engine.NewLazy(w.ds, engine.LazyOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if eager {
+					if err := src.PinAll(context.Background()); err != nil {
+						t.Fatal(err)
+					}
+				}
+				res, err := New(src).DrillContext(context.Background(), in, w.opts)
+				if err != nil {
+					t.Fatalf("%s seed %d eager=%t: %v", w.name, seed, eager, err)
+				}
+				d1 := res.Root.Rule1.Conditions[0].Value
+				d2 := res.Root.Rule2.Conditions[0].Value
+				deepest := 0
+				for _, f := range res.Findings {
+					deepest = max(deepest, f.Depth)
+					n1, c1, n2, c2 := recount(w.ds, in.Attr, d1, d2, class, f.Conds)
+					if f.N1 != n1 || f.C1 != c1 || f.N2 != n2 || f.C2 != c2 {
+						t.Fatalf("%s seed %d eager=%t: finding %s counts (%d,%d,%d,%d), recount (%d,%d,%d,%d)",
+							w.name, seed, eager, f.Label(), f.N1, f.C1, f.N2, f.C2, n1, c1, n2, c2)
+					}
+				}
+				if deepest < 3 {
+					t.Fatalf("%s seed %d eager=%t: deepest finding has depth %d, want 3", w.name, seed, eager, deepest)
+				}
+			}
+		}
+	}
+}
+
+// recount counts, row by row, the rows of ds in class class and in
+// total where split = v1 (n1, c1) or split = v2 (n2, c2) and every
+// condition holds. A row with a missing class is skipped, and a missing
+// condition value matches no condition.
+func recount(ds *dataset.Dataset, split int, v1, v2, class int32, conds []Condition) (n1, c1, n2, c2 int64) {
+rows:
+	for r := 0; r < ds.NumRows(); r++ {
+		cl := ds.ClassCode(r)
+		if cl < 0 {
+			continue
+		}
+		for _, c := range conds {
+			if ds.CatCode(r, c.Attr) != c.Value {
+				continue rows
+			}
+		}
+		hit := int64(0)
+		if cl == class {
+			hit = 1
+		}
+		switch ds.CatCode(r, split) {
+		case v1:
+			n1, c1 = n1+1, c1+hit
+		case v2:
+			n2, c2 = n2+1, c2+hit
+		}
+	}
+	return n1, c1, n2, c2
 }
 
 // TestMeasureByName exercises the measure registry.

@@ -196,6 +196,17 @@ func HitCount(site string) int64 {
 // interruptible.
 func Hit(site string) error { return HitContext(context.Background(), site) }
 
+// Check is the per-item check of the pipeline loops (a compare's
+// candidates, a sweep's pairs, a drill's frontier nodes, permutation
+// rounds): it returns the context's error as soon as the context is
+// done, and otherwise passes through the named fault point.
+func Check(ctx context.Context, site string) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return HitContext(ctx, site)
+}
+
 // HitContext marks one pass through a named fault point. With no fault
 // armed it returns nil at the cost of one atomic load. With faults
 // armed it applies the first eligible fault for the site: Delay sleeps

@@ -117,9 +117,9 @@ type kPlan struct {
 
 // maxBatchScratchCells bounds one k-D plan's scratch allocation: a
 // request whose (dim+1)-product exceeds it is rejected up front rather
-// than attempted. Callers that budget cache bytes (the lazy engine)
-// reject such cubes earlier via EstimateCubeBytes; this guard protects
-// direct BuildMany users from runaway allocations.
+// than attempted. It is the only size guard: nothing checks a cube's
+// bytes against a cache budget before it is counted, in the lazy
+// engine or elsewhere.
 const maxBatchScratchCells = 1 << 31
 
 // cubeDim sizes a cube's condition dimension: an attribute with an

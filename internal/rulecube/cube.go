@@ -422,31 +422,6 @@ func (c *Cube) SizeBytes() int64 {
 	return n * 8
 }
 
-// EstimateCubeBytes predicts SizeBytes for a cube over attrs without
-// building it, saturating at math.MaxInt64 for absurd cardinality
-// products. Lazy engines use it to decide whether a build fits the
-// cache budget before paying for the data pass.
-func EstimateCubeBytes(ds *dataset.Dataset, attrs []int) int64 {
-	cells := int64(ds.NumClasses())
-	if cells <= 0 {
-		cells = 1
-	}
-	for _, a := range attrs {
-		card := int64(ds.Cardinality(a))
-		if card <= 0 {
-			card = 1
-		}
-		if cells > (1<<62)/card {
-			return 1<<63 - 1
-		}
-		cells *= card
-	}
-	if cells > (1<<62)/8 {
-		return 1<<63 - 1
-	}
-	return cells * 8
-}
-
 // CubesBuiltCounterName is the counter advanced once per cube counted,
 // so a /metrics scrape shows offline-build progress and totals.
 const CubesBuiltCounterName = "opmap_cubes_built_total"

@@ -48,22 +48,3 @@ func AdjustBH(pvalues []float64) []float64 {
 	}
 	return out
 }
-
-// AdjustBonferroni returns Bonferroni-adjusted p-values: min(1, p·n).
-// More conservative than BH; appropriate when any single false positive
-// is costly.
-func AdjustBonferroni(pvalues []float64) []float64 {
-	n := float64(len(pvalues))
-	out := make([]float64, len(pvalues))
-	for i, p := range pvalues {
-		q := p * n
-		if q > 1 {
-			q = 1
-		}
-		if q < 0 {
-			q = 0
-		}
-		out[i] = q
-	}
-	return out
-}

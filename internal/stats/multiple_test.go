@@ -82,25 +82,3 @@ func TestAdjustBHProperties(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestAdjustBonferroni(t *testing.T) {
-	q := AdjustBonferroni([]float64{0.01, 0.4, 0.9})
-	want := []float64{0.03, 1, 1}
-	for i := range want {
-		if math.Abs(q[i]-want[i]) > 1e-12 {
-			t.Errorf("q[%d] = %v, want %v", i, q[i], want[i])
-		}
-	}
-	if len(AdjustBonferroni(nil)) != 0 {
-		t.Error("nil handling broken")
-	}
-	// Bonferroni dominates BH.
-	p := []float64{0.01, 0.02, 0.3}
-	bh := AdjustBH(p)
-	bf := AdjustBonferroni(p)
-	for i := range p {
-		if bf[i] < bh[i]-1e-12 {
-			t.Errorf("Bonferroni %v below BH %v at %d", bf[i], bh[i], i)
-		}
-	}
-}

@@ -9,7 +9,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // ConfidenceLevel identifies a two-sided statistical confidence level for
@@ -262,26 +261,6 @@ func Entropy(counts []int64) float64 {
 	return h
 }
 
-// EntropyFloat is Entropy over float64 weights.
-func EntropyFloat(weights []float64) float64 {
-	var total float64
-	for _, w := range weights {
-		total += w
-	}
-	if IsZero(total) {
-		return 0
-	}
-	var h float64
-	for _, w := range weights {
-		if w <= 0 {
-			continue
-		}
-		p := w / total
-		h -= p * math.Log2(p)
-	}
-	return h
-}
-
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -306,29 +285,4 @@ func StdDev(xs []float64) float64 {
 		ss += d * d
 	}
 	return math.Sqrt(ss / float64(len(xs)))
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs using linear
-// interpolation between order statistics. The input is not modified.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }

@@ -260,14 +260,6 @@ func TestEntropyMaxAtUniform(t *testing.T) {
 	}
 }
 
-func TestEntropyFloatAgreesWithInt(t *testing.T) {
-	got := EntropyFloat([]float64{3, 5, 8})
-	want := Entropy([]int64{3, 5, 8})
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("EntropyFloat = %v, Entropy = %v", got, want)
-	}
-}
-
 func TestMeanStdDev(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if m := Mean(xs); m != 5 {
@@ -278,28 +270,5 @@ func TestMeanStdDev(t *testing.T) {
 	}
 	if Mean(nil) != 0 || StdDev(nil) != 0 {
 		t.Error("empty mean/stddev should be 0")
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{3, 1, 2, 4, 5}
-	if q := Quantile(xs, 0); q != 1 {
-		t.Errorf("q0 = %v", q)
-	}
-	if q := Quantile(xs, 1); q != 5 {
-		t.Errorf("q1 = %v", q)
-	}
-	if q := Quantile(xs, 0.5); q != 3 {
-		t.Errorf("median = %v", q)
-	}
-	if q := Quantile(xs, 0.25); q != 2 {
-		t.Errorf("q25 = %v", q)
-	}
-	if !math.IsNaN(Quantile(nil, 0.5)) {
-		t.Error("empty quantile should be NaN")
-	}
-	// Input must not be reordered.
-	if xs[0] != 3 {
-		t.Error("Quantile mutated its input")
 	}
 }
