@@ -89,29 +89,7 @@ func PermutationTestContext(ctx context.Context, ds *dataset.Dataset, in Input, 
 			return PermutationResult{}, err
 		}
 		rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
-		tab := newValueTable(card)
-		var t1n, t1c, t2n, t2c int64
-		for i, m := range pool {
-			if m.value < 0 {
-				continue
-			}
-			if i < n1 {
-				tab.n1[m.value]++
-				t1n++
-				if m.inClass {
-					tab.c1[m.value]++
-					t1c++
-				}
-			} else {
-				tab.n2[m.value]++
-				t2n++
-				if m.inClass {
-					tab.c2[m.value]++
-					t2c++
-				}
-			}
-		}
-		m, valid := permScore(tab, t1n, t1c, t2n, t2c, opts)
+		m, valid := poolScore(pool, n1, card, opts)
 		if !valid {
 			continue
 		}
@@ -143,8 +121,10 @@ type member struct {
 
 // collectPool gathers the member rows of both sub-populations in one
 // pass over the dataset, in row order; n1 counts the first
-// sub-population's rows. The permutation rounds shuffle the pool and
-// re-partition it at n1.
+// sub-population's rows. A row with a missing class is no member, as
+// the observed rules and per-value counts skip it; a row with a missing
+// candidate value is one (poolScore counts it in its side's total). The
+// permutation rounds shuffle the pool and re-partition it at n1.
 func collectPool(ds *dataset.Dataset, in Input, attr int, swapped bool) (pool []member, n1 int) {
 	a1 := &ds.Column(in.Attr).Codes
 	ai := &ds.Column(attr).Codes
@@ -155,6 +135,9 @@ func collectPool(ds *dataset.Dataset, in Input, attr int, swapped bool) (pool []
 		v1, v2 = v2, v1
 	}
 	for r := 0; r < ds.NumRows(); r++ {
+		if cls.At(r) == dataset.Missing {
+			continue
+		}
 		switch a1.At(r) {
 		case v1:
 			pool = append(pool, member{ai.At(r), cls.At(r) == in.Class})
@@ -175,6 +158,33 @@ func summarizeNull(null []float64) (mean, q95 float64) {
 	}
 	sort.Float64s(null)
 	return sum / float64(len(null)), null[int(0.95*float64(len(null)-1))]
+}
+
+// poolScore computes M for the pool split at n1, its first n1 members
+// being D1. Every member counts in its side's rule, as every row with a
+// present class counts in the observed rules; a member with a missing
+// candidate value counts in no value's row of the table.
+func poolScore(pool []member, n1, card int, opts Options) (float64, bool) {
+	tab := newValueTable(card)
+	var n, c [2]int64
+	for i, m := range pool {
+		side, tn, tc := 0, tab.n1, tab.c1
+		if i >= n1 {
+			side, tn, tc = 1, tab.n2, tab.c2
+		}
+		n[side]++
+		if m.inClass {
+			c[side]++
+		}
+		if m.value < 0 {
+			continue
+		}
+		tn[m.value]++
+		if m.inClass {
+			tc[m.value]++
+		}
+	}
+	return permScore(tab, n[0], c[0], n[1], c[1], opts)
 }
 
 // permScore computes M for a permuted table through the comparator's

@@ -1,7 +1,13 @@
 package compare
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"testing"
+
+	"opmap/internal/dataset"
+	"opmap/internal/workload"
 )
 
 func TestPermutationTestPlantedVsNoise(t *testing.T) {
@@ -80,4 +86,139 @@ func TestPermutationTestDefaultRounds(t *testing.T) {
 	if res.PValue <= 0 || res.PValue > 1 {
 		t.Errorf("p = %v", res.PValue)
 	}
+}
+
+// TestPermutationPoolReproducesObserved: the pool in its observed order
+// (D1's rows first, each side in row order) must score exactly the
+// observed M, with CI on and off, so the null distribution is drawn on
+// the population the observed score counts. Rows with a missing class
+// are in neither; a row with a missing candidate value counts in its
+// side's total and in no value's counts. It runs on missingClassTable,
+// on a call log with 20% of its noise values missing, and on random
+// small tables with missing values and classes.
+func TestPermutationPoolReproducesObserved(t *testing.T) {
+	type testCase struct {
+		name string
+		ds   *dataset.Dataset
+		in   Input
+	}
+	mc := missingClassTable(t)
+	drop, _ := mc.ClassDict().Lookup("drop")
+	cases := []testCase{{"missingClassTable", mc, Input{Attr: 0, V1: 0, V2: 1, Class: drop}}}
+	gappy, gt, err := workload.CallLog(workload.CallLogConfig{Seed: 7, Records: 4000, NumPhones: 4, NoiseAttrs: 3, MissingRate: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases = append(cases, testCase{"gappy call log", gappy, inputFor(t, gappy, gt)})
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 30; i++ {
+		ds := randomGappyTable(t, rng)
+		cases = append(cases, testCase{fmt.Sprintf("random table %d", i), ds, Input{Attr: 0, V1: 0, V2: 1, Class: 0}})
+	}
+	checked := make(map[string]int)
+	for _, tc := range cases {
+		for attr := 0; attr < tc.ds.NumAttrs(); attr++ {
+			if attr == tc.in.Attr || attr == tc.ds.ClassIndex() {
+				continue
+			}
+			for _, opts := range []Options{{DisableCI: true}, {}} {
+				obs, err := Scan(tc.ds, tc.in, withAttrs(opts, attr))
+				if err != nil {
+					continue
+				}
+				score, _, ok := obs.Find(tc.ds.Attr(attr).Name)
+				if !ok {
+					continue
+				}
+				pool, n1 := collectPool(tc.ds, tc.in, attr, obs.Swapped)
+				arranged, err := observedOrder(tc.ds, tc.in, attr, obs.Swapped, pool, n1)
+				if err != nil {
+					t.Fatalf("%s, attribute %s: %v", tc.name, tc.ds.Attr(attr).Name, err)
+				}
+				m, valid := poolScore(arranged, n1, tc.ds.Cardinality(attr), opts)
+				if !valid || math.Float64bits(m) != math.Float64bits(score.Score) {
+					t.Errorf("%s, attribute %s, CI %v: observed pool scores %v (valid %v), observed M %v",
+						tc.name, tc.ds.Attr(attr).Name, !opts.DisableCI, m, valid, score.Score)
+				}
+				checked[tc.name]++
+			}
+		}
+	}
+	if checked["missingClassTable"] != 4 || checked["gappy call log"] == 0 || len(checked) < 20 {
+		t.Errorf("too few comparisons scored: %v", checked)
+	}
+}
+
+// observedOrder checks that pool holds, in row order, one member per row
+// with a present class and split value V1 or V2 (swapped as observed),
+// with that row's candidate value and class membership, and that n1 of
+// them are D1's. It returns the pool arranged as observed: D1's members
+// first.
+func observedOrder(ds *dataset.Dataset, in Input, attr int, swapped bool, pool []member, n1 int) ([]member, error) {
+	v1, v2 := in.V1, in.V2
+	if swapped {
+		v1, v2 = v2, v1
+	}
+	split, cand, cls := &ds.Column(in.Attr).Codes, &ds.Column(attr).Codes, &ds.Column(ds.ClassIndex()).Codes
+	var d1, d2 []member
+	for r := 0; r < ds.NumRows(); r++ {
+		v := split.At(r)
+		if cls.At(r) == dataset.Missing || (v != v1 && v != v2) {
+			continue
+		}
+		k := len(d1) + len(d2)
+		want := member{cand.At(r), cls.At(r) == in.Class}
+		if k >= len(pool) || pool[k] != want {
+			return nil, fmt.Errorf("pool member %d is not row %d's %+v", k, r, want)
+		}
+		if v == v1 {
+			d1 = append(d1, want)
+		} else {
+			d2 = append(d2, want)
+		}
+	}
+	if len(d1)+len(d2) != len(pool) || len(d1) != n1 {
+		return nil, fmt.Errorf("pool has %d members, %d in D1; the rows give %d, %d in D1", len(pool), n1, len(d1)+len(d2), len(d1))
+	}
+	return append(d1, d2...), nil
+}
+
+// randomGappyTable draws a small table: the split attribute a0 with two
+// values, two candidates of 2–4 values and a class of 2–3, every column
+// missing at 15% of the rows.
+func randomGappyTable(t *testing.T, rng *rand.Rand) *dataset.Dataset {
+	t.Helper()
+	cards := []int{2, 2 + rng.Intn(3), 2 + rng.Intn(3), 2 + rng.Intn(2)}
+	schema := dataset.Schema{ClassIndex: len(cards) - 1}
+	for i := range cards {
+		schema.Attrs = append(schema.Attrs, dataset.Attribute{Name: fmt.Sprintf("a%d", i), Kind: dataset.Categorical})
+	}
+	b, err := dataset.NewBuilder(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, card := range cards {
+		d := dataset.NewDictionary()
+		for v := 0; v < card; v++ {
+			d.Code(fmt.Sprintf("v%d", v))
+		}
+		b.WithDict(i, d)
+	}
+	codes := make([]int32, len(cards))
+	for r, rows := 0, 40+rng.Intn(160); r < rows; r++ {
+		for i, card := range cards {
+			codes[i] = int32(rng.Intn(card))
+			if rng.Float64() < 0.15 {
+				codes[i] = dataset.Missing
+			}
+		}
+		if err := b.AddCodedRow(codes, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ds, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds
 }

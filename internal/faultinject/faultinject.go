@@ -199,10 +199,15 @@ func Hit(site string) error { return HitContext(context.Background(), site) }
 // Check is the per-item check of the pipeline loops (a compare's
 // candidates, a sweep's pairs, a drill's frontier nodes, permutation
 // rounds): it returns the context's error as soon as the context is
-// done, and otherwise passes through the named fault point.
+// done, and otherwise passes through the named fault point. It polls
+// Done without blocking and reads Err only once Done is closed: a
+// cancelable context's Err takes its mutex, Done after its first call
+// does not.
 func Check(ctx context.Context, site string) error {
-	if err := ctx.Err(); err != nil {
-		return err
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	default:
 	}
 	return HitContext(ctx, site)
 }

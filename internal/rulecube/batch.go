@@ -3,8 +3,6 @@ package rulecube
 import (
 	"context"
 	"fmt"
-	"math"
-	mathbits "math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -65,33 +63,50 @@ func wideBit(c *dataset.Codes) int {
 	return 0
 }
 
-// tripleCells bounds a triple plan's table: 2,816 uint32 cells, 11 KiB.
-// On a 48 KiB-L1d Xeon a triple table beat tallying its three pairs
-// alone clearly up to 2,662 cells, barely at 3,000 and not from 3,456
-// cells on (DESIGN.md §14, "Triple tables").
-const tripleCells = 2816
+// dualCells bounds a dual table: 28,560 uint32 cells, about 112 KiB,
+// where all-pairs builds over 10 k rows stop winning clearly (DESIGN.md
+// §14, "Dual tables"). The tests form a table exactly at the bound (120
+// × 238 codes at one class) and none a cell over (169 × 169).
+const dualCells = 28560
 
-// triplePlan counts three narrow attributes in one table of
-// (dims[0]+1) × (dims[1]+1) × (dims[2]+1) × numClasses cells, with slot
-// 0 of every dimension catching missing values as in a pairPlan: each
-// row bumps one cell, where the three pairs' plans would bump one each.
-// foldTriples sums the table into the scratch of every requested pair
-// plan over two of the three attributes at the end of a shard's scan.
-// A cell counts rows of one shard, so uint32 cells cannot wrap while the
-// dataset has at most math.MaxUint32 rows; groupTriples forms no triple
-// over a larger one.
-type triplePlan struct {
-	cols    [3]dataset.Codes
-	dims    [3]int
-	strides [2]int // strides of dimensions 0 and 1; dimension 2's is numClasses
-	folds   []tripleFold
-	table   []uint32
+// dualChunkRows bounds the rows whose dual codes a scan shard holds at
+// once, a byte per row per dual. Each table is folded once per chunk,
+// so a uint32 cell, which counts one chunk's rows, cannot wrap.
+const dualChunkRows = 1 << 17
+
+// dual reads two narrow attributes as one byte per row. A row with
+// values x and y is in slot (x+1)·(dim_y+1) + (y+1), so a missing value
+// lands in slot 0 of its dimension as in a pairPlan; its code is one
+// less, wrapping as a narrow column's Missing does, so tallyPair's +1
+// shift takes every code to its slot. planDuals pairs two attributes
+// only where (dim_x+1)·(dim_y+1) ≤ 256, so every slot fits a byte.
+type dual struct {
+	attrs [2]int
+	cols  [2][]uint8
+	sizes [2]int // dim+1 of each attribute
 }
 
-// tripleFold routes a triple table into one pair plan: the pair's first
-// attribute is the triple's dimension i, its second dimension j.
-type tripleFold struct {
-	pair, i, j int
+// size is the number of slots of d's codes.
+func (d *dual) size() int { return d.sizes[0] * d.sizes[1] }
+
+// dualTable counts the codes of duals g and h and the class in one table
+// of size_g × size_h × numClasses cells: each row bumps one cell, where
+// the four pair plans across the duals would bump one cell apiece. Its
+// folds route it into those pairs' scratch, and into the pair inside h
+// where that pair is requested and no other table folds it.
+type dualTable struct {
+	g, h  int
+	folds []dualFold
+}
+
+// dualFold routes one marginal of a dual table into a pair plan: the
+// pair's first attribute is dimension i of marginal src, its second
+// dimension j, and the third dimension is summed. Marginal 0 is the
+// table summed over g's second attribute, with dimensions (g's first,
+// h's first, h's second); marginal 1 the table summed over g's first,
+// (g's second, h's first, h's second).
+type dualFold struct {
+	pair, src, i, j int
 }
 
 // onePlan accumulates a 1-D cube that no requested pair covers; its
@@ -138,14 +153,16 @@ func cubeDim(ds *dataset.Dataset, a int) int {
 // ordered list of a cube's condition attributes; rows with a missing
 // value in any cube dimension (including the class) are skipped.
 // Results arrive in request order; duplicate requests share one
-// underlying cube. Requested pairs that close a triangle {x, y, z} of
-// narrow attributes bump one cell of a triple table per row instead of
-// three pair cells, and each shard folds the table into the three pairs'
-// scratch after its scan (groupTriples). The scan parallelizes across
-// GOMAXPROCS row shards when the dataset is large enough (counts are
-// additive, so shard partials merge by summation). Every shard polls
-// ctx once per scanBlockRows-row block, so a cancel mid-scan returns
-// ctx.Err() within one block's work and leaves no goroutine behind.
+// underlying cube. Narrow attributes are read two at a time as one-byte
+// duals, and where every pair across two duals is requested, each row
+// bumps one cell of their dual table instead of up to four pair cells;
+// each shard folds the table into those pairs' scratch once per chunk
+// of rows (planDuals). The scan parallelizes across GOMAXPROCS row
+// shards when the dataset is large enough (counts are additive, so
+// shard partials merge by summation). Every shard polls ctx once per
+// scanBlockRows-row block and once per dual table, so a cancel
+// mid-scan returns ctx.Err() within one block's or table's work and
+// leaves no goroutine behind.
 func BuildMany(ctx context.Context, ds *dataset.Dataset, reqs [][]int) ([]*Cube, error) {
 	if !ds.AllCategorical() {
 		return nil, fmt.Errorf("rulecube: dataset has continuous attributes; discretize first")
@@ -211,16 +228,18 @@ func validateBatchReqs(ds *dataset.Dataset, reqs [][]int) error {
 // batchPlan is the deduplicated working set of one shared scan: one
 // pairPlan per distinct pair, one onePlan per 1-D request no pair
 // covers, and the index maps extraction uses to route each request to
-// its accumulator. triples counts narrow pairs three at a time (every
-// pair plan keeps its scratch, which the triples fold into), and
-// pairsByWidth lists the pair plans no triple covers. pairsByWidth and
+// its accumulator. tables counts narrow pairs up to four at a time
+// (every pair plan keeps its scratch, which the tables fold into), and
+// pairsByWidth lists the pair plans no table covers. pairsByWidth and
 // onesByWidth group the plans by their columns' code widths (wideBit),
 // so the scan picks each tally loop once per pass.
 type batchPlan struct {
 	pairs        []pairPlan
 	ones         []onePlan
 	ks           []kPlan
-	triples      []triplePlan
+	duals        []dual
+	tables       []dualTable
+	dualWork     int // cells of the largest dual table plus its fold's marginals
 	pairsByWidth [4][]int
 	onesByWidth  [2][]int
 	pairIdx      map[[2]int]int
@@ -236,7 +255,7 @@ func kKey(attrs []int) string { return fmt.Sprint(attrs) }
 
 // planBatch dedupes the requests into scan plans, routing 1-D requests
 // through a covering pair's scratch whenever one exists, narrow pairs
-// into triple plans where groupTriples finds them, and k ≥ 3 requests
+// into dual tables where planDuals forms them, and k ≥ 3 requests
 // into k-D plans.
 func planBatch(ds *dataset.Dataset, nc int, reqs [][]int) (*batchPlan, error) {
 	p := &batchPlan{
@@ -266,7 +285,7 @@ func planBatch(ds *dataset.Dataset, nc int, reqs [][]int) (*batchPlan, error) {
 			scratch: make([]int64, (dimA+1)*(dimB+1)*nc),
 		})
 	}
-	p.groupTriples(ds, nc)
+	p.planDuals(ds, nc)
 	for _, attrs := range reqs {
 		if len(attrs) < 3 {
 			continue
@@ -324,154 +343,87 @@ func planBatch(ds *dataset.Dataset, nc int, reqs [][]int) (*batchPlan, error) {
 	return p, nil
 }
 
-// groupTriples packs the narrow pair plans into triple plans: triangles
-// {x, y, z} of the requested-pair graph (a pair requested in either
-// order, or both, is one edge) whose table holds at most tripleCells
-// cells, each edge in at most one triangle. It is greedy: the attribute
-// with the most ungrouped edges takes the fitting triangle through its
-// lowest-degree neighbour and their lowest-degree common neighbour
-// (taking the highest-degree ones instead grouped 2,700 of 3,321 store
-// pairs at the benchmark's schema, this 3,180); an attribute with no
-// such triangle left is dropped. Fewer than three narrow pairs (a
-// one-cube build) skip it; a sweep's star of pairs around its split
-// attribute has no triangle. A dataset of more than math.MaxUint32
-// rows, which a triple's uint32 cells could not count, forms none. The
-// triples' pairs leave pairsByWidth[0]; their tables are cut from one
-// allocation.
-func (p *batchPlan) groupTriples(ds *dataset.Dataset, nc int) {
-	narrow := p.pairsByWidth[0]
-	if len(narrow) < 3 || uint64(ds.NumRows()) > math.MaxUint32 {
-		return
-	}
-	// Vertices are the attributes of narrow pairs, numbered in order of
-	// first appearance; adj is their n × n adjacency matrix.
-	vid := make(map[int]int)
+// planDuals pairs the attributes of the narrow pair plans into duals,
+// in attribute order, wherever their codes fit one byte, and gives duals
+// g < h a table when all four pairs across them are requested (in
+// either order, or both) and the table holds at most dualCells cells.
+// A dual's inner pair is folded from a table that has the dual as h; an
+// attribute left unpaired, and the inner pair of a dual that is no
+// table's h (the first), keep their pairs in the pair loop. A sweep's
+// star of pairs around its split attribute forms no table: two duals
+// away from the split attribute have unrequested pairs across them. The
+// folded pairs leave pairsByWidth[0], and duals in no table are dropped.
+func (p *batchPlan) planDuals(ds *dataset.Dataset, nc int) {
 	var attrs []int
-	for _, pi := range narrow {
-		for _, a := range [2]int{p.pairs[pi].a, p.pairs[pi].b} {
-			if _, ok := vid[a]; !ok {
-				vid[a] = len(attrs)
-				attrs = append(attrs, a)
+	for _, pi := range p.pairsByWidth[0] {
+		attrs = append(attrs, p.pairs[pi].a, p.pairs[pi].b)
+	}
+	slices.Sort(attrs)
+	attrs = slices.Compact(attrs)
+	var duals []dual
+	for i := 0; i+1 < len(attrs); i++ {
+		x, y := attrs[i], attrs[i+1]
+		if sx, sy := cubeDim(ds, x)+1, cubeDim(ds, y)+1; sx*sy <= 256 {
+			cols := [2][]uint8{ds.Column(x).Codes.Narrow(), ds.Column(y).Codes.Narrow()}
+			duals = append(duals, dual{attrs: [2]int{x, y}, cols: cols, sizes: [2]int{sx, sy}})
+			i++
+		}
+	}
+	requested := func(a, b int) bool {
+		_, ab := p.pairIdx[[2]int{a, b}]
+		_, ba := p.pairIdx[[2]int{b, a}]
+		return ab || ba
+	}
+	var tables []dualTable
+	used := make([]int, len(duals)) // a dual's new index, once a table reads it
+	for g := range duals {
+		for h := g + 1; h < len(duals); h++ {
+			x, y := duals[g].attrs, duals[h].attrs
+			if requested(x[0], y[0]) && requested(x[0], y[1]) && requested(x[1], y[0]) && requested(x[1], y[1]) &&
+				duals[g].size()*duals[h].size()*nc <= dualCells {
+				tables = append(tables, dualTable{g: g, h: h})
+				used[g], used[h] = 1, 1
 			}
 		}
 	}
-	n, words := len(attrs), (len(attrs)+63)/64
-	adj := make([]uint64, n*words) // row u's bit v: edge {u, v} ungrouped
-	row := func(u int) []uint64 { return adj[u*words : (u+1)*words] }
-	cut := func(u, v int) { row(u)[v/64] &^= 1 << (v % 64) }
-	deg := make([]int, n)
-	for _, pi := range narrow {
-		u, v := vid[p.pairs[pi].a], vid[p.pairs[pi].b]
-		if row(u)[v/64]&(1<<(v%64)) == 0 {
-			row(u)[v/64] |= 1 << (v % 64)
-			row(v)[u/64] |= 1 << (u % 64)
-			deg[u]++
-			deg[v]++
-		}
-	}
-	size := make([]int, n)
-	for u, a := range attrs {
-		size[u] = cubeDim(ds, a) + 1
-	}
-	// minNeighbour returns the lowest-degree vertex in set whose size
-	// fits a table over it and fixed cells, or -1.
-	minNeighbour := func(set []uint64, fixed int) int {
-		best := -1
-		for wi, bits := range set {
-			for ; bits != 0; bits &= bits - 1 {
-				w := wi*64 + mathbits.TrailingZeros64(bits)
-				if fixed*size[w] <= tripleCells && (best < 0 || deg[w] < deg[best]) {
-					best = w
-				}
-			}
-		}
-		return best
-	}
-	var tris [][3]int
-	cand, common := make([]uint64, words), make([]uint64, words)
-	for {
-		x := -1
-		for u := range deg {
-			if deg[u] >= 2 && (x < 0 || deg[u] > deg[x]) {
-				x = u
-			}
-		}
-		if x < 0 {
-			break
-		}
-		// y is x's lowest-degree neighbour that closes a fitting
-		// triangle, z the lowest-degree vertex that closes it.
-		y, z := -1, -1
-		copy(cand, row(x))
-		for y < 0 || z < 0 {
-			if y = minNeighbour(cand, size[x]*nc); y < 0 {
-				break
-			}
-			for i := range common {
-				common[i] = row(x)[i] & row(y)[i]
-			}
-			if z = minNeighbour(common, size[x]*size[y]*nc); z < 0 {
-				cand[y/64] &^= 1 << (y % 64)
-			}
-		}
-		if y < 0 {
-			// No triangle through x fits; x's edges stay pairs.
-			deg[x] = 0
-			continue
-		}
-		for _, e := range [3][2]int{{x, y}, {x, z}, {y, z}} {
-			cut(e[0], e[1])
-			cut(e[1], e[0])
-			deg[e[0]]--
-			deg[e[1]]--
-		}
-		tris = append(tris, [3]int{x, y, z})
-	}
-	if len(tris) == 0 {
+	if len(tables) == 0 {
 		return
 	}
+	// Each pair plan is folded at most once, so the folds fit one
+	// allocation.
 	grouped := make([]bool, len(p.pairs))
-	p.triples = make([]triplePlan, len(tris))
-	folds := make([]tripleFold, 0, 6*len(tris)) // at most both orders of three pairs
-	for ti, tri := range tris {
-		t := &p.triples[ti]
-		for d, u := range tri {
-			t.cols[d] = ds.Column(attrs[u]).Codes
-			t.dims[d] = size[u] - 1
-		}
-		t.strides = [2]int{size[tri[1]] * size[tri[2]] * nc, size[tri[2]] * nc}
-		for i := 0; i < 3; i++ {
-			for j := 0; j < 3; j++ {
-				pi, ok := p.pairIdx[[2]int{attrs[tri[i]], attrs[tri[j]]}]
-				if i != j && ok {
-					folds = append(folds, tripleFold{pair: pi, i: i, j: j})
+	folds := make([]dualFold, 0, len(p.pairs))
+	route := func(src int, attrs [3]int) {
+		for i, a := range attrs {
+			for j, b := range attrs {
+				if pi, ok := p.pairIdx[[2]int{a, b}]; ok && !grouped[pi] {
+					folds = append(folds, dualFold{pair: pi, src: src, i: i, j: j})
 					grouped[pi] = true
 				}
 			}
 		}
+	}
+	for ti := range tables {
+		t := &tables[ti]
+		g, h := &duals[t.g], &duals[t.h]
+		route(0, [3]int{g.attrs[0], h.attrs[0], h.attrs[1]})
+		route(1, [3]int{g.attrs[1], h.attrs[0], h.attrs[1]})
 		t.folds, folds = folds[:len(folds):len(folds)], folds[len(folds):]
+		p.dualWork = max(p.dualWork, (g.size()+g.sizes[0]+g.sizes[1])*h.size()*nc)
 	}
-	p.pairsByWidth[0] = slices.DeleteFunc(narrow, func(pi int) bool { return grouped[pi] })
-	p.cutTripleTables()
+	p.pairsByWidth[0] = slices.DeleteFunc(p.pairsByWidth[0], func(pi int) bool { return grouped[pi] })
+	// Keep the duals some table reads, renumbered in order.
+	for d := range duals {
+		if used[d] != 0 {
+			used[d] = len(p.duals)
+			p.duals = append(p.duals, duals[d])
+		}
+	}
+	for ti := range tables {
+		tables[ti].g, tables[ti].h = used[tables[ti].g], used[tables[ti].h]
+	}
+	p.tables = tables
 }
-
-// cutTripleTables gives every triple plan a zeroed table, all cut from
-// one allocation.
-func (p *batchPlan) cutTripleTables() {
-	total := 0
-	for i := range p.triples {
-		total += p.triples[i].cells()
-	}
-	slab := make([]uint32, total)
-	for i := range p.triples {
-		t := &p.triples[i]
-		n := t.cells()
-		t.table, slab = slab[:n:n], slab[n:]
-	}
-}
-
-// cells is the size of t's table.
-func (t *triplePlan) cells() int { return t.strides[0] * (t.dims[0] + 1) }
 
 // extractAll materializes each distinct cube once from the counted
 // scratch (duplicate requests share the pointer) and reports how many
@@ -587,15 +539,10 @@ func scanShard(ctx context.Context, classCol *dataset.Codes, nc int, plan *batch
 func (p *batchPlan) scratchCopies(n int) []*batchPlan {
 	out := make([]*batchPlan, n)
 	for s := range out {
-		c := &batchPlan{
-			pairs:        append([]pairPlan(nil), p.pairs...),
-			ones:         append([]onePlan(nil), p.ones...),
-			ks:           append([]kPlan(nil), p.ks...),
-			triples:      append([]triplePlan(nil), p.triples...),
-			pairsByWidth: p.pairsByWidth,
-			onesByWidth:  p.onesByWidth,
-		}
-		c.cutTripleTables()
+		c := *p // the plan's layout is shared, its scratch is not
+		c.pairs = append([]pairPlan(nil), p.pairs...)
+		c.ones = append([]onePlan(nil), p.ones...)
+		c.ks = append([]kPlan(nil), p.ks...)
 		for i := range c.pairs {
 			c.pairs[i].scratch = make([]int64, len(p.pairs[i].scratch))
 		}
@@ -605,7 +552,7 @@ func (p *batchPlan) scratchCopies(n int) []*batchPlan {
 		for i := range c.ks {
 			c.ks[i].scratch = make([]int64, len(p.ks[i].scratch))
 		}
-		out[s] = c
+		out[s] = &c
 	}
 	return out
 }
@@ -637,74 +584,100 @@ const scanBlockRows = 2048
 // row with a present class bumps exactly one cell per plan. The +1
 // shift routes a missing value to slot 0 at either width (dataset.Code),
 // so the loop has no per-plan branch; extraction drops (or
-// marginalizes over) that slot. Rows are processed in blocks with the
-// plan loop outside the row loop, so each plan's column/scratch
+// marginalizes over) that slot. tallyDuals counts each dualChunkRows
+// chunk into the dual tables; the other plans count it in blocks with
+// the plan loop outside the row loop, so each plan's column/scratch
 // pointers hoist out of the hot loop and the block's columns are
 // revisited while still in cache — the row-outer form re-derefs every
 // plan per row and thrashes between all the plans' columns. Pairs and
 // 1-D plans are tallied by width group, so each plan's loop is
-// specialized to its columns' widths, picked at planning; triple plans
-// are all narrow. ctx is polled once per block. After the last block
-// the triple tables are folded into their pairs' scratch, so each shard
-// hands addScratch and extraction plain pair scratch.
+// specialized to its columns' widths, picked at planning.
 func scanRange[C dataset.Code](ctx context.Context, classCol []C, nc int, plan *batchPlan, lo, hi int) error {
 	pairs, ones, ks := plan.pairs, plan.ones, plan.ks
-	for blo := lo; blo < hi; blo += scanBlockRows {
-		if err := ctx.Err(); err != nil {
+	codes := make([]uint8, len(plan.duals)*min(hi-lo, dualChunkRows))
+	work := make([]uint32, plan.dualWork)
+	for clo := lo; clo < hi; clo += dualChunkRows {
+		chi := min(clo+dualChunkRows, hi)
+		if err := tallyDuals(ctx, classCol[clo:chi], nc, plan, codes, work, clo); err != nil {
 			return err
 		}
-		bhi := min(blo+scanBlockRows, hi)
-		cls := classCol[blo:bhi]
-		for _, i := range plan.pairsByWidth[0] {
-			p := &pairs[i]
-			tallyPair(p.colA.Narrow()[blo:bhi], p.colB.Narrow()[blo:bhi], cls, p.scratch, p.strideA, nc)
-		}
-		for _, i := range plan.pairsByWidth[1] {
-			p := &pairs[i]
-			tallyPair(p.colA.Narrow()[blo:bhi], p.colB.Wide()[blo:bhi], cls, p.scratch, p.strideA, nc)
-		}
-		for _, i := range plan.pairsByWidth[2] {
-			p := &pairs[i]
-			tallyPair(p.colA.Wide()[blo:bhi], p.colB.Narrow()[blo:bhi], cls, p.scratch, p.strideA, nc)
-		}
-		for _, i := range plan.pairsByWidth[3] {
-			p := &pairs[i]
-			tallyPair(p.colA.Wide()[blo:bhi], p.colB.Wide()[blo:bhi], cls, p.scratch, p.strideA, nc)
-		}
-		for i := range plan.triples {
-			t := &plan.triples[i]
-			tallyTriple(t.cols[0].Narrow()[blo:bhi], t.cols[1].Narrow()[blo:bhi], t.cols[2].Narrow()[blo:bhi], cls, t.table, t.strides, nc)
-		}
-		for _, i := range plan.onesByWidth[0] {
-			o := &ones[i]
-			tallyOne(o.col.Narrow()[blo:bhi], cls, o.scratch, nc)
-		}
-		for _, i := range plan.onesByWidth[1] {
-			o := &ones[i]
-			tallyOne(o.col.Wide()[blo:bhi], cls, o.scratch, nc)
-		}
-		for i := range ks {
-			kp := &ks[i]
-			scratch, strides := kp.scratch, kp.strides
-			for r, cl := range cls {
-				if cl+1 == 0 {
-					continue
+		for blo := clo; blo < chi; blo += scanBlockRows {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			bhi := min(blo+scanBlockRows, chi)
+			cls := classCol[blo:bhi]
+			for _, i := range plan.pairsByWidth[0] {
+				p := &pairs[i]
+				tallyPair(p.colA.Narrow()[blo:bhi], p.colB.Narrow()[blo:bhi], cls, p.scratch, p.strideA, nc)
+			}
+			for _, i := range plan.pairsByWidth[1] {
+				p := &pairs[i]
+				tallyPair(p.colA.Narrow()[blo:bhi], p.colB.Wide()[blo:bhi], cls, p.scratch, p.strideA, nc)
+			}
+			for _, i := range plan.pairsByWidth[2] {
+				p := &pairs[i]
+				tallyPair(p.colA.Wide()[blo:bhi], p.colB.Narrow()[blo:bhi], cls, p.scratch, p.strideA, nc)
+			}
+			for _, i := range plan.pairsByWidth[3] {
+				p := &pairs[i]
+				tallyPair(p.colA.Wide()[blo:bhi], p.colB.Wide()[blo:bhi], cls, p.scratch, p.strideA, nc)
+			}
+			for _, i := range plan.onesByWidth[0] {
+				o := &ones[i]
+				tallyOne(o.col.Narrow()[blo:bhi], cls, o.scratch, nc)
+			}
+			for _, i := range plan.onesByWidth[1] {
+				o := &ones[i]
+				tallyOne(o.col.Wide()[blo:bhi], cls, o.scratch, nc)
+			}
+			for i := range ks {
+				kp := &ks[i]
+				scratch, strides := kp.scratch, kp.strides
+				for r, cl := range cls {
+					if cl+1 == 0 {
+						continue
+					}
+					idx := int(cl)
+					for d := range kp.cols {
+						idx += (int(kp.cols[d].At(blo+r)) + 1) * strides[d]
+					}
+					scratch[idx]++
 				}
-				idx := int(cl)
-				for d := range kp.cols {
-					idx += (int(kp.cols[d].At(blo+r)) + 1) * strides[d]
-				}
-				scratch[idx]++
 			}
 		}
 	}
-	plan.foldTriples(nc)
 	return ctx.Err()
 }
 
-// tallyPair bumps one pair-scratch cell per row of a block with a
-// present class.
-func tallyPair[A, B, C dataset.Code](colA []A, colB []B, cls []C, scratch []int64, strideA, nc int) {
+// tallyDuals counts one chunk of rows, starting at row lo, into every
+// dual table: it writes each dual's codes for the chunk into codes once,
+// then counts the tables one at a time into the one reused table at the
+// head of work.
+func tallyDuals[C dataset.Code](ctx context.Context, cls []C, nc int, plan *batchPlan, codes []uint8, work []uint32, lo int) error {
+	n := len(cls)
+	for d := range plan.duals {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		dl := &plan.duals[d]
+		x, y, u, m := dl.cols[0][lo:lo+n], dl.cols[1][lo:lo+n], codes[d*n:(d+1)*n], uint8(dl.sizes[1])
+		for r, v := range x {
+			u[r] = (v+1)*m + y[r]
+		}
+	}
+	for i := range plan.tables {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		countDual(cls, nc, plan, &plan.tables[i], codes, work)
+	}
+	return nil
+}
+
+// tallyPair bumps one cell per row of a block with a present class: a
+// pair plan's scratch cell, or a dual table's.
+func tallyPair[A, B, C dataset.Code, N uint32 | int64](colA []A, colB []B, cls []C, scratch []N, strideA, nc int) {
 	colA, colB = colA[:len(cls)], colB[:len(cls)]
 	for r, cl := range cls {
 		if cl+1 == 0 {
@@ -714,41 +687,65 @@ func tallyPair[A, B, C dataset.Code](colA []A, colB []B, cls []C, scratch []int6
 	}
 }
 
-// tallyTriple bumps one triple-table cell per row of a block with a
-// present class.
-func tallyTriple[C dataset.Code](x, y, z []uint8, cls []C, table []uint32, strides [2]int, nc int) {
-	x, y, z = x[:len(cls)], y[:len(cls)], z[:len(cls)]
-	for r, cl := range cls {
-		if cl+1 == 0 {
-			continue
-		}
-		table[int(x[r]+1)*strides[0]+int(y[r]+1)*strides[1]+int(z[r]+1)*nc+int(cl)]++
-	}
+// countDual tallies one chunk into dual table t, the head of work, and
+// folds it. Out of tallyDuals' loop, and with the fold out of line, the
+// row loop keeps its counter in a register.
+func countDual[C dataset.Code](cls []C, nc int, p *batchPlan, t *dualTable, codes []uint8, work []uint32) {
+	n, sh := len(cls), p.duals[t.h].size()
+	tallyPair(codes[t.g*n:][:n], codes[t.h*n:][:n], cls, work, sh*nc, nc)
+	p.foldDual(t, work, nc)
 }
 
-// foldTriples adds each triple table into its pairs' scratch. A pair
-// over the triple's dimensions i and j gets the table summed over the
-// third dimension, all its slots included (a row with a present pair and
-// class is counted wherever its third value fell), so the scratch holds
-// what tallyPair would have counted. The third dimension's stride into
-// the pair scratch is 0, which does the summing; each cell widens to
-// int64 as it is added.
-func (p *batchPlan) foldTriples(nc int) {
-	for _, t := range p.triples {
-		for _, f := range t.folds {
-			pp := &p.pairs[f.pair]
-			var st [3]int
-			st[f.i], st[f.j] = pp.strideA, nc
-			src := t.table
-			for x := 0; x <= t.dims[0]; x++ {
-				for y := 0; y <= t.dims[1]; y++ {
-					for z := 0; z <= t.dims[2]; z++ {
-						dst := pp.scratch[x*st[0]+y*st[1]+z*st[2]:][:nc]
-						for c, n := range src[:nc] {
-							dst[c] += int64(n)
-						}
-						src = src[nc:]
-					}
+// foldDual adds dual table t, the head of work, into its pairs' scratch
+// in two stages: the table summed over g's second attribute and over
+// g's first (marginals 0 and 1, each a run of row adds, kept in work
+// after the table), then every pair across the duals, and h's inner
+// pair, from those small marginals. A row with a present pair and class
+// is counted in the table wherever its other values fell, so summing a
+// dimension over all its slots, missing slot included, gives what
+// tallyPair would have counted. work is left zeroed.
+func (p *batchPlan) foldDual(t *dualTable, work []uint32, nc int) {
+	g, h := &p.duals[t.g], &p.duals[t.h]
+	sh := h.size()
+	table, x := work[:g.size()*sh*nc], work[g.size()*sh*nc:][:g.sizes[0]*sh*nc]
+	y := work[(g.size()+g.sizes[0])*sh*nc:][:g.sizes[1]*sh*nc]
+	whole := [3]int{g.sizes[0], g.sizes[1], sh}
+	fold3(x, table, whole, [3]int{sh * nc, 0, nc}, nc)
+	fold3(y, table, whole, [3]int{0, sh * nc, nc}, nc)
+	srcs := [2][]uint32{x, y}
+	dims := [2][3]int{{g.sizes[0], h.sizes[0], h.sizes[1]}, {g.sizes[1], h.sizes[0], h.sizes[1]}}
+	for _, f := range t.folds {
+		pp := &p.pairs[f.pair]
+		var st [3]int
+		st[f.i], st[f.j] = pp.strideA, nc
+		fold3(pp.scratch, srcs[f.src], dims[f.src], st, nc)
+	}
+	clear(work[:len(table)+len(x)+len(y)])
+}
+
+// fold3 adds src, a dims[0] × dims[1] × dims[2] × nc array, into dst
+// with strides st for the three dimensions; a dimension whose stride is
+// 0 is summed. Each cell widens to dst's type as it is added. Where the
+// third dimension is contiguous in dst (stride nc), each of its runs is
+// one loop of adds.
+func fold3[N uint32 | int64](dst []N, src []uint32, dims, st [3]int, nc int) {
+	run := dims[2] * nc
+	for x := 0; x < dims[0]; x++ {
+		for y := 0; y < dims[1]; y++ {
+			off := x*st[0] + y*st[1]
+			s := src[:run]
+			src = src[run:]
+			if st[2] == nc {
+				d := dst[off:][:run]
+				for k, n := range s {
+					d[k] += N(n)
+				}
+				continue
+			}
+			for z := 0; z < dims[2]; z++ {
+				d := dst[off+z*st[2]:][:nc]
+				for c, n := range s[z*nc:][:nc] {
+					d[c] += N(n)
 				}
 			}
 		}

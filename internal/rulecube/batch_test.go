@@ -66,7 +66,7 @@ func randomDatasetMissingClass(t *testing.T, seed int64, rows, attrs, card, clas
 // TestBuildManyOracle checks every request shape against the
 // brute-force recount: pair cubes in both dimension orders, 1-D cubes
 // derived from a pair plan's scratch, 1-D cubes with a dedicated plan,
-// duplicate requests, and pairs counted in triple tables.
+// duplicate requests, and pairs counted in dual tables.
 func TestBuildManyOracle(t *testing.T) {
 	for trial := int64(0); trial < 4; trial++ {
 		ds := randomDatasetMissingClass(t, trial, 2500, 5, 4, 3, 0.08)
@@ -93,67 +93,86 @@ func TestBuildManyOracle(t *testing.T) {
 			t.Error("duplicate requests should share one cube")
 		}
 	}
-	// Request sets whose narrow pairs group into triple tables: a
-	// triple's pairs leave the pair loop, a table exactly at tripleCells
-	// forms and one value over does not, and fewer than three narrow
-	// pairs form none.
-	ds := tripleDataset(t, 3, 3*scanBlockRows+77)
+	// Request sets whose narrow pairs pair into dual tables: a table's
+	// pairs leave the pair loop and the others (tallied: unpaired
+	// attributes' pairs and the first dual's inner pair) stay, every
+	// dual's codes fit a byte, a table exactly at dualCells forms and one
+	// a cell over does not, and a sweep's star forms none. Every column,
+	// the class included, is missing at 10% of the rows.
+	ds, ds1 := dualDataset(t, 3, 3*scanBlockRows+77, 3), dualDataset(t, 3, 3*scanBlockRows+77, 1)
 	for _, tc := range []struct {
-		name    string
-		reqs    [][]int
-		triples int
+		name            string
+		ds              *dataset.Dataset
+		reqs            [][]int
+		tables, tallied int
 	}{
-		{"six attributes", tripleReqs(), 4},
-		{"at the bound", [][]int{{6, 7}, {8, 7}, {6, 8}, {8}}, 1},
-		{"one value over", [][]int{{6, 7}, {9, 7}, {6, 9}, {9}}, 0},
-		{"two pairs", [][]int{{0, 1}, {1, 2}, {0}}, 0},
-		{"triangle in both orders", [][]int{{0, 1}, {1, 0}, {1, 2}, {2, 1}, {2, 0}, {0, 2}}, 1},
+		{"six attributes", ds, dualReqs(), 3, 2},
+		{"odd attribute count", ds, allPairs(0, 1, 2, 3, 4), 1, 5},
+		{"dual product over 256", ds, allPairs(14, 15, 16, 17, 18), 1, 5},
+		{"pairs in both orders", ds, append(allPairs(0, 1, 2, 3), [][]int{{1, 0}, {3, 2}, {2, 0}, {3, 1}, {3, 0}, {2, 1}}...), 1, 2},
+		{"star", ds, [][]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5}, {0}, {3}}, 0, 5},
+		{"at the bound", ds1, allPairs(6, 7, 8, 9), 1, 1},
+		{"one cell over", ds1, allPairs(10, 11, 12, 13), 0, 6},
 	} {
-		plan, err := planBatch(ds, ds.NumClasses(), tc.reqs)
+		plan, err := planBatch(tc.ds, tc.ds.NumClasses(), tc.reqs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(plan.triples) != tc.triples {
-			t.Errorf("%s: %d triples, want %d", tc.name, len(plan.triples), tc.triples)
+		if len(plan.tables) != tc.tables || len(plan.pairsByWidth[0]) != tc.tallied {
+			t.Errorf("%s: %d tables and %d narrow pairs tallied, want %d and %d", tc.name, len(plan.tables), len(plan.pairsByWidth[0]), tc.tables, tc.tallied)
 		}
-		folded := make(map[int]bool)
-		for _, tr := range plan.triples {
-			for _, f := range tr.folds {
-				folded[f.pair] = true
+		for _, d := range plan.duals {
+			if d.size() > 256 {
+				t.Errorf("%s: dual over %v has %d codes", tc.name, d.attrs, d.size())
+			}
+		}
+		folded := make(map[int]int)
+		for _, tb := range plan.tables {
+			if cells := plan.duals[tb.g].size() * plan.duals[tb.h].size() * tc.ds.NumClasses(); cells > dualCells {
+				t.Errorf("%s: a table of %d cells", tc.name, cells)
+			}
+			for _, f := range tb.folds {
+				folded[f.pair]++
 			}
 		}
 		for _, pi := range plan.pairsByWidth[0] {
-			if folded[pi] {
+			if folded[pi] > 0 {
 				t.Errorf("%s: pair %d is both tallied and folded", tc.name, pi)
+			}
+		}
+		for pi, n := range folded {
+			if n != 1 {
+				t.Errorf("%s: pair %d folded %d times", tc.name, pi, n)
 			}
 		}
 		if n := len(folded) + len(plan.pairsByWidth[0]) + len(plan.pairsByWidth[1]) + len(plan.pairsByWidth[2]) + len(plan.pairsByWidth[3]); n != len(plan.pairs) {
 			t.Errorf("%s: %d pair plans counted, want %d", tc.name, n, len(plan.pairs))
 		}
-		got, err := BuildMany(context.Background(), ds, tc.reqs)
+		got, err := BuildMany(context.Background(), tc.ds, tc.reqs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, attrs := range tc.reqs {
-			checkBruteForce(t, ds, attrs, got[i], fmt.Sprintf("%s: req %d %v", tc.name, i, attrs))
+			checkBruteForce(t, tc.ds, attrs, got[i], fmt.Sprintf("%s: req %d %v", tc.name, i, attrs))
 		}
 	}
 }
 
-// tripleDataset draws a dataset for the triple-table tests: a0..a5
-// have 3, 4, 2, 5, 3 and 0 values, a6 and a7 have 7, and a8 and a9 are
-// sized so that the table over (a6, a7, a8) holds exactly tripleCells
-// cells at two classes and the one over (a6, a7, a9) a value over; a10
-// is wide. Every column, the class included, is missing at 10% of the
-// rows.
-func tripleDataset(t testing.TB, seed int64, rows int) *dataset.Dataset {
+// dualDataset draws a dataset for the dual-table tests with nc classes:
+// a0..a5 have 3, 4, 2, 5, 3 and 0 values; a6..a9 have 7, 14, 13 and 16,
+// so their duals (a6, a7) and (a8, a9) take 120 and 238 codes and at one
+// class their table holds exactly dualCells cells; a10..a13 have 12
+// values, duals of 169 codes whose table at one class is a cell over;
+// a14 and a15 have 20 and 15 values, whose 21 × 16 slots pass a byte,
+// so a15 pairs with a16 (3 values) instead, and a17 with a18 (4 and 2);
+// a19 is wide. Every column, the class included, is missing at 10% of
+// the rows.
+func dualDataset(t testing.TB, seed int64, rows, nc int) *dataset.Dataset {
 	t.Helper()
-	const nc = 2
-	atBound := tripleCells/((7+1)*(7+1)*nc) - 1
-	if (7+1)*(7+1)*(atBound+1)*nc != tripleCells {
-		t.Fatalf("no a8 fills tripleCells = %d", tripleCells)
+	cards := []int{3, 4, 2, 5, 3, 0, 7, 14, 13, 16, 12, 12, 12, 12, 20, 15, 3, 4, 2, dataset.MaxNarrowLabels + 45}
+	if 8*15*14*17 != dualCells || 13*13*13*13 != dualCells+1 {
+		t.Fatalf("a6..a13 do not straddle dualCells = %d", dualCells)
 	}
-	cards := []int{3, 4, 2, 5, 3, 0, 7, 7, atBound, atBound + 1, dataset.MaxNarrowLabels + 45}
 	rng := rand.New(rand.NewSource(seed))
 	codes := make([][]int32, rows)
 	for r := range codes {
@@ -171,17 +190,28 @@ func tripleDataset(t testing.TB, seed int64, rows int) *dataset.Dataset {
 		codes[r] = row
 	}
 	ds := codedDataset(t, cards, nc, codes)
-	if !ds.Column(10).Codes.IsWide() || ds.Column(9).Codes.IsWide() {
-		t.Fatal("a10 must be stored wide and a9 narrow")
+	if !ds.Column(19).Codes.IsWide() || ds.Column(18).Codes.IsWide() {
+		t.Fatal("a19 must be stored wide and a18 narrow")
 	}
 	return ds
 }
 
-// tripleReqs is a request set over tripleDataset's a0..a5 with
-// triangles: every pair of the six in mixed dimension orders, one pair
-// in both orders, duplicates, 1-D requests derived from pairs, pairs
-// with the wide a10, and a 3-D request.
-func tripleReqs() [][]int {
+// allPairs requests every pair of attrs, in the order given.
+func allPairs(attrs ...int) [][]int {
+	var reqs [][]int
+	for i, a := range attrs {
+		for _, b := range attrs[i+1:] {
+			reqs = append(reqs, []int{a, b})
+		}
+	}
+	return reqs
+}
+
+// dualReqs is a request set over dualDataset's a0..a5 that pairs into
+// three duals and three tables: every pair of the six in mixed
+// dimension orders, one pair in both orders, duplicates, 1-D requests
+// derived from pairs, pairs with the wide a19, and a 3-D request.
+func dualReqs() [][]int {
 	var reqs [][]int
 	for a := 0; a < 6; a++ {
 		for b := a + 1; b < 6; b++ {
@@ -197,8 +227,8 @@ func tripleReqs() [][]int {
 		[]int{0, 1}, []int{0, 2}, []int{3, 5},
 		// 1-D cubes derived from pairs, one requested twice.
 		[]int{0}, []int{3}, []int{5}, []int{3},
-		// The wide a10.
-		[]int{0, 10}, []int{10, 4}, []int{10},
+		// The wide a19.
+		[]int{0, 19}, []int{19, 4}, []int{19},
 		[]int{4, 1, 2},
 	)
 }
@@ -243,16 +273,16 @@ func TestBuildManyCounters(t *testing.T) {
 	if d := built.Value() - b0; d != 3 {
 		t.Errorf("built counter advanced by %d, want 3", d)
 	}
-	// A store build over six attributes: 6 1-D and 15 pair cubes, most
-	// pairs counted in triple tables, still one scan over every row.
+	// A store build over six attributes: 6 1-D and 15 pair cubes, the
+	// pairs counted in dual tables, still one scan over every row.
 	ds6 := randomDatasetMissingClass(t, 9, 3000, 6, 4, 3, 0.05)
 	attrs, err := NormalizeAttrs(ds6, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reqs := StoreRequests(attrs)
-	if plan, err := planBatch(ds6, ds6.NumClasses(), reqs); err != nil || len(plan.triples) == 0 {
-		t.Fatalf("store requests form no triples (%v)", err)
+	if plan, err := planBatch(ds6, ds6.NumClasses(), reqs); err != nil || len(plan.tables) == 0 {
+		t.Fatalf("store requests form no dual tables (%v)", err)
 	}
 	rows := obsv.Default().Counter(RowsCountedCounterName)
 	s0, b0, r0 := scans.Value(), built.Value(), rows.Value()
@@ -322,13 +352,17 @@ func TestBuildManySharded(t *testing.T) {
 			t.Errorf("sharded cube %v differs from the single-shard scan", attrs)
 		}
 	}
-	// Each shard folds its own triple tables: the merged cubes must
+	// Each shard folds its own dual tables, and the single-shard scan
+	// folds them once per dualChunkRows-row chunk: the merged cubes must
 	// equal the single-shard scan and a lone Build, which forms no
-	// triple.
-	ds = tripleDataset(t, 42, rows)
-	reqs = tripleReqs()
-	if plan, err := planBatch(ds, ds.NumClasses(), reqs); err != nil || len(plan.triples) == 0 {
-		t.Fatalf("request set forms no triples (%v)", err)
+	// table.
+	if rows <= dualChunkRows {
+		t.Fatalf("%d rows are one chunk", rows)
+	}
+	ds = dualDataset(t, 42, rows, 3)
+	reqs = append(dualReqs(), allPairs(14, 15, 16, 17, 18)...)
+	if plan, err := planBatch(ds, ds.NumClasses(), reqs); err != nil || len(plan.tables) == 0 {
+		t.Fatalf("request set forms no dual tables (%v)", err)
 	}
 	sharded, single = build(ds, reqs, 4), build(ds, reqs, 1)
 	for i, attrs := range reqs {
@@ -340,7 +374,7 @@ func TestBuildManySharded(t *testing.T) {
 			t.Errorf("sharded cube %v differs from the single-shard scan or a lone build", attrs)
 		}
 	}
-	checkBruteForce(t, ds, reqs[0], sharded[0], "sharded triple-table cube")
+	checkBruteForce(t, ds, reqs[0], sharded[0], "sharded dual-table cube")
 }
 
 // BenchmarkBatchVsSequential records the shared-scan win over N
@@ -411,12 +445,37 @@ func BenchmarkBatchVsSequential(b *testing.B) {
 // either order, 3-D and 4-D cubes, duplicates, the class and repeated
 // attributes), and checks every cube BuildMany returns against the
 // brute-force recount; an invalid list must fail, never panic. Up to
-// six attributes of at most four values make triangles of requested
-// pairs common, so triple tables form. Bit i of wide pads attribute i's
-// dictionary past dataset.MaxNarrowLabels labels (bit 7 the class's):
-// pairs with a wide column stay out of the triples, and a wide class
-// leaves room in tripleCells only for attributes of at most one value.
+// six attributes of at most four values make duals whose every cross
+// pair is requested common, so dual tables form. Bit i of wide pads
+// attribute i's dictionary past dataset.MaxNarrowLabels labels (bit 7
+// the class's): pairs with a wide column stay out of the duals, and a
+// wide class leaves room in dualCells only for attributes of at most
+// two values.
 func FuzzBuildMany(f *testing.F) {
+	// Seeds shaped like a store build: every pair of six, five (an odd
+	// count) and four narrow attributes, then 60 rows; the last with a
+	// wide class.
+	store := func(cards []int, nc, wide uint8) {
+		data := []byte{byte(len(cards) - 2)}
+		var attrs []int
+		for a, c := range cards {
+			data = append(data, byte(c))
+			attrs = append(attrs, a)
+		}
+		pairs := allPairs(attrs...)
+		data = append(data, nc-1, byte(len(pairs)))
+		for _, p := range pairs {
+			data = append(data, 1, byte(p[0]), byte(p[1]))
+		}
+		for i := 0; i < 60*(len(cards)+1); i++ {
+			data = append(data, byte(i*37+i*i/7))
+		}
+		f.Add(data, wide)
+	}
+	store([]int{4, 3, 4, 2, 4, 3}, 3, 0)
+	store([]int{4, 4, 3, 2, 4}, 2, 0)
+	store([]int{4, 2, 3, 1}, 3, 0)
+	store([]int{2, 2, 1, 2, 0}, 1, 0x80)
 	// Six attributes, two classes, 15 requests: two triangles of pairs,
 	// a pair in both orders, a duplicate, a derived 1-D, a 3-D and a
 	// 4-D cube, then 20 rows.

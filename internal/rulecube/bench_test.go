@@ -2,6 +2,7 @@ package rulecube_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"opmap/internal/dataset"
@@ -108,25 +109,29 @@ func BenchmarkStoreIngestRows(b *testing.B) {
 // them at set-up. The schema is the benchmark workload's size: the call
 // log with 8 phones and 77 six-valued noise attributes, 82 condition
 // attributes and 3,403 cubes (perfbench's two discretized columns are
-// two more noise attributes here), at 20,000 rows so one run is cheap.
+// two more noise attributes here). Case rows-20000 is cheap to run;
+// rows-100000 is perfbench's row count.
 func BenchmarkBuildManyStore(b *testing.B) {
-	ds, _, err := workload.CallLog(workload.CallLogConfig{Seed: 1, Records: 20000, NumPhones: 8, NoiseAttrs: 77})
-	if err != nil {
-		b.Fatal(err)
-	}
-	attrs, err := rulecube.NormalizeAttrs(ds, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	reqs := rulecube.StoreRequests(attrs)
-	if len(reqs) != 3403 {
-		b.Fatalf("store has %d requests, want 3403", len(reqs))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := rulecube.BuildMany(context.Background(), ds, reqs); err != nil {
+	for _, rows := range []int{20000, 100000} {
+		ds, _, err := workload.CallLog(workload.CallLogConfig{Seed: 1, Records: rows, NumPhones: 8, NoiseAttrs: 77})
+		if err != nil {
 			b.Fatal(err)
 		}
+		attrs, err := rulecube.NormalizeAttrs(ds, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		reqs := rulecube.StoreRequests(attrs)
+		if len(reqs) != 3403 {
+			b.Fatalf("store has %d requests, want 3403", len(reqs))
+		}
+		b.Run(fmt.Sprintf("rows-%d", rows), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := rulecube.BuildMany(context.Background(), ds, reqs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -64,8 +64,9 @@ func buildStore(ctx context.Context, ds *dataset.Dataset, attrs []int) ([]*Cube,
 
 // pollSignalCtx passes every call through to its parent context but
 // closes reached on the at-th Err poll. BuildMany polls once before
-// planning and then once per scan block in every shard, so with at ≥ 3
-// reached closes while the counting scan is under way.
+// planning and then, in every shard, once per dual, dual table and scan
+// block, so with at ≥ 3 reached closes while the counting scan is under
+// way.
 type pollSignalCtx struct {
 	context.Context
 	polls   atomic.Int64
@@ -109,7 +110,12 @@ func TestStoreRequestsContextPreCanceled(t *testing.T) {
 func cancelMidScan(t *testing.T, procs int) {
 	defer testutil.VerifyNoLeak(t)()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-	ds := wideDataset(t, 24, 2*batchShardRows+scanBlockRows) // 276 pairs
+	// 48 binary attributes pair into 24 duals and 276 dual tables, so
+	// each row bumps 276 cells, as the 276 pairs of 24 attributes did
+	// before dual tables: enough work that the scan outlasts the
+	// scheduler's preemption delay at GOMAXPROCS 1 and the cancel lands
+	// mid-scan.
+	ds := wideDataset(t, 48, 2*batchShardRows+scanBlockRows)
 	parent, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	ctx := &pollSignalCtx{Context: parent, at: 4, reached: make(chan struct{})}
