@@ -75,7 +75,7 @@ echo "== benchmarks (each compiles and runs once) =="
 go test -run '^$' -bench BenchmarkServeCompare -benchtime 1x -benchmem ./internal/server
 go test -run '^$' -bench BenchmarkServeIngest -benchtime 1x -benchmem ./internal/server
 go test -run '^$' -bench BenchmarkSessionAppend -benchtime 1x -benchmem .
-go test -run '^$' -bench BenchmarkCountSlices -benchtime 1x -benchmem ./internal/rulecube
+go test -run '^$' -bench '^BenchmarkCountSlices$' -benchtime 1x -benchmem ./internal/rulecube
 go test -run '^$' -bench BenchmarkBuildManyStore -benchtime 1x -benchmem ./internal/rulecube
 go test -run '^$' -bench BenchmarkFig10CubeGenAttrs -benchtime 1x -benchmem .
 go test -run '^$' -bench BenchmarkReadCSV -benchtime 1x -benchmem ./internal/dataset

@@ -3,7 +3,6 @@ package discretize
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"opmap/internal/stats"
 )
@@ -57,6 +56,14 @@ func (c ChiMerge) Cuts(values []float64, classes []int32, numClasses int) ([]flo
 	if numClasses < 1 {
 		return nil, fmt.Errorf("discretize: numClasses must be positive, got %d", numClasses)
 	}
+	return c.sortedCuts(labeledValues(values, classes), numClasses), nil
+}
+
+// sortedCuts is Cuts over pairs sorted by value.
+func (c ChiMerge) sortedCuts(pts []labeledValue, numClasses int) []float64 {
+	if len(pts) == 0 {
+		return nil
+	}
 	minIv := c.MinIntervals
 	if minIv < 1 {
 		minIv = 1
@@ -77,22 +84,6 @@ func (c ChiMerge) Cuts(values []float64, classes []int32, numClasses int) ([]flo
 	}
 
 	// Group by distinct value.
-	type pt struct {
-		v float64
-		c int32
-	}
-	pts := make([]pt, 0, len(values))
-	for i, v := range values {
-		if math.IsNaN(v) || classes[i] < 0 {
-			continue
-		}
-		pts = append(pts, pt{v, classes[i]})
-	}
-	if len(pts) == 0 {
-		return nil, nil
-	}
-	sort.Slice(pts, func(i, j int) bool { return pts[i].v < pts[j].v })
-
 	var ivs []cmInterval
 	for _, p := range pts {
 		if len(ivs) > 0 && stats.SameValue(ivs[len(ivs)-1].hi, p.v) {
@@ -155,7 +146,7 @@ func (c ChiMerge) Cuts(values []float64, classes []int32, numClasses int) ([]flo
 	for i := 0; i+1 < len(ivs); i++ {
 		cuts = append(cuts, (ivs[i].hi+ivs[i+1].lo)/2)
 	}
-	return cuts, nil
+	return cuts
 }
 
 // prebin coalesces value-level intervals into about target quantile

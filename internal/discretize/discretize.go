@@ -11,8 +11,10 @@
 package discretize
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -162,6 +164,23 @@ type labeledValue struct {
 	c int32
 }
 
+// labeledValues pairs each value with its class, skipping NaN values
+// and missing classes, and sorts the pairs by value. The order among
+// equal values is unspecified: both supervised discretizers read only
+// the class counts on either side of a boundary between distinct
+// values, which that order cannot change.
+func labeledValues(values []float64, classes []int32) []labeledValue {
+	pairs := make([]labeledValue, 0, len(values))
+	for i, v := range values {
+		if math.IsNaN(v) || classes[i] < 0 {
+			continue
+		}
+		pairs = append(pairs, labeledValue{v, classes[i]})
+	}
+	slices.SortFunc(pairs, func(p, q labeledValue) int { return cmp.Compare(p.v, q.v) })
+	return pairs
+}
+
 // Cuts implements Discretizer.
 func (m MDLP) Cuts(values []float64, classes []int32, numClasses int) ([]float64, error) {
 	if len(values) != len(classes) {
@@ -170,18 +189,14 @@ func (m MDLP) Cuts(values []float64, classes []int32, numClasses int) ([]float64
 	if numClasses < 1 {
 		return nil, fmt.Errorf("discretize: numClasses must be positive, got %d", numClasses)
 	}
-	pairs := make([]labeledValue, 0, len(values))
-	for i, v := range values {
-		if math.IsNaN(v) || classes[i] < 0 {
-			continue
-		}
-		pairs = append(pairs, labeledValue{v, classes[i]})
-	}
-	if len(pairs) == 0 {
-		return nil, nil
-	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].v < pairs[j].v })
+	return m.sortedCuts(labeledValues(values, classes), numClasses), nil
+}
 
+// sortedCuts is Cuts over pairs sorted by value.
+func (m MDLP) sortedCuts(pairs []labeledValue, numClasses int) []float64 {
+	if len(pairs) == 0 {
+		return nil
+	}
 	maxDepth := m.MaxDepth
 	if maxDepth == 0 {
 		maxDepth = 16
@@ -194,7 +209,7 @@ func (m MDLP) Cuts(values []float64, classes []int32, numClasses int) ([]float64
 	var cuts []float64
 	m.split(pairs, numClasses, maxDepth, minSize, &cuts)
 	sort.Float64s(cuts)
-	return cuts, nil
+	return cuts
 }
 
 // split recursively partitions pairs (sorted by value) and appends

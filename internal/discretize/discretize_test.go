@@ -379,3 +379,62 @@ func TestCutsStrictlyIncreasing(t *testing.T) {
 		}
 	}
 }
+
+// TestSupervisedCutsIgnoreTieOrder: MDLP and ChiMerge sort their
+// (value, class) pairs with an unstable sort, so pairs of equal value
+// may land in any order. Over shuffled columns with many tied values
+// (-0 and +0 among them) and a class that depends on the value, their
+// cuts must equal, bit for bit, the cuts of the same pairs put in order
+// by sort.SliceStable.
+func TestSupervisedCutsIgnoreTieOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	levels := []float64{math.Copysign(0, -1), 0, -3, 1.5, 2, 7, 7.25, 40}
+	cutters := []interface {
+		Discretizer
+		sortedCuts([]labeledValue, int) []float64
+	}{MDLP{}, MDLP{MinIntervalSize: 50}, ChiMerge{}, ChiMerge{MaxInitialIntervals: 3}, ChiMerge{MaxIntervals: 2}}
+	cutSome := 0
+	for trial := 0; trial < 40; trial++ {
+		nc := 2 + rng.Intn(3)
+		n := 500 + rng.Intn(2000)
+		values := make([]float64, n)
+		classes := make([]int32, n)
+		var ref []labeledValue
+		for i := range values {
+			l := rng.Intn(len(levels))
+			values[i] = levels[l]
+			classes[i] = int32((l + rng.Intn(2)) % nc)
+			switch rng.Intn(40) {
+			case 0:
+				values[i] = math.NaN()
+			case 1:
+				classes[i] = dataset.Missing
+			}
+			if !math.IsNaN(values[i]) && classes[i] >= 0 {
+				ref = append(ref, labeledValue{values[i], classes[i]})
+			}
+		}
+		sort.SliceStable(ref, func(i, j int) bool { return ref[i].v < ref[j].v })
+		for _, d := range cutters {
+			got, err := d.Cuts(values, classes, nc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := d.sortedCuts(ref, nc)
+			if len(got) != len(want) {
+				t.Fatalf("trial %d %#v: cuts %v, stable-sort reference %v", trial, d, got, want)
+			}
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("trial %d %#v: cuts %v, stable-sort reference %v", trial, d, got, want)
+				}
+			}
+			if len(got) > 0 {
+				cutSome++
+			}
+		}
+	}
+	if cutSome == 0 {
+		t.Fatal("no column was cut: the check compared only empty cut lists")
+	}
+}
