@@ -235,7 +235,7 @@ func BenchmarkAblationCubeVsScan(b *testing.B) {
 	})
 	b.Run("scan", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := compare.Scan(ds, in, compare.Options{}); err != nil {
+			if _, err := compare.Scan(context.Background(), ds, nil, in, compare.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -244,7 +244,7 @@ func BenchmarkAblationCubeVsScan(b *testing.B) {
 	big := ds.Duplicate(2)
 	b.Run("scan-2x-records", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := compare.Scan(big, in, compare.Options{}); err != nil {
+			if _, err := compare.Scan(context.Background(), big, nil, in, compare.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -76,6 +76,7 @@ go test -run '^$' -bench BenchmarkServeCompare -benchtime 1x -benchmem ./interna
 go test -run '^$' -bench BenchmarkServeIngest -benchtime 1x -benchmem ./internal/server
 go test -run '^$' -bench BenchmarkSessionAppend -benchtime 1x -benchmem .
 go test -run '^$' -bench '^BenchmarkCountSlices$' -benchtime 1x -benchmem ./internal/rulecube
+go test -run '^$' -bench '^BenchmarkScanWhere$' -benchtime 1x -benchmem ./internal/compare
 go test -run '^$' -bench BenchmarkBuildManyStore -benchtime 1x -benchmem ./internal/rulecube
 go test -run '^$' -bench BenchmarkFig10CubeGenAttrs -benchtime 1x -benchmem .
 go test -run '^$' -bench BenchmarkReadCSV -benchtime 1x -benchmem ./internal/dataset

@@ -132,12 +132,12 @@ func ablations(seed int64) {
 		return err
 	})
 	scanT := timeIt("raw scan compare (50k records)", 5, func() error {
-		_, err := compare.Scan(ds, in, compare.Options{})
+		_, err := compare.Scan(context.Background(), ds, nil, in, compare.Options{})
 		return err
 	})
 	big := ds.Duplicate(2)
 	scan2T := timeIt("raw scan compare (100k records)", 5, func() error {
-		_, err := compare.Scan(big, in, compare.Options{})
+		_, err := compare.Scan(context.Background(), big, nil, in, compare.Options{})
 		return err
 	})
 	fmt.Printf("  scan/cube ratio %.0f×; scan 2× records grows %.2f× — cube time is size-independent\n",

@@ -189,10 +189,11 @@ func TestDrillCubesFollowIngest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := rulecube.Build(s.ds, attrs)
+		cubes, err := rulecube.BuildMany(context.Background(), s.ds, [][]int{attrs})
 		if err != nil {
 			t.Fatal(err)
 		}
+		want := cubes[0]
 		if got.Total() != want.Total() || !reflect.DeepEqual(got.ClassMarginals(), want.ClassMarginals()) {
 			t.Errorf("lazy=%v: resident 3-D cube total %d, fresh count %d", lazy, got.Total(), want.Total())
 		}

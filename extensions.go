@@ -256,7 +256,7 @@ func (s *Session) CompareWhere(attr, v1, v2, class string, where map[string]stri
 		fixed = append(fixed, car.Condition{Attr: a, Value: code})
 	}
 	sort.Slice(fixed, func(i, j int) bool { return fixed[i].Attr < fixed[j].Attr })
-	res, err := compare.ScanWhere(s.ds, fixed, in, copts)
+	res, err := compare.Scan(context.Background(), s.ds, fixed, in, copts)
 	if err != nil {
 		return nil, err
 	}

@@ -282,10 +282,11 @@ func TestExploreCubeFindsPlantedCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cube, err := rulecube.Build(ds, []int{0, 1})
+	cubes, err := rulecube.BuildMany(context.Background(), ds, [][]int{{0, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	cube := cubes[0]
 	// With an additive model the interaction leaks into the planted
 	// cell's row and column effects, so its standardized residual sits
 	// near 2.45; probe with a threshold of 2.
@@ -335,10 +336,11 @@ func TestExploreCubeNoSignal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cube, err := rulecube.Build(ds, []int{0, 1})
+	cubes, err := rulecube.BuildMany(context.Background(), ds, [][]int{{0, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	cube := cubes[0]
 	exs, err := ExploreCube(cube, ExplorerOptions{Class: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -350,10 +352,11 @@ func TestExploreCubeNoSignal(t *testing.T) {
 
 func TestExploreCubeRejects2D(t *testing.T) {
 	ds := callLog(t, 1000)
-	cube, err := rulecube.Build(ds, []int{0})
+	cubes, err := rulecube.BuildMany(context.Background(), ds, [][]int{{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	cube := cubes[0]
 	if _, err := ExploreCube(cube, ExplorerOptions{}); err == nil {
 		t.Error("2-D cube should be rejected")
 	}

@@ -325,7 +325,12 @@ func (c *Comparator) compare(ctx context.Context, in Input, opts Options, attrs 
 	if err != nil {
 		return nil, fmt.Errorf("compare: attribute %d unavailable: %w", in.Attr, err)
 	}
-	res, attrs, err := prepare(c.ds, cube, in, opts, attrs)
+	r1, err1 := cube.Rule([]int32{in.V1}, in.Class)
+	r2, err2 := cube.Rule([]int32{in.V2}, in.Class)
+	if err := errors.Join(err1, err2); err != nil {
+		return nil, err
+	}
+	res, attrs, err := prepare(c.ds, r1, r2, in, opts, attrs)
 	if err != nil {
 		return nil, err
 	}
@@ -368,8 +373,8 @@ func (c *Comparator) compare(ctx context.Context, in Input, opts Options, attrs 
 // The table is the computation's scratch, valid until the next call.
 func (c *computation) sliceTable(s rulecube.Slices, class int32) *valueTable {
 	t := c.table(s.Dim())
-	s.Side(0).Fill(class, t.n1, t.c1)
-	s.Side(1).Fill(class, t.n2, t.c2)
+	s.Fill(0, class, t.n1, t.c1)
+	s.Fill(1, class, t.n2, t.c2)
 	return t
 }
 
@@ -571,20 +576,11 @@ func orient(r1, r2 car.Rule, opts Options) (*computation, error) {
 	return &computation{result: res}, nil
 }
 
-// prepare reads a pairwise comparison's two input rules from the
-// comparison attribute's 1-D cube, orients them, and returns the
-// candidate attribute list: attrs when the caller resolved it already,
-// else opts.Attrs resolved after the preamble, so an input error wins
-// over a list error.
-func prepare(ds *dataset.Dataset, cube *rulecube.Cube, in Input, opts Options, attrs []int) (*computation, []int, error) {
-	r1, err := cube.Rule([]int32{in.V1}, in.Class)
-	if err != nil {
-		return nil, nil, err
-	}
-	r2, err := cube.Rule([]int32{in.V2}, in.Class)
-	if err != nil {
-		return nil, nil, err
-	}
+// prepare orients a pairwise comparison's two counted input rules, of
+// in.V1 and in.V2, and returns the candidate attribute list: attrs when
+// the caller resolved it already, else opts.Attrs resolved after the
+// preamble, so an input error wins over a list error.
+func prepare(ds *dataset.Dataset, r1, r2 car.Rule, in Input, opts Options, attrs []int) (*computation, []int, error) {
 	comp, err := orient(r1, r2, opts)
 	if err != nil {
 		return nil, nil, err
@@ -692,35 +688,51 @@ func margin(method IntervalMethod, z, cf float64, n, c int64, level stats.Confid
 }
 
 // Scan runs the same comparison by scanning the raw dataset instead of
-// reading cubes. It exists for datasets without a materialized store and
-// as the baseline of the cube-vs-scan ablation: its cost grows with the
-// number of records, whereas Comparator.Compare over resident cubes
-// does not. Like the cubes, it skips records whose class is missing.
-func Scan(ds *dataset.Dataset, in Input, opts Options) (*Result, error) {
+// reading cubes, over the rows at which every condition of where holds
+// (nil: every row), as restricted mining (III.B) re-compares within a
+// context; condition attributes are not ranked. Like the cubes, it
+// skips records whose class is missing. One rulecube.CountSlices pass
+// counts it; ctx is polled per row block and candidate. It serves
+// Session.CompareWhere, the permutation test, the cube-vs-scan
+// ablation and the tests' cube-free reference.
+func Scan(ctx context.Context, ds *dataset.Dataset, where []car.Condition, in Input, opts Options) (*Result, error) {
 	if !ds.AllCategorical() {
 		return nil, fmt.Errorf("compare: dataset has continuous attributes; discretize first")
 	}
 	if err := checkInput(ds, in); err != nil {
 		return nil, err
 	}
-	// One pass counts both input rules and their total, as the cube
-	// path reads them.
-	cube, err := rulecube.Build(ds, []int{in.Attr})
+	if len(where) > 0 && opts.Attrs == nil {
+		opts.Attrs = slices.DeleteFunc(defaultRankAttrs(ds, in.Attr), func(a int) bool { return slices.ContainsFunc(where, func(f car.Condition) bool { return f.Attr == a }) })
+	}
+	// A bad list is nil here; prepare reports it after the preamble.
+	attrs, _ := resolveRankAttrs(ds, in.Attr, opts.Attrs)
+	tabs, sel, err := rulecube.CountSlices(ctx, ds, in.Attr, in.V1, in.V2, where, attrs)
 	if err != nil {
 		return nil, err
 	}
-	res, attrs, err := prepare(ds, cube, in, opts, nil)
-	if err != nil {
-		return nil, err
+	if len(where) > 0 && sel.Matched == 0 {
+		return nil, fmt.Errorf("compare: no records match the fixed conditions")
 	}
-	// One pass over D1 ∪ D2 counts every candidate's two slices.
-	v1, v2 := res.result.Rule1.Conditions[0].Value, res.result.Rule2.Conditions[0].Value
-	tabs, err := rulecube.CountSlices(context.Background(), ds, in.Attr, v1, v2, attrs)
+	var n, c [2]int64
+	sel.Rules.Fill(0, in.Class, n[:1], c[:1])
+	sel.Rules.Fill(1, in.Class, n[1:], c[1:])
+	rule := func(side int, v int32) car.Rule {
+		return car.Rule{Conditions: []car.Condition{{Attr: in.Attr, Value: v}}, Class: in.Class, SupCount: c[side], CondCount: n[side], Total: sel.Total}
+	}
+	res, attrs, err := prepare(ds, rule(0, in.V1), rule(1, in.V2), in, opts, attrs)
 	if err != nil {
 		return nil, err
 	}
 	for k, ai := range attrs {
-		res.addAttribute(ds, ai, res.sliceTable(tabs[k], in.Class))
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		t := res.sliceTable(tabs[k], in.Class)
+		if res.result.Swapped {
+			*t = t.flip()
+		}
+		res.addAttribute(ds, ai, t)
 	}
 	res.finish()
 	return res.result, nil

@@ -420,7 +420,7 @@ func TestCubeAndScanAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Scan(ds, in, Options{})
+	b, err := Scan(context.Background(), ds, nil, in, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,7 +488,7 @@ func cubeAndScanAgreeMissingClass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Scan(ds, in, Options{})
+	b, err := Scan(context.Background(), ds, nil, in, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -615,7 +615,7 @@ func TestScanRejectsContinuous(t *testing.T) {
 	})
 	b.AddRow([]string{"1", "y"})
 	ds, _ := b.Build()
-	if _, err := Scan(ds, Input{}, Options{}); err == nil {
+	if _, err := Scan(context.Background(), ds, nil, Input{}, Options{}); err == nil {
 		t.Error("continuous dataset should be rejected")
 	}
 }

@@ -220,3 +220,58 @@ func TestPermutationTestContextPreCanceled(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
+
+// TestPermutationTestCancelBeforeFirstRound cancels the test from
+// inside its observed scan's pass or its pool's walk, at every context
+// poll in turn: each returns context.Canceled, and no permutation round
+// runs (a round would poll Done first).
+func TestPermutationTestCancelBeforeFirstRound(t *testing.T) {
+	_, gt, ds := buildCaseStudy(t, 10000, 2)
+	in := inputFor(t, ds, gt)
+	attr := ds.AttrIndex(gt.DistinguishingAttr)
+	at := 1
+	for ; ; at++ {
+		parent, cancel := context.WithCancel(context.Background())
+		ctx := &cancelAtPoll{Context: parent, cancel: cancel, at: at}
+		_, err := PermutationTestContext(ctx, ds, in, attr, 10, 1, Options{})
+		cancel()
+		if ctx.polls < at {
+			if err != nil {
+				t.Fatalf("uncanceled test: %v", err)
+			}
+			break // every poll before the first round was tried
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("canceled at poll %d: err = %v, want context.Canceled", at, err)
+		}
+		if ctx.dones != 0 {
+			t.Errorf("canceled at poll %d: %d permutation rounds ran", at, ctx.dones)
+		}
+	}
+	// The scan polls once per block and once for its one candidate, the
+	// walk once per block.
+	if blocks := (ds.NumRows() + 2047) / 2048; at-1 != 2*blocks+1 {
+		t.Errorf("the test polled its context %d times before its rounds, want %d", at-1, 2*blocks+1)
+	}
+}
+
+// cancelAtPoll cancels its parent at its at-th Err poll and counts its
+// Done polls.
+type cancelAtPoll struct {
+	context.Context
+	cancel       context.CancelFunc
+	polls, dones int
+	at           int
+}
+
+func (c *cancelAtPoll) Err() error {
+	if c.polls++; c.polls == c.at {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+func (c *cancelAtPoll) Done() <-chan struct{} {
+	c.dones++
+	return c.Context.Done()
+}

@@ -120,7 +120,7 @@ func TestScoreIsSumOfDerivedW(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkScoreSums(t, "Compare", res)
-		if res, err = Scan(ds, in, opts); err != nil {
+		if res, err = Scan(context.Background(), ds, nil, in, opts); err != nil {
 			t.Fatal(err)
 		}
 		checkScoreSums(t, "Scan", res)

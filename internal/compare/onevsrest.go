@@ -163,7 +163,7 @@ func (comp *computation) oneVsRestTable(pair, marginal *rulecube.Cube, a1, ai in
 	if len(idx) != 2 || !(idx[0] == a1 && idx[1] == ai || idx[0] == ai && idx[1] == a1) {
 		return nil, fmt.Errorf("compare: cube dimensions %v do not match (%d,%d)", idx, a1, ai)
 	}
-	side, err := rulecube.SliceOf(pair, a1, v)
+	side, err := rulecube.SlicesOf(pair, a1, v, v)
 	if err != nil {
 		return nil, err
 	}
@@ -180,7 +180,7 @@ func (comp *computation) oneVsRestTable(pair, marginal *rulecube.Cube, a1, ai in
 	if comp.result.Swapped {
 		vr = vr.flip()
 	}
-	side.Fill(class, vr.n1, vr.c1)
+	side.Fill(0, class, vr.n1, vr.c1)
 	cells := marginal.Counts()
 	for k := range vr.n2 {
 		row := cells[k*nc:][:nc]

@@ -10,6 +10,7 @@ import (
 	"opmap/internal/dataset"
 	"opmap/internal/faultinject"
 	"opmap/internal/obsv"
+	"opmap/internal/rulecube"
 )
 
 // Permutation test for the interestingness measure. The paper justifies
@@ -46,14 +47,12 @@ func PermutationTest(ds *dataset.Dataset, in Input, attr int, rounds int, seed i
 }
 
 // PermutationTestContext is PermutationTest under a context, checked
-// once per permutation round. It is strict: cancellation mid-test
-// returns ctx.Err() (a truncated null distribution would bias the
-// p-value, so there is no partial mode).
+// once per row block of its two passes (the observed scan and the
+// pool's walk) and once per permutation round. It is strict:
+// cancellation mid-test returns ctx.Err() (a truncated null
+// distribution would bias the p-value, so there is no partial mode).
 func PermutationTestContext(ctx context.Context, ds *dataset.Dataset, in Input, attr int, rounds int, seed int64, opts Options) (PermutationResult, error) {
 	defer obsv.Stage(obsv.StagePermutationTest)()
-	if !ds.AllCategorical() {
-		return PermutationResult{}, fmt.Errorf("compare: dataset has continuous attributes; discretize first")
-	}
 	if attr < 0 || attr >= ds.NumAttrs() || attr == ds.ClassIndex() || attr == in.Attr {
 		return PermutationResult{}, fmt.Errorf("compare: invalid candidate attribute %d", attr)
 	}
@@ -62,7 +61,7 @@ func PermutationTestContext(ctx context.Context, ds *dataset.Dataset, in Input, 
 	}
 
 	// Observed score via the standard scan restricted to this attribute.
-	obs, err := Scan(ds, in, withAttrs(opts, attr))
+	obs, err := Scan(ctx, ds, nil, in, withAttrs(opts, attr))
 	if err != nil {
 		return PermutationResult{}, err
 	}
@@ -72,10 +71,12 @@ func PermutationTestContext(ctx context.Context, ds *dataset.Dataset, in Input, 
 	}
 
 	// Collect the member rows of both sub-populations, with their
-	// candidate-attribute value and class membership. One pass over the
-	// rows; cancellation granularity is the pass (same convention as a
-	// single cube build).
-	pool, n1 := collectPool(ds, in, attr, obs.Swapped)
+	// candidate-attribute value and class membership, in one walk over
+	// the rows the observed scan counted.
+	pool, n1, err := collectPool(ctx, ds, in, attr, obs.Swapped)
+	if err != nil {
+		return PermutationResult{}, err
+	}
 	if n1 == 0 || n1 == len(pool) {
 		return PermutationResult{}, fmt.Errorf("compare: degenerate sub-populations")
 	}
@@ -119,34 +120,40 @@ type member struct {
 	inClass bool
 }
 
-// collectPool gathers the member rows of both sub-populations in one
-// pass over the dataset, in row order; n1 counts the first
-// sub-population's rows. A row with a missing class is no member, as
-// the observed rules and per-value counts skip it; a row with a missing
-// candidate value is one (poolScore counts it in its side's total). The
-// permutation rounds shuffle the pool and re-partition it at n1.
-func collectPool(ds *dataset.Dataset, in Input, attr int, swapped bool) (pool []member, n1 int) {
-	a1 := &ds.Column(in.Attr).Codes
-	ai := &ds.Column(attr).Codes
-	cls := &ds.Column(ds.ClassIndex()).Codes
+// collectPool gathers the member rows of both sub-populations in row
+// order, walking the rows Scan counts (rulecube.SelectRows); n1 counts
+// the first sub-population's rows. A row with a missing class is no
+// member, as the observed rules and per-value counts skip it; a row
+// with a missing candidate value is one (poolScore counts it in its
+// side's total). The permutation rounds shuffle the pool and
+// re-partition it at n1. It polls ctx once per row block.
+func collectPool(ctx context.Context, ds *dataset.Dataset, in Input, attr int, swapped bool) (pool []member, n1 int, err error) {
 	v1, v2 := in.V1, in.V2
 	// Match the observed orientation: the preamble may have swapped.
 	if swapped {
 		v1, v2 = v2, v1
 	}
-	for r := 0; r < ds.NumRows(); r++ {
-		if cls.At(r) == dataset.Missing {
-			continue
-		}
-		switch a1.At(r) {
-		case v1:
-			pool = append(pool, member{ai.At(r), cls.At(r) == in.Class})
-			n1++
-		case v2:
-			pool = append(pool, member{ai.At(r), cls.At(r) == in.Class})
+	w := poolWalk{cand: &ds.Column(attr).Codes, nc: int32(ds.NumClasses()), class: in.Class}
+	_, err = rulecube.SelectRows(ctx, ds, in.Attr, v1, v2, nil, w.add)
+	return w.pool, w.n1, err
+}
+
+// poolWalk gathers a permutation pool from the selected rows of each
+// block: a member per row, in D1 when its side is 0.
+type poolWalk struct {
+	cand      *dataset.Codes
+	nc, class int32
+	pool      []member
+	n1        int
+}
+
+func (w *poolWalk) add(lo int, sel, off []int32) {
+	for j, r := range sel {
+		w.pool = append(w.pool, member{w.cand.At(lo + int(r)), off[j]%w.nc == w.class})
+		if off[j] < w.nc {
+			w.n1++
 		}
 	}
-	return pool, n1
 }
 
 // summarizeNull reduces the null distribution to its mean and 95th

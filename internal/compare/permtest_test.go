@@ -1,6 +1,7 @@
 package compare
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -112,7 +113,7 @@ func TestPermutationPoolReproducesObserved(t *testing.T) {
 	cases = append(cases, testCase{"gappy call log", gappy, inputFor(t, gappy, gt)})
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 30; i++ {
-		ds := randomGappyTable(t, rng)
+		ds := randomGappyTable(t, rng, 2, 0)
 		cases = append(cases, testCase{fmt.Sprintf("random table %d", i), ds, Input{Attr: 0, V1: 0, V2: 1, Class: 0}})
 	}
 	checked := make(map[string]int)
@@ -122,7 +123,7 @@ func TestPermutationPoolReproducesObserved(t *testing.T) {
 				continue
 			}
 			for _, opts := range []Options{{DisableCI: true}, {}} {
-				obs, err := Scan(tc.ds, tc.in, withAttrs(opts, attr))
+				obs, err := Scan(context.Background(), tc.ds, nil, tc.in, withAttrs(opts, attr))
 				if err != nil {
 					continue
 				}
@@ -130,7 +131,10 @@ func TestPermutationPoolReproducesObserved(t *testing.T) {
 				if !ok {
 					continue
 				}
-				pool, n1 := collectPool(tc.ds, tc.in, attr, obs.Swapped)
+				pool, n1, err := collectPool(context.Background(), tc.ds, tc.in, attr, obs.Swapped)
+				if err != nil {
+					t.Fatal(err)
+				}
 				arranged, err := observedOrder(tc.ds, tc.in, attr, obs.Swapped, pool, n1)
 				if err != nil {
 					t.Fatalf("%s, attribute %s: %v", tc.name, tc.ds.Attr(attr).Name, err)
@@ -184,11 +188,16 @@ func observedOrder(ds *dataset.Dataset, in Input, attr int, swapped bool, pool [
 }
 
 // randomGappyTable draws a small table: the split attribute a0 with two
-// values, two candidates of 2–4 values and a class of 2–3, every column
-// missing at 15% of the rows.
-func randomGappyTable(t *testing.T, rng *rand.Rand) *dataset.Dataset {
+// values, cands candidates of 2–4 values and a class of 2–3, every
+// column missing at 15% of the rows. Each candidate's dictionary holds
+// spare more labels, which no row takes.
+func randomGappyTable(t *testing.T, rng *rand.Rand, cands, spare int) *dataset.Dataset {
 	t.Helper()
-	cards := []int{2, 2 + rng.Intn(3), 2 + rng.Intn(3), 2 + rng.Intn(2)}
+	cards := []int{2}
+	for i := 0; i < cands; i++ {
+		cards = append(cards, 2+rng.Intn(3))
+	}
+	cards = append(cards, 2+rng.Intn(2))
 	schema := dataset.Schema{ClassIndex: len(cards) - 1}
 	for i := range cards {
 		schema.Attrs = append(schema.Attrs, dataset.Attribute{Name: fmt.Sprintf("a%d", i), Kind: dataset.Categorical})
@@ -199,6 +208,9 @@ func randomGappyTable(t *testing.T, rng *rand.Rand) *dataset.Dataset {
 	}
 	for i, card := range cards {
 		d := dataset.NewDictionary()
+		if i > 0 && i < len(cards)-1 {
+			card += spare
+		}
 		for v := 0; v < card; v++ {
 			d.Code(fmt.Sprintf("v%d", v))
 		}

@@ -1,6 +1,7 @@
 package compare
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -65,10 +66,11 @@ func TestOneVsRestTableRejectsMismatchedCubes(t *testing.T) {
 	narrow := timeTable(t, []string{"am", "pm"})
 	build := func(ds *dataset.Dataset, attrs ...int) *rulecube.Cube {
 		t.Helper()
-		c, err := rulecube.Build(ds, attrs)
+		cubes, err := rulecube.BuildMany(context.Background(), ds, [][]int{attrs})
 		if err != nil {
 			t.Fatal(err)
 		}
+		c := cubes[0]
 		return c
 	}
 	const phone, tm, region = 0, 1, 2

@@ -545,8 +545,8 @@ func (p *Planner) expand(root *compare.Result, cube *rulecube.Cube, split int, p
 	card := s.Dim()
 	tab := make([]int64, 4*card)
 	n1s, c1s, n2s, c2s := tab[:card], tab[card:2*card], tab[2*card:3*card], tab[3*card:]
-	s.Side(0).Fill(class, n1s, c1s)
-	s.Side(1).Fill(class, n2s, c2s)
+	s.Fill(0, class, n1s, c1s)
+	s.Fill(1, class, n2s, c2s)
 
 	cf1 := float64(parent.C1) / float64(parent.N1)
 	cf2 := float64(parent.C2) / float64(parent.N2)

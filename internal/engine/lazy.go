@@ -388,7 +388,7 @@ func (s *LazySource) PairSlices(ctx context.Context, a1 int, v1, v2 int32, cands
 	s.misses.Add(int64(len(missing)))
 	s.missesC.Add(int64(len(missing)))
 	start := time.Now()
-	tabs, err := rulecube.CountSlices(ctx, s.ds, a1, v1, v2, pick(cands, missing))
+	tabs, _, err := rulecube.CountSlices(ctx, s.ds, a1, v1, v2, nil, pick(cands, missing))
 	if err != nil {
 		return nil, err
 	}

@@ -63,10 +63,11 @@ func trendDataset(t *testing.T) *dataset.Dataset {
 
 func cube1(t *testing.T, ds *dataset.Dataset, attr int) *rulecube.Cube {
 	t.Helper()
-	c, err := rulecube.Build(ds, []int{attr})
+	cubes, err := rulecube.BuildMany(context.Background(), ds, [][]int{{attr}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := cubes[0]
 	return c
 }
 
@@ -138,10 +139,11 @@ func TestTrendsStable(t *testing.T) {
 
 func TestTrendsRejects3D(t *testing.T) {
 	ds := trendDataset(t)
-	c, err := rulecube.Build(ds, []int{0, 1})
+	cubes, err := rulecube.BuildMany(context.Background(), ds, [][]int{{0, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := cubes[0]
 	if _, err := Trends(c, TrendOptions{}); err == nil {
 		t.Error("3-D cube should be rejected")
 	}
@@ -323,10 +325,11 @@ func TestTrendsWithin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cube, err := rulecube.Build(ds, []int{0, 1})
+	cubes, err := rulecube.BuildMany(context.Background(), ds, [][]int{{0, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	cube := cubes[0]
 	cts, err := TrendsWithin(cube, TrendOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -353,10 +356,11 @@ func TestTrendsWithin(t *testing.T) {
 		t.Errorf("g0 trend = %v, want stable", g0Kind)
 	}
 	// 2-D cubes rejected.
-	flat, err := rulecube.Build(ds, []int{0})
+	cubes, err = rulecube.BuildMany(context.Background(), ds, [][]int{{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	flat := cubes[0]
 	if _, err := TrendsWithin(flat, TrendOptions{}); err == nil {
 		t.Error("2-D cube should be rejected")
 	}

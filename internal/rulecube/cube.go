@@ -10,7 +10,6 @@
 package rulecube
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -147,18 +146,6 @@ func (c *Cube) Rule(values []int32, class int32) (car.Rule, error) {
 		conds[i] = car.Condition{Attr: c.attrIdx[i], Value: v}
 	}
 	return car.Rule{Conditions: conds, Class: class, SupCount: sup, CondCount: cond, Total: c.total}, nil
-}
-
-// Build counts a rule cube over the given condition attributes of ds:
-// a one-request BuildMany. Rows with a missing value in any cube
-// dimension (including the class) are skipped. ds must be fully
-// categorical.
-func Build(ds *dataset.Dataset, attrs []int) (*Cube, error) {
-	cubes, err := BuildMany(context.Background(), ds, [][]int{attrs})
-	if err != nil {
-		return nil, err
-	}
-	return cubes[0], nil
 }
 
 // Slice fixes condition dimension pos to the given value and returns the

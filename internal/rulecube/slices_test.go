@@ -7,9 +7,11 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
+	"opmap/internal/car"
 	"opmap/internal/dataset"
 	"opmap/internal/faultinject"
 	"opmap/internal/obsv"
@@ -87,7 +89,7 @@ func sliceCells(s Slices) []int64 {
 	for side := 0; side < 2; side++ {
 		for c := range sup {
 			sup[c] = make([]int64, s.Dim())
-			s.Side(side).Fill(int32(c), cond, sup[c])
+			s.Fill(side, int32(c), cond, sup[c])
 		}
 		for v := range cond {
 			for c := range sup {
@@ -99,21 +101,74 @@ func sliceCells(s Slices) []int64 {
 	return out
 }
 
+// holdsAll reports whether every condition of where holds at row r.
+func holdsAll(ds *dataset.Dataset, where []car.Condition, r int) bool {
+	for _, f := range where {
+		if ds.CatCode(r, f.Attr) != f.Value {
+			return false
+		}
+	}
+	return true
+}
+
 // checkSlices fails unless got holds, for every candidate, the two
-// slices of the pair cube (a1, b) as the brute-force recount and
-// BuildMany's pair cubes (both dimension orders) count them.
-func checkSlices(t *testing.T, ds *dataset.Dataset, a1 int, v1, v2 int32, cands []int, got []Slices) {
+// slices of the pair cube (a1, b) over the rows at which every
+// condition of where holds, as the brute-force recount and BuildMany's
+// pair cubes (both dimension orders) of those rows count them, and sel
+// holds their input rules, Total and Matched as a recount of the same
+// rows does. It also checks that SelectRows hands on exactly those
+// rows, in order, with their (side, class) offsets.
+func checkSlices(t *testing.T, ds *dataset.Dataset, a1 int, v1, v2 int32, where []car.Condition, cands []int, got []Slices, sel Selection) {
 	t.Helper()
 	if len(got) != len(cands) {
 		t.Fatalf("got %d tables for %d candidates", len(got), len(cands))
 	}
 	nc := ds.NumClasses()
+	keep := func(r int) bool { return holdsAll(ds, where, r) }
+	rules := make([]int64, 2*nc)
+	var want Selection
+	var rows, offs []int32
+	for r := 0; r < ds.NumRows(); r++ {
+		if !keep(r) {
+			continue
+		}
+		want.Matched++
+		v, c := ds.CatCode(r, a1), ds.ClassCode(r)
+		if v < 0 || c < 0 {
+			continue
+		}
+		want.Total++
+		for side, vs := range []int32{v1, v2} {
+			if v == vs {
+				rules[side*nc+int(c)]++
+				rows, offs = append(rows, int32(r)), append(offs, int32(side*nc)+c)
+			}
+		}
+	}
+	if sel.Total != want.Total || sel.Matched != want.Matched || sel.Rules.Dim() != 1 ||
+		!reflect.DeepEqual(sliceCells(sel.Rules), sliceCells(Slices{dim: 1, nc: nc, stride: 2 * nc, sides: [2][]int64{rules, rules[nc:]}})) {
+		t.Fatalf("selection %+v, brute force %+v with rules %v", sel, want, rules)
+	}
+	var walked, walkedOffs []int32
+	walk, err := SelectRows(context.Background(), ds, a1, v1, v2, where, func(lo int, sel, off []int32) {
+		for j, r := range sel {
+			walked, walkedOffs = append(walked, int32(lo)+r), append(walkedOffs, off[j])
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(walk, want) || !slices.Equal(walked, rows) || !slices.Equal(walkedOffs, offs) {
+		t.Fatalf("SelectRows walked rows %v with offsets %v and counted %+v; brute force %v, %v, %+v",
+			walked, walkedOffs, walk, rows, offs, want)
+	}
+	sub := ds.Filter(keep)
 	for i, b := range cands {
 		s := got[i]
 		if s.Dim() != cubeDim(ds, b) {
 			t.Fatalf("candidate %d: dim %d, want %d", b, s.Dim(), cubeDim(ds, b))
 		}
-		naive, _ := naiveCells(ds, []int{a1, b})
+		naive, _ := naiveCells(sub, []int{a1, b})
 		var want []int64
 		for _, va := range []int32{v1, v2} {
 			for vb := int32(0); int(vb) < s.Dim(); vb++ {
@@ -132,7 +187,7 @@ func checkSlices(t *testing.T, ds *dataset.Dataset, a1 int, v1, v2 int32, cands 
 		if int(max(v1, v2)) >= cubeDim(ds, a1) {
 			continue // no such slice in the pair cube
 		}
-		cubes, err := BuildMany(context.Background(), ds, [][]int{{a1, b}, {b, a1}})
+		cubes, err := BuildMany(context.Background(), sub, [][]int{{a1, b}, {b, a1}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +206,8 @@ func checkSlices(t *testing.T, ds *dataset.Dataset, a1 int, v1, v2 int32, cands 
 // TestCountSlicesOracle checks the slice kernel against the
 // brute-force recount and BuildMany's pair cubes on random small
 // datasets with missing values and classes, an empty-domain candidate,
-// split values absent from the data, and duplicate candidates.
+// split values absent from the data, duplicate candidates, and fixed
+// conditions: one, two, one on a candidate, and one no row holds.
 func TestCountSlicesOracle(t *testing.T) {
 	for trial := int64(0); trial < 6; trial++ {
 		rng := rand.New(rand.NewSource(trial))
@@ -159,21 +215,27 @@ func TestCountSlicesOracle(t *testing.T) {
 		for _, tc := range []struct {
 			a1     int
 			v1, v2 int32
+			where  []car.Condition
 			cands  []int
 		}{
-			{0, 0, 1, []int{1, 2, 3, 4}},
-			{0, 2, 1, []int{4, 2, 4, 3, 2}}, // duplicates
-			{0, 1, 4, []int{2, 3}},          // v2 absent from the data
-			{0, 3, 4, []int{1, 2}},          // both absent: every table empty
-			{0, 0, 9, []int{2}},             // v2 beyond the dictionary
-			{3, 3, 0, []int{0, 1, 2, 4}},
-			{2, 0, 2, nil},
+			{0, 0, 1, nil, []int{1, 2, 3, 4}},
+			{0, 2, 1, nil, []int{4, 2, 4, 3, 2}}, // duplicates
+			{0, 1, 4, nil, []int{2, 3}},          // v2 absent from the data
+			{0, 3, 4, nil, []int{1, 2}},          // both absent: every table empty
+			{0, 0, 9, nil, []int{2}},             // v2 beyond the dictionary
+			{3, 3, 0, nil, []int{0, 1, 2, 4}},
+			{2, 0, 2, nil, nil},
+			{0, 0, 1, []car.Condition{{Attr: 3, Value: 2}}, []int{1, 2, 4}},
+			{0, 2, 0, []car.Condition{{Attr: 4, Value: 1}, {Attr: 2, Value: 0}}, []int{3}},
+			{0, 0, 2, []car.Condition{{Attr: 2, Value: 1}}, []int{4, 3}},
+			{0, 0, 1, []car.Condition{{Attr: 3, Value: 3}}, nil},      // no candidate
+			{3, 0, 1, []car.Condition{{Attr: 0, Value: 4}}, []int{2}}, // no row holds it
 		} {
-			got, err := CountSlices(context.Background(), ds, tc.a1, tc.v1, tc.v2, tc.cands)
+			got, sel, err := CountSlices(context.Background(), ds, tc.a1, tc.v1, tc.v2, tc.where, tc.cands)
 			if err != nil {
 				t.Fatalf("trial %d %+v: %v", trial, tc, err)
 			}
-			checkSlices(t, ds, tc.a1, tc.v1, tc.v2, tc.cands, got)
+			checkSlices(t, ds, tc.a1, tc.v1, tc.v2, tc.where, tc.cands, got, sel)
 		}
 	}
 }
@@ -233,11 +295,11 @@ func TestCountSlicesJoined(t *testing.T) {
 				len(plans.joint), len(plans.narrow), len(plans.wide), c.joint, c.narrow, c.wide)
 		}
 		for _, vs := range [][2]int32{{0, 2}, {1, 0}} {
-			got, err := CountSlices(context.Background(), ds, 0, vs[0], vs[1], c.cands)
+			got, sel, err := CountSlices(context.Background(), ds, 0, vs[0], vs[1], nil, c.cands)
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkSlices(t, ds, 0, vs[0], vs[1], c.cands, got)
+			checkSlices(t, ds, 0, vs[0], vs[1], nil, c.cands, got, sel)
 		}
 	}
 }
@@ -248,18 +310,32 @@ func TestCountSlicesValidation(t *testing.T) {
 		name   string
 		a1     int
 		v1, v2 int32
+		where  []car.Condition
 		cands  []int
 	}{
-		{"class split", 2, 0, 1, []int{0}},
-		{"split out of range", 5, 0, 1, []int{0}},
-		{"equal values", 0, 1, 1, []int{1}},
-		{"negative value", 0, -1, 1, []int{1}},
-		{"split as candidate", 0, 0, 1, []int{1, 0}},
-		{"class candidate", 0, 0, 1, []int{2}},
-		{"candidate out of range", 0, 0, 1, []int{-1}},
+		{"class split", 2, 0, 1, nil, []int{0}},
+		{"split out of range", 5, 0, 1, nil, []int{0}},
+		{"equal values", 0, 1, 1, nil, []int{1}},
+		{"negative value", 0, -1, 1, nil, []int{1}},
+		{"split as candidate", 0, 0, 1, nil, []int{1, 0}},
+		{"class candidate", 0, 0, 1, nil, []int{2}},
+		{"candidate out of range", 0, 0, 1, nil, []int{-1}},
+		{"condition out of range", 0, 0, 1, []car.Condition{{Attr: 3, Value: 0}}, []int{1}},
+		{"condition on the class", 0, 0, 1, []car.Condition{{Attr: 2, Value: 0}}, []int{1}},
+		{"condition on the split", 0, 0, 1, []car.Condition{{Attr: 0, Value: 0}}, []int{1}},
+		{"duplicate condition", 0, 0, 1, []car.Condition{{Attr: 1, Value: 0}, {Attr: 1, Value: 0}}, nil},
+		{"condition value out of range", 0, 0, 1, []car.Condition{{Attr: 1, Value: 9}}, nil},
+		{"negative condition value", 0, 0, 1, []car.Condition{{Attr: 1, Value: -1}}, nil},
+		{"fixed candidate", 0, 0, 1, []car.Condition{{Attr: 1, Value: 0}}, []int{1}},
 	} {
-		if _, err := CountSlices(context.Background(), ds, tc.a1, tc.v1, tc.v2, tc.cands); err == nil {
+		if _, _, err := CountSlices(context.Background(), ds, tc.a1, tc.v1, tc.v2, tc.where, tc.cands); err == nil {
 			t.Errorf("%s: expected error", tc.name)
+		}
+		if tc.cands != nil {
+			continue
+		}
+		if _, err := SelectRows(context.Background(), ds, tc.a1, tc.v1, tc.v2, tc.where, func(int, []int32, []int32) {}); err == nil {
+			t.Errorf("%s: SelectRows: expected error", tc.name)
 		}
 	}
 	cubes, err := BuildMany(context.Background(), ds, [][]int{{0}, {0, 1}})
@@ -274,33 +350,39 @@ func TestCountSlicesValidation(t *testing.T) {
 	}
 }
 
-// TestCountSlicesCounters pins the pass's counters: one scan, the
-// selected rows (either side, class present) as rows counted, and no
-// cube built.
+// TestCountSlicesCounters pins the pass's counters, without and with a
+// fixed condition: one scan, the selected rows (either side, class
+// present, every condition holding) as rows counted, and no cube built.
 func TestCountSlicesCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	ds := randomSliceDataset(t, rng, 5000, 4)
-	var selected int64
-	for r := 0; r < ds.NumRows(); r++ {
-		if v := ds.CatCode(r, 0); (v == 1 || v == 3) && ds.ClassCode(r) >= 0 {
-			selected++
-		}
-	}
 	reg := obsv.Default()
-	s0 := reg.Counter(CubeScansCounterName).Value()
-	r0 := reg.Counter(RowsCountedCounterName).Value()
-	b0 := reg.Counter(CubesBuiltCounterName).Value()
-	if _, err := CountSlices(context.Background(), ds, 0, 3, 1, []int{1, 2, 3, 4}); err != nil {
-		t.Fatal(err)
-	}
-	if d := reg.Counter(CubeScansCounterName).Value() - s0; d != 1 {
-		t.Errorf("scan counter advanced by %d, want 1", d)
-	}
-	if d := reg.Counter(RowsCountedCounterName).Value() - r0; d != selected {
-		t.Errorf("rows counted advanced by %d, want the %d selected rows", d, selected)
-	}
-	if d := reg.Counter(CubesBuiltCounterName).Value() - b0; d != 0 {
-		t.Errorf("cubes built advanced by %d, want 0", d)
+	for _, pass := range []struct {
+		where []car.Condition
+		cands []int
+	}{{nil, []int{1, 2, 3, 4}}, {[]car.Condition{{Attr: 3, Value: 2}}, []int{1, 2, 4}}} {
+		where := pass.where
+		var selected int64
+		for r := 0; r < ds.NumRows(); r++ {
+			if v := ds.CatCode(r, 0); (v == 1 || v == 3) && ds.ClassCode(r) >= 0 && holdsAll(ds, where, r) {
+				selected++
+			}
+		}
+		s0 := reg.Counter(CubeScansCounterName).Value()
+		r0 := reg.Counter(RowsCountedCounterName).Value()
+		b0 := reg.Counter(CubesBuiltCounterName).Value()
+		if _, _, err := CountSlices(context.Background(), ds, 0, 3, 1, where, pass.cands); err != nil {
+			t.Fatal(err)
+		}
+		if d := reg.Counter(CubeScansCounterName).Value() - s0; d != 1 {
+			t.Errorf("conditions %v: scan counter advanced by %d, want 1", where, d)
+		}
+		if d := reg.Counter(RowsCountedCounterName).Value() - r0; d != selected {
+			t.Errorf("conditions %v: rows counted advanced by %d, want the %d selected rows", where, d, selected)
+		}
+		if d := reg.Counter(CubesBuiltCounterName).Value() - b0; d != 0 {
+			t.Errorf("conditions %v: cubes built advanced by %d, want 0", where, d)
+		}
 	}
 	// BuildMany counts every row.
 	r1 := reg.Counter(RowsCountedCounterName).Value()
@@ -322,11 +404,11 @@ func TestCountSlicesCancelAndFault(t *testing.T) {
 	s0 := scans.Value()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := CountSlices(ctx, ds, 0, 0, 1, []int{2, 3}); err != context.Canceled {
+	if _, _, err := CountSlices(ctx, ds, 0, 0, 1, nil, []int{2, 3}); err != context.Canceled {
 		t.Errorf("canceled ctx: got %v", err)
 	}
 	mid := &cancelAtCtx{Context: context.Background(), at: 3}
-	if _, err := CountSlices(mid, ds, 0, 0, 1, []int{2, 3}); !errors.Is(err, context.Canceled) {
+	if _, _, err := CountSlices(mid, ds, 0, 0, 1, nil, []int{2, 3}); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancel mid-pass: got %v", err)
 	}
 	if mid.polls != mid.at {
@@ -337,7 +419,7 @@ func TestCountSlicesCancelAndFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer disarm()
-	if _, err := CountSlices(context.Background(), ds, 0, 0, 1, []int{2, 3}); err == nil {
+	if _, _, err := CountSlices(context.Background(), ds, 0, 0, 1, nil, []int{2, 3}); err == nil {
 		t.Error("armed batch fault: expected error")
 	}
 	if d := scans.Value() - s0; d != 0 {
@@ -360,9 +442,10 @@ func (c *cancelAtCtx) Err() error {
 
 // FuzzCountSlices decodes arbitrary bytes into a small dataset (missing
 // values and classes, empty domains) and a slice request (any split
-// values, duplicate candidates), and checks the pass against the
-// brute-force recount and BuildMany's pair cubes. Invalid requests
-// must fail, never panic. Bit i of wide pads attribute i's dictionary
+// values, duplicate candidates, zero to two fixed conditions on any
+// attribute and value), and checks the pass against the brute-force
+// recount and BuildMany's pair cubes of the rows the conditions keep.
+// Invalid requests must fail, never panic. Bit i of wide pads attribute i's dictionary
 // (bit 7 the class's) past dataset.MaxNarrowLabels labels, which
 // stores that column at four bytes per row, so the pass runs at every
 // mix of code widths.
@@ -393,6 +476,10 @@ func FuzzCountSlices(f *testing.F) {
 		for i, n := 0, next()%6; i < n; i++ {
 			cands = append(cands, next()%(attrs+1))
 		}
+		var where []car.Condition
+		for i, n := 0, next()%3; i < n; i++ {
+			where = append(where, car.Condition{Attr: next() % (attrs + 2), Value: int32(next()%7) - 1})
+		}
 		var rows [][]int32
 		for len(data) > 0 && len(rows) < 256 {
 			row := make([]int32, attrs+1)
@@ -419,21 +506,27 @@ func FuzzCountSlices(f *testing.F) {
 				t.Fatalf("attribute %d with %d labels: wide %v", i, ds.Cardinality(i), got)
 			}
 		}
-		got, err := CountSlices(context.Background(), ds, a1, v1, v2, cands)
+		got, sel, err := CountSlices(context.Background(), ds, a1, v1, v2, where, cands)
 		valid := v1 >= 0 && v2 >= 0 && v1 != v2
 		for _, b := range cands {
-			valid = valid && b != a1 && b != attrs
+			valid = valid && b != a1 && b != attrs && !slices.ContainsFunc(where, func(f car.Condition) bool { return f.Attr == b })
+		}
+		for i, f := range where {
+			valid = valid && f.Attr < attrs && f.Attr != a1 && f.Value >= 0 && int(f.Value) < ds.Cardinality(f.Attr)
+			for _, g := range where[:i] {
+				valid = valid && g.Attr != f.Attr
+			}
 		}
 		if !valid {
 			if err == nil {
-				t.Fatalf("invalid request (split %d, values %d/%d, candidates %v) accepted", a1, v1, v2, cands)
+				t.Fatalf("invalid request (split %d, values %d/%d, conditions %v, candidates %v) accepted", a1, v1, v2, where, cands)
 			}
 			return
 		}
 		if err != nil {
-			t.Fatalf("valid request (split %d, values %d/%d, candidates %v): %v", a1, v1, v2, cands, err)
+			t.Fatalf("valid request (split %d, values %d/%d, conditions %v, candidates %v): %v", a1, v1, v2, where, cands, err)
 		}
-		checkSlices(t, ds, a1, v1, v2, cands, got)
+		checkSlices(t, ds, a1, v1, v2, where, cands, got, sel)
 	})
 }
 
@@ -459,11 +552,11 @@ func TestCountSlicesConcurrentPasses(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	want := make([][][]int64, len(reqs))
 	for i, r := range reqs {
-		got, err := CountSlices(context.Background(), r.ds, 0, r.v1, r.v2, r.cands)
+		got, sel, err := CountSlices(context.Background(), r.ds, 0, r.v1, r.v2, nil, r.cands)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkSlices(t, r.ds, 0, r.v1, r.v2, r.cands, got)
+		checkSlices(t, r.ds, 0, r.v1, r.v2, nil, r.cands, got, sel)
 		for _, s := range got {
 			want[i] = append(want[i], sliceCells(s))
 		}
@@ -477,7 +570,7 @@ func TestCountSlicesConcurrentPasses(t *testing.T) {
 			for k := 0; k < 3; k++ {
 				for i := range reqs {
 					r := reqs[(i+w)%len(reqs)]
-					got, err := CountSlices(context.Background(), r.ds, 0, r.v1, r.v2, r.cands)
+					got, _, err := CountSlices(context.Background(), r.ds, 0, r.v1, r.v2, nil, r.cands)
 					if err != nil {
 						errs <- err
 						return
@@ -520,7 +613,7 @@ func BenchmarkCountSlices(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := CountSlices(context.Background(), ds, 0, 0, 1, cands); err != nil {
+				if _, _, err := CountSlices(context.Background(), ds, 0, 0, 1, nil, cands); err != nil {
 					b.Fatal(err)
 				}
 			}

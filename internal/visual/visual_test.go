@@ -270,10 +270,11 @@ func TestDictEdge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cube, err := rulecube.Build(ds, []int{0})
+	cubes, err := rulecube.BuildMany(context.Background(), ds, [][]int{{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	cube := cubes[0]
 	if err := Detailed(&bytes.Buffer{}, cube); err != nil {
 		t.Fatal(err)
 	}

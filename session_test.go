@@ -2,6 +2,7 @@ package opmap
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"reflect"
 	"strings"
@@ -145,7 +146,7 @@ func scanCompare(s *Session, attr, v1, v2, class string) (*Comparison, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := compare.Scan(s.ds, in, copts)
+	res, err := compare.Scan(context.Background(), s.ds, nil, in, copts)
 	if err != nil {
 		return nil, err
 	}
